@@ -1,0 +1,876 @@
+"""Exact scalar, polynomial, rational-function and truncated-power-series arithmetic.
+
+Scalars are fractions.Fraction or QuadraticNumber, an element a + b*sqrt(d) of
+the quadratic field tagged by a squarefree integer d (d != 0, 1).  Arithmetic
+never leaves the tagged field; mixing two different d values is an error.
+
+Polynomials are dense tuples of coefficients, ascending degree, with the zero
+polynomial stored as the empty tuple.  Power series carry an explicit
+truncation order N (coefficients of t^0 .. t^N; the series is known mod
+t^(N+1)); binary operations propagate the minimum order of their inputs.
+
+Everything here is immutable after construction.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .errors import NonUnitConstantTerm, UnresolvedFactor, ZeroPolynomial
+
+# ---------------------------------------------------------------------------
+# integer helpers
+
+
+def _is_probable_prime(n):
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # deterministic Miller-Rabin witnesses for n < 3.3e24
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factorize(n):
+    """Return the prime factorization of n >= 1 as a dict prime -> exponent."""
+    assert n >= 1
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 7
+    # wheel over 2,3,5 residues
+    incs = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while f * f <= n and f < 10_000_000:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += incs[i]
+        i = (i + 1) % 8
+    if n > 1:
+        if f * f > n or _is_probable_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            r = math.isqrt(n)
+            if r * r == n and _is_probable_prime(r):
+                out[r] = out.get(r, 0) + 2
+            else:
+                raise ArithmeticError("cannot factor %d" % n)
+    return out
+
+
+def squarefree_part(n):
+    """Write n = s^2 * d with d squarefree; return (s, d).  n must be nonzero."""
+    assert n != 0
+    s, d = 1, 1 if n > 0 else -1
+    for p, e in factorize(abs(n)).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return s, d
+
+
+def divisors(n):
+    """All positive divisors of n != 0, ascending."""
+    out = [1]
+    for p, e in factorize(abs(n)).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def rational_sqrt(q):
+    """Exact square root of a Fraction if it is a perfect square, else None."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# quadratic field elements
+
+
+class QuadraticNumber:
+    """a + b*sqrt(d) with rational a, b and squarefree integer d (d != 0, 1)."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        assert d not in (0, 1)
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "d", int(d))
+
+    def __setattr__(self, *args):
+        raise AttributeError("QuadraticNumber is immutable")
+
+    def _coerce(self, other):
+        if isinstance(other, QuadraticNumber):
+            if other.d != self.d:
+                raise ValueError("mixed discriminants %d and %d" % (self.d, other.d))
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadraticNumber(other, 0, self.d)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadraticNumber(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadraticNumber(self.a - o.a, self.b - o.b, self.d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadraticNumber(
+            self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("zero quadratic number")
+        return QuadraticNumber(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, e):
+        assert isinstance(e, int) and e >= 0
+        out = QuadraticNumber(1, 0, self.d)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def conjugate(self):
+        return QuadraticNumber(self.a, -self.b, self.d)
+
+    def norm(self):
+        """a^2 - d*b^2, always a Fraction."""
+        return self.a * self.a - self.d * self.b * self.b
+
+    @property
+    def is_rational(self):
+        return self.b == 0
+
+    def to_rational(self):
+        assert self.b == 0
+        return self.a
+
+    def __eq__(self, other):
+        if isinstance(other, QuadraticNumber):
+            if other.d == self.d:
+                return self.a == other.a and self.b == other.b
+            return self.b == 0 and other.b == 0 and self.a == other.a
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __repr__(self):
+        if self.b == 0:
+            return str(self.a)
+        root = "sqrt(%d)" % self.d
+        bp = "" if abs(self.b) == 1 else "%s*" % _fmt_coeff(abs(self.b))
+        s = "-" if self.b < 0 else ("+" if self.a != 0 else "")
+        head = str(self.a) if self.a != 0 else ""
+        return "%s%s%s%s" % (head, s, bp, root)
+
+
+def _fmt_coeff(q):
+    return str(q)
+
+
+def as_scalar(x):
+    """Coerce ints to Fraction; pass Fractions and QuadraticNumbers through."""
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (Fraction, QuadraticNumber)):
+        return x
+    raise TypeError("unsupported scalar %r" % (x,))
+
+
+def collapse(x):
+    """Collapse a QuadraticNumber with vanishing sqrt part to a Fraction."""
+    if isinstance(x, QuadraticNumber) and x.b == 0:
+        return x.a
+    return x
+
+
+def conjugate_scalar(x):
+    return x.conjugate() if isinstance(x, QuadraticNumber) else x
+
+
+def scalar_sort_key(x):
+    """Deterministic total order: lexicographic on (rational part, sqrt part)."""
+    if isinstance(x, QuadraticNumber):
+        return (x.a, x.b)
+    return (Fraction(x), Fraction(0))
+
+
+def scalar_sign(x):
+    """Sign by the leading nonzero component of (a, b)."""
+    a, b = scalar_sort_key(x)
+    v = a if a != 0 else b
+    return -1 if v < 0 else (1 if v > 0 else 0)
+
+
+def quadratic_sqrt(q):
+    """sqrt of a nonzero Fraction as a Fraction or a QuadraticNumber (0 + s*sqrt(d))."""
+    assert q != 0
+    r = rational_sqrt(q)
+    if r is not None:
+        return r
+    sn, dn = squarefree_part(q.numerator)
+    sd, dd = squarefree_part(q.denominator)
+    # sqrt(q) = (sn/(sd*dd)) * sqrt(dn*dd)
+    s, d = squarefree_part(dn * dd)
+    return QuadraticNumber(0, Fraction(sn * s, sd * dd), d)
+
+
+# serialization: rationals as "num/den", quadratics as {"a","b","d"}
+
+
+def scalar_to_json(x):
+    if isinstance(x, QuadraticNumber):
+        return {"a": str(x.a), "b": str(x.b), "d": x.d}
+    return str(Fraction(x))
+
+
+def scalar_from_json(v):
+    if isinstance(v, dict):
+        return collapse(QuadraticNumber(Fraction(v["a"]), Fraction(v["b"]), int(v["d"])))
+    return Fraction(v)
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials
+
+
+class Polynomial:
+    """Dense univariate polynomial over Fraction or a fixed quadratic field."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [as_scalar(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def const(cls, c):
+        return cls((c,))
+
+    @classmethod
+    def x(cls):
+        return cls((0, 1))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def lead(self):
+        if not self.coeffs:
+            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __getitem__(self, i):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return Fraction(0)
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, Polynomial):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            return self == Polynomial((other,))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            other = Polynomial((other,))
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Polynomial([self[i] + other[i] for i in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Polynomial([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, Polynomial) else Polynomial((other,)) * -1)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            return Polynomial([c * other for c in self.coeffs])
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return Polynomial(())
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return Polynomial(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        assert isinstance(e, int) and e >= 0
+        out, base = Polynomial((1,)), self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def __divmod__(self, other):
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            other = Polynomial((other,))
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q, r = Polynomial(()), self
+        inv = 1 / other.lead
+        while not r.is_zero and r.degree >= other.degree:
+            k = r.degree - other.degree
+            c = r.lead * inv
+            q = q + Polynomial([0] * k + [c])
+            r = r - Polynomial([0] * k + [c]) * other
+        return q, r
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            return self * (1 / as_scalar(other))
+        q, r = divmod(self, other)
+        if not r.is_zero:
+            raise ValueError("inexact polynomial division")
+        return q
+
+    def derivative(self):
+        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, v):
+        out = as_scalar(0)
+        for c in reversed(self.coeffs):
+            out = out * v + c
+        return out
+
+    def compose(self, other):
+        """Substitute the polynomial `other` for the variable."""
+        out = Polynomial(())
+        for c in reversed(self.coeffs):
+            out = out * other + c
+        return out
+
+    def shift(self, a):
+        """Taylor shift: p(t) -> p(t + a)."""
+        return self.compose(Polynomial((a, 1)))
+
+    def monic(self):
+        if self.is_zero:
+            return self
+        return self * (1 / self.lead)
+
+    def valuation(self):
+        """Index of the first nonzero coefficient (0 for the zero polynomial)."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return 0
+
+    def is_rational(self):
+        return all(not isinstance(c, QuadraticNumber) or c.b == 0 for c in self.coeffs)
+
+    def map_coeffs(self, f):
+        return Polynomial([f(c) for c in self.coeffs])
+
+    def primitive_integer(self):
+        """For rational coefficients: the integer-primitive multiple with positive lead.
+
+        Returns (primitive polynomial, scale) with self = scale * primitive.
+        """
+        if self.is_zero:
+            raise ZeroPolynomial("zero polynomial has no primitive part")
+        cs = [Fraction(collapse(c)) for c in self.coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        g = math.gcd(*nums)
+        if nums[-1] < 0:
+            g = -g
+        return Polynomial([n // g for n in nums]), Fraction(g, den)
+
+    def __repr__(self):
+        return "Polynomial(%s)" % (format_polynomial(self, "t"),)
+
+
+def format_polynomial(p, var):
+    if p.is_zero:
+        return "0"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p[i]
+        if not c:
+            continue
+        if i == 0:
+            mono = ""
+        elif i == 1:
+            mono = var
+        else:
+            mono = "%s^%d" % (var, i)
+        cstr = str(c)
+        if isinstance(c, QuadraticNumber) and c.b != 0:
+            cstr = "(%s)" % cstr
+        if mono:
+            if cstr == "1":
+                cstr = ""
+            elif cstr == "-1":
+                cstr = "-"
+            else:
+                cstr += "*"
+        term = cstr + mono if mono else cstr
+        if parts and not term.startswith("-"):
+            parts.append("+")
+        parts.append(term)
+    return "".join(parts)
+
+
+def poly_gcd(p, q):
+    """Monic gcd over the coefficient field."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    if a.is_zero:
+        return a
+    return a.monic()
+
+
+def squarefree_factor(p):
+    """Yun decomposition of a rational-coefficient polynomial.
+
+    Returns [(factor, multiplicity), ...] with pairwise-coprime squarefree
+    primitive factors of positive leading coefficient whose weighted product
+    equals p up to a nonzero rational constant.  Constant factors are dropped.
+    """
+    if p.is_zero:
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    p, _ = p.primitive_integer()
+    if p.degree < 1:
+        return []
+    out = []
+    g = poly_gcd(p, p.derivative())
+    w = p / g
+    m = 1
+    while w.degree > 0:
+        y = poly_gcd(w, g)
+        f = w / y
+        if f.degree > 0:
+            fp, _ = f.primitive_integer()
+            out.append((fp, m))
+        w, g = y, g / y
+        m += 1
+    return out
+
+
+def rational_roots_squarefree(p):
+    """Rational roots of a primitive squarefree integer polynomial, ascending."""
+    roots = []
+    v = p.valuation()
+    if v:
+        roots.append(Fraction(0))
+        p = Polynomial(p.coeffs[v:])
+    if p.degree < 1:
+        return roots, p
+    a0 = int(p.coeffs[0])
+    an = int(p.lead)
+    cands = set()
+    for num in divisors(a0):
+        for den in divisors(an):
+            f = Fraction(num, den)
+            cands.add(f)
+            cands.add(-f)
+    for r in sorted(cands):
+        if p(r) == 0:
+            roots.append(r)
+            p = p / Polynomial((-r, 1))
+    return sorted(roots), p
+
+
+def roots_in_quadratic_closure(p):
+    """All roots of p (rational coefficients) lying in degree <= 2 extensions.
+
+    Roots are repeated according to multiplicity and sorted by (rational part,
+    sqrt part).  An irreducible factor of degree >= 3 raises UnresolvedFactor.
+    """
+    if p.is_zero:
+        raise ZeroPolynomial("zero polynomial has every point as a root")
+    roots = []
+    for f, mult in squarefree_factor(p):
+        found, rest = rational_roots_squarefree(f)
+        roots.extend(found * mult)
+        if rest.degree >= 3:
+            raise UnresolvedFactor(rest)
+        if rest.degree == 2:
+            A, B, C = rest[2], rest[1], rest[0]
+            disc = B * B - 4 * A * C
+            if disc == 0:
+                # cannot happen for a squarefree factor
+                raise ArithmeticError("repeated root in squarefree factor")
+            half = quadratic_sqrt(Fraction(disc))
+            r1 = collapse((-B + half) / (2 * A))
+            r2 = collapse((-B - half) / (2 * A))
+            roots.extend([r1, r2] * mult)
+        elif rest.degree == 1:
+            roots.extend([-rest[0] / rest[1]] * mult)
+    return sorted(roots, key=scalar_sort_key)
+
+
+def rational_roots_with_multiplicity(p):
+    """Rational roots of p over any supported field, with multiplicity.
+
+    Returns (list of (root, multiplicity), deflated quotient).  For quadratic
+    coefficients, candidate roots are the common rational roots of the two
+    rational components.
+    """
+    assert not p.is_zero
+    if p.is_rational():
+        base = p.map_coeffs(lambda c: Fraction(collapse(c)))
+    else:
+        pa = p.map_coeffs(lambda c: c.a if isinstance(c, QuadraticNumber) else Fraction(c))
+        pb = p.map_coeffs(lambda c: c.b if isinstance(c, QuadraticNumber) else Fraction(0))
+        base = poly_gcd(pa, pb)
+        if base.degree < 1:
+            return [], p
+    prim, _ = base.primitive_integer()
+    cands = []
+    for f, _m in squarefree_factor(prim):
+        found, _rest = rational_roots_squarefree(f)
+        cands.extend(found)
+    out = []
+    for r in sorted(set(cands)):
+        mult = 0
+        while True:
+            q, rem = divmod(p, Polynomial((-r, 1)))
+            if rem.is_zero:
+                p = q
+                mult += 1
+            else:
+                break
+        if mult:
+            out.append((r, mult))
+    return out, p
+
+
+# ---------------------------------------------------------------------------
+# rational functions
+
+
+class RationalFunction:
+    """num/den with monic denominator and gcd(num, den) = 1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        num = num if isinstance(num, Polynomial) else Polynomial([num] if not isinstance(num, (list, tuple)) else num)
+        if den is None:
+            den = Polynomial((1,))
+        den = den if isinstance(den, Polynomial) else Polynomial([den] if not isinstance(den, (list, tuple)) else den)
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero:
+            num, den = Polynomial(()), Polynomial((1,))
+        else:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num / g, den / g
+            lead = den.lead
+            if lead != 1:
+                num, den = num * (1 / as_scalar(lead)), den * (1 / as_scalar(lead))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *args):
+        raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def from_poly(cls, p):
+        return cls(p, Polynomial((1,)))
+
+    @property
+    def is_zero(self):
+        return self.num.is_zero
+
+    def is_polynomial(self):
+        return self.den.degree == 0
+
+    def __eq__(self, other):
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (Polynomial, int, Fraction, QuadraticNumber)):
+            return self == RationalFunction(other if isinstance(other, Polynomial) else Polynomial((other,)))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def _lift(self, other):
+        if isinstance(other, RationalFunction):
+            return other
+        if isinstance(other, Polynomial):
+            return RationalFunction(other)
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            return RationalFunction(Polynomial((other,)))
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(-self.num, self.den)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return RationalFunction(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero:
+            raise ZeroDivisionError("division by zero rational function")
+        return RationalFunction(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        return o / self
+
+    def derivative(self):
+        return RationalFunction(
+            self.num.derivative() * self.den - self.num * self.den.derivative(),
+            self.den * self.den,
+        )
+
+    def __call__(self, v):
+        d = self.den(v)
+        if not d:
+            raise ZeroDivisionError("pole at %s" % (v,))
+        return self.num(v) / d
+
+    def __repr__(self):
+        if self.is_polynomial():
+            return "(%s)" % format_polynomial(self.num, "t")
+        return "(%s)/(%s)" % (format_polynomial(self.num, "t"), format_polynomial(self.den, "t"))
+
+
+def poly_compose_rational(p, rf):
+    """p(rf) for a polynomial p and rational function rf."""
+    out = RationalFunction(Polynomial(()))
+    for c in reversed(p.coeffs):
+        out = out * rf + c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# truncated power series
+
+
+class PowerSeries:
+    """Coefficients of t^0 .. t^N; the series is known modulo t^(N+1)."""
+
+    __slots__ = ("coeffs", "order")
+
+    def __init__(self, coeffs, order=None):
+        cs = [as_scalar(c) for c in coeffs]
+        if order is None:
+            order = len(cs) - 1
+        assert order >= 0
+        cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PowerSeries is immutable")
+
+    @classmethod
+    def one(cls, order):
+        return cls([1], order)
+
+    def __getitem__(self, i):
+        return self.coeffs[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            other = PowerSeries([other], self.order)
+        n = min(self.order, other.order)
+        return PowerSeries([self[i] + other[i] for i in range(n + 1)], n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PowerSeries([-c for c in self.coeffs], self.order)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            other = PowerSeries([other], self.order)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, QuadraticNumber)):
+            return PowerSeries([c * other for c in self.coeffs], self.order)
+        n = min(self.order, other.order)
+        out = [as_scalar(0)] * (n + 1)
+        for i in range(n + 1):
+            a = self[i]
+            if not a:
+                continue
+            for j in range(n + 1 - i):
+                b = other[j]
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return PowerSeries(out, n)
+
+    __rmul__ = __mul__
+
+    def is_zero_through(self, m):
+        return all(not c for c in self.coeffs[: m + 1])
+
+    def __repr__(self):
+        head = format_polynomial(Polynomial(self.coeffs[: min(5, self.order + 1)]), "t") or "0"
+        return "PowerSeries(%s + O(t^%d))" % (head, self.order + 1)
+
+
+def series_binomial_power(s, e):
+    """(unit series)^e for rational e, via the first-order ODE recurrence.
+
+    Requires constant term exactly 1; result r satisfies r' * s = e * s' * r,
+    giving n*r_n = sum_{j=1..n} ((e+1)j - n) s_j r_{n-j}.
+    """
+    if s[0] != 1:
+        raise NonUnitConstantTerm("series_binomial_power needs constant term 1, got %s" % (s[0],))
+    e = Fraction(e)
+    n = s.order
+    out = [as_scalar(1)] + [as_scalar(0)] * n
+    for m in range(1, n + 1):
+        acc = as_scalar(0)
+        for j in range(1, m + 1):
+            sj = s[j]
+            if sj:
+                acc = acc + ((e + 1) * j - m) * sj * out[m - j]
+        out[m] = acc / m
+    return PowerSeries(out, n)

@@ -1,0 +1,622 @@
+"""Arrangement catalog: records, consistency verification, reduction replays.
+
+The catalog holds one record per arrangement (octic, operator, printed
+exponent table, decorations, expected degeneration labels, Hodge numbers)
+plus the derived three-point operators and the transformation chains that
+connect them.  verify_catalog recomputes everything recomputable from the
+stored operators and reports one pass/fail line per entry; known printed
+slips are reported as NOTED with the recomputed value rather than failed.
+reproduce_reduction replays a chain step by step and checks its endpoint.
+"""
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import catalog_data
+from .arith import (
+    Polynomial,
+    QuadraticNumber,
+    RationalFunction,
+    collapse,
+    scalar_from_json,
+    scalar_to_json,
+)
+from .errors import ChainBroken, NotEven
+from .frobenius import PointType, classify_point
+from .optheta import (
+    INFINITY,
+    SingularPoint,
+    ThetaOperator,
+    fuchs_defect,
+    riemann_symbol,
+    top_profile,
+)
+from .transform import (
+    MobiusMap,
+    descend_power,
+    descend_quadratic,
+    is_even,
+    mobius,
+    negate_variable,
+    pullback_power,
+    pullback_rational,
+    shift_exponents,
+    translate_to_origin,
+)
+
+CATALOG_VERSION = 1
+
+
+def _point(p):
+    return INFINITY if p is None else SingularPoint(p)
+
+
+def _plane_polys(plane):
+    return tuple(
+        c if isinstance(c, Polynomial) else Polynomial(c if isinstance(c, tuple) else (c,))
+        for c in plane
+    )
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+@dataclass(frozen=True)
+class ArrangementRecord:
+    """One arrangement: geometry data, operator, and the printed tables."""
+
+    id: int
+    operator: ThetaOperator
+    octic: object  # tuple of 8 planes, each 4 t-polynomials; or a sic string
+    symbol: tuple  # ((SingularPoint, exponent tuple), ...) printed column order
+    decorations: object  # tuple aligned with symbol columns, or None
+    labels: tuple  # expected degeneration label per column
+    h11: object
+    h12: object
+    notes: str
+
+    def symbol_table(self):
+        return {p: exps for p, exps in self.symbol}
+
+    def points(self):
+        return tuple(p for p, _ in self.symbol)
+
+    def to_json(self):
+        return {
+            "id": self.id,
+            "operator": self.operator.to_json(),
+            "octic": _octic_to_json(self.octic),
+            "symbol": _symbol_to_json(self.symbol),
+            "decorations": list(self.decorations) if self.decorations is not None else None,
+            "labels": list(self.labels),
+            "h11": self.h11,
+            "h12": self.h12,
+            "notes": self.notes,
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(
+            id=data["id"],
+            operator=ThetaOperator.from_json(data["operator"]),
+            octic=_octic_from_json(data["octic"]),
+            symbol=_symbol_from_json(data["symbol"]),
+            decorations=tuple(data["decorations"]) if data["decorations"] is not None else None,
+            labels=tuple(data["labels"]),
+            h11=data["h11"],
+            h12=data["h12"],
+            notes=data["notes"],
+        )
+
+
+@dataclass(frozen=True)
+class DerivedOperatorRecord:
+    """A three-point operator produced from an arrangement by a chain."""
+
+    name: str
+    operator: ThetaOperator
+    symbol: tuple  # printed columns, which may contain documented slips
+    decorations: tuple
+    labels: tuple
+    source: int  # arrangement id the chain starts from
+    chain: str  # chain name; replaying it must reproduce `operator`
+    printed_discrepancy_points: tuple  # columns where print and operator differ
+    notes: str
+
+    def symbol_table(self):
+        return {p: exps for p, exps in self.symbol}
+
+    def to_json(self):
+        return {
+            "name": self.name,
+            "operator": self.operator.to_json(),
+            "symbol": _symbol_to_json(self.symbol),
+            "decorations": list(self.decorations),
+            "labels": list(self.labels),
+            "source": self.source,
+            "chain": self.chain,
+            "printed_discrepancy_points": [p.to_json() for p in self.printed_discrepancy_points],
+            "notes": self.notes,
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(
+            name=data["name"],
+            operator=ThetaOperator.from_json(data["operator"]),
+            symbol=_symbol_from_json(data["symbol"]),
+            decorations=tuple(data["decorations"]),
+            labels=tuple(data["labels"]),
+            source=data["source"],
+            chain=data["chain"],
+            printed_discrepancy_points=tuple(
+                SingularPoint.from_json(p) for p in data["printed_discrepancy_points"]
+            ),
+            notes=data["notes"],
+        )
+
+
+def _symbol_to_json(symbol):
+    return [
+        {"point": p.to_json(), "exponents": [scalar_to_json(e) for e in exps]}
+        for p, exps in symbol
+    ]
+
+
+def _symbol_from_json(rows):
+    return tuple(
+        (
+            SingularPoint.from_json(row["point"]),
+            tuple(scalar_from_json(e) for e in row["exponents"]),
+        )
+        for row in rows
+    )
+
+
+def _octic_to_json(octic):
+    if octic is None or isinstance(octic, str):
+        return octic
+    return [[list(map(str, c.coeffs)) for c in plane] for plane in octic]
+
+
+def _octic_from_json(data):
+    if data is None or isinstance(data, str):
+        return data
+    return tuple(
+        tuple(Polynomial([Fraction(s) for s in c]) for c in plane) for plane in data
+    )
+
+
+def _build_catalog():
+    out = {}
+    for aid, (cols, dec, labels, h11, h12, notes) in catalog_data.ARRANGEMENT_TABLES.items():
+        if aid in catalog_data.OCTICS:
+            octic = tuple(_plane_polys(pl) for pl in catalog_data.OCTICS[aid])
+        else:
+            octic = catalog_data.OCTIC_248_SIC
+        out[aid] = ArrangementRecord(
+            id=aid,
+            operator=catalog_data.OPERATORS[aid],
+            octic=octic,
+            symbol=tuple((_point(p), tuple(exps)) for p, exps in cols),
+            decorations=dec,
+            labels=labels,
+            h11=h11,
+            h12=h12,
+            notes=notes,
+        )
+    return out
+
+
+_DISCREPANCY_POINTS = {"descent-153": (INFINITY,)}
+
+
+def _build_derived():
+    out = {}
+    for name, (op, cols, dec, labels, src, chain, notes) in catalog_data.DERIVED.items():
+        out[name] = DerivedOperatorRecord(
+            name=name,
+            operator=op,
+            symbol=tuple((_point(p), tuple(exps)) for p, exps in cols),
+            decorations=dec,
+            labels=labels,
+            source=src,
+            chain=chain,
+            printed_discrepancy_points=_DISCREPANCY_POINTS.get(name, ()),
+            notes=notes,
+        )
+    return out
+
+
+CATALOG = _build_catalog()
+DERIVED_OPERATORS = _build_derived()
+
+
+# ---------------------------------------------------------------------------
+# verification
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    status: str  # PASS | FAIL | NOTED
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class EntryReport:
+    kind: str  # "arrangement" | "derived"
+    key: object
+    checks: tuple
+
+    @property
+    def ok(self):
+        return all(c.status != "FAIL" for c in self.checks)
+
+    def line(self):
+        flag = "PASS" if self.ok else "FAIL"
+        noted = [c for c in self.checks if c.status == "NOTED"]
+        bad = [c for c in self.checks if c.status == "FAIL"]
+        extra = ""
+        if bad:
+            extra = " [" + "; ".join("%s: %s" % (c.name, c.detail or "failed") for c in bad) + "]"
+        elif noted:
+            extra = " [" + "; ".join("%s: %s" % (c.name, c.detail) for c in noted) + "]"
+        return "%s %s %s%s" % (flag, self.kind, self.key, extra)
+
+
+@dataclass(frozen=True)
+class CatalogReport:
+    entries: tuple
+
+    @property
+    def ok(self):
+        return all(e.ok for e in self.entries)
+
+    def lines(self):
+        return [e.line() for e in self.entries]
+
+    def format(self):
+        out = self.lines()
+        out.append("catalog: %s" % ("PASS" if self.ok else "FAIL"))
+        return "\n".join(out)
+
+
+def _fmt_exps(exps):
+    return "(" + ",".join(str(e) for e in exps) + ")"
+
+
+def _check_entry(op, symbol, labels, allowed_mismatch=()):
+    checks = []
+    table = {p: exps for p, exps in symbol}
+    sym = riemann_symbol(op)
+    if sym.same_table(table):
+        checks.append(CheckResult("symbol", "PASS"))
+    else:
+        computed = sym.table()
+        wrong = []
+        for p, exps in table.items():
+            got = computed.get(p)
+            if got != tuple(exps):
+                wrong.append(p)
+        extra = [p for p in computed if p not in table]
+        if extra or set(wrong) - set(allowed_mismatch):
+            detail = "mismatch at %s" % (sorted(set(wrong) | set(extra), key=SingularPoint.sort_key),)
+            checks.append(CheckResult("symbol", "FAIL", detail))
+        else:
+            parts = []
+            for p in wrong:
+                got = computed.get(p)
+                parts.append(
+                    "printed %s at %s, operator gives %s"
+                    % (_fmt_exps(table[p]), p, _fmt_exps(got) if got else "no point")
+                )
+            checks.append(CheckResult("symbol", "NOTED", "; ".join(parts)))
+    # transcription cross-check: the top profile vanishes exactly at the
+    # printed finite points (0 and infinity are always candidates)
+    ell = top_profile(op)
+    printed_finite = [p for p, _ in symbol if not p.is_infinite and p.value != 0]
+    bad = [p for p in printed_finite if ell(p.value) != 0]
+    if bad:
+        checks.append(CheckResult("profile", "FAIL", "no root at %s" % (bad,)))
+    else:
+        checks.append(CheckResult("profile", "PASS"))
+    n = op.order
+    fd = fuchs_defect(op)
+    if fd == -n * (n - 1):
+        checks.append(CheckResult("fuchs", "PASS"))
+    else:
+        checks.append(CheckResult("fuchs", "FAIL", "defect %s" % (fd,)))
+    got_labels = []
+    for (p, _exps), want in zip(symbol, labels):
+        try:
+            got = str(classify_point(op, p))
+        except Exception as exc:  # classification itself failed
+            got = "error: %r" % (exc,)
+        got_labels.append((p, want, got))
+    wrong = [(p, want, got) for p, want, got in got_labels if want != got]
+    if wrong:
+        checks.append(
+            CheckResult(
+                "labels",
+                "FAIL",
+                "; ".join("%s: expected %s, got %s" % w for w in wrong),
+            )
+        )
+    else:
+        checks.append(CheckResult("labels", "PASS"))
+    if any(got == "MUM" for _p, _w, got in got_labels):
+        checks.append(CheckResult("no-MUM", "FAIL", "MUM point present"))
+    else:
+        checks.append(CheckResult("no-MUM", "PASS"))
+    return checks
+
+
+def verify_catalog(include_derived=True, include_chains=False):
+    """Recompute everything recomputable; one report entry per record."""
+    entries = []
+    for aid in sorted(CATALOG):
+        rec = CATALOG[aid]
+        checks = _check_entry(rec.operator, rec.symbol, rec.labels)
+        entries.append(EntryReport("arrangement", aid, tuple(checks)))
+    if include_derived:
+        for name in DERIVED_OPERATORS:
+            rec = DERIVED_OPERATORS[name]
+            checks = _check_entry(
+                rec.operator, rec.symbol, rec.labels, rec.printed_discrepancy_points
+            )
+            entries.append(EntryReport("derived", name, tuple(checks)))
+    if include_chains:
+        for name in CHAINS:
+            rep = reproduce_reduction(name)
+            status = "PASS" if rep.ok else "FAIL"
+            entries.append(
+                EntryReport("chain", name, (CheckResult("replay", status, rep.detail),))
+            )
+    return CatalogReport(tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# reduction chains
+
+
+@dataclass(frozen=True)
+class ChainStep:
+    description: str
+    operator: ThetaOperator
+
+    def symbol(self):
+        return riemann_symbol(self.operator)
+
+
+@dataclass(frozen=True)
+class ReductionReport:
+    name: str
+    ok: bool
+    steps: tuple
+    target: str
+    detail: str = ""
+
+    def format(self):
+        out = ["chain %s -> %s: %s" % (self.name, self.target, "PASS" if self.ok else "FAIL")]
+        if self.detail:
+            out.append("  " + self.detail)
+        for step in self.steps:
+            out.append("  after %s:" % step.description)
+            for line in step.symbol().format().splitlines():
+                out.append("    " + line)
+        return "\n".join(out)
+
+
+def _eq(a, b):
+    return a.normalized() == b.normalized()
+
+
+def _descend_even(op, steps, label):
+    if not is_even(op):
+        raise ChainBroken(label, "operator is not even")
+    down = descend_quadratic(op)
+    if not _eq(pullback_power(down, 2), op):
+        raise ChainBroken(label, "square pullback does not restore the operator")
+    return down
+
+
+def _chain_33to70():
+    steps = []
+    r = negate_variable(CATALOG[33].operator)
+    steps.append(ChainStep("t -> -t", r))
+    return steps, _eq(r, CATALOG[70].operator), "arrangement 70"
+
+
+def _chain_97to98():
+    steps = []
+    r = shift_exponents(CATALOG[97].operator, {0: Fraction(1, 2)})
+    steps.append(ChainStep("shift exponents at 0 by +1/2", r))
+    r = mobius(r, MobiusMap(0, 1, 1, -1))
+    steps.append(ChainStep("substitute t = 1/(s - 1)", r))
+    return steps, _eq(r, CATALOG[98].operator), "arrangement 98"
+
+
+def _chain_98descent():
+    steps = []
+    r = translate_to_origin(CATALOG[98].operator, Fraction(1, 2))
+    steps.append(ChainStep("substitute t = s + 1/2", r))
+    d = _descend_even(r, steps, "quadratic descent")
+    steps.append(ChainStep("descend u = s^2", d))
+    d = mobius(d, MobiusMap(4, Fraction(1, 4), 0, 1))
+    steps.append(ChainStep("substitute u = 4w + 1/4", d))
+    return steps, _eq(d, DERIVED_OPERATORS["descent-98"].operator), "descent-98"
+
+
+def _chain_35descent():
+    steps = []
+    r = shift_exponents(CATALOG[35].operator, {-1: Fraction(1, 2)})
+    steps.append(ChainStep("shift exponents at -1 by +1/2", r))
+    r = mobius(r, MobiusMap(-1, 1, 1, 1))
+    steps.append(ChainStep("substitute t = (1 - s)/(1 + s)", r))
+    d = _descend_even(r, steps, "quadratic descent")
+    steps.append(ChainStep("descend u = s^2", d))
+    d = mobius(d, MobiusMap(-8, 0, 0, 1))
+    steps.append(ChainStep("substitute u = -8w", d))
+    return steps, _eq(d, DERIVED_OPERATORS["descent-35"].operator), "descent-35"
+
+
+def _chain_35descent2():
+    steps = []
+    phi = RationalFunction(Polynomial((0, 0, 2)), Polynomial((1, 8)))
+    r = pullback_rational(DERIVED_OPERATORS["descent-35-further"].operator, phi)
+    steps.append(ChainStep("pull back along t = 2s^2/(8s + 1)", r))
+    r = shift_exponents(r, {Fraction(-1, 8): Fraction(-1, 8)})
+    steps.append(ChainStep("shift exponents at -1/8 by -1/8", r))
+    return steps, _eq(r, DERIVED_OPERATORS["descent-35"].operator), "descent-35"
+
+
+def _chain_152pullback():
+    steps = []
+    psi = RationalFunction(Polynomial((-1, -2, -1)), Polynomial((16, -32, 16)))
+    r = pullback_rational(DERIVED_OPERATORS["descent-98"].operator, psi)
+    steps.append(ChainStep("pull back along t = -(s + 1)^2/(16(s - 1)^2)", r))
+    r = shift_exponents(r, {1: Fraction(-1, 2)})
+    steps.append(ChainStep("shift exponents at 1 by -1/2", r))
+    return steps, _eq(r, CATALOG[152].operator), "arrangement 152"
+
+
+def _chain_153descent():
+    steps = []
+    r = shift_exponents(CATALOG[153].operator, {-2: Fraction(1, 2)})
+    steps.append(ChainStep("shift exponents at -2 by +1/2", r))
+    r = mobius(r, MobiusMap(-2, 0, 1, 1))
+    steps.append(ChainStep("substitute t = -2s/(s + 1)", r))
+    d = _descend_even(r, steps, "quadratic descent")
+    steps.append(ChainStep("descend u = s^2", d))
+    return steps, _eq(d, DERIVED_OPERATORS["descent-153"].operator), "descent-153"
+
+
+_CHAIN_248_TARGET = (
+    (SingularPoint(0), (0, 0, 1, 1)),
+    (SingularPoint(Fraction(1, 4)), (0, 1, 1, 2)),
+    (SingularPoint(1), (0, 1, 1, 2)),
+    (INFINITY, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(3, 4))),
+)
+
+_CHAIN_250_TARGET = (
+    (SingularPoint(0), (0, Fraction(1, 2), Fraction(3, 2), 2)),
+    (SingularPoint(1), (0, Fraction(1, 2), Fraction(1, 2), 1)),
+    (SingularPoint(9), (0, 1, 1, 2)),
+    (INFINITY, (Fraction(1, 4), Fraction(1, 4), Fraction(3, 4), Fraction(3, 4))),
+)
+
+
+def _chain_248descent():
+    steps = []
+    r = translate_to_origin(CATALOG[248].operator, -1)
+    steps.append(ChainStep("substitute t = s - 1", r))
+    d = _descend_even(r, steps, "quadratic descent")
+    steps.append(ChainStep("descend u = s^2", d))
+    ok = riemann_symbol(d).same_table({p: e for p, e in _CHAIN_248_TARGET})
+    return steps, ok, "expected exponent table"
+
+
+def _chain_250descent():
+    steps = []
+    r = translate_to_origin(CATALOG[250].operator, Fraction(-1, 2))
+    steps.append(ChainStep("substitute t = s - 1/2", r))
+    d = _descend_even(r, steps, "quadratic descent")
+    steps.append(ChainStep("descend u = s^2", d))
+    d = mobius(d, MobiusMap(Fraction(1, 4), 0, 0, 1))
+    steps.append(ChainStep("substitute u = w/4", d))
+    ok = riemann_symbol(d).same_table({p: e for p, e in _CHAIN_250_TARGET})
+    return steps, ok, "expected exponent table"
+
+
+def _chain_266identical273():
+    steps = [ChainStep("no transformation", CATALOG[266].operator)]
+    return steps, _eq(CATALOG[266].operator, CATALOG[273].operator), "arrangement 273"
+
+
+def _chain_266reduction():
+    steps = []
+    qp = QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3)
+    qm = QuadraticNumber(Fraction(-1, 4), Fraction(-1, 4), -3)
+    r = shift_exponents(CATALOG[266].operator, {Fraction(-1, 2): Fraction(1, 6), 0: Fraction(1, 6)})
+    steps.append(ChainStep("shift exponents at -1/2 and 0 by +1/6", r))
+    # sends the two quadratic points to 0 and infinity, the three shifted
+    # columns to cube roots of 1, the remaining three points to cube roots
+    # of -1
+    r = mobius(r, MobiusMap(qm, -qp, 1, -1))
+    steps.append(ChainStep("substitute t = (q- s - q+)/(s - 1)", r))
+    d = descend_power(r, 3)
+    steps.append(ChainStep("descend u = s^3", d))
+    sqrt_d = QuadraticNumber(0, Fraction(1), -3)
+    d = d.scale(sqrt_d)
+    for p in d.theta_coeffs:
+        for c in p:
+            if isinstance(c, QuadraticNumber) and c.b != 0:
+                raise ChainBroken(
+                    "rationality", "cube descent did not reduce to sqrt(-3) times a rational operator"
+                )
+    d = d.map_coeffs(lambda c: Fraction(collapse(c)))
+    steps.append(ChainStep("scale by sqrt(-3)", d))
+    # the last 2:1 step is ramified over the two remaining fibers, so it is
+    # checked through the pullback identity rather than an even descent
+    rho = RationalFunction(Polynomial((0, 1)), Polynomial((9, -18, 9)))
+    lifted = pullback_rational(DERIVED_OPERATORS["reduction-266"].operator, rho)
+    ok = _eq(d, lifted)
+    return steps, ok, "pullback of reduction-266 along u/(9(u - 1)^2)"
+
+
+CHAINS = {
+    "33to70": _chain_33to70,
+    "97to98": _chain_97to98,
+    "98descent": _chain_98descent,
+    "35descent": _chain_35descent,
+    "35descent2": _chain_35descent2,
+    "152pullback": _chain_152pullback,
+    "153descent": _chain_153descent,
+    "248descent": _chain_248descent,
+    "250descent": _chain_250descent,
+    "266identical273": _chain_266identical273,
+    "266chain": _chain_266reduction,
+}
+
+
+def reproduce_reduction(name):
+    """Replay a stored chain; the endpoint must match its recorded target."""
+    if name not in CHAINS:
+        raise KeyError("unknown chain %r (have: %s)" % (name, ", ".join(sorted(CHAINS))))
+    steps, ok, target = CHAINS[name]()
+    detail = "" if ok else "endpoint does not match %s" % target
+    return ReductionReport(name=name, ok=ok, steps=tuple(steps), target=target, detail=detail)
+
+
+# ---------------------------------------------------------------------------
+# JSON resource
+
+
+def catalog_to_json():
+    return {
+        "version": CATALOG_VERSION,
+        "arrangements": [CATALOG[aid].to_json() for aid in sorted(CATALOG)],
+        "derived": [DERIVED_OPERATORS[n].to_json() for n in DERIVED_OPERATORS],
+        "chains": sorted(CHAINS),
+    }
+
+
+def dump_catalog(indent=None):
+    return json.dumps(catalog_to_json(), indent=indent)
+
+
+def load_catalog(text=None):
+    """Parse the JSON resource back into records; defaults to the shipped file."""
+    if text is None:
+        from importlib import resources
+
+        text = resources.files("picardfuchs").joinpath("data/catalog.json").read_text()
+    data = json.loads(text)
+    if data["version"] != CATALOG_VERSION:
+        raise ValueError("catalog version %r, expected %r" % (data["version"], CATALOG_VERSION))
+    arrangements = {row["id"]: ArrangementRecord.from_json(row) for row in data["arrangements"]}
+    derived = {row["name"]: DerivedOperatorRecord.from_json(row) for row in data["derived"]}
+    return arrangements, derived

@@ -1,0 +1,76 @@
+"""Exception types shared across the package."""
+
+
+class ZeroPolynomial(ValueError):
+    """Raised when an operation requires a nonzero polynomial."""
+
+
+class UnresolvedFactor(ValueError):
+    """An irreducible factor of degree >= 3 blocks root resolution.
+
+    The offending factor is kept in .factor so callers can report it.
+    """
+
+    def __init__(self, factor):
+        self.factor = factor
+        super().__init__("factor of degree >= 3 has no roots in a quadratic field: %s" % (factor,))
+
+
+class NonUnitConstantTerm(ValueError):
+    """Series operation requires constant term 1."""
+
+
+class NotASingularCandidate(ValueError):
+    """Indicial data requested at a point that is not 0, infinity, or a leading-coefficient root."""
+
+
+class IrrationalExponent(ValueError):
+    """An indicial root lies outside the rationals and quadratic irrationals."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        super().__init__("indicial factor with unsupported roots: %s" % (factor,))
+
+
+class UnclassifiedPattern(ValueError):
+    """Exponent/Jordan data outside the classification decision table."""
+
+    def __init__(self, exponents, blocks):
+        self.exponents = exponents
+        self.blocks = blocks
+        super().__init__("unclassified local pattern: exponents %s, blocks %s" % (exponents, blocks))
+
+
+class NotEven(ValueError):
+    """Operator is not invariant under the rotation required for descent."""
+
+
+class NonrationalYukawa(ValueError):
+    """Yukawa data needs simple poles with supported-field residues."""
+
+
+class VanishingConstantTerm(ValueError):
+    """The five-plane factor vanishes at the origin; no conifold expansion."""
+
+
+class InsufficientTerms(ValueError):
+    """Too few series terms for the requested guessing box."""
+
+
+class NoEtaProduct(ValueError):
+    """The named modular form has a coefficient table but no eta-product."""
+
+
+class EvenPrime(ValueError):
+    """Point counting needs an odd prime."""
+
+
+class ChainBroken(RuntimeError):
+    """A scripted reduction chain diverged from its recorded expectation."""
+
+    def __init__(self, step, detail=""):
+        self.step = step
+        msg = "reduction chain broken at step: %s" % (step,)
+        if detail:
+            msg += " (%s)" % (detail,)
+        super().__init__(msg)

@@ -1,0 +1,549 @@
+"""Local solution bases at (candidate) singular points, with exact logarithms.
+
+The Frobenius construction runs once per distinct indicial root lambda: the
+deformed seed c_0 = eps^R (R = total multiplicity of the class roots above
+lambda) is propagated through the coefficient recurrence in the jet ring
+K[eps]/(eps^(2M)), M the class multiplicity.  At a resonance the indicial
+value has positive eps-valuation; the numerator's matching low jet
+coefficients must vanish exactly (this is the exact obstruction constant), and
+the division shifts the jet down, losing that much tracked precision.  The
+seed and modulus are chosen so every extracted coefficient stays within the
+valid precision.
+
+Solution k (R <= k < R + multiplicity(lambda)) is the eps^k-coefficient of
+t^(lambda+eps) * sum c_m(eps) t^m; expanding t^eps = sum eps^l log(t)^l / l!
+gives a solution with leading term t^lambda log(t)^(k-R)/(k-R)!, normalized
+here to leading coefficient 1.  The basis is echelon by construction: leading
+(exponent, log degree) pairs are pairwise distinct.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from fractions import Fraction
+
+from .arith import (
+    Polynomial,
+    QuadraticNumber,
+    as_scalar,
+    collapse,
+    rational_roots_with_multiplicity,
+    roots_in_quadratic_closure,
+    scalar_sort_key,
+)
+from .errors import IrrationalExponent, UnclassifiedPattern, UnresolvedFactor
+from .optheta import SingularPoint, local_operator
+
+
+# ---------------------------------------------------------------------------
+# jet arithmetic in K[eps]/(eps^T): plain lists of scalars, fixed length T
+
+
+def _jet_mul(a, b):
+    T = len(a)
+    out = [as_scalar(0)] * T
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(T - i):
+            bj = b[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+def _jet_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+def _jet_scale(a, c):
+    return [x * c for x in a]
+
+def _jet_eval_poly(p, x, T):
+    """p(x + eps) as a jet: Taylor shift, truncated to length T."""
+    cs = list(p.shift(x).coeffs[:T])
+    return cs + [as_scalar(0)] * (T - len(cs))
+
+def _jet_valuation(a):
+    for i, c in enumerate(a):
+        if c:
+            return i
+    return len(a)
+
+def _jet_inverse_unit(b):
+    T = len(b)
+    assert b[0]
+    inv0 = 1 / b[0]
+    out = [inv0] + [as_scalar(0)] * (T - 1)
+    for m in range(1, T):
+        acc = as_scalar(0)
+        for j in range(1, m + 1):
+            if b[j]:
+                acc = acc + b[j] * out[m - j]
+        out[m] = -acc * inv0
+    return out
+
+
+# ---------------------------------------------------------------------------
+# generalized series and bases
+
+
+class GeneralizedSeries:
+    """t^alpha * sum_{m,l} A[m][l] t^m log(t)^l around a point moved to 0."""
+
+    __slots__ = ("base_point", "alpha", "table", "truncation")
+
+    def __init__(self, base_point, alpha, table, truncation):
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "table", tuple(tuple(row) for row in table))
+        object.__setattr__(self, "truncation", truncation)
+
+    def __setattr__(self, *args):
+        raise AttributeError("GeneralizedSeries is immutable")
+
+    def coeff(self, m, l):
+        if 0 <= m < len(self.table) and 0 <= l < len(self.table[m]):
+            return self.table[m][l]
+        return Fraction(0)
+
+    @property
+    def log_degree(self):
+        deg = 0
+        for row in self.table:
+            for l, c in enumerate(row):
+                if c and l > deg:
+                    deg = l
+        return deg
+
+    @property
+    def leading(self):
+        """(exponent offset m, log profile at m) of the first nonzero row."""
+        for m, row in enumerate(self.table):
+            if any(row):
+                top = max(l for l, c in enumerate(row) if c)
+                return m, top
+        raise ValueError("zero generalized series")
+
+    def is_log_free(self):
+        return self.log_degree == 0
+
+    def power_coeffs(self):
+        """The log-free coefficient stream A[m][0]."""
+        return [self.coeff(m, 0) for m in range(self.truncation + 1)]
+
+    def __repr__(self):
+        bits = []
+        for m in range(min(3, self.truncation + 1)):
+            for l, c in enumerate(self.table[m]):
+                if c:
+                    mono = "t^(%s+%d)" % (self.alpha, m)
+                    if l:
+                        mono += "*log^%d" % l
+                    bits.append("%s*%s" % (c, mono))
+        return "GeneralizedSeries(%s + ...)" % " + ".join(bits[:4])
+
+
+class LocalBasis:
+    """Echelonized solutions of one operator at one point."""
+
+    __slots__ = ("point", "solutions", "local_op")
+
+    def __init__(self, point, solutions, local_op):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "solutions", tuple(solutions))
+        object.__setattr__(self, "local_op", local_op)
+
+    def __setattr__(self, *args):
+        raise AttributeError("LocalBasis is immutable")
+
+    def __len__(self):
+        return len(self.solutions)
+
+    def __iter__(self):
+        return iter(self.solutions)
+
+    def exponents(self):
+        return sorted((s.alpha for s in self.solutions), key=scalar_sort_key)
+
+    def has_logarithms(self):
+        return any(not s.is_log_free() for s in self.solutions)
+
+
+class LocalMonodromyData:
+    """Exponent classes mod 1 with the Jordan block sizes of the log map."""
+
+    __slots__ = ("classes",)
+
+    def __init__(self, classes):
+        object.__setattr__(self, "classes", tuple(classes))
+
+    def __setattr__(self, *args):
+        raise AttributeError("LocalMonodromyData is immutable")
+
+    def all_blocks(self):
+        out = []
+        for _exps, blocks in self.classes:
+            out.extend(blocks)
+        return sorted(out, reverse=True)
+
+    def __repr__(self):
+        return "LocalMonodromyData(%s)" % (list(self.classes),)
+
+
+class PointType(enum.Enum):
+    MUM = "MUM"
+    K = "K"
+    C = "C"
+    F = "F"
+    A = "A"
+    APPARENT = "Apparent"
+    REGULAR = "Regular"
+
+    def __str__(self):
+        return self.value
+
+
+# ---------------------------------------------------------------------------
+# indicial roots and class partitioning
+
+
+def _indicial_roots(ind):
+    """Indicial roots as [(root, multiplicity)] sorted ascending."""
+    if ind.is_rational():
+        try:
+            flat = roots_in_quadratic_closure(ind.map_coeffs(lambda c: Fraction(collapse(c))))
+        except UnresolvedFactor as exc:
+            raise IrrationalExponent(exc.factor) from exc
+        if len(flat) != ind.degree:
+            raise IrrationalExponent(ind)
+        out = []
+        for root in flat:
+            if out and out[-1][0] == root:
+                out[-1][1] += 1
+            else:
+                out.append([root, 1])
+        return [(r, m) for r, m in out]
+    found, rest = rational_roots_with_multiplicity(ind)
+    if rest.degree >= 1:
+        raise IrrationalExponent(rest)
+    return sorted(found, key=lambda rm: scalar_sort_key(rm[0]))
+
+
+def _integer_difference(x, y):
+    d = x - y
+    d = collapse(d) if isinstance(d, QuadraticNumber) else d
+    if isinstance(d, QuadraticNumber):
+        return None
+    d = Fraction(d)
+    return int(d) if d.denominator == 1 else None
+
+
+def _partition_classes(roots):
+    """Group (root, mult) pairs into classes with pairwise integer differences."""
+    classes = []
+    for root, mult in roots:
+        for cls in classes:
+            if _integer_difference(root, cls[0][0]) is not None:
+                cls.append((root, mult))
+                break
+        else:
+            classes.append([(root, mult)])
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius construction
+
+
+def default_truncation(op):
+    return 2 * (op.r + op.order) + 20
+
+
+def local_basis(op, point, N=None):
+    """Echelonized basis of n generalized-series solutions at `point`."""
+    loc = local_operator(op, point)
+    if N is None:
+        N = default_truncation(loc)
+    assert N >= loc.r + loc.order
+    ind = loc.theta_coeffs[0]
+    roots = _indicial_roots(ind)
+    solutions = []
+    for cls in _partition_classes(roots):
+        solutions.extend(_class_solutions(loc, cls, N, point))
+    solutions.sort(key=lambda s: (scalar_sort_key(s.alpha), s.leading[1]))
+    return LocalBasis(point, solutions, loc)
+
+
+def _class_solutions(loc, cls, N, point):
+    """All solutions for one exponent class of the local operator."""
+    M = sum(m for _r, m in cls)
+    T = 2 * M
+    r = loc.r
+    p0 = loc.theta_coeffs[0]
+    gap = _integer_difference(cls[-1][0], cls[0][0])
+    assert N >= gap + r + 1, "truncation below the resonance horizon"
+    out = []
+    for j, (lam, mult) in enumerate(cls):
+        above = sum(m for _r, m in cls[j + 1 :])
+        seed = [as_scalar(0)] * T
+        seed[above] = as_scalar(1)
+        jets = [seed]
+        lost = 0
+        for m in range(1, N + 1):
+            numer = [as_scalar(0)] * T
+            for i in range(1, min(r, m) + 1):
+                pi = loc.theta_coeffs[i]
+                if pi.is_zero:
+                    continue
+                pj = _jet_eval_poly(pi, lam + (m - i), T)
+                numer = _jet_add(numer, _jet_mul(pj, jets[m - i]))
+            numer = _jet_scale(numer, -1)
+            den = _jet_eval_poly(p0, lam + m, T)
+            mu = _jet_valuation(den)
+            assert mu < T, "indicial polynomial vanishes identically at offset"
+            if mu:
+                # exact obstruction: the low coefficients must cancel
+                assert all(not numer[k] for k in range(mu)), "resonance obstruction failed"
+                numer = numer[mu:] + [as_scalar(0)] * mu
+                den = den[mu:] + [as_scalar(0)] * mu
+                lost += mu
+            jets.append(_jet_mul(numer, _jet_inverse_unit(den)))
+        assert above + mult <= T - lost, "jet precision exhausted"
+        for k in range(above, above + mult):
+            s = k - above
+            scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
+            table = []
+            for m in range(N + 1):
+                row = [
+                    jets[m][k - l] * Fraction(scale, math.factorial(l))
+                    for l in range(min(k, len(jets[m]) - 1) + 1)
+                ]
+                table.append(row)
+            out.append(GeneralizedSeries(point, lam, table, N))
+    return out
+
+
+def apply_local(loc, alpha, table, upto):
+    """Apply a theta-form operator to t^alpha * sum A[m][l] t^m log^l.
+
+    Returns rows 0..upto of the residual table.  Uses
+    P(theta) t^a log^l = t^a sum_k P^(k)(a) * binom(l, k) * log^(l-k).
+    """
+    r = loc.r
+    width = max((len(row) for row in table), default=1)
+    derivs = []
+    for p in loc.theta_coeffs:
+        ds = [p]
+        for _ in range(width - 1):
+            ds.append(ds[-1].derivative())
+        derivs.append(ds)
+    out = []
+    for m in range(upto + 1):
+        row = [as_scalar(0)] * width
+        for i in range(min(r, m) + 1):
+            src = table[m - i] if m - i < len(table) else ()
+            a = alpha + (m - i)
+            for l, c in enumerate(src):
+                if not c:
+                    continue
+                for k in range(l + 1):
+                    row[l - k] = row[l - k] + c * derivs[i][k](a) * math.comb(l, k)
+        out.append(row)
+    return out
+
+
+def annihilation_order(op, point, sol):
+    """Largest row index through which the operator kills the solution."""
+    loc = local_operator(op, point)
+    upto = sol.truncation - loc.r
+    res = apply_local(loc, sol.alpha, [list(r) for r in sol.table], upto)
+    for m, row in enumerate(res):
+        if any(row):
+            return m - 1
+    return upto
+
+
+def has_logarithms(op, point, N=None):
+    """Exact logarithm test at a candidate point."""
+    return local_basis(op, point, N).has_logarithms()
+
+
+# ---------------------------------------------------------------------------
+# Jordan structure of the local log map
+
+
+def _class_key(alpha, reps):
+    for i, rep in enumerate(reps):
+        if _integer_difference(alpha, rep) is not None:
+            return i
+    reps.append(alpha)
+    return len(reps) - 1
+
+
+def jordan_structure(basis):
+    """Jordan block sizes of d/d(log t) acting on each exponent class."""
+    reps = []
+    groups = {}
+    for sol in basis.solutions:
+        groups.setdefault(_class_key(sol.alpha, reps), []).append(sol)
+    classes = []
+    for key in sorted(groups):
+        sols = groups[key]
+        blocks = _class_blocks(sols)
+        exps = tuple(sorted((s.alpha for s in sols), key=scalar_sort_key))
+        classes.append((exps, tuple(blocks)))
+    return LocalMonodromyData(classes)
+
+
+def _class_blocks(sols):
+    base = min((s.alpha for s in sols), key=scalar_sort_key)
+    offsets = [_integer_difference(s.alpha, base) for s in sols]
+    N = min(s.truncation for s in sols)
+    width = max(max(len(r) for r in s.table) for s in sols)
+
+    def embed(sol, off):
+        rows = [[as_scalar(0)] * width for _ in range(N + 1)]
+        for m, row in enumerate(sol.table):
+            if off + m > N:
+                break
+            for l, c in enumerate(row):
+                rows[off + m][l] = c
+        return rows
+
+    tables = [embed(s, o) for s, o in zip(sols, offsets)]
+    leads = {}
+    for idx, sol in enumerate(sols):
+        m0, l0 = sol.leading
+        leads[(offsets[idx] + m0, l0)] = idx
+
+    def reduce_against(rows):
+        """Express rows in the echelon basis; returns the coefficient vector."""
+        vec = [as_scalar(0)] * len(sols)
+        guard = 0
+        while True:
+            pos = None
+            for m in range(N + 1):
+                nz = [l for l, c in enumerate(rows[m]) if c]
+                if nz:
+                    pos = (m, max(nz))
+                    break
+            if pos is None:
+                return vec
+            idx = leads.get(pos)
+            assert idx is not None, "log-map image escapes the solution span at %s" % (pos,)
+            c = rows[pos[0]][pos[1]]  # echelon leaders are normalized to 1
+            vec[idx] = vec[idx] + c
+            other = tables[idx]
+            for m in range(N + 1):
+                for l in range(width):
+                    if other[m][l]:
+                        rows[m][l] = rows[m][l] - c * other[m][l]
+            guard += 1
+            assert guard <= (N + 2) * width, "reduction does not terminate"
+
+    mat = []
+    for idx, sol in enumerate(sols):
+        rows = [[as_scalar(0)] * width for _ in range(N + 1)]
+        for m in range(N + 1):
+            for l in range(width - 1):
+                c = tables[idx][m][l + 1]
+                if c:
+                    rows[m][l] = c * (l + 1)
+        mat.append(reduce_against(rows))
+    # mat[i][j]: image of solution i expressed in solution j; ranks of powers
+    size = len(sols)
+    cols = [[mat[i][j] for i in range(size)] for j in range(size)]
+
+    def matmul(A, B):
+        return [
+            [sum((A[i][k] * B[k][j] for k in range(size)), as_scalar(0)) for j in range(size)]
+            for i in range(size)
+        ]
+
+    def rank(A):
+        rows = [row[:] for row in A]
+        rk, col = 0, 0
+        while rk < size and col < size:
+            piv = next((i for i in range(rk, size) if rows[i][col]), None)
+            if piv is None:
+                col += 1
+                continue
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            inv = 1 / rows[rk][col]
+            for i in range(rk + 1, size):
+                f = rows[i][col] * inv
+                if f:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
+            rk += 1
+            col += 1
+        return rk
+
+    Nmat = cols
+    ranks = [size]
+    power = [row[:] for row in Nmat]
+    while ranks[-1] > 0:
+        ranks.append(rank(power))
+        power = matmul(power, Nmat)
+    blocks = []
+    for k in range(1, len(ranks)):
+        count = ranks[k - 1] - ranks[k]  # blocks of size >= k
+        blocks.append(count)
+    sizes = []
+    for k in range(len(blocks), 0, -1):
+        n_ge_k = blocks[k - 1]
+        n_ge_next = blocks[k] if k < len(blocks) else 0
+        sizes.extend([k] * (n_ge_k - n_ge_next))
+    return sorted(sizes, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# classification
+
+
+def _is_integer(e):
+    if isinstance(e, QuadraticNumber):
+        if e.b != 0:
+            return False
+        e = e.a
+    return Fraction(e).denominator == 1
+
+
+def _is_arithmetic_progression(exps):
+    if len(exps) <= 2:
+        return True
+    d = exps[1] - exps[0]
+    return all(exps[i + 1] - exps[i] == d for i in range(len(exps) - 1))
+
+
+def classify_point(op, point, N=None):
+    """Degeneration label from the exponent pattern and Jordan block sizes."""
+    basis = local_basis(op, point, N)
+    exps = basis.exponents()
+    blocks = jordan_structure(basis).all_blocks()
+    n = len(exps)
+    has_logs = any(b >= 2 for b in blocks)
+    if not has_logs:
+        if exps == [Fraction(k) for k in range(n)]:
+            return PointType.REGULAR
+        if all(_is_integer(e) for e in exps) and len(set(exps)) == n:
+            return PointType.APPARENT
+        ordered = sorted(exps, key=scalar_sort_key)
+        if not _is_arithmetic_progression(ordered):
+            return PointType.A
+        return PointType.F
+    if n == 4:
+        e1, e2, e3, e4 = exps
+        if e1 == e2 == e3 == e4 and blocks == [4]:
+            return PointType.MUM
+        if e1 == e2 and e3 == e4 and e2 != e3 and blocks == [2, 2]:
+            return PointType.K
+        if e2 == e3 and e1 != e2 and e4 != e3 and e2 - e1 == e4 - e3 and blocks == [2, 1, 1]:
+            return PointType.C
+        raise UnclassifiedPattern(exps, blocks)
+    if n == 2:
+        if exps[0] == exps[1] and blocks == [2]:
+            return PointType.K
+        if exps[0] != exps[1] and blocks == [2]:
+            return PointType.C
+        raise UnclassifiedPattern(exps, blocks)
+    raise UnclassifiedPattern(exps, blocks)

@@ -1,0 +1,629 @@
+"""Fuchsian operator algebra in theta form and derivative form.
+
+An operator is stored as the list of polynomials P_0 .. P_r with
+P = sum_i t^i P_i(theta), theta = t*d/dt.  The derivative form
+sum_j c_j(t) (d/dt)^j is derived on demand; both directions use
+theta^k = sum_j S(k,j) t^j d^j (Stirling numbers of the second kind) and
+t^j d^j = theta(theta-1)...(theta-j+1).
+
+Exponents at 0 are the roots of P_0, exponents at infinity the roots of
+P_r(-theta); a finite nonzero point is handled by a Taylor shift of the
+derivative form.  Candidate singular points are 0, infinity, and the roots
+of the top-degree profile l(t) = sum_i [theta^n] P_i t^i, which is the
+derivative-form leading coefficient with its forced t^n factor removed.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from .arith import (
+    Polynomial,
+    PowerSeries,
+    QuadraticNumber,
+    as_scalar,
+    collapse,
+    conjugate_scalar,
+    poly_gcd,
+    rational_roots_with_multiplicity,
+    roots_in_quadratic_closure,
+    scalar_from_json,
+    scalar_sign,
+    scalar_sort_key,
+    scalar_to_json,
+)
+from .errors import (
+    IrrationalExponent,
+    NotASingularCandidate,
+    UnresolvedFactor,
+    ZeroPolynomial,
+)
+
+# ---------------------------------------------------------------------------
+# points
+
+
+class SingularPoint:
+    """A finite point (rational or quadratic irrational) or the point at infinity."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        # value None encodes infinity
+        if value is not None:
+            value = collapse(as_scalar(value))
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("SingularPoint is immutable")
+
+    @classmethod
+    def infinity(cls):
+        return cls(None)
+
+    @classmethod
+    def finite(cls, v):
+        return cls(v)
+
+    @property
+    def is_infinite(self):
+        return self.value is None
+
+    def conjugate(self):
+        if self.is_infinite:
+            return self
+        return SingularPoint(conjugate_scalar(self.value))
+
+    def sort_key(self):
+        if self.is_infinite:
+            return (1, Fraction(0), Fraction(0))
+        return (0,) + scalar_sort_key(self.value)
+
+    def __eq__(self, other):
+        if not isinstance(other, SingularPoint):
+            return NotImplemented
+        return self.value == other.value or (self.is_infinite and other.is_infinite)
+
+    def __hash__(self):
+        return hash(("oo",)) if self.is_infinite else hash(self.value)
+
+    def __repr__(self):
+        return "oo" if self.is_infinite else str(self.value)
+
+    def to_json(self):
+        return "oo" if self.is_infinite else scalar_to_json(self.value)
+
+    @classmethod
+    def from_json(cls, v):
+        if v == "oo":
+            return cls.infinity()
+        return cls(scalar_from_json(v))
+
+
+INFINITY = SingularPoint.infinity()
+
+
+# ---------------------------------------------------------------------------
+# conversion tables
+
+
+@lru_cache(maxsize=None)
+def stirling2(k, j):
+    if k == j:
+        return 1
+    if j <= 0 or j > k:
+        return 0
+    return stirling2(k - 1, j - 1) + j * stirling2(k - 1, j)
+
+
+@lru_cache(maxsize=None)
+def falling_factorial_poly(j):
+    """theta(theta-1)...(theta-j+1) as a Polynomial."""
+    out = Polynomial((1,))
+    for i in range(j):
+        out = out * Polynomial((-i, 1))
+    return out
+
+
+def _clear_content(polys):
+    """Scale a list of polynomials to integer content 1 with positive leading data."""
+    dens, nums = [], []
+    for p in polys:
+        for c in p:
+            if isinstance(c, QuadraticNumber):
+                dens.extend((c.a.denominator, c.b.denominator))
+                nums.extend((c.a.numerator, c.b.numerator))
+            else:
+                dens.append(c.denominator)
+                nums.append(c.numerator)
+    nums = [n for n in nums if n]
+    if not nums:
+        return list(polys)
+    lcm = math.lcm(*dens)
+    gcd = math.gcd(*[n * (lcm // d) for n, d in _paired(polys, lcm)])
+    scale = Fraction(lcm, gcd)
+    out = [p * scale for p in polys]
+    for p in out:
+        if not p.is_zero:
+            if scalar_sign(p.lead) < 0:
+                out = [q * -1 for q in out]
+            break
+    return out
+
+
+def _paired(polys, lcm):
+    for p in polys:
+        for c in p:
+            if isinstance(c, QuadraticNumber):
+                if c.a:
+                    yield c.a.numerator, c.a.denominator
+                if c.b:
+                    yield c.b.numerator, c.b.denominator
+            elif c:
+                yield c.numerator, c.denominator
+
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+class ThetaOperator:
+    """P = sum_i t^i P_i(theta), dense in the t-power i."""
+
+    __slots__ = ("theta_coeffs",)
+
+    def __init__(self, theta_coeffs):
+        polys = [p if isinstance(p, Polynomial) else Polynomial(p) for p in theta_coeffs]
+        while len(polys) > 1 and polys[-1].is_zero:
+            polys.pop()
+        if not polys:
+            polys = [Polynomial(())]
+        object.__setattr__(self, "theta_coeffs", tuple(polys))
+
+    def __setattr__(self, *args):
+        raise AttributeError("ThetaOperator is immutable")
+
+    @classmethod
+    def from_theta_polys(cls, polys):
+        """Public constructor: content-cleared, sign-normalized."""
+        return cls(_clear_content([p if isinstance(p, Polynomial) else Polynomial(p) for p in polys]))
+
+    @property
+    def r(self):
+        """t-degree."""
+        return len(self.theta_coeffs) - 1
+
+    @property
+    def order(self):
+        return max(p.degree for p in self.theta_coeffs)
+
+    @property
+    def is_zero(self):
+        return all(p.is_zero for p in self.theta_coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, ThetaOperator):
+            return NotImplemented
+        return self.theta_coeffs == other.theta_coeffs
+
+    def __hash__(self):
+        return hash(self.theta_coeffs)
+
+    def __add__(self, other):
+        n = max(len(self.theta_coeffs), len(other.theta_coeffs))
+        return ThetaOperator([self.coeff(i) + other.coeff(i) for i in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.theta_coeffs), len(other.theta_coeffs))
+        return ThetaOperator([self.coeff(i) - other.coeff(i) for i in range(n)])
+
+    def __neg__(self):
+        return ThetaOperator([-p for p in self.theta_coeffs])
+
+    def coeff(self, i):
+        if 0 <= i < len(self.theta_coeffs):
+            return self.theta_coeffs[i]
+        return Polynomial(())
+
+    def scale(self, c):
+        return ThetaOperator([p * c for p in self.theta_coeffs])
+
+    def cleared(self):
+        return ThetaOperator(_clear_content(list(self.theta_coeffs)))
+
+    def t_stripped(self):
+        """Remove a common left factor t^k (zero leading theta polynomials)."""
+        k = 0
+        while k < len(self.theta_coeffs) - 1 and self.theta_coeffs[k].is_zero:
+            k += 1
+        return ThetaOperator(self.theta_coeffs[k:]) if k else self
+
+    def field_discriminant(self):
+        """The shared sqrt tag of the coefficients, or None when rational."""
+        for p in self.theta_coeffs:
+            for c in p:
+                if isinstance(c, QuadraticNumber) and c.b != 0:
+                    return c.d
+        return None
+
+    def map_coeffs(self, f):
+        return ThetaOperator([p.map_coeffs(f) for p in self.theta_coeffs])
+
+    def normalized(self):
+        """Strong canonical form: strip left t-powers and derivative-form polynomial content."""
+        op = self.t_stripped()
+        if op.is_zero:
+            return op.cleared()
+        dop = d_from_theta(op)
+        g = Polynomial(())
+        for c in dop.d_coeffs:
+            g = poly_gcd(g, c)
+        if g.degree > 0:
+            dop = DOperator([c / g for c in dop.d_coeffs])
+            op = theta_from_d(dop)
+        return op.cleared()
+
+    def to_json(self):
+        return {
+            "form": "theta",
+            "coeffs": [[scalar_to_json(c) for c in p.coeffs] for p in self.theta_coeffs],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        coeffs = [Polynomial([scalar_from_json(c) for c in row]) for row in data["coeffs"]]
+        form = data.get("form", "theta")
+        if form == "theta":
+            return cls.from_theta_polys(coeffs)
+        if form == "d":
+            return theta_from_d(DOperator(coeffs))
+        raise ValueError("unknown operator form %r" % (form,))
+
+    def __repr__(self):
+        parts = []
+        for i, p in enumerate(self.theta_coeffs):
+            if p.is_zero:
+                continue
+            body = format_polynomial_theta(p)
+            if i == 0:
+                parts.append(body)
+            else:
+                ti = "t" if i == 1 else "t^%d" % i
+                parts.append("%s*(%s)" % (ti, body))
+        return " + ".join(parts) if parts else "0"
+
+
+def format_polynomial_theta(p):
+    from .arith import format_polynomial
+
+    return format_polynomial(p, "T")
+
+
+class DOperator:
+    """sum_j c_j(t) (d/dt)^j with polynomial coefficients."""
+
+    __slots__ = ("d_coeffs",)
+
+    def __init__(self, d_coeffs):
+        polys = [p if isinstance(p, Polynomial) else Polynomial(p) for p in d_coeffs]
+        while len(polys) > 1 and polys[-1].is_zero:
+            polys.pop()
+        object.__setattr__(self, "d_coeffs", tuple(polys))
+
+    def __setattr__(self, *args):
+        raise AttributeError("DOperator is immutable")
+
+    @property
+    def order(self):
+        return len(self.d_coeffs) - 1
+
+    def cleared(self):
+        return DOperator(_clear_content(list(self.d_coeffs)))
+
+    def to_json(self):
+        return {
+            "form": "d",
+            "coeffs": [[scalar_to_json(c) for c in p.coeffs] for p in self.d_coeffs],
+        }
+
+    def __repr__(self):
+        from .arith import format_polynomial
+
+        parts = []
+        for j, c in enumerate(self.d_coeffs):
+            if c.is_zero:
+                continue
+            dj = "" if j == 0 else ("*D" if j == 1 else "*D^%d" % j)
+            parts.append("(%s)%s" % (format_polynomial(c, "t"), dj))
+        return " + ".join(parts) if parts else "0"
+
+
+def d_from_theta(op):
+    """Derivative form of a theta-form operator (no normalization)."""
+    n = op.order
+    out = [Polynomial(()) for _ in range(n + 1)]
+    for i, p in enumerate(op.theta_coeffs):
+        for k, pk in enumerate(p.coeffs):
+            if not pk:
+                continue
+            for j in range(k + 1):
+                s = stirling2(k, j)
+                if s:
+                    out[j] = out[j] + Polynomial([0] * (i + j) + [pk * s])
+    return DOperator(out)
+
+
+def theta_from_d(dop):
+    """Theta form: multiply by t^n on the left, expand t^j d^j, strip common t-powers."""
+    n = dop.order
+    polys = []
+    for j, c in enumerate(dop.d_coeffs):
+        ff = falling_factorial_poly(j)
+        shifted = Polynomial([0] * (n - j) + list(c.coeffs))  # c(t) * t^(n-j)
+        for m, gamma in enumerate(shifted.coeffs):
+            if not gamma:
+                continue
+            while len(polys) <= m:
+                polys.append(Polynomial(()))
+            polys[m] = polys[m] + ff * gamma
+    return ThetaOperator(polys).t_stripped().cleared()
+
+
+def op_mul(a, b):
+    """Composition a(b(.)): exact noncommutative product in theta form.
+
+    Uses P_i(theta) * t^j = t^j * P_i(theta + j).
+    """
+    out = [Polynomial(()) for _ in range(a.r + b.r + 1)]
+    for i, p in enumerate(a.theta_coeffs):
+        if p.is_zero:
+            continue
+        for j, q in enumerate(b.theta_coeffs):
+            if q.is_zero:
+                continue
+            out[i + j] = out[i + j] + p.compose(Polynomial((j, 1))) * q
+    return ThetaOperator(out)
+
+
+def apply_to_series(op, y):
+    """Coefficientwise action: result_m = sum_i P_i(m - i) * y_{m-i}.
+
+    The result's truncation order is y.order - r.
+    """
+    r = op.r
+    assert y.order >= r, "series too short for this operator"
+    n_out = y.order - r
+    out = []
+    for m in range(n_out + 1):
+        acc = as_scalar(0)
+        for i in range(min(r, m) + 1):
+            ym = y[m - i]
+            if ym:
+                acc = acc + op.coeff(i)(Fraction(m - i)) * ym
+        out.append(acc)
+    return PowerSeries(out, n_out)
+
+
+def apply_to_exponent_series(op, alpha, coeffs):
+    """Action on t^alpha * sum c_m t^m; returns the coefficient list of t^(alpha+m)."""
+    r = op.r
+    out = []
+    for m in range(len(coeffs) - r):
+        acc = as_scalar(0)
+        for i in range(min(r, m) + 1):
+            cm = coeffs[m - i]
+            if cm:
+                acc = acc + op.coeff(i)(alpha + (m - i)) * cm
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# variable changes needed for indicial analysis
+
+
+def translate(op, a):
+    """Substitute t -> t + a, moving the point a to 0."""
+    dop = d_from_theta(op)
+    return theta_from_d(DOperator([c.shift(a) for c in dop.d_coeffs]))
+
+
+def invert_variable(op):
+    """Substitute t -> 1/s, swapping 0 and infinity: P'_j(theta) = P_{r-j}(-theta)."""
+    neg = Polynomial((0, -1))
+    polys = [p.compose(neg) for p in reversed(op.theta_coeffs)]
+    return ThetaOperator(polys).t_stripped().cleared()
+
+
+def local_operator(op, point):
+    """The operator translated so that `point` sits at the origin."""
+    op = op.t_stripped()
+    if point.is_infinite:
+        return invert_variable(op)
+    if point.value == 0:
+        return op
+    return translate(op, point.value)
+
+
+# ---------------------------------------------------------------------------
+# singular points, indicial polynomials, Riemann symbols
+
+
+def top_profile(op):
+    """l(t) = sum_i [theta^n] P_i t^i; derivative-form leading coefficient is t^n l(t)."""
+    op = op.t_stripped()
+    n = op.order
+    return Polynomial([p[n] for p in op.theta_coeffs])
+
+
+def singular_points(op):
+    """Candidate singular points: 0, infinity, and all roots of the top profile."""
+    ell = top_profile(op)
+    if ell.is_zero:
+        raise ZeroPolynomial("operator without leading coefficient")
+    pts = [SingularPoint(0), INFINITY]
+    if ell.degree >= 1:
+        for root in roots_in_quadratic_closure(ell):
+            pt = SingularPoint(root)
+            if pt not in pts:
+                pts.append(pt)
+    return sorted(pts, key=SingularPoint.sort_key)
+
+
+def is_candidate(op, point):
+    if point.is_infinite or point.value == 0:
+        return True
+    ell = top_profile(op)
+    return ell(point.value) == 0
+
+
+def indicial_polynomial(op, point):
+    """The polynomial whose roots (with multiplicity) are the exponents at `point`."""
+    if not is_candidate(op, point):
+        raise NotASingularCandidate("%s is not 0, infinity, or a leading-coefficient root" % (point,))
+    loc = local_operator(op, point)
+    return loc.theta_coeffs[0]
+
+
+def exponents_at(op, point):
+    """Sorted exponents at a candidate point, counted with multiplicity."""
+    ind = indicial_polynomial(op, point)
+    if ind.is_rational():
+        try:
+            roots = roots_in_quadratic_closure(ind.map_coeffs(lambda c: Fraction(collapse(c))))
+        except UnresolvedFactor as exc:
+            raise IrrationalExponent(exc.factor) from exc
+        if len(roots) != ind.degree:
+            raise IrrationalExponent(ind)
+        return tuple(roots)
+    found, rest = rational_roots_with_multiplicity(ind)
+    if rest.degree >= 1:
+        raise IrrationalExponent(rest)
+    roots = []
+    for root, mult in found:
+        roots.extend([root] * mult)
+    return tuple(sorted(roots, key=scalar_sort_key))
+
+
+class RiemannSymbol:
+    """Table of candidate points and their exponents.
+
+    Entries are (SingularPoint, tuple of exponents sorted ascending, is_genuine).
+    A point is non-genuine when its exponents are 0..n-1 and its local solutions
+    carry no logarithm; such points are retained but suppressed by default.
+    """
+
+    __slots__ = ("entries", "order")
+
+    def __init__(self, entries, order):
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "order", order)
+
+    def __setattr__(self, *args):
+        raise AttributeError("RiemannSymbol is immutable")
+
+    def genuine(self):
+        return [e for e in self.entries if e[2]]
+
+    def points(self, genuine_only=True):
+        return [e[0] for e in (self.genuine() if genuine_only else self.entries)]
+
+    def exponents(self, point):
+        for p, exps, _g in self.entries:
+            if p == point:
+                return exps
+        raise KeyError("no entry for point %s" % (point,))
+
+    def table(self, genuine_only=True):
+        """Content view: {point: exponent tuple}."""
+        return {e[0]: e[1] for e in (self.genuine() if genuine_only else self.entries)}
+
+    def same_table(self, other_table):
+        """Compare genuine content with a {point: exponents} mapping, order-free."""
+        mine = {p: tuple(x) for p, x in self.table().items()}
+        theirs = {p: tuple(sorted(x, key=scalar_sort_key)) for p, x in other_table.items()}
+        return mine == theirs
+
+    def format(self, genuine_only=True):
+        entries = self.genuine() if genuine_only else list(self.entries)
+        if not entries:
+            return "(no genuine singular points)"
+        cols = []
+        for p, exps, _g in entries:
+            cols.append([str(p)] + [str(e) for e in exps])
+        widths = [max(len(s) for s in col) for col in cols]
+        lines = []
+        for row in range(self.order + 1):
+            cells = [col[row].rjust(w) for col, w in zip(cols, widths)]
+            lines.append("  ".join(cells))
+        sep = "-" * len(lines[0]) if lines else ""
+        return "\n".join([lines[0], sep] + lines[1:])
+
+    def to_json(self, genuine_only=True):
+        entries = self.genuine() if genuine_only else list(self.entries)
+        return [
+            {"point": p.to_json(), "exponents": [scalar_to_json(e) for e in exps], "genuine": g}
+            for p, exps, g in entries
+        ]
+
+
+def riemann_symbol(op, with_log_check=True):
+    """Riemann symbol over all candidate points.
+
+    The genuineness of a point whose exponents are exactly 0..n-1 depends on
+    an exact logarithm check (Frobenius obstruction constants); pass
+    with_log_check=False to skip it and flag such points non-genuine.
+    """
+    op = op.t_stripped()
+    n = op.order
+    trivial = tuple(Fraction(k) for k in range(n))
+    entries = []
+    done = {}
+    for point in singular_points(op):
+        if point in done:
+            continue
+        exps = tuple(exponents_at(op, point))
+        entries.append([point, exps, True])
+        done[point] = len(entries) - 1
+        if not point.is_infinite and isinstance(point.value, QuadraticNumber):
+            conj = point.conjugate()
+            if conj != point and conj not in done:
+                cexps = tuple(
+                    sorted((conjugate_scalar(e) for e in exps), key=scalar_sort_key)
+                )
+                entries.append([conj, cexps, True])
+                done[conj] = len(entries) - 1
+    for e in entries:
+        if e[1] == trivial:
+            if with_log_check:
+                from .frobenius import has_logarithms
+
+                e[2] = has_logarithms(op, e[0])
+            else:
+                e[2] = False
+    entries.sort(key=lambda e: e[0].sort_key())
+    return RiemannSymbol([tuple(e) for e in entries], n)
+
+
+def fuchs_defect(op):
+    """sum over candidate points of (sum of exponents - n(n-1)/2).
+
+    Equals -n(n-1) for a Fuchsian operator; the check runs over every
+    candidate point including regular-looking ones.
+    """
+    op = op.t_stripped()
+    n = op.order
+    half = Fraction(n * (n - 1), 2)
+    total = Fraction(0)
+    for point in singular_points(op):
+        s = sum(Fraction(0) + _rational_part(e) for e in exponents_at(op, point))
+        total += s - half
+    return total
+
+
+def _rational_part(e):
+    if isinstance(e, QuadraticNumber):
+        return e.a
+    return Fraction(e)

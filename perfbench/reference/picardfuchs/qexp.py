@@ -1,0 +1,388 @@
+"""Eta-product q-expansions, Fourier coefficient tables, and naive point counts.
+
+The registry stores the recurring cusp forms: name, weight, coefficients at
+the listed primes, and where available the eta-product. Products expand
+through the pentagonal-number theorem; the Hilbert form h keeps quadratic
+coefficients and, like 12/1, 32/1, 32/2, is data-only. The stated tensor
+relations between Galois representations are prose metadata, never asserted
+as coefficient identities.
+
+Point counts for u^2 = f8 are raw chartwise sums of 1 + chi_p(f8) over
+P^3(F_p), chi_p the quadratic character with chi_p(0) = 0; well defined
+because deg f8 = 8 is even.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .arith import QuadraticNumber
+from .errors import EvenPrime, NoEtaProduct
+
+
+class QSeries:
+    """Integer coefficients of q^0 .. q^N."""
+
+    __slots__ = ("coeffs", "truncation")
+
+    def __init__(self, coeffs, truncation=None):
+        cs = [int(c) for c in coeffs]
+        if truncation is None:
+            truncation = len(cs) - 1
+        cs = cs[: truncation + 1] + [0] * (truncation + 1 - len(cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "truncation", truncation)
+
+    def __setattr__(self, *args):
+        raise AttributeError("QSeries is immutable")
+
+    def coefficient(self, n):
+        assert 0 <= n <= self.truncation, "coefficient beyond truncation"
+        return self.coeffs[n]
+
+    def leading_power(self):
+        for n, c in enumerate(self.coeffs):
+            if c:
+                return n
+        return None
+
+    def __mul__(self, other):
+        assert isinstance(other, QSeries)
+        n = min(self.truncation, other.truncation)
+        out = [0] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if not a:
+                continue
+            for j in range(n + 1 - i):
+                b = other.coeffs[j]
+                if b:
+                    out[i + j] += a * b
+        return QSeries(out, n)
+
+    def __eq__(self, other):
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        shown = []
+        for n, c in enumerate(self.coeffs):
+            if c:
+                shown.append("%+d*q^%d" % (c, n))
+            if len(shown) == 6:
+                shown.append("...")
+                break
+        return " ".join(shown) if shown else "0"
+
+
+def _euler_block(m, N):
+    """prod_n (1 - q^(m n)) through q^N, by the pentagonal-number theorem."""
+    out = [0] * (N + 1)
+    out[0] = 1
+    k = 1
+    while True:
+        e1 = m * k * (3 * k - 1) // 2
+        e2 = m * k * (3 * k + 1) // 2
+        if e1 > N and e2 > N:
+            break
+        sign = -1 if k % 2 else 1
+        if e1 <= N:
+            out[e1] += sign
+        if e2 <= N:
+            out[e2] += sign
+        k += 1
+    return QSeries(out, N)
+
+
+def _inverse_unit(qs):
+    # constant term must be +-1 so the inverse stays integral
+    n = qs.truncation
+    lead = qs.coeffs[0]
+    assert lead in (1, -1)
+    out = [0] * (n + 1)
+    out[0] = lead
+    for m in range(1, n + 1):
+        acc = 0
+        for j in range(1, m + 1):
+            acc += qs.coeffs[j] * out[m - j]
+        out[m] = -acc * lead
+    return QSeries(out, n)
+
+
+class EtaProductSpec:
+    """q^leading_power * prod_(m,e) prod_n (1 - q^(m n))^e."""
+
+    __slots__ = ("leading_power", "factors")
+
+    def __init__(self, leading_power, factors):
+        factors = tuple((int(m), int(e)) for m, e in factors)
+        assert all(m >= 1 and e != 0 for m, e in factors)
+        object.__setattr__(self, "leading_power", int(leading_power))
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, *args):
+        raise AttributeError("EtaProductSpec is immutable")
+
+    def __repr__(self):
+        body = "".join(
+            "(1-q^%dn)^%d" % (m, e) if m > 1 else "(1-q^n)^%d" % e
+            for m, e in self.factors
+        )
+        return "q^%d %s" % (self.leading_power, body)
+
+
+def eta_product(spec, N):
+    """Exact expansion of the eta product through q^N."""
+    assert N >= 1
+    out = QSeries([1], N)
+    for m, e in spec.factors:
+        block = _euler_block(m, N)
+        if e < 0:
+            block, e = _inverse_unit(block), -e
+        for _ in range(e):
+            out = out * block
+    h = spec.leading_power
+    shifted = [0] * h + list(out.coeffs[: N + 1 - h])
+    return QSeries(shifted, N)
+
+
+class FormRecord:
+    """A named cusp form: weight, prime coefficient table, optional eta product."""
+
+    __slots__ = ("name", "weight", "primes", "table", "eta", "notes")
+
+    def __init__(self, name, weight, primes, table, eta=None, notes=""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "primes", tuple(primes))
+        object.__setattr__(self, "table", tuple(table))
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "notes", notes)
+        assert len(self.primes) == len(self.table)
+        assert all(p < q for p, q in zip(self.primes, self.primes[1:]))
+
+    def __setattr__(self, *args):
+        raise AttributeError("FormRecord is immutable")
+
+    def coefficient_at(self, p):
+        return self.table[self.primes.index(p)]
+
+    def __repr__(self):
+        return "FormRecord(%r, weight=%s)" % (self.name, self.weight)
+
+
+_P29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_P23 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+FORMS = {
+    "f32": FormRecord(
+        "f32",
+        2,
+        _P29,
+        (0, 0, -2, 0, 0, 6, 2, 0, 0, -10),
+        EtaProductSpec(1, ((4, 2), (8, 2))),
+        "attached to the conductor-32 elliptic curve y^2 = x^3 - x",
+    ),
+    "16": FormRecord(
+        "16",
+        3,
+        _P23,
+        (0, 0, -6, 0, 0, 10, -30, 0, 0),
+        EtaProductSpec(1, ((4, 6),)),
+        "CM by Q(sqrt(-1))",
+    ),
+    "8": FormRecord(
+        "8",
+        3,
+        _P23,
+        (-2, -2, 0, 0, 14, 0, 2, -34, 0),
+        EtaProductSpec(1, ((1, 2), (2, 1), (4, 1), (8, 2))),
+        "CM by Q(sqrt(-2)); tensor square of the f32 representation (not asserted)",
+    ),
+    "6/1": FormRecord(
+        "6/1",
+        4,
+        _P23,
+        (-2, -3, 6, -16, 12, 38, -126, 20, 168),
+        EtaProductSpec(1, ((1, 2), (2, 2), (3, 2), (6, 2))),
+    ),
+    "8/1": FormRecord(
+        "8/1",
+        4,
+        _P23,
+        (0, -4, -2, 24, -44, 22, 50, 44, -56),
+        EtaProductSpec(1, ((2, 4), (4, 4))),
+    ),
+    "12/1": FormRecord("12/1", 4, _P23, (0, 3, -18, 8, 36, -10, 18, -100, 72)),
+    "32/1": FormRecord(
+        "32/1",
+        4,
+        _P23,
+        (0, 0, 22, 0, 0, -18, -94, 0, 0),
+        notes="tensor cube of the f32 representation (not asserted)",
+    ),
+    "32/2": FormRecord("32/2", 4, _P23, (0, 8, -10, 16, -40, -50, -30, 40, 48)),
+    "h": FormRecord(
+        "h",
+        (4, 2),
+        _P23,
+        (
+            0,
+            9,
+            10,
+            QuadraticNumber(16, 4, 2),
+            -726,
+            2938,
+            QuadraticNumber(-62, 16, 2),
+            6650,
+            QuadraticNumber(40, -8, 2),
+        ),
+        notes="Hilbert form over Q(sqrt(2)), weight (4,2), level 6*sqrt(2); inert primes",
+    ),
+}
+
+
+def lookup_form(name):
+    key = str(name).strip()
+    if key in ("f_32", "f_{32}"):
+        key = "f32"
+    if key not in FORMS:
+        raise KeyError("unknown form %r; known: %s" % (name, ", ".join(sorted(FORMS))))
+    return FORMS[key]
+
+
+class TableReport:
+    """Per-prime comparison of an expansion against the stored table."""
+
+    __slots__ = ("name", "rows",)
+
+    def __init__(self, name, rows):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    def __setattr__(self, *args):
+        raise AttributeError("TableReport is immutable")
+
+    @property
+    def passed(self):
+        return all(ok for _p, _want, _got, ok in self.rows)
+
+    def lines(self):
+        out = []
+        for p, want, got, ok in self.rows:
+            out.append(
+                "%s  a_%-2d  expected %6s  computed %6s  %s"
+                % (self.name, p, want, got, "ok" if ok else "MISMATCH")
+            )
+        return out
+
+    def to_json(self):
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "rows": [
+                {"prime": p, "expected": str(want), "computed": str(got), "ok": ok}
+                for p, want, got, ok in self.rows
+            ],
+        }
+
+    def __repr__(self):
+        return "TableReport(%r, %s)" % (self.name, "pass" if self.passed else "FAIL")
+
+
+def verify_form_table(name, N=None):
+    """Compare the eta expansion of a registered form against its prime table."""
+    rec = lookup_form(name)
+    if rec.eta is None:
+        raise NoEtaProduct("form %r is stored as table data only" % (rec.name,))
+    if N is None:
+        N = rec.primes[-1]
+    assert N >= rec.primes[-1], "expansion too short for the table"
+    qs = eta_product(rec.eta, N)
+    rows = []
+    for p, want in zip(rec.primes, rec.table):
+        got = qs.coefficient(p)
+        rows.append((p, want, got, got == want))
+    return TableReport(rec.name, rows)
+
+
+# ---------------------------------------------------------------------------
+# point counts
+
+
+def _quadratic_character_table(p):
+    chi = [0] * p
+    half = (p - 1) // 2
+    for a in range(1, p):
+        chi[a] = 1 if pow(a, half, p) == 1 else -1
+    return chi
+
+
+def _octic_terms(f8, p):
+    """Reduce to a list of (coeff mod p, exponents); accepts monomial dicts or 8 linear forms."""
+    def redc(c):
+        c = Fraction(c)
+        den = c.denominator % p
+        if den == 0:
+            raise ValueError("coefficient %s has bad reduction mod %d" % (c, p))
+        return c.numerator * pow(den, -1, p) % p
+
+    if isinstance(f8, dict):
+        terms = []
+        for key, c in f8.items():
+            key = tuple(int(e) for e in key)
+            assert len(key) == 4 and min(key) >= 0
+            assert sum(key) == 8, "octic must be homogeneous of degree 8"
+            terms.append((redc(c), key))
+        return terms, None
+    forms = [tuple(redc(c) for c in form) for form in f8]
+    assert len(forms) == 8 and all(len(f) == 4 for f in forms)
+    return None, forms
+
+
+def count_double_octic(f8, p):
+    """Number of F_p-points of u^2 = f8(x,y,z,v) over P^3(F_p), chartwise.
+
+    Each projective point contributes 1 + chi_p(f8), with chi_p(0) = 0, so
+    branch points count once and the two sheets count elsewhere.
+    """
+    p = int(p)
+    if p == 2:
+        raise EvenPrime("the double-cover count needs an odd prime")
+    assert p > 2 and all(p % k for k in range(2, min(p, 64)) if k * k <= p), "p must be prime"
+    chi = _quadratic_character_table(p)
+    terms, forms = _octic_terms(f8, p)
+
+    def value(pt):
+        if forms is not None:
+            acc = 1
+            for f in forms:
+                v = (f[0] * pt[0] + f[1] * pt[1] + f[2] * pt[2] + f[3] * pt[3]) % p
+                if v == 0:
+                    return 0
+                acc = acc * v % p
+            return acc
+        acc = 0
+        for c, (ex, ey, ez, ev) in terms:
+            acc += c * pow(pt[0], ex, p) * pow(pt[1], ey, p) * pow(pt[2], ez, p) * pow(pt[3], ev, p)
+        return acc % p
+
+    total = 0
+    reps = []
+    rng = range(p)
+    for y in rng:
+        for z in rng:
+            for v in rng:
+                reps.append((1, y, z, v))
+    for z in rng:
+        for v in rng:
+            reps.append((0, 1, z, v))
+    for v in rng:
+        reps.append((0, 0, 1, v))
+    reps.append((0, 0, 0, 1))
+    for pt in reps:
+        total += 1 + chi[value(pt)]
+    return total
