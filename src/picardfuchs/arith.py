@@ -453,8 +453,8 @@ class Polynomial:
         return out
 
     def shift(self, a):
-        """Taylor shift: p(t) -> p(t + a)."""
-        return self.compose(Polynomial((a, 1)))
+        """Taylor shift p(t) -> p(t + a); the one polynomial-level entry to taylor_shift."""
+        return Polynomial(taylor_shift(self.coeffs, a))
 
     def monic(self):
         if self.is_zero:
@@ -491,6 +491,43 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % (format_polynomial(self, "t"),)
+
+
+def taylor_shift(coeffs, a, terms=None):
+    """First `terms` coefficients (all by default) of p(t + a), p given by `coeffs`.
+
+    Horner's rule on a plain list of scalars (von zur Gathen & Gerhard, ISSAC
+    1997): p(t + a) = (...(c_n (t + a) + c_(n-1))(t + a) + ...) + c_0.  A
+    coefficient of each partial result depends only on coefficients of the
+    previous one at the same or a lower index, so keeping the first `terms`
+    of each costs about deg * terms multiply-adds.  Zero coefficients take no
+    part in a product, so a coefficient is a QuadraticNumber exactly when
+    Polynomial arithmetic would make it one: a QuadraticNumber zero and
+    Fraction(0) serialize differently.  No trailing zeros are trimmed inside
+    the first `terms`.
+    """
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    terms = len(cs) if terms is None else min(terms, len(cs))
+    if terms <= 0:
+        return []
+    a = as_scalar(a)
+    zero = Fraction(0)
+    out = []
+    for c in reversed(cs):
+        # out <- out * (t + a) + c, from the top index down so out[p - 1] is still old
+        if len(out) < terms:
+            out.append(zero)
+        for p in range(len(out) - 1, 0, -1):
+            lo, hi = out[p - 1], out[p]
+            if hi:
+                out[p] = lo + hi * a if lo else hi * a
+            else:
+                out[p] = lo if lo else zero
+        low = out[0] * a if out[0] else zero
+        out[0] = low + c if c else low
+    return out
 
 
 def format_polynomial(p, var):

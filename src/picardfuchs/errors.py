@@ -41,6 +41,14 @@ class UnclassifiedPattern(ValueError):
         super().__init__("unclassified local pattern: exponents %s, blocks %s" % (exponents, blocks))
 
 
+class TruncationTooLow(ValueError):
+    """A series truncation N is too short for the operator or its resonances."""
+
+
+class FrobeniusInvariant(ValueError):
+    """An invariant of the Frobenius construction failed; no basis is returned."""
+
+
 class NotEven(ValueError):
     """Operator is not invariant under the rotation required for descent."""
 
@@ -63,6 +71,10 @@ class NoEtaProduct(ValueError):
 
 class EvenPrime(ValueError):
     """Point counting needs an odd prime."""
+
+
+class NotPrime(ValueError):
+    """Point counting needs a prime modulus."""
 
 
 class ChainBroken(RuntimeError):

@@ -31,8 +31,15 @@ from .arith import (
     rational_roots_with_multiplicity,
     roots_in_quadratic_closure,
     scalar_sort_key,
+    taylor_shift,
 )
-from .errors import IrrationalExponent, UnclassifiedPattern, UnresolvedFactor
+from .errors import (
+    FrobeniusInvariant,
+    IrrationalExponent,
+    TruncationTooLow,
+    UnclassifiedPattern,
+    UnresolvedFactor,
+)
 from .optheta import SingularPoint, local_operator
 
 
@@ -59,8 +66,10 @@ def _jet_scale(a, c):
     return [x * c for x in a]
 
 def _jet_eval_poly(p, x, T):
-    """p(x + eps) as a jet: Taylor shift, truncated to length T."""
-    cs = list(p.shift(x).coeffs[:T])
+    """p(x + eps) as a jet of length T: the first T coefficients of the Taylor
+    shift p(t + x), computed by taylor_shift without building a Polynomial and
+    padded with Fraction(0) when deg p < T - 1."""
+    cs = taylor_shift(p.coeffs, x, T)
     return cs + [as_scalar(0)] * (T - len(cs))
 
 def _jet_valuation(a):
@@ -71,7 +80,8 @@ def _jet_valuation(a):
 
 def _jet_inverse_unit(b):
     T = len(b)
-    assert b[0]
+    if not b[0]:
+        raise FrobeniusInvariant("jet inverse of a non-unit")
     inv0 = 1 / b[0]
     out = [inv0] + [as_scalar(0)] * (T - 1)
     for m in range(1, T):
@@ -264,7 +274,8 @@ def local_basis(op, point, N=None):
     loc = local_operator(op, point)
     if N is None:
         N = default_truncation(loc)
-    assert N >= loc.r + loc.order
+    if N < loc.r + loc.order:
+        raise TruncationTooLow("truncation %d below r + order = %d" % (N, loc.r + loc.order))
     ind = loc.theta_coeffs[0]
     roots = _indicial_roots(ind)
     solutions = []
@@ -281,7 +292,8 @@ def _class_solutions(loc, cls, N, point):
     r = loc.r
     p0 = loc.theta_coeffs[0]
     gap = _integer_difference(cls[-1][0], cls[0][0])
-    assert N >= gap + r + 1, "truncation below the resonance horizon"
+    if N < gap + r + 1:
+        raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
     out = []
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
@@ -300,15 +312,18 @@ def _class_solutions(loc, cls, N, point):
             numer = _jet_scale(numer, -1)
             den = _jet_eval_poly(p0, lam + m, T)
             mu = _jet_valuation(den)
-            assert mu < T, "indicial polynomial vanishes identically at offset"
+            if mu >= T:
+                raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
             if mu:
                 # exact obstruction: the low coefficients must cancel
-                assert all(not numer[k] for k in range(mu)), "resonance obstruction failed"
+                if any(numer[k] for k in range(mu)):
+                    raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
                 numer = numer[mu:] + [as_scalar(0)] * mu
                 den = den[mu:] + [as_scalar(0)] * mu
                 lost += mu
             jets.append(_jet_mul(numer, _jet_inverse_unit(den)))
-        assert above + mult <= T - lost, "jet precision exhausted"
+        if above + mult > T - lost:
+            raise FrobeniusInvariant("jet precision exhausted at exponent %s" % (lam,))
         for k in range(above, above + mult):
             s = k - above
             scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
@@ -342,12 +357,16 @@ def apply_local(loc, alpha, table, upto):
         row = [as_scalar(0)] * width
         for i in range(min(r, m) + 1):
             src = table[m - i] if m - i < len(table) else ()
+            top = max((l for l, c in enumerate(src) if c), default=-1)
+            if top < 0:
+                continue
             a = alpha + (m - i)
+            values = [derivs[i][k](a) for k in range(top + 1)]
             for l, c in enumerate(src):
                 if not c:
                     continue
                 for k in range(l + 1):
-                    row[l - k] = row[l - k] + c * derivs[i][k](a) * math.comb(l, k)
+                    row[l - k] = row[l - k] + c * values[k] * math.comb(l, k)
         out.append(row)
     return out
 

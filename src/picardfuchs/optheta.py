@@ -383,7 +383,7 @@ def op_mul(a, b):
         for j, q in enumerate(b.theta_coeffs):
             if q.is_zero:
                 continue
-            out[i + j] = out[i + j] + p.compose(Polynomial((j, 1))) * q
+            out[i + j] = out[i + j] + p.shift(j) * q
     return ThetaOperator(out)
 
 
@@ -404,20 +404,6 @@ def apply_to_series(op, y):
                 acc = acc + op.coeff(i)(Fraction(m - i)) * ym
         out.append(acc)
     return PowerSeries(out, n_out)
-
-
-def apply_to_exponent_series(op, alpha, coeffs):
-    """Action on t^alpha * sum c_m t^m; returns the coefficient list of t^(alpha+m)."""
-    r = op.r
-    out = []
-    for m in range(len(coeffs) - r):
-        acc = as_scalar(0)
-        for i in range(min(r, m) + 1):
-            cm = coeffs[m - i]
-            if cm:
-                acc = acc + op.coeff(i)(alpha + (m - i)) * cm
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

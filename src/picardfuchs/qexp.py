@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import QuadraticNumber
-from .errors import EvenPrime, NoEtaProduct
+from .arith import QuadraticNumber, _is_probable_prime
+from .errors import EvenPrime, NoEtaProduct, NotPrime
 
 
 class QSeries:
@@ -352,7 +352,8 @@ def count_double_octic(f8, p):
     p = int(p)
     if p == 2:
         raise EvenPrime("the double-cover count needs an odd prime")
-    assert p > 2 and all(p % k for k in range(2, min(p, 64)) if k * k <= p), "p must be prime"
+    if not _is_probable_prime(p):
+        raise NotPrime("the double-cover count needs a prime, got %d" % p)
     chi = _quadratic_character_table(p)
     terms, forms = _octic_terms(f8, p)
 

@@ -1,5 +1,6 @@
 """Scalar tower, polynomials, series: exact arithmetic foundations."""
 
+import importlib.util
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from picardfuchs.arith import (
     series_binomial_power,
     squarefree_factor,
     squarefree_part,
+    taylor_shift,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -98,6 +100,99 @@ def test_polynomial_basics():
     assert p(Fraction(2)) == -3
     assert p.derivative() == P(0, -2)
     assert p.compose(P(1, 1)) == P(0, -2, -1)  # 1 - (1+t)^2
+
+
+# ---------------------------------------------------------------------------
+# Taylor shift
+
+
+def _compose_shift(coeffs, a):
+    """Reference Taylor shift: Horner through Polynomial.compose."""
+    return list(Polynomial(coeffs).compose(Polynomial((a, 1))).coeffs)
+
+
+def _field_scalars(d):
+    """Fractions and elements of Q(sqrt d), with both kinds of zero.
+
+    Parts from {-1, 0, 1} make partial sums cancel often, which is where a
+    QuadraticNumber zero can arise inside the shift.
+    """
+    parts = st.one_of(st.integers(-1, 1).map(Fraction), small_rationals)
+    return st.one_of(
+        parts,
+        st.builds(QuadraticNumber, parts, parts, st.just(d)),
+        st.just(QuadraticNumber(0, 0, d)),
+    )
+
+
+shift_cases = st.sampled_from((-3, 2)).flatmap(
+    lambda d: st.tuples(
+        st.lists(_field_scalars(d), max_size=7),
+        st.one_of(_field_scalars(d), st.integers(-4, 4)),
+    )
+)
+
+
+def _types(cs):
+    return [type(c) for c in cs]
+
+
+@given(shift_cases)
+@settings(max_examples=300, deadline=None)
+def test_taylor_shift_matches_compose_value_and_type(case):
+    coeffs, a = case
+    got, want = taylor_shift(coeffs, a), _compose_shift(coeffs, a)
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+@pytest.mark.parametrize(
+    "coeffs, a",
+    [
+        # the partial result (t - sqrt2)^2 shifted by sqrt2 is t^2 + 0*t + 0, both zeros quadratic
+        ([Fraction(1), Fraction(2), QuadraticNumber(0, -2, 2), Fraction(1)], QuadraticNumber(0, 1, 2)),
+        # the partial result t + (-1 + 0*sqrt2) shifted by 1 has a quadratic zero at t^0
+        ([Fraction(1), QuadraticNumber(-1, 0, 2), Fraction(1)], 1),
+    ],
+)
+def test_taylor_shift_types_through_cancellation(coeffs, a):
+    got, want = taylor_shift(coeffs, a), _compose_shift(coeffs, a)
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+@given(shift_cases, st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_taylor_shift_truncates_to_a_prefix(case, terms):
+    coeffs, a = case
+    full, part = taylor_shift(coeffs, a), taylor_shift(coeffs, a, terms)
+    assert part == full[:terms]
+    assert _types(part) == _types(full[:terms])
+
+
+@given(shift_cases)
+@settings(max_examples=100, deadline=None)
+def test_shift_and_unshift_is_identity(case):
+    coeffs, a = case
+    p = Polynomial(coeffs)
+    assert p.shift(a).shift(-a) == p
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy not installed")
+@given(st.lists(rationals, max_size=8), rationals)
+@settings(max_examples=60, deadline=None)
+def test_taylor_shift_matches_sympy(coeffs, a):
+    import sympy
+
+    x = sympy.Symbol("x")
+    ref = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="QQ")
+    shifted = ref.shift(sympy.Rational(a.numerator, a.denominator)).all_coeffs()
+    want = [Fraction(int(c.p), int(c.q)) for c in reversed(shifted)]
+    while want and not want[-1]:
+        want.pop()
+    got = taylor_shift(coeffs, a)
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_poly_gcd_is_monic():

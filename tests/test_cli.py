@@ -131,6 +131,11 @@ def test_count_recorded_fibre(capsys):
     assert code == 0 and out.strip() == "153"
 
 
+def test_count_composite_prime_is_usage_error(capsys):
+    code, _, err = _run(capsys, ["count", "--arrangement", "69", "--prime", "9"])
+    assert code == 2 and "prime" in err
+
+
 def test_count_fibre_rejects_parameter(capsys):
     code, _, err = _run(
         capsys, ["count", "--arrangement", "69", "--parameter", "1", "--prime", "5"]

@@ -6,7 +6,7 @@ import pytest
 
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
 from picardfuchs.arith import Polynomial
-from picardfuchs.errors import UnclassifiedPattern
+from picardfuchs.errors import TruncationTooLow, UnclassifiedPattern
 from picardfuchs.frobenius import annihilation_order, has_logarithms, jordan_structure
 from picardfuchs.optheta import exponents_at, local_operator, riemann_symbol
 
@@ -16,6 +16,8 @@ def P(*cs):
 
 
 LEGENDRE = ThetaOperator.from_theta_polys([P(0, 0, 1), P(-4, -16, -16)])
+# theta(theta - 3): solutions 1 and t^3, so r + order = 2 and the resonance horizon is 4
+APPARENT = ThetaOperator.from_theta_polys([P(0, -3, 1)])
 
 
 def _quintic():
@@ -88,10 +90,31 @@ def test_classify_mum_on_quintic():
 
 
 def test_classify_apparent_point():
-    # solutions 1 and t^3: integral distinct exponents, no logs
-    op = ThetaOperator.from_theta_polys([P(0, -3, 1)])
-    assert not has_logarithms(op, SingularPoint(0))
-    assert classify_point(op, SingularPoint(0)) is PointType.APPARENT
+    # integral distinct exponents, no logs
+    assert not has_logarithms(APPARENT, SingularPoint(0))
+    assert classify_point(APPARENT, SingularPoint(0)) is PointType.APPARENT
+
+
+@pytest.mark.parametrize("N", [1, 3])  # below r + order; below the resonance horizon
+def test_too_small_truncation_raises(N):
+    with pytest.raises(TruncationTooLow):
+        local_basis(APPARENT, SingularPoint(0), N)
+
+
+def test_too_small_truncation_raises_under_optimize(run_optimized):
+    code = (
+        "from fractions import Fraction\n"
+        "from picardfuchs import SingularPoint, ThetaOperator, local_basis\n"
+        "from picardfuchs.arith import Polynomial\n"
+        "from picardfuchs.errors import TruncationTooLow\n"
+        "op = ThetaOperator.from_theta_polys([Polynomial([Fraction(0), Fraction(-3), Fraction(1)])])\n"
+        "for N in (1, 3):\n"
+        "    try:\n"
+        "        local_basis(op, SingularPoint(0), N)\n"
+        "    except TruncationTooLow:\n"
+        "        print('TruncationTooLow')\n"
+    )
+    assert run_optimized(code).split() == ["TruncationTooLow", "TruncationTooLow"]
 
 
 def test_classify_catalog_spot_checks():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from picardfuchs import CATALOG, count_double_octic, eta_product, verify_form_table
-from picardfuchs.errors import EvenPrime
+from picardfuchs.errors import EvenPrime, NotPrime
 from picardfuchs.qexp import FORMS, EtaProductSpec, lookup_form
 
 ETA_FORMS = ("f32", "16", "8", "6/1", "8/1")
@@ -89,3 +89,21 @@ def test_monomial_input_matches_planes():
 def test_even_prime_rejected():
     with pytest.raises(EvenPrime):
         count_double_octic(_fibre_planes(250, 0), 2)
+
+
+@pytest.mark.parametrize("p", [9, 4489])  # 4489 = 67^2 has no factor below 64
+def test_composite_modulus_rejected(p):
+    with pytest.raises(NotPrime):
+        count_double_octic(_fibre_planes(250, 0), p)
+
+
+def test_composite_modulus_rejected_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs import count_double_octic\n"
+        "from picardfuchs.errors import NotPrime\n"
+        "try:\n"
+        "    count_double_octic([(1, 0, 0, 0)] * 8, 9)\n"
+        "except NotPrime:\n"
+        "    print('NotPrime')\n"
+    )
+    assert run_optimized(code).strip() == "NotPrime"
