@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NonUnitConstantTerm, UnresolvedFactor, ZeroPolynomial
+from .errors import InvalidDiscriminant, UnresolvedFactor, ZeroPolynomial
 
 # ---------------------------------------------------------------------------
 # integer helpers
@@ -116,10 +116,12 @@ class QuadraticNumber:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        assert d not in (0, 1)
+        d = int(d)
+        if d in (0, 1):
+            raise InvalidDiscriminant("a quadratic field tag must not be 0 or 1, got %d" % d)
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadraticNumber is immutable")
@@ -891,23 +893,3 @@ class PowerSeries:
         head = format_polynomial(Polynomial(self.coeffs[: min(5, self.order + 1)]), "t") or "0"
         return "PowerSeries(%s + O(t^%d))" % (head, self.order + 1)
 
-
-def series_binomial_power(s, e):
-    """(unit series)^e for rational e, via the first-order ODE recurrence.
-
-    Requires constant term exactly 1; result r satisfies r' * s = e * s' * r,
-    giving n*r_n = sum_{j=1..n} ((e+1)j - n) s_j r_{n-j}.
-    """
-    if s[0] != 1:
-        raise NonUnitConstantTerm("series_binomial_power needs constant term 1, got %s" % (s[0],))
-    e = Fraction(e)
-    n = s.order
-    out = [as_scalar(1)] + [as_scalar(0)] * n
-    for m in range(1, n + 1):
-        acc = as_scalar(0)
-        for j in range(1, m + 1):
-            sj = s[j]
-            if sj:
-                acc = acc + ((e + 1) * j - m) * sj * out[m - j]
-        out[m] = acc / m
-    return PowerSeries(out, n)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification subcommand finds a mismatch
 (or a guess finds nothing), 2 on usage errors such as malformed JSON, unknown
-names, or inputs a transformation cannot accept.  Structured output is
-available everywhere via --json; file arguments accept "-" for stdin.
+names, or inputs a transformation or an analysis cannot accept.  Structured
+output is available everywhere via --json; file arguments accept "-" for stdin.
 """
 
 import argparse
@@ -78,10 +78,7 @@ def _parse_mobius(text):
     if len(parts) != 4:
         raise UsageError("--mobius needs four comma-separated rationals a,b,c,d")
     a, b, c, d = (_fraction(p) for p in parts)
-    try:
-        return MobiusMap(a, b, c, d)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return MobiusMap(a, b, c, d)
 
 
 def _parse_shifts(text):
@@ -178,10 +175,7 @@ def _cmd_period(args):
         if args.terms < 0:
             raise UsageError("--terms must be nonnegative")
         form = form.with_truncation(args.terms)
-    try:
-        ps = conifold_expand(form)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    ps = conifold_expand(form)
     # the emitted object is always JSON; --json adds nothing here
     print(json.dumps(ps.to_json()))
     return 0
@@ -198,10 +192,7 @@ def _cmd_guess(args):
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError("bad series coefficient: %s" % exc)
     cfg = GuessConfig(args.max_order, args.max_degree, args.margin)
-    try:
-        op = guess_operator(series, cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    op = guess_operator(series, cfg)
     if op is None:
         print(
             "no annihilating operator within order %d, degree %d" % (args.max_order, args.max_degree),
@@ -275,7 +266,7 @@ def _cmd_count(args):
     f8, aid, parameter = _count_input(args)
     try:
         n = count_double_octic(f8, args.prime)
-    except (ValueError, AssertionError) as exc:
+    except AssertionError as exc:
         raise UsageError(str(exc))
     if args.json:
         out = {"prime": args.prime, "count": n}
@@ -474,6 +465,10 @@ def main(argv=None):
     except ChainBroken as exc:
         print("pf: %s" % exc, file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # every analysis error in errors.py is a ValueError: bad input, not a crash
+        print("pf: %s" % exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # keep the interpreter's final stdout flush from reporting it again
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -16,8 +16,8 @@ class UnresolvedFactor(ValueError):
         super().__init__("factor of degree >= 3 has no roots in a quadratic field: %s" % (factor,))
 
 
-class NonUnitConstantTerm(ValueError):
-    """Series operation requires constant term 1."""
+class InvalidDiscriminant(ValueError):
+    """A quadratic number was tagged with d = 0 or d = 1, which is no quadratic field."""
 
 
 class NotASingularCandidate(ValueError):

@@ -23,24 +23,9 @@ import enum
 import math
 from fractions import Fraction
 
-from .arith import (
-    Polynomial,
-    QuadraticNumber,
-    as_scalar,
-    collapse,
-    rational_roots_with_multiplicity,
-    roots_in_quadratic_closure,
-    scalar_sort_key,
-    taylor_shift,
-)
-from .errors import (
-    FrobeniusInvariant,
-    IrrationalExponent,
-    TruncationTooLow,
-    UnclassifiedPattern,
-    UnresolvedFactor,
-)
-from .optheta import SingularPoint, local_operator
+from .arith import QuadraticNumber, as_scalar, collapse, scalar_sort_key, taylor_shift
+from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
+from .optheta import apply_local, indicial_roots, local_operator
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +63,22 @@ def _jet_valuation(a):
             return i
     return len(a)
 
-def _jet_inverse_unit(b):
-    T = len(b)
+def _jet_div(a, b):
+    """a / b for a unit jet b, by one triangular solve.
+
+    A zero quotient coefficient is stored as Fraction(0).  The solve can reach
+    a QuadraticNumber zero where a times the inverse jet of b has no term at
+    all, and the two zeros serialize differently.
+    """
     if not b[0]:
-        raise FrobeniusInvariant("jet inverse of a non-unit")
+        raise FrobeniusInvariant("jet division by a non-unit")
     inv0 = 1 / b[0]
-    out = [inv0] + [as_scalar(0)] * (T - 1)
-    for m in range(1, T):
-        acc = as_scalar(0)
+    out = []
+    for m, acc in enumerate(a):
         for j in range(1, m + 1):
-            if b[j]:
-                acc = acc + b[j] * out[m - j]
-        out[m] = -acc * inv0
+            if b[j] and out[m - j]:
+                acc = acc - b[j] * out[m - j]
+        out.append(acc * inv0 if acc else as_scalar(0))
     return out
 
 
@@ -217,28 +206,6 @@ class PointType(enum.Enum):
 # indicial roots and class partitioning
 
 
-def _indicial_roots(ind):
-    """Indicial roots as [(root, multiplicity)] sorted ascending."""
-    if ind.is_rational():
-        try:
-            flat = roots_in_quadratic_closure(ind.map_coeffs(lambda c: Fraction(collapse(c))))
-        except UnresolvedFactor as exc:
-            raise IrrationalExponent(exc.factor) from exc
-        if len(flat) != ind.degree:
-            raise IrrationalExponent(ind)
-        out = []
-        for root in flat:
-            if out and out[-1][0] == root:
-                out[-1][1] += 1
-            else:
-                out.append([root, 1])
-        return [(r, m) for r, m in out]
-    found, rest = rational_roots_with_multiplicity(ind)
-    if rest.degree >= 1:
-        raise IrrationalExponent(rest)
-    return sorted(found, key=lambda rm: scalar_sort_key(rm[0]))
-
-
 def _integer_difference(x, y):
     d = x - y
     d = collapse(d) if isinstance(d, QuadraticNumber) else d
@@ -277,7 +244,7 @@ def local_basis(op, point, N=None):
     if N < loc.r + loc.order:
         raise TruncationTooLow("truncation %d below r + order = %d" % (N, loc.r + loc.order))
     ind = loc.theta_coeffs[0]
-    roots = _indicial_roots(ind)
+    roots = indicial_roots(ind)
     solutions = []
     for cls in _partition_classes(roots):
         solutions.extend(_class_solutions(loc, cls, N, point))
@@ -321,7 +288,7 @@ def _class_solutions(loc, cls, N, point):
                 numer = numer[mu:] + [as_scalar(0)] * mu
                 den = den[mu:] + [as_scalar(0)] * mu
                 lost += mu
-            jets.append(_jet_mul(numer, _jet_inverse_unit(den)))
+            jets.append(_jet_div(numer, den))
         if above + mult > T - lost:
             raise FrobeniusInvariant("jet precision exhausted at exponent %s" % (lam,))
         for k in range(above, above + mult):
@@ -335,39 +302,6 @@ def _class_solutions(loc, cls, N, point):
                 ]
                 table.append(row)
             out.append(GeneralizedSeries(point, lam, table, N))
-    return out
-
-
-def apply_local(loc, alpha, table, upto):
-    """Apply a theta-form operator to t^alpha * sum A[m][l] t^m log^l.
-
-    Returns rows 0..upto of the residual table.  Uses
-    P(theta) t^a log^l = t^a sum_k P^(k)(a) * binom(l, k) * log^(l-k).
-    """
-    r = loc.r
-    width = max((len(row) for row in table), default=1)
-    derivs = []
-    for p in loc.theta_coeffs:
-        ds = [p]
-        for _ in range(width - 1):
-            ds.append(ds[-1].derivative())
-        derivs.append(ds)
-    out = []
-    for m in range(upto + 1):
-        row = [as_scalar(0)] * width
-        for i in range(min(r, m) + 1):
-            src = table[m - i] if m - i < len(table) else ()
-            top = max((l for l, c in enumerate(src) if c), default=-1)
-            if top < 0:
-                continue
-            a = alpha + (m - i)
-            values = [derivs[i][k](a) for k in range(top + 1)]
-            for l, c in enumerate(src):
-                if not c:
-                    continue
-                for k in range(l + 1):
-                    row[l - k] = row[l - k] + c * values[k] * math.comb(l, k)
-        out.append(row)
     return out
 
 
@@ -449,7 +383,8 @@ def _class_blocks(sols):
             if pos is None:
                 return vec
             idx = leads.get(pos)
-            assert idx is not None, "log-map image escapes the solution span at %s" % (pos,)
+            if idx is None:
+                raise FrobeniusInvariant("log-map image escapes the solution span at %s" % (pos,))
             c = rows[pos[0]][pos[1]]  # echelon leaders are normalized to 1
             vec[idx] = vec[idx] + c
             other = tables[idx]
@@ -458,7 +393,8 @@ def _class_blocks(sols):
                     if other[m][l]:
                         rows[m][l] = rows[m][l] - c * other[m][l]
             guard += 1
-            assert guard <= (N + 2) * width, "reduction does not terminate"
+            if guard > (N + 2) * width:
+                raise FrobeniusInvariant("reduction does not terminate")
 
     mat = []
     for idx, sol in enumerate(sols):

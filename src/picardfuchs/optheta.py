@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .arith import (
     Polynomial,
@@ -37,6 +38,7 @@ from .arith import (
 from .errors import (
     IrrationalExponent,
     NotASingularCandidate,
+    TruncationTooLow,
     UnresolvedFactor,
     ZeroPolynomial,
 )
@@ -387,23 +389,50 @@ def op_mul(a, b):
     return ThetaOperator(out)
 
 
+def apply_local(op, alpha, table, upto):
+    """Apply a theta-form operator to t^alpha * sum A[m][l] t^m log^l.
+
+    Returns rows 0..upto of the residual table.  Uses
+    P(theta) t^a log^l = t^a sum_k P^(k)(a) * binom(l, k) * log^(l-k).
+    """
+    r = op.r
+    width = max((len(row) for row in table), default=1)
+    derivs = []
+    for p in op.theta_coeffs:
+        ds = [p]
+        for _ in range(width - 1):
+            ds.append(ds[-1].derivative())
+        derivs.append(ds)
+    out = []
+    for m in range(upto + 1):
+        row = [as_scalar(0)] * width
+        for i in range(min(r, m) + 1):
+            src = table[m - i] if m - i < len(table) else ()
+            top = max((l for l, c in enumerate(src) if c), default=-1)
+            if top < 0:
+                continue
+            a = alpha + (m - i)
+            values = [derivs[i][k](a) for k in range(top + 1)]
+            for l, c in enumerate(src):
+                if not c:
+                    continue
+                for k in range(l + 1):
+                    row[l - k] = row[l - k] + c * values[k] * math.comb(l, k)
+        out.append(row)
+    return out
+
+
 def apply_to_series(op, y):
     """Coefficientwise action: result_m = sum_i P_i(m - i) * y_{m-i}.
 
-    The result's truncation order is y.order - r.
+    The log-free case of apply_local at exponent 0.  The result's truncation
+    order is y.order - r.
     """
-    r = op.r
-    assert y.order >= r, "series too short for this operator"
-    n_out = y.order - r
-    out = []
-    for m in range(n_out + 1):
-        acc = as_scalar(0)
-        for i in range(min(r, m) + 1):
-            ym = y[m - i]
-            if ym:
-                acc = acc + op.coeff(i)(Fraction(m - i)) * ym
-        out.append(acc)
-    return PowerSeries(out, n_out)
+    n_out = y.order - op.r
+    if n_out < 0:
+        raise TruncationTooLow("series order %d below the operator's t-degree %d" % (y.order, op.r))
+    rows = apply_local(op, 0, [[c] for c in y.coeffs], n_out)
+    return PowerSeries([row[0] for row in rows], n_out)
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +502,26 @@ def indicial_polynomial(op, point):
     return loc.theta_coeffs[0]
 
 
-def exponents_at(op, point):
-    """Sorted exponents at a candidate point, counted with multiplicity."""
-    ind = indicial_polynomial(op, point)
+def indicial_roots(ind):
+    """Roots of an indicial polynomial as [(root, multiplicity)], sorted ascending."""
     if ind.is_rational():
         try:
-            roots = roots_in_quadratic_closure(ind.map_coeffs(lambda c: Fraction(collapse(c))))
+            flat = roots_in_quadratic_closure(ind.map_coeffs(lambda c: Fraction(collapse(c))))
         except UnresolvedFactor as exc:
             raise IrrationalExponent(exc.factor) from exc
-        if len(roots) != ind.degree:
+        if len(flat) != ind.degree:
             raise IrrationalExponent(ind)
-        return tuple(roots)
+        return [(root, len(list(run))) for root, run in groupby(flat)]
     found, rest = rational_roots_with_multiplicity(ind)
     if rest.degree >= 1:
         raise IrrationalExponent(rest)
-    roots = []
-    for root, mult in found:
-        roots.extend([root] * mult)
-    return tuple(sorted(roots, key=scalar_sort_key))
+    return sorted(found, key=lambda rm: scalar_sort_key(rm[0]))
+
+
+def exponents_at(op, point):
+    """Sorted exponents at a candidate point, counted with multiplicity."""
+    roots = indicial_roots(indicial_polynomial(op, point))
+    return tuple(root for root, mult in roots for _ in range(mult))
 
 
 class RiemannSymbol:

@@ -187,8 +187,8 @@ def conifold_expand(f):
         key = (ex, ey, ez)
         d[key] = d.get(key, Fraction(0)) + cval / lead
     grades = sorted(pieces)
-    # (1 + u)^(-1/2) degree by degree; same recurrence as series_binomial_power,
-    # with trivariate polynomials in place of scalars
+    # r = (1 + u)^e, e = -1/2, degree by degree: r' (1 + u) = e u' r gives
+    # m r_m = sum_j ((e + 1) j - m) u_j r_(m-j), with trivariate polynomials as coefficients
     e = Fraction(-1, 2)
     r = [{(0, 0, 0): Fraction(1)}]
     for m in range(1, N + 1):

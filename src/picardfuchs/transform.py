@@ -33,6 +33,7 @@ from .optheta import (
     ThetaOperator,
     d_from_theta,
     theta_from_d,
+    translate,
 )
 
 _ONE = RationalFunction(Polynomial((1,)))
@@ -222,8 +223,8 @@ def mobius(op, m):
 
 
 def translate_to_origin(op, a):
-    """Pull back along t = s + a, moving the point a to 0."""
-    return mobius(op, MobiusMap.translation(a))
+    """Substitute t = s + a, moving the point a to 0, in strong canonical form."""
+    return translate(op, collapse(a)).normalized()
 
 
 def negate_variable(op):

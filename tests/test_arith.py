@@ -22,11 +22,11 @@ from picardfuchs.arith import (
     scalar_from_json,
     scalar_sort_key,
     scalar_to_json,
-    series_binomial_power,
     squarefree_factor,
     squarefree_part,
     taylor_shift,
 )
+from picardfuchs.errors import InvalidDiscriminant
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -50,6 +50,25 @@ def test_quadratic_inverse():
     assert collapse(x * x.inverse()) == 1
     with pytest.raises(ZeroDivisionError):
         QuadraticNumber(0, 0, 2).inverse()
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_quadratic_tag_must_name_a_quadratic_field(d):
+    with pytest.raises(InvalidDiscriminant):
+        QuadraticNumber(0, 1, d)
+
+
+def test_quadratic_tag_is_checked_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs.arith import QuadraticNumber\n"
+        "from picardfuchs.errors import InvalidDiscriminant\n"
+        "for d in (0, 1):\n"
+        "    try:\n"
+        "        QuadraticNumber(0, 1, d)\n"
+        "    except InvalidDiscriminant:\n"
+        "        print('InvalidDiscriminant')\n"
+    )
+    assert run_optimized(code).split() == ["InvalidDiscriminant", "InvalidDiscriminant"]
 
 
 def test_collapse_strips_zero_irrational_part():
@@ -250,16 +269,3 @@ def test_power_series_truncation_floor():
     assert (a * b).order == 1
     assert (a * b).coeffs == (Fraction(1), Fraction(0))
 
-
-@given(st.lists(small_rationals, min_size=0, max_size=5), small_rationals, small_rationals)
-@settings(max_examples=40, deadline=None)
-def test_binomial_power_is_additive_in_the_exponent(tail, e1, e2):
-    s = PowerSeries([Fraction(1)] + tail, len(tail))
-    lhs = series_binomial_power(s, e1 + e2)
-    rhs = series_binomial_power(s, e1) * series_binomial_power(s, e2)
-    assert lhs == rhs
-
-
-def test_binomial_power_matches_square():
-    s = PowerSeries([1, 3, -2, 5], 3)
-    assert series_binomial_power(s, 2) == s * s

@@ -165,6 +165,22 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     assert code == 2 and err.startswith("pf: ")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # indicial polynomial t^3 - 2 at 0: no exponent in a quadratic field
+        ({"form": "theta", "coeffs": [["-2", "0", "0", "1"], ["1", "1", "1", "1"]]}, "indicial factor"),
+        # sqrt(1) is no quadratic irrational
+        ({"form": "theta", "coeffs": [["0", "0", {"a": "0", "b": "1", "d": 1}], ["1", "1"]]}, "quadratic field tag"),
+    ],
+)
+def test_unanalysable_operator_is_usage_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["symbol", str(path)])
+    assert code == 2 and err.startswith("pf: ") and message in err
+
+
 def test_verify_forms(capsys):
     code, out, _ = _run(capsys, ["verify-forms"])
     assert code == 0

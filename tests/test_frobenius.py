@@ -3,11 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
-from picardfuchs.arith import Polynomial
-from picardfuchs.errors import TruncationTooLow, UnclassifiedPattern
-from picardfuchs.frobenius import annihilation_order, has_logarithms, jordan_structure
+from picardfuchs.arith import Polynomial, QuadraticNumber, as_scalar
+from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
+from picardfuchs.frobenius import (
+    GeneralizedSeries,
+    LocalBasis,
+    _jet_div,
+    _jet_mul,
+    annihilation_order,
+    has_logarithms,
+    jordan_structure,
+)
 from picardfuchs.optheta import exponents_at, local_operator, riemann_symbol
 
 
@@ -52,8 +62,6 @@ def test_unrelated_series_is_rejected_quickly():
     # damage one coefficient and re-check
     table = [list(r) for r in holo.table]
     table[3][0] = table[3][0] + 1
-    from picardfuchs.frobenius import GeneralizedSeries
-
     bad = GeneralizedSeries(point, holo.alpha, table, holo.truncation)
     assert annihilation_order(LEGENDRE, point, bad) < 4
 
@@ -115,6 +123,92 @@ def test_too_small_truncation_raises_under_optimize(run_optimized):
         "        print('TruncationTooLow')\n"
     )
     assert run_optimized(code).split() == ["TruncationTooLow", "TruncationTooLow"]
+
+
+def test_log_map_escaping_the_span_raises():
+    # a single solution log(t): its log derivative 1 lies outside the span
+    sol = GeneralizedSeries(SingularPoint(0), Fraction(0), [[0, 1]], 0)
+    with pytest.raises(FrobeniusInvariant):
+        jordan_structure(LocalBasis(SingularPoint(0), [sol], None))
+
+
+def test_log_map_escaping_the_span_raises_under_optimize(run_optimized):
+    code = (
+        "from fractions import Fraction\n"
+        "from picardfuchs import SingularPoint\n"
+        "from picardfuchs.errors import FrobeniusInvariant\n"
+        "from picardfuchs.frobenius import GeneralizedSeries, LocalBasis, jordan_structure\n"
+        "sol = GeneralizedSeries(SingularPoint(0), Fraction(0), [[0, 1]], 0)\n"
+        "try:\n"
+        "    jordan_structure(LocalBasis(SingularPoint(0), [sol], None))\n"
+        "except FrobeniusInvariant:\n"
+        "    print('FrobeniusInvariant')\n"
+    )
+    assert run_optimized(code).split() == ["FrobeniusInvariant"]
+
+
+# ---------------------------------------------------------------------------
+# jet division against an inverse-then-product reference
+
+
+def _inverse_then_product(a, b):
+    """Reference quotient: the whole inverse jet of b, then a full product with a."""
+    T = len(b)
+    inv0 = 1 / b[0]
+    inv = [inv0] + [as_scalar(0)] * (T - 1)
+    for m in range(1, T):
+        acc = as_scalar(0)
+        for j in range(1, m + 1):
+            if b[j]:
+                acc = acc + b[j] * inv[m - j]
+        inv[m] = -acc * inv0
+    return _jet_mul(a, inv)
+
+
+# parts from {-1, 0, 1} make the quotient's partial sums cancel often
+_parts = st.one_of(st.integers(-1, 1).map(Fraction), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+_jet_fields = {
+    "fraction": _parts,
+    "quadratic": st.builds(QuadraticNumber, _parts, _parts, st.just(-3)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_jet_fields))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_jet_div_matches_inverse_then_product(field, data):
+    scalars = _jet_fields[field]
+    T = data.draw(st.integers(1, 7))
+    a = data.draw(st.lists(scalars, min_size=T, max_size=T))
+    b = data.draw(st.lists(scalars, min_size=T, max_size=T).filter(lambda b: b[0]))
+    got, want = _jet_div(a, b), _inverse_then_product(a, b)
+    assert got == want
+    for g, w in zip(got, want):
+        # a zero is always Fraction(0); the product can also reach a
+        # QuadraticNumber zero by cancellation, which no catalog basis meets
+        assert type(g) is (type(w) if g else Fraction)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # 1/(1 + e + e^2) = 1 - e + e^3 - ...: the e^2 term cancels inside the solve
+        ([Fraction(2), Fraction(0), Fraction(0), Fraction(0)], [Fraction(1)] * 3 + [Fraction(0)]),
+        (
+            [QuadraticNumber(1, 1, 2), Fraction(0), Fraction(0), Fraction(0)],
+            [QuadraticNumber(1, 0, 2)] * 3 + [Fraction(0)],
+        ),
+    ],
+)
+def test_jet_div_cancels_to_a_rational_zero(a, b):
+    got, want = _jet_div(a, b), _inverse_then_product(a, b)
+    assert got == want and not got[2]
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_jet_div_by_a_non_unit_raises():
+    with pytest.raises(FrobeniusInvariant):
+        _jet_div([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)])
 
 
 def test_classify_catalog_spot_checks():

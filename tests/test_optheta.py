@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, riemann_symbol
-from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber
+from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
+from picardfuchs.errors import TruncationTooLow
 from picardfuchs.optheta import (
     DOperator,
     apply_to_series,
     d_from_theta,
     exponents_at,
     fuchs_defect,
+    local_operator,
     op_mul,
     singular_points,
     theta_from_d,
@@ -69,6 +71,52 @@ def test_apply_to_series_respects_multiplication():
     lhs = apply_to_series(op_mul(a, b), y)
     rhs = apply_to_series(a, apply_to_series(b, y))
     assert lhs == rhs
+
+
+def _coefficientwise(op, y):
+    """Reference action: result_m = sum_i P_i(m - i) * y_{m-i}, term by term."""
+    n_out = y.order - op.r
+    out = []
+    for m in range(n_out + 1):
+        acc = as_scalar(0)
+        for i in range(min(op.r, m) + 1):
+            if y[m - i]:
+                acc = acc + op.coeff(i)(Fraction(m - i)) * y[m - i]
+        out.append(acc)
+    return PowerSeries(out, n_out)
+
+
+# 266's quadratic point moved to 0: an operator with coefficients in Q(sqrt(-3))
+QUADRATIC_LOCAL = local_operator(
+    CATALOG[266].operator,
+    next(p for p in singular_points(CATALOG[266].operator) if isinstance(p.value, QuadraticNumber)),
+)
+_series_parts = st.one_of(st.integers(-1, 1).map(Fraction), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+_series_scalars = st.one_of(
+    _series_parts,
+    st.builds(QuadraticNumber, _series_parts, _series_parts, st.just(-3)),
+    st.just(QuadraticNumber(0, 0, -3)),
+)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [CATALOG[4].operator, CATALOG[33].operator, CATALOG[153].operator, QUADRATIC_LOCAL],
+    ids=["4", "33", "153", "266-local"],
+)
+@settings(max_examples=25, deadline=None)
+@given(coeffs=st.lists(_series_scalars, min_size=14, max_size=20))
+def test_apply_to_series_matches_coefficientwise_formula(op, coeffs):
+    y = PowerSeries(coeffs)
+    got, want = apply_to_series(op, y), _coefficientwise(op, y)
+    assert got.order == want.order
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_apply_to_series_needs_order_at_least_r():
+    with pytest.raises(TruncationTooLow):
+        apply_to_series(LEGENDRE, PowerSeries([1], 0))
 
 
 def test_legendre_symbol():

@@ -21,8 +21,9 @@ from picardfuchs import (
     shift_exponents,
     yukawa,
 )
-from picardfuchs.arith import Polynomial
+from picardfuchs.arith import Polynomial, QuadraticNumber
 from picardfuchs.errors import NotEven
+from picardfuchs.optheta import singular_points
 from picardfuchs.transform import descend_power, is_even, negate_variable, translate_to_origin
 
 
@@ -128,6 +129,23 @@ def test_descend_inverts_pullback():
     for n in (2, 3):
         up = pullback_power(LEGENDRE, n)
         assert _norm_eq(descend_power(up, n), LEGENDRE)
+
+
+def _translation_cases():
+    # the first finite nonzero candidate point of every catalog operator, and a quadratic point
+    for aid, rec in sorted(CATALOG.items()):
+        points = [p for p in singular_points(rec.operator) if not p.is_infinite and p.value != 0]
+        if points:
+            yield aid, points[0].value
+    yield 266, next(p.value for p in singular_points(CATALOG[266].operator) if isinstance(p.value, QuadraticNumber))
+    yield 4, QuadraticNumber(Fraction(1, 16), 0, -3)  # a rational value in quadratic dress
+
+
+@pytest.mark.parametrize("aid, a", list(_translation_cases()))
+def test_translate_to_origin_matches_mobius_translation(aid, a):
+    op = CATALOG[aid].operator
+    # to_json tells a QuadraticNumber from a Fraction of equal value
+    assert translate_to_origin(op, a).to_json() == mobius(op, MobiusMap.translation(a)).to_json()
 
 
 def test_pullback_restores_descended_operator():
