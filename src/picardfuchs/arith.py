@@ -506,7 +506,8 @@ def taylor_shift(coeffs, a, terms=None):
     part in a product, so a coefficient is a QuadraticNumber exactly when
     Polynomial arithmetic would make it one: a QuadraticNumber zero and
     Fraction(0) serialize differently.  No trailing zeros are trimmed inside
-    the first `terms`.
+    the first `terms`.  All-int input (coefficients and a) stays int, with
+    zero 0: the fraction-free Frobenius recurrence shifts integer polynomials.
     """
     cs = list(coeffs)
     while cs and not cs[-1]:
@@ -514,8 +515,11 @@ def taylor_shift(coeffs, a, terms=None):
     terms = len(cs) if terms is None else min(terms, len(cs))
     if terms <= 0:
         return []
-    a = as_scalar(a)
-    zero = Fraction(0)
+    if type(a) is int and set(map(type, cs)) == {int}:
+        zero = 0
+    else:
+        a = as_scalar(a)
+        zero = Fraction(0)
     out = []
     for c in reversed(cs):
         # out <- out * (t + a) + c, from the top index down so out[p - 1] is still old

@@ -169,7 +169,7 @@ def _cmd_period(args):
             form = TetraForm.from_json(data)
         else:
             form = TetraForm.from_json({"P": data})
-    except (KeyError, TypeError, ValueError, AssertionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError("%s is not a tetra-form file: %s" % (args.poly, exc))
     if args.terms is not None:
         if args.terms < 0:
@@ -264,10 +264,7 @@ def _count_input(args):
 
 def _cmd_count(args):
     f8, aid, parameter = _count_input(args)
-    try:
-        n = count_double_octic(f8, args.prime)
-    except AssertionError as exc:
-        raise UsageError(str(exc))
+    n = count_double_octic(f8, args.prime)
     if args.json:
         out = {"prime": args.prime, "count": n}
         if aid is not None:

@@ -77,6 +77,14 @@ class NotPrime(ValueError):
     """Point counting needs a prime modulus."""
 
 
+class InvalidOctic(ValueError):
+    """An octic is neither homogeneous monomials of degree 8 in four variables nor eight linear forms."""
+
+
+class InvalidTetraForm(ValueError):
+    """A tetra-form term or plane has the wrong shape, or its truncation is negative."""
+
+
 class ChainBroken(RuntimeError):
     """A scripted reduction chain diverged from its recorded expectation."""
 

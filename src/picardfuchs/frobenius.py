@@ -15,6 +15,17 @@ t^(lambda+eps) * sum c_m(eps) t^m; expanding t^eps = sum eps^l log(t)^l / l!
 gives a solution with leading term t^lambda log(t)^(k-R)/(k-R)!, normalized
 here to leading coefficient 1.  The basis is echelon by construction: leading
 (exponent, log degree) pairs are pairwise distinct.
+
+A jet has one of two representations, picked from the scalar types seen.
+When every coefficient of the local operator and every root of the class is
+an int or a Fraction (each rational point and infinity), a jet is a pair
+(list of T ints, positive int denominator) in lowest terms, and the recurrence
+runs fraction-free: each P_i is cleared to an integer polynomial once per
+class, its values are integer Taylor shifts, products are integer
+convolutions, and the division is a fraction-free triangular solve followed
+by one gcd.  Fractions are built only for the output table.  Otherwise (a
+quadratic point, or quadratic exponents) a jet is a plain list of T scalars,
+Fraction or QuadraticNumber, and the same recurrence runs on them.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from fractions import Fraction
 
 from .arith import QuadraticNumber, as_scalar, collapse, scalar_sort_key, taylor_shift
 from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
-from .optheta import apply_local, indicial_roots, local_operator
+from .optheta import apply_local, indicial_roots, integer_jet, integer_polys, is_rational, local_operator
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +91,53 @@ def _jet_div(a, b):
                 acc = acc - b[j] * out[m - j]
         out.append(acc * inv0 if acc else as_scalar(0))
     return out
+
+
+def _int_jet_div(a, b, scale):
+    """(a / scale) / b for integer jets a, b with b[0] != 0, as (nums, den) in lowest terms.
+
+    Fraction-free triangular solve: o_k = a_k h0^k - sum_j h_j o_(k-j) h0^(j-1)
+    with h = b is h0^(k+1) times the k-th quotient coefficient, so the quotient
+    is o_k h0^(T-1-k) over scale * h0^T, reduced by one gcd.  The jet length
+    T = 2M is even, so a positive scale gives a positive denominator.
+    """
+    h0 = b[0]
+    if not h0:
+        raise FrobeniusInvariant("jet division by a non-unit")
+    T = len(a)
+    hp = [1]
+    for _ in range(T):
+        hp.append(hp[-1] * h0)
+    o = []
+    for k in range(T):
+        acc = a[k] * hp[k]
+        for j in range(1, k + 1):
+            if b[j] and o[k - j]:
+                acc -= b[j] * o[k - j] * hp[j - 1]
+        o.append(acc)
+    nums = [ok * hp[T - 1 - k] for k, ok in enumerate(o)]
+    den = scale * hp[T]
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _cancel_resonance(numer, den, m, zero):
+    """Strip the common eps-valuation mu of numer and den at offset m.
+
+    At a resonance the low mu coefficients of numer must vanish exactly (the
+    obstruction constant); the shift loses mu coefficients of precision.
+    Returns (numer, den, mu); works on scalar and integer jets alike.
+    """
+    T = len(den)
+    mu = _jet_valuation(den)
+    if mu >= T:
+        raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
+    if mu:
+        if any(numer[k] for k in range(mu)):
+            raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
+        numer = numer[mu:] + [zero] * mu
+        den = den[mu:] + [zero] * mu
+    return numer, den, mu
 
 
 # ---------------------------------------------------------------------------
@@ -257,52 +315,92 @@ def _class_solutions(loc, cls, N, point):
     M = sum(m for _r, m in cls)
     T = 2 * M
     r = loc.r
-    p0 = loc.theta_coeffs[0]
     gap = _integer_difference(cls[-1][0], cls[0][0])
     if N < gap + r + 1:
         raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
+    integer = is_rational(lam for lam, _m in cls) and all(is_rational(p.coeffs) for p in loc.theta_coeffs)
+    if integer:
+        # the class roots differ by integers, so they share one denominator q
+        q = Fraction(cls[0][0]).denominator
+        Q, _E = integer_polys(loc.theta_coeffs, q)
     out = []
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        seed = [as_scalar(0)] * T
-        seed[above] = as_scalar(1)
-        jets = [seed]
-        lost = 0
-        for m in range(1, N + 1):
-            numer = [as_scalar(0)] * T
-            for i in range(1, min(r, m) + 1):
-                pi = loc.theta_coeffs[i]
-                if pi.is_zero:
-                    continue
-                pj = _jet_eval_poly(pi, lam + (m - i), T)
-                numer = _jet_add(numer, _jet_mul(pj, jets[m - i]))
-            numer = _jet_scale(numer, -1)
-            den = _jet_eval_poly(p0, lam + m, T)
-            mu = _jet_valuation(den)
-            if mu >= T:
-                raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
-            if mu:
-                # exact obstruction: the low coefficients must cancel
-                if any(numer[k] for k in range(mu)):
-                    raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
-                numer = numer[mu:] + [as_scalar(0)] * mu
-                den = den[mu:] + [as_scalar(0)] * mu
-                lost += mu
-            jets.append(_jet_div(numer, den))
+        if integer:
+            jets, lost = _integer_recurrence(Q, q, Fraction(lam).numerator, T, N, above)
+        else:
+            jets, lost = _scalar_recurrence(loc, lam, T, N, above)
         if above + mult > T - lost:
             raise FrobeniusInvariant("jet precision exhausted at exponent %s" % (lam,))
         for k in range(above, above + mult):
             s = k - above
             scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
-            table = []
-            for m in range(N + 1):
-                row = [
-                    jets[m][k - l] * Fraction(scale, math.factorial(l))
-                    for l in range(min(k, len(jets[m]) - 1) + 1)
-                ]
-                table.append(row)
+            logs = range(min(k, T - 1) + 1)
+            if integer:
+                table = [[Fraction(nums[k - l] * scale, den * math.factorial(l)) for l in logs] for nums, den in jets]
+            else:
+                table = [[jet[k - l] * Fraction(scale, math.factorial(l)) for l in logs] for jet in jets]
             out.append(GeneralizedSeries(point, lam, table, N))
     return out
+
+
+def _scalar_recurrence(loc, lam, T, N, above):
+    """Jets c_0 .. c_N as lists of scalars, and the precision lost at resonances."""
+    r = loc.r
+    p0 = loc.theta_coeffs[0]
+    seed = [as_scalar(0)] * T
+    seed[above] = as_scalar(1)
+    jets = [seed]
+    lost = 0
+    for m in range(1, N + 1):
+        numer = [as_scalar(0)] * T
+        for i in range(1, min(r, m) + 1):
+            pi = loc.theta_coeffs[i]
+            if pi.is_zero:
+                continue
+            pj = _jet_eval_poly(pi, lam + (m - i), T)
+            numer = _jet_add(numer, _jet_mul(pj, jets[m - i]))
+        numer = _jet_scale(numer, -1)
+        den = _jet_eval_poly(p0, lam + m, T)
+        numer, den, mu = _cancel_resonance(numer, den, m, as_scalar(0))
+        lost += mu
+        jets.append(_jet_div(numer, den))
+    return jets, lost
+
+
+def _integer_recurrence(Q, q, u0, T, N, above):
+    """Jets c_0 .. c_N as (nums, den) for the exponent u0/q, and the precision lost.
+
+    Q comes from integer_polys at the class denominator q.  The common scale
+    E of the Q_i cancels in the quotient, and the terms of the numerator are
+    brought to the lcm of their jets' denominators.
+    """
+    qpow = [q**k for k in range(T)]
+    r = len(Q) - 1
+    seed = [0] * T
+    seed[above] = 1
+    jets = [(seed, 1)]
+    lost = 0
+    for m in range(1, N + 1):
+        terms = [i for i in range(1, min(r, m) + 1) if Q[i]]
+        lcm = math.lcm(*(jets[m - i][1] for i in terms))
+        numer = [0] * T
+        for i in terms:
+            nums, den = jets[m - i]
+            f = -(lcm // den)
+            pj = integer_jet(Q[i], u0 + (m - i) * q, qpow)
+            for a, x in enumerate(pj):
+                if not x:
+                    continue
+                x *= f
+                for b in range(T - a):
+                    if nums[b]:
+                        numer[a + b] += x * nums[b]
+        den = integer_jet(Q[0], u0 + m * q, qpow)
+        numer, den, mu = _cancel_resonance(numer, den, m, 0)
+        lost += mu
+        jets.append(_int_jet_div(numer, den, lcm))
+    return jets, lost
 
 
 def annihilation_order(op, point, sol):

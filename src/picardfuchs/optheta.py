@@ -34,6 +34,7 @@ from .arith import (
     scalar_sign,
     scalar_sort_key,
     scalar_to_json,
+    taylor_shift,
 )
 from .errors import (
     IrrationalExponent,
@@ -389,14 +390,62 @@ def op_mul(a, b):
     return ThetaOperator(out)
 
 
+def is_rational(scalars):
+    """True when every scalar is an int or a Fraction.
+
+    This picks the fraction-free integer paths of apply_local and of the
+    Frobenius recurrence.  A QuadraticNumber, even one with zero sqrt part,
+    keeps the scalar path: its results can differ in type.
+    """
+    return all(type(x) is Fraction or type(x) is int for x in scalars)
+
+
+def integer_polys(polys, q):
+    """(Q, E): integer coefficient lists Q_i(x) = E * P_i(x / q), one common E > 0.
+
+    For rational P_i and an integer q >= 1, E = lcm(coefficient denominators)
+    * q^n with n the largest degree.  Then E * P_i(u/q + eps) is the Taylor
+    shift of Q_i at the integer u with coefficient k scaled by q^k: see
+    integer_jet.
+    """
+    n = max([0] + [p.degree for p in polys])
+    dens = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    Q = [
+        [c.numerator * (dens // c.denominator) * q ** (n - k) for k, c in enumerate(p.coeffs)]
+        for p in polys
+    ]
+    return Q, dens * q**n
+
+
+def integer_jet(Q, u, qpow):
+    """E * P(u/q + eps) mod eps^T as T integers, for Q from integer_polys and qpow[k] = q^k."""
+    T = len(qpow)
+    cs = taylor_shift(Q, u, T)
+    return [c * qk for c, qk in zip(cs, qpow)] + [0] * (T - len(cs))
+
+
 def apply_local(op, alpha, table, upto):
     """Apply a theta-form operator to t^alpha * sum A[m][l] t^m log^l.
 
     Returns rows 0..upto of the residual table.  Uses
     P(theta) t^a log^l = t^a sum_k P^(k)(a) * binom(l, k) * log^(l-k).
+    When the operator, alpha and the table are rational, each row is
+    accumulated as integer numerators over one denominator; otherwise the
+    scalars are summed as they are.
     """
-    r = op.r
     width = max((len(row) for row in table), default=1)
+    if (
+        is_rational([alpha])
+        and all(is_rational(p.coeffs) for p in op.theta_coeffs)
+        and all(is_rational(row) for row in table)
+    ):
+        return _apply_local_integer(op, Fraction(alpha), table, upto, width)
+    return _apply_local_scalar(op, alpha, table, upto, width)
+
+
+def _apply_local_scalar(op, alpha, table, upto, width):
+    """apply_local on Fraction and QuadraticNumber scalars as they are."""
+    r = op.r
     derivs = []
     for p in op.theta_coeffs:
         ds = [p]
@@ -419,6 +468,48 @@ def apply_local(op, alpha, table, upto):
                 for k in range(l + 1):
                     row[l - k] = row[l - k] + c * values[k] * math.comb(l, k)
         out.append(row)
+    return out
+
+
+def _apply_local_integer(op, alpha, table, upto, width):
+    """apply_local for a rational operator, exponent and table.
+
+    Each input row is held as integer numerators over the lcm of its
+    denominators.  With E * P_i(a + eps) = sum_k V_k eps^k from integer_jet,
+    P_i^(k)(a) * binom(l, k) = V_k * l!/(l-k)! / E, so an output row is an
+    integer sum over E times the lcm of the row denominators it reads.
+    """
+    r = op.r
+    u0, q = alpha.numerator, alpha.denominator
+    Q, E = integer_polys(op.theta_coeffs, q)
+    qpow = [q**k for k in range(width)]
+    falling = [[math.perm(l, k) for k in range(l + 1)] for l in range(width)]
+    rows = []
+    for row in table:
+        den = math.lcm(*(c.denominator for c in row))
+        top = max((l for l, c in enumerate(row) if c), default=-1)
+        rows.append(([c.numerator * (den // c.denominator) for c in row], den, top))
+    out = []
+    for m in range(upto + 1):
+        terms = [
+            (i,) + rows[m - i]
+            for i in range(min(r, m) + 1)
+            if m - i < len(rows) and Q[i] and rows[m - i][2] >= 0
+        ]
+        lcm = math.lcm(*(den for _i, _nums, den, _top in terms))
+        acc = [0] * width
+        for i, nums, den, top in terms:
+            values = integer_jet(Q[i], u0 + (m - i) * q, qpow[: top + 1])
+            f = lcm // den
+            for l, c in enumerate(nums):
+                if not c:
+                    continue
+                c *= f
+                for k in range(l + 1):
+                    if values[k]:
+                        acc[l - k] += c * values[k] * falling[l][k]
+        den = E * lcm
+        out.append([Fraction(a, den) for a in acc])
     return out
 
 

@@ -24,7 +24,7 @@ from .arith import (
     quadratic_sqrt,
     scalar_to_json,
 )
-from .errors import VanishingConstantTerm
+from .errors import InvalidTetraForm, VanishingConstantTerm
 from .optheta import apply_to_series
 
 
@@ -56,10 +56,12 @@ class TetraForm:
         tidy = {}
         for key, cval in pairs:
             key = tuple(int(e) for e in key)
-            assert len(key) == 4 and min(key) >= 0
+            if len(key) != 4 or min(key) < 0:
+                raise InvalidTetraForm("term %s needs four nonnegative exponents (x, y, z, t)" % (key,))
             cval = Fraction(collapse(as_scalar(cval)))
             tidy[key] = tidy.get(key, Fraction(0)) + cval
-        assert truncation >= 0
+        if truncation < 0:
+            raise InvalidTetraForm("truncation must be nonnegative, got %d" % truncation)
         object.__setattr__(self, "terms", {k: v for k, v in tidy.items() if v})
         object.__setattr__(self, "truncation", truncation)
 
@@ -96,7 +98,8 @@ class TetraForm:
         prod = {(0, 0, 0, 0): Fraction(scale)}
         basis = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         for plane in planes:
-            assert len(plane) == 5
+            if len(plane) != 5:
+                raise InvalidTetraForm("plane %s needs five coefficients (c1, cx, cy, cz, ct)" % (plane,))
             nxt = {}
             for key, cval in prod.items():
                 for shift, pc in zip(basis, plane):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import QuadraticNumber, _is_probable_prime
-from .errors import EvenPrime, NoEtaProduct, NotPrime
+from .errors import EvenPrime, InvalidOctic, NoEtaProduct, NotPrime
 
 
 class QSeries:
@@ -334,12 +334,15 @@ def _octic_terms(f8, p):
         terms = []
         for key, c in f8.items():
             key = tuple(int(e) for e in key)
-            assert len(key) == 4 and min(key) >= 0
-            assert sum(key) == 8, "octic must be homogeneous of degree 8"
+            if len(key) != 4 or min(key) < 0:
+                raise InvalidOctic("octic monomial %s needs four nonnegative exponents" % (key,))
+            if sum(key) != 8:
+                raise InvalidOctic("octic must be homogeneous of degree 8")
             terms.append((redc(c), key))
         return terms, None
     forms = [tuple(redc(c) for c in form) for form in f8]
-    assert len(forms) == 8 and all(len(f) == 4 for f in forms)
+    if len(forms) != 8 or any(len(f) != 4 for f in forms):
+        raise InvalidOctic("octic must be eight linear forms of four coefficients")
     return None, forms
 
 

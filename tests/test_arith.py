@@ -180,6 +180,14 @@ def test_taylor_shift_types_through_cancellation(coeffs, a):
     assert _types(got) == _types(want)
 
 
+@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(-5, 5), st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_taylor_shift_keeps_integers_integral(coeffs, a, terms):
+    got = taylor_shift(coeffs, a, terms)
+    assert got == _compose_shift(coeffs, a)[:terms]
+    assert all(type(c) is int for c in got)
+
+
 @given(shift_cases, st.integers(0, 9))
 @settings(max_examples=200, deadline=None)
 def test_taylor_shift_truncates_to_a_prefix(case, terms):

@@ -181,6 +181,37 @@ def test_unanalysable_operator_is_usage_error(tmp_path, capsys, doc, message):
     assert code == 2 and err.startswith("pf: ") and message in err
 
 
+MALFORMED_FILES = [
+    # monomials of degrees 7 and 8
+    (["count", "--octic", "{}", "--prime", "5"], {"7,0,0,0": "1", "0,0,0,8": "1"}, "pf: octic must be homogeneous of degree 8\n"),
+    # a tetra-form key with three exponents
+    (["period", "--poly", "{}"], {"0,0,0,0": "1", "1,0,0": "1"}, "needs four nonnegative exponents (x, y, z, t)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=["octic", "tetra"])
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, [a.format(path) for a in argv])
+    assert code == 2 and not out
+    assert err.startswith("pf: ") and err.endswith(message)
+
+
+@pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=["octic", "tetra"])
+def test_malformed_input_file_is_usage_error_under_optimize(tmp_path, run_optimized, argv, doc, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code = (
+        "import sys\n"
+        "from picardfuchs.cli import main\n"
+        "sys.stderr = sys.stdout\n"
+        "print('exit', main(%r))\n" % [a.format(path) for a in argv]
+    )
+    out = run_optimized(code)
+    assert out.startswith("pf: ") and out.endswith(message + "exit 2\n")
+
+
 def test_verify_forms(capsys):
     code, out, _ = _run(capsys, ["verify-forms"])
     assert code == 0

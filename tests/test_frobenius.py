@@ -1,5 +1,6 @@
 """Local solution bases, logarithm detection, and degeneration labels."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,16 +10,28 @@ from hypothesis import strategies as st
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
 from picardfuchs.arith import Polynomial, QuadraticNumber, as_scalar
 from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
+from picardfuchs import frobenius
 from picardfuchs.frobenius import (
     GeneralizedSeries,
     LocalBasis,
+    _class_solutions,
+    _int_jet_div,
+    _integer_recurrence,
     _jet_div,
     _jet_mul,
+    _scalar_recurrence,
     annihilation_order,
     has_logarithms,
     jordan_structure,
 )
-from picardfuchs.optheta import exponents_at, local_operator, riemann_symbol
+from picardfuchs.optheta import (
+    _apply_local_scalar,
+    apply_local,
+    exponents_at,
+    integer_polys,
+    local_operator,
+    riemann_symbol,
+)
 
 
 def P(*cs):
@@ -211,6 +224,18 @@ def test_jet_div_by_a_non_unit_raises():
         _jet_div([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)])
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_jet_div_matches_scalar_jet_div(data):
+    T = 2 * data.draw(st.integers(1, 4))  # jets of the engine have even length 2M
+    a = data.draw(st.lists(st.integers(-5, 5), min_size=T, max_size=T))
+    b = data.draw(st.lists(st.integers(-5, 5), min_size=T, max_size=T).filter(lambda b: b[0]))
+    scale = data.draw(st.integers(1, 12))
+    nums, den = _int_jet_div(a, b, scale)
+    assert [Fraction(n, den) for n in nums] == _jet_div([Fraction(x, scale) for x in a], [Fraction(x) for x in b])
+    assert den > 0 and math.gcd(den, *nums) == 1  # lowest terms
+
+
 def test_classify_catalog_spot_checks():
     assert classify_point(CATALOG[33].operator, SingularPoint(0)) is PointType.K
     assert classify_point(CATALOG[33].operator, SingularPoint(1)) is PointType.C
@@ -228,3 +253,172 @@ def test_unclassified_pattern_raises():
     op = ThetaOperator.from_theta_polys([P(0, 0, 0, 1)])  # theta^3, solutions 1, log, log^2
     with pytest.raises(UnclassifiedPattern):
         classify_point(op, SingularPoint(0))
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free recurrence against the scalar one it replaces on Q
+
+
+def _scalar_only(monkeypatch):
+    """Make the Frobenius engine take its scalar path whatever the input types."""
+    monkeypatch.setattr(frobenius, "is_rational", lambda scalars: False)
+
+
+def _counting_integer_recurrence(monkeypatch):
+    calls = []
+    inner = frobenius._integer_recurrence
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(frobenius, "_integer_recurrence", counted)
+    return calls
+
+
+def _typed(rows):
+    return [[(c, type(c)) for c in row] for row in rows]
+
+
+def _outcome(op, point, N=None):
+    """The basis with every scalar's type, or the error raised."""
+    try:
+        basis = local_basis(op, point, N)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(s.alpha, type(s.alpha), s.truncation, _typed(s.table)) for s in basis.solutions]
+
+
+_DISTINCT = [aid for aid in sorted(CATALOG) if aid != 273]  # 273 repeats 266
+
+
+@pytest.mark.parametrize("aid", _DISTINCT)
+def test_integer_path_matches_scalar_path_on_catalog_points(aid, monkeypatch):
+    op = CATALOG[aid].operator
+    points = [p for p, _exps in CATALOG[aid].symbol if not isinstance(p.value, QuadraticNumber)]
+    calls = _counting_integer_recurrence(monkeypatch)
+    got = [_outcome(op, p) for p in points]
+    integer_calls = len(calls)
+    assert integer_calls >= len(points)  # every rational point and infinity takes the integer path
+    _scalar_only(monkeypatch)
+    want = [_outcome(op, p) for p in points]
+    assert len(calls) == integer_calls and got == want
+    assert all(isinstance(sols, list) for sols in got)
+
+
+def _linear_product(roots, scale=1):
+    p = Polynomial([Fraction(scale)])
+    for root in roots:
+        p = p * Polynomial([-root, Fraction(1)])
+    return p
+
+
+# local exponents from a few classes mod 1, with repeats and integer gaps, so
+# that resonances and logarithms are common
+_exponent = st.builds(
+    lambda base, gap: base + gap,
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]),
+    st.integers(0, 2),
+)
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _fuchsian_shapes(draw):
+    """theta-operators of hypergeometric shape P_0 - t P_1 or Hadamard shape P_0 + t P_1 + t^2 P_2."""
+    n = draw(st.integers(1, 4))
+    p0 = _linear_product(draw(st.lists(_exponent, min_size=n, max_size=n)))
+    top = _linear_product(
+        [-e for e in draw(st.lists(_exponent, min_size=n, max_size=n))],
+        draw(st.sampled_from([-27, -4, -1, Fraction(1, 2), 1, 16])),
+    )
+    if draw(st.booleans()):
+        polys = [p0, top]
+    else:
+        middle = Polynomial(draw(st.lists(_small, min_size=1, max_size=n + 1)))
+        polys = [p0, middle, top]
+    return ThetaOperator.from_theta_polys(polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=_fuchsian_shapes(), point=st.sampled_from([SingularPoint(0), INFINITY]), extra=st.integers(0, 6))
+def test_integer_path_matches_scalar_path_on_generated_operators(op, point, extra):
+    loc = local_operator(op, point)
+    N = loc.r + loc.order + 3 + extra
+    got = _outcome(op, point, N)
+    with pytest.MonkeyPatch.context() as mp:
+        _scalar_only(mp)
+        want = _outcome(op, point, N)
+    assert got == want
+    if isinstance(got, list):
+        for sol in local_basis(op, point, N):
+            table = [list(row) for row in sol.table]
+            upto = N - loc.r
+            res = apply_local(loc, sol.alpha, table, upto)
+            ref = _apply_local_scalar(loc, sol.alpha, table, upto, max(len(row) for row in table))
+            assert _typed(res) == _typed(ref)
+            assert not any(any(row) for row in res)
+
+
+def test_integer_path_meets_a_resonance_with_logarithms(monkeypatch):
+    # theta^2 (theta - 2) - t (theta + 1)^3: the exponents 0, 0, 2 form one
+    # class at 0, so the recurrence meets a resonance at offset 2
+    op = ThetaOperator.from_theta_polys([_linear_product([0, 0, 2]), _linear_product([-1, -1, -1], -1)])
+    basis = local_basis(op, SingularPoint(0))
+    assert basis.exponents() == [0, 0, 2] and basis.has_logarithms()
+    got = _outcome(op, SingularPoint(0))
+    _scalar_only(monkeypatch)
+    assert _outcome(op, SingularPoint(0)) == got
+
+
+# theta(theta - 1) + t has a log at 0: seeding the root 0 with eps^0 instead
+# of eps^1 leaves a nonzero obstruction constant at the resonance m = 1
+_OBSTRUCTED = ThetaOperator.from_theta_polys([P(0, -1, 1), P(1)])
+# theta(theta - 1)(theta - 2) with the class {0, 1, 2} cut down to the root 0:
+# the resonances at m = 1, 2 use up the whole jet of length 2
+_EXHAUSTED = ThetaOperator.from_theta_polys([P(0, 2, -3, 1)])
+
+
+def test_integer_path_raises_on_a_failed_obstruction():
+    Q, _E = integer_polys(_OBSTRUCTED.theta_coeffs, 1)
+    with pytest.raises(FrobeniusInvariant, match="obstruction failed at offset 1") as got:
+        _integer_recurrence(Q, 1, 0, 2, 2, 0)
+    with pytest.raises(FrobeniusInvariant) as want:
+        _scalar_recurrence(_OBSTRUCTED, Fraction(0), 2, 2, 0)
+    assert str(got.value) == str(want.value)
+
+
+def test_integer_path_raises_on_exhausted_precision(monkeypatch):
+    calls = _counting_integer_recurrence(monkeypatch)
+    with pytest.raises(FrobeniusInvariant, match="precision exhausted") as got:
+        _class_solutions(_EXHAUSTED, [(Fraction(0), 1)], 3, SingularPoint(0))
+    assert calls
+    _scalar_only(monkeypatch)
+    with pytest.raises(FrobeniusInvariant) as want:
+        _class_solutions(_EXHAUSTED, [(Fraction(0), 1)], 3, SingularPoint(0))
+    assert str(got.value) == str(want.value)
+
+
+def test_integer_path_errors_under_optimize(run_optimized):
+    code = (
+        "from fractions import Fraction\n"
+        "from picardfuchs import SingularPoint, ThetaOperator, local_basis\n"
+        "from picardfuchs.arith import Polynomial\n"
+        "from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow\n"
+        "from picardfuchs.frobenius import _class_solutions, _integer_recurrence\n"
+        "from picardfuchs.optheta import integer_polys\n"
+        "def op(*polys):\n"
+        "    return ThetaOperator.from_theta_polys([Polynomial([Fraction(c) for c in p]) for p in polys])\n"
+        "Q, _E = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
+        "cases = [\n"
+        "    lambda: _integer_recurrence(Q, 1, 0, 2, 2, 0),\n"
+        "    lambda: _class_solutions(op((0, 2, -3, 1)), [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
+        "    lambda: local_basis(op((0, -3, 1)), SingularPoint(0), 3),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "    except (FrobeniusInvariant, TruncationTooLow) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    assert run_optimized(code).split() == ["FrobeniusInvariant", "FrobeniusInvariant", "TruncationTooLow"]

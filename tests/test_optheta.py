@@ -12,6 +12,8 @@ from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scala
 from picardfuchs.errors import TruncationTooLow
 from picardfuchs.optheta import (
     DOperator,
+    _apply_local_scalar,
+    apply_local,
     apply_to_series,
     d_from_theta,
     exponents_at,
@@ -117,6 +119,30 @@ def test_apply_to_series_matches_coefficientwise_formula(op, coeffs):
 def test_apply_to_series_needs_order_at_least_r():
     with pytest.raises(TruncationTooLow):
         apply_to_series(LEGENDRE, PowerSeries([1], 0))
+
+
+_entries = st.one_of(st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+_theta_ops = st.lists(st.lists(_entries, max_size=4).map(Polynomial), min_size=1, max_size=4).map(ThetaOperator)
+
+
+def _typed(rows):
+    return [[(c, type(c)) for c in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    op=st.one_of(st.sampled_from([LEGENDRE, CATALOG[33].operator, CATALOG[153].operator]), _theta_ops),
+    alpha=_entries,
+    table=st.lists(st.lists(_entries, min_size=1, max_size=4), min_size=1, max_size=12),
+    extra=st.integers(0, 4),
+)
+def test_apply_local_integer_path_matches_scalar_path(op, alpha, table, extra):
+    # rational operator, exponent and table: apply_local accumulates integers;
+    # width-1 tables are power series, alpha = 0 among them
+    upto = len(table) - 1 + extra
+    got = apply_local(op, alpha, table, upto)
+    want = _apply_local_scalar(op, alpha, table, upto, max(len(row) for row in table))
+    assert _typed(got) == _typed(want)
 
 
 def test_legendre_symbol():

@@ -8,7 +8,7 @@ import pytest
 from picardfuchs import TetraForm, ThetaOperator, conifold_expand, verify_annihilation
 from picardfuchs.arith import Polynomial, QuadraticNumber
 from picardfuchs.catalog_data import TETRA_DEMO
-from picardfuchs.errors import VanishingConstantTerm
+from picardfuchs.errors import InvalidTetraForm, VanishingConstantTerm
 from picardfuchs.period import simplex_monomial_integral
 from picardfuchs.transform import translate_to_origin
 from picardfuchs import CATALOG
@@ -86,6 +86,20 @@ def test_from_planes_multiplies_out():
         (1, 1, 0, 0): 1,
     }
     assert f.evaluate(2, 3, 7, 11) == 12
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TetraForm({(0, 0, 0, 0): 1, (1, 0, 0): 1}), "four nonnegative exponents"),
+        (lambda: TetraForm({(0, 0, -1, 1): 1}), "four nonnegative exponents"),
+        (lambda: TetraForm({(0, 0, 0, 0): 1}, truncation=-1), "truncation must be nonnegative"),
+        (lambda: TetraForm.from_planes([(1, 1, 0, 0)]), "five coefficients"),
+    ],
+)
+def test_malformed_tetra_form_rejected(build, message):
+    with pytest.raises(InvalidTetraForm, match=message):
+        build()
 
 
 def test_catalog_operator_annihilates_demo_series():

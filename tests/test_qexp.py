@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from picardfuchs import CATALOG, count_double_octic, eta_product, verify_form_table
-from picardfuchs.errors import EvenPrime, NotPrime
+from picardfuchs.errors import EvenPrime, InvalidOctic, NotPrime
 from picardfuchs.qexp import FORMS, EtaProductSpec, lookup_form
 
 ETA_FORMS = ("f32", "16", "8", "6/1", "8/1")
@@ -107,3 +107,18 @@ def test_composite_modulus_rejected_under_optimize(run_optimized):
         "    print('NotPrime')\n"
     )
     assert run_optimized(code).strip() == "NotPrime"
+
+
+@pytest.mark.parametrize(
+    "octic, message",
+    [
+        ({(7, 0, 0, 0): 1, (0, 0, 0, 8): 1}, "homogeneous of degree 8"),
+        ({(8, 0, 0): 1}, "four nonnegative exponents"),
+        ({(9, -1, 0, 0): 1}, "four nonnegative exponents"),
+        ([(1, 0, 0, 0)] * 7, "eight linear forms"),
+        ([(1, 0, 0)] * 8, "eight linear forms"),
+    ],
+)
+def test_malformed_octic_rejected(octic, message):
+    with pytest.raises(InvalidOctic, match=message):
+        count_double_octic(octic, 5)
