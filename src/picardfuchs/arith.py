@@ -812,14 +812,6 @@ class RationalFunction:
         return "(%s)/(%s)" % (format_polynomial(self.num, "t"), format_polynomial(self.den, "t"))
 
 
-def poly_compose_rational(p, rf):
-    """p(rf) for a polynomial p and rational function rf."""
-    out = RationalFunction(Polynomial(()))
-    for c in reversed(p.coeffs):
-        out = out * rf + c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # truncated power series
 

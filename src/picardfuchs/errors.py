@@ -53,6 +53,18 @@ class NotEven(ValueError):
     """Operator is not invariant under the rotation required for descent."""
 
 
+class ZeroOperator(ValueError):
+    """A transformation was given the zero operator, so it produced the zero operator."""
+
+
+class DegenerateTransform(ValueError):
+    """A transformation's data is degenerate: a constant substitution, a shift at infinity, a power below 1."""
+
+
+class NoCoupling(ValueError):
+    """An operator of order below 1 has no Yukawa coupling."""
+
+
 class NonrationalYukawa(ValueError):
     """Yukawa data needs simple poles with supported-field residues."""
 

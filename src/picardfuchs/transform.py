@@ -1,11 +1,13 @@
 """Coordinate and gauge transformations of Fuchsian operators.
 
-Pulling back along t = phi(s) rewrites d/dt as (1/phi')*d/ds and substitutes
-phi into the coefficients; denominators are then cleared and the result is
-returned in strong canonical form, since an annihilating operator is only
-defined up to left multiplication by a rational function.  Exponent shifts
-conjugate by f = prod (t - a_i)^(eps_i), which replaces d/dt by
-d/dt - sum eps_i/(t - a_i); the point at infinity absorbs -sum(eps_i).
+Pulling back along t = phi(s) rewrites d/dt as (1/phi')*d/ds; conjugating by
+prod (t - a_i)^(eps_i) rewrites it as d/dt - sum eps_i/(t - a_i), shifting the
+exponents (infinity absorbs -sum(eps_i)).  Both expand sum_k c_k * X^k,
+X = (alpha*D + gamma)/beta, beta monic, over one common denominator without a
+gcd; clearing it multiplies the operator by a monic polynomial, which the
+strong canonical form drops: normalized() divides the derivative form by the
+monic gcd of its coefficients.  So the outputs equal those of reducing every
+intermediate rational function, scalar types included.
 """
 
 from __future__ import annotations
@@ -19,13 +21,19 @@ from .arith import (
     as_scalar,
     collapse,
     format_polynomial,
-    poly_compose_rational,
     poly_gcd,
     roots_in_quadratic_closure,
     scalar_sort_key,
     scalar_to_json,
 )
-from .errors import NonrationalYukawa, NotEven, UnresolvedFactor
+from .errors import (
+    DegenerateTransform,
+    NoCoupling,
+    NonrationalYukawa,
+    NotEven,
+    UnresolvedFactor,
+    ZeroOperator,
+)
 from .optheta import (
     INFINITY,
     DOperator,
@@ -35,9 +43,6 @@ from .optheta import (
     theta_from_d,
     translate,
 )
-
-_ONE = RationalFunction(Polynomial((1,)))
-
 
 # ---------------------------------------------------------------------------
 # coordinate maps
@@ -147,23 +152,14 @@ class ShiftAssignment:
         norm = []
         for a, eps in pairs:
             if isinstance(a, SingularPoint):
-                assert not a.is_infinite, "the shift at infinity is implied"
+                if a.is_infinite:
+                    raise DegenerateTransform("the shift at infinity is implied")
                 a = a.value
             norm.append((collapse(as_scalar(a)), as_scalar(eps)))
         object.__setattr__(self, "items", tuple(norm))
 
     def __setattr__(self, *args):
         raise AttributeError("ShiftAssignment is immutable")
-
-    def total(self):
-        return sum((eps for _a, eps in self.items), Fraction(0))
-
-    def gauge_term(self):
-        """-sum eps/(t - a), the correction to d/dt under conjugation."""
-        g = RationalFunction(Polynomial(()))
-        for a, eps in self.items:
-            g = g - RationalFunction(Polynomial((eps,)), Polynomial((-a, 1)))
-        return g
 
     def __repr__(self):
         return "ShiftAssignment(%s)" % (", ".join("%s: %s" % it for it in self.items),)
@@ -173,53 +169,58 @@ class ShiftAssignment:
 # pullback engine
 
 
-def _clear_to_theta(coeffs):
-    """Canonical theta-form operator from rational-function d-coefficients."""
-    coeffs = {j: r for j, r in coeffs.items() if isinstance(r, RationalFunction) and not r.is_zero}
-    assert coeffs, "transform produced the zero operator"
-    lcm = Polynomial((1,))
-    for r in coeffs.values():
-        g = poly_gcd(lcm, r.den)
-        lcm = lcm * (r.den / g)
-    out = [Polynomial(())] * (max(coeffs) + 1)
-    for j, r in coeffs.items():
-        out[j] = r.num * (lcm / r.den)
-    return theta_from_d(DOperator(out)).normalized()
+def _expand(coeffs, alpha, beta, gamma):
+    """Canonical theta form of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta.
+
+    X^k = sum_j N[k][j]/beta^(2k) * D^j with polynomial rows, since X applied
+    to N/beta^e * D^j is (alpha*(N'*beta - e*N*beta') + gamma*N*beta)/beta^(e+2)
+    * D^j + alpha*N*beta/beta^(e+2) * D^(j+1).  The cleared coefficients
+    sum_k coeffs[k]*N[k][j]*beta^(2(n-k)) accumulate by Horner's rule in beta^2.
+    """
+    if not coeffs:
+        raise ZeroOperator("transform produced the zero operator")
+    zero = Polynomial(())
+    dbeta, beta2, gamma_beta = beta.derivative(), beta * beta, gamma * beta
+    row = [Polynomial((1,))]
+    acc = [coeffs[0]]
+    for k in range(1, len(coeffs)):
+        e = 2 * (k - 1)
+        # pairs (N[k-1][j-1], N[k-1][j]) for j = 0..k, zero outside the row
+        pad = [zero] + row + [zero]
+        row = [
+            alpha * (n.derivative() * beta - n * dbeta * e + m * beta) + gamma_beta * n
+            for m, n in zip(pad, pad[1:])
+        ]
+        acc = [a * beta2 + coeffs[k] * r for a, r in zip(acc + [zero], row)]
+    return theta_from_d(DOperator(acc)).normalized()
 
 
 def pullback_rational(op, phi):
-    """Operator annihilating y(phi(s)) for every solution y(t) of op."""
+    """Operator annihilating y(phi(s)) for every solution y(t) of op.
+
+    With phi = P/Q, Q monic: D_t = Q^2/W * D_s for W = P'Q - PQ', and each
+    c(P/Q) is Q^-deg times the homogenised sum_i c_i P^i Q^(deg - i).
+    """
     if isinstance(phi, MobiusMap):
         phi = phi.as_rational_function()
     if isinstance(phi, Polynomial):
         phi = RationalFunction(phi)
-    dphi = phi.derivative()
-    assert not dphi.is_zero, "constant substitution"
-    inv = _ONE / dphi
-    dop = d_from_theta(op)
-    # D_t^k = sum_j rows[k][j](s) D_s^j, from D_t = (1/phi') D_s
-    rows = [{0: _ONE}]
-    for _k in range(dop.order):
-        nxt = {}
-        for j, r in rows[-1].items():
-            nxt[j] = nxt.get(j, 0) + r.derivative()
-            nxt[j + 1] = nxt.get(j + 1, 0) + r
-        rows.append({j: inv * r for j, r in nxt.items()})
-    coeffs = {}
-    for k, c in enumerate(dop.d_coeffs):
-        if c.is_zero:
-            continue
-        sub = poly_compose_rational(c, phi)
-        for j, r in rows[k].items():
-            coeffs[j] = coeffs.get(j, 0) + sub * r
-    return _clear_to_theta(coeffs)
+    p, q = phi.num, phi.den
+    w = p.derivative() * q - p * q.derivative()
+    if w.is_zero:
+        raise DegenerateTransform("constant substitution")
+    dcoeffs = d_from_theta(op).d_coeffs
+    top = max((c.degree for c in dcoeffs), default=0)
+    homog = [p**i * q**(top - i) for i in range(top + 1)]
+    coeffs = [sum((homog[i] * ci for i, ci in enumerate(c.coeffs) if ci), Polynomial(())) for c in dcoeffs]
+    return _expand(coeffs, q * q * (1 / w.lead), w.monic(), Polynomial(()))
 
 
 def mobius(op, m):
     """Pull back along the coordinate change t = m(s)."""
     if not isinstance(m, MobiusMap):
         m = MobiusMap(*m)
-    return pullback_rational(op, m.as_rational_function())
+    return pullback_rational(op, m)
 
 
 def translate_to_origin(op, a):
@@ -239,7 +240,8 @@ def is_even(op):
 
 def pullback_power(op, n):
     """Operator annihilating y(s^n): substitute t = s^n, so theta_t = theta_s/n."""
-    assert n >= 1
+    if n < 1:
+        raise DegenerateTransform("power must be at least 1, got %r" % (n,))
     scale = Polynomial((0, Fraction(1, n)))
     polys = []
     for i, p in enumerate(op.theta_coeffs):
@@ -251,7 +253,8 @@ def pullback_power(op, n):
 
 def descend_power(op, n):
     """Inverse of pullback_power on operators with all t-powers divisible by n."""
-    assert n >= 1
+    if n < 1:
+        raise DegenerateTransform("power must be at least 1, got %r" % (n,))
     base = op.normalized()
     stretch = Polynomial((0, n))
     polys = []
@@ -270,27 +273,19 @@ def descend_quadratic(op):
 
 
 def shift_exponents(op, shifts):
-    """Conjugate by prod (t - a)^eps, shifting the local exponents at each a by eps."""
+    """Conjugate by prod (t - a)^eps, shifting the local exponents at each a by eps.
+
+    D becomes D - sum eps/(t - a) = (L*D + G)/L with L = prod (t - a) and
+    G = -sum eps * L/(t - a).
+    """
     if not isinstance(shifts, ShiftAssignment):
         shifts = ShiftAssignment(shifts)
-    g = shifts.gauge_term()
-    dop = d_from_theta(op)
-    # (D + g)^k = sum_j rows[k][j](t) D^j
-    rows = [{0: _ONE}]
-    for _k in range(dop.order):
-        nxt = {}
-        for j, r in rows[-1].items():
-            nxt[j] = nxt.get(j, 0) + r.derivative() + g * r
-            nxt[j + 1] = nxt.get(j + 1, 0) + r
-        rows.append(nxt)
-    coeffs = {}
-    for k, c in enumerate(dop.d_coeffs):
-        if c.is_zero:
-            continue
-        lifted = RationalFunction.from_poly(c)
-        for j, r in rows[k].items():
-            coeffs[j] = coeffs.get(j, 0) + lifted * r
-    return _clear_to_theta(coeffs)
+    ell, gauge = Polynomial((1,)), Polynomial(())
+    for a, _eps in shifts.items:
+        ell = ell * Polynomial((-a, 1))
+    for a, eps in shifts.items:
+        gauge = gauge - ell / Polynomial((-a, 1)) * eps
+    return _expand(d_from_theta(op).d_coeffs, ell, ell, gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +343,8 @@ def yukawa(op):
     """Factor the coupling as prod (t - a)^(-res_a/2) from c_(n-1)/c_n."""
     dop = d_from_theta(op.t_stripped())
     n = dop.order
-    assert n >= 1, "order-zero operator has no coupling"
+    if n < 1:
+        raise NoCoupling("order-zero operator has no coupling")
     ratio = RationalFunction(dop.d_coeffs[n - 1], dop.d_coeffs[n])
     if ratio.is_zero:
         return YukawaData(())

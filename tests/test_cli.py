@@ -186,10 +186,15 @@ MALFORMED_FILES = [
     (["count", "--octic", "{}", "--prime", "5"], {"7,0,0,0": "1", "0,0,0,8": "1"}, "pf: octic must be homogeneous of degree 8\n"),
     # a tetra-form key with three exponents
     (["period", "--poly", "{}"], {"0,0,0,0": "1", "1,0,0": "1"}, "needs four nonnegative exponents (x, y, z, t)\n"),
+    # the zero operator
+    (["transform", "{}", "--mobius=0,1,1,0"], {"coeffs": [[]]}, "pf: transform produced the zero operator\n"),
+    # 1 + t, of order 0
+    (["transform", "{}", "--yukawa"], {"coeffs": [["1"], ["1"]]}, "pf: order-zero operator has no coupling\n"),
 ]
+_MALFORMED_IDS = ["octic", "tetra", "transform-zero", "yukawa-order-0"]
 
 
-@pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=["octic", "tetra"])
+@pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=_MALFORMED_IDS)
 def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, doc, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
@@ -198,7 +203,7 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, argv, doc, messag
     assert err.startswith("pf: ") and err.endswith(message)
 
 
-@pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=["octic", "tetra"])
+@pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=_MALFORMED_IDS)
 def test_malformed_input_file_is_usage_error_under_optimize(tmp_path, run_optimized, argv, doc, message):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))

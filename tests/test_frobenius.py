@@ -33,6 +33,8 @@ from picardfuchs.optheta import (
     riemann_symbol,
 )
 
+from shapes import fuchsian_shapes, linear_product
+
 
 def P(*cs):
     return Polynomial([Fraction(c) for c in cs])
@@ -306,42 +308,8 @@ def test_integer_path_matches_scalar_path_on_catalog_points(aid, monkeypatch):
     assert all(isinstance(sols, list) for sols in got)
 
 
-def _linear_product(roots, scale=1):
-    p = Polynomial([Fraction(scale)])
-    for root in roots:
-        p = p * Polynomial([-root, Fraction(1)])
-    return p
-
-
-# local exponents from a few classes mod 1, with repeats and integer gaps, so
-# that resonances and logarithms are common
-_exponent = st.builds(
-    lambda base, gap: base + gap,
-    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]),
-    st.integers(0, 2),
-)
-_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-@st.composite
-def _fuchsian_shapes(draw):
-    """theta-operators of hypergeometric shape P_0 - t P_1 or Hadamard shape P_0 + t P_1 + t^2 P_2."""
-    n = draw(st.integers(1, 4))
-    p0 = _linear_product(draw(st.lists(_exponent, min_size=n, max_size=n)))
-    top = _linear_product(
-        [-e for e in draw(st.lists(_exponent, min_size=n, max_size=n))],
-        draw(st.sampled_from([-27, -4, -1, Fraction(1, 2), 1, 16])),
-    )
-    if draw(st.booleans()):
-        polys = [p0, top]
-    else:
-        middle = Polynomial(draw(st.lists(_small, min_size=1, max_size=n + 1)))
-        polys = [p0, middle, top]
-    return ThetaOperator.from_theta_polys(polys)
-
-
 @settings(max_examples=60, deadline=None)
-@given(op=_fuchsian_shapes(), point=st.sampled_from([SingularPoint(0), INFINITY]), extra=st.integers(0, 6))
+@given(op=fuchsian_shapes(), point=st.sampled_from([SingularPoint(0), INFINITY]), extra=st.integers(0, 6))
 def test_integer_path_matches_scalar_path_on_generated_operators(op, point, extra):
     loc = local_operator(op, point)
     N = loc.r + loc.order + 3 + extra
@@ -363,7 +331,7 @@ def test_integer_path_matches_scalar_path_on_generated_operators(op, point, extr
 def test_integer_path_meets_a_resonance_with_logarithms(monkeypatch):
     # theta^2 (theta - 2) - t (theta + 1)^3: the exponents 0, 0, 2 form one
     # class at 0, so the recurrence meets a resonance at offset 2
-    op = ThetaOperator.from_theta_polys([_linear_product([0, 0, 2]), _linear_product([-1, -1, -1], -1)])
+    op = ThetaOperator.from_theta_polys([linear_product([0, 0, 2]), linear_product([-1, -1, -1], -1)])
     basis = local_basis(op, SingularPoint(0))
     assert basis.exponents() == [0, 0, 2] and basis.has_logarithms()
     got = _outcome(op, SingularPoint(0))

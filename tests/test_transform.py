@@ -21,10 +21,19 @@ from picardfuchs import (
     shift_exponents,
     yukawa,
 )
-from picardfuchs.arith import Polynomial, QuadraticNumber
+from picardfuchs.arith import Polynomial, QuadraticNumber, RationalFunction, poly_gcd
 from picardfuchs.errors import NotEven
-from picardfuchs.optheta import singular_points
-from picardfuchs.transform import descend_power, is_even, negate_variable, translate_to_origin
+from picardfuchs.optheta import DOperator, d_from_theta, singular_points, theta_from_d
+from picardfuchs.transform import (
+    ShiftAssignment,
+    descend_power,
+    is_even,
+    negate_variable,
+    pullback_rational,
+    translate_to_origin,
+)
+
+from shapes import fuchsian_shapes
 
 
 def P(*cs):
@@ -58,13 +67,13 @@ def test_mobius_rejects_singular_matrix():
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-@given(small, small, small, small)
+@given(fuchsian_shapes() | st.just(LEGENDRE), small, small, small, small)
 @settings(max_examples=25, deadline=None)
-def test_mobius_inverse_roundtrip(a, b, c, d):
+def test_mobius_inverse_roundtrip(op, a, b, c, d):
     if a * d - b * c == 0:
         return
     m = MobiusMap(a, b, c, d)
-    assert _norm_eq(mobius(mobius(LEGENDRE, m), m.inverse()), LEGENDRE)
+    assert mobius(mobius(op, m), m.inverse()) == op.normalized()
 
 
 def test_mobius_roundtrip_on_catalog_operator():
@@ -213,3 +222,195 @@ def test_derived_operator_symbols_are_three_point():
     for name in ("descent-98", "descent-35"):
         sym = riemann_symbol(DERIVED_OPERATORS[name].operator)
         assert len(sym.points()) == 3
+
+
+# ---------------------------------------------------------------------------
+# typed errors
+
+
+def test_typed_errors_hold_under_optimize(run_optimized):
+    # under -O an assert would vanish; each bad input must still raise its typed error
+    code = (
+        "from fractions import Fraction\n"
+        "from picardfuchs import INFINITY, MobiusMap, ThetaOperator, mobius, pullback_power, shift_exponents, yukawa\n"
+        "from picardfuchs.arith import Polynomial\n"
+        "from picardfuchs.transform import ShiftAssignment, descend_power, pullback_rational\n"
+        "legendre = ThetaOperator([Polynomial((0, 0, 1)), Polynomial((-4, -16, -16))])\n"
+        "for call in (lambda: mobius(ThetaOperator([[]]), MobiusMap.inversion()),\n"
+        "             lambda: shift_exponents(ThetaOperator([[]]), {1: Fraction(1, 2)}),\n"
+        "             lambda: pullback_rational(legendre, Polynomial((2,))),\n"
+        "             lambda: ShiftAssignment({INFINITY: Fraction(1)}),\n"
+        "             lambda: pullback_power(legendre, 0),\n"
+        "             lambda: descend_power(legendre, 0),\n"
+        "             lambda: yukawa(ThetaOperator([[1], [1]]))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('%s: %s' % (type(exc).__name__, exc))\n"
+    )
+    assert run_optimized(code).splitlines() == [
+        "ZeroOperator: transform produced the zero operator",
+        "ZeroOperator: transform produced the zero operator",
+        "DegenerateTransform: constant substitution",
+        "DegenerateTransform: the shift at infinity is implied",
+        "DegenerateTransform: power must be at least 1, got 0",
+        "DegenerateTransform: power must be at least 1, got 0",
+        "NoCoupling: order-zero operator has no coupling",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# differential test against the RationalFunction engine the transforms replaced:
+# rows of rational functions, each reduced by a gcd at every + and *, cleared by
+# the lcm of their denominators
+
+_ONE = RationalFunction(Polynomial((1,)))
+
+
+def _rf_clear_to_theta(coeffs):
+    coeffs = {j: r for j, r in coeffs.items() if isinstance(r, RationalFunction) and not r.is_zero}
+    lcm = Polynomial((1,))
+    for r in coeffs.values():
+        g = poly_gcd(lcm, r.den)
+        lcm = lcm * (r.den / g)
+    out = [Polynomial(())] * (max(coeffs) + 1)
+    for j, r in coeffs.items():
+        out[j] = r.num * (lcm / r.den)
+    return theta_from_d(DOperator(out)).normalized()
+
+
+def _rf_pullback(op, phi):
+    if isinstance(phi, MobiusMap):
+        phi = phi.as_rational_function()
+    inv = _ONE / phi.derivative()
+    dop = d_from_theta(op)
+    rows = [{0: _ONE}]
+    for _k in range(dop.order):
+        nxt = {}
+        for j, r in rows[-1].items():
+            nxt[j] = nxt.get(j, 0) + r.derivative()
+            nxt[j + 1] = nxt.get(j + 1, 0) + r
+        rows.append({j: inv * r for j, r in nxt.items()})
+    coeffs = {}
+    for k, c in enumerate(dop.d_coeffs):
+        if c.is_zero:
+            continue
+        sub = RationalFunction(Polynomial(()))
+        for a in reversed(c.coeffs):
+            sub = sub * phi + a
+        for j, r in rows[k].items():
+            coeffs[j] = coeffs.get(j, 0) + sub * r
+    return _rf_clear_to_theta(coeffs)
+
+
+def _rf_shift(op, shifts):
+    g = RationalFunction(Polynomial(()))
+    for a, eps in ShiftAssignment(shifts).items:
+        g = g - RationalFunction(Polynomial((eps,)), Polynomial((-a, 1)))
+    dop = d_from_theta(op)
+    rows = [{0: _ONE}]
+    for _k in range(dop.order):
+        nxt = {}
+        for j, r in rows[-1].items():
+            nxt[j] = nxt.get(j, 0) + r.derivative() + g * r
+            nxt[j + 1] = nxt.get(j + 1, 0) + r
+        rows.append(nxt)
+    coeffs = {}
+    for k, c in enumerate(dop.d_coeffs):
+        if c.is_zero:
+            continue
+        lifted = RationalFunction.from_poly(c)
+        for j, r in rows[k].items():
+            coeffs[j] = coeffs.get(j, 0) + lifted * r
+    return _rf_clear_to_theta(coeffs)
+
+
+_QP = QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3)
+_QM = QuadraticNumber(Fraction(-1, 4), Fraction(-1, 4), -3)
+_ALL_OPERATORS = {str(aid): rec.operator for aid, rec in CATALOG.items()}
+_ALL_OPERATORS.update((name, rec.operator) for name, rec in DERIVED_OPERATORS.items())
+_MAPS = {
+    "general": MobiusMap(2, -1, 1, 3),
+    "inversion": MobiusMap.inversion(),
+    "scaling": MobiusMap.scaling(Fraction(1, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_OPERATORS))
+def test_mobius_matches_rational_function_engine(name):
+    op = _ALL_OPERATORS[name]
+    # to_json tells a QuadraticNumber from a Fraction of equal value
+    for m in _MAPS.values():
+        assert mobius(op, m).to_json() == _rf_pullback(op, m).to_json()
+
+
+def test_quadratic_mobius_matches_rational_function_engine():
+    # the map of the 266 chain, over Q(sqrt(-3))
+    m = MobiusMap(_QM, -_QP, 1, -1)
+    op = CATALOG[266].operator
+    assert mobius(op, m).to_json() == _rf_pullback(op, m).to_json()
+
+
+_CHAIN_MAPS = [
+    # phi, psi and rho of the chains 35descent2, 152pullback and 266chain
+    ("descent-35-further", RationalFunction(Polynomial((0, 0, 2)), Polynomial((1, 8)))),
+    ("descent-98", RationalFunction(Polynomial((-1, -2, -1)), Polynomial((16, -32, 16)))),
+    ("reduction-266", RationalFunction(Polynomial((0, 1)), Polynomial((9, -18, 9)))),
+]
+
+
+@pytest.mark.parametrize("name, phi", _CHAIN_MAPS, ids=["phi", "psi", "rho"])
+def test_chain_pullbacks_match_rational_function_engine(name, phi):
+    for op in (DERIVED_OPERATORS[name].operator, CATALOG[33].operator):
+        assert pullback_rational(op, phi).to_json() == _rf_pullback(op, phi).to_json()
+
+
+_SHIFTS = [
+    (33, {Fraction(1): Fraction(1, 3), Fraction(2): Fraction(-1, 5)}),
+    (97, {0: Fraction(1, 2)}),
+    (266, {Fraction(-1, 2): Fraction(1, 6), 0: Fraction(1, 6)}),
+    (266, {_QP: Fraction(1, 2)}),
+    (266, {_QP: Fraction(1, 3), _QM: Fraction(-1, 3)}),
+    (4, {QuadraticNumber(Fraction(1, 16), 0, -3): Fraction(1, 2)}),  # a rational point in quadratic dress
+    (4, {_QP: Fraction(1, 2), Fraction(1): Fraction(1, 4)}),
+]
+
+
+@pytest.mark.parametrize("aid, shifts", _SHIFTS)
+def test_shift_matches_rational_function_engine(aid, shifts):
+    op = CATALOG[aid].operator
+    assert shift_exponents(op, shifts).to_json() == _rf_shift(op, shifts).to_json()
+
+
+_coefficient = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_point = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _rational_maps(draw):
+    """phi = P/Q with deg P, deg Q <= 2, not constant."""
+    num = Polynomial(draw(st.lists(_coefficient, min_size=1, max_size=3)))
+    den = Polynomial(draw(st.lists(_coefficient, min_size=1, max_size=3))) or Polynomial((1,))
+    if (num.derivative() * den - num * den.derivative()).is_zero:
+        num = num + Polynomial((0, 1)) * den  # phi + s
+    return RationalFunction(num, den)
+
+
+@settings(max_examples=20, deadline=None)
+@given(op=fuchsian_shapes(), phi=_rational_maps())
+def test_pullback_matches_rational_function_engine_on_generated_operators(op, phi):
+    assert pullback_rational(op, phi).to_json() == _rf_pullback(op, phi).to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=fuchsian_shapes(), points=st.lists(_point, min_size=1, max_size=2, unique=True), eps=_coefficient)
+def test_shift_matches_rational_function_engine_on_generated_operators(op, points, eps):
+    shifts = {a: eps + i for i, a in enumerate(points)}
+    assert shift_exponents(op, shifts).to_json() == _rf_shift(op, shifts).to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=fuchsian_shapes(), points=st.lists(_point, min_size=1, max_size=2, unique=True), eps=_coefficient)
+def test_shift_then_opposite_shift_is_identity(op, points, eps):
+    there = shift_exponents(op, {a: eps for a in points})
+    assert shift_exponents(there, {a: -eps for a in points}) == op.normalized()
