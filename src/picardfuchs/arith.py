@@ -17,7 +17,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidDiscriminant, UnresolvedFactor, ZeroPolynomial
+from .errors import (
+    FactorizationFailed,
+    InvalidDiscriminant,
+    InvalidPower,
+    UnresolvedFactor,
+    ZeroPolynomial,
+    ZeroRadicand,
+)
 
 # ---------------------------------------------------------------------------
 # integer helpers
@@ -73,7 +80,7 @@ def factorize(n):
             if r * r == n and _is_probable_prime(r):
                 out[r] = out.get(r, 0) + 2
             else:
-                raise ArithmeticError("cannot factor %d" % n)
+                raise FactorizationFailed("cannot factor %d" % n)
     return out
 
 
@@ -94,6 +101,11 @@ def divisors(n):
     for p, e in factorize(abs(n)).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+def _check_power(e):
+    if not isinstance(e, int) or e < 0:
+        raise InvalidPower("power must be an integer >= 0, got %r" % (e,))
 
 
 def rational_sqrt(q):
@@ -181,7 +193,7 @@ class QuadraticNumber:
         return self.inverse() * other
 
     def __pow__(self, e):
-        assert isinstance(e, int) and e >= 0
+        _check_power(e)
         out = QuadraticNumber(1, 0, self.d)
         base = self
         while e:
@@ -201,10 +213,6 @@ class QuadraticNumber:
     @property
     def is_rational(self):
         return self.b == 0
-
-    def to_rational(self):
-        assert self.b == 0
-        return self.a
 
     def __eq__(self, other):
         if isinstance(other, QuadraticNumber):
@@ -273,7 +281,8 @@ def scalar_sign(x):
 
 def quadratic_sqrt(q):
     """sqrt of a nonzero Fraction as a Fraction or a QuadraticNumber (0 + s*sqrt(d))."""
-    assert q != 0
+    if q == 0:
+        raise ZeroRadicand("sqrt of zero has no quadratic field tag")
     r = rational_sqrt(q)
     if r is not None:
         return r
@@ -401,7 +410,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        assert isinstance(e, int) and e >= 0
+        _check_power(e)
         out, base = Polynomial((1,)), self
         while e:
             if e & 1:
@@ -534,6 +543,45 @@ def taylor_shift(coeffs, a, terms=None):
         low = out[0] * a if out[0] else zero
         out[0] = low + c if c else low
     return out
+
+
+def quadratic_taylor_shift(A, B, tags, u, v, tagged, d, terms):
+    """taylor_shift over Z[sqrt d] on integer pairs, with the scalar types taylor_shift gives.
+
+    The polynomial is sum (A[k] + B[k] sqrt d) t^k and the shift u + v sqrt d.
+    tags[k] (and `tagged`, for the shift) say whether the scalar that the
+    pair stands for is a QuadraticNumber.  This is taylor_shift's loop, with
+    its zero tests on the pairs' values, so a returned tag is True exactly
+    where taylor_shift on those scalars returns a QuadraticNumber: a result
+    is one when a QuadraticNumber took part in it, and a zero tested away
+    takes no part.  Returns (A', B', tags') of length min(terms, deg + 1).
+    """
+    n = len(A)
+    while n and not (A[n - 1] or B[n - 1]):
+        n -= 1
+    terms = min(terms, n)
+    oa, ob, ot = [], [], []
+    if terms <= 0:
+        return oa, ob, ot
+    dv = d * v
+    for k in range(n - 1, -1, -1):
+        # out <- out * (t + a) + c, from the top index down so out[p - 1] is still old
+        if len(oa) < terms:
+            oa.append(0)
+            ob.append(0)
+            ot.append(False)
+        for p in range(len(oa) - 1, -1, -1):
+            ha, hb = oa[p], ob[p]
+            if ha or hb:
+                ha, hb, ht = ha * u + hb * dv, ha * v + hb * u, ot[p] or tagged
+            else:
+                ha = hb = 0
+                ht = False
+            la, lb = (oa[p - 1], ob[p - 1]) if p else (A[k], B[k])
+            if la or lb:
+                ha, hb, ht = ha + la, hb + lb, ht or (ot[p - 1] if p else tags[k])
+            oa[p], ob[p], ot[p] = ha, hb, ht
+    return oa, ob, ot
 
 
 def format_polynomial(p, var):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .catalog import CATALOG, dump_catalog, reproduce_reduction, verify_catalog
 from .errors import ChainBroken
-from .frobenius import classify_point, jordan_structure, local_basis
+from .frobenius import classify_basis, jordan_structure, local_basis
 from .guess import GuessConfig, guess_operator
 from .optheta import ThetaOperator, riemann_symbol
 from .period import TetraForm, conifold_expand
@@ -119,7 +119,7 @@ def _cmd_classify(args):
         basis = local_basis(op, point)
         exps = ",".join(str(e) for e in basis.exponents())
         blocks = jordan_structure(basis).all_blocks()
-        label = str(classify_point(op, point))
+        label = str(classify_basis(basis, blocks))
         rows.append((str(point), exps, "[%s]" % ",".join(map(str, blocks)), label))
     if args.json:
         print(

@@ -20,6 +20,18 @@ class InvalidDiscriminant(ValueError):
     """A quadratic number was tagged with d = 0 or d = 1, which is no quadratic field."""
 
 
+class FactorizationFailed(ValueError):
+    """An integer has a composite part that trial division below 10^7 does not split."""
+
+
+class InvalidPower(ValueError):
+    """A power was asked with an exponent that is not an integer >= 0."""
+
+
+class ZeroRadicand(ValueError):
+    """A quadratic square root was asked of zero, which has no field tag."""
+
+
 class NotASingularCandidate(ValueError):
     """Indicial data requested at a point that is not 0, infinity, or a leading-coefficient root."""
 

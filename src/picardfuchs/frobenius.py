@@ -16,16 +16,28 @@ gives a solution with leading term t^lambda log(t)^(k-R)/(k-R)!, normalized
 here to leading coefficient 1.  The basis is echelon by construction: leading
 (exponent, log degree) pairs are pairwise distinct.
 
-A jet has one of two representations, picked from the scalar types seen.
-When every coefficient of the local operator and every root of the class is
-an int or a Fraction (each rational point and infinity), a jet is a pair
-(list of T ints, positive int denominator) in lowest terms, and the recurrence
-runs fraction-free: each P_i is cleared to an integer polynomial once per
-class, its values are integer Taylor shifts, products are integer
-convolutions, and the division is a fraction-free triangular solve followed
-by one gcd.  Fractions are built only for the output table.  Otherwise (a
-quadratic point, or quadratic exponents) a jet is a plain list of T scalars,
-Fraction or QuadraticNumber, and the same recurrence runs on them.
+The recurrence runs fraction-free, over Z at rational points and infinity
+and over Z[sqrt d] at a quadratic point or for quadratic exponents: the ring
+is Z[sqrt d] when a QuadraticNumber tagged d is among the local operator's
+coefficients or the class roots (optheta.scalar_field).  A jet in
+K[eps]/(eps^T) is (A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den
+with one positive integer den, in lowest terms.  Over Q, B and tags are None
+and the loops are plain integer loops.  Each P_i is cleared once per class to
+an integer polynomial, its values are Taylor shifts at integral points,
+products are integer convolutions, and the division is a fraction-free
+triangular solve followed by one gcd.  Scalars are built only for the output
+table.
+
+Type rule.  The output must carry the scalar types that the same recurrence
+gives on Fraction and QuadraticNumber scalars, since a QuadraticNumber with
+zero sqrt part and a Fraction serialize differently.  So over Z[sqrt d]
+tags[k] is True when that loop would hold a QuadraticNumber at coefficient k:
+a QuadraticNumber took part in computing it, where a coefficient that a zero
+test skips takes no part.  The Taylor shift follows taylor_shift's zero
+tests, a product position is tagged by the nonzero factors it adds, and a
+quotient coefficient is untagged when zero.  An output entry is a
+QuadraticNumber exactly when its tag is set; row 0 and every zero is a
+Fraction.
 """
 
 from __future__ import annotations
@@ -33,110 +45,166 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from itertools import chain
 
-from .arith import QuadraticNumber, as_scalar, collapse, scalar_sort_key, taylor_shift
+from .arith import QuadraticNumber, as_scalar, collapse, scalar_sort_key
 from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
-from .optheta import apply_local, indicial_roots, integer_jet, integer_polys, is_rational, local_operator
+from .optheta import (
+    apply_local,
+    exponent_parts,
+    indicial_roots,
+    integer_jet,
+    integer_polys,
+    local_operator,
+    scalar_field,
+)
 
 
 # ---------------------------------------------------------------------------
-# jet arithmetic in K[eps]/(eps^T): plain lists of scalars, fixed length T
+# integer jets in K[eps]/(eps^T): (A, B, tags) with B and tags None over Q
 
 
-def _jet_mul(a, b):
-    T = len(a)
-    out = [as_scalar(0)] * T
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(T - i):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+def _zeros(T, d):
+    """The zero jet of length T, all untagged."""
+    return ([0] * T, None, None) if d is None else ([0] * T, [0] * T, [False] * T)
 
-def _jet_add(a, b):
-    return [x + y for x, y in zip(a, b)]
 
-def _jet_scale(a, c):
-    return [x * c for x in a]
+def _jet_valuation(jet):
+    A, B, _tags = jet
+    for k, a in enumerate(A):
+        if a or (B is not None and B[k]):
+            return k
+    return len(A)
 
-def _jet_eval_poly(p, x, T):
-    """p(x + eps) as a jet of length T: the first T coefficients of the Taylor
-    shift p(t + x), computed by taylor_shift without building a Polynomial and
-    padded with Fraction(0) when deg p < T - 1."""
-    cs = taylor_shift(p.coeffs, x, T)
-    return cs + [as_scalar(0)] * (T - len(cs))
 
-def _jet_valuation(a):
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return len(a)
+def _shift_down(jet, mu):
+    """Drop the coefficients of eps^0 .. eps^(mu-1), padding with zeros (untagged)."""
+    return tuple(None if part is None else part[mu:] + [0] * mu for part in jet)
 
-def _jet_div(a, b):
-    """a / b for a unit jet b, by one triangular solve.
 
-    A zero quotient coefficient is stored as Fraction(0).  The solve can reach
-    a QuadraticNumber zero where a times the inverse jet of b has no term at
-    all, and the two zeros serialize differently.
+def _numerator(products, lcm, T, d):
+    """-sum x * c over the pairs (x, c) of an integer jet x and a jet c = (A, B, tags, den), times lcm.
+
+    lcm is a multiple of every den.  A product position is tagged when one
+    of its nonzero factors is: the scalar loop adds every product of two
+    nonzero coefficients.
     """
-    if not b[0]:
-        raise FrobeniusInvariant("jet division by a non-unit")
-    inv0 = 1 / b[0]
-    out = []
-    for m, acc in enumerate(a):
-        for j in range(1, m + 1):
-            if b[j] and out[m - j]:
-                acc = acc - b[j] * out[m - j]
-        out.append(acc * inv0 if acc else as_scalar(0))
-    return out
+    numer = _zeros(T, d)
+    na, nb, nt = numer
+    for (xa, xb, xt), (ya, yb, yt, den) in products:
+        f = -(lcm // den)
+        if d is None:
+            for a, xv in enumerate(xa):
+                if not xv:
+                    continue
+                xv *= f
+                for b in range(T - a):
+                    if ya[b]:
+                        na[a + b] += xv * ya[b]
+            continue
+        for a in range(T):
+            pa, pb = xa[a], xb[a]
+            if not (pa or pb):
+                continue
+            pa *= f
+            pb *= f
+            dpb, pt = d * pb, xt[a]
+            for b in range(T - a):
+                qa, qb = ya[b], yb[b]
+                if qa or qb:
+                    na[a + b] += pa * qa + dpb * qb
+                    nb[a + b] += pa * qb + pb * qa
+                    if pt or yt[b]:
+                        nt[a + b] = True
+    return numer
 
 
-def _int_jet_div(a, b, scale):
-    """(a / scale) / b for integer jets a, b with b[0] != 0, as (nums, den) in lowest terms.
+def _int_jet_div(numer, den, scale, d=None):
+    """(numer / scale) / den for integer jets with den[0] != 0, as (A, B, tags, D) in lowest terms.
 
     Fraction-free triangular solve: o_k = a_k h0^k - sum_j h_j o_(k-j) h0^(j-1)
-    with h = b is h0^(k+1) times the k-th quotient coefficient, so the quotient
-    is o_k h0^(T-1-k) over scale * h0^T, reduced by one gcd.  The jet length
-    T = 2M is even, so a positive scale gives a positive denominator.
+    with h = den is h0^(k+1) times the k-th quotient coefficient, so the
+    quotient is o_k h0^(T-1-k) over scale * h0^T.  Over Z[sqrt d] numerator
+    and denominator are multiplied by conj(h0)^T, which turns the
+    denominator into scale * N(h0)^T with the integer norm N(h0) = h0 conj(h0).
+    The jet length T = 2M is even, so a positive scale gives a positive
+    denominator D; one gcd reduces the result.  A zero quotient coefficient
+    is untagged, and a nonzero one is tagged when a tagged coefficient took
+    part in its solve, including h0.
     """
-    h0 = b[0]
-    if not h0:
-        raise FrobeniusInvariant("jet division by a non-unit")
+    a, ab, at = numer
+    b, bb, bt = den
     T = len(a)
-    hp = [1]
+    if d is None:
+        h0 = b[0]
+        if not h0:
+            raise FrobeniusInvariant("jet division by a non-unit")
+        hp = [1]
+        for _ in range(T):
+            hp.append(hp[-1] * h0)
+        o = []
+        for k in range(T):
+            acc = a[k] * hp[k]
+            for j in range(1, k + 1):
+                if b[j] and o[k - j]:
+                    acc -= b[j] * o[k - j] * hp[j - 1]
+            o.append(acc)
+        nums = [ok * hp[T - 1 - k] for k, ok in enumerate(o)]
+        D = scale * hp[T]
+        g = math.gcd(D, *nums)
+        return [x // g for x in nums], None, None, D // g
+    h0a, h0b = b[0], bb[0]
+    if not (h0a or h0b):
+        raise FrobeniusInvariant("jet division by a non-unit")
+    hp = [(1, 0)]
     for _ in range(T):
-        hp.append(hp[-1] * h0)
-    o = []
+        pa, pb = hp[-1]
+        hp.append((pa * h0a + d * pb * h0b, pa * h0b + pb * h0a))
+    oa, ob, ot = [], [], []
     for k in range(T):
-        acc = a[k] * hp[k]
+        pa, pb = hp[k]
+        acca, accb = a[k] * pa + d * ab[k] * pb, a[k] * pb + ab[k] * pa
+        tag = at[k]
         for j in range(1, k + 1):
-            if b[j] and o[k - j]:
-                acc -= b[j] * o[k - j] * hp[j - 1]
-        o.append(acc)
-    nums = [ok * hp[T - 1 - k] for k, ok in enumerate(o)]
-    den = scale * hp[T]
-    g = math.gcd(den, *nums)
-    return [x // g for x in nums], den // g
+            ba, bbj, xa, xb = b[j], bb[j], oa[k - j], ob[k - j]
+            if (ba or bbj) and (xa or xb):
+                pa, pb = hp[j - 1]
+                ya, yb = ba * xa + d * bbj * xb, ba * xb + bbj * xa
+                acca -= ya * pa + d * yb * pb
+                accb -= ya * pb + yb * pa
+                tag = tag or bt[j] or ot[k - j]
+        oa.append(acca)
+        ob.append(accb)
+        ot.append(bool(acca or accb) and (tag or bt[0]))
+    norm = h0a * h0a - d * h0b * h0b
+    # o_k h0^(T-1-k) conj(h0)^T = o_k N^(T-1-k) conj(h0)^(k+1)
+    na, nb = [], []
+    ca, cb = 1, 0
+    for k in range(T):
+        ca, cb = ca * h0a - d * cb * h0b, cb * h0a - ca * h0b
+        s = norm ** (T - 1 - k)
+        na.append((oa[k] * ca + d * ob[k] * cb) * s)
+        nb.append((oa[k] * cb + ob[k] * ca) * s)
+    D = scale * norm**T
+    g = math.gcd(D, *na, *nb)
+    return [x // g for x in na], [x // g for x in nb], ot, D // g
 
 
-def _cancel_resonance(numer, den, m, zero):
-    """Strip the common eps-valuation mu of numer and den at offset m.
+def _cancel_resonance(numer, den, m):
+    """Strip the common eps-valuation mu of the integer jets numer and den at offset m.
 
     At a resonance the low mu coefficients of numer must vanish exactly (the
     obstruction constant); the shift loses mu coefficients of precision.
-    Returns (numer, den, mu); works on scalar and integer jets alike.
+    Returns (numer, den, mu).
     """
-    T = len(den)
+    T = len(den[0])
     mu = _jet_valuation(den)
     if mu >= T:
         raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
     if mu:
-        if any(numer[k] for k in range(mu)):
+        if _jet_valuation(numer) < mu:
             raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
-        numer = numer[mu:] + [zero] * mu
-        den = den[mu:] + [zero] * mu
+        numer, den = _shift_down(numer, mu), _shift_down(den, mu)
     return numer, den, mu
 
 
@@ -318,88 +386,60 @@ def _class_solutions(loc, cls, N, point):
     gap = _integer_difference(cls[-1][0], cls[0][0])
     if N < gap + r + 1:
         raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
-    integer = is_rational(lam for lam, _m in cls) and all(is_rational(p.coeffs) for p in loc.theta_coeffs)
-    if integer:
-        # the class roots differ by integers, so they share one denominator q
-        q = Fraction(cls[0][0]).denominator
-        Q, _E = integer_polys(loc.theta_coeffs, q)
+    d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
+    # the class roots differ by integers, so they share one denominator q
+    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
     out = []
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        if integer:
-            jets, lost = _integer_recurrence(Q, q, Fraction(lam).numerator, T, N, above)
-        else:
-            jets, lost = _scalar_recurrence(loc, lam, T, N, above)
+        jets, lost = _integer_recurrence(Q, lam, T, N, above, d)
         if above + mult > T - lost:
             raise FrobeniusInvariant("jet precision exhausted at exponent %s" % (lam,))
         for k in range(above, above + mult):
             s = k - above
             scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
             logs = range(min(k, T - 1) + 1)
-            if integer:
-                table = [[Fraction(nums[k - l] * scale, den * math.factorial(l)) for l in logs] for nums, den in jets]
+            if d is None:
+                table = [[Fraction(A[k - l] * scale, den * math.factorial(l)) for l in logs] for A, _B, _t, den in jets]
             else:
-                table = [[jet[k - l] * Fraction(scale, math.factorial(l)) for l in logs] for jet in jets]
+                table = [[_quadratic_entry(jet, k - l, scale, math.factorial(l), d) for l in logs] for jet in jets]
             out.append(GeneralizedSeries(point, lam, table, N))
     return out
 
 
-def _scalar_recurrence(loc, lam, T, N, above):
-    """Jets c_0 .. c_N as lists of scalars, and the precision lost at resonances."""
-    r = loc.r
-    p0 = loc.theta_coeffs[0]
-    seed = [as_scalar(0)] * T
-    seed[above] = as_scalar(1)
-    jets = [seed]
-    lost = 0
-    for m in range(1, N + 1):
-        numer = [as_scalar(0)] * T
-        for i in range(1, min(r, m) + 1):
-            pi = loc.theta_coeffs[i]
-            if pi.is_zero:
-                continue
-            pj = _jet_eval_poly(pi, lam + (m - i), T)
-            numer = _jet_add(numer, _jet_mul(pj, jets[m - i]))
-        numer = _jet_scale(numer, -1)
-        den = _jet_eval_poly(p0, lam + m, T)
-        numer, den, mu = _cancel_resonance(numer, den, m, as_scalar(0))
-        lost += mu
-        jets.append(_jet_div(numer, den))
-    return jets, lost
+def _quadratic_entry(jet, k, num, den, d):
+    """num/den times coefficient k of a jet over Z[sqrt d]: a QuadraticNumber exactly when its tag is set."""
+    A, B, tags, D = jet
+    a = Fraction(A[k] * num, D * den)
+    if tags[k]:
+        return QuadraticNumber(a, Fraction(B[k] * num, D * den), d)
+    return a
 
 
-def _integer_recurrence(Q, q, u0, T, N, above):
-    """Jets c_0 .. c_N as (nums, den) for the exponent u0/q, and the precision lost.
+def _integer_recurrence(Q, lam, T, N, above, d=None):
+    """Jets c_0 .. c_N as (A, B, tags, den) for the exponent lam, and the precision lost.
 
-    Q comes from integer_polys at the class denominator q.  The common scale
-    E of the Q_i cancels in the quotient, and the terms of the numerator are
-    brought to the lcm of their jets' denominators.
+    Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
+    when d is given.  The common scale E of the Q_i cancels in the quotient,
+    and the terms of the numerator are brought to the lcm of their jets'
+    denominators.
     """
+    q, u0, v0, tagged = exponent_parts(lam)
     qpow = [q**k for k in range(T)]
     r = len(Q) - 1
-    seed = [0] * T
-    seed[above] = 1
-    jets = [(seed, 1)]
+    seed = _zeros(T, d)
+    seed[0][above] = 1
+    jets = [seed + (1,)]
     lost = 0
     for m in range(1, N + 1):
-        terms = [i for i in range(1, min(r, m) + 1) if Q[i]]
-        lcm = math.lcm(*(jets[m - i][1] for i in terms))
-        numer = [0] * T
-        for i in terms:
-            nums, den = jets[m - i]
-            f = -(lcm // den)
-            pj = integer_jet(Q[i], u0 + (m - i) * q, qpow)
-            for a, x in enumerate(pj):
-                if not x:
-                    continue
-                x *= f
-                for b in range(T - a):
-                    if nums[b]:
-                        numer[a + b] += x * nums[b]
-        den = integer_jet(Q[0], u0 + m * q, qpow)
-        numer, den, mu = _cancel_resonance(numer, den, m, 0)
+        terms = [i for i in range(1, min(r, m) + 1) if Q[i][0]]
+        lcm = math.lcm(*(jets[m - i][3] for i in terms))
+        products = [(integer_jet(Q[i], u0 + (m - i) * q, qpow, d, v0, tagged), jets[m - i]) for i in terms]
+        numer = _numerator(products, lcm, T, d)
+        den = integer_jet(Q[0], u0 + m * q, qpow, d, v0, tagged)
+        numer, den, mu = _cancel_resonance(numer, den, m)
         lost += mu
-        jets.append(_int_jet_div(numer, den, lcm))
+        jets.append(_int_jet_div(numer, den, lcm, d))
     return jets, lost
 
 
@@ -570,9 +610,14 @@ def _is_arithmetic_progression(exps):
 
 def classify_point(op, point, N=None):
     """Degeneration label from the exponent pattern and Jordan block sizes."""
-    basis = local_basis(op, point, N)
+    return classify_basis(local_basis(op, point, N))
+
+
+def classify_basis(basis, blocks=None):
+    """classify_point for a basis already built; `blocks` defaults to its Jordan block sizes."""
     exps = basis.exponents()
-    blocks = jordan_structure(basis).all_blocks()
+    if blocks is None:
+        blocks = jordan_structure(basis).all_blocks()
     n = len(exps)
     has_logs = any(b >= 2 for b in blocks)
     if not has_logs:

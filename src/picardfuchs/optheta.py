@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 
 from .arith import (
     Polynomial,
@@ -28,6 +28,7 @@ from .arith import (
     collapse,
     conjugate_scalar,
     poly_gcd,
+    quadratic_taylor_shift,
     rational_roots_with_multiplicity,
     roots_in_quadratic_closure,
     scalar_from_json,
@@ -390,38 +391,85 @@ def op_mul(a, b):
     return ThetaOperator(out)
 
 
-def is_rational(scalars):
-    """True when every scalar is an int or a Fraction.
+def scalar_field(scalars):
+    """The tag d of the QuadraticNumbers among `scalars`, or None when there are none.
 
-    This picks the fraction-free integer paths of apply_local and of the
-    Frobenius recurrence.  A QuadraticNumber, even one with zero sqrt part,
-    keeps the scalar path: its results can differ in type.
+    This picks the ring of the fraction-free paths of apply_local and of the
+    Frobenius recurrence: Z for None, Z[sqrt d] otherwise.  A QuadraticNumber
+    with zero sqrt part counts, because results computed from it keep its
+    type.  Two different tags raise ValueError, as their arithmetic would.
     """
-    return all(type(x) is Fraction or type(x) is int for x in scalars)
+    d = None
+    for x in scalars:
+        if type(x) is QuadraticNumber and x.d != d:
+            if d is not None:
+                raise ValueError("mixed discriminants %d and %d" % (d, x.d))
+            d = x.d
+    return d
 
 
-def integer_polys(polys, q):
-    """(Q, E): integer coefficient lists Q_i(x) = E * P_i(x / q), one common E > 0.
+def _scalar_parts(x):
+    """(a, b) with x = a + b sqrt(d): b is 0 for an int or a Fraction."""
+    if type(x) is QuadraticNumber:
+        return x.a, x.b
+    return x, 0
 
-    For rational P_i and an integer q >= 1, E = lcm(coefficient denominators)
-    * q^n with n the largest degree.  Then E * P_i(u/q + eps) is the Taylor
-    shift of Q_i at the integer u with coefficient k scaled by q^k: see
-    integer_jet.
+
+def integer_polys(polys, q, d=None):
+    """(Q, E): Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), one common E > 0.
+
+    Over Q (d None) A lists the integer coefficients and B, tags are None.
+    Over Q(sqrt d) coefficient k is A[k] + B[k] sqrt(d), and tags[k] says
+    whether P_i's coefficient is a QuadraticNumber.  For an integer q >= 1,
+    E = lcm(denominators of every coefficient part) * q^n with n the largest
+    degree.  Then E * P_i(x/q + eps) is the Taylor shift of Q_i at the
+    integral point x with coefficient k scaled by q^k: see integer_jet.
     """
     n = max([0] + [p.degree for p in polys])
-    dens = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    Q = [
-        [c.numerator * (dens // c.denominator) * q ** (n - k) for k, c in enumerate(p.coeffs)]
-        for p in polys
-    ]
+    if d is None:
+        dens = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+        Q = [
+            ([c.numerator * (dens // c.denominator) * q ** (n - k) for k, c in enumerate(p.coeffs)], None, None)
+            for p in polys
+        ]
+        return Q, dens * q**n
+    parts = [[_scalar_parts(c) for c in p.coeffs] for p in polys]
+    dens = math.lcm(*(x.denominator for cs in parts for ab in cs for x in ab))
+    Q = []
+    for p, cs in zip(polys, parts):
+        scale = [dens * q ** (n - k) for k in range(len(cs))]
+        A = [a.numerator * (s // a.denominator) for (a, _b), s in zip(cs, scale)]
+        B = [b.numerator * (s // b.denominator) for (_a, b), s in zip(cs, scale)]
+        Q.append((A, B, [type(c) is QuadraticNumber for c in p.coeffs]))
     return Q, dens * q**n
 
 
-def integer_jet(Q, u, qpow):
-    """E * P(u/q + eps) mod eps^T as T integers, for Q from integer_polys and qpow[k] = q^k."""
+def integer_jet(poly, u, qpow, d=None, v=0, tagged=False):
+    """E * P(x/q + eps) mod eps^T as an integer jet (A, B, tags), T = len(qpow), qpow[k] = q^k.
+
+    `poly` comes from integer_polys, and x = u + v sqrt(d) is integral.
+    Over Q (d None) B and tags are None.  Over Q(sqrt d), `tagged` says
+    whether the exponent x/q stands for is a QuadraticNumber, and tags[k] is
+    True where the scalar Taylor shift gives a QuadraticNumber.
+    """
     T = len(qpow)
-    cs = taylor_shift(Q, u, T)
-    return [c * qk for c, qk in zip(cs, qpow)] + [0] * (T - len(cs))
+    if d is None:
+        cs = taylor_shift(poly[0], u, T)
+        if qpow[-1] != 1:
+            cs = [c * qk for c, qk in zip(cs, qpow)]
+        return cs + [0] * (T - len(cs)), None, None
+    ca, cb, ct = quadratic_taylor_shift(*poly, u, v, tagged, d, T)
+    if qpow[-1] != 1:
+        ca, cb = [c * qk for c, qk in zip(ca, qpow)], [c * qk for c, qk in zip(cb, qpow)]
+    pad = [0] * (T - len(ca))
+    return ca + pad, cb + pad, ct + pad
+
+
+def exponent_parts(alpha):
+    """(q, u, v, tagged): alpha = (u + v sqrt d)/q with q >= 1, and whether alpha is a QuadraticNumber."""
+    a, b = _scalar_parts(alpha)
+    q = math.lcm(Fraction(a).denominator, Fraction(b).denominator)
+    return q, int(a * q), int(b * q), type(alpha) is QuadraticNumber
 
 
 def apply_local(op, alpha, table, upto):
@@ -429,88 +477,99 @@ def apply_local(op, alpha, table, upto):
 
     Returns rows 0..upto of the residual table.  Uses
     P(theta) t^a log^l = t^a sum_k P^(k)(a) * binom(l, k) * log^(l-k).
-    When the operator, alpha and the table are rational, each row is
-    accumulated as integer numerators over one denominator; otherwise the
-    scalars are summed as they are.
-    """
-    width = max((len(row) for row in table), default=1)
-    if (
-        is_rational([alpha])
-        and all(is_rational(p.coeffs) for p in op.theta_coeffs)
-        and all(is_rational(row) for row in table)
-    ):
-        return _apply_local_integer(op, Fraction(alpha), table, upto, width)
-    return _apply_local_scalar(op, alpha, table, upto, width)
-
-
-def _apply_local_scalar(op, alpha, table, upto, width):
-    """apply_local on Fraction and QuadraticNumber scalars as they are."""
-    r = op.r
-    derivs = []
-    for p in op.theta_coeffs:
-        ds = [p]
-        for _ in range(width - 1):
-            ds.append(ds[-1].derivative())
-        derivs.append(ds)
-    out = []
-    for m in range(upto + 1):
-        row = [as_scalar(0)] * width
-        for i in range(min(r, m) + 1):
-            src = table[m - i] if m - i < len(table) else ()
-            top = max((l for l, c in enumerate(src) if c), default=-1)
-            if top < 0:
-                continue
-            a = alpha + (m - i)
-            values = [derivs[i][k](a) for k in range(top + 1)]
-            for l, c in enumerate(src):
-                if not c:
-                    continue
-                for k in range(l + 1):
-                    row[l - k] = row[l - k] + c * values[k] * math.comb(l, k)
-        out.append(row)
-    return out
-
-
-def _apply_local_integer(op, alpha, table, upto, width):
-    """apply_local for a rational operator, exponent and table.
-
     Each input row is held as integer numerators over the lcm of its
-    denominators.  With E * P_i(a + eps) = sum_k V_k eps^k from integer_jet,
+    denominators, over Z or over Z[sqrt d] (see scalar_field).  With
+    E * P_i(a + eps) = sum_k V_k eps^k from integer_jet,
     P_i^(k)(a) * binom(l, k) = V_k * l!/(l-k)! / E, so an output row is an
     integer sum over E times the lcm of the row denominators it reads.
+
+    An output scalar is a QuadraticNumber exactly when the sum of products
+    above, taken on the scalars as they are, would make it one: when some
+    product reads a QuadraticNumber entry or a QuadraticNumber value of a
+    P_i^(k).  That value is one when P_i^(k) has a QuadraticNumber
+    coefficient, or when P_i^(k) is a nonzero polynomial and alpha is a
+    QuadraticNumber.  Such a sum can be a QuadraticNumber zero.
     """
+    width = max((len(row) for row in table), default=1)
+    coeffs = (c for p in op.theta_coeffs for c in p.coeffs)
+    d = scalar_field(chain([alpha], coeffs, (c for row in table for c in row)))
     r = op.r
-    u0, q = alpha.numerator, alpha.denominator
-    Q, E = integer_polys(op.theta_coeffs, q)
+    q, u0, v0, tagged = exponent_parts(alpha)
+    Q, E = integer_polys(op.theta_coeffs, q, d)
     qpow = [q**k for k in range(width)]
     falling = [[math.perm(l, k) for k in range(l + 1)] for l in range(width)]
-    rows = []
-    for row in table:
-        den = math.lcm(*(c.denominator for c in row))
-        top = max((l for l, c in enumerate(row) if c), default=-1)
-        rows.append(([c.numerator * (den // c.denominator) for c in row], den, top))
+    rows = [_integer_row(row, d) for row in table]
+    if d is not None:
+        # vtags[i][k]: the value of P_i^(k) at alpha + s is a QuadraticNumber
+        vtags = [[k < len(A) and (tagged or any(tags[k:])) for k in range(width)] for A, _B, tags in Q]
     out = []
     for m in range(upto + 1):
+        # over Z[sqrt d] a zero P_i still takes part: it makes c * 0 a QuadraticNumber for one c
         terms = [
             (i,) + rows[m - i]
             for i in range(min(r, m) + 1)
-            if m - i < len(rows) and Q[i] and rows[m - i][2] >= 0
+            if m - i < len(rows) and rows[m - i][4] >= 0 and (Q[i][0] or d is not None)
         ]
-        lcm = math.lcm(*(den for _i, _nums, den, _top in terms))
-        acc = [0] * width
-        for i, nums, den, top in terms:
-            values = integer_jet(Q[i], u0 + (m - i) * q, qpow[: top + 1])
-            f = lcm // den
-            for l, c in enumerate(nums):
-                if not c:
-                    continue
-                c *= f
-                for k in range(l + 1):
-                    if values[k]:
-                        acc[l - k] += c * values[k] * falling[l][k]
+        lcm = math.lcm(*(t[4] for t in terms))
         den = E * lcm
-        out.append([Fraction(a, den) for a in acc])
+        acc = [0] * width
+        if d is None:
+            for i, nums, _b, _tags, rden, top in terms:
+                values = integer_jet(Q[i], u0 + (m - i) * q, qpow[: top + 1])[0]
+                f = lcm // rden
+                for l, c in enumerate(nums):
+                    if not c:
+                        continue
+                    c *= f
+                    for k in range(l + 1):
+                        if values[k]:
+                            acc[l - k] += c * values[k] * falling[l][k]
+            out.append([Fraction(a, den) for a in acc])
+            continue
+        accb = [0] * width
+        acct = [False] * width
+        for i, nums, numsb, tags, rden, top in terms:
+            vt = vtags[i]
+            va, vb, _vt = integer_jet(Q[i], u0 + (m - i) * q, qpow[: top + 1], d, v0, tagged)
+            f = lcm // rden
+            for l in range(top + 1):
+                ca, cb = nums[l], numsb[l]
+                if not (ca or cb):
+                    continue
+                ct = tags[l]
+                ca *= f
+                cb *= f
+                for k in range(l + 1):
+                    if ct or vt[k]:
+                        acct[l - k] = True
+                    if va[k] or vb[k]:
+                        fk = falling[l][k]
+                        acc[l - k] += (ca * va[k] + d * cb * vb[k]) * fk
+                        accb[l - k] += (ca * vb[k] + cb * va[k]) * fk
+        out.append(
+            [
+                QuadraticNumber(Fraction(a, den), Fraction(b, den), d) if t else Fraction(a, den)
+                for a, b, t in zip(acc, accb, acct)
+            ]
+        )
     return out
+
+
+def _integer_row(row, d):
+    """(A, B, tags, den, top): a table row as integer numerators over one denominator.
+
+    top is the last position with a nonzero entry (-1 for none); B and tags
+    are None over Q.
+    """
+    top = max((l for l, c in enumerate(row) if c), default=-1)
+    if d is None:
+        den = math.lcm(*(c.denominator for c in row))
+        return [c.numerator * (den // c.denominator) for c in row], None, None, den, top
+    parts = [_scalar_parts(c) for c in row]
+    den = math.lcm(*(x.denominator for ab in parts for x in ab))
+    A = [a.numerator * (den // a.denominator) for a, _b in parts]
+    B = [b.numerator * (den // b.denominator) for _a, b in parts]
+    return A, B, [type(c) is QuadraticNumber for c in row], den, top
 
 
 def apply_to_series(op, y):
@@ -543,14 +602,30 @@ def invert_variable(op):
     return ThetaOperator(polys).t_stripped().cleared()
 
 
+# (op, point, local operator) of the last call: local_basis and then
+# annihilation_order for each solution ask for the same operator in a row
+_last_local = (None, None, None)
+
+
 def local_operator(op, point):
-    """The operator translated so that `point` sits at the origin."""
-    op = op.t_stripped()
+    """The operator translated so that `point` sits at the origin.
+
+    The last result is kept for the same operator object at an equal point.
+    The key is identity, not ==: operators equal as values can hold a Fraction
+    where the other holds a QuadraticNumber with zero sqrt part, and their
+    local operators keep those types.
+    """
+    global _last_local
+    last_op, last_point, last = _last_local
+    if op is last_op and point == last_point:
+        return last
+    loc = op.t_stripped()
     if point.is_infinite:
-        return invert_variable(op)
-    if point.value == 0:
-        return op
-    return translate(op, point.value)
+        loc = invert_variable(loc)
+    elif point.value != 0:
+        loc = translate(loc, point.value)
+    _last_local = (op, point, loc)
+    return loc
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,186 @@
+"""The scalar Frobenius engine and scalar apply_local, kept as a test-only reference.
+
+The package computes local bases and operator residuals fraction-free over Z
+and Z[sqrt d].  These are the loops it replaced: the same recurrence and the
+same operator application on Fraction and QuadraticNumber scalars as they
+are, whose output types the integer engine must reproduce exactly.
+"""
+
+import math
+from fractions import Fraction
+
+from picardfuchs.arith import as_scalar, scalar_sort_key, taylor_shift
+from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow
+from picardfuchs.frobenius import (
+    GeneralizedSeries,
+    LocalBasis,
+    _integer_difference,
+    _partition_classes,
+    default_truncation,
+)
+from picardfuchs.optheta import indicial_roots, local_operator
+
+# ---------------------------------------------------------------------------
+# jet arithmetic in K[eps]/(eps^T): plain lists of scalars, fixed length T
+
+
+def jet_mul(a, b):
+    T = len(a)
+    out = [as_scalar(0)] * T
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(T - i):
+            bj = b[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def jet_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def jet_scale(a, c):
+    return [x * c for x in a]
+
+
+def jet_eval_poly(p, x, T):
+    """p(x + eps) as a jet of length T, padded with Fraction(0) when deg p < T - 1."""
+    cs = taylor_shift(p.coeffs, x, T)
+    return cs + [as_scalar(0)] * (T - len(cs))
+
+
+def _jet_valuation(a):
+    for i, c in enumerate(a):
+        if c:
+            return i
+    return len(a)
+
+
+def jet_div(a, b):
+    """a / b for a unit jet b, by one triangular solve.
+
+    A zero quotient coefficient is stored as Fraction(0).  The solve can reach
+    a QuadraticNumber zero where a times the inverse jet of b has no term at
+    all, and the two zeros serialize differently.
+    """
+    if not b[0]:
+        raise FrobeniusInvariant("jet division by a non-unit")
+    inv0 = 1 / b[0]
+    out = []
+    for m, acc in enumerate(a):
+        for j in range(1, m + 1):
+            if b[j] and out[m - j]:
+                acc = acc - b[j] * out[m - j]
+        out.append(acc * inv0 if acc else as_scalar(0))
+    return out
+
+
+def _cancel_resonance(numer, den, m):
+    T = len(den)
+    mu = _jet_valuation(den)
+    if mu >= T:
+        raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
+    if mu:
+        if any(numer[k] for k in range(mu)):
+            raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
+        numer = numer[mu:] + [as_scalar(0)] * mu
+        den = den[mu:] + [as_scalar(0)] * mu
+    return numer, den, mu
+
+
+# ---------------------------------------------------------------------------
+# the recurrence and the basis built from it
+
+
+def scalar_recurrence(loc, lam, T, N, above):
+    """Jets c_0 .. c_N as lists of scalars, and the precision lost at resonances."""
+    r = loc.r
+    p0 = loc.theta_coeffs[0]
+    seed = [as_scalar(0)] * T
+    seed[above] = as_scalar(1)
+    jets = [seed]
+    lost = 0
+    for m in range(1, N + 1):
+        numer = [as_scalar(0)] * T
+        for i in range(1, min(r, m) + 1):
+            pi = loc.theta_coeffs[i]
+            if pi.is_zero:
+                continue
+            pj = jet_eval_poly(pi, lam + (m - i), T)
+            numer = jet_add(numer, jet_mul(pj, jets[m - i]))
+        numer = jet_scale(numer, -1)
+        den = jet_eval_poly(p0, lam + m, T)
+        numer, den, mu = _cancel_resonance(numer, den, m)
+        lost += mu
+        jets.append(jet_div(numer, den))
+    return jets, lost
+
+
+def class_solutions(loc, cls, N, point):
+    """All solutions for one exponent class, from the scalar recurrence."""
+    M = sum(m for _r, m in cls)
+    T = 2 * M
+    gap = _integer_difference(cls[-1][0], cls[0][0])
+    if N < gap + loc.r + 1:
+        raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + loc.r + 1))
+    out = []
+    for j, (lam, mult) in enumerate(cls):
+        above = sum(m for _r, m in cls[j + 1 :])
+        jets, lost = scalar_recurrence(loc, lam, T, N, above)
+        if above + mult > T - lost:
+            raise FrobeniusInvariant("jet precision exhausted at exponent %s" % (lam,))
+        for k in range(above, above + mult):
+            scale = math.factorial(k - above)
+            logs = range(min(k, T - 1) + 1)
+            table = [[jet[k - l] * Fraction(scale, math.factorial(l)) for l in logs] for jet in jets]
+            out.append(GeneralizedSeries(point, lam, table, N))
+    return out
+
+
+def local_basis(op, point, N=None):
+    """frobenius.local_basis with every class solved by the scalar recurrence."""
+    loc = local_operator(op, point)
+    if N is None:
+        N = default_truncation(loc)
+    if N < loc.r + loc.order:
+        raise TruncationTooLow("truncation %d below r + order = %d" % (N, loc.r + loc.order))
+    solutions = []
+    for cls in _partition_classes(indicial_roots(loc.theta_coeffs[0])):
+        solutions.extend(class_solutions(loc, cls, N, point))
+    solutions.sort(key=lambda s: (scalar_sort_key(s.alpha), s.leading[1]))
+    return LocalBasis(point, solutions, loc)
+
+
+# ---------------------------------------------------------------------------
+# operator application
+
+
+def apply_local(op, alpha, table, upto):
+    """optheta.apply_local on Fraction and QuadraticNumber scalars as they are."""
+    width = max((len(row) for row in table), default=1)
+    r = op.r
+    derivs = []
+    for p in op.theta_coeffs:
+        ds = [p]
+        for _ in range(width - 1):
+            ds.append(ds[-1].derivative())
+        derivs.append(ds)
+    out = []
+    for m in range(upto + 1):
+        row = [as_scalar(0)] * width
+        for i in range(min(r, m) + 1):
+            src = table[m - i] if m - i < len(table) else ()
+            top = max((l for l, c in enumerate(src) if c), default=-1)
+            if top < 0:
+                continue
+            a = alpha + (m - i)
+            values = [derivs[i][k](a) for k in range(top + 1)]
+            for l, c in enumerate(src):
+                if not c:
+                    continue
+                for k in range(l + 1):
+                    row[l - k] = row[l - k] + c * values[k] * math.comb(l, k)
+        out.append(row)
+    return out

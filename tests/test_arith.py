@@ -1,6 +1,7 @@
 """Scalar tower, polynomials, series: exact arithmetic foundations."""
 
 import importlib.util
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from picardfuchs.arith import (
     as_scalar,
     collapse,
     conjugate_scalar,
+    factorize,
     poly_gcd,
     quadratic_sqrt,
+    quadratic_taylor_shift,
     rational_roots_with_multiplicity,
     roots_in_quadratic_closure,
     scalar_from_json,
@@ -26,7 +29,7 @@ from picardfuchs.arith import (
     squarefree_part,
     taylor_shift,
 )
-from picardfuchs.errors import InvalidDiscriminant
+from picardfuchs.errors import FactorizationFailed, InvalidDiscriminant, InvalidPower, ZeroRadicand
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -83,6 +86,44 @@ def test_quadratic_sqrt():
     assert isinstance(r, QuadraticNumber)
     assert collapse(r * r) == 8
     assert r.d == 2  # squarefree tag
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (lambda: QuadraticNumber(1, 1, 2) ** -1, InvalidPower),
+        (lambda: QuadraticNumber(1, 1, 2) ** Fraction(1, 2), InvalidPower),
+        (lambda: Polynomial([1, 1]) ** -2, InvalidPower),
+        (lambda: quadratic_sqrt(Fraction(0)), ZeroRadicand),
+        # 10000019 * 10000079: both factors lie beyond trial division
+        (lambda: factorize(100000980001501), FactorizationFailed),
+    ],
+    ids=["quadratic-negative", "quadratic-fraction", "polynomial-negative", "sqrt-zero", "factorize"],
+)
+def test_arithmetic_domain_errors(case, error):
+    with pytest.raises(error) as got:
+        case()
+    assert str(got.value)
+
+
+def test_arithmetic_domain_errors_under_optimize(run_optimized):
+    code = (
+        "from fractions import Fraction\n"
+        "from picardfuchs.arith import Polynomial, QuadraticNumber, factorize, quadratic_sqrt\n"
+        "from picardfuchs.errors import FactorizationFailed, InvalidPower, ZeroRadicand\n"
+        "cases = [\n"
+        "    lambda: QuadraticNumber(1, 1, 2) ** -1,\n"
+        "    lambda: Polynomial([1, 1]) ** -2,\n"
+        "    lambda: quadratic_sqrt(Fraction(0)),\n"
+        "    lambda: factorize(100000980001501),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "    except (FactorizationFailed, InvalidPower, ZeroRadicand) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    assert run_optimized(code).split() == ["InvalidPower", "InvalidPower", "ZeroRadicand", "FactorizationFailed"]
 
 
 def test_squarefree_part():
@@ -186,6 +227,31 @@ def test_taylor_shift_keeps_integers_integral(coeffs, a, terms):
     got = taylor_shift(coeffs, a, terms)
     assert got == _compose_shift(coeffs, a)[:terms]
     assert all(type(c) is int for c in got)
+
+
+def _pair(x):
+    return (x.a, x.b, True) if isinstance(x, QuadraticNumber) else (Fraction(x), Fraction(0), False)
+
+
+@given(shift_cases, st.integers(1, 9), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_quadratic_taylor_shift_matches_taylor_shift(case, terms, q):
+    # the pair shift stands for taylor_shift on the same scalars scaled by q:
+    # equal values up to that scale, and a tag exactly on each QuadraticNumber
+    coeffs, a = case
+    d = next((c.d for c in coeffs + [a] if isinstance(c, QuadraticNumber)), -3)
+    pairs = [_pair(c) for c in coeffs]
+    den = q * math.lcm(*(x.denominator for p in pairs + [_pair(a)] for x in p[:2]))
+    A = [int(x * den) for x, _y, _t in pairs]
+    B = [int(y * den) for _x, y, _t in pairs]
+    u, v, tagged = _pair(a)
+    ca, cb, ct = quadratic_taylor_shift(A, B, [t for *_xy, t in pairs], int(u * den), int(v * den), tagged, d, terms)
+    want = taylor_shift(coeffs, a * den, terms)
+    assert len(ca) == len(want)
+    for x, y, t, w in zip(ca, cb, ct, want):
+        assert QuadraticNumber(x, y, d) == w * den
+        if w:
+            assert t is isinstance(w, QuadraticNumber)
 
 
 @given(shift_cases, st.integers(0, 9))

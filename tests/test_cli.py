@@ -7,9 +7,10 @@ from math import comb
 
 import pytest
 
-from picardfuchs import CATALOG, TetraForm
+from picardfuchs import CATALOG, TetraForm, classify_point, cli, frobenius, local_basis, riemann_symbol
 from picardfuchs.catalog_data import TETRA_DEMO
 from picardfuchs.cli import main
+from picardfuchs.frobenius import jordan_structure
 
 
 def _op_file(tmp_path, aid, name="op.json"):
@@ -52,6 +53,42 @@ def test_classify_marks_apparent_point(tmp_path, capsys):
     assert code == 0
     row = next(l for l in out.splitlines() if l.startswith("-1/2"))
     assert "Apparent" in row and "0,1,3,4" in row
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("aid", [4, 266])
+def test_classify_builds_each_basis_once(tmp_path, capsys, monkeypatch, aid, as_json):
+    op = CATALOG[aid].operator
+    rows = []
+    for point in riemann_symbol(op).points():
+        basis = local_basis(op, point)
+        blocks = "[%s]" % ",".join(map(str, jordan_structure(basis).all_blocks()))
+        exps = ",".join(str(e) for e in basis.exponents())
+        rows.append((str(point), exps, blocks, str(classify_point(op, point))))
+    if as_json:
+        want = json.dumps([{"point": p, "exponents": e, "blocks": b, "label": l} for p, e, b, l in rows]) + "\n"
+    else:
+        widths = [max(len(r[i]) for r in rows) for i in range(3)]
+        want = "".join(
+            "%s  %s  %s  %s\n" % (p.ljust(widths[0]), e.ljust(widths[1]), b.ljust(widths[2]), l) for p, e, b, l in rows
+        )
+    calls = []
+
+    def counted(inner):
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(frobenius, "local_basis", counted(frobenius.local_basis))
+    riemann_symbol(op)  # its logarithm checks build some bases of their own
+    by_symbol = len(calls)
+    monkeypatch.setattr(cli, "local_basis", counted(cli.local_basis))
+    del calls[:]
+    code, out, _ = _run(capsys, ["classify"] + (["--json"] if as_json else []) + [_op_file(tmp_path, aid)])
+    assert code == 0 and out == want
+    assert len(calls) == by_symbol + len(rows)
 
 
 def test_transform_mobius_reaches_catalog_twin(tmp_path, capsys):
@@ -190,8 +227,14 @@ MALFORMED_FILES = [
     (["transform", "{}", "--mobius=0,1,1,0"], {"coeffs": [[]]}, "pf: transform produced the zero operator\n"),
     # 1 + t, of order 0
     (["transform", "{}", "--yukawa"], {"coeffs": [["1"], ["1"]]}, "pf: order-zero operator has no coupling\n"),
+    # indicial constant 10000019 * 10000079: both primes lie beyond trial division
+    (
+        ["symbol", "{}"],
+        {"form": "theta", "coeffs": [["-100000980001501", "0", "1"], ["1", "1", "1"]]},
+        "pf: cannot factor 100000980001501\n",
+    ),
 ]
-_MALFORMED_IDS = ["octic", "tetra", "transform-zero", "yukawa-order-0"]
+_MALFORMED_IDS = ["octic", "tetra", "transform-zero", "yukawa-order-0", "symbol-unfactorable"]
 
 
 @pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=_MALFORMED_IDS)

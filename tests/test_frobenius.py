@@ -8,31 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
+from picardfuchs import optheta
 from picardfuchs.arith import Polynomial, QuadraticNumber, as_scalar
 from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
-from picardfuchs import frobenius
 from picardfuchs.frobenius import (
     GeneralizedSeries,
     LocalBasis,
     _class_solutions,
     _int_jet_div,
     _integer_recurrence,
-    _jet_div,
-    _jet_mul,
-    _scalar_recurrence,
     annihilation_order,
+    classify_basis,
     has_logarithms,
     jordan_structure,
 )
 from picardfuchs.optheta import (
-    _apply_local_scalar,
     apply_local,
     exponents_at,
     integer_polys,
     local_operator,
     riemann_symbol,
+    singular_points,
+    translate,
 )
 
+import scalar_reference as ref
 from shapes import fuchsian_shapes, linear_product
 
 
@@ -163,7 +163,8 @@ def test_log_map_escaping_the_span_raises_under_optimize(run_optimized):
 
 
 # ---------------------------------------------------------------------------
-# jet division against an inverse-then-product reference
+# jet division: the scalar reference against inverse-then-product, and the
+# fraction-free division against the scalar reference
 
 
 def _inverse_then_product(a, b):
@@ -177,7 +178,7 @@ def _inverse_then_product(a, b):
             if b[j]:
                 acc = acc + b[j] * inv[m - j]
         inv[m] = -acc * inv0
-    return _jet_mul(a, inv)
+    return ref.jet_mul(a, inv)
 
 
 # parts from {-1, 0, 1} make the quotient's partial sums cancel often
@@ -196,7 +197,7 @@ def test_jet_div_matches_inverse_then_product(field, data):
     T = data.draw(st.integers(1, 7))
     a = data.draw(st.lists(scalars, min_size=T, max_size=T))
     b = data.draw(st.lists(scalars, min_size=T, max_size=T).filter(lambda b: b[0]))
-    got, want = _jet_div(a, b), _inverse_then_product(a, b)
+    got, want = ref.jet_div(a, b), _inverse_then_product(a, b)
     assert got == want
     for g, w in zip(got, want):
         # a zero is always Fraction(0); the product can also reach a
@@ -216,14 +217,18 @@ def test_jet_div_matches_inverse_then_product(field, data):
     ],
 )
 def test_jet_div_cancels_to_a_rational_zero(a, b):
-    got, want = _jet_div(a, b), _inverse_then_product(a, b)
+    got, want = ref.jet_div(a, b), _inverse_then_product(a, b)
     assert got == want and not got[2]
     assert [type(c) for c in got] == [type(c) for c in want]
 
 
 def test_jet_div_by_a_non_unit_raises():
     with pytest.raises(FrobeniusInvariant):
-        _jet_div([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)])
+        ref.jet_div([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)])
+    with pytest.raises(FrobeniusInvariant, match="non-unit"):
+        _int_jet_div(([1, 0], None, None), ([0, 1], None, None), 1)
+    with pytest.raises(FrobeniusInvariant, match="non-unit"):
+        _int_jet_div(([1, 0], [0, 0], [False] * 2), ([0, 1], [0, 1], [True] * 2), 1, -3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,9 +238,46 @@ def test_integer_jet_div_matches_scalar_jet_div(data):
     a = data.draw(st.lists(st.integers(-5, 5), min_size=T, max_size=T))
     b = data.draw(st.lists(st.integers(-5, 5), min_size=T, max_size=T).filter(lambda b: b[0]))
     scale = data.draw(st.integers(1, 12))
-    nums, den = _int_jet_div(a, b, scale)
-    assert [Fraction(n, den) for n in nums] == _jet_div([Fraction(x, scale) for x in a], [Fraction(x) for x in b])
+    nums, _b, _tags, den = _int_jet_div((a, None, None), (b, None, None), scale)
+    assert [Fraction(n, den) for n in nums] == ref.jet_div([Fraction(x, scale) for x in a], [Fraction(x) for x in b])
     assert den > 0 and math.gcd(den, *nums) == 1  # lowest terms
+
+
+def _quadratic_jet(data, T, d, unit=False):
+    """An integer jet (A, B, tags) over Z[sqrt d] and the scalars it stands for.
+
+    An untagged coefficient has zero sqrt part; a tagged one may be a zero.
+    """
+    A, B, tags = [], [], []
+    for k in range(T):
+        tagged = data.draw(st.booleans())
+        a = data.draw(st.integers(-2, 2))
+        b = data.draw(st.integers(-2, 2)) if tagged else 0
+        if unit and k == 0 and not (a or b):
+            a = 1
+        A.append(a)
+        B.append(b)
+        tags.append(tagged)
+    scalars = [QuadraticNumber(a, b, d) if t else Fraction(a) for a, b, t in zip(A, B, tags)]
+    return (A, B, tags), scalars
+
+
+@pytest.mark.parametrize("d", [-3, 2])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_quadratic_jet_div_matches_scalar_jet_div(d, data):
+    # over Z[sqrt d] the quotient keeps the scalar types: a QuadraticNumber
+    # exactly where one took part, Fraction(0) for every zero
+    T = 2 * data.draw(st.integers(1, 4))
+    numer, a = _quadratic_jet(data, T, d)
+    den, b = _quadratic_jet(data, T, d, unit=True)
+    scale = data.draw(st.integers(1, 12))
+    A, B, tags, D = _int_jet_div(numer, den, scale, d)
+    want = ref.jet_div([x / scale for x in a], b)
+    got = [QuadraticNumber(Fraction(x, D), Fraction(y, D), d) if t else Fraction(x, D) for x, y, t in zip(A, B, tags)]
+    assert _typed([got]) == _typed([want])
+    assert all(y == 0 for y, t in zip(B, tags) if not t)
+    assert D > 0 and math.gcd(D, *A, *B) == 1  # lowest terms
 
 
 def test_classify_catalog_spot_checks():
@@ -258,54 +300,63 @@ def test_unclassified_pattern_raises():
 
 
 # ---------------------------------------------------------------------------
-# the fraction-free recurrence against the scalar one it replaces on Q
-
-
-def _scalar_only(monkeypatch):
-    """Make the Frobenius engine take its scalar path whatever the input types."""
-    monkeypatch.setattr(frobenius, "is_rational", lambda scalars: False)
-
-
-def _counting_integer_recurrence(monkeypatch):
-    calls = []
-    inner = frobenius._integer_recurrence
-
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(frobenius, "_integer_recurrence", counted)
-    return calls
+# the fraction-free recurrence against the scalar one it replaced
+# (tests/scalar_reference.py), values and types
 
 
 def _typed(rows):
     return [[(c, type(c)) for c in row] for row in rows]
 
 
-def _outcome(op, point, N=None):
+def _outcome(op, point, N=None, basis=local_basis):
     """The basis with every scalar's type, or the error raised."""
     try:
-        basis = local_basis(op, point, N)
+        sols = basis(op, point, N).solutions
     except ValueError as exc:
         return type(exc), str(exc)
-    return [(s.alpha, type(s.alpha), s.truncation, _typed(s.table)) for s in basis.solutions]
+    return [(s.alpha, type(s.alpha), s.truncation, _typed(s.table)) for s in sols]
+
+
+def _matches_reference(op, point, N=None):
+    got = _outcome(op, point, N)
+    assert got == _outcome(op, point, N, ref.local_basis)
+    return got
+
+
+def _residuals_match_reference(op, point, N=None):
+    """apply_local on each solution: the same residual table as the scalar loop, and zero."""
+    loc = local_operator(op, point)
+    for sol in local_basis(op, point, N):
+        table = [list(row) for row in sol.table]
+        upto = sol.truncation - loc.r
+        res = apply_local(loc, sol.alpha, table, upto)
+        assert _typed(res) == _typed(ref.apply_local(loc, sol.alpha, table, upto))
+        assert not any(any(row) for row in res)
 
 
 _DISTINCT = [aid for aid in sorted(CATALOG) if aid != 273]  # 273 repeats 266
 
 
 @pytest.mark.parametrize("aid", _DISTINCT)
-def test_integer_path_matches_scalar_path_on_catalog_points(aid, monkeypatch):
+def test_integer_path_matches_scalar_path_on_catalog_points(aid):
     op = CATALOG[aid].operator
     points = [p for p, _exps in CATALOG[aid].symbol if not isinstance(p.value, QuadraticNumber)]
-    calls = _counting_integer_recurrence(monkeypatch)
-    got = [_outcome(op, p) for p in points]
-    integer_calls = len(calls)
-    assert integer_calls >= len(points)  # every rational point and infinity takes the integer path
-    _scalar_only(monkeypatch)
-    want = [_outcome(op, p) for p in points]
-    assert len(calls) == integer_calls and got == want
-    assert all(isinstance(sols, list) for sols in got)
+    assert all(isinstance(_matches_reference(op, p), list) for p in points)
+
+
+_QUADRATIC_266 = [p for p in singular_points(CATALOG[266].operator) if isinstance(p.value, QuadraticNumber)]
+
+
+@pytest.mark.parametrize("N", [16, None], ids=["N16", "default"])
+@pytest.mark.parametrize("point", _QUADRATIC_266, ids=["minus", "plus"])
+def test_quadratic_path_matches_scalar_path_on_266(point, N):
+    op = CATALOG[266].operator
+    got = _matches_reference(op, point, N)
+    types = {(m > 0, bool(c), t) for _a, _ta, _N, table in got for m, row in enumerate(table) for c, t in row}
+    # row 0 and every zero are Fractions, every other entry a QuadraticNumber
+    assert types == {(False, True, Fraction), (False, False, Fraction), (True, False, Fraction), (True, True, QuadraticNumber)}
+    if N == 16:
+        _residuals_match_reference(op, point, N)
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,74 +364,138 @@ def test_integer_path_matches_scalar_path_on_catalog_points(aid, monkeypatch):
 def test_integer_path_matches_scalar_path_on_generated_operators(op, point, extra):
     loc = local_operator(op, point)
     N = loc.r + loc.order + 3 + extra
-    got = _outcome(op, point, N)
-    with pytest.MonkeyPatch.context() as mp:
-        _scalar_only(mp)
-        want = _outcome(op, point, N)
-    assert got == want
-    if isinstance(got, list):
-        for sol in local_basis(op, point, N):
-            table = [list(row) for row in sol.table]
-            upto = N - loc.r
-            res = apply_local(loc, sol.alpha, table, upto)
-            ref = _apply_local_scalar(loc, sol.alpha, table, upto, max(len(row) for row in table))
-            assert _typed(res) == _typed(ref)
-            assert not any(any(row) for row in res)
+    if isinstance(_matches_reference(op, point, N), list):
+        _residuals_match_reference(op, point, N)
 
 
-def test_integer_path_meets_a_resonance_with_logarithms(monkeypatch):
+_FIELD_POINTS = [
+    QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3),
+    QuadraticNumber(1, Fraction(-1, 2), -3),
+    QuadraticNumber(Fraction(1, 2), 1, 2),
+    QuadraticNumber(-1, Fraction(1, 3), 2),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=fuchsian_shapes(), a=st.sampled_from(_FIELD_POINTS), where=st.integers(0, 2), extra=st.integers(0, 3))
+def test_quadratic_path_matches_scalar_path_on_moved_operators(op, a, where, extra):
+    # t -> t + a moves the shape's point 0 to -a, a quadratic point, and its
+    # ordinary point a to 0; at infinity P_0 keeps rational coefficients
+    moved = translate(op, a)
+    point = [SingularPoint(-a), SingularPoint(0), INFINITY][where]
+    loc = local_operator(moved, point)
+    N = loc.r + loc.order + 2 + extra
+    if isinstance(_matches_reference(moved, point, N), list):
+        _residuals_match_reference(moved, point, N)
+
+
+# exponents 0 and -sqrt(2), sqrt(2) at 0; then each surd twice, so each
+# class carries a logarithm over Q(sqrt 2)
+_SURD_EXPONENTS = [
+    ThetaOperator.from_theta_polys([P(-2, 0, 1) * P(0, 1), P(1, 1, 1)]),
+    ThetaOperator.from_theta_polys([P(-2, 0, 1) ** 2, P(3, 0, 2, 1)]),
+]
+
+
+@pytest.mark.parametrize("op", _SURD_EXPONENTS, ids=["simple", "double"])
+def test_quadratic_path_matches_scalar_path_on_surd_exponents(op):
+    point = SingularPoint(0)
+    assert any(isinstance(e, QuadraticNumber) for e in exponents_at(op, point))
+    sols = _matches_reference(op, point)
+    assert QuadraticNumber in {type(a) for a, *_rest in sols}
+    _residuals_match_reference(op, point)
+
+
+# rational exponents, coefficients of both types: a P_i mixes Fractions and
+# QuadraticNumbers (one with zero sqrt part), the others are rational, so
+# products of an untagged and a tagged coefficient decide the types
+_MIXED = [
+    ThetaOperator([P(0, 0, 1), Polynomial([QuadraticNumber(1, 1, 2), 3]), P(-2, 0, 1)]),
+    ThetaOperator([P(0, -1, 1) * P(-2, 1), P(1, 2), Polynomial([QuadraticNumber(2, 0, 2), 3, 1])]),
+    # P_1 = theta - 3 vanishes at 3, so at offset 4 only the rational P_2
+    # meets the earlier, quadratic coefficients in the t^0 slot of the jet
+    ThetaOperator([P(0, 1), Polynomial([QuadraticNumber(-3, 0, 2), QuadraticNumber(1, 0, 2)]), P(1, 1)]),
+]
+
+
+@pytest.mark.parametrize("op", _MIXED, ids=["double-root", "resonant", "vanishing"])
+@pytest.mark.parametrize("point", [SingularPoint(0), INFINITY], ids=["0", "oo"])
+def test_quadratic_path_matches_scalar_path_on_mixed_coefficients(op, point):
+    assert _matches_reference(op, point, 14)
+    _residuals_match_reference(op, point, 14)
+
+
+def test_integer_path_meets_a_resonance_with_logarithms():
     # theta^2 (theta - 2) - t (theta + 1)^3: the exponents 0, 0, 2 form one
     # class at 0, so the recurrence meets a resonance at offset 2
     op = ThetaOperator.from_theta_polys([linear_product([0, 0, 2]), linear_product([-1, -1, -1], -1)])
     basis = local_basis(op, SingularPoint(0))
     assert basis.exponents() == [0, 0, 2] and basis.has_logarithms()
-    got = _outcome(op, SingularPoint(0))
-    _scalar_only(monkeypatch)
-    assert _outcome(op, SingularPoint(0)) == got
+    _matches_reference(op, SingularPoint(0))
 
 
-# theta(theta - 1) + t has a log at 0: seeding the root 0 with eps^0 instead
+# theta(theta - 1) + c t has a log at 0: seeding the root 0 with eps^0 instead
 # of eps^1 leaves a nonzero obstruction constant at the resonance m = 1
 _OBSTRUCTED = ThetaOperator.from_theta_polys([P(0, -1, 1), P(1)])
+_OBSTRUCTED_SURD = ThetaOperator([P(0, -1, 1), Polynomial([QuadraticNumber(1, 1, -3)])])
 # theta(theta - 1)(theta - 2) with the class {0, 1, 2} cut down to the root 0:
 # the resonances at m = 1, 2 use up the whole jet of length 2
 _EXHAUSTED = ThetaOperator.from_theta_polys([P(0, 2, -3, 1)])
+_EXHAUSTED_SURD = ThetaOperator([P(0, 2, -3, 1) * QuadraticNumber(1, 1, 2)])
+
+
+def _raises_on_a_failed_obstruction(op, d):
+    Q, _E = integer_polys(op.theta_coeffs, 1, d)
+    with pytest.raises(FrobeniusInvariant, match="obstruction failed at offset 1") as got:
+        _integer_recurrence(Q, Fraction(0), 2, 2, 0, d)
+    with pytest.raises(FrobeniusInvariant) as want:
+        ref.scalar_recurrence(op, Fraction(0), 2, 2, 0)
+    assert str(got.value) == str(want.value)
+
+
+def _raises_on_exhausted_precision(op):
+    with pytest.raises(FrobeniusInvariant, match="precision exhausted") as got:
+        _class_solutions(op, [(Fraction(0), 1)], 3, SingularPoint(0))
+    with pytest.raises(FrobeniusInvariant) as want:
+        ref.class_solutions(op, [(Fraction(0), 1)], 3, SingularPoint(0))
+    assert str(got.value) == str(want.value)
 
 
 def test_integer_path_raises_on_a_failed_obstruction():
-    Q, _E = integer_polys(_OBSTRUCTED.theta_coeffs, 1)
-    with pytest.raises(FrobeniusInvariant, match="obstruction failed at offset 1") as got:
-        _integer_recurrence(Q, 1, 0, 2, 2, 0)
-    with pytest.raises(FrobeniusInvariant) as want:
-        _scalar_recurrence(_OBSTRUCTED, Fraction(0), 2, 2, 0)
-    assert str(got.value) == str(want.value)
+    _raises_on_a_failed_obstruction(_OBSTRUCTED, None)
 
 
-def test_integer_path_raises_on_exhausted_precision(monkeypatch):
-    calls = _counting_integer_recurrence(monkeypatch)
-    with pytest.raises(FrobeniusInvariant, match="precision exhausted") as got:
-        _class_solutions(_EXHAUSTED, [(Fraction(0), 1)], 3, SingularPoint(0))
-    assert calls
-    _scalar_only(monkeypatch)
-    with pytest.raises(FrobeniusInvariant) as want:
-        _class_solutions(_EXHAUSTED, [(Fraction(0), 1)], 3, SingularPoint(0))
-    assert str(got.value) == str(want.value)
+def test_quadratic_path_raises_on_a_failed_obstruction():
+    _raises_on_a_failed_obstruction(_OBSTRUCTED_SURD, -3)
+
+
+def test_integer_path_raises_on_exhausted_precision():
+    _raises_on_exhausted_precision(_EXHAUSTED)
+
+
+def test_quadratic_path_raises_on_exhausted_precision():
+    _raises_on_exhausted_precision(_EXHAUSTED_SURD)
 
 
 def test_integer_path_errors_under_optimize(run_optimized):
     code = (
         "from fractions import Fraction\n"
         "from picardfuchs import SingularPoint, ThetaOperator, local_basis\n"
-        "from picardfuchs.arith import Polynomial\n"
+        "from picardfuchs.arith import Polynomial, QuadraticNumber\n"
         "from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow\n"
         "from picardfuchs.frobenius import _class_solutions, _integer_recurrence\n"
         "from picardfuchs.optheta import integer_polys\n"
         "def op(*polys):\n"
         "    return ThetaOperator.from_theta_polys([Polynomial([Fraction(c) for c in p]) for p in polys])\n"
         "Q, _E = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
+        "surd = QuadraticNumber(1, 1, -3)\n"
+        "Qs, _E = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
+        "exhausted = ThetaOperator([Polynomial([0, 2, -3, 1]) * QuadraticNumber(1, 1, 2)])\n"
         "cases = [\n"
-        "    lambda: _integer_recurrence(Q, 1, 0, 2, 2, 0),\n"
+        "    lambda: _integer_recurrence(Q, Fraction(0), 2, 2, 0),\n"
+        "    lambda: _integer_recurrence(Qs, Fraction(0), 2, 2, 0, -3),\n"
         "    lambda: _class_solutions(op((0, 2, -3, 1)), [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
+        "    lambda: _class_solutions(exhausted, [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
         "    lambda: local_basis(op((0, -3, 1)), SingularPoint(0), 3),\n"
         "]\n"
         "for case in cases:\n"
@@ -389,4 +504,48 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "    except (FrobeniusInvariant, TruncationTooLow) as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    assert run_optimized(code).split() == ["FrobeniusInvariant", "FrobeniusInvariant", "TruncationTooLow"]
+    assert run_optimized(code).split() == ["FrobeniusInvariant"] * 4 + ["TruncationTooLow"]
+
+
+# ---------------------------------------------------------------------------
+# one local operator per basis, one basis per classified point
+
+
+def test_local_operator_memo_keeps_scalar_types():
+    # equal as values, but one holds QuadraticNumbers with zero sqrt part
+    rational = ThetaOperator([P(0, 0, 1), P(-4, -16, -16)])
+    surd = ThetaOperator([p.map_coeffs(lambda c: QuadraticNumber(c, 0, -3)) for p in rational.theta_coeffs])
+    assert rational == surd and hash(rational) == hash(surd)
+    point = SingularPoint(Fraction(1, 16))
+    want = [translate(op, point.value).to_json() for op in (rational, surd)]
+    assert want[0] != want[1]
+    for _ in range(2):
+        assert [local_operator(op, point).to_json() for op in (rational, surd)] == want
+        assert [local_operator(op, point).to_json() for op in (surd, surd, rational, rational)] == [want[1]] * 2 + [want[0]] * 2
+
+
+def test_annihilation_over_a_basis_translates_once(monkeypatch):
+    calls = []
+    inner = optheta.translate
+
+    def counted(op, a):
+        calls.append(a)
+        return inner(op, a)
+
+    monkeypatch.setattr(optheta, "translate", counted)
+    op = ThetaOperator.from_theta_polys([P(0, 0, 1), P(-4, -16, -16)])  # a new object: no memo entry
+    point = SingularPoint(Fraction(1, 16))
+    basis = local_basis(op, point)
+    orders = [annihilation_order(op, point, sol) for sol in basis]
+    assert len(calls) == 1 and len(orders) == 2
+    assert orders == [sol.truncation - basis.local_op.r for sol in basis]
+
+
+@pytest.mark.parametrize("aid", [4, 266])
+def test_classify_basis_matches_classify_point(aid):
+    op = CATALOG[aid].operator
+    for point in riemann_symbol(op).points():
+        basis = local_basis(op, point)
+        label = classify_point(op, point)
+        assert classify_basis(basis) is label
+        assert classify_basis(basis, jordan_structure(basis).all_blocks()) is label

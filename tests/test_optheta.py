@@ -12,7 +12,6 @@ from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scala
 from picardfuchs.errors import TruncationTooLow
 from picardfuchs.optheta import (
     DOperator,
-    _apply_local_scalar,
     apply_local,
     apply_to_series,
     d_from_theta,
@@ -24,6 +23,8 @@ from picardfuchs.optheta import (
     theta_from_d,
     top_profile,
 )
+
+import scalar_reference as ref
 
 
 def P(*cs):
@@ -141,7 +142,37 @@ def test_apply_local_integer_path_matches_scalar_path(op, alpha, table, extra):
     # width-1 tables are power series, alpha = 0 among them
     upto = len(table) - 1 + extra
     got = apply_local(op, alpha, table, upto)
-    want = _apply_local_scalar(op, alpha, table, upto, max(len(row) for row in table))
+    want = ref.apply_local(op, alpha, table, upto)
+    assert _typed(got) == _typed(want)
+
+
+def _surd_entries(d):
+    return st.one_of(_entries, st.builds(QuadraticNumber, _entries, _entries, st.just(d)), st.just(QuadraticNumber(0, 0, d)))
+
+
+# an operator with rational P_0 and Q(sqrt 2) coefficients above it, and one
+# with a zero P_1 between two polynomials that hold QuadraticNumbers
+_SURD_OPS = [
+    ThetaOperator([P(0, 0, 1), Polynomial([QuadraticNumber(1, 1, 2), 3]), P(-2, 0, 1)]),
+    ThetaOperator([Polynomial([QuadraticNumber(0, 0, 2), 1, QuadraticNumber(1, -1, 2)]), P(), P(1, 2)]),
+]
+
+
+@pytest.mark.parametrize("d", [-3, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), extra=st.integers(0, 4))
+def test_apply_local_matches_scalar_path_over_a_quadratic_field(d, data, extra):
+    # operator, exponent or table over Q(sqrt d), zeros of both types included:
+    # the fraction-free sum over Z[sqrt d] gives the scalar loop's values and types
+    entries = _surd_entries(d)
+    ops = [LEGENDRE, CATALOG[153].operator]
+    ops += [QUADRATIC_LOCAL] if d == -3 else _SURD_OPS
+    op = data.draw(st.one_of(st.sampled_from(ops), st.lists(st.lists(entries, max_size=4).map(Polynomial), min_size=1, max_size=4).map(ThetaOperator)))
+    alpha = data.draw(entries)
+    table = data.draw(st.lists(st.lists(entries, min_size=1, max_size=4), min_size=1, max_size=10))
+    upto = len(table) - 1 + extra
+    got = apply_local(op, alpha, table, upto)
+    want = ref.apply_local(op, alpha, table, upto)
     assert _typed(got) == _typed(want)
 
 
