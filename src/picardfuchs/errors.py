@@ -86,7 +86,15 @@ class VanishingConstantTerm(ValueError):
 
 
 class InsufficientTerms(ValueError):
-    """Too few series terms for the requested guessing box."""
+    """Too few series terms for the requested guessing box or recurrence."""
+
+
+class InvalidGuessBox(ValueError):
+    """A guessing box needs max_order >= 1, max_degree >= 0 and margin >= 1."""
+
+
+class ZeroSeries(ValueError):
+    """Guessing was asked for the zero series, which every operator annihilates."""
 
 
 class NoEtaProduct(ValueError):

@@ -4,8 +4,18 @@ Unknowns are the theta-polynomial coefficients of P = sum_i t^i P_i(theta);
 reading off the coefficient of t^m in P y gives the linear condition
 sum_i P_i(m - i) A_{m-i} = 0.  Candidate shapes (order, t-degree) are
 searched in lexicographic order and the first nullspace vector whose
-operator annihilates the full input series is returned.  Elimination is
-fraction-free on integer rows, so coefficient growth stays exact.
+operator annihilates the full input series is returned.
+
+The series is cleared once: with D the lcm of the denominators and
+N_k = D A_k, one table holds N_k k^j for every index k and every j up to the
+largest order, and the rows of each shape are slices of it.  Before any exact
+work a shape is screened modulo the prime p = 2^61 - 1: if its rows reach
+full column rank mod p the shape is skipped.  The screen is exact, because
+rank mod p never exceeds the rank over Q, so a shape it skips has an empty
+nullspace.  Every other shape, including one that fails only because p is
+unlucky, goes through the same exact path as without the screen:
+fraction-free elimination on primitive integer rows, then a check of each
+nullspace candidate against the complete series.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .arith import Polynomial, PowerSeries, as_scalar, collapse
-from .errors import InsufficientTerms
+from .errors import InsufficientTerms, InvalidGuessBox, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
 
@@ -24,8 +34,12 @@ class GuessConfig:
     __slots__ = ("max_order", "max_degree", "margin")
 
     def __init__(self, max_order, max_degree, margin=10):
-        assert max_order >= 1 and max_degree >= 0
-        assert margin >= 1, "at least one surplus equation is required"
+        if max_order < 1:
+            raise InvalidGuessBox("max_order must be at least 1, got %s" % (max_order,))
+        if max_degree < 0:
+            raise InvalidGuessBox("max_degree must be at least 0, got %s" % (max_degree,))
+        if margin < 1:
+            raise InvalidGuessBox("margin must be at least 1 (one surplus equation), got %s" % (margin,))
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "margin", margin)
@@ -44,14 +58,40 @@ class GuessConfig:
         )
 
 
-def _integer_row(row):
-    dens = [c.denominator for c in row]
-    scale = math.lcm(*dens)
-    ints = [int(c * scale) for c in row]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+# the screening prime; any prime is sound, a large one is rarely unlucky
+_PRIME = (1 << 61) - 1
+
+
+def _full_rank_mod_p(rows, ncols):
+    """True when the integer rows reach rank ncols modulo _PRIME.
+
+    Rows are reduced one at a time into echelon form and the scan stops once
+    the rank is ncols.  True proves an empty nullspace over Q, since reducing
+    mod p cannot raise the rank; False proves nothing.
+    """
+    p = _PRIME
+    echelon = {}  # pivot column -> row that is 0 before that column and 1 at it
+    for row in rows:
+        v = [x % p for x in row]
+        for c in range(ncols):
+            x = v[c]
+            if not x:
+                continue
+            piv = echelon.get(c)
+            if piv is None:
+                inv = pow(x, -1, p)
+                echelon[c] = [y * inv % p for y in v]
+                if len(echelon) == ncols:
+                    return True
+                break
+            for j in range(c + 1, ncols):
+                v[j] = (v[j] - x * piv[j]) % p
+    return False
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _nullspace(rows, ncols):
@@ -108,24 +148,26 @@ def guess_operator(coeffs, config=None, *, max_order=None, max_degree=None, marg
             "%d terms given, %d required for a (%d, %d) box with margin %d"
             % (len(series), config.required_terms(), config.max_order, config.max_degree, config.margin)
         )
-    assert any(series), "zero series admits every operator"
+    if not any(series):
+        raise ZeroSeries("the zero series is annihilated by every operator")
     y = PowerSeries(series, len(series) - 1)
-    top = len(series) - 1
+    # cleared table: blocks[k] = [N_k k^j for j = 0..max_order], N_k = D A_k
+    D = math.lcm(*(a.denominator for a in series))
+    blocks = []
+    for k, a in enumerate(series):
+        nk = a.numerator * (D // a.denominator)
+        blocks.append([nk * k**j for j in range(config.max_order + 1)])
     for n in range(1, config.max_order + 1):
+        zero = [0] * (n + 1)
         for r in range(config.max_degree + 1):
             ncols = (n + 1) * (r + 1)
-            rows = []
-            for m in range(top + 1):
-                row = []
-                for i in range(r + 1):
-                    a = series[m - i] if m - i >= 0 else Fraction(0)
-                    if not a:
-                        row.extend([Fraction(0)] * (n + 1))
-                        continue
-                    row.extend(a * (m - i) ** j for j in range(n + 1))
-                rows.append(row)
-            int_rows = [_integer_row(row) for row in rows]
-            for vec in _nullspace(int_rows, ncols):
+            rows = [
+                [x for i in range(r + 1) for x in (blocks[m - i][: n + 1] if m >= i else zero)]
+                for m in range(len(series))
+            ]
+            if _full_rank_mod_p(rows, ncols):
+                continue
+            for vec in _nullspace([_primitive(row) for row in rows], ncols):
                 polys = [Polynomial(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(r + 1)]
                 if all(p.is_zero for p in polys):
                     continue
@@ -168,7 +210,8 @@ class Recurrence:
         """Continue the series to index `upto` from enough initial terms."""
         vals = [Fraction(collapse(as_scalar(c))) for c in initial]
         r = self.op.r
-        assert len(vals) > r, "need more initial terms than the t-degree"
+        if len(vals) <= r:
+            raise InsufficientTerms("%d initial terms given, more than the t-degree %d required" % (len(vals), r))
         p0 = self.op.theta_coeffs[0]
         for m in range(len(vals), upto + 1):
             lead = p0(m)

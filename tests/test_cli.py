@@ -233,8 +233,25 @@ MALFORMED_FILES = [
         {"form": "theta", "coeffs": [["-100000980001501", "0", "1"], ["1", "1", "1"]]},
         "pf: cannot factor 100000980001501\n",
     ),
+    # guessing boxes below their bounds, and the zero series
+    (["guess", "--series", "{}", "--max-degree", "-1"], ["1"] * 30, "pf: max_degree must be at least 0, got -1\n"),
+    (["guess", "--series", "{}", "--margin", "0"], ["1"] * 60, "pf: margin must be at least 1 (one surplus equation), got 0\n"),
+    (
+        ["guess", "--series", "{}", "--max-order", "1", "--max-degree", "1"],
+        ["0"] * 30,
+        "pf: the zero series is annihilated by every operator\n",
+    ),
 ]
-_MALFORMED_IDS = ["octic", "tetra", "transform-zero", "yukawa-order-0", "symbol-unfactorable"]
+_MALFORMED_IDS = [
+    "octic",
+    "tetra",
+    "transform-zero",
+    "yukawa-order-0",
+    "symbol-unfactorable",
+    "guess-degree",
+    "guess-margin",
+    "guess-zero",
+]
 
 
 @pytest.mark.parametrize("argv, doc, message", MALFORMED_FILES, ids=_MALFORMED_IDS)

@@ -2,20 +2,29 @@
 
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
+from guess_reference import reference_guess
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from shapes import fuchsian_shapes
 
 from picardfuchs import (
+    CATALOG,
     DERIVED_OPERATORS,
     GuessConfig,
     MobiusMap,
+    SingularPoint,
     ThetaOperator,
+    guess,
     guess_operator,
+    local_basis,
     mobius,
     recurrence_from_operator,
 )
 from picardfuchs.arith import Polynomial, PowerSeries
-from picardfuchs.errors import InsufficientTerms
+from picardfuchs.errors import InsufficientTerms, InvalidGuessBox, ZeroSeries
 from picardfuchs.optheta import apply_to_series
 
 
@@ -94,3 +103,159 @@ def test_recurrence_extend():
     rec2 = recurrence_from_operator(LEGENDRE)
     vals = rec2.extend([1, 4], 8)
     assert vals == [comb(2 * n, n) ** 2 for n in range(9)]
+
+
+def test_recurrence_extend_needs_more_initial_terms_than_the_degree():
+    with pytest.raises(InsufficientTerms):
+        recurrence_from_operator(LEGENDRE).extend([1], 8)
+
+
+@pytest.mark.parametrize("box", [(0, 1, 10), (1, -1, 10), (1, 1, 0)], ids=["order", "degree", "margin"])
+def test_invalid_box_raises(box):
+    with pytest.raises(InvalidGuessBox):
+        GuessConfig(*box)
+
+
+def test_zero_series_raises():
+    with pytest.raises(ZeroSeries):
+        guess_operator([0] * 30, GuessConfig(1, 1, 10))
+
+
+def test_guessing_errors_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs import GuessConfig, ThetaOperator, guess_operator, recurrence_from_operator\n"
+        "from picardfuchs.arith import Polynomial\n"
+        "op = ThetaOperator.from_theta_polys([Polynomial([0, 0, 1]), Polynomial([-4, -16, -16])])\n"
+        "calls = [lambda: GuessConfig(0, 1), lambda: GuessConfig(1, -1), lambda: GuessConfig(1, 1, 0),\n"
+        "         lambda: guess_operator([0] * 30, GuessConfig(1, 1, 10)),\n"
+        "         lambda: recurrence_from_operator(op).extend([1], 8)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    assert run_optimized(code).split() == ["InvalidGuessBox"] * 3 + ["ZeroSeries", "InsufficientTerms"]
+
+
+# -- the modular screen against the loop it replaced ---------------------------
+
+DEFAULT_BOX = GuessConfig(4, 9, 10)
+REFERENCE_OPERATORS = (4, 72, 35, 97, 33, 247, 252)
+
+
+def holomorphic_series(op, terms):
+    """The power series solution at 0 with constant term 1."""
+    basis = local_basis(op, SingularPoint(0), terms - 1)
+    sol = next(s for s in basis.solutions if s.alpha == 0 and s.is_log_free() and s.coeff(0, 0) == 1)
+    return sol.power_coeffs()
+
+
+def scaled(series, c):
+    """Coefficients of y(ct)."""
+    return [a * c**k for k, a in enumerate(series)]
+
+
+def _json(op):
+    return None if op is None else op.to_json()
+
+
+def _same_as_reference(series, box):
+    got = guess_operator(series, box)
+    assert _json(got) == _json(reference_guess(series, box))
+    return got
+
+
+@pytest.mark.parametrize("aid", REFERENCE_OPERATORS)
+def test_matches_reference_on_catalog_series(aid):
+    op = CATALOG[aid].operator
+    got = _same_as_reference(holomorphic_series(op, DEFAULT_BOX.required_terms()), DEFAULT_BOX)
+    assert got.normalized() == op.normalized()
+
+
+@pytest.mark.parametrize("aid", REFERENCE_OPERATORS)
+def test_matches_reference_on_scaled_series_and_exhausted_boxes(aid):
+    # c = -2/3 gives every coefficient beyond A_0 a denominator; a box one
+    # order too small is exhausted
+    op = CATALOG[aid].operator
+    for box in (GuessConfig(4, op.r + 1, 10), GuessConfig(op.order - 1, 4, 10)):
+        series = scaled(holomorphic_series(op, box.required_terms()), Fraction(-2, 3))
+        got = _same_as_reference(series, box)
+        assert (got is None) == (box.max_order < op.order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=fuchsian_shapes(), c=st.sampled_from([1, Fraction(-2, 3)]), margin=st.integers(1, 6))
+def test_matches_reference_on_generated_operators(op, c, margin):
+    box = GuessConfig(4, 2, margin)
+    try:
+        basis = local_basis(op, SingularPoint(0), box.required_terms() - 1)
+    except ValueError:  # a shape the Frobenius engine rejects has no series to guess from
+        return
+    for sol in basis.solutions:
+        if sol.is_log_free():
+            _same_as_reference(scaled(sol.power_coeffs(), c), box)
+
+
+def _screen_cases():
+    central = [comb(2 * n, n) ** 2 for n in range(30)]
+    yield central, GuessConfig(2, 1, 10)
+    yield central, GuessConfig(1, 1, 5)
+    yield [1] * 40, GuessConfig(2, 2, 10)
+    for aid in (4, 72, 35):
+        op = CATALOG[aid].operator
+        for box in (GuessConfig(4, op.r + 1, 10), GuessConfig(op.order - 1, 4, 10)):
+            series = holomorphic_series(op, box.required_terms())
+            yield series, box
+            yield scaled(series, Fraction(-2, 3)), box
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_small_screening_primes_change_no_result(prime):
+    cases = list(_screen_cases())
+    want = [_json(guess_operator(series, box)) for series, box in cases]
+    exact = mock.Mock(wraps=guess._nullspace)
+    with mock.patch.object(guess, "_PRIME", prime), mock.patch.object(guess, "_nullspace", exact):
+        assert [_json(guess_operator(series, box)) for series, box in cases] == want
+    # the small prime lets through shapes that the default one screens out
+    assert exact.call_count > 2 * len(cases)
+
+
+def test_screen_on_a_matrix_singular_only_mod_p():
+    p = guess._PRIME
+    assert not guess._full_rank_mod_p([[p, 0], [0, 1]], 2)
+    assert guess._nullspace([[p, 0], [0, 1]], 2) == []
+    assert guess._full_rank_mod_p([[p + 1, 0], [0, 1]], 2)
+
+
+_matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-6, 6) | st.sampled_from([guess._PRIME, 3 * guess._PRIME]), min_size=ncols, max_size=ncols),
+        min_size=1,
+        max_size=7,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_matrices, prime=st.sampled_from([2, 3, 5, guess._PRIME]))
+def test_screen_never_claims_full_rank_wrongly(rows, prime):
+    sympy = pytest.importorskip("sympy")
+    ncols = len(rows[0])
+    with mock.patch.object(guess, "_PRIME", prime):
+        full = guess._full_rank_mod_p(rows, ncols)
+    if full:
+        assert sympy.Matrix(rows).rank() == ncols
+
+
+@pytest.mark.parametrize("aid", [35, 97])
+def test_one_exact_elimination_and_one_candidate_in_the_default_box(aid, monkeypatch):
+    # counts, not times: the screen must leave one shape to exact elimination,
+    # and candidates are checked through the module's apply_to_series
+    series = holomorphic_series(CATALOG[aid].operator, DEFAULT_BOX.required_terms())
+    exact = mock.Mock(wraps=guess._nullspace)
+    applied = mock.Mock(wraps=guess.apply_to_series)
+    monkeypatch.setattr(guess, "_nullspace", exact)
+    monkeypatch.setattr(guess, "apply_to_series", applied)
+    assert guess_operator(series, DEFAULT_BOX) is not None
+    assert exact.call_count == 1 and applied.call_count == 1
