@@ -85,6 +85,14 @@ class VanishingConstantTerm(ValueError):
     """The five-plane factor vanishes at the origin; no conifold expansion."""
 
 
+class NegativeExponent(ValueError):
+    """A simplex monomial integral was asked with a negative exponent."""
+
+
+class InexactDivision(ValueError):
+    """An integer kernel met a remainder where its integrality argument rules one out."""
+
+
 class InsufficientTerms(ValueError):
     """Too few series terms for the requested guessing box or recurrence."""
 
@@ -99,6 +107,22 @@ class ZeroSeries(ValueError):
 
 class NoEtaProduct(ValueError):
     """The named modular form has a coefficient table but no eta-product."""
+
+
+class CoefficientOutOfRange(ValueError):
+    """A q-series coefficient was asked below q^0 or beyond the truncation."""
+
+
+class NonUnitConstantTerm(ValueError):
+    """An integer series was inverted whose constant term is not +-1, so the inverse is not integral."""
+
+
+class InvalidEtaProduct(ValueError):
+    """An eta product needs a leading power >= 0 and factors (m, e) with m >= 1 and e != 0."""
+
+
+class InvalidFormRecord(ValueError):
+    """A form's prime table is misaligned with its primes, or the primes are not increasing."""
 
 
 class EvenPrime(ValueError):

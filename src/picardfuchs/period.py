@@ -8,6 +8,20 @@ integrating each trivariate monomial against the square-root weight over the
 unit simplex.  Everything is exact; when P(0,0,0,0) is not a rational square
 the leftover 1/sqrt factor rides along as a global quadratic unit and the
 condition is recorded on the result.
+
+The expansion runs on integers.  Write P(tx,ty,tz,t)/P(0,0,0,0) = 1 + u with
+u = sum_j u_j t^j, and let L be the lcm of the denominators of the u_j, so
+U_j = L u_j is integral.  r = (1+u)^(-1/2) = sum_k (-1)^k binom(2k,k) u^k / 4^k,
+and the t^m part of u^k has denominator dividing L^k with k <= m, so
+R_m = (4L)^m r_m has integer coefficients.  The recurrence r' (1+u) = -u' r / 2
+becomes
+
+    m R_m = sum_j (j - 2m) 2^(2j-1) L^(j-1) U_j R_(m-j),
+
+whose division by m is exact; a remainder raises InexactDivision.  The simplex
+integral of x^a y^b z^c is h(a) h(b) h(c) / (4^s (s+1)!) with h(a) = (2a)!/a!
+and s = a+b+c <= m, so A_m is one integer sum over the common denominator
+4^m (m+1)! (4L)^m, and the only Fraction built is A_m itself.
 """
 
 from __future__ import annotations
@@ -24,23 +38,26 @@ from .arith import (
     quadratic_sqrt,
     scalar_to_json,
 )
-from .errors import InvalidTetraForm, VanishingConstantTerm
+from .errors import InexactDivision, InvalidTetraForm, NegativeExponent, VanishingConstantTerm
 from .optheta import apply_to_series
+
+
+def _half_factorials(n):
+    """h(a) = (2a)!/a! for a = 0..n, by h(a) = 2 (2a - 1) h(a - 1)."""
+    h = [1]
+    for a in range(1, n + 1):
+        h.append(h[-1] * (4 * a - 2))
+    return h
 
 
 @lru_cache(maxsize=None)
 def simplex_monomial_integral(a, b, c):
     """(1/pi^2) * integral over the unit simplex of x^(a-1/2) y^(b-1/2) z^(c-1/2) (1-x-y-z)^(-1/2)."""
-    assert a >= 0 and b >= 0 and c >= 0
-    num = math.factorial(2 * a) * math.factorial(2 * b) * math.factorial(2 * c)
-    den = (
-        4 ** (a + b + c)
-        * math.factorial(a)
-        * math.factorial(b)
-        * math.factorial(c)
-        * math.factorial(a + b + c + 1)
-    )
-    return Fraction(num, den)
+    if min(a, b, c) < 0:
+        raise NegativeExponent("simplex integral needs nonnegative exponents, got %s" % ((a, b, c),))
+    h = _half_factorials(max(a, b, c))
+    s = a + b + c
+    return Fraction(h[a] * h[b] * h[c], 4**s * math.factorial(s + 1))
 
 
 class TetraForm:
@@ -154,13 +171,6 @@ class PeriodSeries:
     def truncation(self):
         return len(self.coeffs) - 1
 
-    def scaled_coefficient(self, i):
-        """The literal series coefficient unit * A_i."""
-        return collapse(as_scalar(self.unit * self.coeffs[i]))
-
-    def as_power_series(self):
-        return PowerSeries(self.coeffs, self.truncation)
-
     def to_json(self):
         out = {"A": [str(c) for c in self.coeffs]}
         if self.unit != 1:
@@ -180,41 +190,53 @@ def conifold_expand(f):
     if not lead:
         raise VanishingConstantTerm("P(0,0,0,0) = 0; the expansion point is not admissible")
     N = f.truncation
-    # t-graded pieces of P(tx,ty,tz,t)/P0 - 1; grade = total degree
+    # t-graded pieces u_j of P(tx,ty,tz,t)/P0 - 1 (grade = total degree); an
+    # exponent (a, b, c) of x, y, z is packed as (a B + b) B + c, and no
+    # exponent of r_m exceeds m <= N < B, so adding packed keys multiplies
+    B = N + 1
     pieces = {}
     for (ex, ey, ez, et), cval in f.terms.items():
         j = ex + ey + ez + et
-        if j == 0 or j > N:
-            continue
-        d = pieces.setdefault(j, {})
-        key = (ex, ey, ez)
-        d[key] = d.get(key, Fraction(0)) + cval / lead
+        if 0 < j <= N:
+            pieces.setdefault(j, []).append(((ex * B + ey) * B + ez, cval / lead))
+    L = math.lcm(*(u.denominator for terms in pieces.values() for _key, u in terms))
     grades = sorted(pieces)
-    # r = (1 + u)^e, e = -1/2, degree by degree: r' (1 + u) = e u' r gives
-    # m r_m = sum_j ((e + 1) j - m) u_j r_(m-j), with trivariate polynomials as coefficients
-    e = Fraction(-1, 2)
-    r = [{(0, 0, 0): Fraction(1)}]
+    packed = {j: [(key, u.numerator * (L // u.denominator)) for key, u in pieces[j]] for j in grades}
+    scale = {j: 2 ** (2 * j - 1) * L ** (j - 1) for j in grades}
+    R = [{0: 1}]
     for m in range(1, N + 1):
         acc = {}
         for j in grades:
             if j > m:
                 break
-            w = (e + 1) * j - m
-            if not w:
-                continue
-            prev = r[m - j]
-            for (ax, ay, az), ucoef in pieces[j].items():
-                scaled = w * ucoef
-                for (bx, by, bz), rcoef in prev.items():
-                    key = (ax + bx, ay + by, az + bz)
-                    acc[key] = acc.get(key, Fraction(0)) + scaled * rcoef
-        r.append({k: v / m for k, v in acc.items() if v})
+            w = (j - 2 * m) * scale[j]
+            prev = R[m - j].items()
+            for akey, ucoef in packed[j]:
+                wu = w * ucoef
+                for bkey, rcoef in prev:
+                    key = akey + bkey
+                    acc[key] = acc.get(key, 0) + wu * rcoef
+        row = {}
+        for key, v in acc.items():
+            if v:
+                q, rem = divmod(v, m)
+                if rem:
+                    raise InexactDivision("the period recurrence left a remainder at t^%d" % m)
+                row[key] = q
+        R.append(row)
+    h = _half_factorials(N)
     raw = []
-    for m in range(N + 1):
-        total = Fraction(0)
-        for (a, b, c), coef in r[m].items():
-            total += coef * simplex_monomial_integral(a, b, c)
-        raw.append(total)
+    for m, row in enumerate(R):
+        # weight[s] = 4^(m-s) (m+1)!/(s+1)! puts every monomial over 4^m (m+1)!
+        weight = [1] * (m + 1)
+        for s in range(m - 1, -1, -1):
+            weight[s] = weight[s + 1] * 4 * (s + 2)
+        total = 0
+        for key, coef in row.items():
+            ab, c = divmod(key, B)
+            a, b = divmod(ab, B)
+            total += coef * h[a] * h[b] * h[c] * weight[a + b + c]
+        raw.append(Fraction(total, 4**m * math.factorial(m + 1) * (4 * L) ** m))
     root = quadratic_sqrt(lead)
     if isinstance(root, QuadraticNumber):
         return PeriodSeries(raw, unit=1 / root, conditions=("NonSquareLeadingValue",))

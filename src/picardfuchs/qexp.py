@@ -9,7 +9,10 @@ as coefficient identities.
 
 Point counts for u^2 = f8 are raw chartwise sums of 1 + chi_p(f8) over
 P^3(F_p), chi_p the quadratic character with chi_p(0) = 0; well defined
-because deg f8 = 8 is even.
+because deg f8 = 8 is even.  For eight linear forms the sum runs on p-bit
+masks along the lines of the charts: chi_p is multiplicative, so on a line
+where each form reads b + c v the character sum is a popcount of the points
+where no form vanishes, signed by the parity of the non-residue factors.
 """
 
 from __future__ import annotations
@@ -17,7 +20,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import QuadraticNumber, _is_probable_prime
-from .errors import EvenPrime, InvalidOctic, NoEtaProduct, NotPrime
+from .errors import (
+    CoefficientOutOfRange,
+    EvenPrime,
+    InvalidEtaProduct,
+    InvalidFormRecord,
+    InvalidOctic,
+    NoEtaProduct,
+    NonUnitConstantTerm,
+    NotPrime,
+    TruncationTooLow,
+)
 
 
 class QSeries:
@@ -37,7 +50,8 @@ class QSeries:
         raise AttributeError("QSeries is immutable")
 
     def coefficient(self, n):
-        assert 0 <= n <= self.truncation, "coefficient beyond truncation"
+        if not 0 <= n <= self.truncation:
+            raise CoefficientOutOfRange("coefficient q^%d outside q^0 .. q^%d" % (n, self.truncation))
         return self.coeffs[n]
 
     def leading_power(self):
@@ -47,7 +61,8 @@ class QSeries:
         return None
 
     def __mul__(self, other):
-        assert isinstance(other, QSeries)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         n = min(self.truncation, other.truncation)
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
@@ -101,7 +116,8 @@ def _inverse_unit(qs):
     # constant term must be +-1 so the inverse stays integral
     n = qs.truncation
     lead = qs.coeffs[0]
-    assert lead in (1, -1)
+    if lead not in (1, -1):
+        raise NonUnitConstantTerm("constant term %d has no integral inverse" % lead)
     out = [0] * (n + 1)
     out[0] = lead
     for m in range(1, n + 1):
@@ -119,8 +135,10 @@ class EtaProductSpec:
 
     def __init__(self, leading_power, factors):
         factors = tuple((int(m), int(e)) for m, e in factors)
-        assert all(m >= 1 and e != 0 for m, e in factors)
-        object.__setattr__(self, "leading_power", int(leading_power))
+        leading_power = int(leading_power)
+        if leading_power < 0 or not all(m >= 1 and e != 0 for m, e in factors):
+            raise InvalidEtaProduct("no eta product q^%d %s" % (leading_power, factors))
+        object.__setattr__(self, "leading_power", leading_power)
         object.__setattr__(self, "factors", factors)
 
     def __setattr__(self, *args):
@@ -136,7 +154,8 @@ class EtaProductSpec:
 
 def eta_product(spec, N):
     """Exact expansion of the eta product through q^N."""
-    assert N >= 1
+    if N < 1:
+        raise TruncationTooLow("an eta product needs N >= 1, got %d" % N)
     out = QSeries([1], N)
     for m, e in spec.factors:
         block = _euler_block(m, N)
@@ -161,8 +180,10 @@ class FormRecord:
         object.__setattr__(self, "table", tuple(table))
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "notes", notes)
-        assert len(self.primes) == len(self.table)
-        assert all(p < q for p, q in zip(self.primes, self.primes[1:]))
+        if len(self.primes) != len(self.table):
+            raise InvalidFormRecord("%s: %d primes but %d coefficients" % (name, len(self.primes), len(self.table)))
+        if not all(p < q for p, q in zip(self.primes, self.primes[1:])):
+            raise InvalidFormRecord("%s: primes must increase" % (name,))
 
     def __setattr__(self, *args):
         raise AttributeError("FormRecord is immutable")
@@ -300,7 +321,8 @@ def verify_form_table(name, N=None):
         raise NoEtaProduct("form %r is stored as table data only" % (rec.name,))
     if N is None:
         N = rec.primes[-1]
-    assert N >= rec.primes[-1], "expansion too short for the table"
+    if N < rec.primes[-1]:
+        raise TruncationTooLow("expansion through q^%d is too short for a_%d" % (N, rec.primes[-1]))
     qs = eta_product(rec.eta, N)
     rows = []
     for p, want in zip(rec.primes, rec.table):
@@ -346,11 +368,58 @@ def _octic_terms(f8, p):
     return None, forms
 
 
+def _chart_lines(p):
+    """Lines (x, y, z, vs) covering P^3(F_p) once: the points (x, y, z, v), v in vs.
+
+    The charts are (1, y, z, v), (0, 1, z, v), (0, 0, 1, v) and the point
+    (0, 0, 0, 1), which is the line (0, 0, 0, v) cut to v = 1.
+    """
+    every = range(p)
+    for y in every:
+        for z in every:
+            yield 1, y, z, every
+    for z in every:
+        yield 0, 1, z, every
+    yield 0, 0, 1, every
+    yield 0, 0, 0, range(1, 2)
+
+
+def _line_masks(c, p, chi):
+    """Zero and non-residue masks over v of b + c v, for b = 0 .. p-1.
+
+    Bit v of zeros[b] is set when b + c v = 0 mod p, bit v of odd[b] when
+    chi_p(b + c v) = -1.
+    """
+    full = (1 << p) - 1
+    if c == 0:
+        return [full if b == 0 else 0 for b in range(p)], [full if chi[b] < 0 else 0 for b in range(p)]
+    # b + c v = c (v + b/c): the masks for b are those for b = 0 rotated down by b/c
+    base = sum(1 << v for v in range(p) if chi[c * v % p] < 0)
+    inv = pow(c, -1, p)
+    zeros, odd = [], []
+    for b in range(p):
+        k = b * inv % p
+        zeros.append(1 << (-k % p))
+        odd.append(((base >> k) | (base << (p - k))) & full)
+    return zeros, odd
+
+
 def count_double_octic(f8, p):
     """Number of F_p-points of u^2 = f8(x,y,z,v) over P^3(F_p), chartwise.
 
     Each projective point contributes 1 + chi_p(f8), with chi_p(0) = 0, so
-    branch points count once and the two sheets count elsewhere.
+    branch points count once and the two sheets count elsewhere.  The points
+    are walked line by line (`_chart_lines`).  For a product of linear forms
+    l_i, chi_p is multiplicative, so on a line each l_i reads b_i + c_i v and
+    the line's character sum is
+
+        popcount(live & ~par) - popcount(live & par),
+        live = ~(OR_i zeros_i[b_i]),  par = XOR_i odd_i[b_i],
+
+    with the p-bit masks of `_line_masks` over v: a point counts where no form
+    vanishes, with the sign of the parity of its non-residue factors.  That is
+    8 mask operations per line in place of 8 evaluations per point.  A
+    monomial octic is evaluated point by point along the same lines.
     """
     p = int(p)
     if p == 2:
@@ -359,34 +428,23 @@ def count_double_octic(f8, p):
         raise NotPrime("the double-cover count needs a prime, got %d" % p)
     chi = _quadratic_character_table(p)
     terms, forms = _octic_terms(f8, p)
-
-    def value(pt):
-        if forms is not None:
-            acc = 1
-            for f in forms:
-                v = (f[0] * pt[0] + f[1] * pt[1] + f[2] * pt[2] + f[3] * pt[3]) % p
-                if v == 0:
-                    return 0
-                acc = acc * v % p
-            return acc
-        acc = 0
-        for c, (ex, ey, ez, ev) in terms:
-            acc += c * pow(pt[0], ex, p) * pow(pt[1], ey, p) * pow(pt[2], ez, p) * pow(pt[3], ev, p)
-        return acc % p
-
     total = 0
-    reps = []
-    rng = range(p)
-    for y in rng:
-        for z in rng:
-            for v in rng:
-                reps.append((1, y, z, v))
-    for z in rng:
-        for v in rng:
-            reps.append((0, 1, z, v))
-    for v in rng:
-        reps.append((0, 0, 1, v))
-    reps.append((0, 0, 0, 1))
-    for pt in reps:
-        total += 1 + chi[value(pt)]
+    if forms is None:
+        for x, y, z, vs in _chart_lines(p):
+            for v in vs:
+                acc = 0
+                for c, (ex, ey, ez, ev) in terms:
+                    acc += c * pow(x, ex, p) * pow(y, ey, p) * pow(z, ez, p) * pow(v, ev, p)
+                total += 1 + chi[acc % p]
+        return total
+    masks = {c: _line_masks(c, p, chi) for c in {f[3] for f in forms}}
+    lines = [(f[0], f[1], f[2]) + masks[f[3]] for f in forms]
+    for x, y, z, vs in _chart_lines(p):
+        dead = par = 0
+        for a0, a1, a2, zeros, odd in lines:
+            b = (a0 * x + a1 * y + a2 * z) % p
+            dead |= zeros[b]
+            par ^= odd[b]
+        live = (((1 << len(vs)) - 1) << vs.start) & ~dead
+        total += len(vs) + (live & ~par).bit_count() - (live & par).bit_count()
     return total

@@ -1,0 +1,178 @@
+"""The integer period expansion and the mask point count against the loops they replaced.
+
+`period_reference` keeps the Fraction recurrence and the per-point count.
+Both kernels must give the same PeriodSeries (JSON and scalar types) and the
+same counts, and fail with the same error types, on random inputs and on the
+edge cases named below.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import period_reference as ref
+from picardfuchs import TetraForm, conifold_expand, count_double_octic
+from picardfuchs import period
+from picardfuchs.catalog_data import TETRA_DEMO
+from picardfuchs.errors import InexactDivision
+from test_qexp import _expand, _fibre_planes
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+nonzero_rationals = small_rationals.filter(bool)
+exponent_keys = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+def _same_series(form):
+    want = ref.conifold_expand(form)
+    got = period.conifold_expand(form)
+    assert got.to_json() == want.to_json()
+    assert type(got.unit) is type(want.unit)
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert got.conditions == want.conditions
+
+
+@given(
+    nonzero_rationals,
+    st.lists(st.tuples(exponent_keys, small_rationals), max_size=6),
+    st.integers(0, 7),
+)
+@settings(max_examples=80, deadline=None)
+def test_expansion_matches_fraction_recurrence(lead, pairs, truncation):
+    # a list of pairs may repeat a key; degrees up to 12 run past the truncation
+    form = TetraForm([((0, 0, 0, 0), lead)] + pairs, truncation)
+    if not form.constant_term():
+        return
+    _same_series(form)
+
+
+@pytest.mark.parametrize("scale", [1, 2, -1, -3, 9, Fraction(4, 9), Fraction(-5, 7)])
+@pytest.mark.parametrize("truncation", [0, 1, 10])
+def test_demo_expansion_matches_for_square_and_nonsquare_leads(scale, truncation):
+    _same_series(TetraForm.from_planes(TETRA_DEMO["planes"], scale=scale, truncation=truncation))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [((0, 0, 0, 0), 3), ((0, 0, 0, 1), Fraction(1, 2)), ((0, 0, 0, 3), -7)],  # t only
+        [((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((1, 0, 0, 0), Fraction(1, 3))],  # a repeated key
+        [((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((1, 0, 0, 0), -1), ((0, 2, 1, 0), 5)],  # cancels to 0
+        [((0, 0, 0, 0), -2), ((3, 3, 3, 3), 1)],  # only a term beyond the truncation
+    ],
+)
+def test_expansion_edge_forms(terms):
+    _same_series(TetraForm(terms, 6))
+
+
+def test_remainder_in_the_recurrence_raises(monkeypatch):
+    monkeypatch.setattr(period, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InexactDivision):
+        conifold_expand(TetraForm.from_planes(TETRA_DEMO["planes"], truncation=3))
+
+
+def test_remainder_in_the_recurrence_raises_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs import TetraForm, conifold_expand, period\n"
+        "from picardfuchs.catalog_data import TETRA_DEMO\n"
+        "from picardfuchs.errors import InexactDivision\n"
+        "period.divmod = lambda a, b: (a // b, 1)\n"
+        "try:\n"
+        "    conifold_expand(TetraForm.from_planes(TETRA_DEMO['planes'], truncation=3))\n"
+        "except InexactDivision:\n"
+        "    print('InexactDivision')\n"
+    )
+    assert run_optimized(code).strip() == "InexactDivision"
+
+
+# ---------------------------------------------------------------------------
+# point counts
+
+FIBRE_69 = _fibre_planes(250, 0)
+small_primes = st.sampled_from([3, 5, 7, 11, 13])
+forms = st.lists(st.tuples(*[st.integers(-30, 30)] * 4), min_size=8, max_size=8)
+
+
+def _same_count(f8, p):
+    try:
+        want = ref.count_double_octic(f8, p)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            count_double_octic(f8, p)
+        return
+    got = count_double_octic(f8, p)
+    assert type(got) is int and got == want
+
+
+@given(forms, small_primes)
+@settings(max_examples=80, deadline=None)
+def test_count_matches_per_point_loop(f8, p):
+    _same_count(f8, p)
+
+
+@given(forms, small_primes, st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_count_of_permuted_and_repeated_forms(f8, p, rng):
+    rng.shuffle(f8)
+    _same_count(f8, p)
+    _same_count(f8[:4] * 2, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize(
+    "f8",
+    [
+        FIBRE_69,
+        [(p_, 0, 0, 0) for p_ in range(8)],  # zero v-coefficients, one form 0
+        [(1, 2, 3, 0)] * 8,  # one form eight times, no v
+        [(13, 26, 0, 39)] + FIBRE_69[1:],  # vanishes identically mod 13
+        [(0, 0, 0, 1)] * 4 + [(0, 0, 1, 0)] * 4,
+        [(Fraction(1, 2), 1, Fraction(-3, 4), 5)] + FIBRE_69[1:],
+    ],
+)
+def test_count_edge_octics(f8, p):
+    _same_count(f8, p)
+
+
+@pytest.mark.parametrize(
+    "f8, p",
+    [
+        (FIBRE_69, 2),  # EvenPrime
+        (FIBRE_69, 9),  # NotPrime
+        (FIBRE_69, 1),  # NotPrime
+        (FIBRE_69[:7], 5),  # InvalidOctic
+        ([(1, 0, 0)] * 8, 5),  # InvalidOctic
+        ([(Fraction(1, 5), 0, 0, 1)] * 8, 5),  # bad reduction
+        ({(7, 0, 0, 0): 1, (0, 0, 0, 8): 1}, 5),  # InvalidOctic
+    ],
+)
+def test_count_rejects_what_the_loop_rejects(f8, p):
+    with pytest.raises(ValueError) as want:
+        ref.count_double_octic(f8, p)
+    with pytest.raises(want.type):
+        count_double_octic(f8, p)
+
+
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=8, max_size=8), st.sampled_from([3, 5]))
+@settings(max_examples=10, deadline=None)
+def test_monomial_count_matches_per_point_loop(f8, p):
+    _same_count(_expand(f8), p)
+
+
+@pytest.mark.parametrize(
+    "f8, p",
+    [
+        (FIBRE_69, 211),  # a point list would hold 9.4 million tuples
+        ({(8, 0, 0, 0): 1, (0, 0, 0, 8): 1, (2, 2, 2, 2): 3}, 41),  # 70 thousand
+    ],
+)
+def test_count_keeps_no_point_list(f8, p):
+    tracemalloc.start()
+    try:
+        count_double_octic(f8, p)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024

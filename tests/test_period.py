@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import period_reference as ref
+
 from picardfuchs import TetraForm, ThetaOperator, conifold_expand, verify_annihilation
 from picardfuchs.arith import Polynomial, QuadraticNumber
 from picardfuchs.catalog_data import TETRA_DEMO
-from picardfuchs.errors import InvalidTetraForm, VanishingConstantTerm
+from picardfuchs.errors import InvalidTetraForm, NegativeExponent, VanishingConstantTerm
 from picardfuchs.period import simplex_monomial_integral
 from picardfuchs.transform import translate_to_origin
 from picardfuchs import CATALOG
@@ -117,3 +119,25 @@ def test_wrong_operator_fails_fast():
     ps = conifold_expand(f)
     wrong = CATALOG[4].operator
     assert verify_annihilation(wrong, ps) < 4
+
+
+def test_negative_simplex_exponent_rejected():
+    with pytest.raises(NegativeExponent):
+        simplex_monomial_integral(-1, 0, 0)
+
+
+def test_negative_simplex_exponent_rejected_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs.period import simplex_monomial_integral\n"
+        "from picardfuchs.errors import NegativeExponent\n"
+        "try:\n"
+        "    simplex_monomial_integral(0, -2, 1)\n"
+        "except NegativeExponent:\n"
+        "    print('NegativeExponent')\n"
+    )
+    assert run_optimized(code).strip() == "NegativeExponent"
+
+
+def test_simplex_integral_matches_factorial_formula():
+    for a, b, c in ((0, 0, 0), (1, 2, 3), (7, 0, 4), (12, 5, 9)):
+        assert simplex_monomial_integral(a, b, c) == ref.simplex_integral(a, b, c)

@@ -122,3 +122,38 @@ def test_composite_modulus_rejected_under_optimize(run_optimized):
 def test_malformed_octic_rejected(octic, message):
     with pytest.raises(InvalidOctic, match=message):
         count_double_octic(octic, 5)
+
+
+# checks that hold under python -O: (statement, error type)
+QEXP_CHECKS = [
+    ("QSeries([1, 2, 3], 2).coefficient(-1)", "CoefficientOutOfRange"),
+    ("QSeries([1, 2, 3], 2).coefficient(3)", "CoefficientOutOfRange"),
+    ("QSeries([1, 2, 3], 2) * 3", "TypeError"),
+    ("_inverse_unit(QSeries([2, 1], 1))", "NonUnitConstantTerm"),
+    ("EtaProductSpec(0, [(0, 1)])", "InvalidEtaProduct"),
+    ("EtaProductSpec(1, [(4, 0)])", "InvalidEtaProduct"),
+    ("EtaProductSpec(-1, [(4, 2)])", "InvalidEtaProduct"),
+    ("eta_product(EtaProductSpec(1, [(4, 2)]), 0)", "TruncationTooLow"),
+    ("FormRecord('x', 2, (2, 3), (1,))", "InvalidFormRecord"),
+    ("FormRecord('x', 2, (3, 2), (1, 1))", "InvalidFormRecord"),
+    ("verify_form_table('f32', N=10)", "TruncationTooLow"),
+]
+QEXP_IMPORTS = (
+    "from picardfuchs.qexp import QSeries, EtaProductSpec, FormRecord, _inverse_unit, eta_product, verify_form_table\n"
+    "from picardfuchs.errors import *\n"
+)
+
+
+@pytest.mark.parametrize("statement, error", QEXP_CHECKS)
+def test_qexp_input_checks(statement, error):
+    scope = {}
+    exec(QEXP_IMPORTS, scope)
+    with pytest.raises(eval(error, scope)):
+        eval(statement, scope)
+
+
+def test_qexp_input_checks_under_optimize(run_optimized):
+    lines = [QEXP_IMPORTS]
+    for statement, error in QEXP_CHECKS:
+        lines.append("try:\n    %s\n    print('accepted')\nexcept %s:\n    print('%s')\n" % (statement, error, error))
+    assert run_optimized("".join(lines)).split() == [error for _s, error in QEXP_CHECKS]
