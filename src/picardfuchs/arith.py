@@ -21,6 +21,8 @@ from .errors import (
     FactorizationFailed,
     InvalidDiscriminant,
     InvalidPower,
+    NonPositiveInteger,
+    TruncationTooLow,
     UnresolvedFactor,
     ZeroPolynomial,
     ZeroRadicand,
@@ -56,7 +58,8 @@ def _is_probable_prime(n):
 
 def factorize(n):
     """Return the prime factorization of n >= 1 as a dict prime -> exponent."""
-    assert n >= 1
+    if n < 1:
+        raise NonPositiveInteger("factorization needs an integer >= 1, got %d" % n)
     out = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -86,7 +89,8 @@ def factorize(n):
 
 def squarefree_part(n):
     """Write n = s^2 * d with d squarefree; return (s, d).  n must be nonzero."""
-    assert n != 0
+    if n == 0:
+        raise ZeroRadicand("zero has no squarefree part")
     s, d = 1, 1 if n > 0 else -1
     for p, e in factorize(abs(n)).items():
         s *= p ** (e // 2)
@@ -329,14 +333,6 @@ class Polynomial:
     @classmethod
     def zero(cls):
         return cls(())
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
 
     @property
     def degree(self):
@@ -688,21 +684,62 @@ def roots_in_quadratic_closure(p):
     for f, mult in squarefree_factor(p):
         found, rest = rational_roots_squarefree(f)
         roots.extend(found * mult)
-        if rest.degree >= 3:
-            raise UnresolvedFactor(rest)
-        if rest.degree == 2:
-            A, B, C = rest[2], rest[1], rest[0]
-            disc = B * B - 4 * A * C
-            if disc == 0:
-                # cannot happen for a squarefree factor
-                raise ArithmeticError("repeated root in squarefree factor")
-            half = quadratic_sqrt(Fraction(disc))
-            r1 = collapse((-B + half) / (2 * A))
-            r2 = collapse((-B - half) / (2 * A))
-            roots.extend([r1, r2] * mult)
-        elif rest.degree == 1:
-            roots.extend([-rest[0] / rest[1]] * mult)
+        for q in _split_quadratics(rest):
+            if q.degree == 2:
+                A, B, C = q[2], q[1], q[0]
+                disc = B * B - 4 * A * C
+                if disc == 0:
+                    # cannot happen for a squarefree factor
+                    raise ArithmeticError("repeated root in squarefree factor")
+                half = quadratic_sqrt(Fraction(disc))
+                r1 = collapse((-B + half) / (2 * A))
+                r2 = collapse((-B - half) / (2 * A))
+                roots.extend([r1, r2] * mult)
+            elif q.degree == 1:
+                roots.extend([-q[0] / q[1]] * mult)
     return sorted(roots, key=scalar_sort_key)
+
+
+def _signed_divisors(n):
+    return [s * v for v in divisors(n) for s in (1, -1)]
+
+
+def _split_quadratics(f):
+    """[f] when deg f <= 2, else f as a product of quadratics over Q.
+
+    f is squarefree with rational coefficients and no rational root.  A
+    factor of degree >= 3 that has no quadratic factor raises
+    UnresolvedFactor.
+    """
+    out = []
+    while f.degree >= 3:
+        q = _integer_quadratic_factor(f)
+        if q is None:
+            raise UnresolvedFactor(f)
+        out.append(q)
+        f = f / q
+    return out + [f]
+
+
+def _integer_quadratic_factor(f):
+    """A quadratic factor a x^2 + b x + c of f over Q, with integer a > 0, b, c; or None.
+
+    f has no rational root, so f(0), f(1) and f(-1) are nonzero.  By Gauss's
+    lemma a factor of the primitive integer multiple F of f can be taken
+    integral, and then a | lead(F), c | F(0), a + b + c | F(1) and
+    a - b + c | F(-1): finitely many candidates (Kronecker's method).
+    """
+    F, _ = f.primitive_integer()
+    cs = [int(c) for c in F.coeffs]
+    at_one, at_minus_one = sum(cs), sum(c if k % 2 == 0 else -c for k, c in enumerate(cs))
+    for a in divisors(cs[-1]):
+        for c in _signed_divisors(cs[0]):
+            for v in _signed_divisors(at_one):
+                b = v - a - c
+                w = a - b + c
+                if w and at_minus_one % w == 0 and (F % Polynomial((c, b, a))).is_zero:
+                    return Polynomial((c, b, a))
+    return None
 
 
 def rational_roots_with_multiplicity(p):
@@ -712,7 +749,8 @@ def rational_roots_with_multiplicity(p):
     coefficients, candidate roots are the common rational roots of the two
     rational components.
     """
-    assert not p.is_zero
+    if p.is_zero:
+        raise ZeroPolynomial("zero polynomial has every rational number as a root")
     if p.is_rational():
         base = p.map_coeffs(lambda c: Fraction(collapse(c)))
     else:
@@ -873,7 +911,8 @@ class PowerSeries:
         cs = [as_scalar(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
-        assert order >= 0
+        if order < 0:
+            raise TruncationTooLow("a power series needs a truncation order >= 0, got %d" % order)
         cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)

@@ -310,28 +310,7 @@ def _cmd_verify_forms(args):
 
 def _cmd_verify_catalog(args):
     report = verify_catalog(include_chains=args.chains)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "entries": [
-                        {
-                            "kind": e.kind,
-                            "key": e.key,
-                            "ok": e.ok,
-                            "checks": [
-                                {"name": c.name, "status": c.status, "detail": c.detail}
-                                for c in e.checks
-                            ],
-                        }
-                        for e in report.entries
-                    ],
-                }
-            )
-        )
-    else:
-        print(report.format())
+    print(json.dumps(report.to_json()) if args.json else report.format())
     return 0 if report.ok else 1
 
 
@@ -340,27 +319,7 @@ def _cmd_reproduce(args):
         report = reproduce_reduction(args.chain)
     except KeyError as exc:
         raise UsageError(exc.args[0])
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "name": report.name,
-                    "target": report.target,
-                    "ok": report.ok,
-                    "detail": report.detail,
-                    "steps": [
-                        {
-                            "description": s.description,
-                            "operator": s.operator.to_json(),
-                            "symbol": s.symbol().to_json(),
-                        }
-                        for s in report.steps
-                    ],
-                }
-            )
-        )
-    else:
-        print(report.format())
+    print(json.dumps(report.to_json()) if args.json else report.format())
     return 0 if report.ok else 1
 
 

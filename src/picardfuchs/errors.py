@@ -24,12 +24,16 @@ class FactorizationFailed(ValueError):
     """An integer has a composite part that trial division below 10^7 does not split."""
 
 
+class NonPositiveInteger(ValueError):
+    """An integer factorization was asked of an integer below 1."""
+
+
 class InvalidPower(ValueError):
     """A power was asked with an exponent that is not an integer >= 0."""
 
 
 class ZeroRadicand(ValueError):
-    """A quadratic square root was asked of zero, which has no field tag."""
+    """A quadratic square root or a squarefree part was asked of zero, which has no field tag."""
 
 
 class NotASingularCandidate(ValueError):

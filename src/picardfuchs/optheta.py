@@ -67,10 +67,6 @@ class SingularPoint:
     def infinity(cls):
         return cls(None)
 
-    @classmethod
-    def finite(cls, v):
-        return cls(v)
-
     @property
     def is_infinite(self):
         return self.value is None
@@ -244,30 +240,13 @@ class ThetaOperator:
             k += 1
         return ThetaOperator(self.theta_coeffs[k:]) if k else self
 
-    def field_discriminant(self):
-        """The shared sqrt tag of the coefficients, or None when rational."""
-        for p in self.theta_coeffs:
-            for c in p:
-                if isinstance(c, QuadraticNumber) and c.b != 0:
-                    return c.d
-        return None
-
     def map_coeffs(self, f):
         return ThetaOperator([p.map_coeffs(f) for p in self.theta_coeffs])
 
     def normalized(self):
-        """Strong canonical form: strip left t-powers and derivative-form polynomial content."""
+        """Strong canonical form (see canonical_from_d), reusing the theta form when the gcd is trivial."""
         op = self.t_stripped()
-        if op.is_zero:
-            return op.cleared()
-        dop = d_from_theta(op)
-        g = Polynomial(())
-        for c in dop.d_coeffs:
-            g = poly_gcd(g, c)
-        if g.degree > 0:
-            dop = DOperator([c / g for c in dop.d_coeffs])
-            op = theta_from_d(dop)
-        return op.cleared()
+        return canonical_from_d(d_from_theta(op).d_coeffs, op)
 
     def to_json(self):
         return {
@@ -323,9 +302,6 @@ class DOperator:
     def order(self):
         return len(self.d_coeffs) - 1
 
-    def cleared(self):
-        return DOperator(_clear_content(list(self.d_coeffs)))
-
     def to_json(self):
         return {
             "form": "d",
@@ -373,6 +349,40 @@ def theta_from_d(dop):
                 polys.append(Polynomial(()))
             polys[m] = polys[m] + ff * gamma
     return ThetaOperator(polys).t_stripped().cleared()
+
+
+def canonical_from_d(d_coeffs, theta=None):
+    """Strong canonical form of the operator sum_j d_coeffs[j] (d/dt)^j.
+
+    The derivative-form coefficients are divided by their monic polynomial
+    gcd, the quotient is converted to theta form once, a common left factor
+    t^k is stripped, and the content is cleared: integer coefficients (both
+    parts of a quadratic one) of content 1, and a positive leading
+    coefficient in the first nonzero theta polynomial.  Operators that differ
+    by a left factor c*f(t), c a nonzero rational and f a quotient of monic
+    polynomials, get the same form, so two canonical operators are compared
+    with ==.  The catalog operators are canonical; mobius, pullback_rational,
+    shift_exponents, translate_to_origin and descend_power return this form,
+    and negate_variable and pullback_power keep it.
+
+    A transform may therefore clear its denominators by any monic polynomial
+    and skip every intermediate gcd: the factor it brings in is part of the
+    gcd taken here, and the values equal those from reducing every
+    intermediate rational function.  Over Q(sqrt d), whether a coefficient
+    with zero sqrt part is a Fraction or a QuadraticNumber follows the
+    arithmetic that produced it; the form does not fix it.
+
+    `theta`, when given, is the t-stripped theta form of the same operator;
+    it is returned cleared when the gcd is trivial, so no conversion is made.
+    """
+    g = Polynomial(())
+    for c in d_coeffs:
+        g = poly_gcd(g, c)
+    if g.degree > 0:
+        d_coeffs = [c / g for c in d_coeffs]
+    elif theta is not None:
+        return theta.cleared()
+    return theta_from_d(DOperator(d_coeffs))
 
 
 def op_mul(a, b):

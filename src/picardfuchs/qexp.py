@@ -188,9 +188,6 @@ class FormRecord:
     def __setattr__(self, *args):
         raise AttributeError("FormRecord is immutable")
 
-    def coefficient_at(self, p):
-        return self.table[self.primes.index(p)]
-
     def __repr__(self):
         return "FormRecord(%r, weight=%s)" % (self.name, self.weight)
 

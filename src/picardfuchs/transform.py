@@ -4,10 +4,7 @@ Pulling back along t = phi(s) rewrites d/dt as (1/phi')*d/ds; conjugating by
 prod (t - a_i)^(eps_i) rewrites it as d/dt - sum eps_i/(t - a_i), shifting the
 exponents (infinity absorbs -sum(eps_i)).  Both expand sum_k c_k * X^k,
 X = (alpha*D + gamma)/beta, beta monic, over one common denominator without a
-gcd; clearing it multiplies the operator by a monic polynomial, which the
-strong canonical form drops: normalized() divides the derivative form by the
-monic gcd of its coefficients.  So the outputs equal those of reducing every
-intermediate rational function, scalar types included.
+gcd, and hand the derivative form to optheta.canonical_from_d.
 """
 
 from __future__ import annotations
@@ -36,12 +33,10 @@ from .errors import (
 )
 from .optheta import (
     INFINITY,
-    DOperator,
     SingularPoint,
     ThetaOperator,
+    canonical_from_d,
     d_from_theta,
-    theta_from_d,
-    translate,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,11 +73,6 @@ class MobiusMap:
     def scaling(cls, c):
         """t = c*s."""
         return cls(c, 0, 0, 1)
-
-    @classmethod
-    def negation(cls):
-        """t = -s."""
-        return cls(-1, 0, 0, 1)
 
     @classmethod
     def inversion(cls):
@@ -170,7 +160,7 @@ class ShiftAssignment:
 
 
 def _expand(coeffs, alpha, beta, gamma):
-    """Canonical theta form of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta.
+    """Strong canonical form of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta.
 
     X^k = sum_j N[k][j]/beta^(2k) * D^j with polynomial rows, since X applied
     to N/beta^e * D^j is (alpha*(N'*beta - e*N*beta') + gamma*N*beta)/beta^(e+2)
@@ -192,7 +182,7 @@ def _expand(coeffs, alpha, beta, gamma):
             for m, n in zip(pad, pad[1:])
         ]
         acc = [a * beta2 + coeffs[k] * r for a, r in zip(acc + [zero], row)]
-    return theta_from_d(DOperator(acc)).normalized()
+    return canonical_from_d(acc)
 
 
 def pullback_rational(op, phi):
@@ -225,7 +215,8 @@ def mobius(op, m):
 
 def translate_to_origin(op, a):
     """Substitute t = s + a, moving the point a to 0, in strong canonical form."""
-    return translate(op, collapse(a)).normalized()
+    a = collapse(a)
+    return canonical_from_d([c.shift(a) for c in d_from_theta(op).d_coeffs])
 
 
 def negate_variable(op):
@@ -234,8 +225,12 @@ def negate_variable(op):
 
 
 def is_even(op):
-    """True when the operator is invariant under t -> -t up to canonical form."""
-    return negate_variable(op).normalized() == op.normalized()
+    """True when the operator is invariant under t -> -t up to canonical form.
+
+    t -> -t maps canonical operators to canonical ones, so one normalization does.
+    """
+    op = op.normalized()
+    return negate_variable(op) == op
 
 
 def pullback_power(op, n):

@@ -1,11 +1,11 @@
-"""Hypothesis strategies for generated Fuchsian operators, shared by the test modules."""
+"""Hypothesis strategies for generated Fuchsian operators and rational maps, shared by the test modules."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from picardfuchs import ThetaOperator
-from picardfuchs.arith import Polynomial
+from picardfuchs.arith import Polynomial, RationalFunction
 
 
 def linear_product(roots, scale=1):
@@ -40,3 +40,16 @@ def fuchsian_shapes(draw):
         middle = Polynomial(draw(st.lists(_small, min_size=1, max_size=n + 1)))
         polys = [p0, middle, top]
     return ThetaOperator.from_theta_polys(polys)
+
+
+_coefficient = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def rational_maps(draw):
+    """phi = P/Q with deg P, deg Q <= 2, not constant."""
+    num = Polynomial(draw(st.lists(_coefficient, min_size=1, max_size=3)))
+    den = Polynomial(draw(st.lists(_coefficient, min_size=1, max_size=3))) or Polynomial((1,))
+    if (num.derivative() * den - num * den.derivative()).is_zero:
+        num = num + Polynomial((0, 1)) * den  # phi + s
+    return RationalFunction(num, den)

@@ -29,7 +29,7 @@ from picardfuchs.arith import (
     squarefree_part,
     taylor_shift,
 )
-from picardfuchs.errors import FactorizationFailed, InvalidDiscriminant, InvalidPower, ZeroRadicand
+from picardfuchs.errors import FactorizationFailed, InvalidDiscriminant, InvalidPower, UnresolvedFactor, ZeroRadicand
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -124,6 +124,30 @@ def test_arithmetic_domain_errors_under_optimize(run_optimized):
         "        print(type(exc).__name__)\n"
     )
     assert run_optimized(code).split() == ["InvalidPower", "InvalidPower", "ZeroRadicand", "FactorizationFailed"]
+
+
+_DOMAIN_CASES = [
+    ("factorize(0)", "NonPositiveInteger"),
+    ("factorize(-5)", "NonPositiveInteger"),
+    ("squarefree_part(0)", "ZeroRadicand"),
+    ("rational_roots_with_multiplicity(Polynomial(()))", "ZeroPolynomial"),
+    ("PowerSeries([1, 2], -1)", "TruncationTooLow"),
+]
+
+
+def test_integer_polynomial_and_series_domains_under_optimize(run_optimized):
+    # without the checks, -O loops forever on factorize(0) and squarefree_part(0),
+    # factors -5 as if it were 5, and builds a series of order -1
+    code = (
+        "from picardfuchs import errors\n"
+        "from picardfuchs.arith import Polynomial, PowerSeries, factorize, rational_roots_with_multiplicity, squarefree_part\n"
+        "for case in %r:\n"
+        "    try:\n"
+        "        eval(case)\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc).__name__, isinstance(exc, getattr(errors, type(exc).__name__)))\n"
+    ) % ([case for case, _error in _DOMAIN_CASES],)
+    assert run_optimized(code).splitlines() == ["%s True" % error for _case, error in _DOMAIN_CASES]
 
 
 def test_squarefree_part():
@@ -323,6 +347,20 @@ def test_roots_in_quadratic_closure():
     assert len(roots) == 2
     assert all(collapse(r * r) == 2 for r in roots)
     assert roots[0] == conjugate_scalar(roots[1])
+
+
+def test_roots_in_two_quadratic_fields():
+    # (2t^2 - 1)(t^2 + 1) has no rational root and no irreducible factor of degree >= 3
+    roots = roots_in_quadratic_closure(P(-1, 0, 2) * P(1, 0, 1) * P(-3, 1))
+    assert roots == sorted(roots, key=scalar_sort_key)
+    assert {(type(r), getattr(r, "d", None)) for r in roots} == {(Fraction, None), (QuadraticNumber, 2), (QuadraticNumber, -1)}
+    assert sorted(collapse(r * r) for r in roots) == [-1, -1, Fraction(1, 2), Fraction(1, 2), 9]
+
+
+def test_irreducible_cubic_beside_a_quadratic_is_unresolved():
+    with pytest.raises(UnresolvedFactor) as got:
+        roots_in_quadratic_closure(P(1, 0, 1) * P(-2, 0, 0, 1))
+    assert got.value.factor.degree == 3
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from picardfuchs import (
 )
 from picardfuchs.arith import Polynomial, QuadraticNumber, RationalFunction, poly_gcd
 from picardfuchs.errors import NotEven
-from picardfuchs.optheta import DOperator, d_from_theta, singular_points, theta_from_d
+from picardfuchs.optheta import d_from_theta, singular_points
 from picardfuchs.transform import (
     ShiftAssignment,
     descend_power,
@@ -33,7 +33,8 @@ from picardfuchs.transform import (
     translate_to_origin,
 )
 
-from shapes import fuchsian_shapes
+from canonical_reference import reference_from_d
+from shapes import fuchsian_shapes, rational_maps
 
 
 def P(*cs):
@@ -276,7 +277,7 @@ def _rf_clear_to_theta(coeffs):
     out = [Polynomial(())] * (max(coeffs) + 1)
     for j, r in coeffs.items():
         out[j] = r.num * (lcm / r.den)
-    return theta_from_d(DOperator(out)).normalized()
+    return reference_from_d(out)
 
 
 def _rf_pullback(op, phi):
@@ -386,18 +387,8 @@ _coefficient = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 _point = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
-@st.composite
-def _rational_maps(draw):
-    """phi = P/Q with deg P, deg Q <= 2, not constant."""
-    num = Polynomial(draw(st.lists(_coefficient, min_size=1, max_size=3)))
-    den = Polynomial(draw(st.lists(_coefficient, min_size=1, max_size=3))) or Polynomial((1,))
-    if (num.derivative() * den - num * den.derivative()).is_zero:
-        num = num + Polynomial((0, 1)) * den  # phi + s
-    return RationalFunction(num, den)
-
-
 @settings(max_examples=20, deadline=None)
-@given(op=fuchsian_shapes(), phi=_rational_maps())
+@given(op=fuchsian_shapes(), phi=rational_maps())
 def test_pullback_matches_rational_function_engine_on_generated_operators(op, phi):
     assert pullback_rational(op, phi).to_json() == _rf_pullback(op, phi).to_json()
 
