@@ -475,9 +475,6 @@ class Polynomial:
                 return i
         return 0
 
-    def is_rational(self):
-        return all(not isinstance(c, QuadraticNumber) or c.b == 0 for c in self.coeffs)
-
     def map_coeffs(self, f):
         return Polynomial([f(c) for c in self.coeffs])
 
@@ -673,30 +670,50 @@ def rational_roots_squarefree(p):
 
 
 def roots_in_quadratic_closure(p):
-    """All roots of p (rational coefficients) lying in degree <= 2 extensions.
+    """All roots of p lying in Q or a quadratic field, repeated by multiplicity.
 
-    Roots are repeated according to multiplicity and sorted by (rational part,
-    sqrt part).  An irreducible factor of degree >= 3 raises UnresolvedFactor.
+    Roots are sorted by (rational part, sqrt part).  A coefficient whose sqrt
+    part is zero counts as rational.  Over Q, a squarefree factor gives its
+    rational roots, and the rest is split into quadratics; an irreducible
+    factor of degree >= 3 raises UnresolvedFactor.
+
+    Over Q(sqrt d) the candidates are the roots of the norm
+    N(p) = p * conj(p), which lies in Q[t] (Trager, "Algebraic factoring and
+    rational function integration", SYMSAC 1976), and the multiplicity of
+    each in p is found by repeated exact division.  A root of N(p) in another
+    field Q(sqrt e) is fixed by the conjugation of Q(sqrt d, sqrt e) over
+    Q(sqrt e), so it is a root of p as well; it has no representation over
+    Q(sqrt d), and its rational quadratic factor raises UnresolvedFactor.
     """
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has every point as a root")
+    d = next((c.d for c in p.coeffs if isinstance(c, QuadraticNumber) and c.b), None)
+    if d is None:
+        return _rational_roots(p)
+    roots = []
+    for r in sorted(set(_rational_roots(p * p.map_coeffs(conjugate_scalar))), key=scalar_sort_key):
+        if isinstance(r, QuadraticNumber) and r.d != d:
+            raise UnresolvedFactor(Polynomial((r.norm(), -2 * r.a, 1)))
+        q, rem = divmod(p, Polynomial((-r, 1)))
+        while rem.is_zero:
+            roots.append(r)
+            p = q
+            q, rem = divmod(p, Polynomial((-r, 1)))
+    return roots
+
+
+def _rational_roots(p):
+    """roots_in_quadratic_closure for a polynomial with rational coefficients."""
     roots = []
     for f, mult in squarefree_factor(p):
         found, rest = rational_roots_squarefree(f)
         roots.extend(found * mult)
+        # rest has no rational root, so each q is a quadratic or a constant
         for q in _split_quadratics(rest):
             if q.degree == 2:
                 A, B, C = q[2], q[1], q[0]
-                disc = B * B - 4 * A * C
-                if disc == 0:
-                    # cannot happen for a squarefree factor
-                    raise ArithmeticError("repeated root in squarefree factor")
-                half = quadratic_sqrt(Fraction(disc))
-                r1 = collapse((-B + half) / (2 * A))
-                r2 = collapse((-B - half) / (2 * A))
-                roots.extend([r1, r2] * mult)
-            elif q.degree == 1:
-                roots.extend([-q[0] / q[1]] * mult)
+                half = quadratic_sqrt(Fraction(B * B - 4 * A * C))
+                roots.extend([collapse((-B + half) / (2 * A)), collapse((-B - half) / (2 * A))] * mult)
     return sorted(roots, key=scalar_sort_key)
 
 
@@ -742,43 +759,6 @@ def _integer_quadratic_factor(f):
     return None
 
 
-def rational_roots_with_multiplicity(p):
-    """Rational roots of p over any supported field, with multiplicity.
-
-    Returns (list of (root, multiplicity), deflated quotient).  For quadratic
-    coefficients, candidate roots are the common rational roots of the two
-    rational components.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("zero polynomial has every rational number as a root")
-    if p.is_rational():
-        base = p.map_coeffs(lambda c: Fraction(collapse(c)))
-    else:
-        pa = p.map_coeffs(lambda c: c.a if isinstance(c, QuadraticNumber) else Fraction(c))
-        pb = p.map_coeffs(lambda c: c.b if isinstance(c, QuadraticNumber) else Fraction(0))
-        base = poly_gcd(pa, pb)
-        if base.degree < 1:
-            return [], p
-    prim, _ = base.primitive_integer()
-    cands = []
-    for f, _m in squarefree_factor(prim):
-        found, _rest = rational_roots_squarefree(f)
-        cands.extend(found)
-    out = []
-    for r in sorted(set(cands)):
-        mult = 0
-        while True:
-            q, rem = divmod(p, Polynomial((-r, 1)))
-            if rem.is_zero:
-                p = q
-                mult += 1
-            else:
-                break
-        if mult:
-            out.append((r, mult))
-    return out, p
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -809,10 +789,6 @@ class RationalFunction:
 
     def __setattr__(self, *args):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, Polynomial((1,)))
 
     @property
     def is_zero(self):
@@ -968,9 +944,6 @@ class PowerSeries:
         return PowerSeries(out, n)
 
     __rmul__ = __mul__
-
-    def is_zero_through(self, m):
-        return all(not c for c in self.coeffs[: m + 1])
 
     def __repr__(self):
         head = format_polynomial(Polynomial(self.coeffs[: min(5, self.order + 1)]), "t") or "0"

@@ -62,7 +62,7 @@ def _load_operator(path):
     data = _load_json(path)
     try:
         return ThetaOperator.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise UsageError("%s is not an operator file: %s" % (path, exc))
 
 
@@ -169,7 +169,7 @@ def _cmd_period(args):
             form = TetraForm.from_json(data)
         else:
             form = TetraForm.from_json({"P": data})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise UsageError("%s is not a tetra-form file: %s" % (args.poly, exc))
     if args.terms is not None:
         if args.terms < 0:
@@ -189,7 +189,7 @@ def _cmd_guess(args):
         raise UsageError("series file must hold a list of rationals or {\"A\": [...]}")
     try:
         series = [Fraction(c) for c in data]
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise UsageError("bad series coefficient: %s" % exc)
     cfg = GuessConfig(args.max_order, args.max_degree, args.margin)
     op = guess_operator(series, cfg)
@@ -225,21 +225,22 @@ def _count_input(args):
     if args.octic:
         data = _load_json(args.octic)
         if isinstance(data, dict) and "planes" in data:
-            planes = [tuple(_fraction(str(c)) for c in row) for row in data["planes"]]
-            if len(planes) != 8 or any(len(p) != 4 for p in planes):
+            rows = data["planes"]
+            if not isinstance(rows, list) or [len(r) if isinstance(r, list) else None for r in rows] != [4] * 8:
                 raise UsageError("octic file needs eight planes of four coefficients")
-            return planes, None, None
+            return [tuple(_fraction(str(c)) for c in row) for row in rows], None, None
         if isinstance(data, dict):
             try:
                 terms = {
                     tuple(int(p) for p in key.split(",")): Fraction(val)
                     for key, val in data.items()
                 }
-            except (ValueError, TypeError) as exc:
+            except (ArithmeticError, TypeError, ValueError) as exc:
                 raise UsageError("octic file is neither planes nor monomials: %s" % exc)
             return terms, None, None
         raise UsageError("octic file must be a JSON object")
-    aid, parameter = args.arrangement, args.parameter
+    aid = args.arrangement
+    parameter = None if args.parameter is None else _fraction(args.parameter)
     if aid in RIGID_FIBRES:
         if parameter is not None:
             raise UsageError("arrangement %d is a recorded fibre; it takes no --parameter" % aid)
@@ -385,7 +386,7 @@ def build_parser():
 
     p = add("count", _cmd_count, "count points of the double octic over a prime field")
     p.add_argument("--arrangement", type=int, help="catalog family id or recorded fibre id")
-    p.add_argument("--parameter", type=_fraction, help="family parameter value")
+    p.add_argument("--parameter", help="family parameter value")
     p.add_argument("--octic", metavar="FILE", help="JSON octic: {\"planes\": [[..]x8]} or monomials")
     p.add_argument("--prime", type=int, required=True)
 

@@ -6,14 +6,17 @@ class ZeroPolynomial(ValueError):
 
 
 class UnresolvedFactor(ValueError):
-    """An irreducible factor of degree >= 3 blocks root resolution.
+    """A factor's roots lie outside the fields the root search returns.
 
-    The offending factor is kept in .factor so callers can report it.
+    That is an irreducible rational factor of degree >= 3, or, for
+    coefficients in Q(sqrt d), a rational quadratic factor with roots in
+    another quadratic field.  The offending factor is kept in .factor so
+    callers can report it.
     """
 
     def __init__(self, factor):
         self.factor = factor
-        super().__init__("factor of degree >= 3 has no roots in a quadratic field: %s" % (factor,))
+        super().__init__("factor with roots outside the supported fields: %s" % (factor,))
 
 
 class InvalidDiscriminant(ValueError):
@@ -46,6 +49,14 @@ class IrrationalExponent(ValueError):
     def __init__(self, factor):
         self.factor = factor
         super().__init__("indicial factor with unsupported roots: %s" % (factor,))
+
+
+class IrregularSingularity(ValueError):
+    """The indicial polynomial at a point has degree below the order: the point is an irregular singularity."""
+
+
+class OrderZeroOperator(ValueError):
+    """An operator of order 0 has no exponents and no local solutions."""
 
 
 class UnclassifiedPattern(ValueError):
@@ -95,6 +106,14 @@ class NegativeExponent(ValueError):
 
 class InexactDivision(ValueError):
     """An integer kernel met a remainder where its integrality argument rules one out."""
+
+
+class InconsistentRecurrence(ValueError):
+    """A recurrence step has a zero leading coefficient but a nonzero right-hand side."""
+
+
+class RecurrenceObstruction(ValueError):
+    """A recurrence step has a zero leading coefficient and a zero right-hand side, so its value is free."""
 
 
 class InsufficientTerms(ValueError):

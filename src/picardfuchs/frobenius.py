@@ -55,6 +55,7 @@ from .optheta import (
     indicial_roots,
     integer_jet,
     integer_polys,
+    local_indicial,
     local_operator,
     scalar_field,
 )
@@ -333,12 +334,10 @@ class PointType(enum.Enum):
 
 
 def _integer_difference(x, y):
-    d = x - y
-    d = collapse(d) if isinstance(d, QuadraticNumber) else d
-    if isinstance(d, QuadraticNumber):
+    d = collapse(x - y)
+    if isinstance(d, QuadraticNumber) or Fraction(d).denominator != 1:
         return None
-    d = Fraction(d)
-    return int(d) if d.denominator == 1 else None
+    return int(d)
 
 
 def _partition_classes(roots):
@@ -369,10 +368,8 @@ def local_basis(op, point, N=None):
         N = default_truncation(loc)
     if N < loc.r + loc.order:
         raise TruncationTooLow("truncation %d below r + order = %d" % (N, loc.r + loc.order))
-    ind = loc.theta_coeffs[0]
-    roots = indicial_roots(ind)
     solutions = []
-    for cls in _partition_classes(roots):
+    for cls in _partition_classes(indicial_roots(local_indicial(loc, point))):
         solutions.extend(_class_solutions(loc, cls, N, point))
     solutions.sort(key=lambda s: (scalar_sort_key(s.alpha), s.leading[1]))
     return LocalBasis(point, solutions, loc)

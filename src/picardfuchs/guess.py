@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .arith import Polynomial, PowerSeries, as_scalar, collapse
-from .errors import InsufficientTerms, InvalidGuessBox, ZeroSeries
+from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, RecurrenceObstruction, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
 
@@ -193,19 +193,6 @@ class Recurrence:
         """(P_0(m), P_1(m-1), ..., P_r(m-r))."""
         return tuple(p(m - i) for i, p in enumerate(self.op.theta_coeffs))
 
-    def obstructions(self):
-        """Nonnegative integers m with P_0(m) = 0, where forward solving stalls."""
-        p0 = self.op.theta_coeffs[0]
-        out = []
-        m = 0
-        # integer roots are bounded by the largest root; scan via exact evaluation
-        bound = _integer_root_bound(p0)
-        while m <= bound:
-            if not p0(m):
-                out.append(m)
-            m += 1
-        return out
-
     def extend(self, initial, upto):
         """Continue the series to index `upto` from enough initial terms."""
         vals = [Fraction(collapse(as_scalar(c))) for c in initial]
@@ -221,27 +208,10 @@ class Recurrence:
             )
             if not lead:
                 if rhs:
-                    raise ValueError("inconsistent recurrence at index %d" % m)
-                raise ValueError("index %d is an obstruction; the value is free" % m)
+                    raise InconsistentRecurrence("inconsistent recurrence at index %d" % m)
+                raise RecurrenceObstruction("index %d is an obstruction; the value is free" % m)
             vals.append(rhs / lead)
         return vals
-
-
-def _abs_bound(x):
-    x = collapse(x)
-    if isinstance(x, Fraction):
-        return abs(x)
-    # crude but safe: |a + b sqrt(d)| <= |a| + |b| (1 + |d|)
-    return abs(x.a) + abs(x.b) * (1 + abs(x.d))
-
-
-def _integer_root_bound(p):
-    """Upper bound for integer roots via the Cauchy bound on the monic form."""
-    if p.degree <= 0:
-        return -1
-    lead = p.lead
-    b = max(_abs_bound(c / lead) for c in p.coeffs[:-1])
-    return math.ceil(1 + b)
 
 
 def recurrence_from_operator(op):

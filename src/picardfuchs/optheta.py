@@ -29,7 +29,6 @@ from .arith import (
     conjugate_scalar,
     poly_gcd,
     quadratic_taylor_shift,
-    rational_roots_with_multiplicity,
     roots_in_quadratic_closure,
     scalar_from_json,
     scalar_sign,
@@ -39,7 +38,9 @@ from .arith import (
 )
 from .errors import (
     IrrationalExponent,
+    IrregularSingularity,
     NotASingularCandidate,
+    OrderZeroOperator,
     TruncationTooLow,
     UnresolvedFactor,
     ZeroPolynomial,
@@ -385,22 +386,6 @@ def canonical_from_d(d_coeffs, theta=None):
     return theta_from_d(DOperator(d_coeffs))
 
 
-def op_mul(a, b):
-    """Composition a(b(.)): exact noncommutative product in theta form.
-
-    Uses P_i(theta) * t^j = t^j * P_i(theta + j).
-    """
-    out = [Polynomial(()) for _ in range(a.r + b.r + 1)]
-    for i, p in enumerate(a.theta_coeffs):
-        if p.is_zero:
-            continue
-        for j, q in enumerate(b.theta_coeffs):
-            if q.is_zero:
-                continue
-            out[i + j] = out[i + j] + p.shift(j) * q
-    return ThetaOperator(out)
-
-
 def scalar_field(scalars):
     """The tag d of the QuadraticNumbers among `scalars`, or None when there are none.
 
@@ -674,24 +659,36 @@ def indicial_polynomial(op, point):
     """The polynomial whose roots (with multiplicity) are the exponents at `point`."""
     if not is_candidate(op, point):
         raise NotASingularCandidate("%s is not 0, infinity, or a leading-coefficient root" % (point,))
-    loc = local_operator(op, point)
-    return loc.theta_coeffs[0]
+    return local_indicial(local_operator(op, point), point)
+
+
+def local_indicial(loc, point):
+    """The indicial polynomial P_0 of a local operator, of degree its order.
+
+    Below the order the point is an irregular singularity, where the
+    Frobenius method finds fewer solutions than the order; an operator of
+    order 0 has no nonzero solution at all.
+    """
+    if loc.order < 1:
+        raise OrderZeroOperator("an operator of order 0 has no exponents and no local solutions")
+    ind = loc.theta_coeffs[0]
+    if ind.degree < loc.order:
+        raise IrregularSingularity(
+            "irregular singular point %s: indicial polynomial of degree %d below the order %d"
+            % (point, ind.degree, loc.order)
+        )
+    return ind
 
 
 def indicial_roots(ind):
-    """Roots of an indicial polynomial as [(root, multiplicity)], sorted ascending."""
-    if ind.is_rational():
-        try:
-            flat = roots_in_quadratic_closure(ind.map_coeffs(lambda c: Fraction(collapse(c))))
-        except UnresolvedFactor as exc:
-            raise IrrationalExponent(exc.factor) from exc
-        if len(flat) != ind.degree:
-            raise IrrationalExponent(ind)
-        return [(root, len(list(run))) for root, run in groupby(flat)]
-    found, rest = rational_roots_with_multiplicity(ind)
-    if rest.degree >= 1:
-        raise IrrationalExponent(rest)
-    return sorted(found, key=lambda rm: scalar_sort_key(rm[0]))
+    """Roots of an indicial polynomial over Q or Q(sqrt d) as [(root, multiplicity)], sorted ascending."""
+    try:
+        flat = roots_in_quadratic_closure(ind)
+    except UnresolvedFactor as exc:
+        raise IrrationalExponent(exc.factor) from exc
+    if len(flat) != ind.degree:
+        raise IrrationalExponent(ind)
+    return [(root, len(list(run))) for root, run in groupby(flat)]
 
 
 def exponents_at(op, point):
@@ -773,50 +770,24 @@ def riemann_symbol(op, with_log_check=True):
     n = op.order
     trivial = tuple(Fraction(k) for k in range(n))
     entries = []
-    done = {}
     for point in singular_points(op):
-        if point in done:
-            continue
-        exps = tuple(exponents_at(op, point))
-        entries.append([point, exps, True])
-        done[point] = len(entries) - 1
-        if not point.is_infinite and isinstance(point.value, QuadraticNumber):
-            conj = point.conjugate()
-            if conj != point and conj not in done:
-                cexps = tuple(
-                    sorted((conjugate_scalar(e) for e in exps), key=scalar_sort_key)
-                )
-                entries.append([conj, cexps, True])
-                done[conj] = len(entries) - 1
-    for e in entries:
-        if e[1] == trivial:
-            if with_log_check:
-                from .frobenius import has_logarithms
+        exps = exponents_at(op, point)
+        genuine = exps != trivial
+        if not genuine and with_log_check:
+            from .frobenius import has_logarithms
 
-                e[2] = has_logarithms(op, e[0])
-            else:
-                e[2] = False
-    entries.sort(key=lambda e: e[0].sort_key())
-    return RiemannSymbol([tuple(e) for e in entries], n)
+            genuine = has_logarithms(op, point)
+        entries.append((point, exps, genuine))
+    return RiemannSymbol(entries, n)
 
 
 def fuchs_defect(op):
-    """sum over candidate points of (sum of exponents - n(n-1)/2).
+    """sum over candidate points of (sum of exponents - n(n-1)/2), exactly.
 
     Equals -n(n-1) for a Fuchsian operator; the check runs over every
-    candidate point including regular-looking ones.
+    candidate point including regular-looking ones.  Over Q(sqrt d) a sqrt
+    part left in the sum is kept, so it shows as a defect.
     """
-    op = op.t_stripped()
-    n = op.order
-    half = Fraction(n * (n - 1), 2)
-    total = Fraction(0)
-    for point in singular_points(op):
-        s = sum(Fraction(0) + _rational_part(e) for e in exponents_at(op, point))
-        total += s - half
-    return total
-
-
-def _rational_part(e):
-    if isinstance(e, QuadraticNumber):
-        return e.a
-    return Fraction(e)
+    sym = riemann_symbol(op, with_log_check=False)
+    half = Fraction(sym.order * (sym.order - 1), 2)
+    return collapse(sum((sum(exps, Fraction(0)) - half for _p, exps, _g in sym.entries), Fraction(0)))

@@ -88,16 +88,6 @@ class TetraForm:
     def constant_term(self):
         return self.terms.get((0, 0, 0, 0), Fraction(0))
 
-    def evaluate(self, x, y, z, t):
-        vals = (Fraction(x), Fraction(y), Fraction(z), Fraction(t))
-        total = Fraction(0)
-        for key, cval in self.terms.items():
-            term = cval
-            for v, e in zip(vals, key):
-                term *= v**e
-            total += term
-        return total
-
     def scaled(self, c):
         c = Fraction(c)
         return TetraForm({k: v * c for k, v in self.terms.items()}, self.truncation)
@@ -136,8 +126,11 @@ class TetraForm:
 
     @classmethod
     def from_json(cls, data):
+        P = data["P"]
+        if not isinstance(P, dict):
+            raise InvalidTetraForm("P must map exponent keys 'a,b,c,d' to coefficients, not a %s" % type(P).__name__)
         terms = {}
-        for key, val in data["P"].items():
+        for key, val in P.items():
             exps = tuple(int(p) for p in key.split(","))
             terms[exps] = Fraction(val)
         return cls(terms, int(data.get("truncation", 40)))

@@ -355,9 +355,7 @@ def yukawa(op):
         raise NonrationalYukawa("pole location outside the supported fields") from exc
     factors = []
     for a in poles:
-        res = ratio.num(a) / dden(a)
-        if isinstance(res, QuadraticNumber):
-            res = collapse(res)
+        res = collapse(ratio.num(a) / dden(a))
         if isinstance(res, QuadraticNumber):
             raise NonrationalYukawa("irrational residue at %s" % (a,))
         e = -res / 2

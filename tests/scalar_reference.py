@@ -18,7 +18,7 @@ from picardfuchs.frobenius import (
     _partition_classes,
     default_truncation,
 )
-from picardfuchs.optheta import indicial_roots, local_operator
+from picardfuchs.optheta import indicial_roots, local_indicial, local_operator
 
 # ---------------------------------------------------------------------------
 # jet arithmetic in K[eps]/(eps^T): plain lists of scalars, fixed length T
@@ -147,7 +147,7 @@ def local_basis(op, point, N=None):
     if N < loc.r + loc.order:
         raise TruncationTooLow("truncation %d below r + order = %d" % (N, loc.r + loc.order))
     solutions = []
-    for cls in _partition_classes(indicial_roots(loc.theta_coeffs[0])):
+    for cls in _partition_classes(indicial_roots(local_indicial(loc, point))):
         solutions.extend(class_solutions(loc, cls, N, point))
     solutions.sort(key=lambda s: (scalar_sort_key(s.alpha), s.leading[1]))
     return LocalBasis(point, solutions, loc)

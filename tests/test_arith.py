@@ -20,7 +20,6 @@ from picardfuchs.arith import (
     poly_gcd,
     quadratic_sqrt,
     quadratic_taylor_shift,
-    rational_roots_with_multiplicity,
     roots_in_quadratic_closure,
     scalar_from_json,
     scalar_sort_key,
@@ -130,7 +129,7 @@ _DOMAIN_CASES = [
     ("factorize(0)", "NonPositiveInteger"),
     ("factorize(-5)", "NonPositiveInteger"),
     ("squarefree_part(0)", "ZeroRadicand"),
-    ("rational_roots_with_multiplicity(Polynomial(()))", "ZeroPolynomial"),
+    ("roots_in_quadratic_closure(Polynomial(()))", "ZeroPolynomial"),
     ("PowerSeries([1, 2], -1)", "TruncationTooLow"),
 ]
 
@@ -140,7 +139,7 @@ def test_integer_polynomial_and_series_domains_under_optimize(run_optimized):
     # factors -5 as if it were 5, and builds a series of order -1
     code = (
         "from picardfuchs import errors\n"
-        "from picardfuchs.arith import Polynomial, PowerSeries, factorize, rational_roots_with_multiplicity, squarefree_part\n"
+        "from picardfuchs.arith import Polynomial, PowerSeries, factorize, roots_in_quadratic_closure, squarefree_part\n"
         "for case in %r:\n"
         "    try:\n"
         "        eval(case)\n"
@@ -336,9 +335,9 @@ def test_squarefree_factor_reassembles(pc, qc):
 
 def test_rational_roots_with_multiplicity():
     p = P(-1, 1) * P(-1, 1) * P(3, 1) * P(0, 2)
-    roots, cofactor = rational_roots_with_multiplicity(p)
-    assert sorted(roots) == [(Fraction(-3), 1), (Fraction(0), 1), (Fraction(1), 2)]
-    assert cofactor.degree == 0  # everything split off
+    roots = roots_in_quadratic_closure(p)
+    assert roots == [-3, 0, 1, 1]
+    assert all(type(r) is Fraction for r in roots)
 
 
 def test_roots_in_quadratic_closure():

@@ -98,3 +98,34 @@ def test_full_verification_passes():
     lines = rep.format().splitlines()
     assert lines[-1] == "catalog: PASS"
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def _columns(sym):
+    """{point: exponents} of a symbol's genuine points, as strings."""
+    return {str(p): " ".join(str(e) for e in exps) for p, exps, _g in sym.genuine()}
+
+
+_Q3 = "0 1 3 4"
+_C = "0 1 1 2"
+_SIXTHS = "1/6 2/3 2/3 7/6"
+_THIRDS = "0 1/3 1 4/3"
+# the exponent tables after each step of 266chain; steps 1 and 2 have
+# coefficients in Q(sqrt(-3)) and points in Q(sqrt(-3))
+CHAIN_266_TABLES = [
+    {
+        "-1": _C, "-1/2": _SIXTHS, "-1/4-1/4*sqrt(-3)": _Q3, "-1/4": _C,
+        "-1/4+1/4*sqrt(-3)": _Q3, "0": _SIXTHS, "1/2": _C, "oo": _SIXTHS,
+    },
+    {
+        "-1": _C, "-1/2-1/2*sqrt(-3)": _SIXTHS, "-1/2+1/2*sqrt(-3)": _SIXTHS, "0": _Q3,
+        "1/2-1/2*sqrt(-3)": _C, "1/2+1/2*sqrt(-3)": _C, "1": _SIXTHS, "oo": _Q3,
+    },
+    {"-1": _C, "0": _THIRDS, "1": _SIXTHS, "oo": _THIRDS},
+    {"-1": _C, "0": _THIRDS, "1": _SIXTHS, "oo": _THIRDS},
+]
+
+
+def test_266_chain_step_tables():
+    rep = reproduce_reduction("266chain")
+    assert rep.ok
+    assert [_columns(step.symbol()) for step in rep.steps] == CHAIN_266_TABLES

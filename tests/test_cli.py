@@ -1,13 +1,18 @@
 """End-to-end checks of the pf command line."""
 
+import contextlib
 import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from picardfuchs import CATALOG, TetraForm, classify_point, cli, frobenius, local_basis, riemann_symbol
+from picardfuchs import CATALOG, CHAINS, TetraForm, classify_point, cli, frobenius, local_basis, riemann_symbol
 from picardfuchs.catalog_data import TETRA_DEMO
 from picardfuchs.cli import main
 from picardfuchs.frobenius import jordan_structure
@@ -241,6 +246,17 @@ MALFORMED_FILES = [
         ["0"] * 30,
         "pf: the zero series is annihilated by every operator\n",
     ),
+    # inputs whose parsing raised TypeError, AttributeError or ZeroDivisionError
+    (["count", "--octic", "{}", "--prime", "7"], {"planes": 5}, "pf: octic file needs eight planes of four coefficients\n"),
+    (["period", "--poly", "{}"], {"P": 5}, "P must map exponent keys 'a,b,c,d' to coefficients, not a int\n"),
+    (["symbol", "{}"], {"form": "theta", "coeffs": [["1/0", "1"]]}, "is not an operator file: Fraction(1, 0)\n"),
+    # D + t: exp(-t^2/2) has an irregular singularity at infinity
+    (
+        ["symbol", "{}"],
+        {"form": "d", "coeffs": [["0", "1"], ["1"]]},
+        "pf: irregular singular point oo: indicial polynomial of degree 0 below the order 1\n",
+    ),
+    (["classify", "{}"], {"coeffs": [["1"], ["2"]]}, "pf: an operator of order 0 has no exponents and no local solutions\n"),
 ]
 _MALFORMED_IDS = [
     "octic",
@@ -251,6 +267,11 @@ _MALFORMED_IDS = [
     "guess-degree",
     "guess-margin",
     "guess-zero",
+    "octic-planes-not-a-list",
+    "tetra-P-not-an-object",
+    "operator-zero-denominator",
+    "symbol-irregular",
+    "classify-order-0",
 ]
 
 
@@ -277,6 +298,80 @@ def test_malformed_input_file_is_usage_error_under_optimize(tmp_path, run_optimi
     assert out.startswith("pf: ") and out.endswith(message + "exit 2\n")
 
 
+def test_count_parameter_with_zero_denominator_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["count", "--arrangement", "250", "--parameter", "1/0", "--prime", "7"])
+    assert code == 2 and not out and err.startswith("pf: not a rational number: '1/0'")
+
+
+# ---------------------------------------------------------------------------
+# malformed files: every rejection is a "pf: " line and exit 2, never a traceback
+
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-30, 30),
+    st.sampled_from([0.5, -2.0, float("inf"), float("nan")]),
+    st.text(max_size=5),
+    st.sampled_from(["1/0", "1/2", "-3", "0", "x", "1e2", "2/-4", ""]),
+)
+_keys = st.one_of(st.text(max_size=5), st.sampled_from(["form", "coeffs", "P", "planes", "A", "truncation", "a", "b", "d"]))
+_json = st.recursive(_junk, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=3), max_leaves=10)
+_rational = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2", "3"])
+_scalar = st.one_of(
+    _rational,
+    st.fixed_dictionaries({"a": _rational, "b": _rational, "d": st.sampled_from([-3, 2, 5, 0, 1, "x"])}),
+    _junk,
+)
+_operator = st.fixed_dictionaries(
+    {
+        "form": st.sampled_from(["theta", "d", "weird"]),
+        "coeffs": st.lists(st.lists(_scalar, max_size=3), max_size=3) | _json,
+    }
+)
+_monomial = st.sampled_from(["8,0,0,0", "0,4,4,0", "1,1,1,5", "7,0,0,0", "1,2", "a,b,c,d", "-1,9,0,0"])
+_octic = st.one_of(
+    st.fixed_dictionaries({"planes": st.lists(st.lists(_scalar, max_size=5), max_size=9) | _json}),
+    st.dictionaries(_monomial, _scalar, max_size=3),
+)
+_tetra = st.fixed_dictionaries(
+    {"P": st.dictionaries(st.sampled_from(["0,0,0,0", "1,0,0,0", "0,0,0,1", "1,0,0", "x"]), _scalar, max_size=3) | _json},
+    optional={"truncation": _junk},
+)
+_series = st.lists(_scalar, max_size=8) | st.fixed_dictionaries({"A": st.lists(_scalar, max_size=8) | _json})
+
+_FUZZ_CASES = st.one_of(
+    st.tuples(st.sampled_from([["symbol", "{}"], ["classify", "{}"], ["transform", "{}", "--yukawa"]]), _operator | _json),
+    st.tuples(st.just(["count", "--octic", "{}", "--prime", "5"]), _octic | _json),
+    st.tuples(st.just(["period", "--poly", "{}", "--terms", "2"]), _tetra | _json),
+    st.tuples(st.just(["guess", "--series", "{}", "--max-order", "1", "--max-degree", "1", "--margin", "1"]), _series | _json),
+)
+
+
+def _main_on_file(argv, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(path) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_FUZZ_CASES)
+def test_malformed_files_never_raise(case):
+    argv, doc = case
+    code, out, err = _main_on_file(argv, doc)
+    if code == 0:
+        assert out and not err
+    elif code == 1:
+        # not a rejection: the series was read, and nothing in the box annihilates it
+        assert argv[0] == "guess" and err.startswith("no annihilating operator")
+    else:
+        assert code == 2 and not out and err.startswith("pf: ")
+
+
 def test_verify_forms(capsys):
     code, out, _ = _run(capsys, ["verify-forms"])
     assert code == 0
@@ -287,6 +382,17 @@ def test_verify_forms(capsys):
 def test_reproduce_chain(capsys):
     code, out, _ = _run(capsys, ["reproduce", "97to98"])
     assert code == 0 and "97to98" in out
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_reproduce_every_chain_exits_zero(capsys, name, as_json):
+    code, out, err = _run(capsys, ["reproduce"] + (["--json"] if as_json else []) + [name])
+    assert code == 0 and not err
+    if as_json:
+        assert json.loads(out)["ok"] is True
+    else:
+        assert out.startswith("chain %s -> " % name) and ": PASS" in out.splitlines()[0]
 
 
 def test_reproduce_unknown_chain(capsys):

@@ -24,8 +24,14 @@ from picardfuchs import (
     recurrence_from_operator,
 )
 from picardfuchs.arith import Polynomial, PowerSeries
-from picardfuchs.errors import InsufficientTerms, InvalidGuessBox, ZeroSeries
-from picardfuchs.optheta import apply_to_series
+from picardfuchs.errors import (
+    InconsistentRecurrence,
+    InsufficientTerms,
+    InvalidGuessBox,
+    RecurrenceObstruction,
+    ZeroSeries,
+)
+from picardfuchs.optheta import apply_to_series, indicial_roots
 
 
 def P(*cs):
@@ -62,7 +68,8 @@ def test_guessed_operator_annihilates_everything_given():
     got = guess_operator(series, GuessConfig(2, 2, 10))
     assert got is not None
     y = PowerSeries(series, 39)
-    assert apply_to_series(got, y).is_zero_through(39 - got.r)
+    residual = apply_to_series(got, y)
+    assert residual.order == 39 - got.r and not any(residual.coeffs)
 
 
 def test_scaling_the_variable_commutes_with_guessing():
@@ -89,12 +96,18 @@ def test_recurrence_coefficients_for_legendre():
         # A_m m^2 = 16 (m - 1/2)^2 A_{m-1}
         assert p0 == m * m
         assert p1 == -16 * Fraction(2 * m - 1, 2) ** 2
-    assert rec.obstructions() == [0]
+    assert _obstructions(rec) == [0]
+
+
+def _obstructions(rec):
+    """Nonnegative integers m with P_0(m) = 0, where forward solving stalls."""
+    roots = indicial_roots(rec.op.theta_coeffs[0])
+    return [m for m, _mult in roots if isinstance(m, Fraction) and m.denominator == 1 and m >= 0]
 
 
 def test_recurrence_obstructions_of_derived_operator():
     rec = recurrence_from_operator(DERIVED_OPERATORS["descent-98"].operator)
-    assert rec.obstructions() == [0, 1]
+    assert _obstructions(rec) == [0, 1]
 
 
 def test_recurrence_extend():
@@ -103,6 +116,14 @@ def test_recurrence_extend():
     rec2 = recurrence_from_operator(LEGENDRE)
     vals = rec2.extend([1, 4], 8)
     assert vals == [comb(2 * n, n) ** 2 for n in range(9)]
+
+
+@pytest.mark.parametrize("a1, error", [(1, InconsistentRecurrence), (0, RecurrenceObstruction)])
+def test_recurrence_extend_stalls_with_a_typed_error(a1, error):
+    # m(m - 2) A_m = A_(m-1): at m = 2 the leading coefficient vanishes, and A_1 decides
+    rec = recurrence_from_operator(ThetaOperator.from_theta_polys([Polynomial((0, -2, 1)), Polynomial((-1,))]))
+    with pytest.raises(error):
+        rec.extend([1, a1], 4)
 
 
 def test_recurrence_extend_needs_more_initial_terms_than_the_degree():

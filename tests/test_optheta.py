@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, riemann_symbol
+from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, local_basis, riemann_symbol, shift_exponents
 from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
-from picardfuchs.errors import TruncationTooLow
+from picardfuchs.errors import IrregularSingularity, OrderZeroOperator, TruncationTooLow
+from picardfuchs.frobenius import annihilation_order
 from picardfuchs.optheta import (
     DOperator,
     apply_local,
@@ -18,7 +19,6 @@ from picardfuchs.optheta import (
     exponents_at,
     fuchs_defect,
     local_operator,
-    op_mul,
     singular_points,
     theta_from_d,
     top_profile,
@@ -67,11 +67,20 @@ def test_theta_d_roundtrip_on_catalog():
         assert theta_from_d(d_from_theta(op)).cleared() == op.cleared()
 
 
+def _compose(a, b):
+    """a(b(.)) in theta form, by P_i(theta) t^j = t^j P_i(theta + j)."""
+    out = [Polynomial(()) for _ in range(a.r + b.r + 1)]
+    for i, p in enumerate(a.theta_coeffs):
+        for j, q in enumerate(b.theta_coeffs):
+            out[i + j] = out[i + j] + p.shift(j) * q
+    return ThetaOperator(out)
+
+
 def test_apply_to_series_respects_multiplication():
     a = ThetaOperator.from_theta_polys([P(1, 1), P(2, 0, 1)])
     b = ThetaOperator.from_theta_polys([P(0, 1), P(-1)])
     y = PowerSeries([Fraction(k * k - 3, 2) for k in range(12)], 11)
-    lhs = apply_to_series(op_mul(a, b), y)
+    lhs = apply_to_series(_compose(a, b), y)
     rhs = apply_to_series(a, apply_to_series(b, y))
     assert lhs == rhs
 
@@ -236,3 +245,51 @@ def test_singular_point_json():
     assert SingularPoint.from_json("oo") == INFINITY
     p = SingularPoint(QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3))
     assert SingularPoint.from_json(p.to_json()) == p
+
+
+_QP = QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3)
+
+
+def test_symbol_computes_each_conjugate_point():
+    # the shift at q+ alone leaves q- as it was: its conjugate's exponents are no guide
+    op = shift_exponents(CATALOG[266].operator, {_QP: Fraction(1, 3)})
+    columns = {str(p): exps for p, exps, _g in riemann_symbol(op).entries}
+    assert columns == {
+        "-1": (0, 1, 1, 2),
+        "-1/2": halves(0, 1, 1, 2),
+        "-1/4-1/4*sqrt(-3)": (0, 1, 3, 4),
+        "-1/4": (0, 1, 1, 2),
+        "-1/4+1/4*sqrt(-3)": tuple(Fraction(k, 3) for k in (1, 4, 10, 13)),
+        "0": halves(0, 1, 1, 2),
+        "1/2": (0, 1, 1, 2),
+        "oo": tuple(Fraction(k, 6) for k in (1, 4, 4, 7)),
+    }
+    assert all(type(e) is Fraction for exps in columns.values() for e in exps)
+    assert fuchs_defect(op) == -4 * 3
+
+
+def test_quadratic_exponents_over_a_quadratic_field():
+    # P_0 = (theta - sqrt(-3)) (theta - 1): the exponents at 0 lie in Q(sqrt(-3)), not in Q
+    root = QuadraticNumber(0, 1, -3)
+    op = ThetaOperator.from_theta_polys([Polynomial([-root, 1]) * P(-1, 1), P(1, 2, 1)])
+    assert exponents_at(op, SingularPoint(0)) == (root, 1)
+    basis = local_basis(op, SingularPoint(0))
+    assert basis.exponents() == [root, 1] and not basis.has_logarithms()
+    assert [annihilation_order(op, SingularPoint(0), s) for s in basis] == [basis.solutions[0].truncation - 1] * 2
+    assert fuchs_defect(op) == -2
+
+
+def test_irregular_point_raises():
+    # D + t, that is theta + t^2 in theta form: exp(-t^2/2) is irregular at infinity
+    op = ThetaOperator.from_json({"form": "d", "coeffs": [["0", "1"], ["1"]]})
+    for call in (riemann_symbol, fuchs_defect, lambda op: local_basis(op, INFINITY)):
+        with pytest.raises(IrregularSingularity):
+            call(op)
+    assert exponents_at(op, SingularPoint(0)) == (0,)
+
+
+def test_order_zero_operator_raises():
+    op = ThetaOperator.from_theta_polys([P(1), P(2)])
+    for call in (riemann_symbol, lambda op: local_basis(op, SingularPoint(0))):
+        with pytest.raises(OrderZeroOperator):
+            call(op)

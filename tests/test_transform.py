@@ -320,7 +320,7 @@ def _rf_shift(op, shifts):
     for k, c in enumerate(dop.d_coeffs):
         if c.is_zero:
             continue
-        lifted = RationalFunction.from_poly(c)
+        lifted = RationalFunction(c)
         for j, r in rows[k].items():
             coeffs[j] = coeffs.get(j, 0) + lifted * r
     return _rf_clear_to_theta(coeffs)
