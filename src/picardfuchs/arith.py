@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import zip_longest
 
 from .errors import (
     FactorizationFailed,
+    InexactDivision,
     InvalidDiscriminant,
     InvalidPower,
     NonPositiveInteger,
@@ -126,15 +129,21 @@ def rational_sqrt(q):
 # quadratic field elements
 
 
+@lru_cache(maxsize=256)
+def _field_tag(d):
+    """d, once checked to be a squarefree integer other than 0 and 1; cached, as every QuadraticNumber asks."""
+    if d in (0, 1) or squarefree_part(d)[0] != 1:
+        raise InvalidDiscriminant("a quadratic field tag must be squarefree and not 0 or 1, got %d" % d)
+    return d
+
+
 class QuadraticNumber:
     """a + b*sqrt(d) with rational a, b and squarefree integer d (d != 0, 1)."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        d = int(d)
-        if d in (0, 1):
-            raise InvalidDiscriminant("a quadratic field tag must not be 0 or 1, got %d" % d)
+        d = _field_tag(int(d))
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "d", d)
@@ -213,10 +222,6 @@ class QuadraticNumber:
     def norm(self):
         """a^2 - d*b^2, always a Fraction."""
         return self.a * self.a - self.d * self.b * self.b
-
-    @property
-    def is_rational(self):
-        return self.b == 0
 
     def __eq__(self, other):
         if isinstance(other, QuadraticNumber):
@@ -485,13 +490,9 @@ class Polynomial:
         """
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no primitive part")
-        cs = [Fraction(collapse(c)) for c in self.coeffs]
-        den = math.lcm(*[c.denominator for c in cs])
-        nums = [c.numerator * (den // c.denominator) for c in cs]
-        g = math.gcd(*nums)
-        if nums[-1] < 0:
-            g = -g
-        return Polynomial([n // g for n in nums]), Fraction(g, den)
+        (row,), den = integer_rows([self.map_coeffs(collapse)])
+        prim = zprimitive(row)
+        return Polynomial(prim), Fraction(row[-1], den * prim[-1])
 
     def __repr__(self):
         return "Polynomial(%s)" % (format_polynomial(self, "t"),)
@@ -609,13 +610,139 @@ def format_polynomial(p, var):
 
 
 def poly_gcd(p, q):
-    """Monic gcd over the coefficient field."""
+    """Monic gcd over the coefficient field: over Q the monic form of zgcd."""
+    # a QuadraticNumber, even with zero sqrt part, keeps Euclid over Q(sqrt d):
+    # its Polynomial arithmetic fixes the scalar types of the result
+    if any(type(c) is QuadraticNumber for c in p.coeffs + q.coeffs):
+        return _euclid_gcd(p, q)
+    g = zgcd(*integer_rows((p, q))[0])
+    return Polynomial([Fraction(c, g[-1]) for c in g])
+
+
+def _euclid_gcd(p, q):
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b
-    if a.is_zero:
-        return a
     return a.monic()
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials: lists of ints in ascending degree, [] for zero, no
+# trailing zeros
+
+
+def integer_rows(polys):
+    """(rows, den): rows[i] = den * polys[i] as integer lists, den the lcm of every denominator."""
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
+
+
+def ztrim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def zadd(a, b):
+    return ztrim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def zmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def zderiv(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def zprimitive(a):
+    """a over its content, with a positive leading coefficient."""
+    if not a:
+        return []
+    g = math.gcd(*a)
+    return [c // g for c in a] if a[-1] > 0 else [-c // g for c in a]
+
+
+def _zdiv(a, b):
+    """The quotient a / b in Z[t] when b divides a there, else None (b nonzero)."""
+    r, n, lead = list(a), len(b) - 1, b[-1]
+    if len(r) <= n:
+        return None if r else []
+    q = [0] * (len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + n], lead)
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    return None if any(r[:n]) else q
+
+
+def zquo(a, b):
+    """Exact quotient a / b in Z[t]; a remainder raises InexactDivision."""
+    q = _zdiv(a, b)
+    if q is None:
+        raise InexactDivision("%s does not divide %s in Z[t]" % (b, a))
+    return q
+
+
+def zgcd(a, b):
+    """Primitive gcd in Z[t], with positive lead ([] when both are zero), by GCDHEU.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989) reads the
+    integer gcd of a(xi) and b(xi) in balanced base xi; the primitive part H
+    of that reading is the gcd once exact division shows it divides a and b,
+    so no answer is probabilistic.  After six evaluation points zprs_gcd
+    decides.
+    """
+    # Why: a common factor F of a/H and b/H has F(xi) | cont(reading), and
+    # |cont| <= xi/2; the roots of F have |z| < 1 + min(|a|, |b|) (Cauchy, max
+    # norms), so |F(xi)| > (xi - 1 - min)^deg F >= xi/2 when xi >= 2 min + 2.
+    a, b = zprimitive(a), zprimitive(b)
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        values = (reduce(lambda v, c: v * xi + c, reversed(f), 0) for f in (a, b))
+        gamma, digits = math.gcd(*values), []
+        while gamma:
+            c = gamma % xi
+            c = c - xi if 2 * c > xi else c
+            digits.append(c)
+            gamma = (gamma - c) // xi
+        h = zprimitive(digits)
+        if _zdiv(a, h) is not None and _zdiv(b, h) is not None:
+            return h
+        xi = xi * 73794 // 27011
+    return zprs_gcd(a, b)
+
+
+def zprs_gcd(a, b):
+    """Primitive gcd in Z[t] by the primitive remainder sequence: Euclid on pseudo-remainders."""
+    a, b = zprimitive(a), zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r, n, lead = list(a), len(b) - 1, b[-1]
+        while len(r) > n:
+            c, k = r[-1], len(r) - 1 - n
+            r = [x * lead for x in r]
+            for i in range(n + 1):
+                r[k + i] -= c * b[i]
+            ztrim(r)
+        a, b = b, zprimitive(r)
+    return a
 
 
 def squarefree_factor(p):

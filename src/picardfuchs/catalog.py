@@ -28,7 +28,6 @@ from .optheta import (
     INFINITY,
     SingularPoint,
     ThetaOperator,
-    fuchs_defect,
     riemann_symbol,
     top_profile,
 )
@@ -335,7 +334,7 @@ def _check_entry(op, symbol, labels, allowed_mismatch=()):
     else:
         checks.append(CheckResult("profile", "PASS"))
     n = op.order
-    fd = fuchs_defect(op)
+    fd = sym.fuchs_defect()
     if fd == -n * (n - 1):
         checks.append(CheckResult("fuchs", "PASS"))
     else:

@@ -20,7 +20,7 @@ class UnresolvedFactor(ValueError):
 
 
 class InvalidDiscriminant(ValueError):
-    """A quadratic number was tagged with d = 0 or d = 1, which is no quadratic field."""
+    """A quadratic number was tagged with d = 0, d = 1 or a d with a square factor: not a squarefree field tag."""
 
 
 class FactorizationFailed(ValueError):

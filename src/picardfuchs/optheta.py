@@ -27,6 +27,7 @@ from .arith import (
     as_scalar,
     collapse,
     conjugate_scalar,
+    integer_rows,
     poly_gcd,
     quadratic_taylor_shift,
     roots_in_quadratic_closure,
@@ -35,6 +36,10 @@ from .arith import (
     scalar_sort_key,
     scalar_to_json,
     taylor_shift,
+    zgcd,
+    zmul,
+    zquo,
+    ztrim,
 )
 from .errors import (
     IrrationalExponent,
@@ -120,50 +125,24 @@ def stirling2(k, j):
 
 
 @lru_cache(maxsize=None)
-def falling_factorial_poly(j):
-    """theta(theta-1)...(theta-j+1) as a Polynomial."""
-    out = Polynomial((1,))
+def falling_factorial(j):
+    """Integer coefficients of theta(theta-1)...(theta-j+1)."""
+    out = [1]
     for i in range(j):
-        out = out * Polynomial((-i, 1))
-    return out
+        out = zmul(out, [-i, 1])
+    return tuple(out)
 
 
 def _clear_content(polys):
     """Scale a list of polynomials to integer content 1 with positive leading data."""
-    dens, nums = [], []
-    for p in polys:
-        for c in p:
-            if isinstance(c, QuadraticNumber):
-                dens.extend((c.a.denominator, c.b.denominator))
-                nums.extend((c.a.numerator, c.b.numerator))
-            else:
-                dens.append(c.denominator)
-                nums.append(c.numerator)
-    nums = [n for n in nums if n]
-    if not nums:
+    parts = [x for p in polys for c in p for x in _scalar_parts(c) if x]
+    if not parts:
         return list(polys)
-    lcm = math.lcm(*dens)
-    gcd = math.gcd(*[n * (lcm // d) for n, d in _paired(polys, lcm)])
-    scale = Fraction(lcm, gcd)
-    out = [p * scale for p in polys]
-    for p in out:
-        if not p.is_zero:
-            if scalar_sign(p.lead) < 0:
-                out = [q * -1 for q in out]
-            break
-    return out
-
-
-def _paired(polys, lcm):
-    for p in polys:
-        for c in p:
-            if isinstance(c, QuadraticNumber):
-                if c.a:
-                    yield c.a.numerator, c.a.denominator
-                if c.b:
-                    yield c.b.numerator, c.b.denominator
-            elif c:
-                yield c.numerator, c.denominator
+    lcm = math.lcm(*(x.denominator for x in parts))
+    scale = Fraction(lcm, math.gcd(*(x.numerator * (lcm // x.denominator) for x in parts)))
+    if scalar_sign(next(p.lead for p in polys if not p.is_zero)) < 0:
+        scale = -scale
+    return [p * scale for p in polys]
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +226,9 @@ class ThetaOperator:
     def normalized(self):
         """Strong canonical form (see canonical_from_d), reusing the theta form when the gcd is trivial."""
         op = self.t_stripped()
+        if scalar_field(operator_scalars(op)) is None:
+            rows = integer_rows(op.theta_coeffs)[0]
+            return canonical_from_rows(integer_d_rows(rows), rows)
         return canonical_from_d(d_from_theta(op).d_coeffs, op)
 
     def to_json(self):
@@ -321,8 +303,15 @@ class DOperator:
         return " + ".join(parts) if parts else "0"
 
 
+def operator_scalars(op):
+    return (c for p in op.theta_coeffs for c in p.coeffs)
+
+
 def d_from_theta(op):
     """Derivative form of a theta-form operator (no normalization)."""
+    if scalar_field(operator_scalars(op)) is None:
+        rows, den = integer_rows(op.theta_coeffs)
+        return DOperator([Polynomial([Fraction(c, den) for c in row]) for row in integer_d_rows(rows)])
     n = op.order
     out = [Polynomial(()) for _ in range(n + 1)]
     for i, p in enumerate(op.theta_coeffs):
@@ -338,10 +327,12 @@ def d_from_theta(op):
 
 def theta_from_d(dop):
     """Theta form: multiply by t^n on the left, expand t^j d^j, strip common t-powers."""
+    if scalar_field(c for p in dop.d_coeffs for c in p.coeffs) is None:
+        return theta_from_rows(integer_theta_rows(integer_rows(dop.d_coeffs)[0]))
     n = dop.order
     polys = []
     for j, c in enumerate(dop.d_coeffs):
-        ff = falling_factorial_poly(j)
+        ff = Polynomial(falling_factorial(j))
         shifted = Polynomial([0] * (n - j) + list(c.coeffs))  # c(t) * t^(n-j)
         for m, gamma in enumerate(shifted.coeffs):
             if not gamma:
@@ -355,27 +346,34 @@ def theta_from_d(dop):
 def canonical_from_d(d_coeffs, theta=None):
     """Strong canonical form of the operator sum_j d_coeffs[j] (d/dt)^j.
 
-    The derivative-form coefficients are divided by their monic polynomial
-    gcd, the quotient is converted to theta form once, a common left factor
-    t^k is stripped, and the content is cleared: integer coefficients (both
+    The derivative-form coefficients are divided by their polynomial gcd,
+    the quotient is converted to theta form once, a common left factor t^k
+    is stripped, and the content is cleared: integer coefficients (both
     parts of a quadratic one) of content 1, and a positive leading
     coefficient in the first nonzero theta polynomial.  Operators that differ
-    by a left factor c*f(t), c a nonzero rational and f a quotient of monic
-    polynomials, get the same form, so two canonical operators are compared
-    with ==.  The catalog operators are canonical; mobius, pullback_rational,
-    shift_exponents, translate_to_origin and descend_power return this form,
-    and negate_variable and pullback_power keep it.
+    by a left factor f(t), any nonzero rational function, get the same form,
+    so two canonical operators are compared with ==.  The catalog operators
+    are canonical; mobius, pullback_rational, shift_exponents,
+    translate_to_origin and descend_power return this form, and
+    negate_variable and pullback_power keep it.
 
-    A transform may therefore clear its denominators by any monic polynomial
-    and skip every intermediate gcd: the factor it brings in is part of the
-    gcd taken here, and the values equal those from reducing every
-    intermediate rational function.  Over Q(sqrt d), whether a coefficient
-    with zero sqrt part is a Fraction or a QuadraticNumber follows the
-    arithmetic that produced it; the form does not fix it.
+    The form is thus free of scale: a transform may clear its denominators
+    by any polynomial and skip every intermediate gcd, and the values equal
+    those from reducing every intermediate rational function.  Over Q that
+    makes the integer path exact (canonical_from_rows): the coefficients
+    drop one common denominator, are divided by their primitive gcd
+    (arith.zgcd, confirmed by exact division), converted with integer
+    falling factorials and cleared on ints; Fractions are built only for
+    the result.  Over Q(sqrt d) Polynomial arithmetic stays, since whether a
+    coefficient with zero sqrt part is a Fraction or a QuadraticNumber
+    follows the arithmetic that produced it; the form does not fix it.
 
     `theta`, when given, is the t-stripped theta form of the same operator;
     it is returned cleared when the gcd is trivial, so no conversion is made.
     """
+    if scalar_field(chain(*d_coeffs, *(theta.theta_coeffs if theta else ()))) is None:
+        return canonical_from_rows(integer_rows(d_coeffs)[0], theta and integer_rows(theta.theta_coeffs)[0])
+    # Q(sqrt d): Polynomial arithmetic, whose path fixes the scalar types
     g = Polynomial(())
     for c in d_coeffs:
         g = poly_gcd(g, c)
@@ -384,6 +382,63 @@ def canonical_from_d(d_coeffs, theta=None):
     elif theta is not None:
         return theta.cleared()
     return theta_from_d(DOperator(d_coeffs))
+
+
+def canonical_from_rows(d_rows, theta_rows=None):
+    """canonical_from_d on integer rows: the coefficients times one common nonzero factor, likewise theta_rows."""
+    g = []
+    for c in d_rows:
+        g = zgcd(g, c)
+        if len(g) == 1:
+            break
+    if len(g) > 1:
+        d_rows = [zquo(c, g) for c in d_rows]
+    elif theta_rows is not None:
+        return theta_from_rows(theta_rows)
+    return theta_from_rows(integer_theta_rows(d_rows))
+
+
+def integer_d_rows(rows):
+    """Derivative-form rows of integer theta rows, by t^i theta^k = sum_j S(k, j) t^(i+j) (d/dt)^j."""
+    n = max(len(p) for p in rows) - 1
+    out = [[0] * (len(rows) + n) for _ in range(n + 1)]
+    for i, p in enumerate(rows):
+        for k, pk in enumerate(p):
+            if pk:
+                for j in range(k + 1):
+                    out[j][i + j] += pk * stirling2(k, j)
+    return [ztrim(row) for row in out]
+
+
+def integer_theta_rows(d_rows):
+    """Theta rows of t^n * sum_j d_rows[j] (d/dt)^j, by t^j (d/dt)^j = theta(theta-1)...(theta-j+1)."""
+    n = len(d_rows) - 1
+    out = [[0] * (n + 1) for _ in range(max((len(c) + n - j for j, c in enumerate(d_rows)), default=0))]
+    for j, c in enumerate(d_rows):
+        ff = falling_factorial(j)
+        for m, gamma in enumerate(c):
+            if gamma:
+                row = out[m + n - j]
+                for k, f in enumerate(ff):
+                    row[k] += gamma * f
+    return [ztrim(row) for row in out]
+
+
+def theta_from_rows(rows):
+    """The ThetaOperator of integer theta rows, t-stripped, of content 1 and positive leading sign."""
+    rows = rows[next((i for i, p in enumerate(rows) if p), len(rows)) :]
+    g = math.gcd(*(c for p in rows for c in p))
+    if g:
+        rows = [[c // g for c in p] for p in rows] if rows[0][-1] > 0 else [[-c // g for c in p] for p in rows]
+    return ThetaOperator([Polynomial([Fraction(c) for c in p]) for p in rows])
+
+
+def shift_rows(rows, a):
+    """q^m c(t + a) for each integer row c, a = u/q and m the top degree: C(x + u), C(x) = q^m c(x/q), at x = qt."""
+    q, u = a.denominator, a.numerator
+    qpow = [q**k for k in range(max(map(len, rows), default=0))]
+    m = len(qpow) - 1
+    return [[x * qk for x, qk in zip(taylor_shift([x * qpow[m - k] for k, x in enumerate(c)], u), qpow)] for c in rows]
 
 
 def scalar_field(scalars):
@@ -422,12 +477,8 @@ def integer_polys(polys, q, d=None):
     """
     n = max([0] + [p.degree for p in polys])
     if d is None:
-        dens = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-        Q = [
-            ([c.numerator * (dens // c.denominator) * q ** (n - k) for k, c in enumerate(p.coeffs)], None, None)
-            for p in polys
-        ]
-        return Q, dens * q**n
+        rows, dens = integer_rows(polys)
+        return [([c * q ** (n - k) for k, c in enumerate(row)], None, None) for row in rows], dens * q**n
     parts = [[_scalar_parts(c) for c in p.coeffs] for p in polys]
     dens = math.lcm(*(x.denominator for cs in parts for ab in cs for x in ab))
     Q = []
@@ -586,6 +637,9 @@ def apply_to_series(op, y):
 
 def translate(op, a):
     """Substitute t -> t + a, moving the point a to 0."""
+    if scalar_field(chain([a], operator_scalars(op))) is None:
+        d_rows = integer_d_rows(integer_rows(op.theta_coeffs)[0])
+        return theta_from_rows(integer_theta_rows(shift_rows(d_rows, a)))
     dop = d_from_theta(op)
     return theta_from_d(DOperator([c.shift(a) for c in dop.d_coeffs]))
 
@@ -758,6 +812,16 @@ class RiemannSymbol:
             for p, exps, g in entries
         ]
 
+    def fuchs_defect(self):
+        """sum over candidate points of (sum of exponents - n(n-1)/2), exactly.
+
+        Equals -n(n-1) for a Fuchsian operator; the check runs over every
+        candidate point including regular-looking ones.  Over Q(sqrt d) a
+        sqrt part left in the sum is kept, so it shows as a defect.
+        """
+        half = Fraction(self.order * (self.order - 1), 2)
+        return collapse(sum((sum(exps, Fraction(0)) - half for _p, exps, _g in self.entries), Fraction(0)))
+
 
 def riemann_symbol(op, with_log_check=True):
     """Riemann symbol over all candidate points.
@@ -782,12 +846,5 @@ def riemann_symbol(op, with_log_check=True):
 
 
 def fuchs_defect(op):
-    """sum over candidate points of (sum of exponents - n(n-1)/2), exactly.
-
-    Equals -n(n-1) for a Fuchsian operator; the check runs over every
-    candidate point including regular-looking ones.  Over Q(sqrt d) a sqrt
-    part left in the sum is kept, so it shows as a defect.
-    """
-    sym = riemann_symbol(op, with_log_check=False)
-    half = Fraction(sym.order * (sym.order - 1), 2)
-    return collapse(sum((sum(exps, Fraction(0)) - half for _p, exps, _g in sym.entries), Fraction(0)))
+    """RiemannSymbol.fuchs_defect of the operator's symbol."""
+    return riemann_symbol(op, with_log_check=False).fuchs_defect()

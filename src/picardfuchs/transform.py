@@ -3,13 +3,23 @@
 Pulling back along t = phi(s) rewrites d/dt as (1/phi')*d/ds; conjugating by
 prod (t - a_i)^(eps_i) rewrites it as d/dt - sum eps_i/(t - a_i), shifting the
 exponents (infinity absorbs -sum(eps_i)).  Both expand sum_k c_k * X^k,
-X = (alpha*D + gamma)/beta, beta monic, over one common denominator without a
-gcd, and hand the derivative form to optheta.canonical_from_d.
+X = (alpha*D + gamma)/beta, over one common denominator without a gcd, and
+hand the derivative form to the strong canonical form (optheta.canonical_from_d).
+
+That form clears every scalar, so over Q the operator, the map and the shift
+are scaled to integer lists, each dropping one common denominator (alpha,
+beta and gamma share theirs, which leaves X as it is), and the expansion
+runs in Z[t] (_expand_rows, canonical_from_rows).  An operator, map or shift
+holding a QuadraticNumber keeps Polynomial arithmetic (_expand): over
+Q(sqrt d) its path fixes which coefficients are QuadraticNumbers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 
 from .arith import (
     Polynomial,
@@ -18,10 +28,15 @@ from .arith import (
     as_scalar,
     collapse,
     format_polynomial,
+    integer_rows,
     poly_gcd,
     roots_in_quadratic_closure,
     scalar_sort_key,
     scalar_to_json,
+    zadd,
+    zderiv,
+    zmul,
+    zquo,
 )
 from .errors import (
     DegenerateTransform,
@@ -36,7 +51,12 @@ from .optheta import (
     SingularPoint,
     ThetaOperator,
     canonical_from_d,
+    canonical_from_rows,
     d_from_theta,
+    integer_d_rows,
+    operator_scalars,
+    scalar_field,
+    shift_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -185,11 +205,41 @@ def _expand(coeffs, alpha, beta, gamma):
     return canonical_from_d(acc)
 
 
+def _expand_rows(coeffs, alpha, beta, gamma):
+    """_expand on integer lists, for any nonzero beta: X is unchanged when alpha, beta, gamma share a scale."""
+    if not coeffs:
+        raise ZeroOperator("transform produced the zero operator")
+    dbeta, beta2, gamma_beta = zderiv(beta), zmul(beta, beta), zmul(gamma, beta)
+    row = [[1]]
+    acc = [coeffs[0]]
+    for k in range(1, len(coeffs)):
+        e = 2 * (k - 1)
+        pad = [[]] + row + [[]]
+        # alpha * ((n' + m) * beta - e * n * beta') + gamma * beta * n, as in _expand
+        row = [
+            zadd(zmul(alpha, zadd(zmul(zadd(zderiv(n), m), beta), [-e * c for c in zmul(n, dbeta)])), zmul(gamma_beta, n))
+            for m, n in zip(pad, pad[1:])
+        ]
+        acc = [zadd(zmul(a, beta2), zmul(coeffs[k], r)) for a, r in zip(acc + [[]], row)]
+    return canonical_from_rows(acc)
+
+
+def _over_q(op, scalars):
+    """True when neither the operator nor the transform data holds a QuadraticNumber: then the integer path runs."""
+    # The Q(sqrt d) branch stays on Polynomial: its arithmetic decides which
+    # coefficients with zero sqrt part come out as QuadraticNumbers (4 of the
+    # 30 of the Q(sqrt -3) Mobius step of the 266 chain), the chain's recorded
+    # outputs fix those types, and a type rule for Q(sqrt d) has to come first.
+    return scalar_field(chain(operator_scalars(op), scalars)) is None
+
+
 def pullback_rational(op, phi):
     """Operator annihilating y(phi(s)) for every solution y(t) of op.
 
-    With phi = P/Q, Q monic: D_t = Q^2/W * D_s for W = P'Q - PQ', and each
-    c(P/Q) is Q^-deg times the homogenised sum_i c_i P^i Q^(deg - i).
+    With phi = P/Q: D_t = Q^2/W * D_s for W = P'Q - PQ', and each c(P/Q) is
+    Q^-deg times the homogenised sum_i c_i P^i Q^(deg - i).  Over Q, P and Q
+    are scaled to integers by one common factor, which leaves P/Q and
+    Q^2/W as they are.
     """
     if isinstance(phi, MobiusMap):
         phi = phi.as_rational_function()
@@ -199,6 +249,14 @@ def pullback_rational(op, phi):
     w = p.derivative() * q - p * q.derivative()
     if w.is_zero:
         raise DegenerateTransform("constant substitution")
+    if _over_q(op, chain(p, q)):
+        (p, q), _den = integer_rows((p, q))
+        dcoeffs = integer_d_rows(integer_rows(op.theta_coeffs)[0])
+        top = max(map(len, dcoeffs), default=1) - 1
+        homog = [reduce(zmul, [p] * i + [q] * (top - i), [1]) for i in range(top + 1)]
+        coeffs = [reduce(zadd, ([ci * x for x in h] for ci, h in zip(c, homog)), []) for c in dcoeffs]
+        w = zadd(zmul(zderiv(p), q), [-c for c in zmul(p, zderiv(q))])
+        return _expand_rows(coeffs, zmul(q, q), w, [])
     dcoeffs = d_from_theta(op).d_coeffs
     top = max((c.degree for c in dcoeffs), default=0)
     homog = [p**i * q**(top - i) for i in range(top + 1)]
@@ -216,6 +274,8 @@ def mobius(op, m):
 def translate_to_origin(op, a):
     """Substitute t = s + a, moving the point a to 0, in strong canonical form."""
     a = collapse(a)
+    if _over_q(op, [a]):
+        return canonical_from_rows(shift_rows(integer_d_rows(integer_rows(op.theta_coeffs)[0]), a))
     return canonical_from_d([c.shift(a) for c in d_from_theta(op).d_coeffs])
 
 
@@ -271,10 +331,20 @@ def shift_exponents(op, shifts):
     """Conjugate by prod (t - a)^eps, shifting the local exponents at each a by eps.
 
     D becomes D - sum eps/(t - a) = (L*D + G)/L with L = prod (t - a) and
-    G = -sum eps * L/(t - a).
+    G = -sum eps * L/(t - a).  Over Q, with a = u/q, L and G are taken times
+    E * prod q, E the lcm of the eps denominators: L as E * prod (q t - u).
     """
     if not isinstance(shifts, ShiftAssignment):
         shifts = ShiftAssignment(shifts)
+    if _over_q(op, chain(*shifts.items)):
+        scale = math.lcm(*(eps.denominator for _a, eps in shifts.items))
+        lines = [[-a.numerator, a.denominator] for a, _eps in shifts.items]
+        ell = reduce(zmul, lines, [1])
+        terms = [
+            [-int(eps * scale) * a.denominator * c for c in zquo(ell, line)] for (a, eps), line in zip(shifts.items, lines)
+        ]
+        ell = [scale * c for c in ell]
+        return _expand_rows(integer_d_rows(integer_rows(op.theta_coeffs)[0]), ell, ell, reduce(zadd, terms, []))
     ell, gauge = Polynomial((1,)), Polynomial(())
     for a, _eps in shifts.items:
         ell = ell * Polynomial((-a, 1))

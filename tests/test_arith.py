@@ -73,6 +73,34 @@ def test_quadratic_tag_is_checked_under_optimize(run_optimized):
     assert run_optimized(code).split() == ["InvalidDiscriminant", "InvalidDiscriminant"]
 
 
+@pytest.mark.parametrize("d", [4, 8, -12, 18, -4, 50])
+def test_quadratic_tag_must_be_squarefree(d):
+    with pytest.raises(InvalidDiscriminant, match="got %d" % d):
+        QuadraticNumber(0, 1, d)
+    with pytest.raises(InvalidDiscriminant):
+        scalar_from_json({"a": "0", "b": "1", "d": d})
+
+
+def test_squarefree_tags_are_accepted():
+    for d in (-1, 2, -3, 5, 6, -15, 30):
+        assert QuadraticNumber(0, 1, d).d == d
+        assert scalar_from_json({"a": "1", "b": "1", "d": d}) == QuadraticNumber(1, 1, d)
+
+
+def test_squarefree_tag_is_checked_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs.arith import QuadraticNumber, scalar_from_json\n"
+        "from picardfuchs.errors import InvalidDiscriminant\n"
+        "for d in (4, 8, -12):\n"
+        "    for make in (lambda: QuadraticNumber(0, 1, d), lambda: scalar_from_json({'a': '0', 'b': '1', 'd': d})):\n"
+        "        try:\n"
+        "            make()\n"
+        "        except InvalidDiscriminant:\n"
+        "            print('InvalidDiscriminant')\n"
+    )
+    assert run_optimized(code).split() == ["InvalidDiscriminant"] * 6
+
+
 def test_collapse_strips_zero_irrational_part():
     x = QuadraticNumber(Fraction(7, 3), Fraction(0), 5)
     assert collapse(x) == Fraction(7, 3)

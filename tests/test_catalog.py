@@ -92,6 +92,22 @@ def test_unknown_chain_lists_candidates():
     assert "33to70" in str(exc.value)
 
 
+def test_verification_finds_each_points_exponents_once(monkeypatch):
+    # riemann_symbol once per entry; the Fuchs check reads that symbol (128 candidate points)
+    from picardfuchs import optheta
+
+    calls = []
+    exponents_at = optheta.exponents_at
+
+    def counted(op, point):
+        calls.append(point)
+        return exponents_at(op, point)
+
+    monkeypatch.setattr(optheta, "exponents_at", counted)
+    assert verify_catalog().ok
+    assert len(calls) == 128
+
+
 def test_full_verification_passes():
     rep = verify_catalog(include_derived=True, include_chains=True)
     assert rep.ok

@@ -257,6 +257,12 @@ MALFORMED_FILES = [
         "pf: irregular singular point oo: indicial polynomial of degree 0 below the order 1\n",
     ),
     (["classify", "{}"], {"coeffs": [["1"], ["2"]]}, "pf: an operator of order 0 has no exponents and no local solutions\n"),
+    # theta^2 sqrt(4) - 4 + t(theta^2 + theta + 1): "sqrt(4)" is no quadratic irrational
+    (
+        ["symbol", "{}"],
+        {"form": "theta", "coeffs": [["-4", "0", {"a": "0", "b": "1", "d": 4}], ["1", "1", "1"]]},
+        "quadratic field tag must be squarefree and not 0 or 1, got 4\n",
+    ),
 ]
 _MALFORMED_IDS = [
     "octic",
@@ -272,6 +278,7 @@ _MALFORMED_IDS = [
     "operator-zero-denominator",
     "symbol-irregular",
     "classify-order-0",
+    "symbol-tag-not-squarefree",
 ]
 
 

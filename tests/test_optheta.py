@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, local_basis, riemann_symbol, shift_exponents
@@ -25,6 +25,7 @@ from picardfuchs.optheta import (
 )
 
 import scalar_reference as ref
+from shapes import fuchsian_shapes
 
 
 def P(*cs):
@@ -293,3 +294,15 @@ def test_order_zero_operator_raises():
     for call in (riemann_symbol, lambda op: local_basis(op, SingularPoint(0))):
         with pytest.raises(OrderZeroOperator):
             call(op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=fuchsian_shapes())
+def test_fuchs_relation_on_generated_shapes(op):
+    # sum over all points of (sum of exponents - n(n-1)/2) is -n(n-1) (Fuchs)
+    try:
+        sym = riemann_symbol(op, with_log_check=False)
+    except IrregularSingularity:
+        assume(False)  # a double root of the top profile can make a point irregular
+    n = op.order
+    assert fuchs_defect(op) == sym.fuchs_defect() == -n * (n - 1)

@@ -405,3 +405,9 @@ def test_shift_matches_rational_function_engine_on_generated_operators(op, point
 def test_shift_then_opposite_shift_is_identity(op, points, eps):
     there = shift_exponents(op, {a: eps for a in points})
     assert shift_exponents(there, {a: -eps for a in points}) == op.normalized()
+
+
+@settings(max_examples=30, deadline=None)
+@given(op=fuchsian_shapes(), k=st.sampled_from([2, 3]))
+def test_descent_undoes_a_power_pullback(op, k):
+    assert descend_power(pullback_power(op, k), k) == op.normalized()
