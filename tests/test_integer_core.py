@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from picardfuchs import CATALOG, CHAINS, MobiusMap, ThetaOperator, reproduce_reduction
+from picardfuchs import CHAINS, MobiusMap, ThetaOperator, reproduce_reduction
 from picardfuchs import arith, transform
 from picardfuchs.arith import Polynomial, poly_gcd, zadd, zderiv, zgcd, zmul, zprimitive, zprs_gcd, zquo
 from picardfuchs.errors import InexactDivision
@@ -251,11 +251,3 @@ def test_the_quadratic_mobius_step_takes_the_polynomial_path(monkeypatch):
     assert reproduce_reduction("266chain").ok
     assert len(calls) == 1
 
-
-def test_catalog_translation_keeps_its_values():
-    # the local operator at a finite point, on the integer path, against the Polynomial round trip
-    op = CATALOG[250].operator
-    for a in (Fraction(1), Fraction(-1, 2), Fraction(9)):
-        dop = reference_d_from_theta(op)
-        shifted = type(dop)([c.shift(a) for c in dop.d_coeffs])
-        assert _json(translate(op, a)) == _json(reference_theta_from_d(shifted))
