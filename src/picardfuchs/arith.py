@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import (
@@ -129,10 +129,33 @@ def rational_sqrt(q):
 # quadratic field elements
 
 
+def _is_squarefree(n, bound=100_000):
+    """Whether n != 0 has no square factor, or None when trial division up to `bound` cannot tell.
+
+    Once no prime below p divides n and p^3 > n, n has at most two prime
+    factors, so it has a square factor exactly when it is a square.
+    """
+    n, p = abs(n), 2
+    while p * p * p <= n:
+        if p > bound:
+            if _is_probable_prime(n):
+                return True
+            return False if math.isqrt(n) ** 2 == n else None
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    return n == 1 or math.isqrt(n) ** 2 != n
+
+
 @lru_cache(maxsize=256)
 def _field_tag(d):
     """d, once checked to be a squarefree integer other than 0 and 1; cached, as every QuadraticNumber asks."""
-    if d in (0, 1) or squarefree_part(d)[0] != 1:
+    squarefree = d not in (0, 1) and _is_squarefree(d)
+    if squarefree is None:
+        raise InvalidDiscriminant("cannot decide whether the quadratic field tag %d is squarefree" % d)
+    if not squarefree:
         raise InvalidDiscriminant("a quadratic field tag must be squarefree and not 0 or 1, got %d" % d)
     return d
 
@@ -670,66 +693,30 @@ def zprimitive(a):
     return [c // g for c in a] if a[-1] > 0 else [-c // g for c in a]
 
 
-def _zdiv(a, b):
-    """The quotient a / b in Z[t] when b divides a there, else None (b nonzero)."""
+def zquo(a, b):
+    """Exact quotient a / b in Z[t] (b nonzero); a remainder raises InexactDivision."""
     r, n, lead = list(a), len(b) - 1, b[-1]
-    if len(r) <= n:
-        return None if r else []
-    q = [0] * (len(r) - n)
+    q = [0] * max(len(r) - n, 0)
     for k in range(len(q) - 1, -1, -1):
         c, rem = divmod(r[k + n], lead)
         if rem:
-            return None
+            break
         q[k] = c
         if c:
             for i in range(n):
                 r[k + i] -= c * b[i]
-    return None if any(r[:n]) else q
-
-
-def zquo(a, b):
-    """Exact quotient a / b in Z[t]; a remainder raises InexactDivision."""
-    q = _zdiv(a, b)
-    if q is None:
-        raise InexactDivision("%s does not divide %s in Z[t]" % (b, a))
-    return q
+    else:
+        if not any(r[:n]):
+            return q
+    raise InexactDivision("%s does not divide %s in Z[t]" % (b, a))
 
 
 def zgcd(a, b):
-    """Primitive gcd in Z[t], with positive lead ([] when both are zero), by GCDHEU.
+    """Primitive gcd in Z[t], with positive lead ([] when both are zero): the primitive remainder sequence.
 
-    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989) reads the
-    integer gcd of a(xi) and b(xi) in balanced base xi; the primitive part H
-    of that reading is the gcd once exact division shows it divides a and b,
-    so no answer is probabilistic.  After six evaluation points zprs_gcd
-    decides.
+    Euclid on pseudo-remainders, each made primitive, so every step stays
+    in Z[t] and no answer needs checking.
     """
-    # Why: a common factor F of a/H and b/H has F(xi) | cont(reading), and
-    # |cont| <= xi/2; the roots of F have |z| < 1 + min(|a|, |b|) (Cauchy, max
-    # norms), so |F(xi)| > (xi - 1 - min)^deg F >= xi/2 when xi >= 2 min + 2.
-    a, b = zprimitive(a), zprimitive(b)
-    if not a or not b:
-        return a or b
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(6):
-        values = (reduce(lambda v, c: v * xi + c, reversed(f), 0) for f in (a, b))
-        gamma, digits = math.gcd(*values), []
-        while gamma:
-            c = gamma % xi
-            c = c - xi if 2 * c > xi else c
-            digits.append(c)
-            gamma = (gamma - c) // xi
-        h = zprimitive(digits)
-        if _zdiv(a, h) is not None and _zdiv(b, h) is not None:
-            return h
-        xi = xi * 73794 // 27011
-    return zprs_gcd(a, b)
-
-
-def zprs_gcd(a, b):
-    """Primitive gcd in Z[t] by the primitive remainder sequence: Euclid on pseudo-remainders."""
     a, b = zprimitive(a), zprimitive(b)
     if len(a) < len(b):
         a, b = b, a

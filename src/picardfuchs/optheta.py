@@ -226,7 +226,7 @@ class ThetaOperator:
     def normalized(self):
         """Strong canonical form (see canonical_from_d), reusing the theta form when the gcd is trivial."""
         op = self.t_stripped()
-        if scalar_field(operator_scalars(op)) is None:
+        if over_q(op):
             rows = integer_rows(op.theta_coeffs)[0]
             return canonical_from_rows(integer_d_rows(rows), rows)
         return canonical_from_d(d_from_theta(op).d_coeffs, op)
@@ -307,9 +307,18 @@ def operator_scalars(op):
     return (c for p in op.theta_coeffs for c in p.coeffs)
 
 
+def over_q(op, scalars=()):
+    """True when neither the operator nor `scalars` holds a QuadraticNumber: then the integer path runs."""
+    # The Q(sqrt d) branch stays on Polynomial: its arithmetic decides which
+    # coefficients with zero sqrt part come out as QuadraticNumbers (4 of the
+    # 30 of the Q(sqrt -3) Mobius step of the 266 chain), the chain's recorded
+    # outputs fix those types, and a type rule for Q(sqrt d) has to come first.
+    return scalar_field(chain(operator_scalars(op), scalars)) is None
+
+
 def d_from_theta(op):
     """Derivative form of a theta-form operator (no normalization)."""
-    if scalar_field(operator_scalars(op)) is None:
+    if over_q(op):
         rows, den = integer_rows(op.theta_coeffs)
         return DOperator([Polynomial([Fraction(c, den) for c in row]) for row in integer_d_rows(rows)])
     n = op.order
@@ -327,8 +336,6 @@ def d_from_theta(op):
 
 def theta_from_d(dop):
     """Theta form: multiply by t^n on the left, expand t^j d^j, strip common t-powers."""
-    if scalar_field(c for p in dop.d_coeffs for c in p.coeffs) is None:
-        return theta_from_rows(integer_theta_rows(integer_rows(dop.d_coeffs)[0]))
     n = dop.order
     polys = []
     for j, c in enumerate(dop.d_coeffs):
@@ -344,7 +351,7 @@ def theta_from_d(dop):
 
 
 def canonical_from_d(d_coeffs, theta=None):
-    """Strong canonical form of the operator sum_j d_coeffs[j] (d/dt)^j.
+    """Strong canonical form of the operator sum_j d_coeffs[j] (d/dt)^j: the entry for Q(sqrt d).
 
     The derivative-form coefficients are divided by their polynomial gcd,
     the quotient is converted to theta form once, a common left factor t^k
@@ -360,20 +367,19 @@ def canonical_from_d(d_coeffs, theta=None):
     The form is thus free of scale: a transform may clear its denominators
     by any polynomial and skip every intermediate gcd, and the values equal
     those from reducing every intermediate rational function.  Over Q that
-    makes the integer path exact (canonical_from_rows): the coefficients
-    drop one common denominator, are divided by their primitive gcd
-    (arith.zgcd, confirmed by exact division), converted with integer
-    falling factorials and cleared on ints; Fractions are built only for
-    the result.  Over Q(sqrt d) Polynomial arithmetic stays, since whether a
-    coefficient with zero sqrt part is a Fraction or a QuadraticNumber
-    follows the arithmetic that produced it; the form does not fix it.
+    makes the integer path exact, and every caller takes it (over_q decides):
+    canonical_from_rows gets the coefficients with one common denominator
+    dropped, divides them by their primitive gcd (arith.zgcd, a primitive
+    remainder sequence), converts with integer falling factorials and clears on
+    ints; Fractions are built only for the result.  Over Q(sqrt d) this body
+    keeps Polynomial arithmetic, since whether a coefficient with zero sqrt
+    part is a Fraction or a QuadraticNumber follows the arithmetic that
+    produced it; the form does not fix it.  Over Q the body gives the same
+    values as canonical_from_rows, at Fraction cost.
 
     `theta`, when given, is the t-stripped theta form of the same operator;
     it is returned cleared when the gcd is trivial, so no conversion is made.
     """
-    if scalar_field(chain(*d_coeffs, *(theta.theta_coeffs if theta else ()))) is None:
-        return canonical_from_rows(integer_rows(d_coeffs)[0], theta and integer_rows(theta.theta_coeffs)[0])
-    # Q(sqrt d): Polynomial arithmetic, whose path fixes the scalar types
     g = Polynomial(())
     for c in d_coeffs:
         g = poly_gcd(g, c)
@@ -637,7 +643,7 @@ def apply_to_series(op, y):
 
 def translate(op, a):
     """Substitute t -> t + a, moving the point a to 0."""
-    if scalar_field(chain([a], operator_scalars(op))) is None:
+    if over_q(op, [a]):
         d_rows = integer_d_rows(integer_rows(op.theta_coeffs)[0])
         return theta_from_rows(integer_theta_rows(shift_rows(d_rows, a)))
     dop = d_from_theta(op)

@@ -54,8 +54,7 @@ from .optheta import (
     canonical_from_rows,
     d_from_theta,
     integer_d_rows,
-    operator_scalars,
-    scalar_field,
+    over_q,
     shift_rows,
 )
 
@@ -224,15 +223,6 @@ def _expand_rows(coeffs, alpha, beta, gamma):
     return canonical_from_rows(acc)
 
 
-def _over_q(op, scalars):
-    """True when neither the operator nor the transform data holds a QuadraticNumber: then the integer path runs."""
-    # The Q(sqrt d) branch stays on Polynomial: its arithmetic decides which
-    # coefficients with zero sqrt part come out as QuadraticNumbers (4 of the
-    # 30 of the Q(sqrt -3) Mobius step of the 266 chain), the chain's recorded
-    # outputs fix those types, and a type rule for Q(sqrt d) has to come first.
-    return scalar_field(chain(operator_scalars(op), scalars)) is None
-
-
 def pullback_rational(op, phi):
     """Operator annihilating y(phi(s)) for every solution y(t) of op.
 
@@ -249,7 +239,7 @@ def pullback_rational(op, phi):
     w = p.derivative() * q - p * q.derivative()
     if w.is_zero:
         raise DegenerateTransform("constant substitution")
-    if _over_q(op, chain(p, q)):
+    if over_q(op, chain(p, q)):
         (p, q), _den = integer_rows((p, q))
         dcoeffs = integer_d_rows(integer_rows(op.theta_coeffs)[0])
         top = max(map(len, dcoeffs), default=1) - 1
@@ -274,7 +264,7 @@ def mobius(op, m):
 def translate_to_origin(op, a):
     """Substitute t = s + a, moving the point a to 0, in strong canonical form."""
     a = collapse(a)
-    if _over_q(op, [a]):
+    if over_q(op, [a]):
         return canonical_from_rows(shift_rows(integer_d_rows(integer_rows(op.theta_coeffs)[0]), a))
     return canonical_from_d([c.shift(a) for c in d_from_theta(op).d_coeffs])
 
@@ -336,7 +326,7 @@ def shift_exponents(op, shifts):
     """
     if not isinstance(shifts, ShiftAssignment):
         shifts = ShiftAssignment(shifts)
-    if _over_q(op, chain(*shifts.items)):
+    if over_q(op, chain(*shifts.items)):
         scale = math.lcm(*(eps.denominator for _a, eps in shifts.items))
         lines = [[-a.numerator, a.denominator] for a, _eps in shifts.items]
         ell = reduce(zmul, lines, [1])

@@ -1,7 +1,8 @@
 """The theta -> d -> theta round trip that the strong canonical form once took, kept as a test-only reference.
 
-The package takes the canonical form once on a derivative form
-(optheta.canonical_from_d), and over Q on integer lists.  This is the body
+The package takes the canonical form once on a derivative form: over Q on
+integer lists (optheta.canonical_from_rows), over Q(sqrt d) with Polynomial
+arithmetic (optheta.canonical_from_d).  This is the body
 ThetaOperator.normalized() had before: strip t-powers, convert to the
 derivative form, divide by the monic gcd of its coefficients, convert back
 and clear the content.  Every step here is Polynomial arithmetic with

@@ -87,6 +87,17 @@ def test_squarefree_tags_are_accepted():
         assert scalar_from_json({"a": "1", "b": "1", "d": d}) == QuadraticNumber(1, 1, d)
 
 
+def test_tag_with_large_prime_factors_is_decided_without_factoring():
+    # 10000019 * 10000079: both primes lie beyond the cube root, so the tag is squarefree
+    assert QuadraticNumber(0, 1, 10000019 * 10000079).d == 10000019 * 10000079
+    with pytest.raises(InvalidDiscriminant, match="got %d" % 10000019**2):
+        QuadraticNumber(0, 1, 10000019**2)
+    # two primes near 10^10 lie beyond trial division, and the product is no square
+    d = 10000000019 * 10000000033
+    with pytest.raises(InvalidDiscriminant, match="cannot decide whether the quadratic field tag %d is squarefree" % d):
+        scalar_from_json({"a": "0", "b": "1", "d": d})
+
+
 def test_squarefree_tag_is_checked_under_optimize(run_optimized):
     code = (
         "from picardfuchs.arith import QuadraticNumber, scalar_from_json\n"

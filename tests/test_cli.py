@@ -263,6 +263,12 @@ MALFORMED_FILES = [
         {"form": "theta", "coeffs": [["-4", "0", {"a": "0", "b": "1", "d": 4}], ["1", "1", "1"]]},
         "quadratic field tag must be squarefree and not 0 or 1, got 4\n",
     ),
+    # a tag whose two prime factors near 10^10 lie beyond trial division
+    (
+        ["symbol", "{}"],
+        {"form": "theta", "coeffs": [["-4", "0", {"a": "0", "b": "1", "d": 100000000520000000627}], ["1", "1", "1"]]},
+        "is not an operator file: cannot decide whether the quadratic field tag 100000000520000000627 is squarefree\n",
+    ),
 ]
 _MALFORMED_IDS = [
     "octic",
@@ -279,6 +285,7 @@ _MALFORMED_IDS = [
     "symbol-irregular",
     "classify-order-0",
     "symbol-tag-not-squarefree",
+    "symbol-tag-undecided",
 ]
 
 
