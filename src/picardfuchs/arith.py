@@ -22,8 +22,10 @@ from itertools import zip_longest
 from .errors import (
     FactorizationFailed,
     InexactDivision,
+    InexactScalar,
     InvalidDiscriminant,
     InvalidPower,
+    MixedFields,
     NonPositiveInteger,
     TruncationTooLow,
     UnresolvedFactor,
@@ -160,91 +162,152 @@ def _field_tag(d):
     return d
 
 
+def _exact_fraction(x):
+    """Fraction(x) for an exact scalar; a float or a bool has no exact reading and raises InexactScalar."""
+    if isinstance(x, (float, bool)):
+        raise InexactScalar("a scalar must be exact, not the %s %r" % (type(x).__name__, x))
+    return Fraction(x)
+
+
 class QuadraticNumber:
-    """a + b*sqrt(d) with rational a, b and squarefree integer d (d != 0, 1)."""
+    """a + b*sqrt(d) with rational a, b and squarefree integer d (d != 0, 1).
+
+    `a` and `b` are Fractions and `d` is an int.  The constructor checks its
+    input: the parts must be exact (no float, no bool) and the tag a
+    squarefree int.  The arithmetic is an integer kernel: each operation
+    writes both operands over one denominator, (x + y*sqrt(d)) / m, from the
+    numerators and denominators of their parts, computes each part of the
+    result as one integer quotient, builds it with a single
+    Fraction(numerator, denominator) and makes the result through
+    `_quadratic`, which skips the checks its inputs have already passed.  An
+    int or a Fraction operand, on either side, is the field element with
+    zero sqrt part; a QuadraticNumber with another tag raises MixedFields.
+
+    Type rule: arithmetic with a QuadraticNumber operand returns a
+    QuadraticNumber, also when its sqrt part is zero (`collapse` turns such
+    a value into a Fraction).  ROADMAP item 1 will change the rule, so that
+    a zero sqrt part always gives a Fraction.
+    """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        d = _field_tag(int(d))
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise InexactScalar("a quadratic field tag must be an integer, got %r" % (d,))
+        d = _field_tag(d)
+        object.__setattr__(self, "a", _exact_fraction(a))
+        object.__setattr__(self, "b", _exact_fraction(b))
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadraticNumber is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, QuadraticNumber):
+    def _parts(self):
+        """(x, y, m) with self = (x + y*sqrt(d)) / m and m > 0."""
+        a, b = self.a, self.b
+        ad, bd = a.denominator, b.denominator
+        return a.numerator * bd, b.numerator * ad, ad * bd
+
+    def _operand(self, other):
+        """other as (x, y, m) in the field of self, like `_parts`; None for a type outside it."""
+        if type(other) is QuadraticNumber:
             if other.d != self.d:
-                raise ValueError("mixed discriminants %d and %d" % (self.d, other.d))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other, 0, self.d)
+                raise MixedFields("mixed discriminants %d and %d" % (self.d, other.d))
+            return other._parts()
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(self.a + o.a, self.b + o.b, self.d)
+        x2, y2, m2 = o
+        x1, y1, m1 = self._parts()
+        m = m1 * m2
+        return _quadratic(Fraction(x1 * m2 + x2 * m1, m), Fraction(y1 * m2 + y2 * m1, m), self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
+        return _quadratic(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(self.a - o.a, self.b - o.b, self.d)
+        x2, y2, m2 = o
+        x1, y1, m1 = self._parts()
+        m = m1 * m2
+        return _quadratic(Fraction(x1 * m2 - x2 * m1, m), Fraction(y1 * m2 - y2 * m1, m), self.d)
 
     def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(
-            self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d
-        )
+        x2, y2, m2 = o
+        x1, y1, m1 = self._parts()
+        m = m1 * m2
+        return _quadratic(Fraction(x2 * m1 - x1 * m2, m), Fraction(y2 * m1 - y1 * m2, m), self.d)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        x2, y2, m2 = o
+        x1, y1, m1 = self._parts()
+        m = m1 * m2
+        return _quadratic(Fraction(x1 * x2 + self.d * y1 * y2, m), Fraction(x1 * y2 + y1 * x2, m), self.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.norm()
+        return self._divide(1, 0, 1, *self._parts())
+
+    def _divide(self, x1, y1, m1, x2, y2, m2):
+        """(x1 + y1 sqrt d)/m1 over (x2 + y2 sqrt d)/m2 = m2 (x1 + y1 sqrt d)(x2 - y2 sqrt d) / (m1 N), N the norm x2^2 - d y2^2."""
+        d = self.d
+        n = x2 * x2 - d * y2 * y2
         if n == 0:
             raise ZeroDivisionError("zero quadratic number")
-        return QuadraticNumber(self.a / n, -self.b / n, self.d)
+        n *= m1
+        return _quadratic(Fraction(m2 * (x1 * x2 - d * y1 * y2), n), Fraction(m2 * (y1 * x2 - x1 * y2), n), d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self._divide(*self._parts(), *o)
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._divide(*o, *self._parts())
 
     def __pow__(self, e):
         _check_power(e)
-        out = QuadraticNumber(1, 0, self.d)
-        base = self
+        x, y, m = self._parts()
+        d = self.d
+        den = m**e
+        px, py = 1, 0
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                px, py = px * x + d * py * y, px * y + py * x
             e >>= 1
-        return out
+            if e:
+                x, y = x * x + d * y * y, 2 * x * y
+        return _quadratic(Fraction(px, den), Fraction(py, den), d)
 
     def conjugate(self):
-        return QuadraticNumber(self.a, -self.b, self.d)
+        return _quadratic(self.a, -self.b, self.d)
 
     def norm(self):
         """a^2 - d*b^2, always a Fraction."""
-        return self.a * self.a - self.d * self.b * self.b
+        x, y, m = self._parts()
+        return Fraction(x * x - self.d * y * y, m * m)
 
     def __eq__(self, other):
         if isinstance(other, QuadraticNumber):
@@ -271,6 +334,18 @@ class QuadraticNumber:
         s = "-" if self.b < 0 else ("+" if self.a != 0 else "")
         head = str(self.a) if self.a != 0 else ""
         return "%s%s%s%s" % (head, s, bp, root)
+
+
+_set_a, _set_b, _set_d = (QuadraticNumber.__dict__[k].__set__ for k in QuadraticNumber.__slots__)
+
+
+def _quadratic(a, b, d):
+    """The QuadraticNumber a + b*sqrt(d) from Fraction parts and a checked tag: the kernel's constructor, without the public checks."""
+    q = object.__new__(QuadraticNumber)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
 
 
 def _fmt_coeff(q):
@@ -336,8 +411,8 @@ def scalar_to_json(x):
 
 def scalar_from_json(v):
     if isinstance(v, dict):
-        return collapse(QuadraticNumber(Fraction(v["a"]), Fraction(v["b"]), int(v["d"])))
-    return Fraction(v)
+        return collapse(QuadraticNumber(v["a"], v["b"], v["d"]))
+    return _exact_fraction(v)
 
 
 # ---------------------------------------------------------------------------

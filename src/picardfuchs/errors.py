@@ -23,6 +23,14 @@ class InvalidDiscriminant(ValueError):
     """A quadratic number was tagged with d = 0, d = 1 or a d with a square factor: not a squarefree field tag."""
 
 
+class MixedFields(ValueError):
+    """Arithmetic met numbers of two different quadratic fields Q(sqrt d) and Q(sqrt e)."""
+
+
+class InexactScalar(ValueError):
+    """A scalar was given as a float or a bool, or a quadratic field tag as anything but an int: it has no exact reading."""
+
+
 class FactorizationFailed(ValueError):
     """An integer has a composite part that trial division below 10^7 does not split."""
 

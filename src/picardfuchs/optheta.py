@@ -44,6 +44,7 @@ from .arith import (
 from .errors import (
     IrrationalExponent,
     IrregularSingularity,
+    MixedFields,
     NotASingularCandidate,
     OrderZeroOperator,
     TruncationTooLow,
@@ -453,13 +454,13 @@ def scalar_field(scalars):
     This picks the ring of the fraction-free paths of apply_local and of the
     Frobenius recurrence: Z for None, Z[sqrt d] otherwise.  A QuadraticNumber
     with zero sqrt part counts, because results computed from it keep its
-    type.  Two different tags raise ValueError, as their arithmetic would.
+    type.  Two different tags raise MixedFields, as their arithmetic would.
     """
     d = None
     for x in scalars:
         if type(x) is QuadraticNumber and x.d != d:
             if d is not None:
-                raise ValueError("mixed discriminants %d and %d" % (d, x.d))
+                raise MixedFields("mixed discriminants %d and %d" % (d, x.d))
             d = x.d
     return d
 

@@ -1,16 +1,20 @@
-"""The scalar Frobenius engine and scalar apply_local, kept as a test-only reference.
+"""Scalar arithmetic as the package once did it, kept as test-only references.
 
 The package computes local bases and operator residuals fraction-free over Z
 and Z[sqrt d].  These are the loops it replaced: the same recurrence and the
 same operator application on Fraction and QuadraticNumber scalars as they
 are, whose output types the integer engine must reproduce exactly.
+
+QuadraticNumber arithmetic runs on an integer kernel.  `quadratic_op` keeps
+the Fraction-pair formulas it replaced, with the same coercion, type rule
+and errors.
 """
 
 import math
 from fractions import Fraction
 
-from picardfuchs.arith import as_scalar, scalar_sort_key, taylor_shift
-from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow
+from picardfuchs.arith import QuadraticNumber, _check_power, as_scalar, scalar_sort_key, taylor_shift
+from picardfuchs.errors import FrobeniusInvariant, MixedFields, TruncationTooLow
 from picardfuchs.frobenius import (
     GeneralizedSeries,
     LocalBasis,
@@ -19,6 +23,62 @@ from picardfuchs.frobenius import (
     default_truncation,
 )
 from picardfuchs.optheta import indicial_roots, local_indicial, local_operator
+
+# ---------------------------------------------------------------------------
+# QuadraticNumber arithmetic on Fraction pairs (a, b), a + b sqrt(d)
+
+
+def _pair(x, d):
+    if isinstance(x, QuadraticNumber):
+        if x.d != d:
+            raise MixedFields("mixed discriminants %d and %d" % (d, x.d))
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def _pair_mul(x, y, d):
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _pair_inverse(x, d):
+    n = x[0] * x[0] - d * x[1] * x[1]
+    if n == 0:
+        raise ZeroDivisionError("zero quadratic number")
+    return x[0] / n, -x[1] / n
+
+
+def quadratic_op(op, x, y=None):
+    """x op y for op in add, sub, mul, truediv, pow (y an exponent), neg, inverse (y unused).
+
+    x or y is a QuadraticNumber; an int or a Fraction stands for a + 0 sqrt(d).
+    The result is always a QuadraticNumber.
+    """
+    d = x.d if isinstance(x, QuadraticNumber) else y.d
+    px = _pair(x, d)
+    if op == "neg":
+        r = -px[0], -px[1]
+    elif op == "inverse":
+        r = _pair_inverse(px, d)
+    elif op == "pow":
+        _check_power(y)
+        r, e = (Fraction(1), Fraction(0)), y
+        while e:
+            if e & 1:
+                r = _pair_mul(r, px, d)
+            px = _pair_mul(px, px, d)
+            e >>= 1
+    else:
+        py = _pair(y, d)
+        if op == "add":
+            r = px[0] + py[0], px[1] + py[1]
+        elif op == "sub":
+            r = px[0] - py[0], px[1] - py[1]
+        elif op == "mul":
+            r = _pair_mul(px, py, d)
+        else:
+            r = _pair_mul(px, _pair_inverse(py, d), d)
+    return QuadraticNumber(r[0], r[1], d)
+
 
 # ---------------------------------------------------------------------------
 # jet arithmetic in K[eps]/(eps^T): plain lists of scalars, fixed length T

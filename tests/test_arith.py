@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,16 @@ from picardfuchs.arith import (
     squarefree_part,
     taylor_shift,
 )
-from picardfuchs.errors import FactorizationFailed, InvalidDiscriminant, InvalidPower, UnresolvedFactor, ZeroRadicand
+from picardfuchs.errors import (
+    FactorizationFailed,
+    InexactScalar,
+    InvalidDiscriminant,
+    InvalidPower,
+    MixedFields,
+    UnresolvedFactor,
+    ZeroRadicand,
+)
+from scalar_reference import quadratic_op
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -45,6 +55,69 @@ def test_quadratic_times_conjugate_is_norm(a, b):
     n = collapse(x * x.conjugate())
     assert isinstance(n, Fraction)
     assert n == a * a - 5 * b * b
+
+
+# numerators and denominators up to 2^80, and small values that cancel often
+_big_rationals = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+    st.sampled_from([0, 1, -2, Fraction(0), Fraction(1, 2), Fraction(-3, 4)]),
+)
+_TAGS = (-3, -1, 2, 5, -7)
+
+
+@st.composite
+def _kernel_operands(draw):
+    """(x, y): a QuadraticNumber and a second operand, in either order.
+
+    The second is another number of the field, a rational, x itself, -x, the
+    conjugate of x (sums and products with a zero sqrt part), zero, or a
+    number of another field.
+    """
+    d = draw(st.sampled_from(_TAGS))
+    x = QuadraticNumber(draw(_big_rationals), draw(st.just(0) | _big_rationals), d)
+    kind = draw(st.sampled_from(["field", "rational", "same", "negated", "conjugate", "zero", "other field"]))
+    y = {
+        "field": lambda: QuadraticNumber(draw(_big_rationals), draw(st.just(0) | _big_rationals), d),
+        "rational": lambda: draw(_big_rationals),
+        "same": lambda: x,
+        "negated": lambda: QuadraticNumber(-x.a, -x.b, d),
+        "conjugate": lambda: QuadraticNumber(x.a, -x.b, d),
+        "zero": lambda: draw(st.sampled_from([0, Fraction(0), QuadraticNumber(0, 0, d)])),
+        "other field": lambda: QuadraticNumber(draw(_big_rationals), 1, draw(st.sampled_from([e for e in _TAGS if e != d]))),
+    }[kind]()
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+def _kernel_outcome(compute):
+    try:
+        r = compute()
+    except (ZeroDivisionError, MixedFields, InvalidPower) as exc:
+        return type(exc), str(exc)
+    assert type(r.a) is Fraction and type(r.b) is Fraction
+    return type(r), r.a, r.b, r.d
+
+
+_OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "truediv": operator.truediv}
+
+
+@given(_kernel_operands(), st.sampled_from(sorted(_OPERATORS)))
+@settings(max_examples=600, deadline=None)
+def test_quadratic_kernel_matches_fraction_pairs(operands, op):
+    """+ - * / with int, Fraction or QuadraticNumber on either side (so reflected too): values, types and errors."""
+    x, y = operands
+    assert _kernel_outcome(lambda: _OPERATORS[op](x, y)) == _kernel_outcome(lambda: quadratic_op(op, x, y))
+
+
+@given(_kernel_operands(), st.integers(-2, 7) | st.just(Fraction(1, 2)))
+@settings(max_examples=300, deadline=None)
+def test_quadratic_kernel_unary_matches_fraction_pairs(operands, e):
+    x = next(v for v in operands if isinstance(v, QuadraticNumber))
+    assert _kernel_outcome(lambda: -x) == _kernel_outcome(lambda: quadratic_op("neg", x))
+    assert _kernel_outcome(x.inverse) == _kernel_outcome(lambda: quadratic_op("inverse", x))
+    assert _kernel_outcome(lambda: x**e) == _kernel_outcome(lambda: quadratic_op("pow", x, e))
+    assert _kernel_outcome(x.conjugate) == _kernel_outcome(lambda: QuadraticNumber(x.a, -x.b, x.d))
+    assert type(x.norm()) is Fraction and x.norm() == x.a * x.a - x.d * x.b * x.b
 
 
 def test_quadratic_inverse():
@@ -131,12 +204,32 @@ def test_quadratic_sqrt():
     [
         (lambda: QuadraticNumber(1, 1, 2) ** -1, InvalidPower),
         (lambda: QuadraticNumber(1, 1, 2) ** Fraction(1, 2), InvalidPower),
+        (lambda: QuadraticNumber(0.5, 1, 2), InexactScalar),
+        (lambda: QuadraticNumber(1, True, 2), InexactScalar),
+        (lambda: QuadraticNumber(0, 1, 5.5), InexactScalar),
+        (lambda: QuadraticNumber(0, 1, True), InexactScalar),
+        (lambda: scalar_from_json(0.1), InexactScalar),
+        (lambda: scalar_from_json(False), InexactScalar),
+        (lambda: QuadraticNumber(0, 1, -3) + QuadraticNumber(0, 1, 5), MixedFields),
         (lambda: Polynomial([1, 1]) ** -2, InvalidPower),
         (lambda: quadratic_sqrt(Fraction(0)), ZeroRadicand),
         # 10000019 * 10000079: both factors lie beyond trial division
         (lambda: factorize(100000980001501), FactorizationFailed),
     ],
-    ids=["quadratic-negative", "quadratic-fraction", "polynomial-negative", "sqrt-zero", "factorize"],
+    ids=[
+        "quadratic-negative",
+        "quadratic-fraction",
+        "quadratic-float-part",
+        "quadratic-bool-part",
+        "quadratic-float-tag",
+        "quadratic-bool-tag",
+        "json-float",
+        "json-bool",
+        "mixed-fields",
+        "polynomial-negative",
+        "sqrt-zero",
+        "factorize",
+    ],
 )
 def test_arithmetic_domain_errors(case, error):
     with pytest.raises(error) as got:
@@ -148,9 +241,10 @@ def test_arithmetic_domain_errors_under_optimize(run_optimized):
     code = (
         "from fractions import Fraction\n"
         "from picardfuchs.arith import Polynomial, QuadraticNumber, factorize, quadratic_sqrt\n"
-        "from picardfuchs.errors import FactorizationFailed, InvalidPower, ZeroRadicand\n"
+        "from picardfuchs.errors import FactorizationFailed, InexactScalar, InvalidPower, ZeroRadicand\n"
         "cases = [\n"
         "    lambda: QuadraticNumber(1, 1, 2) ** -1,\n"
+        "    lambda: QuadraticNumber(0, 1, 5.5),\n"
         "    lambda: Polynomial([1, 1]) ** -2,\n"
         "    lambda: quadratic_sqrt(Fraction(0)),\n"
         "    lambda: factorize(100000980001501),\n"
@@ -158,10 +252,11 @@ def test_arithmetic_domain_errors_under_optimize(run_optimized):
         "for case in cases:\n"
         "    try:\n"
         "        case()\n"
-        "    except (FactorizationFailed, InvalidPower, ZeroRadicand) as exc:\n"
+        "    except (FactorizationFailed, InexactScalar, InvalidPower, ZeroRadicand) as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    assert run_optimized(code).split() == ["InvalidPower", "InvalidPower", "ZeroRadicand", "FactorizationFailed"]
+    expected = ["InvalidPower", "InexactScalar", "InvalidPower", "ZeroRadicand", "FactorizationFailed"]
+    assert run_optimized(code).split() == expected
 
 
 _DOMAIN_CASES = [

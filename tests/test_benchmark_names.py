@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 import pathlib
 
-from picardfuchs.arith import Polynomial
+from picardfuchs.arith import Polynomial, QuadraticNumber
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,6 +28,14 @@ def test_spanned_functions_resolve():
     for _metric, module, attr in spanned:
         assert callable(getattr(importlib.import_module("picardfuchs." + module), attr, None)), (module, attr)
     assert callable(Polynomial.shift)
+
+
+def test_counted_quadratic_operations_are_class_attributes():
+    # the tracer counts arith.quadratic_ops by patching these names, and skips one the class lacks
+    ops = _load_tracer().QUADRATIC_OPS
+    assert ops
+    for attr in ops:
+        assert callable(vars(QuadraticNumber).get(attr)), attr
 
 
 def test_workload_imports_resolve():

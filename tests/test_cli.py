@@ -269,6 +269,28 @@ MALFORMED_FILES = [
         {"form": "theta", "coeffs": [["-4", "0", {"a": "0", "b": "1", "d": 100000000520000000627}], ["1", "1", "1"]]},
         "is not an operator file: cannot decide whether the quadratic field tag 100000000520000000627 is squarefree\n",
     ),
+    # coefficients sqrt(-3) and sqrt(5) lie in two different fields
+    (
+        ["symbol", "{}"],
+        {"form": "theta", "coeffs": [["0", "0", {"a": "0", "b": "1", "d": -3}], ["1", "1", {"a": "0", "b": "1", "d": 5}]]},
+        "pf: mixed discriminants -3 and 5\n",
+    ),
+    # JSON floats have no exact reading: 0.1 is not 1/10, and a tag of 5.5 is not 5
+    (
+        ["symbol", "{}"],
+        {"form": "theta", "coeffs": [["0", "0", "4"], ["-1", "-4", 0.1]]},
+        "is not an operator file: a scalar must be exact, not the float 0.1\n",
+    ),
+    (
+        ["symbol", "{}"],
+        {"form": "theta", "coeffs": [["0", "0", {"a": 0.1, "b": "1", "d": -3}], ["1", "1", "1"]]},
+        "is not an operator file: a scalar must be exact, not the float 0.1\n",
+    ),
+    (
+        ["symbol", "{}"],
+        {"form": "theta", "coeffs": [["0", "0", {"a": "0", "b": "1", "d": 5.5}], ["1", "1", "1"]]},
+        "is not an operator file: a quadratic field tag must be an integer, got 5.5\n",
+    ),
 ]
 _MALFORMED_IDS = [
     "octic",
@@ -286,6 +308,10 @@ _MALFORMED_IDS = [
     "classify-order-0",
     "symbol-tag-not-squarefree",
     "symbol-tag-undecided",
+    "symbol-mixed-fields",
+    "symbol-float-coefficient",
+    "symbol-float-quadratic-part",
+    "symbol-float-tag",
 ]
 
 
