@@ -169,7 +169,21 @@ def _exact_fraction(x):
     return Fraction(x)
 
 
-class QuadraticNumber:
+class Immutable:
+    """Base of the value types: no attribute can be set or deleted after construction.
+
+    Constructors write their slots through object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+class QuadraticNumber(Immutable):
     """a + b*sqrt(d) with rational a, b and squarefree integer d (d != 0, 1).
 
     `a` and `b` are Fractions and `d` is an int.  The constructor checks its
@@ -198,9 +212,6 @@ class QuadraticNumber:
         object.__setattr__(self, "a", _exact_fraction(a))
         object.__setattr__(self, "b", _exact_fraction(b))
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadraticNumber is immutable")
 
     def _parts(self):
         """(x, y, m) with self = (x + y*sqrt(d)) / m and m > 0."""
@@ -419,7 +430,7 @@ def scalar_from_json(v):
 # dense polynomials
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """Dense univariate polynomial over Fraction or a fixed quadratic field."""
 
     __slots__ = ("coeffs",)
@@ -429,9 +440,6 @@ class Polynomial:
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls):
@@ -952,7 +960,7 @@ def _integer_quadratic_factor(f):
 # rational functions
 
 
-class RationalFunction:
+class RationalFunction(Immutable):
     """num/den with monic denominator and gcd(num, den) = 1."""
 
     __slots__ = ("num", "den")
@@ -975,9 +983,6 @@ class RationalFunction:
                 num, den = num * (1 / as_scalar(lead)), den * (1 / as_scalar(lead))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RationalFunction is immutable")
 
     @property
     def is_zero(self):
@@ -1067,7 +1072,7 @@ class RationalFunction:
 # truncated power series
 
 
-class PowerSeries:
+class PowerSeries(Immutable):
     """Coefficients of t^0 .. t^N; the series is known modulo t^(N+1)."""
 
     __slots__ = ("coeffs", "order")
@@ -1081,9 +1086,6 @@ class PowerSeries:
         cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PowerSeries is immutable")
 
     @classmethod
     def one(cls, order):

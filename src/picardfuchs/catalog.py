@@ -364,20 +364,17 @@ def _check_entry(op, symbol, labels, allowed_mismatch=()):
     return checks
 
 
-def verify_catalog(include_derived=True, include_chains=False):
+def verify_catalog(include_chains=False):
     """Recompute everything recomputable; one report entry per record."""
     entries = []
     for aid in sorted(CATALOG):
         rec = CATALOG[aid]
         checks = _check_entry(rec.operator, rec.symbol, rec.labels)
         entries.append(EntryReport("arrangement", aid, tuple(checks)))
-    if include_derived:
-        for name in DERIVED_OPERATORS:
-            rec = DERIVED_OPERATORS[name]
-            checks = _check_entry(
-                rec.operator, rec.symbol, rec.labels, rec.printed_discrepancy_points
-            )
-            entries.append(EntryReport("derived", name, tuple(checks)))
+    for name in DERIVED_OPERATORS:
+        rec = DERIVED_OPERATORS[name]
+        checks = _check_entry(rec.operator, rec.symbol, rec.labels, rec.printed_discrepancy_points)
+        entries.append(EntryReport("derived", name, tuple(checks)))
     if include_chains:
         for name in CHAINS:
             rep = reproduce_reduction(name)

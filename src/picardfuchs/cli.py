@@ -12,6 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .arith import _exact_fraction
 from .catalog import CATALOG, dump_catalog, reproduce_reduction, verify_catalog
 from .errors import ChainBroken
 from .frobenius import classify_basis, jordan_structure, local_basis
@@ -66,11 +67,12 @@ def _load_operator(path):
         raise UsageError("%s is not an operator file: %s" % (path, exc))
 
 
-def _fraction(text):
+def _fraction(value):
+    """An exact rational from command-line text or a JSON value; a float or a bool has no exact reading."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError("not a rational number: %r (%s)" % (text, exc))
+        return _exact_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError("not a rational number: %r (%s)" % (value, exc))
 
 
 def _parse_mobius(text):
@@ -188,7 +190,7 @@ def _cmd_guess(args):
     if not isinstance(data, list):
         raise UsageError("series file must hold a list of rationals or {\"A\": [...]}")
     try:
-        series = [Fraction(c) for c in data]
+        series = [_exact_fraction(c) for c in data]
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise UsageError("bad series coefficient: %s" % exc)
     cfg = GuessConfig(args.max_order, args.max_degree, args.margin)
@@ -228,11 +230,11 @@ def _count_input(args):
             rows = data["planes"]
             if not isinstance(rows, list) or [len(r) if isinstance(r, list) else None for r in rows] != [4] * 8:
                 raise UsageError("octic file needs eight planes of four coefficients")
-            return [tuple(_fraction(str(c)) for c in row) for row in rows], None, None
+            return [tuple(_fraction(c) for c in row) for row in rows], None, None
         if isinstance(data, dict):
             try:
                 terms = {
-                    tuple(int(p) for p in key.split(",")): Fraction(val)
+                    tuple(int(p) for p in key.split(",")): _exact_fraction(val)
                     for key, val in data.items()
                 }
             except (ArithmeticError, TypeError, ValueError) as exc:

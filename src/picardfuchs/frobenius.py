@@ -47,7 +47,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from .arith import QuadraticNumber, as_scalar, collapse, scalar_sort_key
+from .arith import Immutable, QuadraticNumber, as_scalar, collapse, scalar_sort_key
 from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
 from .optheta import (
     apply_local,
@@ -213,7 +213,7 @@ def _cancel_resonance(numer, den, m):
 # generalized series and bases
 
 
-class GeneralizedSeries:
+class GeneralizedSeries(Immutable):
     """t^alpha * sum_{m,l} A[m][l] t^m log(t)^l around a point moved to 0."""
 
     __slots__ = ("base_point", "alpha", "table", "truncation")
@@ -223,9 +223,6 @@ class GeneralizedSeries:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "table", tuple(tuple(row) for row in table))
         object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, *args):
-        raise AttributeError("GeneralizedSeries is immutable")
 
     def coeff(self, m, l):
         if 0 <= m < len(self.table) and 0 <= l < len(self.table[m]):
@@ -269,7 +266,7 @@ class GeneralizedSeries:
         return "GeneralizedSeries(%s + ...)" % " + ".join(bits[:4])
 
 
-class LocalBasis:
+class LocalBasis(Immutable):
     """Echelonized solutions of one operator at one point."""
 
     __slots__ = ("point", "solutions", "local_op")
@@ -278,9 +275,6 @@ class LocalBasis:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "solutions", tuple(solutions))
         object.__setattr__(self, "local_op", local_op)
-
-    def __setattr__(self, *args):
-        raise AttributeError("LocalBasis is immutable")
 
     def __len__(self):
         return len(self.solutions)
@@ -295,16 +289,13 @@ class LocalBasis:
         return any(not s.is_log_free() for s in self.solutions)
 
 
-class LocalMonodromyData:
+class LocalMonodromyData(Immutable):
     """Exponent classes mod 1 with the Jordan block sizes of the log map."""
 
     __slots__ = ("classes",)
 
     def __init__(self, classes):
         object.__setattr__(self, "classes", tuple(classes))
-
-    def __setattr__(self, *args):
-        raise AttributeError("LocalMonodromyData is immutable")
 
     def all_blocks(self):
         out = []
@@ -341,15 +332,15 @@ def _integer_difference(x, y):
 
 
 def _partition_classes(roots):
-    """Group (root, mult) pairs into classes with pairwise integer differences."""
+    """Group pairs (root, x) into classes with pairwise integer differences; only the root is read."""
     classes = []
-    for root, mult in roots:
+    for root, x in roots:
         for cls in classes:
             if _integer_difference(root, cls[0][0]) is not None:
-                cls.append((root, mult))
+                cls.append((root, x))
                 break
         else:
-            classes.append([(root, mult)])
+            classes.append([(root, x)])
     return classes
 
 
@@ -460,142 +451,78 @@ def has_logarithms(op, point, N=None):
 # Jordan structure of the local log map
 
 
-def _class_key(alpha, reps):
-    for i, rep in enumerate(reps):
-        if _integer_difference(alpha, rep) is not None:
-            return i
-    reps.append(alpha)
-    return len(reps) - 1
-
-
 def jordan_structure(basis):
-    """Jordan block sizes of d/d(log t) acting on each exponent class."""
-    reps = []
-    groups = {}
-    for sol in basis.solutions:
-        groups.setdefault(_class_key(sol.alpha, reps), []).append(sol)
+    """Jordan block sizes of N = d/d(log t) acting on each exponent class.
+
+    The ranks of the powers of N come from one elimination over the solution
+    rows of each class (_class_blocks), which also checks that N maps the
+    span of the class to itself and that its solutions are independent.
+    """
     classes = []
-    for key in sorted(groups):
-        sols = groups[key]
-        blocks = _class_blocks(sols)
+    for cls in _partition_classes((s.alpha, s) for s in basis.solutions):
+        sols = [s for _alpha, s in cls]
         exps = tuple(sorted((s.alpha for s in sols), key=scalar_sort_key))
-        classes.append((exps, tuple(blocks)))
+        classes.append((exps, tuple(_class_blocks(sols))))
     return LocalMonodromyData(classes)
 
 
 def _class_blocks(sols):
+    """Jordan block sizes of N on the span of one exponent class, largest first.
+
+    N lowers the log power of each term by one, so N^k y = 0 exactly when y
+    has no log^l term with l >= k: rank N^k is the rank of the solution rows
+    restricted to the columns with l >= k.  The tables are aligned at the
+    smallest exponent of the class and cut at the smallest truncation.  One
+    echelon pass over sparse rows, with the columns taken in descending l,
+    makes rank N^k the number of pivots with l >= k, and ranks[k-1] -
+    2 ranks[k] + ranks[k+1] blocks have size k.  A row that reduces to zero
+    means the solutions are dependent, and the log derivative of every
+    solution must reduce to zero, or N leaves the span; either failure
+    raises FrobeniusInvariant.
+    """
     base = min((s.alpha for s in sols), key=scalar_sort_key)
-    offsets = [_integer_difference(s.alpha, base) for s in sols]
     N = min(s.truncation for s in sols)
-    width = max(max(len(r) for r in s.table) for s in sols)
+    pivots = {}
 
-    def embed(sol, off):
-        rows = [[as_scalar(0)] * width for _ in range(N + 1)]
-        for m, row in enumerate(sol.table):
-            if off + m > N:
-                break
-            for l, c in enumerate(row):
-                rows[off + m][l] = c
-        return rows
-
-    tables = [embed(s, o) for s, o in zip(sols, offsets)]
-    leads = {}
-    for idx, sol in enumerate(sols):
-        m0, l0 = sol.leading
-        leads[(offsets[idx] + m0, l0)] = idx
-
-    def reduce_against(rows):
-        """Express rows in the echelon basis; returns the coefficient vector."""
-        vec = [as_scalar(0)] * len(sols)
-        guard = 0
-        while True:
-            pos = None
-            for m in range(N + 1):
-                nz = [l for l, c in enumerate(rows[m]) if c]
-                if nz:
-                    pos = (m, max(nz))
-                    break
-            if pos is None:
-                return vec
-            idx = leads.get(pos)
-            if idx is None:
-                raise FrobeniusInvariant("log-map image escapes the solution span at %s" % (pos,))
-            c = rows[pos[0]][pos[1]]  # echelon leaders are normalized to 1
-            vec[idx] = vec[idx] + c
-            other = tables[idx]
-            for m in range(N + 1):
-                for l in range(width):
-                    if other[m][l]:
-                        rows[m][l] = rows[m][l] - c * other[m][l]
-            guard += 1
-            if guard > (N + 2) * width:
-                raise FrobeniusInvariant("reduction does not terminate")
-
-    mat = []
-    for idx, sol in enumerate(sols):
-        rows = [[as_scalar(0)] * width for _ in range(N + 1)]
-        for m in range(N + 1):
-            for l in range(width - 1):
-                c = tables[idx][m][l + 1]
-                if c:
-                    rows[m][l] = c * (l + 1)
-        mat.append(reduce_against(rows))
-    # mat[i][j]: image of solution i expressed in solution j; ranks of powers
-    size = len(sols)
-    cols = [[mat[i][j] for i in range(size)] for j in range(size)]
-
-    def matmul(A, B):
-        return [
-            [sum((A[i][k] * B[k][j] for k in range(size)), as_scalar(0)) for j in range(size)]
-            for i in range(size)
-        ]
-
-    def rank(A):
-        rows = [row[:] for row in A]
-        rk, col = 0, 0
-        while rk < size and col < size:
-            piv = next((i for i in range(rk, size) if rows[i][col]), None)
+    def remainder(row):
+        """The remainder of a row {(l, -m): c} after subtracting pivot rows."""
+        while row:
+            col = max(row)
+            piv = pivots.get(col)
             if piv is None:
-                col += 1
-                continue
-            rows[rk], rows[piv] = rows[piv], rows[rk]
-            inv = 1 / rows[rk][col]
-            for i in range(rk + 1, size):
-                f = rows[i][col] * inv
-                if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-            rk += 1
-            col += 1
-        return rk
+                return row
+            f = row[col] / piv[col]
+            for key, c in piv.items():
+                v = row.get(key, 0) - f * c
+                if v:
+                    row[key] = v
+                else:
+                    row.pop(key, None)
+        return row
 
-    Nmat = cols
-    ranks = [size]
-    power = [row[:] for row in Nmat]
-    while ranks[-1] > 0:
-        ranks.append(rank(power))
-        power = matmul(power, Nmat)
-    blocks = []
-    for k in range(1, len(ranks)):
-        count = ranks[k - 1] - ranks[k]  # blocks of size >= k
-        blocks.append(count)
-    sizes = []
-    for k in range(len(blocks), 0, -1):
-        n_ge_k = blocks[k - 1]
-        n_ge_next = blocks[k] if k < len(blocks) else 0
-        sizes.extend([k] * (n_ge_k - n_ge_next))
-    return sorted(sizes, reverse=True)
+    rows = []
+    for s in sols:
+        off = _integer_difference(s.alpha, base)
+        rows.append(
+            {(l, -off - m): as_scalar(c) for m, r in enumerate(s.table) if off + m <= N for l, c in enumerate(r) if c}
+        )
+    for row in rows:
+        rest = remainder(dict(row))
+        if not rest:
+            raise FrobeniusInvariant("solutions of one class are linearly dependent")
+        pivots[max(rest)] = rest
+    for row in rows:
+        image = remainder({(l - 1, m): l * c for (l, m), c in row.items() if l})
+        if image:
+            l, m = max(image)
+            raise FrobeniusInvariant("log-map image escapes the solution span at %s" % ((-m, l),))
+    top = max(pivots)[0] + 1  # the largest block size
+    ranks = [sum(1 for l, _m in pivots if l >= k) for k in range(top + 2)]
+    return [k for k in range(top, 0, -1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _is_integer(e):
-    if isinstance(e, QuadraticNumber):
-        if e.b != 0:
-            return False
-        e = e.a
-    return Fraction(e).denominator == 1
 
 
 def _is_arithmetic_progression(exps):
@@ -620,7 +547,7 @@ def classify_basis(basis, blocks=None):
     if not has_logs:
         if exps == [Fraction(k) for k in range(n)]:
             return PointType.REGULAR
-        if all(_is_integer(e) for e in exps) and len(set(exps)) == n:
+        if all(_integer_difference(e, 0) is not None for e in exps) and len(set(exps)) == n:
             return PointType.APPARENT
         ordered = sorted(exps, key=scalar_sort_key)
         if not _is_arithmetic_progression(ordered):

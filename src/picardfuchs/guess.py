@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Polynomial, PowerSeries, as_scalar, collapse
+from .arith import Immutable, Polynomial, PowerSeries, as_scalar, collapse
 from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, RecurrenceObstruction, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
 
-class GuessConfig:
+class GuessConfig(Immutable):
     """Search box and safety margin for operator reconstruction."""
 
     __slots__ = ("max_order", "max_degree", "margin")
@@ -43,9 +43,6 @@ class GuessConfig:
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "margin", margin)
-
-    def __setattr__(self, *args):
-        raise AttributeError("GuessConfig is immutable")
 
     def required_terms(self):
         return (self.max_order + 1) * (self.max_degree + 1) + self.margin
@@ -129,19 +126,14 @@ def _nullspace(rows, ncols):
     return basis
 
 
-def guess_operator(coeffs, config=None, *, max_order=None, max_degree=None, margin=None):
+def guess_operator(coeffs, config):
     """Smallest theta-form operator annihilating the series, or None.
 
-    `coeffs` lists A_0, A_1, ... of y = sum A_m t^m.  The search tries
-    theta-degree 1..max_order and t-degree 0..max_degree in that order and
-    verifies every candidate against the complete input before returning it.
+    `coeffs` lists A_0, A_1, ... of y = sum A_m t^m and `config` is the
+    GuessConfig search box.  The search tries theta-degree 1..max_order and
+    t-degree 0..max_degree in that order and verifies every candidate against
+    the complete input before returning it.
     """
-    if config is None:
-        config = GuessConfig(
-            max_order if max_order is not None else 4,
-            max_degree if max_degree is not None else 6,
-            margin if margin is not None else 10,
-        )
     series = [Fraction(collapse(as_scalar(c))) for c in coeffs]
     if len(series) < config.required_terms():
         raise InsufficientTerms(
@@ -178,16 +170,13 @@ def guess_operator(coeffs, config=None, *, max_order=None, max_degree=None, marg
     return None
 
 
-class Recurrence:
+class Recurrence(Immutable):
     """Forward recurrence sum_i P_i(m - i) A_{m-i} = 0 attached to an operator."""
 
     __slots__ = ("op",)
 
     def __init__(self, op):
         object.__setattr__(self, "op", op.t_stripped())
-
-    def __setattr__(self, *args):
-        raise AttributeError("Recurrence is immutable")
 
     def coefficients(self, m):
         """(P_0(m), P_1(m-1), ..., P_r(m-r))."""

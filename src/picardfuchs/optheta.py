@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import chain, groupby
 
 from .arith import (
+    Immutable,
     Polynomial,
     PowerSeries,
     QuadraticNumber,
@@ -56,7 +57,7 @@ from .errors import (
 # points
 
 
-class SingularPoint:
+class SingularPoint(Immutable):
     """A finite point (rational or quadratic irrational) or the point at infinity."""
 
     __slots__ = ("value",)
@@ -66,9 +67,6 @@ class SingularPoint:
         if value is not None:
             value = collapse(as_scalar(value))
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SingularPoint is immutable")
 
     @classmethod
     def infinity(cls):
@@ -150,7 +148,7 @@ def _clear_content(polys):
 # operators
 
 
-class ThetaOperator:
+class ThetaOperator(Immutable):
     """P = sum_i t^i P_i(theta), dense in the t-power i."""
 
     __slots__ = ("theta_coeffs",)
@@ -162,9 +160,6 @@ class ThetaOperator:
         if not polys:
             polys = [Polynomial(())]
         object.__setattr__(self, "theta_coeffs", tuple(polys))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ThetaOperator is immutable")
 
     @classmethod
     def from_theta_polys(cls, polys):
@@ -268,7 +263,7 @@ def format_polynomial_theta(p):
     return format_polynomial(p, "T")
 
 
-class DOperator:
+class DOperator(Immutable):
     """sum_j c_j(t) (d/dt)^j with polynomial coefficients."""
 
     __slots__ = ("d_coeffs",)
@@ -278,9 +273,6 @@ class DOperator:
         while len(polys) > 1 and polys[-1].is_zero:
             polys.pop()
         object.__setattr__(self, "d_coeffs", tuple(polys))
-
-    def __setattr__(self, *args):
-        raise AttributeError("DOperator is immutable")
 
     @property
     def order(self):
@@ -758,7 +750,7 @@ def exponents_at(op, point):
     return tuple(root for root, mult in roots for _ in range(mult))
 
 
-class RiemannSymbol:
+class RiemannSymbol(Immutable):
     """Table of candidate points and their exponents.
 
     Entries are (SingularPoint, tuple of exponents sorted ascending, is_genuine).
@@ -771,9 +763,6 @@ class RiemannSymbol:
     def __init__(self, entries, order):
         object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RiemannSymbol is immutable")
 
     def genuine(self):
         return [e for e in self.entries if e[2]]

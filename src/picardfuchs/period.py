@@ -31,8 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
+    Immutable,
     PowerSeries,
     QuadraticNumber,
+    _exact_fraction,
     as_scalar,
     collapse,
     quadratic_sqrt,
@@ -60,7 +62,7 @@ def simplex_monomial_integral(a, b, c):
     return Fraction(h[a] * h[b] * h[c], 4**s * math.factorial(s + 1))
 
 
-class TetraForm:
+class TetraForm(Immutable):
     """Residual factor P of u^2 = xyz(t-x-y-z) P(x,y,z,t), with a truncation order.
 
     Terms map exponent keys (ex, ey, ez, et) to rational coefficients.
@@ -81,9 +83,6 @@ class TetraForm:
             raise InvalidTetraForm("truncation must be nonnegative, got %d" % truncation)
         object.__setattr__(self, "terms", {k: v for k, v in tidy.items() if v})
         object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TetraForm is immutable")
 
     def constant_term(self):
         return self.terms.get((0, 0, 0, 0), Fraction(0))
@@ -132,14 +131,14 @@ class TetraForm:
         terms = {}
         for key, val in P.items():
             exps = tuple(int(p) for p in key.split(","))
-            terms[exps] = Fraction(val)
+            terms[exps] = _exact_fraction(val)
         return cls(terms, int(data.get("truncation", 40)))
 
     def __repr__(self):
         return "TetraForm(%d terms, truncation=%d)" % (len(self.terms), self.truncation)
 
 
-class PeriodSeries:
+class PeriodSeries(Immutable):
     """Coefficients A_0 .. A_N of Phi = pi^2 t unit (A_0 + A_1 t + ...).
 
     unit is 1 unless the leading value P(0,0,0,0) was not a rational square;
@@ -156,9 +155,6 @@ class PeriodSeries:
         )
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "conditions", tuple(conditions))
-
-    def __setattr__(self, *args):
-        raise AttributeError("PeriodSeries is immutable")
 
     @property
     def truncation(self):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import QuadraticNumber, _is_probable_prime
+from .arith import Immutable, QuadraticNumber, _is_probable_prime
 from .errors import (
     CoefficientOutOfRange,
     EvenPrime,
@@ -33,7 +33,7 @@ from .errors import (
 )
 
 
-class QSeries:
+class QSeries(Immutable):
     """Integer coefficients of q^0 .. q^N."""
 
     __slots__ = ("coeffs", "truncation")
@@ -45,9 +45,6 @@ class QSeries:
         cs = cs[: truncation + 1] + [0] * (truncation + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QSeries is immutable")
 
     def coefficient(self, n):
         if not 0 <= n <= self.truncation:
@@ -128,7 +125,7 @@ def _inverse_unit(qs):
     return QSeries(out, n)
 
 
-class EtaProductSpec:
+class EtaProductSpec(Immutable):
     """q^leading_power * prod_(m,e) prod_n (1 - q^(m n))^e."""
 
     __slots__ = ("leading_power", "factors")
@@ -140,9 +137,6 @@ class EtaProductSpec:
             raise InvalidEtaProduct("no eta product q^%d %s" % (leading_power, factors))
         object.__setattr__(self, "leading_power", leading_power)
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, *args):
-        raise AttributeError("EtaProductSpec is immutable")
 
     def __repr__(self):
         body = "".join(
@@ -168,7 +162,7 @@ def eta_product(spec, N):
     return QSeries(shifted, N)
 
 
-class FormRecord:
+class FormRecord(Immutable):
     """A named cusp form: weight, prime coefficient table, optional eta product."""
 
     __slots__ = ("name", "weight", "primes", "table", "eta", "notes")
@@ -184,9 +178,6 @@ class FormRecord:
             raise InvalidFormRecord("%s: %d primes but %d coefficients" % (name, len(self.primes), len(self.table)))
         if not all(p < q for p, q in zip(self.primes, self.primes[1:])):
             raise InvalidFormRecord("%s: primes must increase" % (name,))
-
-    def __setattr__(self, *args):
-        raise AttributeError("FormRecord is immutable")
 
     def __repr__(self):
         return "FormRecord(%r, weight=%s)" % (self.name, self.weight)
@@ -272,7 +263,7 @@ def lookup_form(name):
     return FORMS[key]
 
 
-class TableReport:
+class TableReport(Immutable):
     """Per-prime comparison of an expansion against the stored table."""
 
     __slots__ = ("name", "rows",)
@@ -280,9 +271,6 @@ class TableReport:
     def __init__(self, name, rows):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "rows", tuple(rows))
-
-    def __setattr__(self, *args):
-        raise AttributeError("TableReport is immutable")
 
     @property
     def passed(self):

@@ -22,6 +22,7 @@ from functools import reduce
 from itertools import chain
 
 from .arith import (
+    Immutable,
     Polynomial,
     QuadraticNumber,
     RationalFunction,
@@ -62,7 +63,7 @@ from .optheta import (
 # coordinate maps
 
 
-class MobiusMap:
+class MobiusMap(Immutable):
     """Invertible coordinate change t = (a*s + b)/(c*s + d)."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -75,9 +76,6 @@ class MobiusMap:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("MobiusMap is immutable")
 
     @classmethod
     def identity(cls):
@@ -151,7 +149,7 @@ class MobiusMap:
         return "(%s)/(%s)" % (num, format_polynomial(Polynomial((self.d, self.c)), "s"))
 
 
-class ShiftAssignment:
+class ShiftAssignment(Immutable):
     """Finite-point exponent shifts a -> eps; infinity absorbs -sum(eps)."""
 
     __slots__ = ("items",)
@@ -166,9 +164,6 @@ class ShiftAssignment:
                 a = a.value
             norm.append((collapse(as_scalar(a)), as_scalar(eps)))
         object.__setattr__(self, "items", tuple(norm))
-
-    def __setattr__(self, *args):
-        raise AttributeError("ShiftAssignment is immutable")
 
     def __repr__(self):
         return "ShiftAssignment(%s)" % (", ".join("%s: %s" % it for it in self.items),)
@@ -347,16 +342,13 @@ def shift_exponents(op, shifts):
 # coupling normal form
 
 
-class YukawaData:
+class YukawaData(Immutable):
     """Multiplicative normal form prod (t - a)^e read off the subleading ratio."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
-
-    def __setattr__(self, *args):
-        raise AttributeError("YukawaData is immutable")
 
     def zeros(self):
         """Finite points with positive exponent; candidate apparent singularities."""

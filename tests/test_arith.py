@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from picardfuchs import SingularPoint, ThetaOperator
 from picardfuchs.arith import (
+    Immutable,
     Polynomial,
     PowerSeries,
     QuadraticNumber,
@@ -38,6 +40,12 @@ from picardfuchs.errors import (
     UnresolvedFactor,
     ZeroRadicand,
 )
+from picardfuchs.frobenius import GeneralizedSeries, LocalBasis, LocalMonodromyData
+from picardfuchs.guess import GuessConfig, Recurrence
+from picardfuchs.optheta import d_from_theta, riemann_symbol
+from picardfuchs.period import PeriodSeries, TetraForm
+from picardfuchs.qexp import EtaProductSpec, QSeries, TableReport, lookup_form
+from picardfuchs.transform import MobiusMap, ShiftAssignment, YukawaData
 from scalar_reference import quadratic_op
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -514,3 +522,52 @@ def test_power_series_truncation_floor():
     assert (a * b).order == 1
     assert (a * b).coeffs == (Fraction(1), Fraction(0))
 
+
+
+# ---------------------------------------------------------------------------
+# value types: nothing can be set or deleted after construction
+
+
+_LEGENDRE = ThetaOperator.from_theta_polys([P(0, 0, 1), P(-4, -16, -16)])
+VALUES = [
+    QuadraticNumber(1, 2, -3),
+    P(1, 2),
+    RationalFunction(P(1), P(0, 1)),
+    PowerSeries([1, 2], 1),
+    GeneralizedSeries(SingularPoint(0), Fraction(0), [[1]], 0),
+    LocalBasis(SingularPoint(0), [], None),
+    LocalMonodromyData([]),
+    GuessConfig(1, 1, 10),
+    Recurrence(_LEGENDRE),
+    SingularPoint(0),
+    _LEGENDRE,
+    d_from_theta(_LEGENDRE),
+    riemann_symbol(_LEGENDRE),
+    TetraForm({(0, 0, 0, 0): 1}, 3),
+    PeriodSeries([1]),
+    QSeries([1, 2], 1),
+    EtaProductSpec(1, [(4, 2)]),
+    lookup_form("f32"),
+    TableReport("f32", []),
+    MobiusMap(1, 0, 0, 1),
+    ShiftAssignment({Fraction(1): Fraction(1, 2)}),
+    YukawaData([(Fraction(1), 1)]),
+]
+
+
+def test_every_value_type_is_checked():
+    assert {type(v) for v in VALUES} == set(Immutable.__subclasses__())
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_are_immutable(value):
+    name = type(value).__name__
+    for attr in type(value).__slots__:
+        before = getattr(value, attr)
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError, match="%s is immutable" % name):
+            delattr(value, attr)
+        assert getattr(value, attr) is before
+    with pytest.raises(AttributeError, match="%s is immutable" % name):
+        value.unknown = 1

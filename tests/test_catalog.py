@@ -109,7 +109,7 @@ def test_verification_finds_each_points_exponents_once(monkeypatch):
 
 
 def test_full_verification_passes():
-    rep = verify_catalog(include_derived=True, include_chains=True)
+    rep = verify_catalog(include_chains=True)
     assert rep.ok
     lines = rep.format().splitlines()
     assert lines[-1] == "catalog: PASS"

@@ -291,6 +291,30 @@ MALFORMED_FILES = [
         {"form": "theta", "coeffs": [["0", "0", {"a": "0", "b": "1", "d": 5.5}], ["1", "1", "1"]]},
         "is not an operator file: a quadratic field tag must be an integer, got 5.5\n",
     ),
+    # the same readers for series, tetra forms and octics: 0.1 as a JSON float is not 1/10
+    (["guess", "--series", "{}"], [1, 0.1] + ["0"] * 58, "pf: bad series coefficient: a scalar must be exact, not the float 0.1\n"),
+    (
+        ["period", "--poly", "{}"],
+        {"P": {"0,0,0,0": 1, "1,0,0,0": 0.1}, "truncation": 3},
+        "is not a tetra-form file: a scalar must be exact, not the float 0.1\n",
+    ),
+    (
+        ["count", "--octic", "{}", "--prime", "5"],
+        {"8,0,0,0": 1, "0,0,0,8": 0.1},
+        "pf: octic file is neither planes nor monomials: a scalar must be exact, not the float 0.1\n",
+    ),
+    (
+        ["count", "--octic", "{}", "--prime", "5"],
+        {"planes": [["1", "0", "0", "0"]] * 7 + [[0.1, "1", "0", "0"]]},
+        "pf: not a rational number: 0.1 (a scalar must be exact, not the float 0.1)\n",
+    ),
+    # D^2 + D and (t - 1)^2 D^2 + D: Yukawa couplings that are not rational
+    (["transform", "{}", "--yukawa"], {"form": "d", "coeffs": [["0"], ["1"], ["1"]]}, "pf: subleading ratio does not vanish at infinity\n"),
+    (
+        ["transform", "{}", "--yukawa"],
+        {"form": "d", "coeffs": [["0"], ["1"], ["1", "-2", "1"]]},
+        "pf: higher-order pole in the subleading ratio\n",
+    ),
 ]
 _MALFORMED_IDS = [
     "octic",
@@ -312,6 +336,12 @@ _MALFORMED_IDS = [
     "symbol-float-coefficient",
     "symbol-float-quadratic-part",
     "symbol-float-tag",
+    "guess-float-coefficient",
+    "tetra-float-coefficient",
+    "octic-monomials-float-coefficient",
+    "octic-planes-float-coefficient",
+    "yukawa-subleading-at-infinity",
+    "yukawa-higher-order-pole",
 ]
 
 

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
 from picardfuchs import optheta
 from picardfuchs.arith import Polynomial, QuadraticNumber, as_scalar
-from picardfuchs.errors import FrobeniusInvariant, IrregularSingularity, TruncationTooLow, UnclassifiedPattern
+from picardfuchs.errors import (
+    FrobeniusInvariant,
+    IrrationalExponent,
+    IrregularSingularity,
+    TruncationTooLow,
+    UnclassifiedPattern,
+)
 from picardfuchs.frobenius import (
     GeneralizedSeries,
     LocalBasis,
     _class_solutions,
     _int_jet_div,
     _integer_recurrence,
+    _partition_classes,
     annihilation_order,
     classify_basis,
     has_logarithms,
@@ -32,6 +39,7 @@ from picardfuchs.optheta import (
     translate,
 )
 
+import jordan_reference
 import scalar_reference as ref
 from shapes import fuchsian_shapes, linear_product
 
@@ -160,6 +168,47 @@ def test_log_map_escaping_the_span_raises_under_optimize(run_optimized):
         "    print('FrobeniusInvariant')\n"
     )
     assert run_optimized(code).split() == ["FrobeniusInvariant"]
+
+
+def test_dependent_solutions_raise():
+    # the same solution twice spans one dimension, not two
+    sol = local_basis(APPARENT, SingularPoint(0)).solutions[0]
+    with pytest.raises(FrobeniusInvariant, match="linearly dependent"):
+        jordan_structure(LocalBasis(SingularPoint(0), [sol, sol], None))
+
+
+def test_dependent_solutions_raise_under_optimize(run_optimized):
+    code = (
+        "from fractions import Fraction\n"
+        "from picardfuchs import SingularPoint, ThetaOperator, local_basis\n"
+        "from picardfuchs.arith import Polynomial\n"
+        "from picardfuchs.errors import FrobeniusInvariant\n"
+        "from picardfuchs.frobenius import LocalBasis, jordan_structure\n"
+        "op = ThetaOperator.from_theta_polys([Polynomial([Fraction(0), Fraction(-3), Fraction(1)])])\n"
+        "sol = local_basis(op, SingularPoint(0)).solutions[0]\n"
+        "try:\n"
+        "    jordan_structure(LocalBasis(SingularPoint(0), [sol, sol], None))\n"
+        "except FrobeniusInvariant:\n"
+        "    print('FrobeniusInvariant')\n"
+    )
+    assert run_optimized(code).split() == ["FrobeniusInvariant"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=fuchsian_shapes())
+def test_jordan_blocks_match_the_log_map_matrix(op):
+    try:
+        points = riemann_symbol(op, with_log_check=False).points(genuine_only=False)
+    except (IrrationalExponent, IrregularSingularity):
+        return
+    for point in points:
+        try:
+            basis = local_basis(op, point)
+        except (IrrationalExponent, IrregularSingularity):
+            continue
+        classes = _partition_classes((s.alpha, s) for s in basis.solutions)
+        want = [tuple(jordan_reference.class_blocks([s for _a, s in cls])) for cls in classes]
+        assert [blocks for _exps, blocks in jordan_structure(basis).classes] == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, local_basis, riemann_symbol, shift_exponents
 from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
-from picardfuchs.errors import IrregularSingularity, OrderZeroOperator, TruncationTooLow
+from picardfuchs.errors import IrregularSingularity, NotASingularCandidate, OrderZeroOperator, TruncationTooLow
 from picardfuchs.frobenius import annihilation_order
 from picardfuchs.optheta import (
     DOperator,
@@ -18,6 +18,7 @@ from picardfuchs.optheta import (
     d_from_theta,
     exponents_at,
     fuchs_defect,
+    indicial_polynomial,
     local_operator,
     singular_points,
     theta_from_d,
@@ -287,6 +288,29 @@ def test_irregular_point_raises():
         with pytest.raises(IrregularSingularity):
             call(op)
     assert exponents_at(op, SingularPoint(0)) == (0,)
+
+
+def test_indicial_polynomial_at_an_ordinary_point_raises():
+    # the finite singular value of LEGENDRE is 1/16; 1/2 is an ordinary point
+    with pytest.raises(NotASingularCandidate):
+        indicial_polynomial(LEGENDRE, SingularPoint(Fraction(1, 2)))
+    assert indicial_polynomial(LEGENDRE, SingularPoint(Fraction(1, 16))).degree == 2
+
+
+def test_indicial_polynomial_at_an_ordinary_point_raises_under_optimize(run_optimized):
+    code = (
+        "from fractions import Fraction\n"
+        "from picardfuchs import SingularPoint, ThetaOperator\n"
+        "from picardfuchs.arith import Polynomial\n"
+        "from picardfuchs.errors import NotASingularCandidate\n"
+        "from picardfuchs.optheta import indicial_polynomial\n"
+        "op = ThetaOperator.from_theta_polys([Polynomial([0, 0, 1]), Polynomial([-4, -16, -16])])\n"
+        "try:\n"
+        "    indicial_polynomial(op, SingularPoint(Fraction(1, 2)))\n"
+        "except NotASingularCandidate:\n"
+        "    print('NotASingularCandidate')\n"
+    )
+    assert run_optimized(code).split() == ["NotASingularCandidate"]
 
 
 def test_order_zero_operator_raises():

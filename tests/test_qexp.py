@@ -137,6 +137,7 @@ QEXP_CHECKS = [
     ("FormRecord('x', 2, (2, 3), (1,))", "InvalidFormRecord"),
     ("FormRecord('x', 2, (3, 2), (1, 1))", "InvalidFormRecord"),
     ("verify_form_table('f32', N=10)", "TruncationTooLow"),
+    ("verify_form_table('12/1')", "NoEtaProduct"),
 ]
 QEXP_IMPORTS = (
     "from picardfuchs.qexp import QSeries, EtaProductSpec, FormRecord, _inverse_unit, eta_product, verify_form_table\n"
