@@ -551,7 +551,7 @@ class Polynomial(Immutable):
             return self * (1 / as_scalar(other))
         q, r = divmod(self, other)
         if not r.is_zero:
-            raise ValueError("inexact polynomial division")
+            raise InexactDivision("inexact polynomial division")
         return q
 
     def derivative(self):

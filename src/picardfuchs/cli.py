@@ -12,8 +12,10 @@ import os
 import sys
 from fractions import Fraction
 
+# `catalog` is imported only by the commands that read it.  The computational
+# modules stay at module level: perfbench/tracer.py patches them in
+# sys.modules right after importing this module.
 from .arith import _exact_fraction
-from .catalog import CATALOG, dump_catalog, reproduce_reduction, verify_catalog
 from .errors import ChainBroken
 from .frobenius import classify_basis, jordan_structure, local_basis
 from .guess import GuessConfig, guess_operator
@@ -241,6 +243,8 @@ def _count_input(args):
                 raise UsageError("octic file is neither planes nor monomials: %s" % exc)
             return terms, None, None
         raise UsageError("octic file must be a JSON object")
+    from .catalog import CATALOG
+
     aid = args.arrangement
     parameter = None if args.parameter is None else _fraction(args.parameter)
     if aid in RIGID_FIBRES:
@@ -312,12 +316,16 @@ def _cmd_verify_forms(args):
 
 
 def _cmd_verify_catalog(args):
+    from .catalog import verify_catalog
+
     report = verify_catalog(include_chains=args.chains)
     print(json.dumps(report.to_json()) if args.json else report.format())
     return 0 if report.ok else 1
 
 
 def _cmd_reproduce(args):
+    from .catalog import reproduce_reduction
+
     try:
         report = reproduce_reduction(args.chain)
     except KeyError as exc:
@@ -327,6 +335,8 @@ def _cmd_reproduce(args):
 
 
 def _cmd_catalog_dump(args):
+    from .catalog import dump_catalog
+
     print(dump_catalog(indent=args.indent))
     return 0
 

@@ -93,7 +93,7 @@ class ZeroOperator(ValueError):
 
 
 class DegenerateTransform(ValueError):
-    """A transformation's data is degenerate: a constant substitution, a shift at infinity, a power below 1."""
+    """A transformation's data is degenerate: a singular Mobius matrix, a constant substitution, a shift at infinity, a power below 1."""
 
 
 class NoCoupling(ValueError):
@@ -113,7 +113,7 @@ class NegativeExponent(ValueError):
 
 
 class InexactDivision(ValueError):
-    """An integer kernel met a remainder where its integrality argument rules one out."""
+    """An exact division met a remainder: in an integer kernel whose integrality argument rules one out, or a polynomial `/`."""
 
 
 class InconsistentRecurrence(ValueError):
@@ -162,6 +162,10 @@ class EvenPrime(ValueError):
 
 class NotPrime(ValueError):
     """Point counting needs a prime modulus."""
+
+
+class BadReduction(ValueError):
+    """An octic coefficient has a denominator divisible by the prime, so the octic has no reduction there."""
 
 
 class InvalidOctic(ValueError):

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .arith import Immutable, QuadraticNumber, _is_probable_prime
 from .errors import (
+    BadReduction,
     CoefficientOutOfRange,
     EvenPrime,
     InvalidEtaProduct,
@@ -334,7 +335,7 @@ def _octic_terms(f8, p):
         c = Fraction(c)
         den = c.denominator % p
         if den == 0:
-            raise ValueError("coefficient %s has bad reduction mod %d" % (c, p))
+            raise BadReduction("coefficient %s has bad reduction mod %d" % (c, p))
         return c.numerator * pow(den, -1, p) % p
 
     if isinstance(f8, dict):

@@ -71,7 +71,7 @@ class MobiusMap(Immutable):
     def __init__(self, a, b, c, d):
         a, b, c, d = (collapse(as_scalar(x)) for x in (a, b, c, d))
         if not a * d - b * c:
-            raise ValueError("coefficient matrix is singular")
+            raise DegenerateTransform("coefficient matrix is singular")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

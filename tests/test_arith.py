@@ -33,6 +33,7 @@ from picardfuchs.arith import (
 )
 from picardfuchs.errors import (
     FactorizationFailed,
+    InexactDivision,
     InexactScalar,
     InvalidDiscriminant,
     InvalidPower,
@@ -273,6 +274,7 @@ _DOMAIN_CASES = [
     ("squarefree_part(0)", "ZeroRadicand"),
     ("roots_in_quadratic_closure(Polynomial(()))", "ZeroPolynomial"),
     ("PowerSeries([1, 2], -1)", "TruncationTooLow"),
+    ("Polynomial([1, 0, 1]) / Polynomial([1, 1])", "InexactDivision"),
 ]
 
 
@@ -289,6 +291,12 @@ def test_integer_polynomial_and_series_domains_under_optimize(run_optimized):
         "        print(type(exc).__name__, isinstance(exc, getattr(errors, type(exc).__name__)))\n"
     ) % ([case for case, _error in _DOMAIN_CASES],)
     assert run_optimized(code).splitlines() == ["%s True" % error for _case, error in _DOMAIN_CASES]
+
+
+@pytest.mark.parametrize("divisor", [Polynomial([1, 1]), Polynomial([0, 0, 0, 1])], ids=["remainder", "higher-degree"])
+def test_inexact_polynomial_division_raises(divisor):
+    with pytest.raises(InexactDivision, match=r"^inexact polynomial division$"):
+        Polynomial([1, 0, 1]) / divisor
 
 
 def test_squarefree_part():

@@ -8,6 +8,7 @@ as a failed benchmark run.  These checks only read perfbench/.
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
 
 from picardfuchs.arith import Polynomial, QuadraticNumber
@@ -49,3 +50,19 @@ def test_workload_imports_resolve():
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_tracer_finds_every_patched_module_after_the_cli_import(run_fresh):
+    # a traced `pf` run imports picardfuchs.cli, then Tracer.install() imports these two and
+    # reads sys.modules["picardfuchs." + module] for every spanned function
+    code = (
+        "import json, sys\n"
+        "import picardfuchs.cli\n"
+        "import picardfuchs\n"
+        "from picardfuchs import arith, catalog\n"
+        "print(json.dumps([sorted(sys.modules), type(vars(catalog).get('CHAINS')).__name__]))\n"
+    )
+    loaded, chains_type = json.loads(run_fresh(code))
+    for _metric, module, _attr in _load_tracer().SPANNED_FUNCTIONS:
+        assert "picardfuchs." + module in loaded, module
+    assert chains_type == "dict"

@@ -475,3 +475,38 @@ def test_catalog_dump(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["version"] == 1 and len(doc["arrangements"]) == 25
+
+
+# run in one new interpreter: what `import picardfuchs` loads, then which commands load the catalog
+_LOADED_BY_COMMANDS = """
+import contextlib, io, json, sys
+import picardfuchs
+report = {"package": sorted(m for m in sys.modules if m.startswith("picardfuchs."))}
+from picardfuchs.cli import main
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report[argv[0]] = [code, [m for m in ("picardfuchs.catalog", "picardfuchs.catalog_data") if m in sys.modules]]
+print(json.dumps(report))
+"""
+
+
+def test_each_command_loads_only_what_it_needs(tmp_path, run_fresh):
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps([str(comb(2 * n, n) ** 2) for n in range(30)]))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(TetraForm.from_planes(TETRA_DEMO["planes"], truncation=6).to_json()))
+    catalog_free = [
+        ["symbol", _op_file(tmp_path, 4)],
+        ["classify", _op_file(tmp_path, 4), "--json"],
+        ["transform", _op_file(tmp_path, 98, "op98.json"), "--mobius=0,1,1,-1"],
+        ["qexp", "--form", "6/1", "--terms", "20"],
+        ["guess", "--series", str(series), "--max-order", "2", "--max-degree", "1"],
+        ["period", "--poly", str(form), "--terms", "4"],
+        ["verify-forms"],
+    ]
+    argvs = catalog_free + [["count", "--arrangement", "69", "--prime", "23"]]
+    report = json.loads(run_fresh(_LOADED_BY_COMMANDS % (argvs,)))
+    assert report.pop("package") == []
+    assert report.pop("count") == [0, ["picardfuchs.catalog", "picardfuchs.catalog_data"]]
+    assert report == {argv[0]: [0, []] for argv in catalog_free}

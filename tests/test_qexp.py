@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from picardfuchs import CATALOG, count_double_octic, eta_product, verify_form_table
-from picardfuchs.errors import EvenPrime, InvalidOctic, NotPrime
+from picardfuchs.errors import BadReduction, EvenPrime, InvalidOctic, NotPrime
 from picardfuchs.qexp import FORMS, EtaProductSpec, lookup_form
 
 ETA_FORMS = ("f32", "16", "8", "6/1", "8/1")
@@ -124,6 +124,19 @@ def test_malformed_octic_rejected(octic, message):
         count_double_octic(octic, 5)
 
 
+@pytest.mark.parametrize(
+    "octic",
+    [
+        [(Fraction(1, 5), 1, 0, 0)] + [(1, 0, 0, 0)] * 7,
+        {(8, 0, 0, 0): Fraction(1, 5), (0, 8, 0, 0): 1},
+    ],
+    ids=["planes", "monomials"],
+)
+def test_coefficient_with_bad_reduction_rejected(octic):
+    with pytest.raises(BadReduction, match=r"^coefficient 1/5 has bad reduction mod 5$"):
+        count_double_octic(octic, 5)
+
+
 # checks that hold under python -O: (statement, error type)
 QEXP_CHECKS = [
     ("QSeries([1, 2, 3], 2).coefficient(-1)", "CoefficientOutOfRange"),
@@ -138,9 +151,11 @@ QEXP_CHECKS = [
     ("FormRecord('x', 2, (3, 2), (1, 1))", "InvalidFormRecord"),
     ("verify_form_table('f32', N=10)", "TruncationTooLow"),
     ("verify_form_table('12/1')", "NoEtaProduct"),
+    ("count_double_octic([(Fraction(1, 5), 1, 0, 0)] + [(1, 0, 0, 0)] * 7, 5)", "BadReduction"),
 ]
 QEXP_IMPORTS = (
-    "from picardfuchs.qexp import QSeries, EtaProductSpec, FormRecord, _inverse_unit, eta_product, verify_form_table\n"
+    "from fractions import Fraction\n"
+    "from picardfuchs.qexp import QSeries, EtaProductSpec, FormRecord, _inverse_unit, count_double_octic, eta_product, verify_form_table\n"
     "from picardfuchs.errors import *\n"
 )
 

@@ -22,7 +22,7 @@ from picardfuchs import (
     yukawa,
 )
 from picardfuchs.arith import Polynomial, QuadraticNumber, RationalFunction, poly_gcd
-from picardfuchs.errors import NotEven
+from picardfuchs.errors import DegenerateTransform, NotEven
 from picardfuchs.optheta import d_from_theta, singular_points
 from picardfuchs.transform import (
     ShiftAssignment,
@@ -61,7 +61,7 @@ def test_mobius_map_point_action():
 
 
 def test_mobius_rejects_singular_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateTransform, match=r"^coefficient matrix is singular$"):
         MobiusMap(1, 2, 2, 4)
 
 
@@ -243,7 +243,8 @@ def test_typed_errors_hold_under_optimize(run_optimized):
         "             lambda: ShiftAssignment({INFINITY: Fraction(1)}),\n"
         "             lambda: pullback_power(legendre, 0),\n"
         "             lambda: descend_power(legendre, 0),\n"
-        "             lambda: yukawa(ThetaOperator([[1], [1]]))):\n"
+        "             lambda: yukawa(ThetaOperator([[1], [1]])),\n"
+        "             lambda: MobiusMap(1, 2, 2, 4)):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as exc:\n"
@@ -257,6 +258,7 @@ def test_typed_errors_hold_under_optimize(run_optimized):
         "DegenerateTransform: power must be at least 1, got 0",
         "DegenerateTransform: power must be at least 1, got 0",
         "NoCoupling: order-zero operator has no coupling",
+        "DegenerateTransform: coefficient matrix is singular",
     ]
 
 
