@@ -3,12 +3,16 @@
 The Frobenius construction runs once per distinct indicial root lambda: the
 deformed seed c_0 = eps^R (R = total multiplicity of the class roots above
 lambda) is propagated through the coefficient recurrence in the jet ring
-K[eps]/(eps^(2M)), M the class multiplicity.  At a resonance the indicial
-value has positive eps-valuation; the numerator's matching low jet
-coefficients must vanish exactly (this is the exact obstruction constant), and
-the division shifts the jet down, losing that much tracked precision.  The
-seed and modulus are chosen so every extracted coefficient stays within the
-valid precision.
+K[eps]/(eps^T), T = mult(lambda) + 2R.  At a resonance the indicial value
+has positive eps-valuation; the numerator's matching low jet coefficients
+must vanish exactly (this is the exact obstruction constant), and the
+division shifts the jet down, losing that much tracked precision.
+
+T is exact.  The resonances of lambda are the class roots lambda + m above
+it, and P_0(lambda + m + eps) has eps-valuation the multiplicity of that
+root, so lambda loses exactly R positions and keeps R + mult(lambda): the
+seed's R and the mult(lambda) that are read out.  Truncation only carries
+errors upward, so each position read is the one any longer jet gives.
 
 Solution k (R <= k < R + multiplicity(lambda)) is the eps^k-coefficient of
 t^(lambda+eps) * sum c_m(eps) t^m; expanding t^eps = sum eps^l log(t)^l / l!
@@ -55,6 +59,7 @@ from .optheta import (
     indicial_roots,
     integer_jet,
     integer_polys,
+    jet_memo,
     local_indicial,
     local_operator,
     scalar_field,
@@ -128,8 +133,9 @@ def _int_jet_div(numer, den, scale, d=None):
     quotient is o_k h0^(T-1-k) over scale * h0^T.  Over Z[sqrt d] numerator
     and denominator are multiplied by conj(h0)^T, which turns the
     denominator into scale * N(h0)^T with the integer norm N(h0) = h0 conj(h0).
-    The jet length T = 2M is even, so a positive scale gives a positive
-    denominator D; one gcd reduces the result.  A zero quotient coefficient
+    For an odd jet length T that denominator is negative when h0 is (over
+    Q) or N(h0) is; one gcd, taken with the sign of the denominator, reduces
+    the result to a positive denominator D.  A zero quotient coefficient
     is untagged, and a nonzero one is tagged when a tagged coefficient took
     part in its solve, including h0.
     """
@@ -152,7 +158,7 @@ def _int_jet_div(numer, den, scale, d=None):
             o.append(acc)
         nums = [ok * hp[T - 1 - k] for k, ok in enumerate(o)]
         D = scale * hp[T]
-        g = math.gcd(D, *nums)
+        g = math.gcd(D, *nums) if D > 0 else -math.gcd(D, *nums)
         return [x // g for x in nums], None, None, D // g
     h0a, h0b = b[0], bb[0]
     if not (h0a or h0b):
@@ -187,21 +193,30 @@ def _int_jet_div(numer, den, scale, d=None):
         na.append((oa[k] * ca + d * ob[k] * cb) * s)
         nb.append((oa[k] * cb + ob[k] * ca) * s)
     D = scale * norm**T
-    g = math.gcd(D, *na, *nb)
+    g = math.gcd(D, *na, *nb) if D > 0 else -math.gcd(D, *na, *nb)
     return [x // g for x in na], [x // g for x in nb], ot, D // g
 
 
-def _cancel_resonance(numer, den, m):
+_EXHAUSTED = "jet precision exhausted at exponent %s"
+
+
+def _cancel_resonance(numer, den, m, budget, lam, p0_zero):
     """Strip the common eps-valuation mu of the integer jets numer and den at offset m.
 
     At a resonance the low mu coefficients of numer must vanish exactly (the
-    obstruction constant); the shift loses mu coefficients of precision.
+    obstruction constant); the shift loses mu coefficients of precision.  A
+    mu above `budget`, the precision lam can still lose, leaves too short a
+    jet: the test would read coefficients of numer that are no longer exact,
+    and the seed's coefficient would be lost.  It raises FrobeniusInvariant
+    for exhausted precision, or for a vanishing indicial polynomial when P_0
+    is the zero polynomial (p0_zero), so den is zero in every position.
     Returns (numer, den, mu).
     """
-    T = len(den[0])
     mu = _jet_valuation(den)
-    if mu >= T:
-        raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
+    if mu > budget:
+        if p0_zero:
+            raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
+        raise FrobeniusInvariant(_EXHAUSTED % (lam,))
     if mu:
         if _jet_valuation(numer) < mu:
             raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
@@ -368,8 +383,6 @@ def local_basis(op, point, N=None):
 
 def _class_solutions(loc, cls, N, point):
     """All solutions for one exponent class of the local operator."""
-    M = sum(m for _r, m in cls)
-    T = 2 * M
     r = loc.r
     gap = _integer_difference(cls[-1][0], cls[0][0])
     if N < gap + r + 1:
@@ -377,16 +390,18 @@ def _class_solutions(loc, cls, N, point):
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
     # the class roots differ by integers, so they share one denominator q
     Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    memo = jet_memo(loc)
     out = []
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        jets, lost = _integer_recurrence(Q, lam, T, N, above, d)
+        T = mult + 2 * above
+        jets, lost = _integer_recurrence(Q, lam, T, N, above, d, memo)
         if above + mult > T - lost:
-            raise FrobeniusInvariant("jet precision exhausted at exponent %s" % (lam,))
+            raise FrobeniusInvariant(_EXHAUSTED % (lam,))
         for k in range(above, above + mult):
             s = k - above
             scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
-            logs = range(min(k, T - 1) + 1)
+            logs = range(k + 1)
             if d is None:
                 table = [[Fraction(A[k - l] * scale, den * math.factorial(l)) for l in logs] for A, _B, _t, den in jets]
             else:
@@ -404,28 +419,29 @@ def _quadratic_entry(jet, k, num, den, d):
     return a
 
 
-def _integer_recurrence(Q, lam, T, N, above, d=None):
+def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
     """Jets c_0 .. c_N as (A, B, tags, den) for the exponent lam, and the precision lost.
 
     Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
     when d is given.  The common scale E of the Q_i cancels in the quotient,
     and the terms of the numerator are brought to the lcm of their jets'
-    denominators.
+    denominators.  `memo` goes to integer_jet (see optheta.jet_memo).
     """
     q, u0, v0, tagged = exponent_parts(lam)
-    qpow = [q**k for k in range(T)]
     r = len(Q) - 1
     seed = _zeros(T, d)
     seed[0][above] = 1
     jets = [seed + (1,)]
     lost = 0
+    p0_zero = not any(Q[0][0]) and not any(Q[0][1] or ())
     for m in range(1, N + 1):
         terms = [i for i in range(1, min(r, m) + 1) if Q[i][0]]
         lcm = math.lcm(*(jets[m - i][3] for i in terms))
-        products = [(integer_jet(Q[i], u0 + (m - i) * q, qpow, d, v0, tagged), jets[m - i]) for i in terms]
+        products = [(integer_jet(Q[i], u0 + (m - i) * q, q, T, d, v0, tagged, memo), jets[m - i]) for i in terms]
         numer = _numerator(products, lcm, T, d)
-        den = integer_jet(Q[0], u0 + m * q, qpow, d, v0, tagged)
-        numer, den, mu = _cancel_resonance(numer, den, m)
+        den = integer_jet(Q[0], u0 + m * q, q, T, d, v0, tagged, memo)
+        # the seed's coefficient eps^above must stay exact
+        numer, den, mu = _cancel_resonance(numer, den, m, T - 1 - above - lost, lam, p0_zero)
         lost += mu
         jets.append(_int_jet_div(numer, den, lcm, d))
     return jets, lost

@@ -467,8 +467,8 @@ def _scalar_parts(x):
 def integer_polys(polys, q, d=None):
     """(Q, E): Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), one common E > 0.
 
-    Over Q (d None) A lists the integer coefficients and B, tags are None.
-    Over Q(sqrt d) coefficient k is A[k] + B[k] sqrt(d), and tags[k] says
+    Over Q (d None) A is the tuple of integer coefficients and B, tags are
+    None.  Over Q(sqrt d) coefficient k is A[k] + B[k] sqrt(d), and tags[k] says
     whether P_i's coefficient is a QuadraticNumber.  For an integer q >= 1,
     E = lcm(denominators of every coefficient part) * q^n with n the largest
     degree.  Then E * P_i(x/q + eps) is the Taylor shift of Q_i at the
@@ -477,7 +477,7 @@ def integer_polys(polys, q, d=None):
     n = max([0] + [p.degree for p in polys])
     if d is None:
         rows, dens = integer_rows(polys)
-        return [([c * q ** (n - k) for k, c in enumerate(row)], None, None) for row in rows], dens * q**n
+        return [(tuple(c * q ** (n - k) for k, c in enumerate(row)), None, None) for row in rows], dens * q**n
     parts = [[_scalar_parts(c) for c in p.coeffs] for p in polys]
     dens = math.lcm(*(x.denominator for cs in parts for ab in cs for x in ab))
     Q = []
@@ -489,23 +489,29 @@ def integer_polys(polys, q, d=None):
     return Q, dens * q**n
 
 
-def integer_jet(poly, u, qpow, d=None, v=0, tagged=False):
-    """E * P(x/q + eps) mod eps^T as an integer jet (A, B, tags), T = len(qpow), qpow[k] = q^k.
+def integer_jet(poly, u, q, T, d=None, v=0, tagged=False, memo=None):
+    """E * P(x/q + eps) mod eps^T as an integer jet (A, B, tags) of length T.
 
-    `poly` comes from integer_polys, and x = u + v sqrt(d) is integral.
-    Over Q (d None) B and tags are None.  Over Q(sqrt d), `tagged` says
-    whether the exponent x/q stands for is a QuadraticNumber, and tags[k] is
-    True where the scalar Taylor shift gives a QuadraticNumber.
+    `poly` comes from integer_polys at the denominator q, and x = u + v sqrt(d)
+    is integral.  Over Q (d None) B and tags are None, and `memo`, when
+    given, is a dict that keeps E * P(u/q + eps) = C(u + q eps) in full, for
+    C(x) = E * P(x/q), keyed on (C's coefficients, u, q).  Over Q(sqrt d),
+    `tagged` says whether the exponent x/q stands for is a QuadraticNumber,
+    and tags[k] is True where the scalar Taylor shift gives a QuadraticNumber.
     """
-    T = len(qpow)
     if d is None:
-        cs = taylor_shift(poly[0], u, T)
-        if qpow[-1] != 1:
-            cs = [c * qk for c, qk in zip(cs, qpow)]
-        return cs + [0] * (T - len(cs)), None, None
+        cs = None if memo is None else memo.get((poly[0], u, q))
+        if cs is None:
+            # a kept value is full, for a longer jet asked at the same x later
+            cs = taylor_shift(poly[0], u, T if memo is None else None)
+            if q != 1:
+                cs = [c * q**k for k, c in enumerate(cs)]
+            if memo is not None:
+                memo[poly[0], u, q] = cs
+        return cs[:T] + [0] * (T - len(cs)), None, None
     ca, cb, ct = quadratic_taylor_shift(*poly, u, v, tagged, d, T)
-    if qpow[-1] != 1:
-        ca, cb = [c * qk for c, qk in zip(ca, qpow)], [c * qk for c, qk in zip(cb, qpow)]
+    if q != 1:
+        ca, cb = [c * q**k for k, c in enumerate(ca)], [c * q**k for k, c in enumerate(cb)]
     pad = [0] * (T - len(ca))
     return ca + pad, cb + pad, ct + pad
 
@@ -541,7 +547,7 @@ def apply_local(op, alpha, table, upto):
     r = op.r
     q, u0, v0, tagged = exponent_parts(alpha)
     Q, E = integer_polys(op.theta_coeffs, q, d)
-    qpow = [q**k for k in range(width)]
+    memo = jet_memo(op)
     falling = [[math.perm(l, k) for k in range(l + 1)] for l in range(width)]
     rows = [_integer_row(row, d) for row in table]
     if d is not None:
@@ -560,7 +566,7 @@ def apply_local(op, alpha, table, upto):
         acc = [0] * width
         if d is None:
             for i, nums, _b, _tags, rden, top in terms:
-                values = integer_jet(Q[i], u0 + (m - i) * q, qpow[: top + 1])[0]
+                values = integer_jet(Q[i], u0 + (m - i) * q, q, top + 1, memo=memo)[0]
                 f = lcm // rden
                 for l, c in enumerate(nums):
                     if not c:
@@ -575,7 +581,7 @@ def apply_local(op, alpha, table, upto):
         acct = [False] * width
         for i, nums, numsb, tags, rden, top in terms:
             vt = vtags[i]
-            va, vb, _vt = integer_jet(Q[i], u0 + (m - i) * q, qpow[: top + 1], d, v0, tagged)
+            va, vb, _vt = integer_jet(Q[i], u0 + (m - i) * q, q, top + 1, d, v0, tagged)
             f = lcm // rden
             for l in range(top + 1):
                 ca, cb = nums[l], numsb[l]
@@ -650,9 +656,10 @@ def invert_variable(op):
     return ThetaOperator(polys).t_stripped().cleared()
 
 
-# (op, point, local operator) of the last call: local_basis and then
-# annihilation_order for each solution ask for the same operator in a row
-_last_local = (None, None, None)
+# (op, point, local operator, jet memo) of the last call: local_basis and
+# then annihilation_order for each solution ask for the same operator in a
+# row, and evaluate the same P_i at the same integral points
+_last_local = (None, None, None, None)
 
 
 def local_operator(op, point):
@@ -664,7 +671,7 @@ def local_operator(op, point):
     local operators keep those types.
     """
     global _last_local
-    last_op, last_point, last = _last_local
+    last_op, last_point, last, _memo = _last_local
     if op is last_op and point == last_point:
         return last
     loc = op.t_stripped()
@@ -672,8 +679,14 @@ def local_operator(op, point):
         loc = invert_variable(loc)
     elif point.value != 0:
         loc = translate(loc, point.value)
-    _last_local = (op, point, loc)
+    _last_local = (op, point, loc, {})
     return loc
+
+
+def jet_memo(loc):
+    """The memo of integer_jet for `loc` while it is the last local operator built, else None."""
+    _op, _point, last, memo = _last_local
+    return memo if loc is last else None
 
 
 # ---------------------------------------------------------------------------

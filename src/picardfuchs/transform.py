@@ -244,7 +244,11 @@ def pullback_rational(op, phi):
         return _expand_rows(coeffs, zmul(q, q), w, [])
     dcoeffs = d_from_theta(op).d_coeffs
     top = max((c.degree for c in dcoeffs), default=0)
-    homog = [p**i * q**(top - i) for i in range(top + 1)]
+    ppow, qpow = [Polynomial((1,))], [Polynomial((1,))]
+    for _ in range(top):
+        ppow.append(ppow[-1] * p)
+        qpow.append(qpow[-1] * q)
+    homog = [ppow[i] * qpow[top - i] for i in range(top + 1)]
     coeffs = [sum((homog[i] * ci for i, ci in enumerate(c.coeffs) if ci), Polynomial(())) for c in dcoeffs]
     return _expand(coeffs, q * q * (1 / w.lead), w.monic(), Polynomial(()))
 

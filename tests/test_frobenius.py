@@ -2,9 +2,10 @@
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
@@ -26,15 +27,20 @@ from picardfuchs.frobenius import (
     _partition_classes,
     annihilation_order,
     classify_basis,
+    default_truncation,
     has_logarithms,
     jordan_structure,
 )
 from picardfuchs.optheta import (
     apply_local,
+    exponent_parts,
     exponents_at,
+    indicial_roots,
     integer_polys,
+    local_indicial,
     local_operator,
     riemann_symbol,
+    scalar_field,
     singular_points,
     translate,
 )
@@ -283,7 +289,7 @@ def test_jet_div_by_a_non_unit_raises():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_integer_jet_div_matches_scalar_jet_div(data):
-    T = 2 * data.draw(st.integers(1, 4))  # jets of the engine have even length 2M
+    T = 2 * data.draw(st.integers(1, 4))  # even lengths; odd ones are drawn below
     a = data.draw(st.lists(st.integers(-5, 5), min_size=T, max_size=T))
     b = data.draw(st.lists(st.integers(-5, 5), min_size=T, max_size=T).filter(lambda b: b[0]))
     scale = data.draw(st.integers(1, 12))
@@ -327,6 +333,38 @@ def test_quadratic_jet_div_matches_scalar_jet_div(d, data):
     assert _typed([got]) == _typed([want])
     assert all(y == 0 for y, t in zip(B, tags) if not t)
     assert D > 0 and math.gcd(D, *A, *B) == 1  # lowest terms
+
+
+@pytest.mark.parametrize("d", [None, 2])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_jet_div_of_odd_length_has_a_positive_denominator(d, data):
+    # a root's jet has length mult + 2 above, odd for a root of odd
+    # multiplicity; then h0^T (over Q) or N(h0)^T (over Z[sqrt 2]) can be negative
+    T = 2 * data.draw(st.integers(0, 3)) + 1
+    numer, a = _quadratic_jet(data, T, 2)
+    den, b = _quadratic_jet(data, T, 2, unit=True)
+    if d is None:
+        numer, a = (numer[0], None, None), [Fraction(x) for x in numer[0]]
+        den, b = (den[0], None, None), [Fraction(x) for x in den[0]]
+        assume(den[0][0])
+    scale = data.draw(st.integers(1, 12))
+    A, B, tags, D = _int_jet_div(numer, den, scale, d)
+    want = ref.jet_div([x / scale for x in a], b)
+    if d is None:
+        got = [Fraction(x, D) for x in A]
+    else:
+        got = [QuadraticNumber(Fraction(x, D), Fraction(y, D), d) if t else Fraction(x, D) for x, y, t in zip(A, B, tags)]
+    assert _typed([got]) == _typed([want])
+    assert D > 0 and math.gcd(D, *A, *(B or ())) == 1  # lowest terms
+
+
+def test_jet_div_by_a_negative_unit_of_odd_length():
+    # h0 = -2 over Q, and h0 = 1 + sqrt 2 of norm -1 over Z[sqrt 2]
+    A, _B, _tags, D = _int_jet_div(([1, 0, 3], None, None), ([-2, 1, 0], None, None), 1)
+    assert (A, D) == ([-4, -2, -13], 8)
+    A, B, tags, D = _int_jet_div(([1], [0], [False]), ([1], [1], [True]), 1, 2)
+    assert (A, B, tags, D) == ([-1], [1], [True], 1)  # 1 / (1 + sqrt 2) = -1 + sqrt 2
 
 
 def test_classify_catalog_spot_checks():
@@ -406,6 +444,40 @@ def test_quadratic_path_matches_scalar_path_on_266(point, N):
     assert types == {(False, True, Fraction), (False, False, Fraction), (True, False, Fraction), (True, True, QuadraticNumber)}
     if N == 16:
         _residuals_match_reference(op, point, N)
+
+
+def _root_jets(loc, cls, N):
+    """(lam, mult, above, the root's jets and lost precision at T = mult + 2 above, at T = 2M) per root of a class."""
+    d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
+    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    M = sum(m for _r, m in cls)
+    for j, (lam, mult) in enumerate(cls):
+        above = sum(m for _r, m in cls[j + 1 :])
+        T = mult + 2 * above
+        yield lam, mult, above, _integer_recurrence(Q, lam, T, N, above, d), _integer_recurrence(Q, lam, 2 * M, N, above, d)
+
+
+def _exact_part(jets, n):
+    """Coefficients 0 .. n-1 of each jet as (a, b, tag) with the jet's value a + b sqrt d."""
+    return [
+        [(Fraction(A[k], D), B and Fraction(B[k], D), tags and tags[k]) for k in range(n)] for A, B, tags, D in jets
+    ]
+
+
+@pytest.mark.parametrize("aid", _DISTINCT)
+def test_root_precision_is_tight_on_catalog_points(aid):
+    # each resonance at lam + m costs the multiplicity of the class root it
+    # hits, so lam loses exactly `above` of its T = mult + 2 above positions,
+    # and the positions read agree with those of the safe length T = 2M; the
+    # two tests above compare the tables with the scalar recurrence at 2M
+    op = CATALOG[aid].operator
+    for point, _exps in CATALOG[aid].symbol:
+        loc = local_operator(op, point)
+        N = default_truncation(loc)
+        for cls in _partition_classes(indicial_roots(local_indicial(loc, point))):
+            for lam, mult, above, (jets, lost), (safe, _lost) in _root_jets(loc, cls, N):
+                assert lost == above, (point, lam)
+                assert _exact_part(jets, above + mult) == _exact_part(safe, above + mult), (point, lam)
 
 
 @settings(max_examples=60, deadline=None)
@@ -592,6 +664,22 @@ def test_annihilation_over_a_basis_translates_once(monkeypatch):
     orders = [annihilation_order(op, point, sol) for sol in basis]
     assert len(calls) == 1 and len(orders) == 2
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
+
+
+@pytest.mark.parametrize("aid, point", [(33, 1), (153, -2), (4, 0)])
+def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point):
+    # the recurrence of each class keeps P_i at every integral point it
+    # reaches; the checks add only P_0 at the smallest root of each class
+    op, point = CATALOG[aid].operator, SingularPoint(point)
+    basis = local_basis(op, point)
+    shifts = []
+    inner = optheta.taylor_shift
+    monkeypatch.setattr(optheta, "taylor_shift", lambda *args: shifts.append(args) or inner(*args))
+    orders = [annihilation_order(op, point, sol) for sol in basis]
+    assert orders == [sol.truncation - basis.local_op.r for sol in basis]
+    assert len(shifts) == len(jordan_structure(basis).classes)
+    local_operator(op, INFINITY)  # another point drops the memo
+    assert optheta.jet_memo(basis.local_op) is None
 
 
 @pytest.mark.parametrize("aid", [4, 266])
