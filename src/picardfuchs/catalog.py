@@ -22,7 +22,7 @@ from .arith import (
     scalar_from_json,
     scalar_to_json,
 )
-from .errors import ChainBroken, NotEven
+from .errors import CatalogVersionMismatch, ChainBroken
 from .frobenius import PointType, classify_point
 from .optheta import (
     INFINITY,
@@ -628,7 +628,7 @@ def load_catalog(text=None):
     """Parse the JSON resource back into records; defaults to dump_catalog()."""
     data = json.loads(dump_catalog() if text is None else text)
     if data["version"] != CATALOG_VERSION:
-        raise ValueError("catalog version %r, expected %r" % (data["version"], CATALOG_VERSION))
+        raise CatalogVersionMismatch("catalog version %r, expected %r" % (data["version"], CATALOG_VERSION))
     arrangements = {row["id"]: ArrangementRecord.from_json(row) for row in data["arrangements"]}
     derived = {row["name"]: DerivedOperatorRecord.from_json(row) for row in data["derived"]}
     return arrangements, derived

@@ -135,6 +135,9 @@ def _cmd_classify(args):
             )
         )
         return 0
+    if not rows:
+        print(sym.format())  # the line pf symbol prints for an empty table
+        return 0
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     for p, e, b, l in rows:
         print("%s  %s  %s  %s" % (p.ljust(widths[0]), e.ljust(widths[1]), b.ljust(widths[2]), l))

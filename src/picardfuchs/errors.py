@@ -5,6 +5,10 @@ class ZeroPolynomial(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
 
 
+class UnknownOperatorForm(ValueError):
+    """Operator JSON names a form other than "theta" and "d"."""
+
+
 class UnresolvedFactor(ValueError):
     """A factor's roots lie outside the fields the root search returns.
 
@@ -133,7 +137,7 @@ class InvalidGuessBox(ValueError):
 
 
 class ZeroSeries(ValueError):
-    """Guessing was asked for the zero series, which every operator annihilates."""
+    """A series is zero where a nonzero one is needed: for guessing, or for a leading term."""
 
 
 class NoEtaProduct(ValueError):
@@ -174,6 +178,10 @@ class InvalidOctic(ValueError):
 
 class InvalidTetraForm(ValueError):
     """A tetra-form term or plane has the wrong shape, or its truncation is negative."""
+
+
+class CatalogVersionMismatch(ValueError):
+    """A catalog JSON resource carries a version other than the package's."""
 
 
 class ChainBroken(RuntimeError):

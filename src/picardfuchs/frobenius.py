@@ -52,27 +52,24 @@ from fractions import Fraction
 from itertools import chain
 
 from .arith import Immutable, QuadraticNumber, as_scalar, collapse, scalar_sort_key
-from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern
+from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern, ZeroSeries
 from .optheta import (
-    apply_local,
     exponent_parts,
     indicial_roots,
     integer_jet,
     integer_polys,
     jet_memo,
+    jet_sum,
     local_indicial,
     local_operator,
+    residual_order,
     scalar_field,
+    zero_jet,
 )
 
 
 # ---------------------------------------------------------------------------
 # integer jets in K[eps]/(eps^T): (A, B, tags) with B and tags None over Q
-
-
-def _zeros(T, d):
-    """The zero jet of length T, all untagged."""
-    return ([0] * T, None, None) if d is None else ([0] * T, [0] * T, [False] * T)
 
 
 def _jet_valuation(jet):
@@ -88,43 +85,6 @@ def _shift_down(jet, mu):
     return tuple(None if part is None else part[mu:] + [0] * mu for part in jet)
 
 
-def _numerator(products, lcm, T, d):
-    """-sum x * c over the pairs (x, c) of an integer jet x and a jet c = (A, B, tags, den), times lcm.
-
-    lcm is a multiple of every den.  A product position is tagged when one
-    of its nonzero factors is: the scalar loop adds every product of two
-    nonzero coefficients.
-    """
-    numer = _zeros(T, d)
-    na, nb, nt = numer
-    for (xa, xb, xt), (ya, yb, yt, den) in products:
-        f = -(lcm // den)
-        if d is None:
-            for a, xv in enumerate(xa):
-                if not xv:
-                    continue
-                xv *= f
-                for b in range(T - a):
-                    if ya[b]:
-                        na[a + b] += xv * ya[b]
-            continue
-        for a in range(T):
-            pa, pb = xa[a], xb[a]
-            if not (pa or pb):
-                continue
-            pa *= f
-            pb *= f
-            dpb, pt = d * pb, xt[a]
-            for b in range(T - a):
-                qa, qb = ya[b], yb[b]
-                if qa or qb:
-                    na[a + b] += pa * qa + dpb * qb
-                    nb[a + b] += pa * qb + pb * qa
-                    if pt or yt[b]:
-                        nt[a + b] = True
-    return numer
-
-
 def _int_jet_div(numer, den, scale, d=None):
     """(numer / scale) / den for integer jets with den[0] != 0, as (A, B, tags, D) in lowest terms.
 
@@ -133,11 +93,11 @@ def _int_jet_div(numer, den, scale, d=None):
     quotient is o_k h0^(T-1-k) over scale * h0^T.  Over Z[sqrt d] numerator
     and denominator are multiplied by conj(h0)^T, which turns the
     denominator into scale * N(h0)^T with the integer norm N(h0) = h0 conj(h0).
-    For an odd jet length T that denominator is negative when h0 is (over
-    Q) or N(h0) is; one gcd, taken with the sign of the denominator, reduces
-    the result to a positive denominator D.  A zero quotient coefficient
-    is untagged, and a nonzero one is tagged when a tagged coefficient took
-    part in its solve, including h0.
+    That denominator is negative for a negative scale, or for an odd jet
+    length T when h0 is (over Q) or N(h0) is; one gcd, taken with the sign of
+    the denominator, reduces the result to a positive denominator D.  A zero
+    quotient coefficient is untagged, and a nonzero one is tagged when a
+    tagged coefficient took part in its solve, including h0.
     """
     a, ab, at = numer
     b, bb, bt = den
@@ -260,7 +220,7 @@ class GeneralizedSeries(Immutable):
             if any(row):
                 top = max(l for l, c in enumerate(row) if c)
                 return m, top
-        raise ValueError("zero generalized series")
+        raise ZeroSeries("zero generalized series")
 
     def is_log_free(self):
         return self.log_degree == 0
@@ -429,7 +389,7 @@ def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
     """
     q, u0, v0, tagged = exponent_parts(lam)
     r = len(Q) - 1
-    seed = _zeros(T, d)
+    seed = zero_jet(T, d)
     seed[0][above] = 1
     jets = [seed + (1,)]
     lost = 0
@@ -438,24 +398,20 @@ def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
         terms = [i for i in range(1, min(r, m) + 1) if Q[i][0]]
         lcm = math.lcm(*(jets[m - i][3] for i in terms))
         products = [(integer_jet(Q[i], u0 + (m - i) * q, q, T, d, v0, tagged, memo), jets[m - i]) for i in terms]
-        numer = _numerator(products, lcm, T, d)
+        numer = jet_sum(products, lcm, T, d)
         den = integer_jet(Q[0], u0 + m * q, q, T, d, v0, tagged, memo)
         # the seed's coefficient eps^above must stay exact
         numer, den, mu = _cancel_resonance(numer, den, m, T - 1 - above - lost, lam, p0_zero)
         lost += mu
-        jets.append(_int_jet_div(numer, den, lcm, d))
+        # P_0 c_m = -sum_(i>=1) P_i c_(m-i): the sign goes into the scale
+        jets.append(_int_jet_div(numer, den, -lcm, d))
     return jets, lost
 
 
 def annihilation_order(op, point, sol):
     """Largest row index through which the operator kills the solution."""
     loc = local_operator(op, point)
-    upto = sol.truncation - loc.r
-    res = apply_local(loc, sol.alpha, [list(r) for r in sol.table], upto)
-    for m, row in enumerate(res):
-        if any(row):
-            return m - 1
-    return upto
+    return residual_order(loc, sol.alpha, sol.table, sol.truncation - loc.r)
 
 
 def has_logarithms(op, point, N=None):

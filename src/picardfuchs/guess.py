@@ -164,8 +164,7 @@ def guess_operator(coeffs, config):
                 if all(p.is_zero for p in polys):
                     continue
                 cand = ThetaOperator.from_theta_polys(polys)
-                residual = apply_to_series(cand, y)
-                if all(c == 0 for c in residual.coeffs):
+                if apply_to_series(cand, y) == y.order - cand.r:
                     return cand
     return None
 

@@ -23,7 +23,6 @@ from itertools import chain, groupby
 from .arith import (
     Immutable,
     Polynomial,
-    PowerSeries,
     QuadraticNumber,
     as_scalar,
     collapse,
@@ -49,6 +48,7 @@ from .errors import (
     NotASingularCandidate,
     OrderZeroOperator,
     TruncationTooLow,
+    UnknownOperatorForm,
     UnresolvedFactor,
     ZeroPolynomial,
 )
@@ -241,7 +241,7 @@ class ThetaOperator(Immutable):
             return cls.from_theta_polys(coeffs)
         if form == "d":
             return theta_from_d(DOperator(coeffs))
-        raise ValueError("unknown operator form %r" % (form,))
+        raise UnknownOperatorForm("unknown operator form %r" % (form,))
 
     def __repr__(self):
         parts = []
@@ -443,8 +443,8 @@ def shift_rows(rows, a):
 def scalar_field(scalars):
     """The tag d of the QuadraticNumbers among `scalars`, or None when there are none.
 
-    This picks the ring of the fraction-free paths of apply_local and of the
-    Frobenius recurrence: Z for None, Z[sqrt d] otherwise.  A QuadraticNumber
+    This picks the ring of the fraction-free paths of residual_order and of
+    the Frobenius recurrence: Z for None, Z[sqrt d] otherwise.  A QuadraticNumber
     with zero sqrt part counts, because results computed from it keep its
     type.  Two different tags raise MixedFields, as their arithmetic would.
     """
@@ -523,117 +523,104 @@ def exponent_parts(alpha):
     return q, int(a * q), int(b * q), type(alpha) is QuadraticNumber
 
 
-def apply_local(op, alpha, table, upto):
-    """Apply a theta-form operator to t^alpha * sum A[m][l] t^m log^l.
+def zero_jet(T, d):
+    """The zero jet of length T, all untagged."""
+    return ([0] * T, None, None) if d is None else ([0] * T, [0] * T, [False] * T)
 
-    Returns rows 0..upto of the residual table.  Uses
-    P(theta) t^a log^l = t^a sum_k P^(k)(a) * binom(l, k) * log^(l-k).
-    Each input row is held as integer numerators over the lcm of its
-    denominators, over Z or over Z[sqrt d] (see scalar_field).  With
-    E * P_i(a + eps) = sum_k V_k eps^k from integer_jet,
-    P_i^(k)(a) * binom(l, k) = V_k * l!/(l-k)! / E, so an output row is an
-    integer sum over E times the lcm of the row denominators it reads.
 
-    An output scalar is a QuadraticNumber exactly when the sum of products
-    above, taken on the scalars as they are, would make it one: when some
-    product reads a QuadraticNumber entry or a QuadraticNumber value of a
-    P_i^(k).  That value is one when P_i^(k) has a QuadraticNumber
-    coefficient, or when P_i^(k) is a nonzero polynomial and alpha is a
-    QuadraticNumber.  Such a sum can be a QuadraticNumber zero.
+def jet_sum(products, lcm, T, d):
+    """sum x * c mod eps^T over the pairs (x, c) of an integer jet x and a jet c = (A, B, tags, den), times lcm.
+
+    This is the one jet product: the Frobenius recurrence and residual_order
+    both call it.  lcm is a multiple of every den.  A product position is
+    tagged when one of its nonzero factors is: the scalar loop adds every
+    product of two nonzero coefficients.
     """
-    width = max((len(row) for row in table), default=1)
-    coeffs = (c for p in op.theta_coeffs for c in p.coeffs)
-    d = scalar_field(chain([alpha], coeffs, (c for row in table for c in row)))
-    r = op.r
-    q, u0, v0, tagged = exponent_parts(alpha)
-    Q, E = integer_polys(op.theta_coeffs, q, d)
-    memo = jet_memo(op)
-    falling = [[math.perm(l, k) for k in range(l + 1)] for l in range(width)]
-    rows = [_integer_row(row, d) for row in table]
-    if d is not None:
-        # vtags[i][k]: the value of P_i^(k) at alpha + s is a QuadraticNumber
-        vtags = [[k < len(A) and (tagged or any(tags[k:])) for k in range(width)] for A, _B, tags in Q]
-    out = []
-    for m in range(upto + 1):
-        # over Z[sqrt d] a zero P_i still takes part: it makes c * 0 a QuadraticNumber for one c
-        terms = [
-            (i,) + rows[m - i]
-            for i in range(min(r, m) + 1)
-            if m - i < len(rows) and rows[m - i][4] >= 0 and (Q[i][0] or d is not None)
-        ]
-        lcm = math.lcm(*(t[4] for t in terms))
-        den = E * lcm
-        acc = [0] * width
+    out = zero_jet(T, d)
+    na, nb, nt = out
+    for (xa, xb, xt), (ya, yb, yt, den) in products:
+        f = lcm // den
         if d is None:
-            for i, nums, _b, _tags, rden, top in terms:
-                values = integer_jet(Q[i], u0 + (m - i) * q, q, top + 1, memo=memo)[0]
-                f = lcm // rden
-                for l, c in enumerate(nums):
-                    if not c:
-                        continue
-                    c *= f
-                    for k in range(l + 1):
-                        if values[k]:
-                            acc[l - k] += c * values[k] * falling[l][k]
-            out.append([Fraction(a, den) for a in acc])
-            continue
-        accb = [0] * width
-        acct = [False] * width
-        for i, nums, numsb, tags, rden, top in terms:
-            vt = vtags[i]
-            va, vb, _vt = integer_jet(Q[i], u0 + (m - i) * q, q, top + 1, d, v0, tagged)
-            f = lcm // rden
-            for l in range(top + 1):
-                ca, cb = nums[l], numsb[l]
-                if not (ca or cb):
+            for a, xv in enumerate(xa):
+                if not xv:
                     continue
-                ct = tags[l]
-                ca *= f
-                cb *= f
-                for k in range(l + 1):
-                    if ct or vt[k]:
-                        acct[l - k] = True
-                    if va[k] or vb[k]:
-                        fk = falling[l][k]
-                        acc[l - k] += (ca * va[k] + d * cb * vb[k]) * fk
-                        accb[l - k] += (ca * vb[k] + cb * va[k]) * fk
-        out.append(
-            [
-                QuadraticNumber(Fraction(a, den), Fraction(b, den), d) if t else Fraction(a, den)
-                for a, b, t in zip(acc, accb, acct)
-            ]
-        )
+                xv *= f
+                for b in range(T - a):
+                    if ya[b]:
+                        na[a + b] += xv * ya[b]
+            continue
+        for a in range(T):
+            pa, pb = xa[a], xb[a]
+            if not (pa or pb):
+                continue
+            pa *= f
+            pb *= f
+            dpb, pt = d * pb, xt[a]
+            for b in range(T - a):
+                qa, qb = ya[b], yb[b]
+                if qa or qb:
+                    na[a + b] += pa * qa + dpb * qb
+                    nb[a + b] += pa * qb + pb * qa
+                    if pt or yt[b]:
+                        nt[a + b] = True
     return out
 
 
-def _integer_row(row, d):
-    """(A, B, tags, den, top): a table row as integer numerators over one denominator.
+def residual_order(op, alpha, table, upto):
+    """The largest m <= upto through which a theta-form operator kills t^alpha * sum A[m][l] t^m log^l.
 
-    top is the last position with a nonzero entry (-1 for none); B and tags
-    are None over Q.
+    Returns -1 when residual row 0 is nonzero.  As P(theta) t^(alpha+eps) =
+    P(alpha+eps) t^(alpha+eps) and t^eps = sum_l eps^l log^l / l!, a row
+    sum_l c_l log^l is the eps^(T-1) coefficient of x(eps) t^eps for the jet
+    x with x[T-1-l] = c_l * l!, T the table width.  Residual row m is then
+    the eps^(T-1) coefficient of R_m(eps) t^eps with R_m = sum_i
+    P_i(alpha+m-i+eps) x_(m-i) mod eps^T, so it vanishes exactly when R_m
+    does.  R_m is a jet_sum over Z or Z[sqrt d] (see scalar_field) of
+    integer_jet values and integer rows, times E and the lcm of the row
+    denominators it reads; zero rows and zero P_i are skipped.
     """
-    top = max((l for l, c in enumerate(row) if c), default=-1)
-    if d is None:
-        den = math.lcm(*(c.denominator for c in row))
-        return [c.numerator * (den // c.denominator) for c in row], None, None, den, top
+    T = max((len(row) for row in table), default=1)
+    d = scalar_field(chain([alpha], operator_scalars(op), (c for row in table for c in row)))
+    q, u0, v0, tagged = exponent_parts(alpha)
+    Q, _E = integer_polys(op.theta_coeffs, q, d)
+    memo = jet_memo(op)
+    rows = [_row_jet(row, T, d) for row in table]
+    for m in range(upto + 1):
+        terms = [i for i in range(min(op.r, m) + 1) if m - i < len(rows) and rows[m - i] and Q[i][0]]
+        if not terms:
+            continue
+        lcm = math.lcm(*(rows[m - i][3] for i in terms))
+        products = [(integer_jet(Q[i], u0 + (m - i) * q, q, T, d, v0, tagged, memo), rows[m - i]) for i in terms]
+        A, B, _tags = jet_sum(products, lcm, T, d)
+        if any(A) or (B is not None and any(B)):
+            return m - 1
+    return upto
+
+
+def _row_jet(row, T, d):
+    """The jet (A, B, tags, den) of a table row, coefficient T-1-l holding entry l times l!; None for a zero row."""
+    if not any(row):
+        return None
     parts = [_scalar_parts(c) for c in row]
     den = math.lcm(*(x.denominator for ab in parts for x in ab))
-    A = [a.numerator * (den // a.denominator) for a, _b in parts]
-    B = [b.numerator * (den // b.denominator) for _a, b in parts]
-    return A, B, [type(c) is QuadraticNumber for c in row], den, top
+    A, B, tags = zero_jet(T, d)
+    for l, (a, b) in enumerate(parts):
+        f = math.factorial(l)
+        A[T - 1 - l] = a.numerator * (den // a.denominator) * f
+        if B is not None:
+            B[T - 1 - l] = b.numerator * (den // b.denominator) * f
+    return A, B, tags, den
 
 
 def apply_to_series(op, y):
-    """Coefficientwise action: result_m = sum_i P_i(m - i) * y_{m-i}.
+    """residual_order on a power series: the largest m through which sum_i P_i(m - i) y_(m-i) vanishes.
 
-    The log-free case of apply_local at exponent 0.  The result's truncation
-    order is y.order - r.
+    Full success is y.order - r, the truncation order of the image.
     """
     n_out = y.order - op.r
     if n_out < 0:
         raise TruncationTooLow("series order %d below the operator's t-degree %d" % (y.order, op.r))
-    rows = apply_local(op, 0, [[c] for c in y.coeffs], n_out)
-    return PowerSeries([row[0] for row in rows], n_out)
+    return residual_order(op, 0, [[c] for c in y.coeffs], n_out)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +645,8 @@ def invert_variable(op):
 
 # (op, point, local operator, jet memo) of the last call: local_basis and
 # then annihilation_order for each solution ask for the same operator in a
-# row, and evaluate the same P_i at the same integral points
+# row, and the recurrence and residual_order evaluate the same P_i at the
+# same integral points
 _last_local = (None, None, None, None)
 
 

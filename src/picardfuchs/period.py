@@ -240,8 +240,4 @@ def verify_annihilation(op, ps):
     coefficient of the image vanishes).
     """
     y = PowerSeries((Fraction(0),) + ps.coeffs, ps.truncation + 1)
-    image = apply_to_series(op.t_stripped(), y)
-    for k, cval in enumerate(image.coeffs):
-        if cval:
-            return k - 1
-    return image.order
+    return apply_to_series(op.t_stripped(), y)

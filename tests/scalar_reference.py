@@ -1,9 +1,10 @@
 """Scalar arithmetic as the package once did it, kept as test-only references.
 
-The package computes local bases and operator residuals fraction-free over Z
-and Z[sqrt d].  These are the loops it replaced: the same recurrence and the
-same operator application on Fraction and QuadraticNumber scalars as they
-are, whose output types the integer engine must reproduce exactly.
+The package computes local bases and annihilation orders fraction-free over
+Z and Z[sqrt d].  These are the loops it replaced, on Fraction and
+QuadraticNumber scalars as they are: the same recurrence, whose output types
+the integer engine must reproduce exactly, and the residual table of an
+operator applied to a series, whose first nonzero row residual_order finds.
 
 QuadraticNumber arithmetic runs on an integer kernel.  `quadratic_op` keeps
 the Fraction-pair formulas it replaced, with the same coercion, type rule
@@ -218,7 +219,11 @@ def local_basis(op, point, N=None):
 
 
 def apply_local(op, alpha, table, upto):
-    """optheta.apply_local on Fraction and QuadraticNumber scalars as they are."""
+    """Rows 0..upto of the residual table of P(theta) on t^alpha * sum A[m][l] t^m log^l, by the scalar loop.
+
+    Uses P(theta) t^a log^l = t^a sum_k P^(k)(a) * binom(l, k) * log^(l-k)
+    on Fraction and QuadraticNumber scalars as they are.
+    """
     width = max((len(row) for row in table), default=1)
     r = op.r
     derivs = []
@@ -244,3 +249,8 @@ def apply_local(op, alpha, table, upto):
                     row[l - k] = row[l - k] + c * values[k] * math.comb(l, k)
         out.append(row)
     return out
+
+
+def order_of(rows):
+    """The largest m with rows 0..m zero, -1 when row 0 is not: optheta.residual_order of a residual table."""
+    return next((m for m, row in enumerate(rows) if any(row)), len(rows)) - 1

@@ -53,6 +53,15 @@ def test_symbol_reads_stdin(monkeypatch, capsys):
     assert code == 0 and out
 
 
+def test_operator_without_genuine_points(tmp_path, capsys):
+    # theta: exponent 0 at 0 and at infinity, no logarithm, so nothing is genuine
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"form": "theta", "coeffs": [["0", "1"]]}))
+    for command in ("symbol", "classify"):
+        assert _run(capsys, [command, str(path)]) == (0, "(no genuine singular points)\n", "")
+        assert _run(capsys, [command, "--json", str(path)]) == (0, "[]\n", "")
+
+
 def test_classify_marks_apparent_point(tmp_path, capsys):
     code, out, _ = _run(capsys, ["classify", _op_file(tmp_path, 250)])
     assert code == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
 from picardfuchs import optheta
-from picardfuchs.arith import Polynomial, QuadraticNumber, as_scalar
+from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
 from picardfuchs.errors import (
     FrobeniusInvariant,
     IrrationalExponent,
@@ -32,13 +32,14 @@ from picardfuchs.frobenius import (
     jordan_structure,
 )
 from picardfuchs.optheta import (
-    apply_local,
+    apply_to_series,
     exponent_parts,
     exponents_at,
     indicial_roots,
     integer_polys,
     local_indicial,
     local_operator,
+    residual_order,
     riemann_symbol,
     scalar_field,
     singular_points,
@@ -411,14 +412,12 @@ def _matches_reference(op, point, N=None):
 
 
 def _residuals_match_reference(op, point, N=None):
-    """apply_local on each solution: the same residual table as the scalar loop, and zero."""
+    """residual_order on each solution: the first nonzero row of the scalar loop's residual, and none."""
     loc = local_operator(op, point)
     for sol in local_basis(op, point, N):
-        table = [list(row) for row in sol.table]
         upto = sol.truncation - loc.r
-        res = apply_local(loc, sol.alpha, table, upto)
-        assert _typed(res) == _typed(ref.apply_local(loc, sol.alpha, table, upto))
-        assert not any(any(row) for row in res)
+        got = residual_order(loc, sol.alpha, sol.table, upto)
+        assert got == ref.order_of(ref.apply_local(loc, sol.alpha, sol.table, upto)) == upto
 
 
 _DISTINCT = [aid for aid in sorted(CATALOG) if aid != 273]  # 273 repeats 266
@@ -680,6 +679,56 @@ def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point):
     assert len(shifts) == len(jordan_structure(basis).classes)
     local_operator(op, INFINITY)  # another point drops the memo
     assert optheta.jet_memo(basis.local_op) is None
+
+
+# Solutions with one entry perturbed at a drawn row: random tables almost
+# always fail at row 0, these fail where the perturbation lands.  The catalog
+# has no solution with log^2, so the quintic's MUM point carries the l! of the
+# row jets; 266's quadratic point runs over Z[sqrt -3].
+_PERTURBED = [
+    (CATALOG[33].operator, SingularPoint(1), None),
+    (CATALOG[153].operator, SingularPoint(-2), None),
+    (CATALOG[4].operator, INFINITY, None),
+    (CATALOG[266].operator, _QUADRATIC_266[1], 16),
+    (_quintic(), SingularPoint(0), None),
+]
+_deltas = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.builds(QuadraticNumber, st.integers(-2, 2), st.integers(-2, 2), st.just(-3)),
+)
+
+
+@pytest.mark.parametrize("op, point, N", _PERTURBED, ids=["33@1", "153@-2", "4@oo", "266@quadratic", "quintic@0"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_annihilation_order_finds_a_perturbed_row(op, point, N, data):
+    sol = data.draw(st.sampled_from(local_basis(op, point, N).solutions))
+    table = [list(row) for row in sol.table]
+    m = data.draw(st.integers(0, len(table) - 1))
+    l = data.draw(st.integers(0, len(table[m]) - 1))
+    table[m][l] += data.draw(_deltas)
+    loc = local_operator(op, point)
+    upto = sol.truncation - loc.r
+    got = annihilation_order(op, point, GeneralizedSeries(point, sol.alpha, table, sol.truncation))
+    assert got == ref.order_of(ref.apply_local(loc, sol.alpha, table, upto))
+    # rows below m read no perturbed entry
+    assert got >= min(m, upto + 1) - 1
+
+
+@pytest.mark.parametrize("aid", [4, 33, 153])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_apply_to_series_finds_a_perturbed_coefficient(aid, data):
+    # the holomorphic solution at 0 with one coefficient perturbed
+    op = CATALOG[aid].operator
+    coeffs = list(local_basis(op, SingularPoint(0), 30).solutions[0].power_coeffs())
+    k = data.draw(st.integers(0, len(coeffs) - 1))
+    coeffs[k] += data.draw(_deltas)
+    y = PowerSeries(coeffs)
+    n_out = y.order - op.r
+    got = apply_to_series(op, y)
+    assert got == ref.order_of(ref.apply_local(op, 0, [[c] for c in coeffs], n_out))
+    assert got >= min(k, n_out + 1) - 1
 
 
 @pytest.mark.parametrize("aid", [4, 266])
