@@ -12,6 +12,7 @@ reproduce_reduction replays a chain step by step and checks its endpoint.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import catalog_data
 from .arith import (
@@ -377,11 +378,13 @@ def verify_catalog(include_chains=False):
         entries.append(EntryReport("derived", name, tuple(checks)))
     if include_chains:
         for name in CHAINS:
-            rep = reproduce_reduction(name)
-            status = "PASS" if rep.ok else "FAIL"
-            entries.append(
-                EntryReport("chain", name, (CheckResult("replay", status, rep.detail),))
-            )
+            try:
+                rep = reproduce_reduction(name)
+            except ChainBroken as exc:
+                check = CheckResult("replay", "FAIL", str(exc))
+            else:
+                check = CheckResult("replay", "PASS" if rep.ok else "FAIL", rep.detail)
+            entries.append(EntryReport("chain", name, (check,)))
     return CatalogReport(tuple(entries))
 
 
@@ -429,173 +432,129 @@ class ReductionReport:
         }
 
 
-def _descend_even(op, steps, label):
+def _operator(ref):
+    """The operator of an arrangement id or of a derived operator name."""
+    return CATALOG[ref].operator if isinstance(ref, int) else DERIVED_OPERATORS[ref].operator
+
+
+def _even_descent(op):
+    """descend_quadratic of an even operator, checked by pulling it back along u = s^2."""
     if not is_even(op):
-        raise ChainBroken(label, "operator is not even")
+        raise ChainBroken("quadratic descent", "operator is not even")
     down = descend_quadratic(op)
     if pullback_power(down, 2) != op:
-        raise ChainBroken(label, "square pullback does not restore the operator")
+        raise ChainBroken("quadratic descent", "square pullback does not restore the operator")
     return down
 
 
-def _chain_33to70():
-    steps = []
-    r = negate_variable(CATALOG[33].operator)
-    steps.append(ChainStep("t -> -t", r))
-    return steps, r == CATALOG[70].operator, "arrangement 70"
-
-
-def _chain_97to98():
-    steps = []
-    r = shift_exponents(CATALOG[97].operator, {0: Fraction(1, 2)})
-    steps.append(ChainStep("shift exponents at 0 by +1/2", r))
-    r = mobius(r, MobiusMap(0, 1, 1, -1))
-    steps.append(ChainStep("substitute t = 1/(s - 1)", r))
-    return steps, r == CATALOG[98].operator, "arrangement 98"
-
-
-def _chain_98descent():
-    steps = []
-    r = translate_to_origin(CATALOG[98].operator, Fraction(1, 2))
-    steps.append(ChainStep("substitute t = s + 1/2", r))
-    d = _descend_even(r, steps, "quadratic descent")
-    steps.append(ChainStep("descend u = s^2", d))
-    d = mobius(d, MobiusMap(4, Fraction(1, 4), 0, 1))
-    steps.append(ChainStep("substitute u = 4w + 1/4", d))
-    return steps, d == DERIVED_OPERATORS["descent-98"].operator, "descent-98"
-
-
-def _chain_35descent():
-    steps = []
-    r = shift_exponents(CATALOG[35].operator, {-1: Fraction(1, 2)})
-    steps.append(ChainStep("shift exponents at -1 by +1/2", r))
-    r = mobius(r, MobiusMap(-1, 1, 1, 1))
-    steps.append(ChainStep("substitute t = (1 - s)/(1 + s)", r))
-    d = _descend_even(r, steps, "quadratic descent")
-    steps.append(ChainStep("descend u = s^2", d))
-    d = mobius(d, MobiusMap(-8, 0, 0, 1))
-    steps.append(ChainStep("substitute u = -8w", d))
-    return steps, d == DERIVED_OPERATORS["descent-35"].operator, "descent-35"
-
-
-def _chain_35descent2():
-    steps = []
-    phi = RationalFunction(Polynomial((0, 0, 2)), Polynomial((1, 8)))
-    r = pullback_rational(DERIVED_OPERATORS["descent-35-further"].operator, phi)
-    steps.append(ChainStep("pull back along t = 2s^2/(8s + 1)", r))
-    r = shift_exponents(r, {Fraction(-1, 8): Fraction(-1, 8)})
-    steps.append(ChainStep("shift exponents at -1/8 by -1/8", r))
-    return steps, r == DERIVED_OPERATORS["descent-35"].operator, "descent-35"
-
-
-def _chain_152pullback():
-    steps = []
-    psi = RationalFunction(Polynomial((-1, -2, -1)), Polynomial((16, -32, 16)))
-    r = pullback_rational(DERIVED_OPERATORS["descent-98"].operator, psi)
-    steps.append(ChainStep("pull back along t = -(s + 1)^2/(16(s - 1)^2)", r))
-    r = shift_exponents(r, {1: Fraction(-1, 2)})
-    steps.append(ChainStep("shift exponents at 1 by -1/2", r))
-    return steps, r == CATALOG[152].operator, "arrangement 152"
-
-
-def _chain_153descent():
-    steps = []
-    r = shift_exponents(CATALOG[153].operator, {-2: Fraction(1, 2)})
-    steps.append(ChainStep("shift exponents at -2 by +1/2", r))
-    r = mobius(r, MobiusMap(-2, 0, 1, 1))
-    steps.append(ChainStep("substitute t = -2s/(s + 1)", r))
-    d = _descend_even(r, steps, "quadratic descent")
-    steps.append(ChainStep("descend u = s^2", d))
-    return steps, d == DERIVED_OPERATORS["descent-153"].operator, "descent-153"
-
-
-_CHAIN_248_TARGET = (
-    (SingularPoint(0), (0, 0, 1, 1)),
-    (SingularPoint(Fraction(1, 4)), (0, 1, 1, 2)),
-    (SingularPoint(1), (0, 1, 1, 2)),
-    (INFINITY, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(3, 4))),
-)
-
-_CHAIN_250_TARGET = (
-    (SingularPoint(0), (0, Fraction(1, 2), Fraction(3, 2), 2)),
-    (SingularPoint(1), (0, Fraction(1, 2), Fraction(1, 2), 1)),
-    (SingularPoint(9), (0, 1, 1, 2)),
-    (INFINITY, (Fraction(1, 4), Fraction(1, 4), Fraction(3, 4), Fraction(3, 4))),
-)
-
-
-def _chain_248descent():
-    steps = []
-    r = translate_to_origin(CATALOG[248].operator, -1)
-    steps.append(ChainStep("substitute t = s - 1", r))
-    d = _descend_even(r, steps, "quadratic descent")
-    steps.append(ChainStep("descend u = s^2", d))
-    ok = riemann_symbol(d).same_table({p: e for p, e in _CHAIN_248_TARGET})
-    return steps, ok, "expected exponent table"
-
-
-def _chain_250descent():
-    steps = []
-    r = translate_to_origin(CATALOG[250].operator, Fraction(-1, 2))
-    steps.append(ChainStep("substitute t = s - 1/2", r))
-    d = _descend_even(r, steps, "quadratic descent")
-    steps.append(ChainStep("descend u = s^2", d))
-    d = mobius(d, MobiusMap(Fraction(1, 4), 0, 0, 1))
-    steps.append(ChainStep("substitute u = w/4", d))
-    ok = riemann_symbol(d).same_table({p: e for p, e in _CHAIN_250_TARGET})
-    return steps, ok, "expected exponent table"
-
-
-def _chain_266identical273():
-    steps = [ChainStep("no transformation", CATALOG[266].operator)]
-    return steps, CATALOG[266].operator == CATALOG[273].operator, "arrangement 273"
-
-
-def _chain_266reduction():
-    steps = []
-    qp = QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3)
-    qm = QuadraticNumber(Fraction(-1, 4), Fraction(-1, 4), -3)
-    r = shift_exponents(CATALOG[266].operator, {Fraction(-1, 2): Fraction(1, 6), 0: Fraction(1, 6)})
-    steps.append(ChainStep("shift exponents at -1/2 and 0 by +1/6", r))
-    # sends the two quadratic points to 0 and infinity, the three shifted
-    # columns to cube roots of 1, the remaining three points to cube roots
-    # of -1
-    r = mobius(r, MobiusMap(qm, -qp, 1, -1))
-    steps.append(ChainStep("substitute t = (q- s - q+)/(s - 1)", r))
-    d = descend_power(r, 3)
-    steps.append(ChainStep("descend u = s^3", d))
-    sqrt_d = QuadraticNumber(0, Fraction(1), -3)
-    d = d.scale(sqrt_d)
-    for p in d.theta_coeffs:
+def _rational_times_sqrt_minus_3(op):
+    """sqrt(-3) * op, which must be a rational operator, with Fraction coefficients."""
+    op = op.scale(QuadraticNumber(0, Fraction(1), -3))
+    for p in op.theta_coeffs:
         for c in p:
             if isinstance(c, QuadraticNumber) and c.b != 0:
-                raise ChainBroken(
-                    "rationality", "cube descent did not reduce to sqrt(-3) times a rational operator"
-                )
-    d = d.map_coeffs(lambda c: Fraction(collapse(c)))
-    steps.append(ChainStep("scale by sqrt(-3)", d))
+                raise ChainBroken("rationality", "cube descent did not reduce to sqrt(-3) times a rational operator")
+    return op.map_coeffs(lambda c: Fraction(collapse(c)))
+
+
+def _lifts_reduction_266(op):
     # the last 2:1 step is ramified over the two remaining fibers, so it is
-    # checked through the pullback identity rather than an even descent
+    # checked through the pullback identity rather than an even descent;
+    # the sqrt(-3) scaling leaves op outside the canonical form
     rho = RationalFunction(Polynomial((0, 1)), Polynomial((9, -18, 9)))
-    lifted = pullback_rational(DERIVED_OPERATORS["reduction-266"].operator, rho)
-    # the sqrt(-3) scaling leaves d outside the canonical form
-    ok = d.normalized() == lifted
-    return steps, ok, "pullback of reduction-266 along u/(9(u - 1)^2)"
+    return op.normalized() == pullback_rational(_operator("reduction-266"), rho)
 
 
-CHAINS = {
-    "33to70": _chain_33to70,
-    "97to98": _chain_97to98,
-    "98descent": _chain_98descent,
-    "35descent": _chain_35descent,
-    "35descent2": _chain_35descent2,
-    "152pullback": _chain_152pullback,
-    "153descent": _chain_153descent,
-    "248descent": _chain_248descent,
-    "250descent": _chain_250descent,
-    "266identical273": _chain_266identical273,
-    "266chain": _chain_266reduction,
+def _is_operator(ref):
+    return lambda op: op == _operator(ref)
+
+
+def _has_table(table):
+    return lambda op: riemann_symbol(op).same_table(table)
+
+
+# the quadratic points q+- = (-1 +- sqrt(-3))/4 of arrangement 266
+_Q_PLUS, _Q_MINUS = (QuadraticNumber(Fraction(-1, 4), Fraction(b, 4), -3) for b in (1, -1))
+
+# name -> (start, target, label, steps): the start is an arrangement id or a
+# derived operator name, each (description, step) maps the operator to the
+# next one, and the target tests the endpoint
+_CHAIN_TABLE = {
+    "33to70": (33, _is_operator(70), "arrangement 70", [("t -> -t", negate_variable)]),
+    "97to98": (97, _is_operator(98), "arrangement 98", [
+        ("shift exponents at 0 by +1/2", partial(shift_exponents, shifts={0: Fraction(1, 2)})),
+        ("substitute t = 1/(s - 1)", partial(mobius, m=MobiusMap(0, 1, 1, -1))),
+    ]),
+    "98descent": (98, _is_operator("descent-98"), "descent-98", [
+        ("substitute t = s + 1/2", partial(translate_to_origin, a=Fraction(1, 2))),
+        ("descend u = s^2", _even_descent),
+        ("substitute u = 4w + 1/4", partial(mobius, m=MobiusMap(4, Fraction(1, 4), 0, 1))),
+    ]),
+    "35descent": (35, _is_operator("descent-35"), "descent-35", [
+        ("shift exponents at -1 by +1/2", partial(shift_exponents, shifts={-1: Fraction(1, 2)})),
+        ("substitute t = (1 - s)/(1 + s)", partial(mobius, m=MobiusMap(-1, 1, 1, 1))),
+        ("descend u = s^2", _even_descent),
+        ("substitute u = -8w", partial(mobius, m=MobiusMap(-8, 0, 0, 1))),
+    ]),
+    "35descent2": ("descent-35-further", _is_operator("descent-35"), "descent-35", [
+        ("pull back along t = 2s^2/(8s + 1)",
+         partial(pullback_rational, phi=RationalFunction(Polynomial((0, 0, 2)), Polynomial((1, 8))))),
+        ("shift exponents at -1/8 by -1/8", partial(shift_exponents, shifts={Fraction(-1, 8): Fraction(-1, 8)})),
+    ]),
+    "152pullback": ("descent-98", _is_operator(152), "arrangement 152", [
+        ("pull back along t = -(s + 1)^2/(16(s - 1)^2)",
+         partial(pullback_rational, phi=RationalFunction(Polynomial((-1, -2, -1)), Polynomial((16, -32, 16))))),
+        ("shift exponents at 1 by -1/2", partial(shift_exponents, shifts={1: Fraction(-1, 2)})),
+    ]),
+    "153descent": (153, _is_operator("descent-153"), "descent-153", [
+        ("shift exponents at -2 by +1/2", partial(shift_exponents, shifts={-2: Fraction(1, 2)})),
+        ("substitute t = -2s/(s + 1)", partial(mobius, m=MobiusMap(-2, 0, 1, 1))),
+        ("descend u = s^2", _even_descent),
+    ]),
+    "248descent": (248, _has_table({
+        SingularPoint(0): (0, 0, 1, 1),
+        SingularPoint(Fraction(1, 4)): (0, 1, 1, 2),
+        SingularPoint(1): (0, 1, 1, 2),
+        INFINITY: (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)),
+    }), "expected exponent table", [
+        ("substitute t = s - 1", partial(translate_to_origin, a=-1)),
+        ("descend u = s^2", _even_descent),
+    ]),
+    "250descent": (250, _has_table({
+        SingularPoint(0): (0, Fraction(1, 2), Fraction(3, 2), 2),
+        SingularPoint(1): (0, Fraction(1, 2), Fraction(1, 2), 1),
+        SingularPoint(9): (0, 1, 1, 2),
+        INFINITY: (Fraction(1, 4), Fraction(1, 4), Fraction(3, 4), Fraction(3, 4)),
+    }), "expected exponent table", [
+        ("substitute t = s - 1/2", partial(translate_to_origin, a=Fraction(-1, 2))),
+        ("descend u = s^2", _even_descent),
+        ("substitute u = w/4", partial(mobius, m=MobiusMap(Fraction(1, 4), 0, 0, 1))),
+    ]),
+    "266identical273": (266, _is_operator(273), "arrangement 273", [("no transformation", lambda op: op)]),
+    "266chain": (266, _lifts_reduction_266, "pullback of reduction-266 along u/(9(u - 1)^2)", [
+        ("shift exponents at -1/2 and 0 by +1/6",
+         partial(shift_exponents, shifts={Fraction(-1, 2): Fraction(1, 6), 0: Fraction(1, 6)})),
+        # sends the two quadratic points to 0 and infinity, the three shifted
+        # columns to cube roots of 1, the remaining three points to cube
+        # roots of -1
+        ("substitute t = (q- s - q+)/(s - 1)", partial(mobius, m=MobiusMap(_Q_MINUS, -_Q_PLUS, 1, -1))),
+        ("descend u = s^3", partial(descend_power, n=3)),
+        ("scale by sqrt(-3)", _rational_times_sqrt_minus_3),
+    ]),
 }
+
+
+def _replay(start, target, label, steps):
+    """(steps taken, whether the endpoint meets the target, label) for one chain of _CHAIN_TABLE."""
+    op = _operator(start)
+    taken = []
+    for description, step in steps:
+        op = step(op)
+        taken.append(ChainStep(description, op))
+    return taken, target(op), label
+
+
+CHAINS = {name: partial(_replay, *chain) for name, chain in _CHAIN_TABLE.items()}
 
 
 def reproduce_reduction(name):

@@ -93,7 +93,10 @@ def _parse_shifts(text):
         point, eps = item.split("=", 1)
         if point.strip() in ("oo", "inf"):
             raise UsageError("the shift at infinity is implied; give finite points only")
-        shifts[_fraction(point)] = _fraction(eps)
+        a = _fraction(point)
+        if a in shifts:
+            raise UsageError("--shift gives the point %s twice" % a)
+        shifts[a] = _fraction(eps)
     if not shifts:
         raise UsageError("--shift got no assignments")
     return shifts
@@ -150,7 +153,7 @@ def _cmd_transform(args):
         op = shift_exponents(op, _parse_shifts(args.shift))
     if args.mobius:
         op = mobius(op, _parse_mobius(args.mobius))
-    if args.pullback:
+    if args.pullback is not None:
         if args.pullback < 1:
             raise UsageError("--pullback needs a positive integer")
         op = pullback_power(op, args.pullback)

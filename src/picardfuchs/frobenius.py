@@ -29,8 +29,10 @@ with one positive integer den, in lowest terms.  Over Q, B and tags are None
 and the loops are plain integer loops.  Each P_i is cleared once per class to
 an integer polynomial, its values are Taylor shifts at integral points,
 products are integer convolutions, and the division is a fraction-free
-triangular solve followed by one gcd.  Scalars are built only for the output
-table.
+triangular solve over Z followed by one gcd.  Over Z[sqrt d] the quotient
+is first multiplied through by the conjugate of the denominator jet, whose
+norm jet has integer coefficients, so the same solve runs on each part.
+Scalars are built only for the output table.
 
 Type rule.  The output must carry the scalar types that the same recurrence
 gives on Fraction and QuadraticNumber scalars, since a QuadraticNumber with
@@ -91,69 +93,52 @@ def _int_jet_div(numer, den, scale, d=None):
     Fraction-free triangular solve: o_k = a_k h0^k - sum_j h_j o_(k-j) h0^(j-1)
     with h = den is h0^(k+1) times the k-th quotient coefficient, so the
     quotient is o_k h0^(T-1-k) over scale * h0^T.  Over Z[sqrt d] numerator
-    and denominator are multiplied by conj(h0)^T, which turns the
-    denominator into scale * N(h0)^T with the integer norm N(h0) = h0 conj(h0).
-    That denominator is negative for a negative scale, or for an odd jet
-    length T when h0 is (over Q) or N(h0) is; one gcd, taken with the sign of
-    the denominator, reduces the result to a positive denominator D.  A zero
-    quotient coefficient is untagged, and a nonzero one is tagged when a
-    tagged coefficient took part in its solve, including h0.
+    and denominator are first multiplied by the conjugate jet sigma(den), a
+    unit mod eps^T.  The new denominator is the norm jet, with integer
+    coefficients and h0 = N(den[0]) (the norm of
+    arith.roots_in_quadratic_closure), and the solve runs on the A and B
+    parts.  scale * h0^T is negative for a negative scale, or for an odd T
+    and h0 < 0; one gcd, taken with its sign, reduces the result to the
+    unique positive denominator D.  A zero quotient coefficient is untagged,
+    and a nonzero one is tagged when a tagged coefficient took part in its
+    solve by den, including den[0].
     """
-    a, ab, at = numer
-    b, bb, bt = den
-    T = len(a)
-    if d is None:
-        h0 = b[0]
-        if not h0:
-            raise FrobeniusInvariant("jet division by a non-unit")
-        hp = [1]
-        for _ in range(T):
-            hp.append(hp[-1] * h0)
+    T = len(numer[0])
+    if d is not None:
+        b, bb, bt = den
+        conj = (b, [-x for x in bb], bt)
+        parts = jet_sum([(conj, numer + (1,))], 1, T, d)[:2]
+        h = jet_sum([(conj, den + (1,))], 1, T, d)[0]
+    else:
+        parts, h = numer[:1], den[0]
+    h0 = h[0]
+    if not h0:
+        raise FrobeniusInvariant("jet division by a non-unit")
+    hp = [1]
+    for _ in range(T):
+        hp.append(hp[-1] * h0)
+    solved = []
+    for a in parts:
         o = []
         for k in range(T):
             acc = a[k] * hp[k]
             for j in range(1, k + 1):
-                if b[j] and o[k - j]:
-                    acc -= b[j] * o[k - j] * hp[j - 1]
+                if h[j] and o[k - j]:
+                    acc -= h[j] * o[k - j] * hp[j - 1]
             o.append(acc)
-        nums = [ok * hp[T - 1 - k] for k, ok in enumerate(o)]
-        D = scale * hp[T]
+        solved.append([ok * hp[T - 1 - k] for k, ok in enumerate(o)])
+    D = scale * hp[T]
+    if d is None:
+        nums = solved[0]
         g = math.gcd(D, *nums) if D > 0 else -math.gcd(D, *nums)
         return [x // g for x in nums], None, None, D // g
-    h0a, h0b = b[0], bb[0]
-    if not (h0a or h0b):
-        raise FrobeniusInvariant("jet division by a non-unit")
-    hp = [(1, 0)]
-    for _ in range(T):
-        pa, pb = hp[-1]
-        hp.append((pa * h0a + d * pb * h0b, pa * h0b + pb * h0a))
-    oa, ob, ot = [], [], []
-    for k in range(T):
-        pa, pb = hp[k]
-        acca, accb = a[k] * pa + d * ab[k] * pb, a[k] * pb + ab[k] * pa
-        tag = at[k]
-        for j in range(1, k + 1):
-            ba, bbj, xa, xb = b[j], bb[j], oa[k - j], ob[k - j]
-            if (ba or bbj) and (xa or xb):
-                pa, pb = hp[j - 1]
-                ya, yb = ba * xa + d * bbj * xb, ba * xb + bbj * xa
-                acca -= ya * pa + d * yb * pb
-                accb -= ya * pb + yb * pa
-                tag = tag or bt[j] or ot[k - j]
-        oa.append(acca)
-        ob.append(accb)
-        ot.append(bool(acca or accb) and (tag or bt[0]))
-    norm = h0a * h0a - d * h0b * h0b
-    # o_k h0^(T-1-k) conj(h0)^T = o_k N^(T-1-k) conj(h0)^(k+1)
-    na, nb = [], []
-    ca, cb = 1, 0
-    for k in range(T):
-        ca, cb = ca * h0a - d * cb * h0b, cb * h0a - ca * h0b
-        s = norm ** (T - 1 - k)
-        na.append((oa[k] * ca + d * ob[k] * cb) * s)
-        nb.append((oa[k] * cb + ob[k] * ca) * s)
-    D = scale * norm**T
+    na, nb = solved
     g = math.gcd(D, *na, *nb) if D > 0 else -math.gcd(D, *na, *nb)
+    at = numer[2]
+    ot = []
+    for k in range(T):
+        took_part = (bt[j] or ot[k - j] for j in range(1, k + 1) if (b[j] or bb[j]) and (na[k - j] or nb[k - j]))
+        ot.append(bool(na[k] or nb[k]) and (at[k] or bt[0] or any(took_part)))
     return [x // g for x in na], [x // g for x in nb], ot, D // g
 
 
@@ -349,7 +334,7 @@ def _class_solutions(loc, cls, N, point):
         raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
     # the class roots differ by integers, so they share one denominator q
-    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    Q = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
     memo = jet_memo(loc)
     out = []
     for j, (lam, mult) in enumerate(cls):

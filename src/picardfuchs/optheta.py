@@ -465,19 +465,20 @@ def _scalar_parts(x):
 
 
 def integer_polys(polys, q, d=None):
-    """(Q, E): Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), one common E > 0.
+    """Q with Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), for one common E > 0.
 
     Over Q (d None) A is the tuple of integer coefficients and B, tags are
     None.  Over Q(sqrt d) coefficient k is A[k] + B[k] sqrt(d), and tags[k] says
     whether P_i's coefficient is a QuadraticNumber.  For an integer q >= 1,
     E = lcm(denominators of every coefficient part) * q^n with n the largest
     degree.  Then E * P_i(x/q + eps) is the Taylor shift of Q_i at the
-    integral point x with coefficient k scaled by q^k: see integer_jet.
+    integral point x with coefficient k scaled by q^k: see integer_jet.  E
+    itself is not returned: every caller tests or divides a sum of the Q_i,
+    where a common scale cancels.
     """
     n = max([0] + [p.degree for p in polys])
     if d is None:
-        rows, dens = integer_rows(polys)
-        return [(tuple(c * q ** (n - k) for k, c in enumerate(row)), None, None) for row in rows], dens * q**n
+        return [(tuple(c * q ** (n - k) for k, c in enumerate(row)), None, None) for row in integer_rows(polys)[0]]
     parts = [[_scalar_parts(c) for c in p.coeffs] for p in polys]
     dens = math.lcm(*(x.denominator for cs in parts for ab in cs for x in ab))
     Q = []
@@ -486,7 +487,7 @@ def integer_polys(polys, q, d=None):
         A = [a.numerator * (s // a.denominator) for (a, _b), s in zip(cs, scale)]
         B = [b.numerator * (s // b.denominator) for (_a, b), s in zip(cs, scale)]
         Q.append((A, B, [type(c) is QuadraticNumber for c in p.coeffs]))
-    return Q, dens * q**n
+    return Q
 
 
 def integer_jet(poly, u, q, T, d=None, v=0, tagged=False, memo=None):
@@ -531,10 +532,10 @@ def zero_jet(T, d):
 def jet_sum(products, lcm, T, d):
     """sum x * c mod eps^T over the pairs (x, c) of an integer jet x and a jet c = (A, B, tags, den), times lcm.
 
-    This is the one jet product: the Frobenius recurrence and residual_order
-    both call it.  lcm is a multiple of every den.  A product position is
-    tagged when one of its nonzero factors is: the scalar loop adds every
-    product of two nonzero coefficients.
+    This is the one jet product: the Frobenius recurrence, its jet quotient
+    over Z[sqrt d] and residual_order call it.  lcm is a multiple of every
+    den.  A product position is tagged when one of its nonzero factors is:
+    the scalar loop adds every product of two nonzero coefficients.
     """
     out = zero_jet(T, d)
     na, nb, nt = out
@@ -582,7 +583,7 @@ def residual_order(op, alpha, table, upto):
     T = max((len(row) for row in table), default=1)
     d = scalar_field(chain([alpha], operator_scalars(op), (c for row in table for c in row)))
     q, u0, v0, tagged = exponent_parts(alpha)
-    Q, _E = integer_polys(op.theta_coeffs, q, d)
+    Q = integer_polys(op.theta_coeffs, q, d)
     memo = jet_memo(op)
     rows = [_row_jet(row, T, d) for row in table]
     for m in range(upto + 1):

@@ -12,9 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardfuchs import CATALOG, CHAINS, TetraForm, classify_point, cli, frobenius, local_basis, riemann_symbol
+from picardfuchs import (
+    CATALOG,
+    CHAINS,
+    DERIVED_OPERATORS,
+    TetraForm,
+    classify_point,
+    cli,
+    frobenius,
+    local_basis,
+    riemann_symbol,
+)
 from picardfuchs.catalog_data import TETRA_DEMO
 from picardfuchs.cli import main
+from picardfuchs.errors import ChainBroken
 from picardfuchs.frobenius import jordan_structure
 
 
@@ -122,6 +133,22 @@ def test_transform_out_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     json.loads(target.read_text())
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--pullback", "0"], "pf: --pullback needs a positive integer\n"),
+        (["--pullback", "-2"], "pf: --pullback needs a positive integer\n"),
+        # shift_exponents would add the two shifts; a dict kept only the last
+        (["--shift", "0=1/2,0=1/3"], "pf: --shift gives the point 0 twice\n"),
+        (["--shift", "1/2=1,2/4=1/3"], "pf: --shift gives the point 1/2 twice\n"),
+    ],
+    ids=["pullback-zero", "pullback-negative", "shift-repeated", "shift-repeated-unreduced"],
+)
+def test_transform_rejects_bad_flags(tmp_path, capsys, flags, message):
+    code, out, err = _run(capsys, ["transform", _op_file(tmp_path, 4)] + flags)
+    assert (code, out, err) == (2, "", message)
 
 
 def test_transform_yukawa(tmp_path, capsys):
@@ -472,6 +499,28 @@ def test_reproduce_every_chain_exits_zero(capsys, name, as_json):
         assert json.loads(out)["ok"] is True
     else:
         assert out.startswith("chain %s -> " % name) and ": PASS" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_verify_catalog_reports_a_broken_chain(capsys, monkeypatch, as_json):
+    def broken():
+        raise ChainBroken("quadratic descent", "operator is not even")
+
+    monkeypatch.setitem(CHAINS, "98descent", broken)
+    code, out, err = _run(capsys, ["verify-catalog", "--chains"] + (["--json"] if as_json else []))
+    detail = "reduction chain broken at step: quadratic descent (operator is not even)"
+    assert code == 1 and not err
+    if as_json:
+        entries = json.loads(out)["entries"]
+        assert len(entries) == len(CATALOG) + len(DERIVED_OPERATORS) + len(CHAINS)
+        chains = {e["key"]: e for e in entries if e["kind"] == "chain"}
+        assert list(chains) == list(CHAINS)
+        assert chains["98descent"]["checks"] == [{"name": "replay", "status": "FAIL", "detail": detail}]
+        assert all(e["ok"] for key, e in chains.items() if key != "98descent")
+    else:
+        lines = out.splitlines()
+        assert "FAIL chain 98descent [replay: %s]" % detail in lines
+        assert "PASS chain 266chain" in lines and lines[-1] == "catalog: FAIL"
 
 
 def test_reproduce_unknown_chain(capsys):

@@ -1,6 +1,8 @@
 """The export contract of the package: the names of `__all__`, resolved on first access."""
 
+import ast
 import importlib
+import pathlib
 import sys
 
 import pytest
@@ -37,6 +39,7 @@ EXPORTS = {
     "transform": ["MobiusMap", "descend_quadratic", "mobius", "pullback_power", "shift_exponents", "yukawa"],
 }
 DEFINED_IN = {name: module for module, names in EXPORTS.items() for name in names}
+SRC = pathlib.Path(picardfuchs.__file__).parent
 
 
 def test_all_is_unchanged():
@@ -76,3 +79,20 @@ def test_submodules_still_import_by_name(run_fresh):
         "print(optheta is sys.modules['picardfuchs.optheta'], cli is sys.modules['picardfuchs.cli'])\n"
     )
     assert run_fresh(code).split() == ["True", "True"]
+
+
+def test_every_private_function_is_used():
+    # no dead code: a private function or method that nothing in the package
+    # names again can be deleted; tests do not count as users
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    defined, named = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert sorted(defined - named) == []

@@ -366,6 +366,12 @@ def test_jet_div_by_a_negative_unit_of_odd_length():
     assert (A, D) == ([-4, -2, -13], 8)
     A, B, tags, D = _int_jet_div(([1], [0], [False]), ([1], [1], [True]), 1, 2)
     assert (A, B, tags, D) == ([-1], [1], [True], 1)  # 1 / (1 + sqrt 2) = -1 + sqrt 2
+    # h0 = sqrt 2, of rational part 0 and norm -2, over a numerator with a tagged zero
+    want = ref.jet_div([Fraction(1), QuadraticNumber(0, 0, 2)], [QuadraticNumber(0, 1, 2), Fraction(1)])
+    A, B, tags, D = _int_jet_div(([1, 0], [0, 0], [False, True]), ([0, 1], [1, 0], [True, False]), 1, 2)
+    got = [QuadraticNumber(Fraction(x, D), Fraction(y, D), 2) if t else Fraction(x, D) for x, y, t in zip(A, B, tags)]
+    assert _typed([got]) == _typed([want])
+    assert (A, B, tags, D) == ([0, -1], [1, 0], [True, True], 2)  # sqrt(2)/2 and -1/2, both QuadraticNumbers
 
 
 def test_classify_catalog_spot_checks():
@@ -448,7 +454,7 @@ def test_quadratic_path_matches_scalar_path_on_266(point, N):
 def _root_jets(loc, cls, N):
     """(lam, mult, above, the root's jets and lost precision at T = mult + 2 above, at T = 2M) per root of a class."""
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
-    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    Q = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
     M = sum(m for _r, m in cls)
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
@@ -569,7 +575,7 @@ _EXHAUSTED_SURD = ThetaOperator([P(0, 2, -3, 1) * QuadraticNumber(1, 1, 2)])
 
 
 def _raises_on_a_failed_obstruction(op, d):
-    Q, _E = integer_polys(op.theta_coeffs, 1, d)
+    Q = integer_polys(op.theta_coeffs, 1, d)
     with pytest.raises(FrobeniusInvariant, match="obstruction failed at offset 1") as got:
         _integer_recurrence(Q, Fraction(0), 2, 2, 0, d)
     with pytest.raises(FrobeniusInvariant) as want:
@@ -611,9 +617,9 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "from picardfuchs.optheta import integer_polys\n"
         "def op(*polys):\n"
         "    return ThetaOperator.from_theta_polys([Polynomial([Fraction(c) for c in p]) for p in polys])\n"
-        "Q, _E = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
+        "Q = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
         "surd = QuadraticNumber(1, 1, -3)\n"
-        "Qs, _E = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
+        "Qs = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
         "exhausted = ThetaOperator([Polynomial([0, 2, -3, 1]) * QuadraticNumber(1, 1, 2)])\n"
         "cases = [\n"
         "    lambda: _integer_recurrence(Q, Fraction(0), 2, 2, 0),\n"
