@@ -149,9 +149,9 @@ def _cmd_classify(args):
 
 def _cmd_transform(args):
     op = _load_operator(args.operator)
-    if args.shift:
+    if args.shift is not None:
         op = shift_exponents(op, _parse_shifts(args.shift))
-    if args.mobius:
+    if args.mobius is not None:
         op = mobius(op, _parse_mobius(args.mobius))
     if args.pullback is not None:
         if args.pullback < 1:

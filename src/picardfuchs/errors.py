@@ -35,6 +35,10 @@ class InexactScalar(ValueError):
     """A scalar was given as a float or a bool, or a quadratic field tag as anything but an int: it has no exact reading."""
 
 
+class NonrationalScalar(ValueError):
+    """A scalar outside Q, such as a quadratic number with a nonzero sqrt part, was given where a rational is needed."""
+
+
 class FactorizationFailed(ValueError):
     """An integer has a composite part that trial division below 10^7 does not split."""
 
@@ -133,7 +137,7 @@ class InsufficientTerms(ValueError):
 
 
 class InvalidGuessBox(ValueError):
-    """A guessing box needs max_order >= 1, max_degree >= 0 and margin >= 1."""
+    """A guessing box needs int fields (not bools) with max_order >= 1, max_degree >= 0 and margin >= 1."""
 
 
 class ZeroSeries(ValueError):

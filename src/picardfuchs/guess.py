@@ -9,13 +9,17 @@ operator annihilates the full input series is returned.
 The series is cleared once: with D the lcm of the denominators and
 N_k = D A_k, one table holds N_k k^j for every index k and every j up to the
 largest order, and the rows of each shape are slices of it.  Before any exact
-work a shape is screened modulo the prime p = 2^61 - 1: if its rows reach
-full column rank mod p the shape is skipped.  The screen is exact, because
-rank mod p never exceeds the rank over Q, so a shape it skips has an empty
-nullspace.  Every other shape, including one that fails only because p is
-unlucky, goes through the same exact path as without the screen:
-fraction-free elimination on primitive integer rows, then a check of each
-nullspace candidate against the complete series.
+work each order n is screened modulo the prime p = 2^61 - 1 by one
+elimination over the columns of the table.  The columns of shape (n, r) are
+those of (n, r - 1) and one block more, so a dependence among the columns
+of (n, r) is one of (n, r + 1) too: the shapes with dependent columns mod p
+are exactly those from a first degree r on, and one column-incremental pass
+over r = 0, 1, ... finds that degree.  The screen is exact, because rank
+mod p never exceeds the rank over Q, so a shape below the first degree has
+an empty nullspace.  Every shape from it on, including one that is
+dependent only because p is unlucky, goes through the same exact path as
+without the screen: fraction-free elimination on primitive integer rows,
+then a check of each nullspace candidate against the complete series.
 """
 
 from __future__ import annotations
@@ -23,8 +27,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Immutable, Polynomial, PowerSeries, as_scalar, collapse
-from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, RecurrenceObstruction, ZeroSeries
+from .arith import Immutable, Polynomial, PowerSeries, QuadraticNumber, as_scalar, collapse
+from .errors import (
+    InconsistentRecurrence,
+    InexactScalar,
+    InsufficientTerms,
+    InvalidGuessBox,
+    NonrationalScalar,
+    RecurrenceObstruction,
+    ZeroSeries,
+)
 from .optheta import ThetaOperator, apply_to_series
 
 
@@ -34,6 +46,9 @@ class GuessConfig(Immutable):
     __slots__ = ("max_order", "max_degree", "margin")
 
     def __init__(self, max_order, max_degree, margin=10):
+        for name, value in (("max_order", max_order), ("max_degree", max_degree), ("margin", margin)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidGuessBox("%s must be an int, got %r" % (name, value))
         if max_order < 1:
             raise InvalidGuessBox("max_order must be at least 1, got %s" % (max_order,))
         if max_degree < 0:
@@ -59,31 +74,49 @@ class GuessConfig(Immutable):
 _PRIME = (1 << 61) - 1
 
 
-def _full_rank_mod_p(rows, ncols):
-    """True when the integer rows reach rank ncols modulo _PRIME.
+def _first_dependent_degree(residues, n, max_degree):
+    """Least r <= max_degree whose shape (n, r) has dependent columns modulo _PRIME, or None.
 
-    Rows are reduced one at a time into echelon form and the scan stops once
-    the rank is ncols.  True proves an empty nullspace over Q, since reducing
-    mod p cannot raise the rank; False proves nothing.
+    `residues[k][j]` is N_k k^j mod _PRIME.  The columns of (n, r) are those
+    of (n, r - 1) and one block, m -> N_(m-r) (m-r)^j for j = 0..n, so one
+    column elimination over the blocks r = 0, 1, ... meets the first
+    dependent shape, and every later r is dependent too.  A shape below the
+    returned degree has full column rank mod p, hence over Q, hence an empty
+    nullspace; a dependent shape proves nothing.
     """
     p = _PRIME
-    echelon = {}  # pivot column -> row that is 0 before that column and 1 at it
-    for row in rows:
-        v = [x % p for x in row]
-        for c in range(ncols):
-            x = v[c]
-            if not x:
-                continue
-            piv = echelon.get(c)
+    height = len(residues)
+    echelon = []  # (pivot, tail): the reduced column from its pivot row on, 1 at the pivot
+    for r in range(max_degree + 1):
+        for j in range(n + 1):
+            v = [0] * r + [block[j] for block in residues[: height - r]]
+            # entries are reduced only when read: k updates keep them below p + k p^2
+            for piv, tail in echelon:
+                x = v[piv] % p
+                if x:
+                    v[piv:] = [a - x * b for a, b in zip(v[piv:], tail)]
+            v = [a % p for a in v]
+            piv = next((i for i, x in enumerate(v) if x), None)
             if piv is None:
-                inv = pow(x, -1, p)
-                echelon[c] = [y * inv % p for y in v]
-                if len(echelon) == ncols:
-                    return True
-                break
-            for j in range(c + 1, ncols):
-                v[j] = (v[j] - x * piv[j]) % p
-    return False
+                return r
+            inv = pow(v[piv], -1, p)
+            echelon.append((piv, [x * inv % p for x in v[piv:]]))
+    return None
+
+
+def _rational(c):
+    """A series coefficient as a Fraction.
+
+    Ints, Fractions and QuadraticNumbers with zero sqrt part are rational; a
+    float or a bool raises InexactScalar and a quadratic irrational
+    NonrationalScalar.
+    """
+    if isinstance(c, (float, bool)):
+        raise InexactScalar("a series coefficient must be exact, not the %s %r" % (type(c).__name__, c))
+    x = collapse(as_scalar(c))
+    if isinstance(x, QuadraticNumber):
+        raise NonrationalScalar("a series coefficient must be rational, got %s" % (x,))
+    return x
 
 
 def _primitive(row):
@@ -134,7 +167,7 @@ def guess_operator(coeffs, config):
     t-degree 0..max_degree in that order and verifies every candidate against
     the complete input before returning it.
     """
-    series = [Fraction(collapse(as_scalar(c))) for c in coeffs]
+    series = [_rational(c) for c in coeffs]
     if len(series) < config.required_terms():
         raise InsufficientTerms(
             "%d terms given, %d required for a (%d, %d) box with margin %d"
@@ -149,16 +182,18 @@ def guess_operator(coeffs, config):
     for k, a in enumerate(series):
         nk = a.numerator * (D // a.denominator)
         blocks.append([nk * k**j for j in range(config.max_order + 1)])
+    residues = [[x % _PRIME for x in block] for block in blocks]
     for n in range(1, config.max_order + 1):
+        first = _first_dependent_degree(residues, n, config.max_degree)
+        if first is None:
+            continue
         zero = [0] * (n + 1)
-        for r in range(config.max_degree + 1):
+        for r in range(first, config.max_degree + 1):
             ncols = (n + 1) * (r + 1)
             rows = [
                 [x for i in range(r + 1) for x in (blocks[m - i][: n + 1] if m >= i else zero)]
                 for m in range(len(series))
             ]
-            if _full_rank_mod_p(rows, ncols):
-                continue
             for vec in _nullspace([_primitive(row) for row in rows], ncols):
                 polys = [Polynomial(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(r + 1)]
                 if all(p.is_zero for p in polys):
@@ -183,7 +218,7 @@ class Recurrence(Immutable):
 
     def extend(self, initial, upto):
         """Continue the series to index `upto` from enough initial terms."""
-        vals = [Fraction(collapse(as_scalar(c))) for c in initial]
+        vals = [_rational(c) for c in initial]
         r = self.op.r
         if len(vals) <= r:
             raise InsufficientTerms("%d initial terms given, more than the t-degree %d required" % (len(vals), r))

@@ -1,8 +1,11 @@
-"""The operator-guessing loop without the modular screen, kept as a test-only reference.
+"""Earlier operator-guessing loops, kept as test-only references.
 
-The package clears the series once and screens each shape modulo a prime
-before exact elimination.  This is the loop it replaced: a Fraction matrix
-per shape, cleared row by row, and exact elimination on every shape tried.
+The package clears the series once and screens each order modulo a prime,
+with one column elimination over all t-degrees, before exact elimination.
+`reference_guess` is the loop without any screen: a Fraction matrix per
+shape, cleared row by row, and exact elimination on every shape tried.
+`screened_guess` is the loop with the screen it had before, which reduced
+the rows of every shape modulo the prime from scratch.
 """
 
 import math
@@ -50,3 +53,59 @@ def reference_guess(coeffs, config):
                 if apply_to_series(cand, y) == y.order - cand.r:
                     return cand
     return None
+
+
+def cleared_table(series, max_order):
+    """[N_k k^j for j = 0..max_order] for every index k, N_k = D A_k with D the lcm of the denominators."""
+    D = math.lcm(*(Fraction(a).denominator for a in series))
+    return [[int(Fraction(a) * D) * k**j for j in range(max_order + 1)] for k, a in enumerate(series)]
+
+
+def shape_rows(table, n, r):
+    """The integer rows of shape (n, r): row m holds N_(m-i) (m-i)^j for i = 0..r and j = 0..n."""
+    zero = [0] * (n + 1)
+    return [[x for i in range(r + 1) for x in (table[m - i][: n + 1] if m >= i else zero)] for m in range(len(table))]
+
+
+def full_rank_mod_p(rows, ncols, p):
+    """True when the integer rows reach rank ncols modulo the prime p: the earlier per-shape screen."""
+    echelon = {}  # pivot column -> row that is 0 before that column and 1 at it
+    for row in rows:
+        v = [x % p for x in row]
+        for c in range(ncols):
+            x = v[c]
+            if not x:
+                continue
+            piv = echelon.get(c)
+            if piv is None:
+                inv = pow(x, -1, p)
+                echelon[c] = [y * inv % p for y in v]
+                if len(echelon) == ncols:
+                    return True
+                break
+            for j in range(c + 1, ncols):
+                v[j] = (v[j] - x * piv[j]) % p
+    return False
+
+
+def screened_guess(coeffs, config, p):
+    """(operator or None, number of exact eliminations) of the loop that screened shape by shape modulo p."""
+    series = [Fraction(c) for c in coeffs]
+    y = PowerSeries(series, len(series) - 1)
+    table = cleared_table(series, config.max_order)
+    exact = 0
+    for n in range(1, config.max_order + 1):
+        for r in range(config.max_degree + 1):
+            ncols = (n + 1) * (r + 1)
+            rows = shape_rows(table, n, r)
+            if full_rank_mod_p(rows, ncols, p):
+                continue
+            exact += 1
+            for vec in _nullspace([_integer_row(row) for row in rows], ncols):
+                polys = [Polynomial(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(r + 1)]
+                if all(q.is_zero for q in polys):
+                    continue
+                cand = ThetaOperator.from_theta_polys(polys)
+                if apply_to_series(cand, y) == y.order - cand.r:
+                    return cand, exact
+    return None, exact

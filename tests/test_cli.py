@@ -143,8 +143,11 @@ def test_transform_out_writes_file(tmp_path, capsys):
         # shift_exponents would add the two shifts; a dict kept only the last
         (["--shift", "0=1/2,0=1/3"], "pf: --shift gives the point 0 twice\n"),
         (["--shift", "1/2=1,2/4=1/3"], "pf: --shift gives the point 1/2 twice\n"),
+        # an empty value is a malformed flag, not an absent one
+        (["--shift="], "pf: --shift items look like point=eps, got ''\n"),
+        (["--mobius="], "pf: --mobius needs four comma-separated rationals a,b,c,d\n"),
     ],
-    ids=["pullback-zero", "pullback-negative", "shift-repeated", "shift-repeated-unreduced"],
+    ids=["pullback-zero", "pullback-negative", "shift-repeated", "shift-repeated-unreduced", "shift-empty", "mobius-empty"],
 )
 def test_transform_rejects_bad_flags(tmp_path, capsys, flags, message):
     code, out, err = _run(capsys, ["transform", _op_file(tmp_path, 4)] + flags)

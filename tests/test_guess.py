@@ -5,7 +5,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from guess_reference import reference_guess
+from guess_reference import cleared_table, full_rank_mod_p, reference_guess, screened_guess, shape_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from shapes import fuchsian_shapes
@@ -15,6 +15,7 @@ from picardfuchs import (
     DERIVED_OPERATORS,
     GuessConfig,
     MobiusMap,
+    QuadraticNumber,
     SingularPoint,
     ThetaOperator,
     guess,
@@ -26,8 +27,10 @@ from picardfuchs import (
 from picardfuchs.arith import Polynomial, PowerSeries
 from picardfuchs.errors import (
     InconsistentRecurrence,
+    InexactScalar,
     InsufficientTerms,
     InvalidGuessBox,
+    NonrationalScalar,
     RecurrenceObstruction,
     ZeroSeries,
 )
@@ -157,6 +160,46 @@ def test_guessing_errors_under_optimize(run_optimized):
     assert run_optimized(code).split() == ["InvalidGuessBox"] * 3 + ["ZeroSeries", "InsufficientTerms"]
 
 
+@pytest.mark.parametrize("box", [(1.5, 1), (True, 1), (1, 1.0), (1, 1, False)], ids=["float-order", "bool-order", "float-degree", "bool-margin"])
+def test_box_fields_must_be_ints(box):
+    with pytest.raises(InvalidGuessBox):
+        GuessConfig(*box)
+
+
+# a float or a bool has no exact reading, and sqrt(-3) is not rational
+BAD_COEFFICIENTS = [(0.5, InexactScalar), (True, InexactScalar), (QuadraticNumber(0, 1, -3), NonrationalScalar)]
+
+
+@pytest.mark.parametrize("bad, error", BAD_COEFFICIENTS, ids=["float", "bool", "quadratic"])
+def test_series_coefficients_must_be_rational(bad, error):
+    with pytest.raises(error):
+        guess_operator([1, bad] + [1] * 28, GuessConfig(1, 1, 10))
+    with pytest.raises(error):
+        recurrence_from_operator(GEOMETRIC).extend([1, bad], 4)
+
+
+def test_quadratic_coefficients_with_zero_sqrt_part_are_rational():
+    one = QuadraticNumber(1, 0, -3)
+    assert guess_operator([one] * 30, GuessConfig(1, 1, 10)) == GEOMETRIC
+    assert recurrence_from_operator(GEOMETRIC).extend([one, one], 4) == [1] * 5
+
+
+def test_boundary_type_errors_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs import GuessConfig, QuadraticNumber, guess_operator\n"
+        "calls = [lambda: GuessConfig(1.5, 1), lambda: GuessConfig(True, 1)]\n"
+        "for bad in (0.5, True, QuadraticNumber(0, 1, -3)):\n"
+        "    calls.append(lambda bad=bad: guess_operator([1, bad] + [1] * 28, GuessConfig(1, 1, 10)))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    want = ["InvalidGuessBox"] * 2 + ["InexactScalar"] * 2 + ["NonrationalScalar"]
+    assert run_optimized(code).split() == want
+
+
 # -- the modular screen against the loop it replaced ---------------------------
 
 DEFAULT_BOX = GuessConfig(4, 9, 10)
@@ -240,31 +283,59 @@ def test_small_screening_primes_change_no_result(prime):
     assert exact.call_count > 2 * len(cases)
 
 
-def test_screen_on_a_matrix_singular_only_mod_p():
+def _first_degree(series, n, max_degree, prime):
+    table = cleared_table(series, n)
+    with mock.patch.object(guess, "_PRIME", prime):
+        return guess._first_dependent_degree([[x % prime for x in block] for block in table], n, max_degree)
+
+
+def test_screen_on_a_table_singular_only_mod_p():
+    # A = 1, p, 0, 0: at order 1 and t-degree 0 the columns (1, p, 0, 0) and
+    # (0, p, 0, 0) are independent over Q but not modulo p
     p = guess._PRIME
-    assert not guess._full_rank_mod_p([[p, 0], [0, 1]], 2)
-    assert guess._nullspace([[p, 0], [0, 1]], 2) == []
-    assert guess._full_rank_mod_p([[p + 1, 0], [0, 1]], 2)
-
-
-_matrices = st.integers(1, 5).flatmap(
-    lambda ncols: st.lists(
-        st.lists(st.integers(-6, 6) | st.sampled_from([guess._PRIME, 3 * guess._PRIME]), min_size=ncols, max_size=ncols),
-        min_size=1,
-        max_size=7,
-    )
-)
+    singular = [1, p, 0, 0]
+    assert _first_degree(singular, 1, 1, p) == 0
+    assert guess._nullspace(shape_rows(cleared_table(singular, 1), 1, 0), 2) == []
+    assert _first_degree([1, p + 1, 0, 0], 1, 1, p) == 1
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=_matrices, prime=st.sampled_from([2, 3, 5, guess._PRIME]))
-def test_screen_never_claims_full_rank_wrongly(rows, prime):
+@given(data=st.data())
+def test_first_dependent_degree_matches_the_screen_shape_by_shape(data):
     sympy = pytest.importorskip("sympy")
-    ncols = len(rows[0])
-    with mock.patch.object(guess, "_PRIME", prime):
-        full = guess._full_rank_mod_p(rows, ncols)
-    if full:
-        assert sympy.Matrix(rows).rank() == ncols
+    prime = data.draw(st.sampled_from([2, 3, 5, guess._PRIME]), label="prime")
+    numerators = st.integers(-6, 6) | st.sampled_from([prime, -prime, 3 * prime])
+    series = data.draw(st.lists(st.builds(Fraction, numerators, st.sampled_from([1, 2, 3])), min_size=1, max_size=12))
+    n = data.draw(st.integers(1, 3), label="order")
+    max_degree = data.draw(st.integers(0, 3), label="max_degree")
+    table = cleared_table(series, n)
+    got = _first_degree(series, n, max_degree, prime)
+    # the earlier screen, run on every shape: full rank before the first degree, below it from there on
+    top = max_degree + 1 if got is None else got
+    for r in range(max_degree + 1):
+        assert full_rank_mod_p(shape_rows(table, n, r), (n + 1) * (r + 1), prime) == (r < top)
+    # and full rank mod p is full rank over Q
+    for r in range(top):
+        assert sympy.Matrix(shape_rows(table, n, r)).rank() == (n + 1) * (r + 1)
+
+
+@pytest.mark.parametrize("prime", [2, 3, guess._PRIME])
+def test_exact_eliminations_match_the_screen_shape_by_shape(prime):
+    # counts, not times: the shapes sent to exact elimination are those the
+    # earlier per-shape screen let through, and the screen runs once per order
+    for series, box in _screen_cases():
+        want, want_exact = screened_guess(series, box, prime)
+        exact = mock.Mock(wraps=guess._nullspace)
+        screen = mock.Mock(wraps=guess._first_dependent_degree)
+        with (
+            mock.patch.object(guess, "_PRIME", prime),
+            mock.patch.object(guess, "_nullspace", exact),
+            mock.patch.object(guess, "_first_dependent_degree", screen),
+        ):
+            got = guess_operator(series, box)
+        assert _json(got) == _json(want)
+        assert exact.call_count == want_exact
+        assert screen.call_count <= box.max_order
 
 
 @pytest.mark.parametrize("aid", [35, 97])
