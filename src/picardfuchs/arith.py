@@ -113,7 +113,7 @@ def divisors(n):
 
 
 def _check_power(e):
-    if not isinstance(e, int) or e < 0:
+    if isinstance(e, bool) or not isinstance(e, int) or e < 0:
         raise InvalidPower("power must be an integer >= 0, got %r" % (e,))
 
 
@@ -169,6 +169,13 @@ def _exact_fraction(x):
     return Fraction(x)
 
 
+def _exact_int(x, error, what):
+    """x when it is an int, else `error` naming `what`: int() would read 2.5 as 2 and True as 1."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise error("%s must be an integer, got %r" % (what, x))
+    return x
+
+
 class Immutable:
     """Base of the value types: no attribute can be set or deleted after construction.
 
@@ -206,9 +213,7 @@ class QuadraticNumber(Immutable):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise InexactScalar("a quadratic field tag must be an integer, got %r" % (d,))
-        d = _field_tag(d)
+        d = _field_tag(_exact_int(d, InexactScalar, "a quadratic field tag"))
         object.__setattr__(self, "a", _exact_fraction(a))
         object.__setattr__(self, "b", _exact_fraction(b))
         object.__setattr__(self, "d", d)
@@ -341,7 +346,7 @@ class QuadraticNumber(Immutable):
         if self.b == 0:
             return str(self.a)
         root = "sqrt(%d)" % self.d
-        bp = "" if abs(self.b) == 1 else "%s*" % _fmt_coeff(abs(self.b))
+        bp = "" if abs(self.b) == 1 else "%s*" % abs(self.b)
         s = "-" if self.b < 0 else ("+" if self.a != 0 else "")
         head = str(self.a) if self.a != 0 else ""
         return "%s%s%s%s" % (head, s, bp, root)
@@ -359,16 +364,12 @@ def _quadratic(a, b, d):
     return q
 
 
-def _fmt_coeff(q):
-    return str(q)
-
-
 def as_scalar(x):
-    """Coerce ints to Fraction; pass Fractions and QuadraticNumbers through."""
-    if isinstance(x, int):
-        return Fraction(x)
+    """An int as a Fraction, a Fraction or QuadraticNumber as it is; a float or a bool raises InexactScalar."""
     if isinstance(x, (Fraction, QuadraticNumber)):
         return x
+    if isinstance(x, (int, float)):
+        return _exact_fraction(x)
     raise TypeError("unsupported scalar %r" % (x,))
 
 
@@ -485,8 +486,7 @@ class Polynomial(Immutable):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self[i] + other[i] for i in range(n)])
+        return Polynomial(zadd(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -501,18 +501,10 @@ class Polynomial(Immutable):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadraticNumber)):
-            return Polynomial([c * other for c in self.coeffs])
+            return Polynomial(zscale(self.coeffs, other))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        return Polynomial(zmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -555,7 +547,7 @@ class Polynomial(Immutable):
         return q
 
     def derivative(self):
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial(zderiv(self.coeffs))
 
     def __call__(self, v):
         out = as_scalar(0)
@@ -733,8 +725,9 @@ def _euclid_gcd(p, q):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials: lists of ints in ascending degree, [] for zero, no
-# trailing zeros
+# coefficient lists: ascending degree, [] for zero, no trailing zeros.  The
+# z* kernel runs on ints over Q and, as the body of Polynomial arithmetic and
+# of the Q(sqrt d) transforms, on Fractions and QuadraticNumbers
 
 
 def integer_rows(polys):
@@ -750,10 +743,21 @@ def ztrim(a):
 
 
 def zadd(a, b):
+    """a + b, trimmed, with the types of Polynomial addition: a missing entry adds 0, which keeps the other's type.
+
+    A sum that cancels at the top is dropped, so a later sum there is not made
+    a QuadraticNumber by the zero: one zadd per Polynomial sum.
+    """
     return ztrim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
+def zscale(a, c):
+    """c times each entry of a, trimmed like Polynomial * c: a zero c gives []."""
+    return ztrim([x * c for x in a])
+
+
 def zmul(a, b):
+    """a * b; a zero of the left factor takes no part, a QuadraticNumber zero of b types its products, as in Polynomial."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)

@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Immutable, Polynomial, PowerSeries, QuadraticNumber, as_scalar, collapse
+from .arith import Immutable, Polynomial, PowerSeries, QuadraticNumber, _exact_int, as_scalar, collapse
 from .errors import (
     InconsistentRecurrence,
-    InexactScalar,
     InsufficientTerms,
     InvalidGuessBox,
     NonrationalScalar,
@@ -47,8 +46,7 @@ class GuessConfig(Immutable):
 
     def __init__(self, max_order, max_degree, margin=10):
         for name, value in (("max_order", max_order), ("max_degree", max_degree), ("margin", margin)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidGuessBox("%s must be an int, got %r" % (name, value))
+            _exact_int(value, InvalidGuessBox, name)
         if max_order < 1:
             raise InvalidGuessBox("max_order must be at least 1, got %s" % (max_order,))
         if max_degree < 0:
@@ -108,11 +106,9 @@ def _rational(c):
     """A series coefficient as a Fraction.
 
     Ints, Fractions and QuadraticNumbers with zero sqrt part are rational; a
-    float or a bool raises InexactScalar and a quadratic irrational
-    NonrationalScalar.
+    float or a bool raises InexactScalar (as_scalar) and a quadratic
+    irrational NonrationalScalar.
     """
-    if isinstance(c, (float, bool)):
-        raise InexactScalar("a series coefficient must be exact, not the %s %r" % (type(c).__name__, c))
     x = collapse(as_scalar(c))
     if isinstance(x, QuadraticNumber):
         raise NonrationalScalar("a series coefficient must be rational, got %s" % (x,))

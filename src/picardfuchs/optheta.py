@@ -27,6 +27,7 @@ from .arith import (
     as_scalar,
     collapse,
     conjugate_scalar,
+    format_polynomial,
     integer_rows,
     poly_gcd,
     quadratic_taylor_shift,
@@ -224,7 +225,7 @@ class ThetaOperator(Immutable):
         op = self.t_stripped()
         if over_q(op):
             rows = integer_rows(op.theta_coeffs)[0]
-            return canonical_from_rows(integer_d_rows(rows), rows)
+            return canonical_from_rows(d_from_theta_rows(rows), rows)
         return canonical_from_d(d_from_theta(op).d_coeffs, op)
 
     def to_json(self):
@@ -248,19 +249,13 @@ class ThetaOperator(Immutable):
         for i, p in enumerate(self.theta_coeffs):
             if p.is_zero:
                 continue
-            body = format_polynomial_theta(p)
+            body = format_polynomial(p, "T")
             if i == 0:
                 parts.append(body)
             else:
                 ti = "t" if i == 1 else "t^%d" % i
                 parts.append("%s*(%s)" % (ti, body))
         return " + ".join(parts) if parts else "0"
-
-
-def format_polynomial_theta(p):
-    from .arith import format_polynomial
-
-    return format_polynomial(p, "T")
 
 
 class DOperator(Immutable):
@@ -285,8 +280,6 @@ class DOperator(Immutable):
         }
 
     def __repr__(self):
-        from .arith import format_polynomial
-
         parts = []
         for j, c in enumerate(self.d_coeffs):
             if c.is_zero:
@@ -301,46 +294,23 @@ def operator_scalars(op):
 
 
 def over_q(op, scalars=()):
-    """True when neither the operator nor `scalars` holds a QuadraticNumber: then the integer path runs."""
-    # The Q(sqrt d) branch stays on Polynomial: its arithmetic decides which
-    # coefficients with zero sqrt part come out as QuadraticNumbers (4 of the
-    # 30 of the Q(sqrt -3) Mobius step of the 266 chain), the chain's recorded
-    # outputs fix those types, and a type rule for Q(sqrt d) has to come first.
+    """True when neither the operator nor `scalars` holds a QuadraticNumber: then the inputs are scaled to ints."""
+    # Over Q(sqrt d) the coefficient lists keep their scalars, and the
+    # canonical form keeps its Euclid gcd and content clearing on Polynomial
+    # (canonical_from_d): those decide which coefficients with zero sqrt part
+    # come out as QuadraticNumbers (4 of the 30 of the Q(sqrt -3) Mobius step
+    # of the 266 chain), and the chain's recorded outputs fix those types.
     return scalar_field(chain(operator_scalars(op), scalars)) is None
 
 
 def d_from_theta(op):
     """Derivative form of a theta-form operator (no normalization)."""
-    if over_q(op):
-        rows, den = integer_rows(op.theta_coeffs)
-        return DOperator([Polynomial([Fraction(c, den) for c in row]) for row in integer_d_rows(rows)])
-    n = op.order
-    out = [Polynomial(()) for _ in range(n + 1)]
-    for i, p in enumerate(op.theta_coeffs):
-        for k, pk in enumerate(p.coeffs):
-            if not pk:
-                continue
-            for j in range(k + 1):
-                s = stirling2(k, j)
-                if s:
-                    out[j] = out[j] + Polynomial([0] * (i + j) + [pk * s])
-    return DOperator(out)
+    return DOperator(d_from_theta_rows([p.coeffs for p in op.theta_coeffs]))
 
 
 def theta_from_d(dop):
     """Theta form: multiply by t^n on the left, expand t^j d^j, strip common t-powers."""
-    n = dop.order
-    polys = []
-    for j, c in enumerate(dop.d_coeffs):
-        ff = Polynomial(falling_factorial(j))
-        shifted = Polynomial([0] * (n - j) + list(c.coeffs))  # c(t) * t^(n-j)
-        for m, gamma in enumerate(shifted.coeffs):
-            if not gamma:
-                continue
-            while len(polys) <= m:
-                polys.append(Polynomial(()))
-            polys[m] = polys[m] + ff * gamma
-    return ThetaOperator(polys).t_stripped().cleared()
+    return ThetaOperator(list(map(Polynomial, theta_from_d_rows([c.coeffs for c in dop.d_coeffs])))).t_stripped().cleared()
 
 
 def canonical_from_d(d_coeffs, theta=None):
@@ -364,11 +334,14 @@ def canonical_from_d(d_coeffs, theta=None):
     canonical_from_rows gets the coefficients with one common denominator
     dropped, divides them by their primitive gcd (arith.zgcd, a primitive
     remainder sequence), converts with integer falling factorials and clears on
-    ints; Fractions are built only for the result.  Over Q(sqrt d) this body
-    keeps Polynomial arithmetic, since whether a coefficient with zero sqrt
-    part is a Fraction or a QuadraticNumber follows the arithmetic that
-    produced it; the form does not fix it.  Over Q the body gives the same
-    values as canonical_from_rows, at Fraction cost.
+    ints; Fractions are built only for the result.  Over Q(sqrt d) the
+    transforms expand and convert on the same lists, holding the scalars
+    themselves; this body is what is left of the fork: the gcd (Euclid over
+    the field), the division by it and the content clearing, on Polynomial.
+    Whether a coefficient with zero sqrt part is a Fraction or a
+    QuadraticNumber follows the arithmetic that produced it; the form does
+    not fix it.  Over Q the body gives the same values as
+    canonical_from_rows, at Fraction cost.
 
     `theta`, when given, is the t-stripped theta form of the same operator;
     it is returned cleared when the gcd is trivial, so no conversion is made.
@@ -394,33 +367,52 @@ def canonical_from_rows(d_rows, theta_rows=None):
         d_rows = [zquo(c, g) for c in d_rows]
     elif theta_rows is not None:
         return theta_from_rows(theta_rows)
-    return theta_from_rows(integer_theta_rows(d_rows))
+    return theta_from_rows(theta_from_d_rows(d_rows))
 
 
-def integer_d_rows(rows):
-    """Derivative-form rows of integer theta rows, by t^i theta^k = sum_j S(k, j) t^(i+j) (d/dt)^j."""
-    n = max(len(p) for p in rows) - 1
-    out = [[0] * (len(rows) + n) for _ in range(n + 1)]
+def d_from_theta_rows(rows):
+    """Derivative-form rows of theta rows (ints, or field scalars), by t^i theta^k = sum_j S(k, j) t^(i+j) (d/dt)^j.
+
+    One Polynomial sum per nonzero term (_untrail), none for S(k, 0) = 0 when
+    k > 0: the types of the term-by-term sum of Polynomials.
+    """
+    n = max(map(len, rows), default=0)
+    out = [[0] * (len(rows) + n) for _ in range(n)]
     for i, p in enumerate(rows):
         for k, pk in enumerate(p):
             if pk:
-                for j in range(k + 1):
-                    out[j][i + j] += pk * stirling2(k, j)
+                for j in range(min(k, 1), k + 1):
+                    row = out[j]
+                    row[i + j] += pk * stirling2(k, j)
+                    if not row[i + j]:
+                        _untrail(row)
     return [ztrim(row) for row in out]
 
 
-def integer_theta_rows(d_rows):
-    """Theta rows of t^n * sum_j d_rows[j] (d/dt)^j, by t^j (d/dt)^j = theta(theta-1)...(theta-j+1)."""
+def theta_from_d_rows(d_rows):
+    """Theta rows of t^n * sum_j d_rows[j] (d/dt)^j, by t^j (d/dt)^j = theta(theta-1)...(theta-j+1).
+
+    A nonzero coefficient adds its falling-factorial multiple, zero entries
+    included; as j ascends each sum sets a new top, so none cancels there.
+    """
     n = len(d_rows) - 1
     out = [[0] * (n + 1) for _ in range(max((len(c) + n - j for j, c in enumerate(d_rows)), default=0))]
     for j, c in enumerate(d_rows):
         ff = falling_factorial(j)
-        for m, gamma in enumerate(c):
+        for m, gamma in enumerate(c, n - j):
             if gamma:
-                row = out[m + n - j]
+                row = out[m]
                 for k, f in enumerate(ff):
-                    row[k] += gamma * f
+                    row[k] += f * gamma
     return [ztrim(row) for row in out]
+
+
+def _untrail(row):
+    """Reset a preallocated row's trailing zeros to int 0 after a sum cancelled, as Polynomial trims them (arith.zadd)."""
+    k = len(row) - 1
+    while k >= 0 and not row[k]:
+        row[k] = 0
+        k -= 1
 
 
 def theta_from_rows(rows):
@@ -631,10 +623,9 @@ def apply_to_series(op, y):
 def translate(op, a):
     """Substitute t -> t + a, moving the point a to 0."""
     if over_q(op, [a]):
-        d_rows = integer_d_rows(integer_rows(op.theta_coeffs)[0])
-        return theta_from_rows(integer_theta_rows(shift_rows(d_rows, a)))
-    dop = d_from_theta(op)
-    return theta_from_d(DOperator([c.shift(a) for c in dop.d_coeffs]))
+        d_rows = d_from_theta_rows(integer_rows(op.theta_coeffs)[0])
+        return theta_from_rows(theta_from_d_rows(shift_rows(d_rows, a)))
+    return theta_from_d(DOperator([c.shift(a) for c in d_from_theta(op).d_coeffs]))
 
 
 def invert_variable(op):

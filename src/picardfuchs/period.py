@@ -35,6 +35,7 @@ from .arith import (
     PowerSeries,
     QuadraticNumber,
     _exact_fraction,
+    _exact_int,
     as_scalar,
     collapse,
     quadratic_sqrt,
@@ -74,12 +75,12 @@ class TetraForm(Immutable):
         pairs = terms.items() if isinstance(terms, dict) else terms
         tidy = {}
         for key, cval in pairs:
-            key = tuple(int(e) for e in key)
+            key = tuple(_exact_int(e, InvalidTetraForm, "an exponent") for e in key)
             if len(key) != 4 or min(key) < 0:
                 raise InvalidTetraForm("term %s needs four nonnegative exponents (x, y, z, t)" % (key,))
             cval = Fraction(collapse(as_scalar(cval)))
             tidy[key] = tidy.get(key, Fraction(0)) + cval
-        if truncation < 0:
+        if _exact_int(truncation, InvalidTetraForm, "truncation") < 0:
             raise InvalidTetraForm("truncation must be nonnegative, got %d" % truncation)
         object.__setattr__(self, "terms", {k: v for k, v in tidy.items() if v})
         object.__setattr__(self, "truncation", truncation)
@@ -132,7 +133,7 @@ class TetraForm(Immutable):
         for key, val in P.items():
             exps = tuple(int(p) for p in key.split(","))
             terms[exps] = _exact_fraction(val)
-        return cls(terms, int(data.get("truncation", 40)))
+        return cls(terms, data.get("truncation", 40))
 
     def __repr__(self):
         return "TetraForm(%d terms, truncation=%d)" % (len(self.terms), self.truncation)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Immutable, QuadraticNumber, _is_probable_prime
+from .arith import Immutable, QuadraticNumber, _exact_int, _is_probable_prime
 from .errors import (
     BadReduction,
     CoefficientOutOfRange,
@@ -132,8 +132,11 @@ class EtaProductSpec(Immutable):
     __slots__ = ("leading_power", "factors")
 
     def __init__(self, leading_power, factors):
-        factors = tuple((int(m), int(e)) for m, e in factors)
-        leading_power = int(leading_power)
+        factors = tuple(
+            (_exact_int(m, InvalidEtaProduct, "an eta factor m"), _exact_int(e, InvalidEtaProduct, "an eta exponent e"))
+            for m, e in factors
+        )
+        leading_power = _exact_int(leading_power, InvalidEtaProduct, "the leading power")
         if leading_power < 0 or not all(m >= 1 and e != 0 for m, e in factors):
             raise InvalidEtaProduct("no eta product q^%d %s" % (leading_power, factors))
         object.__setattr__(self, "leading_power", leading_power)
@@ -341,7 +344,7 @@ def _octic_terms(f8, p):
     if isinstance(f8, dict):
         terms = []
         for key, c in f8.items():
-            key = tuple(int(e) for e in key)
+            key = tuple(_exact_int(e, InvalidOctic, "an octic exponent") for e in key)
             if len(key) != 4 or min(key) < 0:
                 raise InvalidOctic("octic monomial %s needs four nonnegative exponents" % (key,))
             if sum(key) != 8:
@@ -407,7 +410,7 @@ def count_double_octic(f8, p):
     8 mask operations per line in place of 8 evaluations per point.  A
     monomial octic is evaluated point by point along the same lines.
     """
-    p = int(p)
+    p = _exact_int(p, NotPrime, "the prime")
     if p == 2:
         raise EvenPrime("the double-cover count needs an odd prime")
     if not _is_probable_prime(p):

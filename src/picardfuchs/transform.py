@@ -3,15 +3,18 @@
 Pulling back along t = phi(s) rewrites d/dt as (1/phi')*d/ds; conjugating by
 prod (t - a_i)^(eps_i) rewrites it as d/dt - sum eps_i/(t - a_i), shifting the
 exponents (infinity absorbs -sum(eps_i)).  Both expand sum_k c_k * X^k,
-X = (alpha*D + gamma)/beta, over one common denominator without a gcd, and
-hand the derivative form to the strong canonical form (optheta.canonical_from_d).
+X = (alpha*D + gamma)/beta, over one common denominator without a gcd
+(_expand, on coefficient lists), and hand the derivative form to the strong
+canonical form.
 
 That form clears every scalar, so over Q the operator, the map and the shift
 are scaled to integer lists, each dropping one common denominator (alpha,
-beta and gamma share theirs, which leaves X as it is), and the expansion
-runs in Z[t] (_expand_rows, canonical_from_rows).  An operator, map or shift
-holding a QuadraticNumber keeps Polynomial arithmetic (_expand): over
-Q(sqrt d) its path fixes which coefficients are QuadraticNumbers.
+beta and gamma share theirs, which leaves X as it is), and the form is taken
+on ints (canonical_from_rows).  An operator, map or shift holding a
+QuadraticNumber keeps its scalars in the lists, with beta monic, and the
+form is taken by canonical_from_d, whose Euclid gcd and content clearing fix
+which coefficients with zero sqrt part are QuadraticNumbers.  The fork is
+that input scaling and that tail; the expansion is one body.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .arith import (
     Polynomial,
     QuadraticNumber,
     RationalFunction,
+    _exact_int,
     as_scalar,
     collapse,
     format_polynomial,
@@ -38,9 +42,11 @@ from .arith import (
     zderiv,
     zmul,
     zquo,
+    zscale,
 )
 from .errors import (
     DegenerateTransform,
+    InvalidPower,
     NoCoupling,
     NonrationalYukawa,
     NotEven,
@@ -54,7 +60,7 @@ from .optheta import (
     canonical_from_d,
     canonical_from_rows,
     d_from_theta,
-    integer_d_rows,
+    d_from_theta_rows,
     over_q,
     shift_rows,
 )
@@ -174,33 +180,14 @@ class ShiftAssignment(Immutable):
 
 
 def _expand(coeffs, alpha, beta, gamma):
-    """Strong canonical form of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta.
+    """Derivative-form rows of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta, times beta^(2n).
 
     X^k = sum_j N[k][j]/beta^(2k) * D^j with polynomial rows, since X applied
     to N/beta^e * D^j is (alpha*(N'*beta - e*N*beta') + gamma*N*beta)/beta^(e+2)
     * D^j + alpha*N*beta/beta^(e+2) * D^(j+1).  The cleared coefficients
     sum_k coeffs[k]*N[k][j]*beta^(2(n-k)) accumulate by Horner's rule in beta^2.
+    On lists of ints or field scalars: one step per Polynomial step, in order.
     """
-    if not coeffs:
-        raise ZeroOperator("transform produced the zero operator")
-    zero = Polynomial(())
-    dbeta, beta2, gamma_beta = beta.derivative(), beta * beta, gamma * beta
-    row = [Polynomial((1,))]
-    acc = [coeffs[0]]
-    for k in range(1, len(coeffs)):
-        e = 2 * (k - 1)
-        # pairs (N[k-1][j-1], N[k-1][j]) for j = 0..k, zero outside the row
-        pad = [zero] + row + [zero]
-        row = [
-            alpha * (n.derivative() * beta - n * dbeta * e + m * beta) + gamma_beta * n
-            for m, n in zip(pad, pad[1:])
-        ]
-        acc = [a * beta2 + coeffs[k] * r for a, r in zip(acc + [zero], row)]
-    return canonical_from_d(acc)
-
-
-def _expand_rows(coeffs, alpha, beta, gamma):
-    """_expand on integer lists, for any nonzero beta: X is unchanged when alpha, beta, gamma share a scale."""
     if not coeffs:
         raise ZeroOperator("transform produced the zero operator")
     dbeta, beta2, gamma_beta = zderiv(beta), zmul(beta, beta), zmul(gamma, beta)
@@ -208,49 +195,46 @@ def _expand_rows(coeffs, alpha, beta, gamma):
     acc = [coeffs[0]]
     for k in range(1, len(coeffs)):
         e = 2 * (k - 1)
+        # pairs (N[k-1][j-1], N[k-1][j]) for j = 0..k, zero outside the row
         pad = [[]] + row + [[]]
-        # alpha * ((n' + m) * beta - e * n * beta') + gamma * beta * n, as in _expand
         row = [
-            zadd(zmul(alpha, zadd(zmul(zadd(zderiv(n), m), beta), [-e * c for c in zmul(n, dbeta)])), zmul(gamma_beta, n))
+            zadd(zmul(alpha, zadd(zadd(zmul(zderiv(n), beta), zscale(zmul(n, dbeta), -e)), zmul(m, beta))), zmul(gamma_beta, n))
             for m, n in zip(pad, pad[1:])
         ]
         acc = [zadd(zmul(a, beta2), zmul(coeffs[k], r)) for a, r in zip(acc + [[]], row)]
-    return canonical_from_rows(acc)
+    return acc
 
 
 def pullback_rational(op, phi):
     """Operator annihilating y(phi(s)) for every solution y(t) of op.
 
     With phi = P/Q: D_t = Q^2/W * D_s for W = P'Q - PQ', and each c(P/Q) is
-    Q^-deg times the homogenised sum_i c_i P^i Q^(deg - i).  Over Q, P and Q
-    are scaled to integers by one common factor, which leaves P/Q and
-    Q^2/W as they are.
+    Q^-deg times the homogenised sum_i c_i P^i Q^(deg - i).  Over Q, P, Q and
+    the operator are scaled to integers by one common factor, which leaves
+    P/Q, Q^2/W and the canonical form as they are; over Q(sqrt d) W is made monic.
     """
     if isinstance(phi, MobiusMap):
         phi = phi.as_rational_function()
     if isinstance(phi, Polynomial):
         phi = RationalFunction(phi)
-    p, q = phi.num, phi.den
-    w = p.derivative() * q - p * q.derivative()
-    if w.is_zero:
+    polys = (phi.num, phi.den, *op.theta_coeffs)
+    rational = over_q(op, chain(phi.num, phi.den))
+    p, q, *rows = integer_rows(polys)[0] if rational else [c.coeffs for c in polys]
+    w = zadd(zmul(zderiv(p), q), zscale(zmul(p, zderiv(q)), -1))
+    if not w:
         raise DegenerateTransform("constant substitution")
-    if over_q(op, chain(p, q)):
-        (p, q), _den = integer_rows((p, q))
-        dcoeffs = integer_d_rows(integer_rows(op.theta_coeffs)[0])
-        top = max(map(len, dcoeffs), default=1) - 1
-        homog = [reduce(zmul, [p] * i + [q] * (top - i), [1]) for i in range(top + 1)]
-        coeffs = [reduce(zadd, ([ci * x for x in h] for ci, h in zip(c, homog)), []) for c in dcoeffs]
-        w = zadd(zmul(zderiv(p), q), [-c for c in zmul(p, zderiv(q))])
-        return _expand_rows(coeffs, zmul(q, q), w, [])
-    dcoeffs = d_from_theta(op).d_coeffs
-    top = max((c.degree for c in dcoeffs), default=0)
-    ppow, qpow = [Polynomial((1,))], [Polynomial((1,))]
+    dcoeffs = d_from_theta_rows(rows)
+    top = max(map(len, dcoeffs), default=1) - 1
+    ppow, qpow = [[1]], [[1]]
     for _ in range(top):
-        ppow.append(ppow[-1] * p)
-        qpow.append(qpow[-1] * q)
-    homog = [ppow[i] * qpow[top - i] for i in range(top + 1)]
-    coeffs = [sum((homog[i] * ci for i, ci in enumerate(c.coeffs) if ci), Polynomial(())) for c in dcoeffs]
-    return _expand(coeffs, q * q * (1 / w.lead), w.monic(), Polynomial(()))
+        ppow.append(zmul(ppow[-1], p))
+        qpow.append(zmul(qpow[-1], q))
+    homog = [zmul(ppow[i], qpow[top - i]) for i in range(top + 1)]
+    coeffs = [reduce(zadd, (zscale(h, ci) for h, ci in zip(homog, c) if ci), []) for c in dcoeffs]
+    if rational:
+        return canonical_from_rows(_expand(coeffs, zmul(q, q), w, []))
+    inv = 1 / w[-1]
+    return canonical_from_d(list(map(Polynomial, _expand(coeffs, zscale(zmul(q, q), inv), zscale(w, inv), []))))
 
 
 def mobius(op, m):
@@ -264,7 +248,7 @@ def translate_to_origin(op, a):
     """Substitute t = s + a, moving the point a to 0, in strong canonical form."""
     a = collapse(a)
     if over_q(op, [a]):
-        return canonical_from_rows(shift_rows(integer_d_rows(integer_rows(op.theta_coeffs)[0]), a))
+        return canonical_from_rows(shift_rows(d_from_theta_rows(integer_rows(op.theta_coeffs)[0]), a))
     return canonical_from_d([c.shift(a) for c in d_from_theta(op).d_coeffs])
 
 
@@ -284,7 +268,7 @@ def is_even(op):
 
 def pullback_power(op, n):
     """Operator annihilating y(s^n): substitute t = s^n, so theta_t = theta_s/n."""
-    if n < 1:
+    if _exact_int(n, InvalidPower, "the power") < 1:
         raise DegenerateTransform("power must be at least 1, got %r" % (n,))
     scale = Polynomial((0, Fraction(1, n)))
     polys = []
@@ -297,7 +281,7 @@ def pullback_power(op, n):
 
 def descend_power(op, n):
     """Inverse of pullback_power on operators with all t-powers divisible by n."""
-    if n < 1:
+    if _exact_int(n, InvalidPower, "the power") < 1:
         raise DegenerateTransform("power must be at least 1, got %r" % (n,))
     base = op.normalized()
     stretch = Polynomial((0, n))
@@ -333,13 +317,15 @@ def shift_exponents(op, shifts):
             [-int(eps * scale) * a.denominator * c for c in zquo(ell, line)] for (a, eps), line in zip(shifts.items, lines)
         ]
         ell = [scale * c for c in ell]
-        return _expand_rows(integer_d_rows(integer_rows(op.theta_coeffs)[0]), ell, ell, reduce(zadd, terms, []))
+        rows = d_from_theta_rows(integer_rows(op.theta_coeffs)[0])
+        return canonical_from_rows(_expand(rows, ell, ell, reduce(zadd, terms, [])))
     ell, gauge = Polynomial((1,)), Polynomial(())
     for a, _eps in shifts.items:
         ell = ell * Polynomial((-a, 1))
     for a, eps in shifts.items:
         gauge = gauge - ell / Polynomial((-a, 1)) * eps
-    return _expand(d_from_theta(op).d_coeffs, ell, ell, gauge)
+    rows = _expand(d_from_theta_rows([p.coeffs for p in op.theta_coeffs]), ell.coeffs, ell.coeffs, gauge.coeffs)
+    return canonical_from_d(list(map(Polynomial, rows)))
 
 
 # ---------------------------------------------------------------------------

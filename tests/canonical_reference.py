@@ -1,8 +1,8 @@
 """The theta -> d -> theta round trip that the strong canonical form once took, kept as a test-only reference.
 
 The package takes the canonical form once on a derivative form: over Q on
-integer lists (optheta.canonical_from_rows), over Q(sqrt d) with Polynomial
-arithmetic (optheta.canonical_from_d).  This is the body
+integer lists (optheta.canonical_from_rows), over Q(sqrt d) with a Euclid gcd
+and content clearing on Polynomial (optheta.canonical_from_d).  This is the body
 ThetaOperator.normalized() had before: strip t-powers, convert to the
 derivative form, divide by the monic gcd of its coefficients, convert back
 and clear the content.  Every step here is Polynomial arithmetic with
@@ -10,10 +10,16 @@ Euclid's gcd over the coefficient field, as the package had it before its
 integer path, so the reference does not share that path.  The transforms
 then normalized a theta form they had just built from a derivative form, so
 their reference is reference_from_d below.
+
+The conversions and the expansion of the transforms are kept here as
+Polynomial expressions too (reference_d_from_theta, reference_theta_from_d,
+reference_expand): the package runs them on coefficient lists, over Q and
+over Q(sqrt d), and must give the scalar types these give.
 """
 
 from picardfuchs.arith import Polynomial
-from picardfuchs.optheta import DOperator, ThetaOperator, stirling2
+from picardfuchs.errors import ZeroOperator
+from picardfuchs.optheta import DOperator, ThetaOperator, canonical_from_d, stirling2
 
 
 def euclid_gcd(p, q):
@@ -72,3 +78,30 @@ def reference_normalized(op):
 def reference_from_d(d_coeffs):
     """Canonical form of a derivative form by the round trip the transforms took."""
     return reference_normalized(reference_theta_from_d(DOperator(d_coeffs)))
+
+
+def reference_expand(coeffs, alpha, beta, gamma):
+    """canonical_from_d of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta, in Polynomial arithmetic.
+
+    The expression tree is the one transform._expand follows step by step;
+    reference_expand_rows returns its derivative-form rows.
+    """
+    return canonical_from_d(reference_expand_rows(coeffs, alpha, beta, gamma))
+
+
+def reference_expand_rows(coeffs, alpha, beta, gamma):
+    if not coeffs:
+        raise ZeroOperator("transform produced the zero operator")
+    zero = Polynomial(())
+    dbeta, beta2, gamma_beta = beta.derivative(), beta * beta, gamma * beta
+    row = [Polynomial((1,))]
+    acc = [coeffs[0]]
+    for k in range(1, len(coeffs)):
+        e = 2 * (k - 1)
+        pad = [zero] + row + [zero]
+        row = [
+            alpha * (n.derivative() * beta - n * dbeta * e + m * beta) + gamma_beta * n
+            for m, n in zip(pad, pad[1:])
+        ]
+        acc = [a * beta2 + coeffs[k] * r for a, r in zip(acc + [zero], row)]
+    return acc

@@ -337,6 +337,17 @@ MALFORMED_FILES = [
         {"P": {"0,0,0,0": 1, "1,0,0,0": 0.1}, "truncation": 3},
         "is not a tetra-form file: a scalar must be exact, not the float 0.1\n",
     ),
+    # and integer fields are read exactly: a truncation of 2.5 or true is no order
+    (
+        ["period", "--poly", "{}"],
+        {"P": {"0,0,0,0": "1"}, "truncation": 2.5},
+        "is not a tetra-form file: truncation must be an integer, got 2.5\n",
+    ),
+    (
+        ["period", "--poly", "{}"],
+        {"P": {"0,0,0,0": "1"}, "truncation": True},
+        "is not a tetra-form file: truncation must be an integer, got True\n",
+    ),
     (
         ["count", "--octic", "{}", "--prime", "5"],
         {"8,0,0,0": 1, "0,0,0,8": 0.1},
@@ -377,6 +388,8 @@ _MALFORMED_IDS = [
     "symbol-float-tag",
     "guess-float-coefficient",
     "tetra-float-coefficient",
+    "tetra-float-truncation",
+    "tetra-bool-truncation",
     "octic-monomials-float-coefficient",
     "octic-planes-float-coefficient",
     "yukawa-subleading-at-infinity",

@@ -1,13 +1,15 @@
-"""The integer polynomial core (arith.z*) and the integer path of the transforms and the canonical form.
+"""The coefficient-list core (arith.z*) and the list path of the transforms, the conversions and the canonical form.
 
-Over Q the transforms, normalized(), translate and d_from_theta run on
-integer coefficient lists, with the gcd by the primitive remainder
-sequence; canonical_from_d and theta_from_d keep Polynomial arithmetic, the
-entries for Q(sqrt d).  The checks here compare the integer path with sympy's
-gcd, with the Polynomial expansion transform._expand (and canonical_from_d)
-on the same inputs, and with the Polynomial round trip in
-canonical_reference.py.  Results are compared by to_json(), so scalar types
-count.
+The transforms, the theta/derivative conversions and translate run on
+coefficient lists: over Q on ints, with the gcd by the primitive remainder
+sequence, and over Q(sqrt d) on the scalars themselves, where only the gcd
+and content tail (canonical_from_d) keeps Polynomial arithmetic.  The checks
+here compare the lists with sympy's gcd, with the Polynomial expressions
+in canonical_reference.py (the conversions and the expansion) on the same
+inputs, and with the Polynomial round trip there.  Results are compared by
+to_json(), so scalar types count: over Q(sqrt d) a coefficient with zero
+sqrt part must be a QuadraticNumber exactly where the Polynomial expression
+makes it one.
 """
 
 from fractions import Fraction
@@ -16,21 +18,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import canonical_reference
 from picardfuchs import CHAINS, MobiusMap, ThetaOperator, reproduce_reduction
 from picardfuchs import arith, optheta, transform
-from picardfuchs.arith import Polynomial, poly_gcd, zadd, zderiv, zgcd, zmul, zprimitive, zquo
+from picardfuchs.arith import Polynomial, QuadraticNumber, collapse, poly_gcd, zadd, zderiv, zgcd, zmul, zprimitive, zquo
 from picardfuchs.errors import InexactDivision
-from picardfuchs.optheta import d_from_theta, theta_from_d, translate
-from picardfuchs.transform import mobius, pullback_rational, shift_exponents, translate_to_origin
+from picardfuchs.optheta import DOperator, canonical_from_d, d_from_theta, theta_from_d, translate
+from picardfuchs.transform import ShiftAssignment, mobius, pullback_rational, shift_exponents, translate_to_origin
 
 from canonical_reference import (
     euclid_gcd,
     reference_d_from_theta,
+    reference_expand,
+    reference_expand_rows,
     reference_from_d,
     reference_normalized,
     reference_theta_from_d,
 )
-from shapes import fuchsian_shapes, rational_maps
+from shapes import fuchsian_shapes, quadratic_maps, quadratic_scalars, quadratic_shapes, rational_maps
 
 sympy = pytest.importorskip("sympy")
 
@@ -146,29 +151,41 @@ def _json(op):
 
 
 def _polynomial_pullback(op, phi):
-    """pullback_rational as Polynomial arithmetic: the homogenised coefficients handed to transform._expand."""
+    """pullback_rational as Polynomial arithmetic: the homogenised coefficients handed to reference_expand."""
     p, q = phi.num, phi.den
     w = p.derivative() * q - p * q.derivative()
     dcoeffs = reference_d_from_theta(op).d_coeffs
     top = max((c.degree for c in dcoeffs), default=0)
-    homog = [p**i * q**(top - i) for i in range(top + 1)]
+    ppow, qpow = [Polynomial((1,))], [Polynomial((1,))]
+    for _ in range(top):
+        ppow.append(ppow[-1] * p)
+        qpow.append(qpow[-1] * q)
+    homog = [ppow[i] * qpow[top - i] for i in range(top + 1)]
     coeffs = [sum((homog[i] * ci for i, ci in enumerate(c.coeffs) if ci), Polynomial(())) for c in dcoeffs]
-    return transform._expand(coeffs, q * q * (1 / w.lead), w.monic(), Polynomial(()))
+    return reference_expand(coeffs, q * q * (1 / w.lead), w.monic(), Polynomial(()))
 
 
 def _polynomial_shift(op, shifts):
+    items = ShiftAssignment(shifts).items
     ell, gauge = Polynomial((1,)), Polynomial(())
-    for a in shifts:
+    for a, _eps in items:
         ell = ell * Polynomial((-a, 1))
-    for a, eps in shifts.items():
+    for a, eps in items:
         gauge = gauge - ell / Polynomial((-a, 1)) * eps
-    return transform._expand(reference_d_from_theta(op).d_coeffs, ell, ell, gauge)
+    return reference_expand(reference_d_from_theta(op).d_coeffs, ell, ell, gauge)
 
 
 def _on_reference(fn, *args):
-    # transform._expand hands its result to canonical_from_d; the reference round trip takes its place
+    # reference_expand hands its result to canonical_from_d; the reference round trip takes its place
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transform, "canonical_from_d", reference_from_d)
+        mp.setattr(canonical_reference, "canonical_from_d", reference_from_d)
+        return fn(*args)
+
+
+def _on_polynomial_conversion(fn, *args):
+    # canonical_from_d converts its quotient with theta_from_d; the Polynomial expression takes its place
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optheta, "theta_from_d", reference_theta_from_d)
         return fn(*args)
 
 
@@ -224,7 +241,75 @@ def test_integer_translation_normalization_and_conversions_match_the_round_trip(
 
 
 # ---------------------------------------------------------------------------
-# the chains over Q never reach the Polynomial path
+# over Q(sqrt -3) the lists give the types of the Polynomial expressions
+
+
+@st.composite
+def _quadratic_mobius_maps(draw):
+    a, b, c, d = (draw(quadratic_scalars()) for _ in range(4))
+    assume(a * d != b * c)
+    return MobiusMap(a, b, c, d)
+
+
+@st.composite
+def _quadratic_shifts(draw):
+    shifts = {}
+    for a in draw(st.lists(quadratic_scalars(), min_size=1, max_size=3)):
+        shifts.setdefault(collapse(a), draw(quadratic_scalars()))
+    return shifts
+
+
+def _quadratic_polys(max_size):
+    # zero entries drawn "zero sqrt" are QuadraticNumber zeros inside the list
+    return st.lists(quadratic_scalars(), max_size=max_size).map(Polynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(_quadratic_polys(4), min_size=1, max_size=4),
+    alpha=_quadratic_polys(3),
+    beta=_quadratic_polys(3).filter(bool),
+    gamma=_quadratic_polys(3),
+)
+def test_expand_gives_the_rows_of_the_polynomial_expression(coeffs, alpha, beta, gamma):
+    got = transform._expand([c.coeffs for c in coeffs], alpha.coeffs, beta.coeffs, gamma.coeffs)
+    want = reference_expand_rows(coeffs, alpha, beta, gamma)
+    assert [DOperator([Polynomial(r)]).to_json() for r in got] == [DOperator([w]).to_json() for w in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    op=quadratic_shapes(),
+    a=quadratic_scalars(),
+    phi=quadratic_maps(),
+    m=_quadratic_mobius_maps(),
+    shifts=_quadratic_shifts(),
+)
+def test_quadratic_lists_give_the_polynomial_types(op, a, phi, m, shifts):
+    dop = reference_d_from_theta(op)
+    assert d_from_theta(op).to_json() == dop.to_json()
+    assert _json(theta_from_d(dop)) == _json(reference_theta_from_d(dop))
+    shifted = [c.shift(a) for c in dop.d_coeffs]
+    assert _json(translate(op, a)) == _json(reference_theta_from_d(DOperator(shifted)))
+    # translate_to_origin takes a zero sqrt part as rational, translate does not
+    shifted = [c.shift(collapse(a)) for c in dop.d_coeffs]
+    assert _json(translate_to_origin(op, a)) == _json(_on_polynomial_conversion(canonical_from_d, shifted))
+    assert _json(pullback_rational(op, phi)) == _json(_on_polynomial_conversion(_polynomial_pullback, op, phi))
+    want = m.as_rational_function()
+    assert _json(mobius(op, m)) == _json(_on_polynomial_conversion(_polynomial_pullback, op, want))
+    assert _json(shift_exponents(op, shifts)) == _json(_on_polynomial_conversion(_polynomial_shift, op, shifts))
+
+
+def test_a_sum_cancelled_at_the_top_starts_afresh():
+    # derivative-form row 1 gets S(1,1), S(2,1), S(3,1) times the theta, theta^2, theta^3 coefficients at
+    # t^1: the first two cancel, so the Polynomial sum drops the zero and the third keeps its Fraction type
+    op = ThetaOperator([Polynomial([0, QuadraticNumber(1, 0, -3), QuadraticNumber(-1, 0, -3), 1])])
+    assert d_from_theta(op).to_json() == reference_d_from_theta(op).to_json()
+    assert type(d_from_theta(op).d_coeffs[1][1]) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the chains over Q never reach the Polynomial tail
 
 RATIONAL_CHAINS = [name for name in CHAINS if name != "266chain"]
 
@@ -233,7 +318,6 @@ def test_rational_chains_stay_on_the_integer_path(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Polynomial path reached")
 
-    monkeypatch.setattr(transform, "_expand", forbidden)
     monkeypatch.setattr(transform, "canonical_from_d", forbidden)
     monkeypatch.setattr(optheta, "canonical_from_d", forbidden)
     monkeypatch.setattr(arith, "_euclid_gcd", forbidden)
@@ -243,15 +327,15 @@ def test_rational_chains_stay_on_the_integer_path(monkeypatch):
 
 
 def test_the_quadratic_mobius_step_takes_the_polynomial_path(monkeypatch):
-    # the patch above would see a Polynomial call: the Q(sqrt -3) step of 266chain makes one
+    # the patch above would see a Polynomial tail: the Q(sqrt -3) step of 266chain takes one
     calls = []
-    expand = transform._expand
+    tail = transform.canonical_from_d
 
     def counted(*args):
         calls.append(args)
-        return expand(*args)
+        return tail(*args)
 
-    monkeypatch.setattr(transform, "_expand", counted)
+    monkeypatch.setattr(transform, "canonical_from_d", counted)
     assert reproduce_reduction("266chain").ok
     assert len(calls) == 1
 

@@ -99,11 +99,29 @@ def test_from_planes_multiplies_out():
         (lambda: TetraForm({(0, 0, -1, 1): 1}), "four nonnegative exponents"),
         (lambda: TetraForm({(0, 0, 0, 0): 1}, truncation=-1), "truncation must be nonnegative"),
         (lambda: TetraForm.from_planes([(1, 1, 0, 0)]), "five coefficients"),
+        # integer fields are read exactly, never truncated
+        (lambda: TetraForm({(1.5, 0, 0, 0): 1}), "an exponent must be an integer, got 1.5"),
+        (lambda: TetraForm({(0, 0, 0, 0): 1}, truncation=True), "truncation must be an integer, got True"),
+        (lambda: TetraForm.from_json({"P": {"0,0,0,0": "1"}, "truncation": 2.5}), "truncation must be an integer, got 2.5"),
+        (lambda: TetraForm.from_json({"P": {"0,0,0,0": "1"}, "truncation": True}), "truncation must be an integer, got True"),
     ],
 )
 def test_malformed_tetra_form_rejected(build, message):
     with pytest.raises(InvalidTetraForm, match=message):
         build()
+
+
+def test_inexact_tetra_fields_rejected_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs import TetraForm\n"
+        "from picardfuchs.errors import InvalidTetraForm\n"
+        "for build in (lambda: TetraForm({(1.5, 0, 0, 0): 1}), lambda: TetraForm.from_json({'P': {'0,0,0,0': '1'}, 'truncation': 2.5})):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except InvalidTetraForm:\n"
+        "        print('InvalidTetraForm')\n"
+    )
+    assert run_optimized(code).split() == ["InvalidTetraForm"] * 2
 
 
 def test_catalog_operator_annihilates_demo_series():

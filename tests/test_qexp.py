@@ -146,6 +146,11 @@ QEXP_CHECKS = [
     ("EtaProductSpec(0, [(0, 1)])", "InvalidEtaProduct"),
     ("EtaProductSpec(1, [(4, 0)])", "InvalidEtaProduct"),
     ("EtaProductSpec(-1, [(4, 2)])", "InvalidEtaProduct"),
+    # integer fields are not truncated: (4, 2.5) is no eta factor, True no power
+    ("EtaProductSpec(1, ((4, 2.5),))", "InvalidEtaProduct"),
+    ("EtaProductSpec(True, ((4, 2),))", "InvalidEtaProduct"),
+    ("count_double_octic({(1.5, 2.5, 2, 3): 1}, 7)", "InvalidOctic"),
+    ("count_double_octic({(8, 0, 0, 0): 1}, 7.0)", "NotPrime"),
     ("eta_product(EtaProductSpec(1, [(4, 2)]), 0)", "TruncationTooLow"),
     ("FormRecord('x', 2, (2, 3), (1,))", "InvalidFormRecord"),
     ("FormRecord('x', 2, (3, 2), (1, 1))", "InvalidFormRecord"),

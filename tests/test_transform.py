@@ -413,3 +413,41 @@ def test_shift_then_opposite_shift_is_identity(op, points, eps):
 @given(op=fuchsian_shapes(), k=st.sampled_from([2, 3]))
 def test_descent_undoes_a_power_pullback(op, k):
     assert descend_power(pullback_power(op, k), k) == op.normalized()
+
+
+# a bool or a float is no scalar and no power: as_scalar and the power maps
+# raise typed errors, plain and under python -O: (statement, error type)
+INEXACT_INPUTS = [
+    ("Polynomial([True, 1])", "InexactScalar"),
+    ("Polynomial([0.5, 1])", "InexactScalar"),
+    ("PowerSeries([True, 2], 1)", "InexactScalar"),
+    ("MobiusMap(True, 0, 0, 1)", "InexactScalar"),
+    ("ShiftAssignment({0: 0.5})", "InexactScalar"),
+    ("SingularPoint(True)", "InexactScalar"),
+    ("pullback_power(OP, True)", "InvalidPower"),
+    ("pullback_power(OP, 2.0)", "InvalidPower"),
+    ("descend_power(OP, True)", "InvalidPower"),
+    ("Polynomial([1, 1]) ** True", "InvalidPower"),
+]
+INEXACT_IMPORTS = (
+    "from picardfuchs.arith import Polynomial, PowerSeries\n"
+    "from picardfuchs.errors import InexactScalar, InvalidPower\n"
+    "from picardfuchs.optheta import SingularPoint, ThetaOperator\n"
+    "from picardfuchs.transform import MobiusMap, ShiftAssignment, descend_power, pullback_power\n"
+    "OP = ThetaOperator.from_theta_polys([Polynomial([0, 0, 1]), Polynomial([-1, -1])])\n"
+)
+
+
+@pytest.mark.parametrize("statement, error", INEXACT_INPUTS)
+def test_bools_and_floats_are_no_scalars_or_powers(statement, error):
+    scope = {}
+    exec(INEXACT_IMPORTS, scope)
+    with pytest.raises(scope[error]):
+        eval(statement, scope)
+
+
+def test_bools_and_floats_are_no_scalars_or_powers_under_optimize(run_optimized):
+    lines = [INEXACT_IMPORTS]
+    for statement, error in INEXACT_INPUTS:
+        lines.append("try:\n    %s\n    print('accepted')\nexcept %s:\n    print('%s')\n" % (statement, error, error))
+    assert run_optimized("".join(lines)).split() == [error for _s, error in INEXACT_INPUTS]
