@@ -571,26 +571,8 @@ class Polynomial(Immutable):
             return self
         return self * (1 / self.lead)
 
-    def valuation(self):
-        """Index of the first nonzero coefficient (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
-
     def map_coeffs(self, f):
         return Polynomial([f(c) for c in self.coeffs])
-
-    def primitive_integer(self):
-        """For rational coefficients: the integer-primitive multiple with positive lead.
-
-        Returns (primitive polynomial, scale) with self = scale * primitive.
-        """
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no primitive part")
-        (row,), den = integer_rows([self.map_coeffs(collapse)])
-        prim = zprimitive(row)
-        return Polynomial(prim), Fraction(row[-1], den * prim[-1])
 
     def __repr__(self):
         return "Polynomial(%s)" % (format_polynomial(self, "t"),)
@@ -726,7 +708,8 @@ def _euclid_gcd(p, q):
 
 # ---------------------------------------------------------------------------
 # coefficient lists: ascending degree, [] for zero, no trailing zeros.  The
-# z* kernel runs on ints over Q and, as the body of Polynomial arithmetic and
+# z* kernel runs on ints over Q, where the root finder (zsquarefree, zquo)
+# works on Z[t] lists alone, and, as the body of Polynomial arithmetic and
 # of the Q(sqrt d) transforms, on Fractions and QuadraticNumbers
 
 
@@ -819,64 +802,36 @@ def zgcd(a, b):
     return a
 
 
-def squarefree_factor(p):
-    """Yun decomposition of a rational-coefficient polynomial.
+def zsquarefree(a):
+    """Yun's decomposition of a primitive integer list a of positive lead (Yun, SYMSAC 1976).
 
     Returns [(factor, multiplicity), ...] with pairwise-coprime squarefree
-    primitive factors of positive leading coefficient whose weighted product
-    equals p up to a nonzero rational constant.  Constant factors are dropped.
+    primitive factors of positive lead whose weighted product is a; a
+    constant gives [].  By Gauss's lemma every quotient is integral.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    p, _ = p.primitive_integer()
-    if p.degree < 1:
-        return []
     out = []
-    g = poly_gcd(p, p.derivative())
-    w = p / g
+    g = zgcd(a, zderiv(a))
+    w = zquo(a, g)
     m = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        f = w / y
-        if f.degree > 0:
-            fp, _ = f.primitive_integer()
-            out.append((fp, m))
-        w, g = y, g / y
+    while len(w) > 1:
+        y = zgcd(w, g)
+        f = zquo(w, y)
+        if len(f) > 1:
+            out.append((f, m))
+        w, g = y, zquo(g, y)
         m += 1
     return out
-
-
-def rational_roots_squarefree(p):
-    """Rational roots of a primitive squarefree integer polynomial, ascending."""
-    roots = []
-    v = p.valuation()
-    if v:
-        roots.append(Fraction(0))
-        p = Polynomial(p.coeffs[v:])
-    if p.degree < 1:
-        return roots, p
-    a0 = int(p.coeffs[0])
-    an = int(p.lead)
-    cands = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            f = Fraction(num, den)
-            cands.add(f)
-            cands.add(-f)
-    for r in sorted(cands):
-        if p(r) == 0:
-            roots.append(r)
-            p = p / Polynomial((-r, 1))
-    return sorted(roots), p
 
 
 def roots_in_quadratic_closure(p):
     """All roots of p lying in Q or a quadratic field, repeated by multiplicity.
 
     Roots are sorted by (rational part, sqrt part).  A coefficient whose sqrt
-    part is zero counts as rational.  Over Q, a squarefree factor gives its
-    rational roots, and the rest is split into quadratics; an irreducible
-    factor of degree >= 3 raises UnresolvedFactor.
+    part is zero counts as rational.  Over Q the search runs on Z[t] lists:
+    each squarefree factor (zsquarefree) of the primitive integer row of p
+    gives its rational roots, divided out with zquo, and the rest is split
+    into integer quadratics; an irreducible primitive integer factor of
+    degree >= 3 raises UnresolvedFactor.
 
     Over Q(sqrt d) the candidates are the roots of the norm
     N(p) = p * conj(p), which lies in Q[t] (Trager, "Algebraic factoring and
@@ -904,60 +859,66 @@ def roots_in_quadratic_closure(p):
 
 
 def _rational_roots(p):
-    """roots_in_quadratic_closure for a polynomial with rational coefficients."""
+    """roots_in_quadratic_closure for a polynomial with rational coefficients, on its primitive integer row."""
+    (row,), _ = integer_rows([p.map_coeffs(collapse)])
     roots = []
-    for f, mult in squarefree_factor(p):
-        found, rest = rational_roots_squarefree(f)
+    for f, mult in zsquarefree(zprimitive(row)):
+        found, rest = _rational_roots_squarefree(f)
         roots.extend(found * mult)
-        # rest has no rational root, so each q is a quadratic or a constant
-        for q in _split_quadratics(rest):
-            if q.degree == 2:
-                A, B, C = q[2], q[1], q[0]
-                half = quadratic_sqrt(Fraction(B * B - 4 * A * C))
-                roots.extend([collapse((-B + half) / (2 * A)), collapse((-B - half) / (2 * A))] * mult)
+        # rest has no rational root: it is [1] or a product of integer quadratics
+        while len(rest) > 1:
+            (C, B, A), rest = _integer_quadratic_factor(rest) if len(rest) > 3 else (rest, [1])
+            half = quadratic_sqrt(Fraction(B * B - 4 * A * C))
+            roots.extend([collapse((-B + half) / (2 * A)), collapse((-B - half) / (2 * A))] * mult)
     return sorted(roots, key=scalar_sort_key)
+
+
+def _rational_roots_squarefree(f):
+    """(roots, rest): the rational roots of a squarefree primitive integer list f, ascending, and f over their factors.
+
+    A candidate n/d (n | f(0), d | lead f) is a root when the homogeneous
+    sum_k f_k n^k d^(deg f - k) vanishes; its factor d t - n is primitive.
+    """
+    roots = []
+    if not f[0]:
+        roots.append(Fraction(0))
+        f = f[1:]
+    for r in sorted({Fraction(n, d) for n in _signed_divisors(f[0]) for d in divisors(f[-1])}):
+        n, d = r.numerator, r.denominator
+        value, dk = 0, 1
+        for c in reversed(f):
+            value, dk = value * n + c * dk, dk * d
+        if not value:
+            roots.append(r)
+            f = zquo(f, [-n, d])
+    return sorted(roots), f
 
 
 def _signed_divisors(n):
     return [s * v for v in divisors(n) for s in (1, -1)]
 
 
-def _split_quadratics(f):
-    """[f] when deg f <= 2, else f as a product of quadratics over Q.
-
-    f is squarefree with rational coefficients and no rational root.  A
-    factor of degree >= 3 that has no quadratic factor raises
-    UnresolvedFactor.
-    """
-    out = []
-    while f.degree >= 3:
-        q = _integer_quadratic_factor(f)
-        if q is None:
-            raise UnresolvedFactor(f)
-        out.append(q)
-        f = f / q
-    return out + [f]
-
-
 def _integer_quadratic_factor(f):
-    """A quadratic factor a x^2 + b x + c of f over Q, with integer a > 0, b, c; or None.
+    """(q, f / q) for a quadratic factor q = [c, b, a], a > 0, of a squarefree primitive integer list f.
 
     f has no rational root, so f(0), f(1) and f(-1) are nonzero.  By Gauss's
-    lemma a factor of the primitive integer multiple F of f can be taken
-    integral, and then a | lead(F), c | F(0), a + b + c | F(1) and
-    a - b + c | F(-1): finitely many candidates (Kronecker's method).
+    lemma q can be taken integral, and then a | lead(f), c | f(0),
+    a + b + c | f(1) and a - b + c | f(-1): finitely many candidates
+    (Kronecker's method), each tried by zquo.  Without one, f has an
+    irreducible factor of degree >= 3 and raises UnresolvedFactor.
     """
-    F, _ = f.primitive_integer()
-    cs = [int(c) for c in F.coeffs]
-    at_one, at_minus_one = sum(cs), sum(c if k % 2 == 0 else -c for k, c in enumerate(cs))
-    for a in divisors(cs[-1]):
-        for c in _signed_divisors(cs[0]):
+    at_one, at_minus_one = sum(f), sum(c if k % 2 == 0 else -c for k, c in enumerate(f))
+    for a in divisors(f[-1]):
+        for c in _signed_divisors(f[0]):
             for v in _signed_divisors(at_one):
                 b = v - a - c
                 w = a - b + c
-                if w and at_minus_one % w == 0 and (F % Polynomial((c, b, a))).is_zero:
-                    return Polynomial((c, b, a))
-    return None
+                if w and at_minus_one % w == 0:
+                    try:
+                        return [c, b, a], zquo(f, [c, b, a])
+                    except InexactDivision:
+                        pass
+    raise UnresolvedFactor(Polynomial(f))
 
 
 # ---------------------------------------------------------------------------

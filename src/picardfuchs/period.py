@@ -131,7 +131,10 @@ class TetraForm(Immutable):
             raise InvalidTetraForm("P must map exponent keys 'a,b,c,d' to coefficients, not a %s" % type(P).__name__)
         terms = {}
         for key, val in P.items():
-            exps = tuple(int(p) for p in key.split(","))
+            try:
+                exps = tuple(int(p) for p in key.split(","))
+            except ValueError:
+                raise InvalidTetraForm("an exponent key must hold integers a,b,c,d, got %r" % key) from None
             terms[exps] = _exact_fraction(val)
         return cls(terms, data.get("truncation", 40))
 

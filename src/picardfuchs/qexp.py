@@ -24,6 +24,7 @@ from .errors import (
     BadReduction,
     CoefficientOutOfRange,
     EvenPrime,
+    InexactScalar,
     InvalidEtaProduct,
     InvalidFormRecord,
     InvalidOctic,
@@ -40,7 +41,7 @@ class QSeries(Immutable):
     __slots__ = ("coeffs", "truncation")
 
     def __init__(self, coeffs, truncation=None):
-        cs = [int(c) for c in coeffs]
+        cs = [_exact_int(c, InexactScalar, "a q-series coefficient") for c in coeffs]
         if truncation is None:
             truncation = len(cs) - 1
         cs = cs[: truncation + 1] + [0] * (truncation + 1 - len(cs))

@@ -20,6 +20,7 @@ from picardfuchs.arith import (
     collapse,
     conjugate_scalar,
     factorize,
+    integer_rows,
     poly_gcd,
     quadratic_sqrt,
     quadratic_taylor_shift,
@@ -27,9 +28,11 @@ from picardfuchs.arith import (
     scalar_from_json,
     scalar_sort_key,
     scalar_to_json,
-    squarefree_factor,
     squarefree_part,
     taylor_shift,
+    zmul,
+    zprimitive,
+    zsquarefree,
 )
 from picardfuchs.errors import (
     FactorizationFailed,
@@ -474,13 +477,13 @@ def test_squarefree_factor_reassembles(pc, qc):
     p, q = Polynomial(pc), Polynomial(qc)
     if p.is_zero or q.is_zero or q.degree < 1:
         return
-    prod = p * q * q
-    parts = squarefree_factor(prod)
-    back = Polynomial((1,))
-    for factor, mult in parts:
+    (row,), _ = integer_rows([p * q * q])
+    prim = zprimitive(row)
+    back = [1]
+    for factor, mult in zsquarefree(prim):
         for _ in range(mult):
-            back = back * factor
-    assert back.monic() == prod.monic()
+            back = zmul(back, factor)
+    assert back == prim
 
 
 def test_rational_roots_with_multiplicity():
@@ -508,8 +511,9 @@ def test_roots_in_two_quadratic_fields():
 
 def test_irreducible_cubic_beside_a_quadratic_is_unresolved():
     with pytest.raises(UnresolvedFactor) as got:
-        roots_in_quadratic_closure(P(1, 0, 1) * P(-2, 0, 0, 1))
-    assert got.value.factor.degree == 3
+        roots_in_quadratic_closure(P(-1, 2) * P(1, 0, 1) * P(-2, 0, 0, 1))
+    # the primitive integer cofactor, not a rational multiple such as 2t^3 - 4
+    assert got.value.factor == Polynomial([-2, 0, 0, 1])
 
 
 # ---------------------------------------------------------------------------

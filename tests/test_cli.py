@@ -349,6 +349,11 @@ MALFORMED_FILES = [
         "is not a tetra-form file: truncation must be an integer, got True\n",
     ),
     (
+        ["period", "--poly", "{}"],
+        {"P": {"0,0,0,0": "1", "1.5,0,0,0": "1"}},
+        "is not a tetra-form file: an exponent key must hold integers a,b,c,d, got '1.5,0,0,0'\n",
+    ),
+    (
         ["count", "--octic", "{}", "--prime", "5"],
         {"8,0,0,0": 1, "0,0,0,8": 0.1},
         "pf: octic file is neither planes nor monomials: a scalar must be exact, not the float 0.1\n",
@@ -390,6 +395,7 @@ _MALFORMED_IDS = [
     "tetra-float-coefficient",
     "tetra-float-truncation",
     "tetra-bool-truncation",
+    "tetra-fractional-exponent-key",
     "octic-monomials-float-coefficient",
     "octic-planes-float-coefficient",
     "yukawa-subleading-at-infinity",

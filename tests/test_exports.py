@@ -81,18 +81,40 @@ def test_submodules_still_import_by_name(run_fresh):
     assert run_fresh(code).split() == ["True", "True"]
 
 
-def test_every_private_function_is_used():
-    # no dead code: a private function or method that nothing in the package
-    # names again can be deleted; tests do not count as users
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    defined, named = set(), set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.add(node.name)
-            elif isinstance(node, ast.Name):
+def _defined_functions(public):
+    """Names of the functions and methods defined in the package, public or private; dunders left out."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.endswith("__"):
+                if node.name.startswith("_") != public:
+                    out.add(node.name)
+    return out
+
+
+def _named(paths):
+    """Every name and attribute name that the files use."""
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    assert sorted(defined - named) == []
+    return named
+
+
+def test_every_private_function_is_used():
+    # no dead code: a private function or method that nothing in the package
+    # names again can be deleted; tests do not count as users
+    assert sorted(_defined_functions(public=False) - _named(SRC.glob("*.py"))) == []
+
+
+def test_every_public_function_is_used():
+    # a public function or method that nothing in the package, the tests or
+    # the benchmark names is dead too; the benchmark's frozen copy of an
+    # older package (perfbench/reference) does not count
+    root = pathlib.Path(__file__).resolve().parents[1]
+    users = [*SRC.glob("*.py"), *(root / "tests").rglob("*.py")]
+    users += [path for path in (root / "perfbench").rglob("*.py") if not path.is_relative_to(root / "perfbench" / "reference")]
+    assert sorted(_defined_functions(public=True) - _named(users)) == []

@@ -19,10 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import canonical_reference
-from picardfuchs import CHAINS, MobiusMap, ThetaOperator, reproduce_reduction
+from picardfuchs import CATALOG, CHAINS, MobiusMap, ThetaOperator, reproduce_reduction
 from picardfuchs import arith, optheta, transform
 from picardfuchs.arith import Polynomial, QuadraticNumber, collapse, poly_gcd, zadd, zderiv, zgcd, zmul, zprimitive, zquo
-from picardfuchs.errors import InexactDivision
+from picardfuchs.errors import InexactDivision, UnresolvedFactor
 from picardfuchs.optheta import DOperator, canonical_from_d, d_from_theta, theta_from_d, translate
 from picardfuchs.transform import ShiftAssignment, mobius, pullback_rational, shift_exponents, translate_to_origin
 
@@ -339,3 +339,31 @@ def test_the_quadratic_mobius_step_takes_the_polynomial_path(monkeypatch):
     assert reproduce_reduction("266chain").ok
     assert len(calls) == 1
 
+
+
+# ---------------------------------------------------------------------------
+# the root finder over Q runs on Z[t] lists: no Polynomial division, no poly_gcd
+
+
+def test_rational_exponents_stay_on_the_integer_path(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Polynomial path reached")
+
+    monkeypatch.setattr(Polynomial, "__divmod__", forbidden)
+    monkeypatch.setattr(arith, "_euclid_gcd", forbidden)
+    # optheta and transform bind poly_gcd by name
+    for module in (arith, optheta, transform):
+        monkeypatch.setattr(module, "poly_gcd", forbidden)
+    # the Q(sqrt -3) points of 266/273 keep the Polynomial multiplicity loop
+    points = [
+        (rec.operator, pt)
+        for _aid, rec in sorted(CATALOG.items())
+        for pt in optheta.singular_points(rec.operator)
+        if pt.is_infinite or type(pt.value) is Fraction
+    ]
+    assert len(points) == 109
+    for op, pt in points:
+        assert len(optheta.exponents_at(op, pt)) == op.order, pt
+    with pytest.raises(UnresolvedFactor) as got:
+        arith.roots_in_quadratic_closure(Polynomial([-1, 2]) * Polynomial([-2, 0, 0, 1]) * Polynomial([1, 0, 1]))
+    assert got.value.factor == Polynomial([-2, 0, 0, 1])

@@ -104,6 +104,7 @@ def test_from_planes_multiplies_out():
         (lambda: TetraForm({(0, 0, 0, 0): 1}, truncation=True), "truncation must be an integer, got True"),
         (lambda: TetraForm.from_json({"P": {"0,0,0,0": "1"}, "truncation": 2.5}), "truncation must be an integer, got 2.5"),
         (lambda: TetraForm.from_json({"P": {"0,0,0,0": "1"}, "truncation": True}), "truncation must be an integer, got True"),
+        (lambda: TetraForm.from_json({"P": {"0,0,0,0": "1", "1.5,0,0,0": "1"}}), "an exponent key must hold integers a,b,c,d, got '1.5,0,0,0'"),
     ],
 )
 def test_malformed_tetra_form_rejected(build, message):

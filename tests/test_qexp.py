@@ -142,6 +142,9 @@ QEXP_CHECKS = [
     ("QSeries([1, 2, 3], 2).coefficient(-1)", "CoefficientOutOfRange"),
     ("QSeries([1, 2, 3], 2).coefficient(3)", "CoefficientOutOfRange"),
     ("QSeries([1, 2, 3], 2) * 3", "TypeError"),
+    # coefficients are not truncated: 1.5 is no integer, True no 1
+    ("QSeries([1.5, True, 2], 2)", "InexactScalar"),
+    ("QSeries([1, True, 2], 2)", "InexactScalar"),
     ("_inverse_unit(QSeries([2, 1], 1))", "NonUnitConstantTerm"),
     ("EtaProductSpec(0, [(0, 1)])", "InvalidEtaProduct"),
     ("EtaProductSpec(1, [(4, 0)])", "InvalidEtaProduct"),

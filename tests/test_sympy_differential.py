@@ -1,8 +1,9 @@
 """Differential tests of the polynomial root machinery against sympy, a test-only oracle.
 
-poly_gcd, squarefree_factor and roots_in_quadratic_closure run on products of
-random rational linear, quadratic and cubic factors, so that repeated factors,
-irrational quadratic roots and irreducible cubics all occur.  Over Q(sqrt(-3))
+poly_gcd, zsquarefree and roots_in_quadratic_closure run on products of
+random rational linear, quadratic and cubic factors, most of them not monic,
+so that repeated factors, irrational quadratic roots, irreducible cubics and
+rational roots n/d with d > 1 all occur.  Over Q(sqrt(-3))
 roots_in_quadratic_closure and indicial_roots run on products of linear
 factors over the field, rational quadratics and quadratics with roots in
 Q(sqrt 2), checked against sympy's factorization with extension=sqrt(-3).
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 from picardfuchs.arith import (
     Polynomial,
     QuadraticNumber,
+    integer_rows,
     poly_gcd,
     roots_in_quadratic_closure,
     scalar_sort_key,
-    squarefree_factor,
+    zprimitive,
+    zsquarefree,
 )
 from picardfuchs.errors import IrrationalExponent, UnresolvedFactor
 from picardfuchs.optheta import indicial_roots
@@ -44,7 +47,7 @@ def _monic_coeffs(poly):
 @st.composite
 def _factor(draw, degree):
     cs = draw(st.lists(_coefficient, min_size=degree, max_size=degree))
-    lead = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)]))
+    lead = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(6), Fraction(-10, 7)]))
     return Polynomial(cs + [lead])
 
 
@@ -71,8 +74,9 @@ def test_poly_gcd_matches_sympy(a, b, common):
 @given(p=_products())
 def test_squarefree_factor_matches_sympy(p):
     got = {}
-    for factor, mult in squarefree_factor(p):
-        got[mult] = got.get(mult, ()) + (factor.monic().coeffs,)
+    (row,), _ = integer_rows([p])
+    for factor, mult in zsquarefree(zprimitive(row)):
+        got[mult] = got.get(mult, ()) + (Polynomial(factor).monic().coeffs,)
     _lead, parts = sympy.sqf_list(_to_sympy(p))
     want = {}
     for factor, mult in parts:
