@@ -16,7 +16,7 @@ from fractions import Fraction
 # modules stay at module level: perfbench/tracer.py patches them in
 # sys.modules right after importing this module.
 from .arith import _exact_fraction
-from .errors import ChainBroken
+from .errors import ChainBroken, InvalidOctic
 from .frobenius import classify_basis, jordan_structure, local_basis
 from .guess import GuessConfig, guess_operator
 from .optheta import ThetaOperator, riemann_symbol
@@ -231,6 +231,14 @@ def _cmd_qexp(args):
     return 0
 
 
+def _octic_exponent(part):
+    """One part of an octic monomial key "a,b,c,d" as an int, with count_double_octic's error for any other text."""
+    try:
+        return int(part)
+    except ValueError:
+        raise InvalidOctic("an octic exponent must be an integer, got %r" % part) from None
+
+
 def _count_input(args):
     if args.octic:
         data = _load_json(args.octic)
@@ -240,11 +248,9 @@ def _count_input(args):
                 raise UsageError("octic file needs eight planes of four coefficients")
             return [tuple(_fraction(c) for c in row) for row in rows], None, None
         if isinstance(data, dict):
+            keys = [tuple(map(_octic_exponent, key.split(","))) for key in data]
             try:
-                terms = {
-                    tuple(int(p) for p in key.split(",")): _exact_fraction(val)
-                    for key, val in data.items()
-                }
+                terms = dict(zip(keys, map(_exact_fraction, data.values())))
             except (ArithmeticError, TypeError, ValueError) as exc:
                 raise UsageError("octic file is neither planes nor monomials: %s" % exc)
             return terms, None, None

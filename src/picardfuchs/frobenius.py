@@ -27,12 +27,13 @@ coefficients or the class roots (optheta.scalar_field).  A jet in
 K[eps]/(eps^T) is (A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den
 with one positive integer den, in lowest terms.  Over Q, B and tags are None
 and the loops are plain integer loops.  Each P_i is cleared once per class to
-an integer polynomial, its values are Taylor shifts at integral points,
-products are integer convolutions, and the division is a fraction-free
-triangular solve over Z followed by one gcd.  Over Z[sqrt d] the quotient
-is first multiplied through by the conjugate of the denominator jet, whose
-norm jet has integer coefficients, so the same solve runs on each part.
-Scalars are built only for the output table.
+an integer polynomial, its values at the integral points are read by index
+from one table of Taylor shifts (optheta.jet_tables), products are integer
+convolutions, and the division is a fraction-free triangular solve over Z
+followed by one gcd.  Over Z[sqrt d] the quotient is first multiplied
+through by the conjugate of the denominator jet, whose norm jet has integer
+coefficients, so the same solve runs on each part.  Scalars are built only
+for the output table.
 
 Type rule.  The output must carry the scalar types that the same recurrence
 gives on Fraction and QuadraticNumber scalars, since a QuadraticNumber with
@@ -58,10 +59,10 @@ from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern, Z
 from .optheta import (
     exponent_parts,
     indicial_roots,
-    integer_jet,
     integer_polys,
     jet_memo,
     jet_sum,
+    jet_tables,
     local_indicial,
     local_operator,
     residual_order,
@@ -82,9 +83,9 @@ def _jet_valuation(jet):
     return len(A)
 
 
-def _shift_down(jet, mu):
-    """Drop the coefficients of eps^0 .. eps^(mu-1), padding with zeros (untagged)."""
-    return tuple(None if part is None else part[mu:] + [0] * mu for part in jet)
+def _window(jet, start, T):
+    """The coefficients of eps^start .. eps^(start+T-1) as a jet of length T, padded with zeros (untagged)."""
+    return tuple(None if part is None else (part[start:] + [0] * T)[:T] for part in jet)
 
 
 def _int_jet_div(numer, den, scale, d=None):
@@ -165,7 +166,7 @@ def _cancel_resonance(numer, den, m, budget, lam, p0_zero):
     if mu:
         if _jet_valuation(numer) < mu:
             raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
-        numer, den = _shift_down(numer, mu), _shift_down(den, mu)
+        numer, den = _window(numer, mu, len(den[0])), _window(den, mu, len(den[0]))
     return numer, den, mu
 
 
@@ -370,7 +371,8 @@ def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
     Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
     when d is given.  The common scale E of the Q_i cancels in the quotient,
     and the terms of the numerator are brought to the lcm of their jets'
-    denominators.  `memo` goes to integer_jet (see optheta.jet_memo).
+    denominators.  `memo` goes to jet_tables (see optheta.jet_memo): the
+    tables are read at k = 0 .. N, all that the annihilation checks read.
     """
     q, u0, v0, tagged = exponent_parts(lam)
     r = len(Q) - 1
@@ -379,12 +381,12 @@ def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
     jets = [seed + (1,)]
     lost = 0
     p0_zero = not any(Q[0][0]) and not any(Q[0][1] or ())
+    P = jet_tables(Q, u0, q, N, d, v0, tagged, memo)
     for m in range(1, N + 1):
         terms = [i for i in range(1, min(r, m) + 1) if Q[i][0]]
         lcm = math.lcm(*(jets[m - i][3] for i in terms))
-        products = [(integer_jet(Q[i], u0 + (m - i) * q, q, T, d, v0, tagged, memo), jets[m - i]) for i in terms]
-        numer = jet_sum(products, lcm, T, d)
-        den = integer_jet(Q[0], u0 + m * q, q, T, d, v0, tagged, memo)
+        numer = jet_sum([(P[i][m - i], jets[m - i]) for i in terms], lcm, T, d)
+        den = _window(P[0][m], 0, T)
         # the seed's coefficient eps^above must stay exact
         numer, den, mu = _cancel_resonance(numer, den, m, T - 1 - above - lost, lam, p0_zero)
         lost += mu

@@ -464,7 +464,7 @@ def integer_polys(polys, q, d=None):
     whether P_i's coefficient is a QuadraticNumber.  For an integer q >= 1,
     E = lcm(denominators of every coefficient part) * q^n with n the largest
     degree.  Then E * P_i(x/q + eps) is the Taylor shift of Q_i at the
-    integral point x with coefficient k scaled by q^k: see integer_jet.  E
+    integral point x with coefficient k scaled by q^k: see jet_tables.  E
     itself is not returned: every caller tests or divides a sum of the Q_i,
     where a common scale cancels.
     """
@@ -482,31 +482,49 @@ def integer_polys(polys, q, d=None):
     return Q
 
 
-def integer_jet(poly, u, q, T, d=None, v=0, tagged=False, memo=None):
-    """E * P(x/q + eps) mod eps^T as an integer jet (A, B, tags) of length T.
+def jet_tables(Q, u, q, K, d=None, v=0, tagged=False, memo=None):
+    """Per Q_i, the jets E * P_i(x/q + eps) at x = u + kq for k = 0 .. K, each in full as (A, B, tags).
 
-    `poly` comes from integer_polys at the denominator q, and x = u + v sqrt(d)
-    is integral.  Over Q (d None) B and tags are None, and `memo`, when
-    given, is a dict that keeps E * P(u/q + eps) = C(u + q eps) in full, for
-    C(x) = E * P(x/q), keyed on (C's coefficients, u, q).  Over Q(sqrt d),
-    `tagged` says whether the exponent x/q stands for is a QuadraticNumber,
-    and tags[k] is True where the scalar Taylor shift gives a QuadraticNumber.
+    `Q` comes from integer_polys at the denominator q, and x + v sqrt(d) is
+    integral.  B and tags are None over Q (d None); over Q(sqrt d) they are
+    those of quadratic_taylor_shift, which fills each entry.  Over Q entry k
+    of C = Q_i is G(k + eps) for G(y) = C(u + qy), so entry k + 1 is entry k
+    shifted by 1, with additions only (von zur Gathen & Gerhard, ISSAC 1997).
+    `memo`, when given, keeps one table per (C, q, u mod q) from the lowest u
+    asked for; a lower u starts it again.
     """
-    if d is None:
-        cs = None if memo is None else memo.get((poly[0], u, q))
-        if cs is None:
-            # a kept value is full, for a longer jet asked at the same x later
-            cs = taylor_shift(poly[0], u, T if memo is None else None)
-            if q != 1:
-                cs = [c * q**k for k, c in enumerate(cs)]
-            if memo is not None:
-                memo[poly[0], u, q] = cs
-        return cs[:T] + [0] * (T - len(cs)), None, None
-    ca, cb, ct = quadratic_taylor_shift(*poly, u, v, tagged, d, T)
-    if q != 1:
-        ca, cb = [c * q**k for k, c in enumerate(ca)], [c * q**k for k, c in enumerate(cb)]
-    pad = [0] * (T - len(ca))
-    return ca + pad, cb + pad, ct + pad
+    memo = {} if memo is None else memo
+    tables = []
+    for poly in Q:
+        key = (poly[0], q, u % q) if d is None else (*map(tuple, poly), q, u % q, v, tagged, d)
+        base, table = memo.get(key, (None, None))
+        if base is None or u < base:
+            base, table = memo[key] = u, [_shifted_jet(poly, u, q, d, v, tagged)]
+        start = (u - base) // q
+        if d is None:
+            _extend_by_shifts(table, start + K + 1)
+        else:
+            table += [_shifted_jet(poly, base + k * q, q, d, v, tagged) for k in range(len(table), start + K + 1)]
+        tables.append(table[start : start + K + 1])
+    return tables
+
+
+def _shifted_jet(poly, x, q, d, v, tagged):
+    """C(x + q eps) in full for C = poly: its Taylor shift at x (+ v sqrt d), coefficient j times q^j."""
+    A, B, tags = (taylor_shift(poly[0], x), None, None) if d is None else quadratic_taylor_shift(*poly, x, v, tagged, d, len(poly[0]))
+    qj = [q**j for j in range(len(A))]
+    return [c * s for c, s in zip(A, qj)], None if B is None else [c * s for c, s in zip(B, qj)], tags
+
+
+def _extend_by_shifts(table, length):
+    """Extend an integer table to `length`, each new entry the last shifted by 1: Horner's loop at a = 1."""
+    n = len(table[0][0]) - 1
+    steps = [j for i in range(n) for j in range(n - 1, i - 1, -1)]
+    while len(table) < length:
+        c = list(table[-1][0])
+        for j in steps:
+            c[j] += c[j + 1]
+        table.append((c, None, None))
 
 
 def exponent_parts(alpha):
@@ -525,16 +543,17 @@ def jet_sum(products, lcm, T, d):
     """sum x * c mod eps^T over the pairs (x, c) of an integer jet x and a jet c = (A, B, tags, den), times lcm.
 
     This is the one jet product: the Frobenius recurrence, its jet quotient
-    over Z[sqrt d] and residual_order call it.  lcm is a multiple of every
-    den.  A product position is tagged when one of its nonzero factors is:
-    the scalar loop adds every product of two nonzero coefficients.
+    over Z[sqrt d] and residual_order call it.  x is read up to T, c has
+    length T, and lcm is a multiple of every den.  A product position is
+    tagged when one of its nonzero factors is: the scalar loop adds every
+    product of two nonzero coefficients.
     """
     out = zero_jet(T, d)
     na, nb, nt = out
     for (xa, xb, xt), (ya, yb, yt, den) in products:
         f = lcm // den
         if d is None:
-            for a, xv in enumerate(xa):
+            for a, xv in zip(range(T), xa):
                 if not xv:
                     continue
                 xv *= f
@@ -542,13 +561,12 @@ def jet_sum(products, lcm, T, d):
                     if ya[b]:
                         na[a + b] += xv * ya[b]
             continue
-        for a in range(T):
-            pa, pb = xa[a], xb[a]
+        for a, pa, pb, pt in zip(range(T), xa, xb, xt):
             if not (pa or pb):
                 continue
             pa *= f
             pb *= f
-            dpb, pt = d * pb, xt[a]
+            dpb = d * pb
             for b in range(T - a):
                 qa, qb = ya[b], yb[b]
                 if qa or qb:
@@ -569,22 +587,21 @@ def residual_order(op, alpha, table, upto):
     the eps^(T-1) coefficient of R_m(eps) t^eps with R_m = sum_i
     P_i(alpha+m-i+eps) x_(m-i) mod eps^T, so it vanishes exactly when R_m
     does.  R_m is a jet_sum over Z or Z[sqrt d] (see scalar_field) of
-    integer_jet values and integer rows, times E and the lcm of the row
+    jet_tables entries and integer rows, times E and the lcm of the row
     denominators it reads; zero rows and zero P_i are skipped.
     """
     T = max((len(row) for row in table), default=1)
     d = scalar_field(chain([alpha], operator_scalars(op), (c for row in table for c in row)))
     q, u0, v0, tagged = exponent_parts(alpha)
     Q = integer_polys(op.theta_coeffs, q, d)
-    memo = jet_memo(op)
+    P = jet_tables(Q, u0, q, upto, d, v0, tagged, jet_memo(op))
     rows = [_row_jet(row, T, d) for row in table]
     for m in range(upto + 1):
         terms = [i for i in range(min(op.r, m) + 1) if m - i < len(rows) and rows[m - i] and Q[i][0]]
         if not terms:
             continue
         lcm = math.lcm(*(rows[m - i][3] for i in terms))
-        products = [(integer_jet(Q[i], u0 + (m - i) * q, q, T, d, v0, tagged, memo), rows[m - i]) for i in terms]
-        A, B, _tags = jet_sum(products, lcm, T, d)
+        A, B, _tags = jet_sum([(P[i][m - i], rows[m - i]) for i in terms], lcm, T, d)
         if any(A) or (B is not None and any(B)):
             return m - 1
     return upto
@@ -637,8 +654,8 @@ def invert_variable(op):
 
 # (op, point, local operator, jet memo) of the last call: local_basis and
 # then annihilation_order for each solution ask for the same operator in a
-# row, and the recurrence and residual_order evaluate the same P_i at the
-# same integral points
+# row, and the recurrence and residual_order read the same P_i along the
+# same progressions, so the memo keeps jet_tables' tables
 _last_local = (None, None, None, None)
 
 
@@ -664,7 +681,7 @@ def local_operator(op, point):
 
 
 def jet_memo(loc):
-    """The memo of integer_jet for `loc` while it is the last local operator built, else None."""
+    """The table memo of jet_tables for `loc` while it is the last local operator built, else None."""
     _op, _point, last, memo = _last_local
     return memo if loc is last else None
 

@@ -1,9 +1,13 @@
-"""Every reduction chain, the conifold period and the point counts replay to the exact output recorded for the benchmark.
+"""Every benchmark item but the cli commands replays to the exact output recorded for the benchmark.
 
+These are the reduction chains, the conifold period, the point counts, the
+guessed operators, the eta-form tables and the local solutions with their
+annihilation orders at every printed point of the local-solutions workload.
 The benchmark's golden data hashes each item's output in canonical JSON, so a
-chain step, a period coefficient or a count that changes by one scalar, or
-only in the type of a scalar (a QuadraticNumber against a Fraction of equal
-value), fails here.  The harness files are loaded by path and only read.
+chain step, a period coefficient, a count or a Frobenius table that changes
+by one scalar, or only in the type of a scalar (a QuadraticNumber against a
+Fraction of equal value), fails here.  The harness files are loaded by path
+and only read.
 """
 
 import importlib.util
@@ -34,32 +38,58 @@ def _load_workloads():
 DIGEST = _load("perfbench_digest", "digest.py")
 WORKLOADS = _load_workloads()
 REDUCTIONS = WORKLOADS.WORKLOADS["reductions"]
-GOLDEN = DIGEST.load_golden()["workloads"]["reductions"]["items"]
+LOCAL = WORKLOADS.WORKLOADS["local-solutions"]
+GOLDEN = {name: w["items"] for name, w in DIGEST.load_golden()["workloads"].items()}
 CHAIN_KEYS = [key for key in REDUCTIONS.universe() if key.startswith("chain:")]
 KERNEL_KEYS = [key for key in REDUCTIONS.universe() if key.startswith(("conifold:", "count:"))]
+SERIES_KEYS = [key for key in REDUCTIONS.universe() if key.startswith(("guess:", "forms:"))]
+POINT_KEYS = LOCAL.universe()
+
+
+def _replays_to_golden(workload, key):
+    record = WORKLOADS.run_item(workload, key, workload.setup([key]))
+    assert record["error"] is None, record["error"]
+    assert record["ok"]
+    assert DIGEST.item_hash(record["output"]) == GOLDEN[workload.name][key]
 
 
 def test_every_chain_has_a_recorded_hash():
     assert len(CHAIN_KEYS) == 11
-    assert set(CHAIN_KEYS) <= set(GOLDEN)
+    assert set(CHAIN_KEYS) <= set(GOLDEN["reductions"])
 
 
 @pytest.mark.parametrize("key", CHAIN_KEYS)
 def test_chain_output_matches_golden_hash(key):
-    record = WORKLOADS.run_item(REDUCTIONS, key, {})
-    assert record["error"] is None, record["error"]
-    assert record["ok"]
-    assert DIGEST.item_hash(record["output"]) == GOLDEN[key]
+    _replays_to_golden(REDUCTIONS, key)
 
 
 def test_period_and_counts_have_recorded_hashes():
     assert KERNEL_KEYS == ["conifold:40", "count:13", "count:43", "count:73"]
-    assert set(KERNEL_KEYS) <= set(GOLDEN)
+    assert set(KERNEL_KEYS) <= set(GOLDEN["reductions"])
 
 
 @pytest.mark.parametrize("key", KERNEL_KEYS)
 def test_period_and_count_match_golden_hash(key):
-    record = WORKLOADS.run_item(REDUCTIONS, key, REDUCTIONS.setup([key]))
-    assert record["error"] is None, record["error"]
-    assert record["ok"]
-    assert DIGEST.item_hash(record["output"]) == GOLDEN[key]
+    _replays_to_golden(REDUCTIONS, key)
+
+
+def test_guesses_and_forms_have_recorded_hashes():
+    # the four guessed operators and every eta form make the rest of the workload
+    assert len(SERIES_KEYS) == len(REDUCTIONS.universe()) - len(CHAIN_KEYS) - len(KERNEL_KEYS)
+    assert sum(key.startswith("guess:") for key in SERIES_KEYS) == 4
+    assert set(SERIES_KEYS) <= set(GOLDEN["reductions"])
+
+
+@pytest.mark.parametrize("key", SERIES_KEYS)
+def test_guess_and_form_match_golden_hash(key):
+    _replays_to_golden(REDUCTIONS, key)
+
+
+def test_every_printed_point_has_a_recorded_hash():
+    assert len(POINT_KEYS) == 75
+    assert set(POINT_KEYS) == set(GOLDEN["local-solutions"])
+
+
+@pytest.mark.parametrize("key", POINT_KEYS)
+def test_local_solutions_match_golden_hash(key):
+    _replays_to_golden(LOCAL, key)

@@ -363,6 +363,9 @@ MALFORMED_FILES = [
         {"planes": [["1", "0", "0", "0"]] * 7 + [[0.1, "1", "0", "0"]]},
         "pf: not a rational number: 0.1 (a scalar must be exact, not the float 0.1)\n",
     ),
+    # octic key parts are read as exact integers, with count_double_octic's error
+    (["count", "--octic", "{}", "--prime", "5"], {"1.5,0,0,6.5": 1}, "pf: an octic exponent must be an integer, got '1.5'\n"),
+    (["count", "--octic", "{}", "--prime", "5"], {"a,b,c,d": 1}, "pf: an octic exponent must be an integer, got 'a'\n"),
     # D^2 + D and (t - 1)^2 D^2 + D: Yukawa couplings that are not rational
     (["transform", "{}", "--yukawa"], {"form": "d", "coeffs": [["0"], ["1"], ["1"]]}, "pf: subleading ratio does not vanish at infinity\n"),
     (
@@ -398,6 +401,8 @@ _MALFORMED_IDS = [
     "tetra-fractional-exponent-key",
     "octic-monomials-float-coefficient",
     "octic-planes-float-coefficient",
+    "octic-fractional-exponent-key",
+    "octic-letter-exponent-key",
     "yukawa-subleading-at-infinity",
     "yukawa-higher-order-pole",
 ]

@@ -671,18 +671,30 @@ def test_annihilation_over_a_basis_translates_once(monkeypatch):
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
 
 
-@pytest.mark.parametrize("aid, point", [(33, 1), (153, -2), (4, 0)])
-def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point):
-    # the recurrence of each class keeps P_i at every integral point it
-    # reaches; the checks add only P_0 at the smallest root of each class
+def _table_entries(loc):
+    return sum(len(table) for _base, table in optheta.jet_memo(loc).values())
+
+
+@pytest.mark.parametrize(
+    "aid, point, N",
+    [(33, 1, None), (153, -2, None), (4, 0, None), (266, _QUADRATIC_266[1].value, 16)],
+    ids=["33-1", "153--2", "4-0", "266-quadratic"],
+)
+def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point, N):
+    # the recurrence of each root reads the tables of its class at k = 0 .. N,
+    # which covers every jet the checks read: they shift nothing, at a
+    # rational point or over Z[sqrt -3], and add no table entry
     op, point = CATALOG[aid].operator, SingularPoint(point)
-    basis = local_basis(op, point)
+    basis = local_basis(op, point, N)
+    entries = _table_entries(basis.local_op)
     shifts = []
-    inner = optheta.taylor_shift
-    monkeypatch.setattr(optheta, "taylor_shift", lambda *args: shifts.append(args) or inner(*args))
+    for name in ("taylor_shift", "quadratic_taylor_shift"):
+        inner = getattr(optheta, name)
+        monkeypatch.setattr(optheta, name, lambda *args, inner=inner: shifts.append(args) or inner(*args))
     orders = [annihilation_order(op, point, sol) for sol in basis]
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
-    assert len(shifts) == len(jordan_structure(basis).classes)
+    assert shifts == []
+    assert _table_entries(basis.local_op) == entries
     local_operator(op, INFINITY)  # another point drops the memo
     assert optheta.jet_memo(basis.local_op) is None
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, local_basis, riemann_symbol, shift_exponents
-from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
+from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar, taylor_shift
 from picardfuchs.errors import IrregularSingularity, NotASingularCandidate, OrderZeroOperator, TruncationTooLow
 from picardfuchs.frobenius import annihilation_order
 from picardfuchs.optheta import (
@@ -18,6 +18,7 @@ from picardfuchs.optheta import (
     exponents_at,
     fuchs_defect,
     indicial_polynomial,
+    jet_tables,
     local_operator,
     residual_order,
     singular_points,
@@ -110,6 +111,29 @@ def test_apply_to_series_matches_coefficientwise_formula(op, coeffs):
 def test_apply_to_series_needs_order_at_least_r():
     with pytest.raises(TruncationTooLow):
         apply_to_series(LEGENDRE, PowerSeries([1], 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-10**6, 10**6), max_size=7),
+    q=st.integers(1, 6),
+    requests=st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 45)), min_size=1, max_size=5),
+)
+def test_jet_tables_are_taylor_shifts_along_the_progression(coeffs, q, requests):
+    # entry k at u is C(u + kq + q eps): the Taylor shift at u + kq with
+    # coefficient j times q^j, for requests in any order (inside, above or
+    # below the table a residue keeps) and without a memo
+    memo = {}
+    for n, (u, K) in enumerate(requests):
+        for m in (memo, None):
+            (table,) = jet_tables([(tuple(coeffs), None, None)], u, q, K, memo=m)
+            assert len(table) == K + 1
+            for k, jet in enumerate(table):
+                assert jet == ([c * q**j for j, c in enumerate(taylor_shift(coeffs, u + k * q))], None, None)
+        # one table per residue, kept from the lowest u asked for
+        assert sorted(base % q for base, _table in memo.values()) == sorted({x % q for x, _K in requests[: n + 1]})
+        for base, _table in memo.values():
+            assert base == min(x for x, _K in requests[: n + 1] if (x - base) % q == 0)
 
 
 _entries = st.one_of(st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=6))
