@@ -563,8 +563,24 @@ class Polynomial(Immutable):
         return out
 
     def shift(self, a):
-        """Taylor shift p(t) -> p(t + a); the one polynomial-level entry to taylor_shift."""
-        return Polynomial(taylor_shift(self.coeffs, a))
+        """Taylor shift p(t) -> p(t + a), with no scalar arithmetic.
+
+        For a = (u + v sqrt d)/q and P(x) = E p(x/q) with integer (pair)
+        coefficients (integer_polys), p(t + a) = P(qt + u + v sqrt d) / E
+        (integer_shift).  Over Q(sqrt d) a coefficient is a QuadraticNumber
+        exactly when its quadratic_taylor_shift tag is set.  Two field tags
+        among the coefficients and a raise MixedFields, and a float or a bool
+        shift raises InexactScalar, at every degree.
+        """
+        d = scalar_field(self.coeffs + (a,))
+        q, u, v, tagged = exponent_parts(as_scalar(a))
+        if not self.coeffs:
+            return self
+        A, B, tags = integer_shift(integer_polys([self], q, d)[0], u, q, d, v, tagged)
+        E = math.lcm(*(x.denominator for c in self.coeffs for x in _scalar_parts(c))) * q**self.degree
+        if d is None:
+            return Polynomial([Fraction(x, E) for x in A])
+        return Polynomial([_quadratic(Fraction(x, E), Fraction(y, E), d) if t else Fraction(x, E) for x, y, t in zip(A, B, tags)])
 
     def monic(self):
         if self.is_zero:
@@ -578,72 +594,49 @@ class Polynomial(Immutable):
         return "Polynomial(%s)" % (format_polynomial(self, "t"),)
 
 
-def taylor_shift(coeffs, a, terms=None):
-    """First `terms` coefficients (all by default) of p(t + a), p given by `coeffs`.
+# ---------------------------------------------------------------------------
+# Taylor shifts on integers: over Z and on pairs over Z[sqrt d], and the
+# integer forms of field scalars and polynomials they run on
 
-    Horner's rule on a plain list of scalars (von zur Gathen & Gerhard, ISSAC
-    1997): p(t + a) = (...(c_n (t + a) + c_(n-1))(t + a) + ...) + c_0.  A
-    coefficient of each partial result depends only on coefficients of the
-    previous one at the same or a lower index, so keeping the first `terms`
-    of each costs about deg * terms multiply-adds.  Zero coefficients take no
-    part in a product, so a coefficient is a QuadraticNumber exactly when
-    Polynomial arithmetic would make it one: a QuadraticNumber zero and
-    Fraction(0) serialize differently.  No trailing zeros are trimmed inside
-    the first `terms`.  All-int input (coefficients and a) stays int, with
-    zero 0: the fraction-free Frobenius recurrence shifts integer polynomials.
+
+def taylor_shift(coeffs, a):
+    """p(t + a) for an integer list p and an integer a, trailing zeros dropped.
+
+    Horner's rule in place (von zur Gathen & Gerhard, ISSAC 1997): pass i
+    adds a times each coefficient to the one below it, from the top down to
+    i, and deg p passes leave the coefficients of p(t + a).
     """
-    cs = list(coeffs)
-    while cs and not cs[-1]:
-        cs.pop()
-    terms = len(cs) if terms is None else min(terms, len(cs))
-    if terms <= 0:
-        return []
-    if type(a) is int and set(map(type, cs)) == {int}:
-        zero = 0
-    else:
-        a = as_scalar(a)
-        zero = Fraction(0)
-    out = []
-    for c in reversed(cs):
-        # out <- out * (t + a) + c, from the top index down so out[p - 1] is still old
-        if len(out) < terms:
-            out.append(zero)
-        for p in range(len(out) - 1, 0, -1):
-            lo, hi = out[p - 1], out[p]
-            if hi:
-                out[p] = lo + hi * a if lo else hi * a
-            else:
-                out[p] = lo if lo else zero
-        low = out[0] * a if out[0] else zero
-        out[0] = low + c if c else low
-    return out
+    c = ztrim(list(coeffs))
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
 
 
-def quadratic_taylor_shift(A, B, tags, u, v, tagged, d, terms):
-    """taylor_shift over Z[sqrt d] on integer pairs, with the scalar types taylor_shift gives.
+def quadratic_taylor_shift(A, B, tags, u, v, tagged, d):
+    """p(t + a) over Z[sqrt d] on integer pairs, with the scalar types: the one place of the shift's type rule.
 
-    The polynomial is sum (A[k] + B[k] sqrt d) t^k and the shift u + v sqrt d.
-    tags[k] (and `tagged`, for the shift) say whether the scalar that the
-    pair stands for is a QuadraticNumber.  This is taylor_shift's loop, with
-    its zero tests on the pairs' values, so a returned tag is True exactly
-    where taylor_shift on those scalars returns a QuadraticNumber: a result
-    is one when a QuadraticNumber took part in it, and a zero tested away
-    takes no part.  Returns (A', B', tags') of length min(terms, deg + 1).
+    p = sum (A[k] + B[k] sqrt d) t^k and a = u + v sqrt d.  tags[k] (and
+    `tagged`, for a) say whether the scalar a pair stands for is a
+    QuadraticNumber.  Horner's rule, out <- out * (t + a) + c, runs with zero
+    tests: a zero takes no part in a product or a sum, a result is tagged
+    when a tagged operand took part in it, and a result no operand reached
+    is an untagged 0.  So a tag is set exactly where Horner's rule on the
+    Fraction and QuadraticNumber scalars gives a QuadraticNumber, since a
+    QuadraticNumber zero and Fraction(0) serialize differently.  Returns
+    (A', B', tags'), trailing zeros dropped.
     """
     n = len(A)
     while n and not (A[n - 1] or B[n - 1]):
         n -= 1
-    terms = min(terms, n)
     oa, ob, ot = [], [], []
-    if terms <= 0:
-        return oa, ob, ot
     dv = d * v
     for k in range(n - 1, -1, -1):
         # out <- out * (t + a) + c, from the top index down so out[p - 1] is still old
-        if len(oa) < terms:
-            oa.append(0)
-            ob.append(0)
-            ot.append(False)
+        oa.append(0)
+        ob.append(0)
+        ot.append(False)
         for p in range(len(oa) - 1, -1, -1):
             ha, hb = oa[p], ob[p]
             if ha or hb:
@@ -656,6 +649,75 @@ def quadratic_taylor_shift(A, B, tags, u, v, tagged, d, terms):
                 ha, hb, ht = ha + la, hb + lb, ht or (ot[p - 1] if p else tags[k])
             oa[p], ob[p], ot[p] = ha, hb, ht
     return oa, ob, ot
+
+
+def integer_shift(poly, x, q, d=None, v=0, tagged=False):
+    """C(qt + x + v sqrt d) for C = poly, an (A, B, tags) of integer_polys: its Taylor shift, coefficient j times q^j.
+
+    Over Z (d None) the shift is taylor_shift and B, tags are None; over
+    Z[sqrt d] it is quadratic_taylor_shift.
+    """
+    A, B, tags = (taylor_shift(poly[0], x), None, None) if d is None else quadratic_taylor_shift(*poly, x, v, tagged, d)
+    qj = [q**j for j in range(len(A))]
+    return [c * s for c, s in zip(A, qj)], None if B is None else [c * s for c, s in zip(B, qj)], tags
+
+
+def scalar_field(scalars):
+    """The tag d of the QuadraticNumbers among `scalars`, or None when there are none.
+
+    This picks the ring of the fraction-free paths (Polynomial.shift,
+    optheta.residual_order, the Frobenius recurrence): Z for None, Z[sqrt d]
+    otherwise.  A QuadraticNumber with zero sqrt part counts, because results
+    computed from it keep its type.  Two different tags raise MixedFields, as
+    their arithmetic would.
+    """
+    d = None
+    for x in scalars:
+        if type(x) is QuadraticNumber and x.d != d:
+            if d is not None:
+                raise MixedFields("mixed discriminants %d and %d" % (d, x.d))
+            d = x.d
+    return d
+
+
+def _scalar_parts(x):
+    """(a, b) with x = a + b sqrt(d): b is 0 for an int or a Fraction."""
+    if type(x) is QuadraticNumber:
+        return x.a, x.b
+    return x, 0
+
+
+def exponent_parts(alpha):
+    """(q, u, v, tagged): alpha = (u + v sqrt d)/q with q >= 1, and whether alpha is a QuadraticNumber."""
+    a, b = _scalar_parts(alpha)
+    q = math.lcm(Fraction(a).denominator, Fraction(b).denominator)
+    return q, int(a * q), int(b * q), type(alpha) is QuadraticNumber
+
+
+def integer_polys(polys, q, d=None):
+    """Q with Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), for one common E > 0.
+
+    Over Q (d None) A is the tuple of integer coefficients and B, tags are
+    None.  Over Q(sqrt d) coefficient k is A[k] + B[k] sqrt(d), and tags[k] says
+    whether P_i's coefficient is a QuadraticNumber.  For an integer q >= 1,
+    E = lcm(denominators of every coefficient part) * q^n with n the largest
+    degree.  Then E * P_i(t + w/q) is integer_shift(Q_i, w, q), and the jets
+    E * P_i(x/q + eps) of optheta.jet_tables are its values at t = x/q.  E
+    is not returned: the jet callers test or divide a sum of the Q_i, where a
+    common scale cancels.
+    """
+    n = max([0] + [p.degree for p in polys])
+    if d is None:
+        return [(tuple(c * q ** (n - k) for k, c in enumerate(row)), None, None) for row in integer_rows(polys)[0]]
+    parts = [[_scalar_parts(c) for c in p.coeffs] for p in polys]
+    dens = math.lcm(*(x.denominator for cs in parts for ab in cs for x in ab))
+    Q = []
+    for p, cs in zip(polys, parts):
+        scale = [dens * q ** (n - k) for k in range(len(cs))]
+        A = [a.numerator * (s // a.denominator) for (a, _b), s in zip(cs, scale)]
+        B = [b.numerator * (s // b.denominator) for (_a, b), s in zip(cs, scale)]
+        Q.append((A, B, [type(c) is QuadraticNumber for c in p.coeffs]))
+    return Q
 
 
 def format_polynomial(p, var):
@@ -836,10 +898,11 @@ def roots_in_quadratic_closure(p):
     Over Q(sqrt d) the candidates are the roots of the norm
     N(p) = p * conj(p), which lies in Q[t] (Trager, "Algebraic factoring and
     rational function integration", SYMSAC 1976), and the multiplicity of
-    each in p is found by repeated exact division.  A root of N(p) in another
-    field Q(sqrt e) is fixed by the conjugation of Q(sqrt d, sqrt e) over
-    Q(sqrt e), so it is a root of p as well; it has no representation over
-    Q(sqrt d), and its rational quadratic factor raises UnresolvedFactor.
+    each candidate r in p is the number of leading zero coefficients of
+    p(t + r).  A root of N(p) in another field Q(sqrt e) is fixed by the
+    conjugation of Q(sqrt d, sqrt e) over Q(sqrt e), so it is a root of p as
+    well; it has no representation over Q(sqrt d), and its rational
+    quadratic factor raises UnresolvedFactor.
     """
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has every point as a root")
@@ -850,11 +913,8 @@ def roots_in_quadratic_closure(p):
     for r in sorted(set(_rational_roots(p * p.map_coeffs(conjugate_scalar))), key=scalar_sort_key):
         if isinstance(r, QuadraticNumber) and r.d != d:
             raise UnresolvedFactor(Polynomial((r.norm(), -2 * r.a, 1)))
-        q, rem = divmod(p, Polynomial((-r, 1)))
-        while rem.is_zero:
-            roots.append(r)
-            p = q
-            q, rem = divmod(p, Polynomial((-r, 1)))
+        shifted = p.shift(r).coeffs
+        roots.extend([r] * next(k for k, c in enumerate(shifted) if c))
     return roots
 
 

@@ -110,6 +110,14 @@ OCTICS = {
 # stays a string and is excluded from point counting.
 OCTIC_248_SIC = "xyzv(x+z+v)(x+y+z)(x+(y+1)y-tz+v)(y-z-v)"
 
+# rigid specialisations recorded in family notes: member id -> (family, parameter)
+RIGID_FIBRES = {
+    69: (250, Q(0)),
+    93: (250, Q(-1)),
+    245: (250, Q(1)),
+    240: (250, Q(-2)),
+}
+
 
 # ---------------------------------------------------------------------------
 # operators, order 2

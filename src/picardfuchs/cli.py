@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 # `catalog` is imported only by the commands that read it.  The computational
 # modules stay at module level: perfbench/tracer.py patches them in
@@ -34,15 +33,6 @@ from .transform import (
 
 class UsageError(Exception):
     """Bad input from the command line; reported on stderr with exit code 2."""
-
-
-# rigid specialisations recorded in family notes: member id -> (family, parameter)
-RIGID_FIBRES = {
-    69: (250, Fraction(0)),
-    93: (250, Fraction(-1)),
-    245: (250, Fraction(1)),
-    240: (250, Fraction(-2)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +246,7 @@ def _count_input(args):
             return terms, None, None
         raise UsageError("octic file must be a JSON object")
     from .catalog import CATALOG
+    from .catalog_data import RIGID_FIBRES
 
     aid = args.arrangement
     parameter = None if args.parameter is None else _fraction(args.parameter)

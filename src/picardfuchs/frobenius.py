@@ -23,7 +23,7 @@ here to leading coefficient 1.  The basis is echelon by construction: leading
 The recurrence runs fraction-free, over Z at rational points and infinity
 and over Z[sqrt d] at a quadratic point or for quadratic exponents: the ring
 is Z[sqrt d] when a QuadraticNumber tagged d is among the local operator's
-coefficients or the class roots (optheta.scalar_field).  A jet in
+coefficients or the class roots (arith.scalar_field).  A jet in
 K[eps]/(eps^T) is (A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den
 with one positive integer den, in lowest terms.  Over Q, B and tags are None
 and the loops are plain integer loops.  Each P_i is cleared once per class to
@@ -40,9 +40,10 @@ gives on Fraction and QuadraticNumber scalars, since a QuadraticNumber with
 zero sqrt part and a Fraction serialize differently.  So over Z[sqrt d]
 tags[k] is True when that loop would hold a QuadraticNumber at coefficient k:
 a QuadraticNumber took part in computing it, where a coefficient that a zero
-test skips takes no part.  The Taylor shift follows taylor_shift's zero
-tests, a product position is tagged by the nonzero factors it adds, and a
-quotient coefficient is untagged when zero.  An output entry is a
+test skips takes no part.  The Taylor shift's tags come from
+arith.quadratic_taylor_shift, which writes that rule for Horner's loop, a
+product position is tagged by the nonzero factors it adds, and a quotient
+coefficient is untagged when zero.  An output entry is a
 QuadraticNumber exactly when its tag is set; row 0 and every zero is a
 Fraction.
 """
@@ -54,19 +55,25 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from .arith import Immutable, QuadraticNumber, as_scalar, collapse, scalar_sort_key
+from .arith import (
+    Immutable,
+    QuadraticNumber,
+    as_scalar,
+    collapse,
+    exponent_parts,
+    integer_polys,
+    scalar_field,
+    scalar_sort_key,
+)
 from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern, ZeroSeries
 from .optheta import (
-    exponent_parts,
     indicial_roots,
-    integer_polys,
     jet_memo,
     jet_sum,
     jet_tables,
     local_indicial,
     local_operator,
     residual_order,
-    scalar_field,
     zero_jet,
 )
 

@@ -23,20 +23,22 @@ from itertools import chain, groupby
 from .arith import (
     Immutable,
     Polynomial,
-    QuadraticNumber,
+    _scalar_parts,
     as_scalar,
     collapse,
     conjugate_scalar,
+    exponent_parts,
     format_polynomial,
+    integer_polys,
     integer_rows,
+    integer_shift,
     poly_gcd,
-    quadratic_taylor_shift,
     roots_in_quadratic_closure,
+    scalar_field,
     scalar_from_json,
     scalar_sign,
     scalar_sort_key,
     scalar_to_json,
-    taylor_shift,
     zgcd,
     zmul,
     zquo,
@@ -45,7 +47,6 @@ from .arith import (
 from .errors import (
     IrrationalExponent,
     IrregularSingularity,
-    MixedFields,
     NotASingularCandidate,
     OrderZeroOperator,
     TruncationTooLow,
@@ -425,71 +426,20 @@ def theta_from_rows(rows):
 
 
 def shift_rows(rows, a):
-    """q^m c(t + a) for each integer row c, a = u/q and m the top degree: C(x + u), C(x) = q^m c(x/q), at x = qt."""
-    q, u = a.denominator, a.numerator
-    qpow = [q**k for k in range(max(map(len, rows), default=0))]
-    m = len(qpow) - 1
-    return [[x * qk for x, qk in zip(taylor_shift([x * qpow[m - k] for k, x in enumerate(c)], u), qpow)] for c in rows]
-
-
-def scalar_field(scalars):
-    """The tag d of the QuadraticNumbers among `scalars`, or None when there are none.
-
-    This picks the ring of the fraction-free paths of residual_order and of
-    the Frobenius recurrence: Z for None, Z[sqrt d] otherwise.  A QuadraticNumber
-    with zero sqrt part counts, because results computed from it keep its
-    type.  Two different tags raise MixedFields, as their arithmetic would.
-    """
-    d = None
-    for x in scalars:
-        if type(x) is QuadraticNumber and x.d != d:
-            if d is not None:
-                raise MixedFields("mixed discriminants %d and %d" % (d, x.d))
-            d = x.d
-    return d
-
-
-def _scalar_parts(x):
-    """(a, b) with x = a + b sqrt(d): b is 0 for an int or a Fraction."""
-    if type(x) is QuadraticNumber:
-        return x.a, x.b
-    return x, 0
-
-
-def integer_polys(polys, q, d=None):
-    """Q with Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), for one common E > 0.
-
-    Over Q (d None) A is the tuple of integer coefficients and B, tags are
-    None.  Over Q(sqrt d) coefficient k is A[k] + B[k] sqrt(d), and tags[k] says
-    whether P_i's coefficient is a QuadraticNumber.  For an integer q >= 1,
-    E = lcm(denominators of every coefficient part) * q^n with n the largest
-    degree.  Then E * P_i(x/q + eps) is the Taylor shift of Q_i at the
-    integral point x with coefficient k scaled by q^k: see jet_tables.  E
-    itself is not returned: every caller tests or divides a sum of the Q_i,
-    where a common scale cancels.
-    """
-    n = max([0] + [p.degree for p in polys])
-    if d is None:
-        return [(tuple(c * q ** (n - k) for k, c in enumerate(row)), None, None) for row in integer_rows(polys)[0]]
-    parts = [[_scalar_parts(c) for c in p.coeffs] for p in polys]
-    dens = math.lcm(*(x.denominator for cs in parts for ab in cs for x in ab))
-    Q = []
-    for p, cs in zip(polys, parts):
-        scale = [dens * q ** (n - k) for k in range(len(cs))]
-        A = [a.numerator * (s // a.denominator) for (a, _b), s in zip(cs, scale)]
-        B = [b.numerator * (s // b.denominator) for (_a, b), s in zip(cs, scale)]
-        Q.append((A, B, [type(c) is QuadraticNumber for c in p.coeffs]))
-    return Q
+    """q^m c(t + a) for each integer row c, a = u/q and m the top degree: integer_shift of C(x) = q^m c(x/q) at u."""
+    q, m = a.denominator, max(map(len, rows), default=0) - 1
+    return [integer_shift(([x * q ** (m - k) for k, x in enumerate(c)], None, None), a.numerator, q)[0] for c in rows]
 
 
 def jet_tables(Q, u, q, K, d=None, v=0, tagged=False, memo=None):
     """Per Q_i, the jets E * P_i(x/q + eps) at x = u + kq for k = 0 .. K, each in full as (A, B, tags).
 
     `Q` comes from integer_polys at the denominator q, and x + v sqrt(d) is
-    integral.  B and tags are None over Q (d None); over Q(sqrt d) they are
-    those of quadratic_taylor_shift, which fills each entry.  Over Q entry k
-    of C = Q_i is G(k + eps) for G(y) = C(u + qy), so entry k + 1 is entry k
-    shifted by 1, with additions only (von zur Gathen & Gerhard, ISSAC 1997).
+    integral.  A table starts with integer_shift at its lowest x.  B and tags
+    are None over Q (d None); over Q(sqrt d) integer_shift fills every entry,
+    with the type tags of quadratic_taylor_shift.  Over Q entry k of C = Q_i
+    is G(k + eps) for G(y) = C(u + qy), so entry k + 1 is entry k shifted by
+    1, with additions only (von zur Gathen & Gerhard, ISSAC 1997).
     `memo`, when given, keeps one table per (C, q, u mod q) from the lowest u
     asked for; a lower u starts it again.
     """
@@ -499,21 +449,14 @@ def jet_tables(Q, u, q, K, d=None, v=0, tagged=False, memo=None):
         key = (poly[0], q, u % q) if d is None else (*map(tuple, poly), q, u % q, v, tagged, d)
         base, table = memo.get(key, (None, None))
         if base is None or u < base:
-            base, table = memo[key] = u, [_shifted_jet(poly, u, q, d, v, tagged)]
+            base, table = memo[key] = u, [integer_shift(poly, u, q, d, v, tagged)]
         start = (u - base) // q
         if d is None:
             _extend_by_shifts(table, start + K + 1)
         else:
-            table += [_shifted_jet(poly, base + k * q, q, d, v, tagged) for k in range(len(table), start + K + 1)]
+            table += [integer_shift(poly, base + k * q, q, d, v, tagged) for k in range(len(table), start + K + 1)]
         tables.append(table[start : start + K + 1])
     return tables
-
-
-def _shifted_jet(poly, x, q, d, v, tagged):
-    """C(x + q eps) in full for C = poly: its Taylor shift at x (+ v sqrt d), coefficient j times q^j."""
-    A, B, tags = (taylor_shift(poly[0], x), None, None) if d is None else quadratic_taylor_shift(*poly, x, v, tagged, d, len(poly[0]))
-    qj = [q**j for j in range(len(A))]
-    return [c * s for c, s in zip(A, qj)], None if B is None else [c * s for c, s in zip(B, qj)], tags
 
 
 def _extend_by_shifts(table, length):
@@ -525,13 +468,6 @@ def _extend_by_shifts(table, length):
         for j in steps:
             c[j] += c[j + 1]
         table.append((c, None, None))
-
-
-def exponent_parts(alpha):
-    """(q, u, v, tagged): alpha = (u + v sqrt d)/q with q >= 1, and whether alpha is a QuadraticNumber."""
-    a, b = _scalar_parts(alpha)
-    q = math.lcm(Fraction(a).denominator, Fraction(b).denominator)
-    return q, int(a * q), int(b * q), type(alpha) is QuadraticNumber
 
 
 def zero_jet(T, d):

@@ -8,13 +8,14 @@ operator applied to a series, whose first nonzero row residual_order finds.
 
 QuadraticNumber arithmetic runs on an integer kernel.  `quadratic_op` keeps
 the Fraction-pair formulas it replaced, with the same coercion, type rule
-and errors.
+and errors.  Polynomial.shift runs on integer rows and pairs; `taylor_shift`
+keeps the Horner loop on scalars whose types those pairs' tags stand for.
 """
 
 import math
 from fractions import Fraction
 
-from picardfuchs.arith import QuadraticNumber, _check_power, as_scalar, scalar_sort_key, taylor_shift
+from picardfuchs.arith import QuadraticNumber, _check_power, as_scalar, scalar_sort_key
 from picardfuchs.errors import FrobeniusInvariant, MixedFields, TruncationTooLow
 from picardfuchs.frobenius import (
     GeneralizedSeries,
@@ -79,6 +80,51 @@ def quadratic_op(op, x, y=None):
         else:
             r = _pair_mul(px, _pair_inverse(py, d), d)
     return QuadraticNumber(r[0], r[1], d)
+
+
+# ---------------------------------------------------------------------------
+# Taylor shift on scalars
+
+
+def taylor_shift(coeffs, a, terms=None):
+    """First `terms` coefficients (all by default) of p(t + a), p given by `coeffs`.
+
+    Horner's rule on a plain list of scalars (von zur Gathen & Gerhard, ISSAC
+    1997): p(t + a) = (...(c_n (t + a) + c_(n-1))(t + a) + ...) + c_0.  A
+    coefficient of each partial result depends only on coefficients of the
+    previous one at the same or a lower index, so keeping the first `terms`
+    of each costs about deg * terms multiply-adds.  Zero coefficients take no
+    part in a product, so a coefficient is a QuadraticNumber exactly when
+    Polynomial arithmetic would make it one: a QuadraticNumber zero and
+    Fraction(0) serialize differently.  No trailing zeros are trimmed inside
+    the first `terms`.  All-int input (coefficients and a) stays int, with
+    zero 0.
+    """
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    terms = len(cs) if terms is None else min(terms, len(cs))
+    if terms <= 0:
+        return []
+    if type(a) is int and set(map(type, cs)) == {int}:
+        zero = 0
+    else:
+        a = as_scalar(a)
+        zero = Fraction(0)
+    out = []
+    for c in reversed(cs):
+        # out <- out * (t + a) + c, from the top index down so out[p - 1] is still old
+        if len(out) < terms:
+            out.append(zero)
+        for p in range(len(out) - 1, 0, -1):
+            lo, hi = out[p - 1], out[p]
+            if hi:
+                out[p] = lo + hi * a if lo else hi * a
+            else:
+                out[p] = lo if lo else zero
+        low = out[0] * a if out[0] else zero
+        out[0] = low + c if c else low
+    return out
 
 
 # ---------------------------------------------------------------------------

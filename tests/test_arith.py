@@ -1,7 +1,6 @@
 """Scalar tower, polynomials, series: exact arithmetic foundations."""
 
 import importlib.util
-import math
 import operator
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from picardfuchs.arith import (
     integer_rows,
     poly_gcd,
     quadratic_sqrt,
-    quadratic_taylor_shift,
     roots_in_quadratic_closure,
     scalar_from_json,
     scalar_sort_key,
@@ -51,6 +49,8 @@ from picardfuchs.period import PeriodSeries, TetraForm
 from picardfuchs.qexp import EtaProductSpec, QSeries, TableReport, lookup_form
 from picardfuchs.transform import MobiusMap, ShiftAssignment, YukawaData
 from scalar_reference import quadratic_op
+from scalar_reference import taylor_shift as scalar_taylor_shift
+from shapes import quadratic_scalars
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -223,6 +223,11 @@ def test_quadratic_sqrt():
         (lambda: scalar_from_json(0.1), InexactScalar),
         (lambda: scalar_from_json(False), InexactScalar),
         (lambda: QuadraticNumber(0, 1, -3) + QuadraticNumber(0, 1, 5), MixedFields),
+        # a shift checks its fields and its scalar at every degree, a constant and zero entries too
+        (lambda: Polynomial([QuadraticNumber(1, 1, 2)]).shift(QuadraticNumber(0, 1, -3)), MixedFields),
+        (lambda: Polynomial([1, QuadraticNumber(0, 0, 2), 1]).shift(QuadraticNumber(0, 1, -3)), MixedFields),
+        (lambda: Polynomial([1, 1]).shift(0.5), InexactScalar),
+        (lambda: Polynomial([]).shift(True), InexactScalar),
         (lambda: Polynomial([1, 1]) ** -2, InvalidPower),
         (lambda: quadratic_sqrt(Fraction(0)), ZeroRadicand),
         # 10000019 * 10000079: both factors lie beyond trial division
@@ -238,6 +243,10 @@ def test_quadratic_sqrt():
         "json-float",
         "json-bool",
         "mixed-fields",
+        "shift-mixed-fields-constant",
+        "shift-mixed-fields-zero-entry",
+        "shift-float",
+        "shift-bool-zero-polynomial",
         "polynomial-negative",
         "sqrt-zero",
         "factorize",
@@ -377,7 +386,7 @@ def _types(cs):
 @settings(max_examples=300, deadline=None)
 def test_taylor_shift_matches_compose_value_and_type(case):
     coeffs, a = case
-    got, want = taylor_shift(coeffs, a), _compose_shift(coeffs, a)
+    got, want = list(Polynomial(coeffs).shift(a).coeffs), _compose_shift(coeffs, a)
     assert got == want
     assert _types(got) == _types(want)
 
@@ -392,51 +401,30 @@ def test_taylor_shift_matches_compose_value_and_type(case):
     ],
 )
 def test_taylor_shift_types_through_cancellation(coeffs, a):
-    got, want = taylor_shift(coeffs, a), _compose_shift(coeffs, a)
+    got, want = list(Polynomial(coeffs).shift(a).coeffs), _compose_shift(coeffs, a)
     assert got == want
     assert _types(got) == _types(want)
 
 
-@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(-5, 5), st.integers(0, 9))
+@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(-5, 5))
 @settings(max_examples=200, deadline=None)
-def test_taylor_shift_keeps_integers_integral(coeffs, a, terms):
-    got = taylor_shift(coeffs, a, terms)
-    assert got == _compose_shift(coeffs, a)[:terms]
+def test_taylor_shift_keeps_integers_integral(coeffs, a):
+    got = taylor_shift(coeffs, a)
+    assert got == _compose_shift(coeffs, a)
     assert all(type(c) is int for c in got)
 
 
-def _pair(x):
-    return (x.a, x.b, True) if isinstance(x, QuadraticNumber) else (Fraction(x), Fraction(0), False)
-
-
-@given(shift_cases, st.integers(1, 9), st.integers(1, 6))
+@given(st.lists(quadratic_scalars(), max_size=7), quadratic_scalars(), st.sampled_from(["Fraction", "int", "scalar"]))
 @settings(max_examples=300, deadline=None)
-def test_quadratic_taylor_shift_matches_taylor_shift(case, terms, q):
-    # the pair shift stands for taylor_shift on the same scalars scaled by q:
-    # equal values up to that scale, and a tag exactly on each QuadraticNumber
-    coeffs, a = case
-    d = next((c.d for c in coeffs + [a] if isinstance(c, QuadraticNumber)), -3)
-    pairs = [_pair(c) for c in coeffs]
-    den = q * math.lcm(*(x.denominator for p in pairs + [_pair(a)] for x in p[:2]))
-    A = [int(x * den) for x, _y, _t in pairs]
-    B = [int(y * den) for _x, y, _t in pairs]
-    u, v, tagged = _pair(a)
-    ca, cb, ct = quadratic_taylor_shift(A, B, [t for *_xy, t in pairs], int(u * den), int(v * den), tagged, d, terms)
-    want = taylor_shift(coeffs, a * den, terms)
-    assert len(ca) == len(want)
-    for x, y, t, w in zip(ca, cb, ct, want):
-        assert QuadraticNumber(x, y, d) == w * den
-        if w:
-            assert t is isinstance(w, QuadraticNumber)
-
-
-@given(shift_cases, st.integers(0, 9))
-@settings(max_examples=200, deadline=None)
-def test_taylor_shift_truncates_to_a_prefix(case, terms):
-    coeffs, a = case
-    full, part = taylor_shift(coeffs, a), taylor_shift(coeffs, a, terms)
-    assert part == full[:terms]
-    assert _types(part) == _types(full[:terms])
+def test_polynomial_shift_matches_the_scalar_horner(coeffs, a, kind):
+    # integer rows and pairs with tags give the values and types of Horner's
+    # rule on the scalars: zero entries, rational and quadratic shifts, the
+    # zero polynomial
+    a = {"Fraction": scalar_sort_key(a)[0], "int": int(scalar_sort_key(a)[0]), "scalar": a}[kind]
+    p = Polynomial(coeffs)
+    got, want = p.shift(a).coeffs, Polynomial(scalar_taylor_shift(p.coeffs, a)).coeffs
+    assert got == want
+    assert _types(got) == _types(want)
 
 
 @given(shift_cases)
@@ -459,7 +447,7 @@ def test_taylor_shift_matches_sympy(coeffs, a):
     want = [Fraction(int(c.p), int(c.q)) for c in reversed(shifted)]
     while want and not want[-1]:
         want.pop()
-    got = taylor_shift(coeffs, a)
+    got = list(Polynomial(coeffs).shift(a).coeffs)
     assert got == want
     assert all(type(c) is Fraction for c in got)
 

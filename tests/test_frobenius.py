@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
-from picardfuchs import optheta
-from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
+from picardfuchs import arith, optheta
+from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar, exponent_parts, integer_polys, scalar_field
 from picardfuchs.errors import (
     FrobeniusInvariant,
     IrrationalExponent,
@@ -33,15 +33,12 @@ from picardfuchs.frobenius import (
 )
 from picardfuchs.optheta import (
     apply_to_series,
-    exponent_parts,
     exponents_at,
     indicial_roots,
-    integer_polys,
     local_indicial,
     local_operator,
     residual_order,
     riemann_symbol,
-    scalar_field,
     singular_points,
     translate,
 )
@@ -611,10 +608,9 @@ def test_integer_path_errors_under_optimize(run_optimized):
     code = (
         "from fractions import Fraction\n"
         "from picardfuchs import SingularPoint, ThetaOperator, local_basis\n"
-        "from picardfuchs.arith import Polynomial, QuadraticNumber\n"
+        "from picardfuchs.arith import Polynomial, QuadraticNumber, integer_polys\n"
         "from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow\n"
         "from picardfuchs.frobenius import _class_solutions, _integer_recurrence\n"
-        "from picardfuchs.optheta import integer_polys\n"
         "def op(*polys):\n"
         "    return ThetaOperator.from_theta_polys([Polynomial([Fraction(c) for c in p]) for p in polys])\n"
         "Q = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
@@ -689,8 +685,8 @@ def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point, N):
     entries = _table_entries(basis.local_op)
     shifts = []
     for name in ("taylor_shift", "quadratic_taylor_shift"):
-        inner = getattr(optheta, name)
-        monkeypatch.setattr(optheta, name, lambda *args, inner=inner: shifts.append(args) or inner(*args))
+        inner = getattr(arith, name)
+        monkeypatch.setattr(arith, name, lambda *args, inner=inner: shifts.append(args) or inner(*args))
     orders = [annihilation_order(op, point, sol) for sol in basis]
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
     assert shifts == []

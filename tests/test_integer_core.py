@@ -35,6 +35,7 @@ from canonical_reference import (
     reference_normalized,
     reference_theta_from_d,
 )
+from scalar_reference import taylor_shift as scalar_taylor_shift
 from shapes import fuchsian_shapes, quadratic_maps, quadratic_scalars, quadratic_shapes, rational_maps
 
 sympy = pytest.importorskip("sympy")
@@ -354,16 +355,42 @@ def test_rational_exponents_stay_on_the_integer_path(monkeypatch):
     # optheta and transform bind poly_gcd by name
     for module in (arith, optheta, transform):
         monkeypatch.setattr(module, "poly_gcd", forbidden)
-    # the Q(sqrt -3) points of 266/273 keep the Polynomial multiplicity loop
-    points = [
-        (rec.operator, pt)
-        for _aid, rec in sorted(CATALOG.items())
-        for pt in optheta.singular_points(rec.operator)
-        if pt.is_infinite or type(pt.value) is Fraction
-    ]
-    assert len(points) == 109
+    # the Q(sqrt -3) points of 266/273 too: their root multiplicities come from one shift
+    points = [(rec.operator, pt) for _aid, rec in sorted(CATALOG.items()) for pt in optheta.singular_points(rec.operator)]
+    assert len(points) == 113
     for op, pt in points:
         assert len(optheta.exponents_at(op, pt)) == op.order, pt
     with pytest.raises(UnresolvedFactor) as got:
         arith.roots_in_quadratic_closure(Polynomial([-1, 2]) * Polynomial([-2, 0, 0, 1]) * Polynomial([1, 0, 1]))
     assert got.value.factor == Polynomial([-2, 0, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# Polynomial.shift over Q(sqrt d) runs on integer pairs: no QuadraticNumber sum or product
+
+
+def _without_quadratic_arithmetic(f):
+    def forbidden(*args):
+        raise AssertionError("QuadraticNumber arithmetic reached")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            patch.setattr(QuadraticNumber, name, forbidden)
+        return f()
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(quadratic_scalars(), max_size=6), a=quadratic_scalars())
+def test_quadratic_shifts_stay_on_the_integer_path(coeffs, a):
+    p = Polynomial(coeffs)
+    got = _without_quadratic_arithmetic(lambda: p.shift(a))
+    assert DOperator([got]).to_json() == DOperator([Polynomial(scalar_taylor_shift(p.coeffs, a))]).to_json()
+
+
+def test_translation_of_266_to_its_quadratic_point_stays_on_the_integer_path():
+    op, point = CATALOG[266].operator, QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3)
+    dop = d_from_theta(op)
+    got = _without_quadratic_arithmetic(lambda: [c.shift(point) for c in dop.d_coeffs])
+    want = DOperator([Polynomial(scalar_taylor_shift(c.coeffs, point)) for c in dop.d_coeffs])
+    assert DOperator(got).to_json() == want.to_json()
+    assert _json(translate(op, point)) == _json(theta_from_d(want))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, local_basis, riemann_symbol, shift_exponents
-from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar, taylor_shift
+from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
 from picardfuchs.errors import IrregularSingularity, NotASingularCandidate, OrderZeroOperator, TruncationTooLow
 from picardfuchs.frobenius import annihilation_order
 from picardfuchs.optheta import (
@@ -129,7 +129,7 @@ def test_jet_tables_are_taylor_shifts_along_the_progression(coeffs, q, requests)
             (table,) = jet_tables([(tuple(coeffs), None, None)], u, q, K, memo=m)
             assert len(table) == K + 1
             for k, jet in enumerate(table):
-                assert jet == ([c * q**j for j, c in enumerate(taylor_shift(coeffs, u + k * q))], None, None)
+                assert jet == ([c * q**j for j, c in enumerate(ref.taylor_shift(coeffs, u + k * q))], None, None)
         # one table per residue, kept from the lowest u asked for
         assert sorted(base % q for base, _table in memo.values()) == sorted({x % q for x, _K in requests[: n + 1]})
         for base, _table in memo.values():
