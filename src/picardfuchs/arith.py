@@ -27,6 +27,7 @@ from .errors import (
     InvalidPower,
     MixedFields,
     NonPositiveInteger,
+    NonrationalScalar,
     TruncationTooLow,
     UnresolvedFactor,
     ZeroPolynomial,
@@ -131,15 +132,15 @@ def rational_sqrt(q):
 # quadratic field elements
 
 
-def _is_squarefree(n, bound=100_000):
-    """Whether n != 0 has no square factor, or None when trial division up to `bound` cannot tell.
+def _is_squarefree(n):
+    """Whether n != 0 has no square factor, or None when trial division up to 10^5 cannot tell.
 
     Once no prime below p divides n and p^3 > n, n has at most two prime
     factors, so it has a square factor exactly when it is a square.
     """
     n, p = abs(n), 2
     while p * p * p <= n:
-        if p > bound:
+        if p > 100_000:
             if _is_probable_prime(n):
                 return True
             return False if math.isqrt(n) ** 2 == n else None
@@ -206,7 +207,7 @@ class QuadraticNumber(Immutable):
 
     Type rule: arithmetic with a QuadraticNumber operand returns a
     QuadraticNumber, also when its sqrt part is zero (`collapse` turns such
-    a value into a Fraction).  ROADMAP item 1 will change the rule, so that
+    a value into a Fraction).  ROADMAP item 4 will change the rule, so that
     a zero sqrt part always gives a Fraction.
     """
 
@@ -371,6 +372,19 @@ def as_scalar(x):
     if isinstance(x, (int, float)):
         return _exact_fraction(x)
     raise TypeError("unsupported scalar %r" % (x,))
+
+
+def _exact_rational(x, what):
+    """x as a Fraction when it is rational: the reader of every scalar that must be rational.
+
+    Ints, Fractions and QuadraticNumbers with zero sqrt part are rational; a
+    float or a bool raises InexactScalar (as_scalar) and a quadratic
+    irrational NonrationalScalar naming `what`.
+    """
+    x = collapse(as_scalar(x))
+    if type(x) is QuadraticNumber:
+        raise NonrationalScalar("%s must be rational, got %s" % (what, x))
+    return x
 
 
 def collapse(x):
@@ -567,20 +581,19 @@ class Polynomial(Immutable):
 
         For a = (u + v sqrt d)/q and P(x) = E p(x/q) with integer (pair)
         coefficients (integer_polys), p(t + a) = P(qt + u + v sqrt d) / E
-        (integer_shift).  Over Q(sqrt d) a coefficient is a QuadraticNumber
-        exactly when its quadratic_taylor_shift tag is set.  Two field tags
-        among the coefficients and a raise MixedFields, and a float or a bool
-        shift raises InexactScalar, at every degree.
+        (integer_shift), read out by tagged_scalar over Q(sqrt d).  Two
+        field tags among the coefficients and a raise MixedFields, and a float
+        or a bool shift raises InexactScalar, at every degree.
         """
         d = scalar_field(self.coeffs + (a,))
         q, u, v, tagged = exponent_parts(as_scalar(a))
         if not self.coeffs:
             return self
-        A, B, tags = integer_shift(integer_polys([self], q, d)[0], u, q, d, v, tagged)
-        E = math.lcm(*(x.denominator for c in self.coeffs for x in _scalar_parts(c))) * q**self.degree
+        (P,), E = integer_polys([self], q, d)
+        A, B, tags = integer_shift(P, u, q, d, v, tagged)
         if d is None:
             return Polynomial([Fraction(x, E) for x in A])
-        return Polynomial([_quadratic(Fraction(x, E), Fraction(y, E), d) if t else Fraction(x, E) for x, y, t in zip(A, B, tags)])
+        return Polynomial([tagged_scalar(x, y, E, t, d) for x, y, t in zip(A, B, tags)])
 
     def monic(self):
         if self.is_zero:
@@ -651,6 +664,12 @@ def quadratic_taylor_shift(A, B, tags, u, v, tagged, d):
     return oa, ob, ot
 
 
+def tagged_scalar(x, y, den, tag, d):
+    """(x + y sqrt d)/den as a scalar, a QuadraticNumber exactly when `tag` is set: the one read-out of tagged integers."""
+    a = Fraction(x, den)
+    return _quadratic(a, Fraction(y, den), d) if tag else a
+
+
 def integer_shift(poly, x, q, d=None, v=0, tagged=False):
     """C(qt + x + v sqrt d) for C = poly, an (A, B, tags) of integer_polys: its Taylor shift, coefficient j times q^j.
 
@@ -689,35 +708,26 @@ def _scalar_parts(x):
 
 def exponent_parts(alpha):
     """(q, u, v, tagged): alpha = (u + v sqrt d)/q with q >= 1, and whether alpha is a QuadraticNumber."""
-    a, b = _scalar_parts(alpha)
-    q = math.lcm(Fraction(a).denominator, Fraction(b).denominator)
-    return q, int(a * q), int(b * q), type(alpha) is QuadraticNumber
+    ((u, v),), q = integer_rows([_scalar_parts(alpha)])
+    return q, u, v, type(alpha) is QuadraticNumber
 
 
 def integer_polys(polys, q, d=None):
-    """Q with Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), for one common E > 0.
+    """(Q, E): Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), for one common E > 0.
 
-    Over Q (d None) A is the tuple of integer coefficients and B, tags are
-    None.  Over Q(sqrt d) coefficient k is A[k] + B[k] sqrt(d), and tags[k] says
-    whether P_i's coefficient is a QuadraticNumber.  For an integer q >= 1,
-    E = lcm(denominators of every coefficient part) * q^n with n the largest
-    degree.  Then E * P_i(t + w/q) is integer_shift(Q_i, w, q), and the jets
-    E * P_i(x/q + eps) of optheta.jet_tables are its values at t = x/q.  E
-    is not returned: the jet callers test or divide a sum of the Q_i, where a
-    common scale cancels.
+    The rows of integer_rows, coefficient k times q^(n - k) with n the
+    largest degree, so E = den * q^n: the one place of that scaling.  Over Q
+    (d None) A is a tuple and B, tags are None.  Then E * P_i(t + w/q) is
+    integer_shift(Q_i, w, q), and the jets E * P_i(x/q + eps) of
+    optheta.jet_tables are its values at t = x/q; the jet callers drop E,
+    as a common scale cancels in the sums they test or divide.
     """
-    n = max([0] + [p.degree for p in polys])
+    rows, den = integer_rows(polys, d)
+    n = max([1] + [len(r if d is None else r[0]) for r in rows]) - 1
+    qs = [q ** (n - k) for k in range(n + 1)]
     if d is None:
-        return [(tuple(c * q ** (n - k) for k, c in enumerate(row)), None, None) for row in integer_rows(polys)[0]]
-    parts = [[_scalar_parts(c) for c in p.coeffs] for p in polys]
-    dens = math.lcm(*(x.denominator for cs in parts for ab in cs for x in ab))
-    Q = []
-    for p, cs in zip(polys, parts):
-        scale = [dens * q ** (n - k) for k in range(len(cs))]
-        A = [a.numerator * (s // a.denominator) for (a, _b), s in zip(cs, scale)]
-        B = [b.numerator * (s // b.denominator) for (_a, b), s in zip(cs, scale)]
-        Q.append((A, B, [type(c) is QuadraticNumber for c in p.coeffs]))
-    return Q
+        return [(tuple(c * s for c, s in zip(row, qs)), None, None) for row in rows], den * qs[0]
+    return [([c * s for c, s in zip(A, qs)], [c * s for c, s in zip(B, qs)], tags) for A, B, tags in rows], den * qs[0]
 
 
 def format_polynomial(p, var):
@@ -775,10 +785,23 @@ def _euclid_gcd(p, q):
 # of the Q(sqrt d) transforms, on Fractions and QuadraticNumbers
 
 
-def integer_rows(polys):
-    """(rows, den): rows[i] = den * polys[i] as integer lists, den the lcm of every denominator."""
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys], den
+def integer_rows(polys, d=None):
+    """(rows, den): rows[i] = den * polys[i] on integers, den the lcm of every denominator.
+
+    The one place where denominators are cleared.  Each of `polys` is a
+    Polynomial or a list of scalars.  Over Q (d None) a row is a list of
+    ints.  Over Q(sqrt d) it is (A, B, tags): den times coefficient k is
+    A[k] + B[k] sqrt d, and tags[k] says whether the coefficient is a
+    QuadraticNumber.  No field tag is read or checked here (scalar_field
+    does that).
+    """
+    if d is None:
+        den = math.lcm(*[c.denominator for p in polys for c in p])
+        return [[c.numerator * (den // c.denominator) for c in p] for p in polys], den
+    parts = [[_scalar_parts(c) for c in p] for p in polys]
+    den = math.lcm(*[x.denominator for cs in parts for ab in cs for x in ab])
+    A, B = ([[ab[i].numerator * (den // ab[i].denominator) for ab in cs] for cs in parts] for i in (0, 1))
+    return [(a, b, [type(c) is QuadraticNumber for c in p]) for a, b, p in zip(A, B, polys)], den
 
 
 def ztrim(a):

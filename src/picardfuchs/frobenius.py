@@ -43,9 +43,9 @@ a QuadraticNumber took part in computing it, where a coefficient that a zero
 test skips takes no part.  The Taylor shift's tags come from
 arith.quadratic_taylor_shift, which writes that rule for Horner's loop, a
 product position is tagged by the nonzero factors it adds, and a quotient
-coefficient is untagged when zero.  An output entry is a
-QuadraticNumber exactly when its tag is set; row 0 and every zero is a
-Fraction.
+coefficient is untagged when zero.  An output entry is read out by
+arith.tagged_scalar, a QuadraticNumber exactly when its tag is set; row 0
+and every zero is a Fraction.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .arith import (
     integer_polys,
     scalar_field,
     scalar_sort_key,
+    tagged_scalar,
 )
 from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern, ZeroSeries
 from .optheta import (
@@ -342,7 +343,7 @@ def _class_solutions(loc, cls, N, point):
         raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
     # the class roots differ by integers, so they share one denominator q
-    Q = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
     memo = jet_memo(loc)
     out = []
     for j, (lam, mult) in enumerate(cls):
@@ -358,18 +359,12 @@ def _class_solutions(loc, cls, N, point):
             if d is None:
                 table = [[Fraction(A[k - l] * scale, den * math.factorial(l)) for l in logs] for A, _B, _t, den in jets]
             else:
-                table = [[_quadratic_entry(jet, k - l, scale, math.factorial(l), d) for l in logs] for jet in jets]
+                table = [
+                    [tagged_scalar(A[k - l] * scale, B[k - l] * scale, den * math.factorial(l), tags[k - l], d) for l in logs]
+                    for A, B, tags, den in jets
+                ]
             out.append(GeneralizedSeries(point, lam, table, N))
     return out
-
-
-def _quadratic_entry(jet, k, num, den, d):
-    """num/den times coefficient k of a jet over Z[sqrt d]: a QuadraticNumber exactly when its tag is set."""
-    A, B, tags, D = jet
-    a = Fraction(A[k] * num, D * den)
-    if tags[k]:
-        return QuadraticNumber(a, Fraction(B[k] * num, D * den), d)
-    return a
 
 
 def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
@@ -408,9 +403,9 @@ def annihilation_order(op, point, sol):
     return residual_order(loc, sol.alpha, sol.table, sol.truncation - loc.r)
 
 
-def has_logarithms(op, point, N=None):
+def has_logarithms(op, point):
     """Exact logarithm test at a candidate point."""
-    return local_basis(op, point, N).has_logarithms()
+    return local_basis(op, point).has_logarithms()
 
 
 # ---------------------------------------------------------------------------

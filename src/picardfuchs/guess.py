@@ -27,15 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Immutable, Polynomial, PowerSeries, QuadraticNumber, _exact_int, as_scalar, collapse
-from .errors import (
-    InconsistentRecurrence,
-    InsufficientTerms,
-    InvalidGuessBox,
-    NonrationalScalar,
-    RecurrenceObstruction,
-    ZeroSeries,
-)
+from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, integer_rows
+from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, RecurrenceObstruction, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
 
@@ -102,19 +95,6 @@ def _first_dependent_degree(residues, n, max_degree):
     return None
 
 
-def _rational(c):
-    """A series coefficient as a Fraction.
-
-    Ints, Fractions and QuadraticNumbers with zero sqrt part are rational; a
-    float or a bool raises InexactScalar (as_scalar) and a quadratic
-    irrational NonrationalScalar.
-    """
-    x = collapse(as_scalar(c))
-    if isinstance(x, QuadraticNumber):
-        raise NonrationalScalar("a series coefficient must be rational, got %s" % (x,))
-    return x
-
-
 def _primitive(row):
     g = math.gcd(*row)
     return [v // g for v in row] if g > 1 else row
@@ -163,7 +143,7 @@ def guess_operator(coeffs, config):
     t-degree 0..max_degree in that order and verifies every candidate against
     the complete input before returning it.
     """
-    series = [_rational(c) for c in coeffs]
+    series = [_exact_rational(c, "a series coefficient") for c in coeffs]
     if len(series) < config.required_terms():
         raise InsufficientTerms(
             "%d terms given, %d required for a (%d, %d) box with margin %d"
@@ -173,11 +153,8 @@ def guess_operator(coeffs, config):
         raise ZeroSeries("the zero series is annihilated by every operator")
     y = PowerSeries(series, len(series) - 1)
     # cleared table: blocks[k] = [N_k k^j for j = 0..max_order], N_k = D A_k
-    D = math.lcm(*(a.denominator for a in series))
-    blocks = []
-    for k, a in enumerate(series):
-        nk = a.numerator * (D // a.denominator)
-        blocks.append([nk * k**j for j in range(config.max_order + 1)])
+    (cleared,), _D = integer_rows([series])
+    blocks = [[nk * k**j for j in range(config.max_order + 1)] for k, nk in enumerate(cleared)]
     residues = [[x % _PRIME for x in block] for block in blocks]
     for n in range(1, config.max_order + 1):
         first = _first_dependent_degree(residues, n, config.max_degree)
@@ -214,7 +191,7 @@ class Recurrence(Immutable):
 
     def extend(self, initial, upto):
         """Continue the series to index `upto` from enough initial terms."""
-        vals = [_rational(c) for c in initial]
+        vals = [_exact_rational(c, "a series coefficient") for c in initial]
         r = self.op.r
         if len(vals) <= r:
             raise InsufficientTerms("%d initial terms given, more than the t-degree %d required" % (len(vals), r))

@@ -23,7 +23,7 @@ from itertools import chain, groupby
 from .arith import (
     Immutable,
     Polynomial,
-    _scalar_parts,
+    QuadraticNumber,
     as_scalar,
     collapse,
     conjugate_scalar,
@@ -136,11 +136,15 @@ def falling_factorial(j):
 
 def _clear_content(polys):
     """Scale a list of polynomials to integer content 1 with positive leading data."""
-    parts = [x for p in polys for c in p for x in _scalar_parts(c) if x]
-    if not parts:
+    # any field tag found asks integer_rows for parts; none is checked here,
+    # so MixedFields is raised where the fields meet, not on loading
+    d = next((c.d for p in polys for c in p if type(c) is QuadraticNumber), None)
+    rows, den = integer_rows(polys, d)
+    parts = rows if d is None else [part for A, B, _tags in rows for part in (A, B)]
+    g = math.gcd(*chain.from_iterable(parts))
+    if not g:
         return list(polys)
-    lcm = math.lcm(*(x.denominator for x in parts))
-    scale = Fraction(lcm, math.gcd(*(x.numerator * (lcm // x.denominator) for x in parts)))
+    scale = Fraction(den, g)
     if scalar_sign(next(p.lead for p in polys if not p.is_zero)) < 0:
         scale = -scale
     return [p * scale for p in polys]
@@ -427,8 +431,7 @@ def theta_from_rows(rows):
 
 def shift_rows(rows, a):
     """q^m c(t + a) for each integer row c, a = u/q and m the top degree: integer_shift of C(x) = q^m c(x/q) at u."""
-    q, m = a.denominator, max(map(len, rows), default=0) - 1
-    return [integer_shift(([x * q ** (m - k) for k, x in enumerate(c)], None, None), a.numerator, q)[0] for c in rows]
+    return [integer_shift(C, a.numerator, a.denominator)[0] for C in integer_polys(rows, a.denominator)[0]]
 
 
 def jet_tables(Q, u, q, K, d=None, v=0, tagged=False, memo=None):
@@ -529,7 +532,7 @@ def residual_order(op, alpha, table, upto):
     T = max((len(row) for row in table), default=1)
     d = scalar_field(chain([alpha], operator_scalars(op), (c for row in table for c in row)))
     q, u0, v0, tagged = exponent_parts(alpha)
-    Q = integer_polys(op.theta_coeffs, q, d)
+    Q, _E = integer_polys(op.theta_coeffs, q, d)
     P = jet_tables(Q, u0, q, upto, d, v0, tagged, jet_memo(op))
     rows = [_row_jet(row, T, d) for row in table]
     for m in range(upto + 1):
@@ -547,14 +550,11 @@ def _row_jet(row, T, d):
     """The jet (A, B, tags, den) of a table row, coefficient T-1-l holding entry l times l!; None for a zero row."""
     if not any(row):
         return None
-    parts = [_scalar_parts(c) for c in row]
-    den = math.lcm(*(x.denominator for ab in parts for x in ab))
+    (parts,), den = integer_rows([row], d)
     A, B, tags = zero_jet(T, d)
-    for l, (a, b) in enumerate(parts):
-        f = math.factorial(l)
-        A[T - 1 - l] = a.numerator * (den // a.denominator) * f
-        if B is not None:
-            B[T - 1 - l] = b.numerator * (den // b.denominator) * f
+    for src, out in ((parts, A),) if d is None else zip(parts, (A, B)):
+        for l, c in enumerate(src):
+            out[T - 1 - l] = c * math.factorial(l)
     return A, B, tags, den
 
 

@@ -36,8 +36,8 @@ from .arith import (
     QuadraticNumber,
     _exact_fraction,
     _exact_int,
-    as_scalar,
-    collapse,
+    _exact_rational,
+    integer_rows,
     quadratic_sqrt,
     scalar_to_json,
 )
@@ -78,8 +78,7 @@ class TetraForm(Immutable):
             key = tuple(_exact_int(e, InvalidTetraForm, "an exponent") for e in key)
             if len(key) != 4 or min(key) < 0:
                 raise InvalidTetraForm("term %s needs four nonnegative exponents (x, y, z, t)" % (key,))
-            cval = Fraction(collapse(as_scalar(cval)))
-            tidy[key] = tidy.get(key, Fraction(0)) + cval
+            tidy[key] = tidy.get(key, Fraction(0)) + _exact_rational(cval, "a tetra-form coefficient")
         if _exact_int(truncation, InvalidTetraForm, "truncation") < 0:
             raise InvalidTetraForm("truncation must be nonnegative, got %d" % truncation)
         object.__setattr__(self, "terms", {k: v for k, v in tidy.items() if v})
@@ -89,7 +88,7 @@ class TetraForm(Immutable):
         return self.terms.get((0, 0, 0, 0), Fraction(0))
 
     def scaled(self, c):
-        c = Fraction(c)
+        c = _exact_rational(c, "a tetra-form scale")
         return TetraForm({k: v * c for k, v in self.terms.items()}, self.truncation)
 
     def with_truncation(self, n):
@@ -102,15 +101,15 @@ class TetraForm(Immutable):
     @classmethod
     def from_planes(cls, planes, scale=1, truncation=40):
         """Product of affine-linear factors (c1, cx, cy, cz, ct) times a constant."""
-        prod = {(0, 0, 0, 0): Fraction(scale)}
+        prod = {(0, 0, 0, 0): _exact_rational(scale, "a tetra-form scale")}
         basis = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         for plane in planes:
             if len(plane) != 5:
                 raise InvalidTetraForm("plane %s needs five coefficients (c1, cx, cy, cz, ct)" % (plane,))
+            plane = [_exact_rational(pc, "a plane coefficient") for pc in plane]
             nxt = {}
             for key, cval in prod.items():
                 for shift, pc in zip(basis, plane):
-                    pc = Fraction(pc)
                     if not pc:
                         continue
                     nk = tuple(k + s for k, s in zip(key, shift))
@@ -155,7 +154,7 @@ class PeriodSeries(Immutable):
 
     def __init__(self, coeffs, unit=Fraction(1), conditions=()):
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(collapse(as_scalar(c))) for c in coeffs)
+            self, "coeffs", tuple(_exact_rational(c, "a period coefficient") for c in coeffs)
         )
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "conditions", tuple(conditions))
@@ -192,9 +191,9 @@ def conifold_expand(f):
         j = ex + ey + ez + et
         if 0 < j <= N:
             pieces.setdefault(j, []).append(((ex * B + ey) * B + ez, cval / lead))
-    L = math.lcm(*(u.denominator for terms in pieces.values() for _key, u in terms))
     grades = sorted(pieces)
-    packed = {j: [(key, u.numerator * (L // u.denominator)) for key, u in pieces[j]] for j in grades}
+    rows, L = integer_rows([[u for _key, u in pieces[j]] for j in grades])
+    packed = {j: [(key, U) for (key, _u), U in zip(pieces[j], row)] for j, row in zip(grades, rows)}
     scale = {j: 2 ** (2 * j - 1) * L ** (j - 1) for j in grades}
     R = [{0: 1}]
     for m in range(1, N + 1):

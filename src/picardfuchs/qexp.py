@@ -17,9 +17,7 @@ where no form vanishes, signed by the parity of the non-residue factors.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .arith import Immutable, QuadraticNumber, _exact_int, _is_probable_prime
+from .arith import Immutable, QuadraticNumber, _exact_int, _exact_rational, _is_probable_prime
 from .errors import (
     BadReduction,
     CoefficientOutOfRange,
@@ -336,7 +334,7 @@ def _quadratic_character_table(p):
 def _octic_terms(f8, p):
     """Reduce to a list of (coeff mod p, exponents); accepts monomial dicts or 8 linear forms."""
     def redc(c):
-        c = Fraction(c)
+        c = _exact_rational(c, "an octic coefficient")
         den = c.denominator % p
         if den == 0:
             raise BadReduction("coefficient %s has bad reduction mod %d" % (c, p))

@@ -19,7 +19,6 @@ that input scaling and that tail; the expansion is one body.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -62,7 +61,6 @@ from .optheta import (
     d_from_theta,
     d_from_theta_rows,
     over_q,
-    shift_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -245,10 +243,12 @@ def mobius(op, m):
 
 
 def translate_to_origin(op, a):
-    """Substitute t = s + a, moving the point a to 0, in strong canonical form."""
+    """Substitute t = s + a, moving the point a to 0, in strong canonical form: over Q the Mobius translation."""
+    # over Q(sqrt d) the pullback's list arithmetic would type some zero
+    # sqrt parts differently from the Taylor shift of each coefficient
     a = collapse(a)
     if over_q(op, [a]):
-        return canonical_from_rows(shift_rows(d_from_theta_rows(integer_rows(op.theta_coeffs)[0]), a))
+        return mobius(op, MobiusMap.translation(a))
     return canonical_from_d([c.shift(a) for c in d_from_theta(op).d_coeffs])
 
 
@@ -305,16 +305,17 @@ def shift_exponents(op, shifts):
 
     D becomes D - sum eps/(t - a) = (L*D + G)/L with L = prod (t - a) and
     G = -sum eps * L/(t - a).  Over Q, with a = u/q, L and G are taken times
-    E * prod q, E the lcm of the eps denominators: L as E * prod (q t - u).
+    E * prod q, E the lcm of the eps denominators (integer_rows): L as
+    E * prod (q t - u).
     """
     if not isinstance(shifts, ShiftAssignment):
         shifts = ShiftAssignment(shifts)
     if over_q(op, chain(*shifts.items)):
-        scale = math.lcm(*(eps.denominator for _a, eps in shifts.items))
+        (eps_row,), scale = integer_rows([[eps for _a, eps in shifts.items]])
         lines = [[-a.numerator, a.denominator] for a, _eps in shifts.items]
         ell = reduce(zmul, lines, [1])
         terms = [
-            [-int(eps * scale) * a.denominator * c for c in zquo(ell, line)] for (a, eps), line in zip(shifts.items, lines)
+            [-e * a.denominator * c for c in zquo(ell, line)] for (a, _eps), e, line in zip(shifts.items, eps_row, lines)
         ]
         ell = [scale * c for c in ell]
         rows = d_from_theta_rows(integer_rows(op.theta_coeffs)[0])

@@ -461,7 +461,7 @@ def test_poly_gcd_is_monic():
 
 @given(st.lists(small_rationals, min_size=1, max_size=3), st.lists(small_rationals, min_size=2, max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_squarefree_factor_reassembles(pc, qc):
+def test_zsquarefree_reassembles(pc, qc):
     p, q = Polynomial(pc), Polynomial(qc)
     if p.is_zero or q.is_zero or q.degree < 1:
         return

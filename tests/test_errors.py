@@ -10,11 +10,17 @@ from picardfuchs import errors
 
 _IMPORTS = (
     "import json\n"
+    "from picardfuchs.arith import QuadraticNumber\n"
     "from picardfuchs.catalog import dump_catalog, load_catalog\n"
     "from picardfuchs.frobenius import GeneralizedSeries\n"
     "from picardfuchs.optheta import SingularPoint, ThetaOperator\n"
+    "from picardfuchs.period import PeriodSeries, TetraForm\n"
+    "from picardfuchs.qexp import count_double_octic\n"
+    "SURD = QuadraticNumber(1, 1, 2)\n"
+    "PLANES = [(1, 0, 0, 0)] * 7\n"
 )
-# (expression, error class, message) of the checks that once raised a bare ValueError
+# (expression, error class, message) of the checks that once raised a bare
+# ValueError or a builtins TypeError, or read a float or a bool as a number
 TYPED_CHECKS = [
     ("GeneralizedSeries(SingularPoint(0), 0, [[0], [0]], 1).leading", "ZeroSeries", "zero generalized series"),
     (
@@ -27,6 +33,17 @@ TYPED_CHECKS = [
         "CatalogVersionMismatch",
         "catalog version 0, expected 1",
     ),
+    ("count_double_octic([(True, 0, 0, 0)] + PLANES, 7)", "InexactScalar", "a scalar must be exact, not the bool True"),
+    ("count_double_octic({(8, 0, 0, 0): 0.1}, 7)", "InexactScalar", "a scalar must be exact, not the float 0.1"),
+    ("TetraForm.from_planes([(1, 1, 0, 0, 0)], scale=0.5)", "InexactScalar", "a scalar must be exact, not the float 0.5"),
+    ("TetraForm.one().scaled(0.5)", "InexactScalar", "a scalar must be exact, not the float 0.5"),
+    ("TetraForm({(0, 0, 0, 0): SURD})", "NonrationalScalar", "a tetra-form coefficient must be rational, got 1+sqrt(2)"),
+    ("TetraForm.one().scaled(SURD)", "NonrationalScalar", "a tetra-form scale must be rational, got 1+sqrt(2)"),
+    ("TetraForm.from_planes([(SURD, 1, 0, 0, 0)])", "NonrationalScalar", "a plane coefficient must be rational, got 1+sqrt(2)"),
+    ("TetraForm.from_planes([], scale=SURD)", "NonrationalScalar", "a tetra-form scale must be rational, got 1+sqrt(2)"),
+    ("count_double_octic({(8, 0, 0, 0): SURD}, 7)", "NonrationalScalar", "an octic coefficient must be rational, got 1+sqrt(2)"),
+    ("count_double_octic([(SURD, 0, 0, 0)] + PLANES, 7)", "NonrationalScalar", "an octic coefficient must be rational, got 1+sqrt(2)"),
+    ("PeriodSeries([1, SURD])", "NonrationalScalar", "a period coefficient must be rational, got 1+sqrt(2)"),
 ]
 
 
@@ -59,4 +76,28 @@ def test_package_has_no_assert_and_no_bare_value_error():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name) and exc.id == "ValueError":
                     found.append("%s:%d raise ValueError" % (path.name, node.lineno))
+    assert found == []
+
+
+def _lcm_of_denominators(source):
+    """Lines of the lcm calls in `source` that read a .denominator: a clearing of denominators."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "lcm" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "denominator" for arg in node.args for sub in ast.walk(arg))
+    ]
+
+
+def test_denominators_are_cleared_only_in_arith():
+    # arith.integer_rows is the one place that clears denominators; a copy of
+    # it elsewhere is found, in either spelling of lcm
+    assert _lcm_of_denominators("D = math.lcm(*(a.denominator for a in series))\nE = lcm(x.denominator, 2)\n") == [1, 2]
+    found = [
+        "%s:%d" % (path.name, line)
+        for path in sorted(Path(picardfuchs.__file__).parent.glob("*.py"))
+        if path.name != "arith.py"
+        for line in _lcm_of_denominators(path.read_text())
+    ]
     assert found == []

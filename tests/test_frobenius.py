@@ -451,7 +451,7 @@ def test_quadratic_path_matches_scalar_path_on_266(point, N):
 def _root_jets(loc, cls, N):
     """(lam, mult, above, the root's jets and lost precision at T = mult + 2 above, at T = 2M) per root of a class."""
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
-    Q = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
     M = sum(m for _r, m in cls)
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
@@ -572,7 +572,7 @@ _EXHAUSTED_SURD = ThetaOperator([P(0, 2, -3, 1) * QuadraticNumber(1, 1, 2)])
 
 
 def _raises_on_a_failed_obstruction(op, d):
-    Q = integer_polys(op.theta_coeffs, 1, d)
+    Q, _E = integer_polys(op.theta_coeffs, 1, d)
     with pytest.raises(FrobeniusInvariant, match="obstruction failed at offset 1") as got:
         _integer_recurrence(Q, Fraction(0), 2, 2, 0, d)
     with pytest.raises(FrobeniusInvariant) as want:
@@ -613,9 +613,9 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "from picardfuchs.frobenius import _class_solutions, _integer_recurrence\n"
         "def op(*polys):\n"
         "    return ThetaOperator.from_theta_polys([Polynomial([Fraction(c) for c in p]) for p in polys])\n"
-        "Q = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
+        "Q, _E = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
         "surd = QuadraticNumber(1, 1, -3)\n"
-        "Qs = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
+        "Qs, _E = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
         "exhausted = ThetaOperator([Polynomial([0, 2, -3, 1]) * QuadraticNumber(1, 1, 2)])\n"
         "cases = [\n"
         "    lambda: _integer_recurrence(Q, Fraction(0), 2, 2, 0),\n"

@@ -72,7 +72,7 @@ def test_poly_gcd_matches_sympy(a, b, common):
 
 @settings(max_examples=60, deadline=None)
 @given(p=_products())
-def test_squarefree_factor_matches_sympy(p):
+def test_zsquarefree_matches_sympy(p):
     got = {}
     (row,), _ = integer_rows([p])
     for factor, mult in zsquarefree(zprimitive(row)):
