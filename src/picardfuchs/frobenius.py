@@ -26,14 +26,14 @@ is Z[sqrt d] when a QuadraticNumber tagged d is among the local operator's
 coefficients or the class roots (arith.scalar_field).  A jet in
 K[eps]/(eps^T) is (A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den
 with one positive integer den, in lowest terms.  Over Q, B and tags are None
-and the loops are plain integer loops.  Each P_i is cleared once per class to
-an integer polynomial, its values at the integral points are read by index
-from one table of Taylor shifts (optheta.jet_tables), products are integer
-convolutions, and the division is a fraction-free triangular solve over Z
-followed by one gcd.  Over Z[sqrt d] the quotient is first multiplied
-through by the conjugate of the denominator jet, whose norm jet has integer
-coefficients, so the same solve runs on each part.  Scalars are built only
-for the output table.
+and the loops are plain integer loops.  Each P_i is cleared once per point
+and denominator to an integer polynomial (optheta.cleared_operator), its
+values at the integral points are read by index from one table of Taylor
+shifts (optheta.jet_tables), products are integer convolutions, and the
+division is a fraction-free triangular solve over Z followed by one gcd.
+Over Z[sqrt d] the quotient is first multiplied through by the conjugate of
+the denominator jet, whose norm jet has integer coefficients, so the same
+solve runs on each part.  Scalars are built only for the output table.
 
 Type rule.  The output must carry the scalar types that the same recurrence
 gives on Fraction and QuadraticNumber scalars, since a QuadraticNumber with
@@ -61,13 +61,13 @@ from .arith import (
     as_scalar,
     collapse,
     exponent_parts,
-    integer_polys,
     scalar_field,
     scalar_sort_key,
     tagged_scalar,
 )
 from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern, ZeroSeries
 from .optheta import (
+    cleared_operator,
     indicial_roots,
     jet_memo,
     jet_sum,
@@ -99,6 +99,8 @@ def _window(jet, start, T):
 def _int_jet_div(numer, den, scale, d=None):
     """(numer / scale) / den for integer jets with den[0] != 0, as (A, B, tags, D) in lowest terms.
 
+    numer has length T; den may be shorter, with zeros beyond its end.
+
     Fraction-free triangular solve: o_k = a_k h0^k - sum_j h_j o_(k-j) h0^(j-1)
     with h = den is h0^(k+1) times the k-th quotient coefficient, so the
     quotient is o_k h0^(T-1-k) over scale * h0^T.  Over Z[sqrt d] numerator
@@ -114,12 +116,12 @@ def _int_jet_div(numer, den, scale, d=None):
     """
     T = len(numer[0])
     if d is not None:
-        b, bb, bt = den
+        b, bb, bt = den = _window(den, 0, T)
         conj = (b, [-x for x in bb], bt)
         parts = jet_sum([(conj, numer + (1,))], 1, T, d)[:2]
         h = jet_sum([(conj, den + (1,))], 1, T, d)[0]
     else:
-        parts, h = numer[:1], den[0]
+        parts, h = numer[:1], den[0] + [0] * (T - len(den[0]))
     h0 = h[0]
     if not h0:
         raise FrobeniusInvariant("jet division by a non-unit")
@@ -155,9 +157,9 @@ _EXHAUSTED = "jet precision exhausted at exponent %s"
 
 
 def _cancel_resonance(numer, den, m, budget, lam, p0_zero):
-    """Strip the common eps-valuation mu of the integer jets numer and den at offset m.
+    """Strip the common eps-valuation mu >= 1 of the integer jets numer and den at a resonance m.
 
-    At a resonance the low mu coefficients of numer must vanish exactly (the
+    The low mu coefficients of numer must vanish exactly (the
     obstruction constant); the shift loses mu coefficients of precision.  A
     mu above `budget`, the precision lam can still lose, leaves too short a
     jet: the test would read coefficients of numer that are no longer exact,
@@ -171,11 +173,9 @@ def _cancel_resonance(numer, den, m, budget, lam, p0_zero):
         if p0_zero:
             raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
         raise FrobeniusInvariant(_EXHAUSTED % (lam,))
-    if mu:
-        if _jet_valuation(numer) < mu:
-            raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
-        numer, den = _window(numer, mu, len(den[0])), _window(den, mu, len(den[0]))
-    return numer, den, mu
+    if _jet_valuation(numer) < mu:
+        raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
+    return _window(numer, mu, len(den[0])), _window(den, mu, len(den[0])), mu
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def _class_solutions(loc, cls, N, point):
         raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
     # the class roots differ by integers, so they share one denominator q
-    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    Q = cleared_operator(loc, exponent_parts(cls[0][0])[0], d)
     memo = jet_memo(loc)
     out = []
     for j, (lam, mult) in enumerate(cls):
@@ -373,25 +373,28 @@ def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
     Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
     when d is given.  The common scale E of the Q_i cancels in the quotient,
     and the terms of the numerator are brought to the lcm of their jets'
-    denominators.  `memo` goes to jet_tables (see optheta.jet_memo): the
-    tables are read at k = 0 .. N, all that the annihilation checks read.
+    denominators.  A P_0 jet with a unit constant term is divided by as it
+    stands; only a resonance pads it and strips its valuation.  `memo` goes
+    to jet_tables (see optheta.jet_memo): the tables are read at k = 0 .. N,
+    all that the annihilation checks read.
     """
     q, u0, v0, tagged = exponent_parts(lam)
-    r = len(Q) - 1
     seed = zero_jet(T, d)
     seed[0][above] = 1
     jets = [seed + (1,)]
     lost = 0
     p0_zero = not any(Q[0][0]) and not any(Q[0][1] or ())
     P = jet_tables(Q, u0, q, N, d, v0, tagged, memo)
+    live = [i for i in range(1, len(Q)) if Q[i][0]]
     for m in range(1, N + 1):
-        terms = [i for i in range(1, min(r, m) + 1) if Q[i][0]]
+        terms = [i for i in live if i <= m]
         lcm = math.lcm(*(jets[m - i][3] for i in terms))
         numer = jet_sum([(P[i][m - i], jets[m - i]) for i in terms], lcm, T, d)
-        den = _window(P[0][m], 0, T)
-        # the seed's coefficient eps^above must stay exact
-        numer, den, mu = _cancel_resonance(numer, den, m, T - 1 - above - lost, lam, p0_zero)
-        lost += mu
+        den = P[0][m]
+        # at a resonance the seed's coefficient eps^above must stay exact
+        if not (den[0] and (den[0][0] or (d is not None and den[1][0]))):
+            numer, den, mu = _cancel_resonance(numer, _window(den, 0, T), m, T - 1 - above - lost, lam, p0_zero)
+            lost += mu
         # P_0 c_m = -sum_(i>=1) P_i c_(m-i): the sign goes into the scale
         jets.append(_int_jet_div(numer, den, -lcm, d))
     return jets, lost

@@ -483,79 +483,90 @@ def jet_sum(products, lcm, T, d):
 
     This is the one jet product: the Frobenius recurrence, its jet quotient
     over Z[sqrt d] and residual_order call it.  x is read up to T, c has
-    length T, and lcm is a multiple of every den.  A product position is
-    tagged when one of its nonzero factors is: the scalar loop adds every
-    product of two nonzero coefficients.
+    length T, lcm is a multiple of every den (1 for residual_order, whose
+    table is cleared once), and the loop runs over the nonzero entries of
+    c, the sparser factor.  A product position is tagged when one of its
+    nonzero factors is: the scalar loop adds every product of two nonzero
+    coefficients.
     """
     out = zero_jet(T, d)
     na, nb, nt = out
     for (xa, xb, xt), (ya, yb, yt, den) in products:
         f = lcm // den
         if d is None:
-            for a, xv in zip(range(T), xa):
-                if not xv:
-                    continue
-                xv *= f
-                for b in range(T - a):
-                    if ya[b]:
-                        na[a + b] += xv * ya[b]
+            for b, yv in enumerate(ya):
+                if yv:
+                    yv *= f
+                    k = b
+                    for xv in xa[: T - b]:
+                        if xv:
+                            na[k] += xv * yv
+                        k += 1
             continue
-        for a, pa, pb, pt in zip(range(T), xa, xb, xt):
-            if not (pa or pb):
+        for b, qa, qb, qt in zip(range(T), ya, yb, yt):
+            if not (qa or qb):
                 continue
-            pa *= f
-            pb *= f
-            dpb = d * pb
-            for b in range(T - a):
-                qa, qb = ya[b], yb[b]
-                if qa or qb:
-                    na[a + b] += pa * qa + dpb * qb
-                    nb[a + b] += pa * qb + pb * qa
-                    if pt or yt[b]:
-                        nt[a + b] = True
+            qa *= f
+            qb *= f
+            dqb = d * qb
+            k = b
+            for pa, pb, pt in zip(xa[: T - b], xb, xt):
+                if pa or pb:
+                    na[k] += pa * qa + pb * dqb
+                    nb[k] += pa * qb + pb * qa
+                    if pt or qt:
+                        nt[k] = True
+                k += 1
     return out
 
 
 def residual_order(op, alpha, table, upto):
     """The largest m <= upto through which a theta-form operator kills t^alpha * sum A[m][l] t^m log^l.
 
-    Returns -1 when residual row 0 is nonzero.  As P(theta) t^(alpha+eps) =
-    P(alpha+eps) t^(alpha+eps) and t^eps = sum_l eps^l log^l / l!, a row
-    sum_l c_l log^l is the eps^(T-1) coefficient of x(eps) t^eps for the jet
-    x with x[T-1-l] = c_l * l!, T the table width.  Residual row m is then
-    the eps^(T-1) coefficient of R_m(eps) t^eps with R_m = sum_i
-    P_i(alpha+m-i+eps) x_(m-i) mod eps^T, so it vanishes exactly when R_m
-    does.  R_m is a jet_sum over Z or Z[sqrt d] (see scalar_field) of
-    jet_tables entries and integer rows, times E and the lcm of the row
-    denominators it reads; zero rows and zero P_i are skipped.
+    Returns -1 when residual row 0 is nonzero, and raises TruncationTooLow
+    for upto < 0, a truncation below the operator's t-degree.  As P(theta)
+    t^(alpha+eps) = P(alpha+eps) t^(alpha+eps) and t^eps = sum_l eps^l
+    log^l / l!, a row sum_l c_l log^l is the eps^(T-1) coefficient of
+    x(eps) t^eps for the jet x with x[T-1-l] = c_l * l!, T the table width.
+    Residual row m is then the eps^(T-1) coefficient of R_m(eps) t^eps with
+    R_m = sum_i P_i(alpha+m-i+eps) x_(m-i) mod eps^T, so it vanishes exactly
+    when R_m does.  The table is cleared once, by one integer_rows call: every
+    row is multiplied by the same den > 0, which scales each R_m alike.  So
+    R_m is a jet_sum with scale 1 over Z or Z[sqrt d] (see scalar_field) of
+    jet_tables entries and integer row jets; zero rows and zero P_i are
+    skipped.
     """
+    if upto < 0:
+        raise TruncationTooLow("truncation %d below the operator's t-degree %d" % (upto + op.r, op.r))
     T = max((len(row) for row in table), default=1)
     d = scalar_field(chain([alpha], operator_scalars(op), (c for row in table for c in row)))
     q, u0, v0, tagged = exponent_parts(alpha)
-    Q, _E = integer_polys(op.theta_coeffs, q, d)
+    Q = cleared_operator(op, q, d)
     P = jet_tables(Q, u0, q, upto, d, v0, tagged, jet_memo(op))
-    rows = [_row_jet(row, T, d) for row in table]
+    jets = []
+    for row in integer_rows(table, d)[0]:
+        jet = zero_jet(T, d)
+        for part, out in zip([row] if d is None else row[:2], jet):
+            for l, c in enumerate(part):
+                out[T - 1 - l] = c * math.factorial(l)
+        jets.append(jet + (1,) if any(jet[0]) or (d is not None and any(jet[1])) else None)
+    live = [i for i in range(op.r + 1) if Q[i][0]]
     for m in range(upto + 1):
-        terms = [i for i in range(min(op.r, m) + 1) if m - i < len(rows) and rows[m - i] and Q[i][0]]
-        if not terms:
-            continue
-        lcm = math.lcm(*(rows[m - i][3] for i in terms))
-        A, B, _tags = jet_sum([(P[i][m - i], rows[m - i]) for i in terms], lcm, T, d)
-        if any(A) or (B is not None and any(B)):
-            return m - 1
+        terms = [(P[i][m - i], jets[m - i]) for i in live if 0 <= m - i < len(jets) and jets[m - i]]
+        if terms:
+            A, B, _tags = jet_sum(terms, 1, T, d)
+            if any(A) or (B is not None and any(B)):
+                return m - 1
     return upto
 
 
-def _row_jet(row, T, d):
-    """The jet (A, B, tags, den) of a table row, coefficient T-1-l holding entry l times l!; None for a zero row."""
-    if not any(row):
-        return None
-    (parts,), den = integer_rows([row], d)
-    A, B, tags = zero_jet(T, d)
-    for src, out in ((parts, A),) if d is None else zip(parts, (A, B)):
-        for l, c in enumerate(src):
-            out[T - 1 - l] = c * math.factorial(l)
-    return A, B, tags, den
+def cleared_operator(op, q, d=None):
+    """The Q of integer_polys(op.theta_coeffs, q, d), kept under (q, d) in op's jet_memo while it has one."""
+    memo = jet_memo(op)
+    memo = {} if memo is None else memo
+    if (q, d) not in memo:
+        memo[q, d] = integer_polys(op.theta_coeffs, q, d)[0]
+    return memo[q, d]
 
 
 def apply_to_series(op, y):
@@ -563,10 +574,7 @@ def apply_to_series(op, y):
 
     Full success is y.order - r, the truncation order of the image.
     """
-    n_out = y.order - op.r
-    if n_out < 0:
-        raise TruncationTooLow("series order %d below the operator's t-degree %d" % (y.order, op.r))
-    return residual_order(op, 0, [[c] for c in y.coeffs], n_out)
+    return residual_order(op, 0, [[c] for c in y.coeffs], y.order - op.r)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ _IMPORTS = (
     "import json\n"
     "from picardfuchs.arith import QuadraticNumber\n"
     "from picardfuchs.catalog import dump_catalog, load_catalog\n"
-    "from picardfuchs.frobenius import GeneralizedSeries\n"
+    "from picardfuchs.frobenius import GeneralizedSeries, annihilation_order\n"
     "from picardfuchs.optheta import SingularPoint, ThetaOperator\n"
     "from picardfuchs.period import PeriodSeries, TetraForm\n"
     "from picardfuchs.qexp import count_double_octic\n"
@@ -44,6 +44,12 @@ TYPED_CHECKS = [
     ("count_double_octic({(8, 0, 0, 0): SURD}, 7)", "NonrationalScalar", "an octic coefficient must be rational, got 1+sqrt(2)"),
     ("count_double_octic([(SURD, 0, 0, 0)] + PLANES, 7)", "NonrationalScalar", "an octic coefficient must be rational, got 1+sqrt(2)"),
     ("PeriodSeries([1, SURD])", "NonrationalScalar", "a period coefficient must be rational, got 1+sqrt(2)"),
+    (
+        "annihilation_order(ThetaOperator.from_json({'form': 'theta', 'coeffs': [['0', '0', '1'], ['1']]}),"
+        " SingularPoint(0), GeneralizedSeries(SingularPoint(0), 0, [[5]], 0))",
+        "TruncationTooLow",
+        "truncation 0 below the operator's t-degree 1",
+    ),
 ]
 
 

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from picardfuchs import CATALOG, INFINITY, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
+from picardfuchs import CATALOG, INFINITY, GuessConfig, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
 from picardfuchs import arith, optheta
-from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar, exponent_parts, integer_polys, scalar_field
+from picardfuchs.arith import (
+    Polynomial,
+    PowerSeries,
+    QuadraticNumber,
+    as_scalar,
+    exponent_parts,
+    integer_polys,
+    integer_rows,
+    scalar_field,
+)
 from picardfuchs.errors import (
     FrobeniusInvariant,
     IrrationalExponent,
@@ -667,8 +676,9 @@ def test_annihilation_over_a_basis_translates_once(monkeypatch):
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
 
 
-def _table_entries(loc):
-    return sum(len(table) for _base, table in optheta.jet_memo(loc).values())
+def _memo_entries(loc):
+    """Per jet memo key, the length of its jet table; None for a cleared operator, kept under (q, d)."""
+    return {key: len(entry[1]) if len(key) > 2 else None for key, entry in optheta.jet_memo(loc).items()}
 
 
 @pytest.mark.parametrize(
@@ -679,10 +689,11 @@ def _table_entries(loc):
 def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point, N):
     # the recurrence of each root reads the tables of its class at k = 0 .. N,
     # which covers every jet the checks read: they shift nothing, at a
-    # rational point or over Z[sqrt -3], and add no table entry
+    # rational point or over Z[sqrt -3], add no table entry and clear no
+    # operator the basis has not cleared
     op, point = CATALOG[aid].operator, SingularPoint(point)
     basis = local_basis(op, point, N)
-    entries = _table_entries(basis.local_op)
+    entries = _memo_entries(basis.local_op)
     shifts = []
     for name in ("taylor_shift", "quadratic_taylor_shift"):
         inner = getattr(arith, name)
@@ -690,9 +701,86 @@ def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point, N):
     orders = [annihilation_order(op, point, sol) for sol in basis]
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
     assert shifts == []
-    assert _table_entries(basis.local_op) == entries
+    assert _memo_entries(basis.local_op) == entries
     local_operator(op, INFINITY)  # another point drops the memo
     assert optheta.jet_memo(basis.local_op) is None
+
+
+@pytest.mark.parametrize(
+    "aid, point, N",
+    [(33, 1, None), (153, -2, None), (4, 0, None), (266, _QUADRATIC_266[1].value, 16)],
+    ids=["33-1", "153--2", "4-0", "266-quadratic"],
+)
+def test_each_annihilation_check_clears_its_table_once(monkeypatch, aid, point, N):
+    # one integer_rows call per check, on the whole table; the operator was
+    # cleared by the basis, and no jet is shifted
+    op, point = CATALOG[aid].operator, SingularPoint(point)
+    basis = local_basis(op, point, N)
+    cleared, operators, shifts = [], [], []
+    inner_rows, inner_polys = optheta.integer_rows, optheta.integer_polys
+    monkeypatch.setattr(optheta, "integer_rows", lambda *args: cleared.append(args[0]) or inner_rows(*args))
+    monkeypatch.setattr(optheta, "integer_polys", lambda *args: operators.append(args) or inner_polys(*args))
+    for name in ("taylor_shift", "quadratic_taylor_shift"):
+        inner = getattr(arith, name)
+        monkeypatch.setattr(arith, name, lambda *args, inner=inner: shifts.append(args) or inner(*args))
+    for sol in basis:
+        before = len(cleared)
+        assert annihilation_order(op, point, sol) == sol.truncation - basis.local_op.r
+        assert len(cleared) == before + 1 and cleared[-1] is sol.table
+    assert operators == [] and shifts == []
+
+
+def test_annihilation_below_the_t_degree_raises():
+    # 33 has r = 3 at 0: a truncation below it leaves no residual row, which
+    # once read as -3, -2 and -1, the last the same as "row 0 is not killed"
+    op, point = CATALOG[33].operator, SingularPoint(0)
+    loc = local_operator(op, point)
+    sol = local_basis(op, point).solutions[0]
+    assert loc.r == 3
+    for n in (0, 1, 2):
+        with pytest.raises(TruncationTooLow, match="truncation %d below the operator's t-degree 3" % n):
+            annihilation_order(op, point, GeneralizedSeries(point, sol.alpha, sol.table[: n + 1], n))
+    with pytest.raises(TruncationTooLow, match="truncation 0 below"):
+        annihilation_order(op, point, GeneralizedSeries(point, 0, [[5]], 0))
+    assert annihilation_order(op, point, GeneralizedSeries(point, sol.alpha, sol.table[:4], 3)) == 0
+    # at truncation r one residual row is read: P_0(0) = 0 kills the constant
+    got = annihilation_order(op, point, GeneralizedSeries(point, 0, [[5]], 3))
+    assert got == ref.order_of(ref.apply_local(loc, 0, [[5]], 0)) == 0
+
+
+_PRIMES = [p for p in range(2, 300) if all(p % k for k in range(2, p))]
+
+
+def _common_and_row_denominators(table, d):
+    return integer_rows(table, d)[1], [integer_rows([row], d)[1] for row in table]
+
+
+@pytest.mark.parametrize(
+    "op, point, N",
+    [
+        (CATALOG[153].operator, SingularPoint(-2), None),
+        (_quintic(), SingularPoint(0), None),
+        (CATALOG[266].operator, _QUADRATIC_266[1], 16),
+    ],
+    ids=["153@-2", "quintic@0", "266@quadratic"],
+)
+def test_annihilation_order_with_pairwise_coprime_row_denominators(op, point, N):
+    # from row m on, row m + j gains 1/p_j in its top log column (column 0
+    # of a log-free solution), the p_j pairwise coprime: the table's one
+    # denominator is no row's own lcm
+    loc = local_operator(op, point)
+    d = -3 if isinstance(point.value, QuadraticNumber) else None
+    for sol in local_basis(op, point, N):
+        upto = sol.truncation - loc.r
+        for m in (0, 1, upto // 2, upto):
+            table = [list(row) for row in sol.table]
+            for p, row in zip(_PRIMES, table[m:]):
+                row[-1] += Fraction(1, p)
+            common, per_row = _common_and_row_denominators(table, d)
+            assert common not in per_row
+            got = annihilation_order(op, point, GeneralizedSeries(point, sol.alpha, table, sol.truncation))
+            assert got == ref.order_of(ref.apply_local(loc, sol.alpha, table, upto))
+            assert got >= m - 1
 
 
 # Solutions with one entry perturbed at a drawn row: random tables almost
@@ -743,6 +831,25 @@ def test_apply_to_series_finds_a_perturbed_coefficient(aid, data):
     got = apply_to_series(op, y)
     assert got == ref.order_of(ref.apply_local(op, 0, [[c] for c in coeffs], n_out))
     assert got >= min(k, n_out + 1) - 1
+
+
+@pytest.mark.parametrize("aid", [35, 97])
+def test_apply_to_series_on_the_guessed_series(aid):
+    # the series guessed from in the benchmark: the lcm of all their
+    # denominators exceeds the largest one (398 -> 425 and 487 -> 524 bits)
+    op = CATALOG[aid].operator
+    basis = local_basis(op, SingularPoint(0), GuessConfig(4, 9, 10).required_terms() - 1)
+    sol = next(s for s in basis.solutions if s.alpha == 0 and s.is_log_free() and s.coeff(0, 0) == 1)
+    coeffs = sol.power_coeffs()
+    common, per_row = _common_and_row_denominators([[c] for c in coeffs], None)
+    assert common.bit_length() > max(per_row).bit_length()
+    y = PowerSeries(coeffs)
+    assert apply_to_series(op, y) == y.order - op.r
+    for k, p in zip((0, 7, 30, len(coeffs) - 1), _PRIMES):
+        bent = list(coeffs)
+        bent[k] += Fraction(1, p)
+        got = apply_to_series(op, PowerSeries(bent))
+        assert got == ref.order_of(ref.apply_local(op, 0, [[c] for c in bent], y.order - op.r))
 
 
 @pytest.mark.parametrize("aid", [4, 266])
