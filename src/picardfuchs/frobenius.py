@@ -33,7 +33,16 @@ shifts (optheta.jet_tables), products are integer convolutions, and the
 division is a fraction-free triangular solve over Z followed by one gcd.
 Over Z[sqrt d] the quotient is first multiplied through by the conjugate of
 the denominator jet, whose norm jet has integer coefficients, so the same
-solve runs on each part.  Scalars are built only for the output table.
+solve runs on each part.  Scalars are built only for the output tables, one
+shared Fraction(0) for every zero entry over Q.
+
+Checks.  The solutions of lambda are the eps^k coefficients of one series,
+so one residual R_m(eps) = sum_i P_i(lambda+m-i+eps) c_(m-i)(eps) decides
+them all: solution k is killed through row m exactly when R_0 .. R_m vanish
+at eps-positions 0 .. k.  annihilation_order reads them from one
+optheta.residual_rows pass per root over its integer jets cut to width
+R + mult(lambda): no table is cleared and no ring looked up.  The tables stay
+eager, as lazy ones would only move their read-out out of local_basis.
 
 Type rule.  The output must carry the scalar types that the same recurrence
 gives on Fraction and QuadraticNumber scalars, since a QuadraticNumber with
@@ -52,6 +61,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
@@ -75,6 +85,7 @@ from .optheta import (
     local_indicial,
     local_operator,
     residual_order,
+    residual_rows,
     zero_jet,
 )
 
@@ -153,6 +164,7 @@ def _int_jet_div(numer, den, scale, d=None):
     return [x // g for x in na], [x // g for x in nb], ot, D // g
 
 
+_ZERO = Fraction(0)
 _EXHAUSTED = "jet precision exhausted at exponent %s"
 
 
@@ -183,15 +195,16 @@ def _cancel_resonance(numer, den, m, budget, lam, p0_zero):
 
 
 class GeneralizedSeries(Immutable):
-    """t^alpha * sum_{m,l} A[m][l] t^m log(t)^l around a point moved to 0."""
+    """t^alpha * sum_{m,l} A[m][l] t^m log(t)^l around a point moved to 0; `root` is (_RootJets, k) or None."""
 
-    __slots__ = ("base_point", "alpha", "table", "truncation")
+    __slots__ = ("base_point", "alpha", "table", "truncation", "root")
 
-    def __init__(self, base_point, alpha, table, truncation):
+    def __init__(self, base_point, alpha, table, truncation, root=None):
         object.__setattr__(self, "base_point", base_point)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "table", tuple(tuple(row) for row in table))
         object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "root", root)
 
     def coeff(self, m, l):
         if 0 <= m < len(self.table) and 0 <= l < len(self.table[m]):
@@ -233,6 +246,12 @@ class GeneralizedSeries(Immutable):
                         mono += "*log^%d" % l
                     bits.append("%s*%s" % (c, mono))
         return "GeneralizedSeries(%s + ...)" % " + ".join(bits[:4])
+
+
+# what the solutions k of one root of local_basis share: c_0 .. c_N cut to the
+# `width` above + mult they read, the cleared operator Q and jet tables P of
+# the recurrence over Z[sqrt d] on `loc`, and the residual valuations `rows`
+_RootJets = namedtuple("_RootJets", "loc d Q P jets width above rows")
 
 
 class LocalBasis(Immutable):
@@ -349,26 +368,32 @@ def _class_solutions(loc, cls, N, point):
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
         T = mult + 2 * above
-        jets, lost = _integer_recurrence(Q, lam, T, N, above, d, memo)
-        if above + mult > T - lost:
+        jets, lost, P = _integer_recurrence(Q, lam, T, N, above, d, memo)
+        W = above + mult
+        if W > T - lost:
             raise FrobeniusInvariant(_EXHAUSTED % (lam,))
+        cut = jets if T == W else [(A[:W], B and B[:W], tags and tags[:W], den) for A, B, tags, den in jets]
+        root = _RootJets(loc, d, Q, P, cut, W, above, [])
         for k in range(above, above + mult):
             s = k - above
             scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
             logs = range(k + 1)
             if d is None:
-                table = [[Fraction(A[k - l] * scale, den * math.factorial(l)) for l in logs] for A, _B, _t, den in jets]
+                table = [
+                    [Fraction(A[k - l] * scale, den * math.factorial(l)) if A[k - l] else _ZERO for l in logs]
+                    for A, _B, _t, den in jets
+                ]
             else:
                 table = [
                     [tagged_scalar(A[k - l] * scale, B[k - l] * scale, den * math.factorial(l), tags[k - l], d) for l in logs]
                     for A, B, tags, den in jets
                 ]
-            out.append(GeneralizedSeries(point, lam, table, N))
+            out.append(GeneralizedSeries(point, lam, table, N, (root, k)))
     return out
 
 
 def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
-    """Jets c_0 .. c_N as (A, B, tags, den) for the exponent lam, and the precision lost.
+    """Jets c_0 .. c_N as (A, B, tags, den) for the exponent lam, the precision lost, and the jet tables read.
 
     Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
     when d is given.  The common scale E of the Q_i cancels in the quotient,
@@ -397,13 +422,27 @@ def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
             lost += mu
         # P_0 c_m = -sum_(i>=1) P_i c_(m-i): the sign goes into the scale
         jets.append(_int_jet_div(numer, den, -lcm, d))
-    return jets, lost
+    return jets, lost, P
 
 
 def annihilation_order(op, point, sol):
-    """Largest row index through which the operator kills the solution."""
+    """Largest row index through which the operator kills the solution.
+
+    On the local operator its root was built on, a solution of local_basis
+    is read from its root's residual valuations (module docstring, Checks); any
+    other series, operator object or point goes to residual_order.
+    """
     loc = local_operator(op, point)
-    return residual_order(loc, sol.alpha, sol.table, sol.truncation - loc.r)
+    upto = sol.truncation - loc.r
+    if sol.root is None or sol.root[0].loc is not loc:
+        return residual_order(loc, sol.alpha, sol.table, upto)
+    root, k = sol.root
+    if not root.rows:
+        for v in residual_rows(root.Q, root.P, root.jets, upto, root.width, root.d):
+            root.rows.append(v)
+            if v <= root.above:  # fails every solution of the root
+                break
+    return next((m - 1 for m, v in enumerate(root.rows) if v <= k), upto)
 
 
 def has_logarithms(op, point):

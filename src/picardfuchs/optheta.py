@@ -482,7 +482,7 @@ def jet_sum(products, lcm, T, d):
     """sum x * c mod eps^T over the pairs (x, c) of an integer jet x and a jet c = (A, B, tags, den), times lcm.
 
     This is the one jet product: the Frobenius recurrence, its jet quotient
-    over Z[sqrt d] and residual_order call it.  x is read up to T, c has
+    over Z[sqrt d] and residual_rows call it.  x is read up to T, c has
     length T, lcm is a multiple of every den (1 for residual_order, whose
     table is cleared once), and the loop runs over the nonzero entries of
     c, the sparser factor.  A product position is tagged when one of its
@@ -528,13 +528,13 @@ def residual_order(op, alpha, table, upto):
     t^(alpha+eps) = P(alpha+eps) t^(alpha+eps) and t^eps = sum_l eps^l
     log^l / l!, a row sum_l c_l log^l is the eps^(T-1) coefficient of
     x(eps) t^eps for the jet x with x[T-1-l] = c_l * l!, T the table width.
-    Residual row m is then the eps^(T-1) coefficient of R_m(eps) t^eps with
-    R_m = sum_i P_i(alpha+m-i+eps) x_(m-i) mod eps^T, so it vanishes exactly
-    when R_m does.  The table is cleared once, by one integer_rows call: every
-    row is multiplied by the same den > 0, which scales each R_m alike.  So
-    R_m is a jet_sum with scale 1 over Z or Z[sqrt d] (see scalar_field) of
-    jet_tables entries and integer row jets; zero rows and zero P_i are
-    skipped.
+    Residual row m is then the eps^(T-1) coefficient of R_m(eps) t^eps, so
+    it vanishes exactly when R_m does (residual_rows).  The table is cleared
+    once, by one integer_rows call: every row is multiplied by the same den
+    > 0, which scales each R_m alike, so the sums run at scale 1 over Z or
+    Z[sqrt d] (see scalar_field).  This is the path of any series; the
+    solutions of a basis are checked on their root's jets instead
+    (frobenius.annihilation_order).
     """
     if upto < 0:
         raise TruncationTooLow("truncation %d below the operator's t-degree %d" % (upto + op.r, op.r))
@@ -550,14 +550,22 @@ def residual_order(op, alpha, table, upto):
             for l, c in enumerate(part):
                 out[T - 1 - l] = c * math.factorial(l)
         jets.append(jet + (1,) if any(jet[0]) or (d is not None and any(jet[1])) else None)
-    live = [i for i in range(op.r + 1) if Q[i][0]]
+    return next((m - 1 for m, v in enumerate(residual_rows(Q, P, jets, upto, T, d, 1)) if v < T), upto)
+
+
+def residual_rows(Q, P, jets, upto, T, d, lcm=None):
+    """Yield for m = 0 .. upto the eps-valuation of R_m = sum_i P_i(alpha+m-i+eps) x_(m-i) mod eps^T, T for zero.
+
+    The one residual loop: P holds the jet_tables of Q at alpha, `jets` the
+    x_m as (A, B, tags, den) of length T or None for zero, and each R_m is a
+    jet_sum at scale `lcm`, or at the lcm of its dens when lcm is None.
+    """
+    live = [i for i in range(len(Q)) if Q[i][0]]
     for m in range(upto + 1):
         terms = [(P[i][m - i], jets[m - i]) for i in live if 0 <= m - i < len(jets) and jets[m - i]]
-        if terms:
-            A, B, _tags = jet_sum(terms, 1, T, d)
-            if any(A) or (B is not None and any(B)):
-                return m - 1
-    return upto
+        A, B, _tags = jet_sum(terms, lcm or math.lcm(*[c[3] for _x, c in terms]), T, d)
+        nonzero = A if B is None else [a or b for a, b in zip(A, B)]
+        yield next(k for k, a in enumerate(nonzero) if a) if any(nonzero) else T
 
 
 def cleared_operator(op, q, d=None):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from picardfuchs import CATALOG, INFINITY, GuessConfig, PointType, SingularPoint, ThetaOperator, classify_point, local_basis
-from picardfuchs import arith, optheta
+from picardfuchs import arith, frobenius, optheta
 from picardfuchs.arith import (
     Polynomial,
     PowerSeries,
@@ -54,7 +54,7 @@ from picardfuchs.optheta import (
 
 import jordan_reference
 import scalar_reference as ref
-from shapes import fuchsian_shapes, linear_product
+from shapes import fuchsian_shapes, linear_product, quadratic_shapes
 
 
 def P(*cs):
@@ -465,7 +465,7 @@ def _root_jets(loc, cls, N):
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
         T = mult + 2 * above
-        yield lam, mult, above, _integer_recurrence(Q, lam, T, N, above, d), _integer_recurrence(Q, lam, 2 * M, N, above, d)
+        yield lam, mult, above, _integer_recurrence(Q, lam, T, N, above, d)[:2], _integer_recurrence(Q, lam, 2 * M, N, above, d)[:2]
 
 
 def _exact_part(jets, n):
@@ -712,22 +712,103 @@ def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point, N):
     ids=["33-1", "153--2", "4-0", "266-quadratic"],
 )
 def test_each_annihilation_check_clears_its_table_once(monkeypatch, aid, point, N):
-    # one integer_rows call per check, on the whole table; the operator was
-    # cleared by the basis, and no jet is shifted
+    # a basis solution is checked on its root's integer jets: no table is
+    # cleared, no ring looked up, no operator cleared and no jet shifted, and
+    # one residual pass serves every solution of a root; a series built by
+    # hand from the same table is cleared once, by one integer_rows call
     op, point = CATALOG[aid].operator, SingularPoint(point)
     basis = local_basis(op, point, N)
-    cleared, operators, shifts = [], [], []
-    inner_rows, inner_polys = optheta.integer_rows, optheta.integer_polys
-    monkeypatch.setattr(optheta, "integer_rows", lambda *args: cleared.append(args[0]) or inner_rows(*args))
-    monkeypatch.setattr(optheta, "integer_polys", lambda *args: operators.append(args) or inner_polys(*args))
-    for name in ("taylor_shift", "quadratic_taylor_shift"):
-        inner = getattr(arith, name)
-        monkeypatch.setattr(arith, name, lambda *args, inner=inner: shifts.append(args) or inner(*args))
+    upto = basis.solutions[0].truncation - basis.local_op.r
+    calls = {name: [] for name in ("integer_rows", "scalar_field", "integer_polys", "shift", "jet pass", "table pass")}
+
+    def count(module, name, key):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls[key].append(args) or inner(*args))
+
+    for module in (arith, optheta):
+        count(module, "integer_rows", "integer_rows")
+        count(module, "scalar_field", "scalar_field")
+        count(module, "integer_polys", "integer_polys")
+    count(frobenius, "scalar_field", "scalar_field")
+    count(arith, "taylor_shift", "shift")
+    count(arith, "quadratic_taylor_shift", "shift")
+    count(frobenius, "residual_rows", "jet pass")
+    count(optheta, "residual_rows", "table pass")
+    for _ in range(2):
+        assert [annihilation_order(op, point, sol) for sol in basis] == [upto] * len(basis)
+    assert {name: len(c) for name, c in calls.items() if c} == {"jet pass": len(set(basis.exponents()))}
     for sol in basis:
-        before = len(cleared)
-        assert annihilation_order(op, point, sol) == sol.truncation - basis.local_op.r
-        assert len(cleared) == before + 1 and cleared[-1] is sol.table
-    assert operators == [] and shifts == []
+        table = GeneralizedSeries(point, sol.alpha, sol.table, sol.truncation)
+        before = len(calls["integer_rows"])
+        assert annihilation_order(op, point, table) == upto
+        assert [args[0] is table.table for args in calls["integer_rows"][before:]].count(True) == 1
+    assert len(calls["table pass"]) == len(basis) and calls["integer_polys"] == calls["shift"] == []
+
+
+def _jets_match_tables(op, point, basis):
+    """annihilation_order on each solution's root jets equals residual_order on its table."""
+    loc = basis.local_op
+    for sol in basis:
+        assert sol.root[0].loc is loc
+        got = annihilation_order(op, point, sol)
+        assert got == residual_order(loc, sol.alpha, sol.table, sol.truncation - loc.r)
+
+
+@pytest.mark.parametrize("aid", _DISTINCT)
+def test_jets_answer_matches_the_tables_on_catalog_points(aid):
+    # every printed point, with the five operators the benchmark leaves out;
+    # the quadratic points of 266 at N = 16
+    op = CATALOG[aid].operator
+    for point, _exps in CATALOG[aid].symbol:
+        _jets_match_tables(op, point, local_basis(op, point, 16 if isinstance(point.value, QuadraticNumber) else None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    op=st.one_of(fuchsian_shapes(), quadratic_shapes()),
+    point=st.sampled_from([SingularPoint(0), INFINITY]),
+    extra=st.integers(0, 6),
+)
+def test_jets_answer_matches_the_tables_on_generated_operators(op, point, extra):
+    loc = local_operator(op, point)
+    try:
+        basis = local_basis(op, point, loc.r + loc.order + 3 + extra)
+    except ValueError:
+        assume(False)
+    _jets_match_tables(op, point, basis)
+
+
+def _tables_cleared(cleared, basis):
+    """The indices of the solutions whose tables are among the cleared rows, in order of clearing."""
+    return [i for rows in cleared for i, sol in enumerate(basis) if rows is sol.table]
+
+
+@pytest.mark.parametrize(
+    "aid, point, N",
+    [(33, SingularPoint(1), None), (4, INFINITY, None), (266, _QUADRATIC_266[1], 16)],
+    ids=["33-1", "4-oo", "266-quadratic"],
+)
+def test_annihilation_off_the_basis_operator_reads_the_table(monkeypatch, aid, point, N):
+    # after local_operator has moved to another point, or against an equal
+    # copy of the operator, a basis solution is checked on its table: one
+    # clearing per solution, and the orders of the jets
+    op = CATALOG[aid].operator
+    basis = local_basis(op, point, N)
+    want = [annihilation_order(op, point, sol) for sol in basis]
+    assert want == [basis.solutions[0].truncation - basis.local_op.r] * len(basis)
+    cleared = []
+    inner = optheta.integer_rows
+    monkeypatch.setattr(optheta, "integer_rows", lambda *args: cleared.append(args[0]) or inner(*args))
+    other = next(p for p, _exps in CATALOG[aid].symbol if p != point)
+    local_operator(op, other)
+    assert [annihilation_order(op, point, sol) for sol in basis] == want
+    assert _tables_cleared(cleared, basis) == list(range(len(basis)))
+    copy = ThetaOperator.from_json(op.to_json())
+    assert copy is not op and copy == op
+    basis = local_basis(op, point, N)
+    cleared.clear()
+    assert [annihilation_order(copy, point, sol) for sol in basis] == want
+    assert _tables_cleared(cleared, basis) == list(range(len(basis)))
 
 
 def test_annihilation_below_the_t_degree_raises():
@@ -815,6 +896,76 @@ def test_annihilation_order_finds_a_perturbed_row(op, point, N, data):
     assert got == ref.order_of(ref.apply_local(loc, sol.alpha, table, upto))
     # rows below m read no perturbed entry
     assert got >= min(m, upto + 1) - 1
+
+
+def _mutant(basis, sol, m, p, delta, part):
+    """The record of sol's root with entry p of part `part` (A or B) of c_m raised by delta, and its solutions' tables changed alike.
+
+    Returns [(solution index k, mutant series, mutated table)] over the
+    solutions of the root.
+    """
+    root = sol.root[0]
+    jets = list(root.jets)
+    parts = [list(x) if x is not None else None for x in jets[m][:3]]
+    parts[part][p] += delta
+    jets[m] = (*parts, jets[m][3])
+    mutant = root._replace(jets=jets, rows=[])
+    step = Fraction(delta, jets[m][3])
+    if part:
+        step = QuadraticNumber(0, step, root.d)
+    out = []
+    for s in basis:
+        if s.root[0] is root:
+            k = s.root[1]
+            table = [list(row) for row in s.table]
+            if k >= p:
+                table[m][k - p] += step * Fraction(math.factorial(k - root.above), math.factorial(k - p))
+            out.append((k, GeneralizedSeries(s.base_point, s.alpha, s.table, s.truncation, (mutant, k)), table))
+    return out
+
+
+_MUTATED = _PERTURBED + [(CATALOG[266].operator, _QUADRATIC_266[0], 16)]
+
+
+@pytest.mark.parametrize(
+    "op, point, N", _MUTATED, ids=["33@1", "153@-2", "4@oo", "266@quadratic", "quintic@0", "266@conjugate"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_changed_jet_entry_is_found_at_the_row_of_the_changed_table(op, point, N, data):
+    # one entry of one root's jets, changed, is reported where the same
+    # change made to the tables is: the read-out stays under the check
+    basis = local_basis(op, point, N)
+    sol = data.draw(st.sampled_from(basis.solutions))
+    root = sol.root[0]
+    m = data.draw(st.integers(0, len(root.jets) - 1))
+    p = data.draw(st.integers(0, root.width - 1))
+    part = data.draw(st.integers(0, 0 if root.d is None else 1))
+    delta = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    loc = basis.local_op
+    upto = sol.truncation - loc.r
+    for k, series, table in _mutant(basis, sol, m, p, delta, part):
+        got = annihilation_order(op, point, series)
+        assert got == residual_order(loc, sol.alpha, table, upto), (k, m, p)
+        # rows below m read no changed entry, and a solution below p none
+        assert got >= min(m, upto + 1) - 1 and (k >= p or got == upto)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=st.one_of(fuchsian_shapes(), quadratic_shapes()), point=st.sampled_from([SingularPoint(0), INFINITY]), data=st.data())
+def test_a_changed_jet_entry_is_found_on_generated_operators(op, point, data):
+    loc = local_operator(op, point)
+    try:
+        basis = local_basis(op, point, loc.r + loc.order + 3)
+    except ValueError:
+        assume(False)
+    sol = data.draw(st.sampled_from(basis.solutions))
+    root = sol.root[0]
+    m, p = data.draw(st.integers(0, len(root.jets) - 1)), data.draw(st.integers(0, root.width - 1))
+    part = data.draw(st.integers(0, 0 if root.d is None else 1))
+    for _k, series, table in _mutant(basis, sol, m, p, data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), part):
+        got = annihilation_order(op, point, series)
+        assert got == residual_order(basis.local_op, sol.alpha, table, sol.truncation - basis.local_op.r)
 
 
 @pytest.mark.parametrize("aid", [4, 33, 153])
