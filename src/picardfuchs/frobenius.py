@@ -2,17 +2,25 @@
 
 The Frobenius construction runs once per distinct indicial root lambda: the
 deformed seed c_0 = eps^R (R = total multiplicity of the class roots above
-lambda) is propagated through the coefficient recurrence in the jet ring
-K[eps]/(eps^T), T = mult(lambda) + 2R.  At a resonance the indicial value
-has positive eps-valuation; the numerator's matching low jet coefficients
-must vanish exactly (this is the exact obstruction constant), and the
-division shifts the jet down, losing that much tracked precision.
+lambda) is propagated through the coefficient recurrence in the eps-jet
+ring.  At a resonance the indicial value has positive eps-valuation; the
+numerator's matching low jet coefficients must vanish exactly (this is the
+exact obstruction constant), and the division shifts the jet down.
 
-T is exact.  The resonances of lambda are the class roots lambda + m above
-it, and P_0(lambda + m + eps) has eps-valuation the multiplicity of that
-root, so lambda loses exactly R positions and keeps R + mult(lambda): the
-seed's R and the mult(lambda) that are read out.  Truncation only carries
-errors upward, so each position read is the one any longer jet gives.
+The jets live in windows of width W = R + mult(lambda).  The resonances of
+lambda are the class roots lambda + m above it, and P_0(lambda + m + eps) has
+eps-valuation mu, the multiplicity of the root it hits, so the divisions
+lose R positions in all.  With `lost` of them spent, c_m lies in
+eps^v K[[eps]] for v = R - lost, as a product keeps the valuation and a
+division by eps^mu lowers it by mu.  The positions from v + W on are never
+read: the v losses to come leave them at W and above, past R + mult - 1, and
+as a truncation carries errors only upward, no lower position depends on
+them (a longer jet holds them inexact).  So c_m is kept as its W exact
+coefficients at eps^v .. eps^(v+W-1), and a resonance lowers v by mu in place
+of shifting the numerator; the earlier jets move down with it (zeros below,
+their top mu cut), so at the end every jet sits at offset 0.  A mu above v,
+from a class cut short of a root above lambda, would need positions below 0
+and raises FrobeniusInvariant at that step.
 
 Solution k (R <= k < R + multiplicity(lambda)) is the eps^k-coefficient of
 t^(lambda+eps) * sum c_m(eps) t^m; expanding t^eps = sum eps^l log(t)^l / l!
@@ -23,9 +31,9 @@ here to leading coefficient 1.  The basis is echelon by construction: leading
 The recurrence runs fraction-free, over Z at rational points and infinity
 and over Z[sqrt d] at a quadratic point or for quadratic exponents: the ring
 is Z[sqrt d] when a QuadraticNumber tagged d is among the local operator's
-coefficients or the class roots (arith.scalar_field).  A jet in
-K[eps]/(eps^T) is (A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den
-with one positive integer den, in lowest terms.  Over Q, B and tags are None
+coefficients or the class roots (arith.scalar_field).  A jet window is
+(A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den with one
+positive integer den, in lowest terms.  Over Q, B and tags are None
 and the loops are plain integer loops.  Each P_i is cleared once per point
 and denominator to an integer polynomial (optheta.cleared_operator), its
 values at the integral points are read by index from one table of Taylor
@@ -40,8 +48,9 @@ Checks.  The solutions of lambda are the eps^k coefficients of one series,
 so one residual R_m(eps) = sum_i P_i(lambda+m-i+eps) c_(m-i)(eps) decides
 them all: solution k is killed through row m exactly when R_0 .. R_m vanish
 at eps-positions 0 .. k.  annihilation_order reads them from one
-optheta.residual_rows pass per root over its integer jets cut to width
-R + mult(lambda): no table is cleared and no ring looked up.  The tables stay
+optheta.residual_rows pass per root over its integer jets of width
+R + mult(lambda), each row at the lcm the recurrence took for it and the
+row's own den: no table is cleared and no ring looked up.  The tables stay
 eager, as lazy ones would only move their read-out out of local_basis.
 
 Type rule.  The output must carry the scalar types that the same recurrence
@@ -91,7 +100,7 @@ from .optheta import (
 
 
 # ---------------------------------------------------------------------------
-# integer jets in K[eps]/(eps^T): (A, B, tags) with B and tags None over Q
+# integer jet windows: (A, B, tags) with B and tags None over Q
 
 
 def _jet_valuation(jet):
@@ -102,15 +111,17 @@ def _jet_valuation(jet):
     return len(A)
 
 
-def _window(jet, start, T):
-    """The coefficients of eps^start .. eps^(start+T-1) as a jet of length T, padded with zeros (untagged)."""
-    return tuple(None if part is None else (part[start:] + [0] * T)[:T] for part in jet)
+def _lowered(jet, s):
+    """A jet window (A, B, tags, den) moved to an offset s lower: s zero (untagged) positions below, its top s cut."""
+    A, B, tags, den = jet
+    n, pad = len(A), [0] * s
+    return (pad + A)[:n], B and (pad + B)[:n], tags and (pad + tags)[:n], den
 
 
 def _int_jet_div(numer, den, scale, d=None):
     """(numer / scale) / den for integer jets with den[0] != 0, as (A, B, tags, D) in lowest terms.
 
-    numer has length T; den may be shorter, with zeros beyond its end.
+    numer has length T, den any length, with zeros beyond its end.
 
     Fraction-free triangular solve: o_k = a_k h0^k - sum_j h_j o_(k-j) h0^(j-1)
     with h = den is h0^(k+1) times the k-th quotient coefficient, so the
@@ -127,7 +138,7 @@ def _int_jet_div(numer, den, scale, d=None):
     """
     T = len(numer[0])
     if d is not None:
-        b, bb, bt = den = _window(den, 0, T)
+        b, bb, bt = den = tuple((part + [0] * T)[:T] for part in den)
         conj = (b, [-x for x in bb], bt)
         parts = jet_sum([(conj, numer + (1,))], 1, T, d)[:2]
         h = jet_sum([(conj, den + (1,))], 1, T, d)[0]
@@ -165,29 +176,27 @@ def _int_jet_div(numer, den, scale, d=None):
 
 
 _ZERO = Fraction(0)
-_EXHAUSTED = "jet precision exhausted at exponent %s"
 
 
-def _cancel_resonance(numer, den, m, budget, lam, p0_zero):
-    """Strip the common eps-valuation mu >= 1 of the integer jets numer and den at a resonance m.
+def _cancel_resonance(numer, den, m, v, lam, p0_zero):
+    """(den / eps^mu, mu) for the P_0 jet den at a resonance m, mu >= 1 its eps-valuation.
 
-    The low mu coefficients of numer must vanish exactly (the
-    obstruction constant); the shift loses mu coefficients of precision.  A
-    mu above `budget`, the precision lam can still lose, leaves too short a
-    jet: the test would read coefficients of numer that are no longer exact,
-    and the seed's coefficient would be lost.  It raises FrobeniusInvariant
-    for exhausted precision, or for a vanishing indicial polynomial when P_0
-    is the zero polynomial (p0_zero), so den is zero in every position.
-    Returns (numer, den, mu).
+    numer is the numerator's window at offset v.  Its coefficients below mu
+    must vanish exactly (the obstruction constant); they are zero below v,
+    and the window holds the first mu - v of the rest.  The quotient's window
+    starts at v - mu, so a mu above v, which needs positions below 0, raises
+    FrobeniusInvariant: for a failed obstruction when one of those the window
+    holds is nonzero, else for exhausted precision, or for a vanishing
+    indicial polynomial when P_0 is the zero polynomial (p0_zero).
     """
+    if p0_zero:
+        raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
     mu = _jet_valuation(den)
-    if mu > budget:
-        if p0_zero:
-            raise FrobeniusInvariant("indicial polynomial vanishes identically at offset %d" % m)
-        raise FrobeniusInvariant(_EXHAUSTED % (lam,))
-    if _jet_valuation(numer) < mu:
-        raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
-    return _window(numer, mu, len(den[0])), _window(den, mu, len(den[0])), mu
+    if mu > v:
+        if _jet_valuation(numer) < min(mu - v, len(numer[0])):
+            raise FrobeniusInvariant("resonance obstruction failed at offset %d" % m)
+        raise FrobeniusInvariant("jet precision exhausted at exponent %s" % (lam,))
+    return tuple(None if part is None else part[mu:] for part in den), mu
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +257,11 @@ class GeneralizedSeries(Immutable):
         return "GeneralizedSeries(%s + ...)" % " + ".join(bits[:4])
 
 
-# what the solutions k of one root of local_basis share: c_0 .. c_N cut to the
-# `width` above + mult they read, the cleared operator Q and jet tables P of
-# the recurrence over Z[sqrt d] on `loc`, and the residual valuations `rows`
-_RootJets = namedtuple("_RootJets", "loc d Q P jets width above rows")
+# what the solutions k of one root of local_basis share: c_0 .. c_N as the
+# recurrence returns them, of `width` above + mult at offset 0, the cleared
+# operator Q, jet tables P and per-row lcms of the recurrence over Z[sqrt d]
+# on `loc`, and the residual valuations `rows`
+_RootJets = namedtuple("_RootJets", "loc d Q P jets lcms width above rows")
 
 
 class LocalBasis(Immutable):
@@ -367,13 +377,8 @@ def _class_solutions(loc, cls, N, point):
     out = []
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        T = mult + 2 * above
-        jets, lost, P = _integer_recurrence(Q, lam, T, N, above, d, memo)
-        W = above + mult
-        if W > T - lost:
-            raise FrobeniusInvariant(_EXHAUSTED % (lam,))
-        cut = jets if T == W else [(A[:W], B and B[:W], tags and tags[:W], den) for A, B, tags, den in jets]
-        root = _RootJets(loc, d, Q, P, cut, W, above, [])
+        jets, lcms, P = _integer_recurrence(Q, lam, above + mult, N, above, d, memo)
+        root = _RootJets(loc, d, Q, P, jets, lcms, above + mult, above, [])
         for k in range(above, above + mult):
             s = k - above
             scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
@@ -392,37 +397,39 @@ def _class_solutions(loc, cls, N, point):
     return out
 
 
-def _integer_recurrence(Q, lam, T, N, above, d=None, memo=None):
-    """Jets c_0 .. c_N as (A, B, tags, den) for the exponent lam, the precision lost, and the jet tables read.
+def _integer_recurrence(Q, lam, W, N, above, d=None, memo=None):
+    """Jets c_0 .. c_N as (A, B, tags, den) windows of width W, the lcm taken for each, and the jet tables read.
 
     Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
-    when d is given.  The common scale E of the Q_i cancels in the quotient,
-    and the terms of the numerator are brought to the lcm of their jets'
-    denominators.  A P_0 jet with a unit constant term is divided by as it
-    stands; only a resonance pads it and strips its valuation.  `memo` goes
-    to jet_tables (see optheta.jet_memo): the tables are read at k = 0 .. N,
-    all that the annihilation checks read.
+    when d is given.  The seed is eps^above, at offset `above`; the jets come
+    back at offset 0 when the resonances lose all of it, as they do for a
+    class of roots of P_0 (module docstring).  The common scale E of the Q_i
+    cancels in the quotient, and the terms of the numerator of c_m are
+    brought to the lcm of their jets' denominators, lcms[m] (lcms[0] = 1).
+    A P_0 jet with a unit constant term is divided by as it stands; only a
+    resonance strips its valuation.  `memo` goes to jet_tables (see
+    optheta.jet_memo): the tables are read at k = 0 .. N, all that the
+    annihilation checks read.
     """
     q, u0, v0, tagged = exponent_parts(lam)
-    seed = zero_jet(T, d)
-    seed[0][above] = 1
-    jets = [seed + (1,)]
-    lost = 0
+    seed = zero_jet(W, d)
+    seed[0][0] = 1
+    jets, lcms, v = [seed + (1,)], [1], above
     p0_zero = not any(Q[0][0]) and not any(Q[0][1] or ())
     P = jet_tables(Q, u0, q, N, d, v0, tagged, memo)
     live = [i for i in range(1, len(Q)) if Q[i][0]]
     for m in range(1, N + 1):
         terms = [i for i in live if i <= m]
         lcm = math.lcm(*(jets[m - i][3] for i in terms))
-        numer = jet_sum([(P[i][m - i], jets[m - i]) for i in terms], lcm, T, d)
+        lcms.append(lcm)
+        numer = jet_sum([(P[i][m - i], jets[m - i]) for i in terms], lcm, W, d)
         den = P[0][m]
-        # at a resonance the seed's coefficient eps^above must stay exact
         if not (den[0] and (den[0][0] or (d is not None and den[1][0]))):
-            numer, den, mu = _cancel_resonance(numer, _window(den, 0, T), m, T - 1 - above - lost, lam, p0_zero)
-            lost += mu
+            den, mu = _cancel_resonance(numer, den, m, v, lam, p0_zero)
+            jets, v = [_lowered(c, mu) for c in jets], v - mu
         # P_0 c_m = -sum_(i>=1) P_i c_(m-i): the sign goes into the scale
         jets.append(_int_jet_div(numer, den, -lcm, d))
-    return jets, lost, P
+    return jets, lcms, P
 
 
 def annihilation_order(op, point, sol):
@@ -438,7 +445,8 @@ def annihilation_order(op, point, sol):
         return residual_order(loc, sol.alpha, sol.table, upto)
     root, k = sol.root
     if not root.rows:
-        for v in residual_rows(root.Q, root.P, root.jets, upto, root.width, root.d):
+        scales = map(math.lcm, (c[3] for c in root.jets), root.lcms)
+        for v in residual_rows(root.Q, root.P, root.jets, upto, root.width, root.d, scales):
             root.rows.append(v)
             if v <= root.above:  # fails every solution of the root
                 break

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 
 from .arith import (
     Immutable,
@@ -550,20 +550,20 @@ def residual_order(op, alpha, table, upto):
             for l, c in enumerate(part):
                 out[T - 1 - l] = c * math.factorial(l)
         jets.append(jet + (1,) if any(jet[0]) or (d is not None and any(jet[1])) else None)
-    return next((m - 1 for m, v in enumerate(residual_rows(Q, P, jets, upto, T, d, 1)) if v < T), upto)
+    return next((m - 1 for m, v in enumerate(residual_rows(Q, P, jets, upto, T, d, repeat(1))) if v < T), upto)
 
 
-def residual_rows(Q, P, jets, upto, T, d, lcm=None):
+def residual_rows(Q, P, jets, upto, T, d, scales):
     """Yield for m = 0 .. upto the eps-valuation of R_m = sum_i P_i(alpha+m-i+eps) x_(m-i) mod eps^T, T for zero.
 
     The one residual loop: P holds the jet_tables of Q at alpha, `jets` the
     x_m as (A, B, tags, den) of length T or None for zero, and each R_m is a
-    jet_sum at scale `lcm`, or at the lcm of its dens when lcm is None.
+    jet_sum at the next of `scales`, a multiple of the dens of its terms.
     """
     live = [i for i in range(len(Q)) if Q[i][0]]
-    for m in range(upto + 1):
+    for m, scale in zip(range(upto + 1), scales):
         terms = [(P[i][m - i], jets[m - i]) for i in live if 0 <= m - i < len(jets) and jets[m - i]]
-        A, B, _tags = jet_sum(terms, lcm or math.lcm(*[c[3] for _x, c in terms]), T, d)
+        A, B, _tags = jet_sum(terms, scale, T, d)
         nonzero = A if B is None else [a or b for a, b in zip(A, B)]
         yield next(k for k, a in enumerate(nonzero) if a) if any(nonzero) else T
 

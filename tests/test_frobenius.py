@@ -346,8 +346,8 @@ def test_quadratic_jet_div_matches_scalar_jet_div(d, data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_jet_div_of_odd_length_has_a_positive_denominator(d, data):
-    # a root's jet has length mult + 2 above, odd for a root of odd
-    # multiplicity; then h0^T (over Q) or N(h0)^T (over Z[sqrt 2]) can be negative
+    # a root's jet window has width above + mult, which can be odd; then
+    # h0^T (over Q) or N(h0)^T (over Z[sqrt 2]) can be negative
     T = 2 * data.draw(st.integers(0, 3)) + 1
     numer, a = _quadratic_jet(data, T, 2)
     den, b = _quadratic_jet(data, T, 2, unit=True)
@@ -458,14 +458,13 @@ def test_quadratic_path_matches_scalar_path_on_266(point, N):
 
 
 def _root_jets(loc, cls, N):
-    """(lam, mult, above, the root's jets and lost precision at T = mult + 2 above, at T = 2M) per root of a class."""
+    """(lam, mult, above, the root's jets at width mult + above, at the safe width 2M) per root of a class."""
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
     Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
     M = sum(m for _r, m in cls)
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        T = mult + 2 * above
-        yield lam, mult, above, _integer_recurrence(Q, lam, T, N, above, d)[:2], _integer_recurrence(Q, lam, 2 * M, N, above, d)[:2]
+        yield lam, mult, above, _integer_recurrence(Q, lam, mult + above, N, above, d)[0], _integer_recurrence(Q, lam, 2 * M, N, above, d)[0]
 
 
 def _exact_part(jets, n):
@@ -475,20 +474,43 @@ def _exact_part(jets, n):
     ]
 
 
+def _widths(jets):
+    return {len(part) for jet in jets for part in jet[:3] if part is not None}
+
+
+def _assert_tight(op, point, N):
+    """Every jet of the recurrence and of a basis root has width above + mult, and those positions are the safe width's."""
+    loc = local_operator(op, point)
+    for cls in _partition_classes(indicial_roots(local_indicial(loc, point))):
+        for lam, mult, above, jets, safe in _root_jets(loc, cls, N):
+            assert len(jets) == N + 1 and _widths(jets) == {above + mult}, (point, lam)
+            assert _exact_part(jets, above + mult) == _exact_part(safe, above + mult), (point, lam)
+    sols = local_basis(op, point, N).solutions
+    for root in {id(s.root[0]): s.root[0] for s in sols}.values():
+        mult = sum(s.root[0] is root for s in sols)
+        assert _widths(root.jets) == {root.above + mult} and root.width == root.above + mult, (point, root.above)
+
+
 @pytest.mark.parametrize("aid", _DISTINCT)
 def test_root_precision_is_tight_on_catalog_points(aid):
     # each resonance at lam + m costs the multiplicity of the class root it
-    # hits, so lam loses exactly `above` of its T = mult + 2 above positions,
-    # and the positions read agree with those of the safe length T = 2M; the
-    # two tests above compare the tables with the scalar recurrence at 2M
+    # hits, so lam's jets need only the window of width above + mult, and its
+    # positions agree with those of the safe width 2M; the two tests above
+    # compare the tables with the scalar recurrence at 2M
     op = CATALOG[aid].operator
     for point, _exps in CATALOG[aid].symbol:
-        loc = local_operator(op, point)
-        N = default_truncation(loc)
-        for cls in _partition_classes(indicial_roots(local_indicial(loc, point))):
-            for lam, mult, above, (jets, lost), (safe, _lost) in _root_jets(loc, cls, N):
-                assert lost == above, (point, lam)
-                assert _exact_part(jets, above + mult) == _exact_part(safe, above + mult), (point, lam)
+        _assert_tight(op, point, default_truncation(local_operator(op, point)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.one_of(fuchsian_shapes(), quadratic_shapes()), point=st.sampled_from([SingularPoint(0), INFINITY]))
+def test_root_precision_is_tight_on_generated_operators(op, point):
+    loc = local_operator(op, point)
+    try:
+        indicial_roots(local_indicial(loc, point))
+    except ValueError:
+        assume(False)
+    _assert_tight(op, point, loc.r + loc.order + 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -613,6 +635,28 @@ def test_quadratic_path_raises_on_exhausted_precision():
     _raises_on_exhausted_precision(_EXHAUSTED_SURD)
 
 
+# theta^3 (theta - 1) + t theta with its class {0, 0, 0, 1} cut down to the
+# root 0 (mult 3, above 0): at the resonance m = 1 the numerator P_1(eps) c_0 =
+# eps passes the obstruction test, but the division by eps would move the
+# window below offset 0
+_CUT = ThetaOperator.from_theta_polys([P(0, 0, 0, -1, 1), P(0, 1)])
+_CUT_SURD = ThetaOperator([P(0, 0, 0, -1, 1), Polynomial([0, QuadraticNumber(1, 1, -3)])])
+
+
+@pytest.mark.parametrize("op", [_CUT, _CUT_SURD], ids=["rational", "surd"])
+def test_a_cut_class_exhausts_its_window_at_the_resonance(op):
+    # the scalar reference runs at T = 2M and does not raise here, so the
+    # message itself is pinned, and the recurrence raises at the step m = 1
+    cls = [(Fraction(0), 3)]
+    ref.class_solutions(op, cls, 3, SingularPoint(0))
+    with pytest.raises(FrobeniusInvariant, match="^jet precision exhausted at exponent 0$"):
+        _class_solutions(op, cls, 3, SingularPoint(0))
+    d = None if op is _CUT else -3
+    Q, _E = integer_polys(op.theta_coeffs, 1, d)
+    with pytest.raises(FrobeniusInvariant, match="^jet precision exhausted at exponent 0$"):
+        _integer_recurrence(Q, Fraction(0), 3, 1, 0, d)
+
+
 def test_integer_path_errors_under_optimize(run_optimized):
     code = (
         "from fractions import Fraction\n"
@@ -626,11 +670,14 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "surd = QuadraticNumber(1, 1, -3)\n"
         "Qs, _E = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
         "exhausted = ThetaOperator([Polynomial([0, 2, -3, 1]) * QuadraticNumber(1, 1, 2)])\n"
+        "cut = ThetaOperator([Polynomial([0, 0, 0, -1, 1]), Polynomial([0, surd])])\n"
         "cases = [\n"
         "    lambda: _integer_recurrence(Q, Fraction(0), 2, 2, 0),\n"
         "    lambda: _integer_recurrence(Qs, Fraction(0), 2, 2, 0, -3),\n"
         "    lambda: _class_solutions(op((0, 2, -3, 1)), [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
         "    lambda: _class_solutions(exhausted, [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
+        "    lambda: _class_solutions(op((0, 0, 0, -1, 1), (0, 1)), [(Fraction(0), 3)], 3, SingularPoint(0)),\n"
+        "    lambda: _class_solutions(cut, [(Fraction(0), 3)], 3, SingularPoint(0)),\n"
         "    lambda: local_basis(op((0, -3, 1)), SingularPoint(0), 3),\n"
         "]\n"
         "for case in cases:\n"
@@ -639,7 +686,7 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "    except (FrobeniusInvariant, TruncationTooLow) as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    assert run_optimized(code).split() == ["FrobeniusInvariant"] * 4 + ["TruncationTooLow"]
+    assert run_optimized(code).split() == ["FrobeniusInvariant"] * 6 + ["TruncationTooLow"]
 
 
 # ---------------------------------------------------------------------------
