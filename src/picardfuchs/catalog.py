@@ -24,7 +24,7 @@ from .arith import (
     scalar_to_json,
 )
 from .errors import CatalogVersionMismatch, ChainBroken
-from .frobenius import PointType, classify_point
+from .frobenius import classify_point
 from .optheta import (
     INFINITY,
     SingularPoint,
@@ -32,6 +32,7 @@ from .optheta import (
     riemann_symbol,
     top_profile,
 )
+from .qexp import OCTICS, Arrangement
 from .transform import (
     MobiusMap,
     descend_power,
@@ -52,13 +53,6 @@ def _point(p):
     return INFINITY if p is None else SingularPoint(p)
 
 
-def _plane_polys(plane):
-    return tuple(
-        c if isinstance(c, Polynomial) else Polynomial(c if isinstance(c, tuple) else (c,))
-        for c in plane
-    )
-
-
 # ---------------------------------------------------------------------------
 # records
 
@@ -69,7 +63,7 @@ class ArrangementRecord:
 
     id: int
     operator: ThetaOperator
-    octic: object  # tuple of 8 planes, each 4 t-polynomials; or a sic string
+    octic: object  # qexp.OCTICS[id]: an Arrangement, or the printed text of 248 (sic)
     symbol: tuple  # ((SingularPoint, exponent tuple), ...) printed column order
     decorations: object  # tuple aligned with symbol columns, or None
     labels: tuple  # expected degeneration label per column
@@ -87,7 +81,7 @@ class ArrangementRecord:
         return {
             "id": self.id,
             "operator": self.operator.to_json(),
-            "octic": _octic_to_json(self.octic),
+            "octic": self.octic if isinstance(self.octic, str) else self.octic.to_json(),
             "symbol": _symbol_to_json(self.symbol),
             "decorations": list(self.decorations) if self.decorations is not None else None,
             "labels": list(self.labels),
@@ -101,7 +95,7 @@ class ArrangementRecord:
         return cls(
             id=data["id"],
             operator=ThetaOperator.from_json(data["operator"]),
-            octic=_octic_from_json(data["octic"]),
+            octic=data["octic"] if isinstance(data["octic"], str) else Arrangement.from_json(data["octic"]),
             symbol=_symbol_from_json(data["symbol"]),
             decorations=tuple(data["decorations"]) if data["decorations"] is not None else None,
             labels=tuple(data["labels"]),
@@ -175,31 +169,13 @@ def _symbol_from_json(rows):
     )
 
 
-def _octic_to_json(octic):
-    if octic is None or isinstance(octic, str):
-        return octic
-    return [[list(map(str, c.coeffs)) for c in plane] for plane in octic]
-
-
-def _octic_from_json(data):
-    if data is None or isinstance(data, str):
-        return data
-    return tuple(
-        tuple(Polynomial([Fraction(s) for s in c]) for c in plane) for plane in data
-    )
-
-
 def _build_catalog():
     out = {}
     for aid, (cols, dec, labels, h11, h12, notes) in catalog_data.ARRANGEMENT_TABLES.items():
-        if aid in catalog_data.OCTICS:
-            octic = tuple(_plane_polys(pl) for pl in catalog_data.OCTICS[aid])
-        else:
-            octic = catalog_data.OCTIC_248_SIC
         out[aid] = ArrangementRecord(
             id=aid,
             operator=catalog_data.OPERATORS[aid],
-            octic=octic,
+            octic=OCTICS[aid],
             symbol=tuple((_point(p), tuple(exps)) for p, exps in cols),
             decorations=dec,
             labels=labels,
@@ -473,9 +449,6 @@ def _has_table(table):
     return lambda op: riemann_symbol(op).same_table(table)
 
 
-# the quadratic points q+- = (-1 +- sqrt(-3))/4 of arrangement 266
-_Q_PLUS, _Q_MINUS = (QuadraticNumber(Fraction(-1, 4), Fraction(b, 4), -3) for b in (1, -1))
-
 # name -> (start, target, label, steps): the start is an arrangement id or a
 # derived operator name, each (description, step) maps the operator to the
 # next one, and the target tests the endpoint
@@ -537,7 +510,7 @@ _CHAIN_TABLE = {
         # sends the two quadratic points to 0 and infinity, the three shifted
         # columns to cube roots of 1, the remaining three points to cube
         # roots of -1
-        ("substitute t = (q- s - q+)/(s - 1)", partial(mobius, m=MobiusMap(_Q_MINUS, -_Q_PLUS, 1, -1))),
+        ("substitute t = (q- s - q+)/(s - 1)", partial(mobius, m=MobiusMap(catalog_data.Q_MINUS, -catalog_data.Q_PLUS, 1, -1))),
         ("descend u = s^3", partial(descend_power, n=3)),
         ("scale by sqrt(-3)", _rational_times_sqrt_minus_3),
     ]),

@@ -1,4 +1,4 @@
-"""Golden tables: operators, octics, exponent tables, decorations, Hodge data.
+"""Golden tables: operators, exponent tables, decorations, Hodge data.
 
 Every operator is entered below in the factored fractional shape of its
 source table and canonicalized by ThetaOperator.from_theta_polys (common
@@ -11,13 +11,11 @@ names aligned to the same columns; arrangements whose decorated table was
 never printed carry None.  Expected degeneration labels per column are stored
 as plain strings matching frobenius.PointType values.
 
+The octics live in qexp.OCTICS, with their transcription flags.
+
 Transcription flags, kept in the notes fields and in this docstring:
-  - 248: the third moving octic factor is printed as "x+(y+1)y-tz+v", which
-    is not a linear form; the octic is stored verbatim as a string, flagged
-    sic, and used in no computation.  The printed Hodge label for 248 reads
-    h12 where the h11 column pattern of its neighbours applies.
-  - 264: the eighth octic factor is printed inhomogeneously as "y+2-2z";
-    the stored plane homogenizes the constant with the fourth coordinate.
+  - 248: the printed Hodge label reads h12 where the h11 column pattern of
+    its neighbours applies.
   - descent-153: the printed closed form has t^0 coefficient
     Theta(4Theta-1)(2Theta-1), one degree short of the operator order, and
     printed infinity exponents (1/4,3/4,3/4,5/4).  The squared factor
@@ -65,58 +63,6 @@ def half(*cs):
 # quadratic singular points of 266/273: (-1 +- sqrt(-3))/4
 Q_PLUS = QuadraticNumber(Q(-1, 4), Q(1, 4), -3)
 Q_MINUS = QuadraticNumber(Q(-1, 4), Q(-1, 4), -3)
-
-
-# ---------------------------------------------------------------------------
-# octics
-#
-# A plane is a 4-tuple of coefficients of (x, y, z, v); each coefficient is
-# an integer or a tuple of ascending t-polynomial coefficients.
-
-X = (1, 0, 0, 0)
-Y = (0, 1, 0, 0)
-Z = (0, 0, 1, 0)
-V = (0, 0, 0, 1)
-T = (0, 1)
-
-OCTICS = {
-    4: (X, Y, Z, V, (1, 1, 0, 0), (1, T, T, -1), (1, 1, T, -1), (0, 1, 1, 0)),
-    13: (X, Y, Z, V, (0, 1, 1, 0), (1, 0, -1, -1), (1, 1, 0, 0), (1, 0, -1, T)),
-    34: (X, Y, Z, V, (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1), (0, 1, -1, T)),
-    72: (X, Y, Z, V, (1, -1, 0, -1), (1, 1, 1, 0), (0, 1, T, T), (0, 1, 1, 1)),
-    261: (X, Y, Z, V, (1, -1, -1, 1), (1, 1, 1, 1), (1, -1, T, (0, -1)), (1, 1, T, T)),
-    264: (X, Y, Z, V, (1, 2, (-2, 1), (2, -1)), (-1, -1, 2, (-2, 1)), (1, 1, T, 0), (0, 1, -2, 2)),
-    270: (X, Y, Z, V, (1, 1, 1, 0), (0, 1, 1, 1), (T, -2, T, T), (-1, -2, T, -1)),
-    33: (X, Y, Z, V, (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, -1, 1), (1, -1, -1, T)),
-    35: (X, Y, Z, (1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1), (1, -1, 0, 0), (1, T, (1, -1), -1)),
-    70: (Y, X, Z, V, (1, T, 0, 0), (0, 1, -1, -1), (1, -1, 0, -1), (1, -1, 1, 0)),
-    71: (X, Y, Z, V, (1, 1, 0, 0), (1, 1, 1, 1), (0, T, -1, -1), (-1, T, -1, 0)),
-    97: (X, Y, Z, V, (1, 1, 0, 0), (1, 1, 1, 1), (-1, 0, T, -1), (0, 1, -1, -1)),
-    98: (X, Y, Z, V, (1, 0, 1, -1), (1, 1, 1, 0), (0, 1, 1, 1), (0, 1, T, T)),
-    152: (X, Y, Z, V, (1, -1, -1, 1), (1, 1, 1, 1), (1, -1, T, (0, -1)), (0, 1, 0, 1)),
-    153: (X, Y, Z, V, (1, 1, 1, 0), (-1, T, 0, -1), (-1, T, -1, -1), (0, 1, 1, 1)),
-    197: (X, Y, Z, V, (1, -1, -1, 1), (1, 0, T, 1), (1, T, T, 0), (0, T, T, 1)),
-    198: (X, Y, Z, V, (1, -1, 0, -1), (1, 1, 1, 0), ((1, 1), -1, -1, 0), (0, 1, 1, 1)),
-    243: (X, Y, Z, V, (1, 1, 0, 1), (1, 1, 1, 0), (1, T, 1, 1), (0, 1, 1, 1)),
-    247: (X, Y, Z, V, (1, -1, 0, -1), (1, 1, 1, 0), (-1, 0, T, (0, -1)), (0, 1, 1, 1)),
-    250: (X, Y, Z, V, (1, 1, 1, 0), (1, T, -1, 1), (1, 0, 1, 1), (0, 1, 1, -1)),
-    252: (X, Y, Z, V, (1, 1, 0, 1), (1, 1, 1, 0), (-1, 0, T, 1), (-1, -2, T, -1)),
-    258: (X, Y, Z, V, (1, -1, 2, -2), (1, -1, 1, -1), (1, T, 1, T), (0, 1, -1, 2)),
-    266: (X, Y, Z, V, (2, 1, 0, 2), (1, (1, 1), -1, 1), (1, T, 1, 0), (0, 1, -2, 2)),
-    273: (X, Y, Z, V, (1, 1, 1, 0), (2, 0, -2, -1), (1, (0, 2), -1, T), (0, 2, 2, 1)),
-}
-
-# 248 as printed; the third moving factor is not linear (sic), so the octic
-# stays a string and is excluded from point counting.
-OCTIC_248_SIC = "xyzv(x+z+v)(x+y+z)(x+(y+1)y-tz+v)(y-z-v)"
-
-# rigid specialisations recorded in family notes: member id -> (family, parameter)
-RIGID_FIBRES = {
-    69: (250, Q(0)),
-    93: (250, Q(-1)),
-    245: (250, Q(1)),
-    240: (250, Q(-2)),
-}
 
 
 # ---------------------------------------------------------------------------

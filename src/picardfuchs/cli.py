@@ -20,7 +20,7 @@ from .frobenius import classify_basis, jordan_structure, local_basis
 from .guess import GuessConfig, guess_operator
 from .optheta import ThetaOperator, riemann_symbol
 from .period import TetraForm, conifold_expand
-from .qexp import FORMS, count_double_octic, eta_product, lookup_form, verify_form_table
+from .qexp import FORMS, OCTICS, RIGID_FIBRES, count_double_octic, eta_product, lookup_form, verify_form_table
 from .transform import (
     MobiusMap,
     descend_quadratic,
@@ -245,31 +245,21 @@ def _count_input(args):
                 raise UsageError("octic file is neither planes nor monomials: %s" % exc)
             return terms, None, None
         raise UsageError("octic file must be a JSON object")
-    from .catalog import CATALOG
-    from .catalog_data import RIGID_FIBRES
-
     aid = args.arrangement
     parameter = None if args.parameter is None else _fraction(args.parameter)
     if aid in RIGID_FIBRES:
         if parameter is not None:
             raise UsageError("arrangement %d is a recorded fibre; it takes no --parameter" % aid)
         aid, parameter = RIGID_FIBRES[aid]
-    if aid not in CATALOG:
-        raise UsageError(
-            "unknown arrangement %d (families: %s; fibres: %s)"
-            % (
-                args.arrangement,
-                ", ".join(str(k) for k in sorted(CATALOG)),
-                ", ".join(str(k) for k in sorted(RIGID_FIBRES)),
-            )
-        )
-    octic = CATALOG[aid].octic
+    if aid not in OCTICS:
+        known = [", ".join(map(str, sorted(ids))) for ids in (OCTICS, RIGID_FIBRES)]
+        raise UsageError("unknown arrangement %d (families: %s; fibres: %s)" % (args.arrangement, *known))
+    octic = OCTICS[aid]
     if isinstance(octic, str):
         raise UsageError("the stored octic of %d is not a product of linear forms" % aid)
     if parameter is None:
         raise UsageError("family %d needs --parameter" % aid)
-    planes = [tuple(c(parameter) for c in plane) for plane in octic]
-    return planes, aid, parameter
+    return octic.at(parameter), aid, parameter
 
 
 def _cmd_count(args):

@@ -13,11 +13,22 @@ because deg f8 = 8 is even.  For eight linear forms the sum runs on p-bit
 masks along the lines of the charts: chi_p is multiplicative, so on a line
 where each form reads b + c v the character sum is a popcount of the points
 where no form vanishes, signed by the parity of the non-residue factors.
+
+OCTICS holds the octic of each catalog arrangement as an Arrangement, the
+one owner of the plane format, and RIGID_FIBRES the rigid members recorded
+as fibres of a family.  Transcription flags:
+  - 248: the third moving factor is printed as "x+(y+1)y-tz+v", which is not
+    a linear form; the octic is stored verbatim as a string, flagged sic,
+    and used in no computation.
+  - 264: the eighth factor is printed inhomogeneously as "y+2-2z"; the
+    stored plane homogenizes the constant with the fourth coordinate.
 """
 
 from __future__ import annotations
 
-from .arith import Immutable, QuadraticNumber, _exact_int, _exact_rational, _is_probable_prime
+import re
+
+from .arith import Immutable, Polynomial, QuadraticNumber, _exact_int, _exact_rational, _is_probable_prime
 from .errors import (
     BadReduction,
     CoefficientOutOfRange,
@@ -436,3 +447,87 @@ def count_double_octic(f8, p):
         live = (((1 << len(vs)) - 1) << vs.start) & ~dead
         total += len(vs) + (live & ~par).bit_count() - (live & par).bit_count()
     return total
+
+
+# ---------------------------------------------------------------------------
+# octic arrangements
+
+
+def _t_polynomial(c):
+    """A shorthand octic coefficient, an int or a tuple of ascending ints, as a Polynomial in t."""
+    return Polynomial([_exact_int(a, InvalidOctic, "an octic coefficient") for a in (c if isinstance(c, tuple) else (c,))])
+
+
+def _integer_texts(c):
+    """The ints of a JSON octic coefficient, a list of integer strings; anything else raises InvalidOctic."""
+    if not (isinstance(c, list) and all(isinstance(s, str) and re.fullmatch(r"-?[0-9]+", s) for s in c)):
+        raise InvalidOctic("an octic coefficient must be a list of integer strings, got %r" % (c,))
+    return tuple(map(int, c))
+
+
+class Arrangement(Immutable):
+    """Eight planes, each the four integer t-polynomials that multiply x, y, z and v; it iterates as its planes.
+
+    Built from the shorthand of OCTICS, one argument per plane (see _t_polynomial).
+    """
+
+    __slots__ = ("planes",)
+
+    def __init__(self, *planes):
+        if len(planes) != 8 or any(not isinstance(pl, (list, tuple)) or len(pl) != 4 for pl in planes):
+            raise InvalidOctic("an arrangement needs eight planes of four coefficients")
+        object.__setattr__(self, "planes", tuple(tuple(map(_t_polynomial, plane)) for plane in planes))
+
+    def __iter__(self):
+        return iter(self.planes)
+
+    def at(self, t):
+        """The eight linear forms of the fibre at t, as count_double_octic takes them."""
+        return [tuple(c(t) for c in plane) for plane in self.planes]
+
+    def to_json(self):
+        return [[[str(a) for a in c.coeffs] for c in plane] for plane in self.planes]
+
+    @classmethod
+    def from_json(cls, data):
+        """Read what to_json writes; any other shape or text raises InvalidOctic."""
+        if not (isinstance(data, list) and all(isinstance(plane, list) for plane in data)):
+            raise InvalidOctic("an octic must be a list of planes, got %r" % (data,))
+        return cls(*([_integer_texts(c) for c in plane] for plane in data))
+
+
+# the coordinate planes and the parameter
+X, Y, Z, V = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+T = (0, 1)
+
+# arrangement id -> Arrangement; 248 stays the printed text (sic, see above)
+OCTICS = {
+    4: Arrangement(X, Y, Z, V, (1, 1, 0, 0), (1, T, T, -1), (1, 1, T, -1), (0, 1, 1, 0)),
+    13: Arrangement(X, Y, Z, V, (0, 1, 1, 0), (1, 0, -1, -1), (1, 1, 0, 0), (1, 0, -1, T)),
+    34: Arrangement(X, Y, Z, V, (1, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1), (0, 1, -1, T)),
+    72: Arrangement(X, Y, Z, V, (1, -1, 0, -1), (1, 1, 1, 0), (0, 1, T, T), (0, 1, 1, 1)),
+    261: Arrangement(X, Y, Z, V, (1, -1, -1, 1), (1, 1, 1, 1), (1, -1, T, (0, -1)), (1, 1, T, T)),
+    264: Arrangement(X, Y, Z, V, (1, 2, (-2, 1), (2, -1)), (-1, -1, 2, (-2, 1)), (1, 1, T, 0), (0, 1, -2, 2)),
+    270: Arrangement(X, Y, Z, V, (1, 1, 1, 0), (0, 1, 1, 1), (T, -2, T, T), (-1, -2, T, -1)),
+    33: Arrangement(X, Y, Z, V, (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, -1, 1), (1, -1, -1, T)),
+    35: Arrangement(X, Y, Z, (1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1), (1, -1, 0, 0), (1, T, (1, -1), -1)),
+    70: Arrangement(Y, X, Z, V, (1, T, 0, 0), (0, 1, -1, -1), (1, -1, 0, -1), (1, -1, 1, 0)),
+    71: Arrangement(X, Y, Z, V, (1, 1, 0, 0), (1, 1, 1, 1), (0, T, -1, -1), (-1, T, -1, 0)),
+    97: Arrangement(X, Y, Z, V, (1, 1, 0, 0), (1, 1, 1, 1), (-1, 0, T, -1), (0, 1, -1, -1)),
+    98: Arrangement(X, Y, Z, V, (1, 0, 1, -1), (1, 1, 1, 0), (0, 1, 1, 1), (0, 1, T, T)),
+    152: Arrangement(X, Y, Z, V, (1, -1, -1, 1), (1, 1, 1, 1), (1, -1, T, (0, -1)), (0, 1, 0, 1)),
+    153: Arrangement(X, Y, Z, V, (1, 1, 1, 0), (-1, T, 0, -1), (-1, T, -1, -1), (0, 1, 1, 1)),
+    197: Arrangement(X, Y, Z, V, (1, -1, -1, 1), (1, 0, T, 1), (1, T, T, 0), (0, T, T, 1)),
+    198: Arrangement(X, Y, Z, V, (1, -1, 0, -1), (1, 1, 1, 0), ((1, 1), -1, -1, 0), (0, 1, 1, 1)),
+    243: Arrangement(X, Y, Z, V, (1, 1, 0, 1), (1, 1, 1, 0), (1, T, 1, 1), (0, 1, 1, 1)),
+    247: Arrangement(X, Y, Z, V, (1, -1, 0, -1), (1, 1, 1, 0), (-1, 0, T, (0, -1)), (0, 1, 1, 1)),
+    248: "xyzv(x+z+v)(x+y+z)(x+(y+1)y-tz+v)(y-z-v)",
+    250: Arrangement(X, Y, Z, V, (1, 1, 1, 0), (1, T, -1, 1), (1, 0, 1, 1), (0, 1, 1, -1)),
+    252: Arrangement(X, Y, Z, V, (1, 1, 0, 1), (1, 1, 1, 0), (-1, 0, T, 1), (-1, -2, T, -1)),
+    258: Arrangement(X, Y, Z, V, (1, -1, 2, -2), (1, -1, 1, -1), (1, T, 1, T), (0, 1, -1, 2)),
+    266: Arrangement(X, Y, Z, V, (2, 1, 0, 2), (1, (1, 1), -1, 1), (1, T, 1, 0), (0, 1, -2, 2)),
+    273: Arrangement(X, Y, Z, V, (1, 1, 1, 0), (2, 0, -2, -1), (1, (0, 2), -1, T), (0, 2, 2, 1)),
+}
+
+# rigid specialisations recorded in family notes: member id -> (family, parameter)
+RIGID_FIBRES = {69: (250, 0), 93: (250, -1), 245: (250, 1), 240: (250, -2)}

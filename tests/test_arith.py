@@ -46,7 +46,7 @@ from picardfuchs.frobenius import GeneralizedSeries, LocalBasis, LocalMonodromyD
 from picardfuchs.guess import GuessConfig, Recurrence
 from picardfuchs.optheta import d_from_theta, riemann_symbol
 from picardfuchs.period import PeriodSeries, TetraForm
-from picardfuchs.qexp import EtaProductSpec, QSeries, TableReport, lookup_form
+from picardfuchs.qexp import OCTICS, EtaProductSpec, QSeries, TableReport, lookup_form
 from picardfuchs.transform import MobiusMap, ShiftAssignment, YukawaData
 from scalar_reference import quadratic_op
 from scalar_reference import taylor_shift as scalar_taylor_shift
@@ -549,6 +549,7 @@ VALUES = [
     EtaProductSpec(1, [(4, 2)]),
     lookup_form("f32"),
     TableReport("f32", []),
+    OCTICS[250],
     MobiusMap(1, 0, 0, 1),
     ShiftAssignment({Fraction(1): Fraction(1, 2)}),
     YukawaData([(Fraction(1), 1)]),

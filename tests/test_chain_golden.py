@@ -1,20 +1,26 @@
-"""Every benchmark item but the cli commands replays to the exact output recorded for the benchmark.
+"""Every benchmark item replays to the exact output recorded for the benchmark.
 
 These are the reduction chains, the conifold period, the point counts, the
-guessed operators, the eta-form tables and the local solutions with their
-annihilation orders at every printed point of the local-solutions workload.
-The benchmark's golden data hashes each item's output in canonical JSON, so a
+guessed operators, the eta-form tables, the local solutions with their
+annihilation orders at every printed point of the local-solutions workload,
+and the `pf` commands of the cli workload, run in this process.  The
+benchmark's golden data hashes each item's output in canonical JSON, so a
 chain step, a period coefficient, a count or a Frobenius table that changes
 by one scalar, or only in the type of a scalar (a QuadraticNumber against a
-Fraction of equal value), fails here.  The harness files are loaded by path
-and only read.
+Fraction of equal value), fails here; a command fails on one byte of its
+stdout or on its exit code.  The harness files are loaded by path and only
+read.
 """
 
+import contextlib
 import importlib.util
+import io
 import pathlib
 import sys
 
 import pytest
+
+from picardfuchs.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,15 +34,15 @@ def _load(name, filename):
 
 def _load_workloads():
     # workloads.py imports its sibling commands.py by plain name
-    sys.modules["commands"] = _load("commands", "commands.py")
+    commands = sys.modules["commands"] = _load("commands", "commands.py")
     try:
-        return _load("perfbench_workloads", "workloads.py")
+        return commands, _load("perfbench_workloads", "workloads.py")
     finally:
         del sys.modules["commands"]
 
 
 DIGEST = _load("perfbench_digest", "digest.py")
-WORKLOADS = _load_workloads()
+COMMANDS, WORKLOADS = _load_workloads()
 REDUCTIONS = WORKLOADS.WORKLOADS["reductions"]
 LOCAL = WORKLOADS.WORKLOADS["local-solutions"]
 GOLDEN = {name: w["items"] for name, w in DIGEST.load_golden()["workloads"].items()}
@@ -44,6 +50,8 @@ CHAIN_KEYS = [key for key in REDUCTIONS.universe() if key.startswith("chain:")]
 KERNEL_KEYS = [key for key in REDUCTIONS.universe() if key.startswith(("conifold:", "count:"))]
 SERIES_KEYS = [key for key in REDUCTIONS.universe() if key.startswith(("guess:", "forms:"))]
 POINT_KEYS = LOCAL.universe()
+CLI = WORKLOADS.WORKLOADS["cli"]
+CLI_KEYS = CLI.universe()
 
 
 def _replays_to_golden(workload, key):
@@ -93,3 +101,22 @@ def test_every_printed_point_has_a_recorded_hash():
 @pytest.mark.parametrize("key", POINT_KEYS)
 def test_local_solutions_match_golden_hash(key):
     _replays_to_golden(LOCAL, key)
+
+
+def test_every_command_has_a_recorded_hash():
+    assert len(CLI_KEYS) == 12
+    assert set(CLI_KEYS) == set(GOLDEN["cli"])
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    return CLI.setup(CLI_KEYS, str(tmp_path_factory.mktemp("cli")))
+
+
+@pytest.mark.parametrize("key", CLI_KEYS)
+def test_command_output_matches_golden_hash(key, cli_inputs):
+    argv = [a.replace("{dir}", cli_inputs) for a in COMMANDS.CLI_COMMANDS[key]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert DIGEST.item_hash({"exit": code, "stdout": out.getvalue()}) == GOLDEN["cli"][key]

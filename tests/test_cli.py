@@ -26,6 +26,7 @@ from picardfuchs import (
 from picardfuchs.catalog_data import TETRA_DEMO
 from picardfuchs.cli import main
 from picardfuchs.errors import ChainBroken
+from picardfuchs.qexp import OCTICS
 from picardfuchs.frobenius import jordan_structure
 
 
@@ -230,8 +231,41 @@ def test_count_needs_exactly_one_source(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["count", "--arrangement", "999", "--prime", "5"],
+            "pf: unknown arrangement 999 (families: 4, 13, 33, 34, 35, 70, 71, 72, 97, 98, 152, 153, 197, 198, "
+            "243, 247, 248, 250, 252, 258, 261, 264, 266, 270, 273; fibres: 69, 93, 240, 245)\n",
+        ),
+        (["count", "--arrangement", "248", "--prime", "5"], "pf: the stored octic of 248 is not a product of linear forms\n"),
+        (
+            ["count", "--arrangement", "248", "--parameter", "1", "--prime", "5"],
+            "pf: the stored octic of 248 is not a product of linear forms\n",
+        ),
+        (["count", "--arrangement", "250", "--prime", "5"], "pf: family 250 needs --parameter\n"),
+    ],
+    ids=["unknown", "248", "248-parameter", "no-parameter"],
+)
+def test_count_arrangement_usage_errors(capsys, argv, message):
+    assert _run(capsys, argv) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["93"], {"prime": 23, "count": 12526, "family": 250, "parameter": "-1", "arrangement": 93}),
+        (["250", "--parameter", "1/2"], {"prime": 23, "count": 12936, "family": 250, "parameter": "1/2", "arrangement": 250}),
+    ],
+)
+def test_count_arrangement_json(capsys, argv, doc):
+    code, out, err = _run(capsys, ["count", "--arrangement", *argv, "--prime", "23", "--json"])
+    assert (code, err) == (0, "") and out == json.dumps(doc) + "\n"
+
+
 def test_count_octic_file(tmp_path, capsys):
-    planes = [[str(c(Fraction(0))) for c in plane] for plane in CATALOG[250].octic]
+    planes = [[str(c) for c in plane] for plane in OCTICS[250].at(0)]
     path = tmp_path / "octic.json"
     path.write_text(json.dumps({"planes": planes}))
     code, out, _ = _run(capsys, ["count", "--octic", str(path), "--prime", "5", "--json"])
@@ -589,9 +623,8 @@ def test_each_command_loads_only_what_it_needs(tmp_path, run_fresh):
         ["guess", "--series", str(series), "--max-order", "2", "--max-degree", "1"],
         ["period", "--poly", str(form), "--terms", "4"],
         ["verify-forms"],
+        ["count", "--arrangement", "69", "--prime", "23"],
     ]
-    argvs = catalog_free + [["count", "--arrangement", "69", "--prime", "23"]]
-    report = json.loads(run_fresh(_LOADED_BY_COMMANDS % (argvs,)))
+    report = json.loads(run_fresh(_LOADED_BY_COMMANDS % (catalog_free,)))
     assert report.pop("package") == []
-    assert report.pop("count") == [0, ["picardfuchs.catalog", "picardfuchs.catalog_data"]]
     assert report == {argv[0]: [0, []] for argv in catalog_free}

@@ -18,6 +18,11 @@ _IMPORTS = (
     "from picardfuchs.qexp import count_double_octic\n"
     "SURD = QuadraticNumber(1, 1, 2)\n"
     "PLANES = [(1, 0, 0, 0)] * 7\n"
+    "ROW = [['1'], [], [], []]\n"
+    "def with_octic(octic):\n"
+    "    doc = json.loads(dump_catalog())\n"
+    "    doc['arrangements'][0]['octic'] = octic\n"
+    "    return json.dumps(doc)\n"
 )
 # (expression, error class, message) of the checks that once raised a bare
 # ValueError or a builtins TypeError, or read a float or a bool as a number
@@ -50,6 +55,24 @@ TYPED_CHECKS = [
         "TruncationTooLow",
         "truncation 0 below the operator's t-degree 1",
     ),
+    # a catalog octic is read from JSON as exact integer strings, eight planes of four
+    (
+        "load_catalog(with_octic([[['1/2'], [], [], []]] + [ROW] * 7))",
+        "InvalidOctic",
+        "an octic coefficient must be a list of integer strings, got ['1/2']",
+    ),
+    (
+        "load_catalog(with_octic([[['1.5'], [], [], []]] + [ROW] * 7))",
+        "InvalidOctic",
+        "an octic coefficient must be a list of integer strings, got ['1.5']",
+    ),
+    (
+        "load_catalog(with_octic([[[True], [], [], []]] + [ROW] * 7))",
+        "InvalidOctic",
+        "an octic coefficient must be a list of integer strings, got [True]",
+    ),
+    ("load_catalog(with_octic([ROW] * 7))", "InvalidOctic", "an arrangement needs eight planes of four coefficients"),
+    ("load_catalog(with_octic(5))", "InvalidOctic", "an octic must be a list of planes, got 5"),
 ]
 
 

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from picardfuchs import CATALOG, count_double_octic, eta_product, verify_form_table
+import period_reference as ref
+from picardfuchs import CATALOG, Polynomial, count_double_octic, eta_product, verify_form_table
 from picardfuchs.errors import BadReduction, EvenPrime, InvalidOctic, NotPrime
-from picardfuchs.qexp import FORMS, EtaProductSpec, lookup_form
+from picardfuchs.qexp import FORMS, OCTICS, RIGID_FIBRES, Arrangement, EtaProductSpec, lookup_form
 
 ETA_FORMS = ("f32", "16", "8", "6/1", "8/1")
+LINEAR_OCTICS = [aid for aid in sorted(OCTICS) if aid != 248]
 
 
 def _fibre_planes(family, parameter):
-    octic = CATALOG[family].octic
-    return [tuple(c(Fraction(parameter)) for c in plane) for plane in octic]
+    return OCTICS[family].at(Fraction(parameter))
 
 
 def _expand(planes):
@@ -79,6 +80,40 @@ def test_count_square_scaling_invariant():
     # a non-residue twist genuinely changes the surface
     twisted = [tuple(2 * c for c in planes[0])] + planes[1:]
     assert count_double_octic(twisted, 5) != 153
+
+
+def test_catalog_reads_the_octic_registry():
+    # 24 arrangements of eight planes of four integer t-polynomials, iterated as planes; 248 is text
+    assert sorted(OCTICS) == sorted(CATALOG)
+    for aid, rec in CATALOG.items():
+        assert rec.octic is OCTICS[aid]
+    assert OCTICS[248] == "xyzv(x+z+v)(x+y+z)(x+(y+1)y-tz+v)(y-z-v)"
+    for aid in LINEAR_OCTICS:
+        planes = list(OCTICS[aid])
+        assert isinstance(OCTICS[aid], Arrangement) and [len(plane) for plane in planes] == [4] * 8
+        assert all(isinstance(c, Polynomial) and all(a.denominator == 1 for a in c) for plane in planes for c in plane)
+
+
+def _oracle_planes(octic, t):
+    """The fibre at t from the JSON of the octic, by Polynomial and not by Arrangement.at."""
+    return [tuple(Polynomial([Fraction(s) for s in c])(t) for c in plane) for plane in octic.to_json()]
+
+
+@pytest.mark.parametrize("family", LINEAR_OCTICS)
+def test_every_family_counts_like_the_per_point_reference(family):
+    # denominators 3 and 2 are prime to both primes
+    octic = OCTICS[family]
+    for t in (0, 1, -2, Fraction(1, 3), Fraction(-3, 2)):
+        for p in (5, 7):
+            assert count_double_octic(octic.at(t), p) == ref.count_double_octic(_oracle_planes(octic, t), p), (t, p)
+
+
+@pytest.mark.parametrize("fibre", sorted(RIGID_FIBRES))
+def test_every_rigid_fibre_counts_like_the_per_point_reference(fibre):
+    family, t = RIGID_FIBRES[fibre]
+    octic = OCTICS[family]
+    for p in (5, 7):
+        assert count_double_octic(octic.at(t), p) == ref.count_double_octic(_oracle_planes(octic, t), p), p
 
 
 def test_monomial_input_matches_planes():
@@ -160,10 +195,20 @@ QEXP_CHECKS = [
     ("verify_form_table('f32', N=10)", "TruncationTooLow"),
     ("verify_form_table('12/1')", "NoEtaProduct"),
     ("count_double_octic([(Fraction(1, 5), 1, 0, 0)] + [(1, 0, 0, 0)] * 7, 5)", "BadReduction"),
+    # an arrangement is eight planes of four exact integer t-polynomials
+    ("Arrangement(*[(1, 0, 0, 0)] * 7)", "InvalidOctic"),
+    ("Arrangement(*[(1, 0, 0)] * 8)", "InvalidOctic"),
+    ("Arrangement(*[(1, 0, 0, (0, True))] * 8)", "InvalidOctic"),
+    ("Arrangement(*[(1, 0, 0, 0.5)] * 8)", "InvalidOctic"),
+    ("Arrangement(*[(1, 0, 0, Fraction(1, 2))] * 8)", "InvalidOctic"),
+    # a coefficient read from JSON is a list of integer strings, never one string read digit by digit
+    ("Arrangement.from_json([[['1'], ['0'], ['0'], '12']] * 8)", "InvalidOctic"),
+    ("Arrangement.from_json([[['1'], ['0'], ['0'], ['+1']]] * 8)", "InvalidOctic"),
+    ("Arrangement.from_json({'planes': []})", "InvalidOctic"),
 ]
 QEXP_IMPORTS = (
     "from fractions import Fraction\n"
-    "from picardfuchs.qexp import QSeries, EtaProductSpec, FormRecord, _inverse_unit, count_double_octic, eta_product, verify_form_table\n"
+    "from picardfuchs.qexp import QSeries, Arrangement, EtaProductSpec, FormRecord, _inverse_unit, count_double_octic, eta_product, verify_form_table\n"
     "from picardfuchs.errors import *\n"
 )
 
