@@ -10,7 +10,7 @@ reproduce_reduction replays a chain step by step and checks its endpoint.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -57,19 +57,16 @@ def _point(p):
 # records
 
 
-@dataclass(frozen=True)
-class ArrangementRecord:
-    """One arrangement: geometry data, operator, and the printed tables."""
+class ArrangementRecord(namedtuple("ArrangementRecord", "id operator octic symbol decorations labels h11 h12 notes")):
+    """One arrangement: geometry data, operator, and the printed tables.
 
-    id: int
-    operator: ThetaOperator
-    octic: object  # qexp.OCTICS[id]: an Arrangement, or the printed text of 248 (sic)
-    symbol: tuple  # ((SingularPoint, exponent tuple), ...) printed column order
-    decorations: object  # tuple aligned with symbol columns, or None
-    labels: tuple  # expected degeneration label per column
-    h11: object
-    h12: object
-    notes: str
+    `octic` is qexp.OCTICS[id]: an Arrangement, or the printed text of 248
+    (sic).  `symbol` is ((SingularPoint, exponent tuple), ...) in printed
+    column order; `decorations` is a tuple aligned with its columns, or None;
+    `labels` holds the expected degeneration label of each column.
+    """
+
+    __slots__ = ()
 
     def symbol_table(self):
         return {p: exps for p, exps in self.symbol}
@@ -105,19 +102,21 @@ class ArrangementRecord:
         )
 
 
-@dataclass(frozen=True)
-class DerivedOperatorRecord:
-    """A three-point operator produced from an arrangement by a chain."""
+class DerivedOperatorRecord(
+    namedtuple(
+        "DerivedOperatorRecord",
+        "name operator symbol decorations labels source chain printed_discrepancy_points notes",
+    )
+):
+    """A three-point operator produced from an arrangement by a chain.
 
-    name: str
-    operator: ThetaOperator
-    symbol: tuple  # printed columns, which may contain documented slips
-    decorations: tuple
-    labels: tuple
-    source: int  # arrangement id the chain starts from
-    chain: str  # chain name; replaying it must reproduce `operator`
-    printed_discrepancy_points: tuple  # columns where print and operator differ
-    notes: str
+    `symbol` holds the printed columns, which may contain documented slips;
+    `printed_discrepancy_points` are the columns where print and operator
+    differ.  `source` is the arrangement id the chain starts from, and
+    replaying the chain named `chain` must reproduce `operator`.
+    """
+
+    __slots__ = ()
 
     def symbol_table(self):
         return {p: exps for p, exps in self.symbol}
@@ -214,18 +213,16 @@ DERIVED_OPERATORS = _build_derived()
 # verification
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # PASS | FAIL | NOTED
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name status detail", defaults=("",))):
+    """One named check of an entry; `status` is PASS, FAIL or NOTED."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EntryReport:
-    kind: str  # "arrangement" | "derived"
-    key: object
-    checks: tuple
+class EntryReport(namedtuple("EntryReport", "kind key checks")):
+    """The checks of one record; `kind` is "arrangement", "derived" or "chain"."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -251,9 +248,10 @@ class EntryReport:
         }
 
 
-@dataclass(frozen=True)
-class CatalogReport:
-    entries: tuple
+class CatalogReport(namedtuple("CatalogReport", "entries")):
+    """The entry reports of one verify_catalog run."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -368,22 +366,19 @@ def verify_catalog(include_chains=False):
 # reduction chains
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    description: str
-    operator: ThetaOperator
+class ChainStep(namedtuple("ChainStep", "description operator")):
+    """The operator after one described step of a reduction chain."""
+
+    __slots__ = ()
 
     def symbol(self):
         return riemann_symbol(self.operator)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    name: str
-    ok: bool
-    steps: tuple
-    target: str
-    detail: str = ""
+class ReductionReport(namedtuple("ReductionReport", "name ok steps target detail", defaults=("",))):
+    """A replayed chain: its steps, and whether the endpoint meets `target`."""
+
+    __slots__ = ()
 
     def format(self):
         out = ["chain %s -> %s: %s" % (self.name, self.target, "PASS" if self.ok else "FAIL")]

@@ -11,25 +11,16 @@ import json
 import os
 import sys
 
-# `catalog` is imported only by the commands that read it.  The computational
-# modules stay at module level: perfbench/tracer.py patches them in
-# sys.modules right after importing this module.
+# Each command imports the modules it runs, so a `pf` process compiles only
+# those.  `guess` and `period` stay at module level all the same: a traced run
+# (perfbench/tracer.py) imports this module and `catalog`, then patches every
+# spanned function in sys.modules, and `catalog` loads every spanned module
+# but these two.  test_tracer_finds_every_patched_module_after_the_cli_import
+# pins that contract.
 from .arith import _exact_fraction
 from .errors import ChainBroken, InvalidOctic
-from .frobenius import classify_basis, jordan_structure, local_basis
 from .guess import GuessConfig, guess_operator
-from .optheta import ThetaOperator, riemann_symbol
 from .period import TetraForm, conifold_expand
-from .qexp import FORMS, OCTICS, RIGID_FIBRES, count_double_octic, eta_product, lookup_form, verify_form_table
-from .transform import (
-    MobiusMap,
-    descend_quadratic,
-    mobius,
-    pullback_power,
-    shift_exponents,
-    yukawa,
-)
-
 
 class UsageError(Exception):
     """Bad input from the command line; reported on stderr with exit code 2."""
@@ -52,6 +43,8 @@ def _load_json(path):
 
 
 def _load_operator(path):
+    from .optheta import ThetaOperator
+
     data = _load_json(path)
     try:
         return ThetaOperator.from_json(data)
@@ -68,6 +61,8 @@ def _fraction(value):
 
 
 def _parse_mobius(text):
+    from .transform import MobiusMap
+
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError("--mobius needs four comma-separated rationals a,b,c,d")
@@ -101,6 +96,8 @@ def _emit(args, obj, text):
 
 
 def _cmd_symbol(args):
+    from .optheta import riemann_symbol
+
     op = _load_operator(args.operator)
     sym = riemann_symbol(op)
     genuine = not args.all
@@ -109,6 +106,9 @@ def _cmd_symbol(args):
 
 
 def _cmd_classify(args):
+    from .frobenius import classify_basis, jordan_structure, local_basis
+    from .optheta import riemann_symbol
+
     op = _load_operator(args.operator)
     sym = riemann_symbol(op)
     rows = []
@@ -138,6 +138,8 @@ def _cmd_classify(args):
 
 
 def _cmd_transform(args):
+    from .transform import descend_quadratic, mobius, pullback_power, shift_exponents, yukawa
+
     op = _load_operator(args.operator)
     if args.shift is not None:
         op = shift_exponents(op, _parse_shifts(args.shift))
@@ -204,6 +206,8 @@ def _cmd_guess(args):
 
 
 def _cmd_qexp(args):
+    from .qexp import eta_product, lookup_form
+
     try:
         rec = lookup_form(args.form)
     except KeyError as exc:
@@ -230,6 +234,8 @@ def _octic_exponent(part):
 
 
 def _count_input(args):
+    from .qexp import OCTICS, RIGID_FIBRES
+
     if args.octic:
         data = _load_json(args.octic)
         if isinstance(data, dict) and "planes" in data:
@@ -263,6 +269,8 @@ def _count_input(args):
 
 
 def _cmd_count(args):
+    from .qexp import count_double_octic
+
     f8, aid, parameter = _count_input(args)
     n = count_double_octic(f8, args.prime)
     if args.json:
@@ -279,6 +287,8 @@ def _cmd_count(args):
 
 
 def _cmd_verify_forms(args):
+    from .qexp import FORMS, verify_form_table
+
     reports = []
     skipped = []
     for name in sorted(FORMS):

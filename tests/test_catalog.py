@@ -14,6 +14,7 @@ from picardfuchs import (
     reproduce_reduction,
     verify_catalog,
 )
+from picardfuchs.catalog import CatalogReport, CheckResult, EntryReport
 
 HALF = Fraction(1, 2)
 
@@ -84,6 +85,27 @@ def test_reduction_chain_reproduces():
     assert rep.ok
     assert rep.name == "33to70"
     assert rep.format()
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: CATALOG[4], "operator"),
+        (lambda: DERIVED_OPERATORS["descent-98"], "operator"),
+        (lambda: CheckResult("symbol", "PASS"), "status"),
+        (lambda: EntryReport("arrangement", 4, (CheckResult("symbol", "PASS"),)), "checks"),
+        (lambda: CatalogReport(()), "entries"),
+        (lambda: reproduce_reduction("33to70").steps[0], "operator"),
+        (lambda: reproduce_reduction("33to70"), "ok"),
+    ],
+    ids=["arrangement", "derived", "check", "entry", "catalog-report", "chain-step", "reduction-report"],
+)
+def test_catalog_records_are_immutable(make, field):
+    rec = make()
+    with pytest.raises(AttributeError):
+        setattr(rec, field, None)
+    with pytest.raises(AttributeError):
+        rec.extra = None  # a record keeps no instance dict
 
 
 def test_unknown_chain_lists_candidates():

@@ -17,11 +17,16 @@ from picardfuchs import (
     CHAINS,
     DERIVED_OPERATORS,
     TetraForm,
+    MobiusMap,
     classify_point,
-    cli,
+    descend_quadratic,
     frobenius,
     local_basis,
+    mobius,
+    pullback_power,
     riemann_symbol,
+    shift_exponents,
+    yukawa,
 )
 from picardfuchs.catalog_data import TETRA_DEMO
 from picardfuchs.cli import main
@@ -107,10 +112,10 @@ def test_classify_builds_each_basis_once(tmp_path, capsys, monkeypatch, aid, as_
 
         return wrapper
 
+    # pf classify imports local_basis from frobenius when it runs, so it reaches this wrapper too
     monkeypatch.setattr(frobenius, "local_basis", counted(frobenius.local_basis))
     riemann_symbol(op)  # its logarithm checks build some bases of their own
     by_symbol = len(calls)
-    monkeypatch.setattr(cli, "local_basis", counted(cli.local_basis))
     del calls[:]
     code, out, _ = _run(capsys, ["classify"] + (["--json"] if as_json else []) + [_op_file(tmp_path, aid)])
     assert code == 0 and out == want
@@ -133,7 +138,31 @@ def test_transform_out_writes_file(tmp_path, capsys):
         ["transform", _op_file(tmp_path, 4), "--pullback", "2", "--out", str(target)],
     )
     assert code == 0 and out == ""
-    json.loads(target.read_text())
+    assert json.loads(target.read_text()) == pullback_power(CATALOG[4].operator, 2).to_json()
+
+
+# each transform step on its success path, against the library call it stands for;
+# the command imports its transforms when it runs, so a missing name shows only here
+_DOUBLED_4 = pullback_power(CATALOG[4].operator, 2)
+
+
+@pytest.mark.parametrize(
+    "op, flags, want",
+    [
+        (CATALOG[97].operator, ["--shift", "0=1/2"], lambda op: shift_exponents(op, {0: Fraction(1, 2)})),
+        (CATALOG[98].operator, ["--mobius=0,1,1,-1"], lambda op: mobius(op, MobiusMap(0, 1, 1, -1))),
+        (CATALOG[4].operator, ["--pullback", "2"], lambda op: pullback_power(op, 2)),
+        (_DOUBLED_4, ["--descend"], descend_quadratic),
+        (CATALOG[33].operator, ["--yukawa"], yukawa),
+    ],
+    ids=["shift", "mobius", "pullback", "descend", "yukawa"],
+)
+def test_transform_step_matches_the_library(tmp_path, capsys, op, flags, want):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op.to_json()))
+    code, out, err = _run(capsys, ["transform", str(path), "--json"] + flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == want(op).to_json()
 
 
 @pytest.mark.parametrize(
@@ -596,18 +625,22 @@ def test_catalog_dump(capsys):
     assert doc["version"] == 1 and len(doc["arrangements"]) == 25
 
 
-# run in one new interpreter: what `import picardfuchs` loads, then which commands load the catalog
-_LOADED_BY_COMMANDS = """
+# run one command in a new interpreter: what `import picardfuchs` loads, the exit code,
+# the picardfuchs modules loaded after the command, and whether `dataclasses` was loaded
+_LOADED_BY_COMMAND = """
 import contextlib, io, json, sys
 import picardfuchs
-report = {"package": sorted(m for m in sys.modules if m.startswith("picardfuchs."))}
+package = sorted(m for m in sys.modules if m.startswith("picardfuchs."))
 from picardfuchs.cli import main
-for argv in %r:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    report[argv[0]] = [code, [m for m in ("picardfuchs.catalog", "picardfuchs.catalog_data") if m in sys.modules]]
-print(json.dumps(report))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(%r)
+loaded = sorted(m[len("picardfuchs."):] for m in sys.modules if m.startswith("picardfuchs."))
+print(json.dumps([package, code, loaded, "dataclasses" in sys.modules]))
 """
+
+# what importing picardfuchs.cli loads; guess and period stay for the benchmark tracer
+_CLI_MODULES = ["arith", "cli", "errors", "guess", "optheta", "period"]
+_CATALOG_MODULES = ["catalog", "catalog_data", "frobenius", "qexp", "transform"]
 
 
 def test_each_command_loads_only_what_it_needs(tmp_path, run_fresh):
@@ -615,16 +648,21 @@ def test_each_command_loads_only_what_it_needs(tmp_path, run_fresh):
     series.write_text(json.dumps([str(comb(2 * n, n) ** 2) for n in range(30)]))
     form = tmp_path / "form.json"
     form.write_text(json.dumps(TetraForm.from_planes(TETRA_DEMO["planes"], truncation=6).to_json()))
-    catalog_free = [
-        ["symbol", _op_file(tmp_path, 4)],
-        ["classify", _op_file(tmp_path, 4), "--json"],
-        ["transform", _op_file(tmp_path, 98, "op98.json"), "--mobius=0,1,1,-1"],
-        ["qexp", "--form", "6/1", "--terms", "20"],
-        ["guess", "--series", str(series), "--max-order", "2", "--max-degree", "1"],
-        ["period", "--poly", str(form), "--terms", "4"],
-        ["verify-forms"],
-        ["count", "--arrangement", "69", "--prime", "23"],
+    commands = [
+        (["symbol", _op_file(tmp_path, 4)], []),
+        (["symbol", _op_file(tmp_path, 33, "op33.json")], []),
+        (["classify", _op_file(tmp_path, 4), "--json"], ["frobenius"]),
+        (["transform", _op_file(tmp_path, 98, "op98.json"), "--mobius=0,1,1,-1"], ["transform"]),
+        (["qexp", "--form", "6/1", "--terms", "20"], ["qexp"]),
+        (["guess", "--series", str(series), "--max-order", "2", "--max-degree", "1"], []),
+        (["period", "--poly", str(form), "--terms", "4"], []),
+        (["verify-forms"], ["qexp"]),
+        (["count", "--arrangement", "69", "--prime", "23"], ["qexp"]),
+        (["verify-catalog"], _CATALOG_MODULES),
+        (["reproduce", "33to70"], _CATALOG_MODULES),
+        (["catalog", "dump"], _CATALOG_MODULES),
     ]
-    report = json.loads(run_fresh(_LOADED_BY_COMMANDS % (catalog_free,)))
-    assert report.pop("package") == []
-    assert report == {argv[0]: [0, []] for argv in catalog_free}
+    for argv, extra in commands:
+        package, code, loaded, dataclasses = json.loads(run_fresh(_LOADED_BY_COMMAND % (argv,)))
+        assert package == []
+        assert (code, loaded, dataclasses) == (0, sorted(_CLI_MODULES + extra), False), argv
