@@ -143,16 +143,13 @@ def test_transform_out_writes_file(tmp_path, capsys):
 
 # each transform step on its success path, against the library call it stands for;
 # the command imports its transforms when it runs, so a missing name shows only here
-_DOUBLED_4 = pullback_power(CATALOG[4].operator, 2)
-
-
 @pytest.mark.parametrize(
     "op, flags, want",
     [
         (CATALOG[97].operator, ["--shift", "0=1/2"], lambda op: shift_exponents(op, {0: Fraction(1, 2)})),
         (CATALOG[98].operator, ["--mobius=0,1,1,-1"], lambda op: mobius(op, MobiusMap(0, 1, 1, -1))),
         (CATALOG[4].operator, ["--pullback", "2"], lambda op: pullback_power(op, 2)),
-        (_DOUBLED_4, ["--descend"], descend_quadratic),
+        (pullback_power(CATALOG[4].operator, 2), ["--descend"], descend_quadratic),
         (CATALOG[33].operator, ["--yukawa"], yukawa),
     ],
     ids=["shift", "mobius", "pullback", "descend", "yukawa"],
