@@ -25,6 +25,7 @@ from .errors import (
     InexactScalar,
     InvalidDiscriminant,
     InvalidPower,
+    InvalidTruncation,
     MixedFields,
     NonPositiveInteger,
     NonrationalScalar,
@@ -1127,8 +1128,7 @@ class PowerSeries(Immutable):
 
     def __init__(self, coeffs, order=None):
         cs = [as_scalar(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
+        order = len(cs) - 1 if order is None else _exact_int(order, InvalidTruncation, "the truncation order")
         if order < 0:
             raise TruncationTooLow("a power series needs a truncation order >= 0, got %d" % order)
         cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))

@@ -88,6 +88,14 @@ class TruncationTooLow(ValueError):
     """A series truncation N is too short for the operator or its resonances."""
 
 
+class InvalidTruncation(ValueError):
+    """A series truncation was given as anything but an int: a float, a bool, a Fraction or a string."""
+
+
+class PointMismatch(ValueError):
+    """A local series around one point was checked at another."""
+
+
 class FrobeniusInvariant(ValueError):
     """An invariant of the Frobenius construction failed; no basis is returned."""
 

@@ -34,11 +34,11 @@ is Z[sqrt d] when a QuadraticNumber tagged d is among the local operator's
 coefficients or the class roots (arith.scalar_field).  A jet window is
 (A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den with one
 positive integer den, in lowest terms.  Over Q, B and tags are None
-and the loops are plain integer loops.  Each P_i is cleared once per point
-and denominator to an integer polynomial (optheta.cleared_operator), its
-values at the integral points are read by index from one table of Taylor
-shifts (optheta.jet_tables), products are integer convolutions, and the
-division is a fraction-free triangular solve over Z followed by one gcd.
+and the loops are plain integer loops.  Each P_i is cleared once per class
+to an integer polynomial (arith.integer_polys), its values at the integral
+points are read by index from one table of Taylor shifts per class
+(optheta.jet_tables), products are integer convolutions, and the division
+is a fraction-free triangular solve over Z followed by one gcd.
 Over Z[sqrt d] the quotient is first multiplied through by the conjugate of
 the denominator jet, whose norm jet has integer coefficients, so the same
 solve runs on each part.  Scalars are built only for the output tables, one
@@ -77,18 +77,18 @@ from itertools import chain
 from .arith import (
     Immutable,
     QuadraticNumber,
+    _exact_int,
     as_scalar,
     collapse,
     exponent_parts,
+    integer_polys,
     scalar_field,
     scalar_sort_key,
     tagged_scalar,
 )
-from .errors import FrobeniusInvariant, TruncationTooLow, UnclassifiedPattern, ZeroSeries
+from .errors import FrobeniusInvariant, InvalidTruncation, PointMismatch, TruncationTooLow, UnclassifiedPattern, ZeroSeries
 from .optheta import (
-    cleared_operator,
     indicial_roots,
-    jet_memo,
     jet_sum,
     jet_tables,
     local_indicial,
@@ -260,8 +260,8 @@ class GeneralizedSeries(Immutable):
 # what the solutions k of one root of local_basis share: c_0 .. c_N as the
 # recurrence returns them, of `width` above + mult at offset 0, the cleared
 # operator Q, jet tables P and per-row lcms of the recurrence over Z[sqrt d]
-# on `loc`, and the residual valuations `rows`
-_RootJets = namedtuple("_RootJets", "loc d Q P jets lcms width above rows")
+# on `loc`, the local operator of `op`, and the residual valuations `rows`
+_RootJets = namedtuple("_RootJets", "op loc d Q P jets lcms width above rows")
 
 
 class LocalBasis(Immutable):
@@ -353,32 +353,39 @@ def default_truncation(op):
 def local_basis(op, point, N=None):
     """Echelonized basis of n generalized-series solutions at `point`."""
     loc = local_operator(op, point)
-    if N is None:
-        N = default_truncation(loc)
+    N = default_truncation(loc) if N is None else _exact_int(N, InvalidTruncation, "the truncation")
     if N < loc.r + loc.order:
         raise TruncationTooLow("truncation %d below r + order = %d" % (N, loc.r + loc.order))
     solutions = []
     for cls in _partition_classes(indicial_roots(local_indicial(loc, point))):
-        solutions.extend(_class_solutions(loc, cls, N, point))
+        solutions.extend(_class_solutions(op, loc, cls, N, point))
     solutions.sort(key=lambda s: (scalar_sort_key(s.alpha), s.leading[1]))
     return LocalBasis(point, solutions, loc)
 
 
-def _class_solutions(loc, cls, N, point):
-    """All solutions for one exponent class of the local operator."""
+def _class_solutions(op, loc, cls, N, point):
+    """All solutions for one exponent class of the local operator `loc` of op.
+
+    The class roots differ by integers, so they share the denominator q and
+    one set of jet tables, from the lowest root up to N + gap; a root g above
+    it reads entries g .. g + N.
+    """
     r = loc.r
-    gap = _integer_difference(cls[-1][0], cls[0][0])
+    low = cls[0][0]
+    gap = _integer_difference(cls[-1][0], low)
     if N < gap + r + 1:
         raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
-    # the class roots differ by integers, so they share one denominator q
-    Q = cleared_operator(loc, exponent_parts(cls[0][0])[0], d)
-    memo = jet_memo(loc)
+    q, u0, v0, tagged = exponent_parts(low)
+    Q = integer_polys(loc.theta_coeffs, q, d)[0]
+    tables = jet_tables(Q, u0, q, N + gap, d, v0, tagged)
     out = []
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        jets, lcms, P = _integer_recurrence(Q, lam, above + mult, N, above, d, memo)
-        root = _RootJets(loc, d, Q, P, jets, lcms, above + mult, above, [])
+        g = _integer_difference(lam, low)
+        P = [t[g : g + N + 1] for t in tables]
+        jets, lcms = _integer_recurrence(Q, P, lam, above + mult, N, above, d)
+        root = _RootJets(op, loc, d, Q, P, jets, lcms, above + mult, above, [])
         for k in range(above, above + mult):
             s = k - above
             scale = math.factorial(s)  # leading coefficient 1 instead of 1/s!
@@ -397,26 +404,23 @@ def _class_solutions(loc, cls, N, point):
     return out
 
 
-def _integer_recurrence(Q, lam, W, N, above, d=None, memo=None):
-    """Jets c_0 .. c_N as (A, B, tags, den) windows of width W, the lcm taken for each, and the jet tables read.
+def _integer_recurrence(Q, P, lam, W, N, above, d=None):
+    """Jets c_0 .. c_N as (A, B, tags, den) windows of width W, and the lcm taken for each.
 
     Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
-    when d is given.  The seed is eps^above, at offset `above`; the jets come
-    back at offset 0 when the resonances lose all of it, as they do for a
-    class of roots of P_0 (module docstring).  The common scale E of the Q_i
-    cancels in the quotient, and the terms of the numerator of c_m are
-    brought to the lcm of their jets' denominators, lcms[m] (lcms[0] = 1).
-    A P_0 jet with a unit constant term is divided by as it stands; only a
-    resonance strips its valuation.  `memo` goes to jet_tables (see
-    optheta.jet_memo): the tables are read at k = 0 .. N, all that the
-    annihilation checks read.
+    when d is given, and P holds its jet_tables at lam for k = 0 .. N.  The
+    seed is eps^above, at offset `above`; the jets come back at offset 0
+    when the resonances lose all of it, as they do for a class of roots of
+    P_0 (module docstring).  The common scale E of the Q_i cancels in the
+    quotient, and the terms of the numerator of c_m are brought to the lcm
+    of their jets' denominators, lcms[m] (lcms[0] = 1).  A P_0 jet with a
+    unit constant term is divided by as it stands; only a resonance strips
+    its valuation.
     """
-    q, u0, v0, tagged = exponent_parts(lam)
     seed = zero_jet(W, d)
     seed[0][0] = 1
     jets, lcms, v = [seed + (1,)], [1], above
     p0_zero = not any(Q[0][0]) and not any(Q[0][1] or ())
-    P = jet_tables(Q, u0, q, N, d, v0, tagged, memo)
     live = [i for i in range(1, len(Q)) if Q[i][0]]
     for m in range(1, N + 1):
         terms = [i for i in live if i <= m]
@@ -429,21 +433,24 @@ def _integer_recurrence(Q, lam, W, N, above, d=None, memo=None):
             jets, v = [_lowered(c, mu) for c in jets], v - mu
         # P_0 c_m = -sum_(i>=1) P_i c_(m-i): the sign goes into the scale
         jets.append(_int_jet_div(numer, den, -lcm, d))
-    return jets, lcms, P
+    return jets, lcms
 
 
 def annihilation_order(op, point, sol):
     """Largest row index through which the operator kills the solution.
 
-    On the local operator its root was built on, a solution of local_basis
-    is read from its root's residual valuations (module docstring, Checks); any
-    other series, operator object or point goes to residual_order.
+    A solution of local_basis on this operator object is read from its
+    root's residual valuations (module docstring, Checks); any other series
+    or operator goes to residual_order.  A series around another point
+    raises PointMismatch.
     """
-    loc = local_operator(op, point)
-    upto = sol.truncation - loc.r
-    if sol.root is None or sol.root[0].loc is not loc:
-        return residual_order(loc, sol.alpha, sol.table, upto)
+    if sol.base_point != point:
+        raise PointMismatch("a series around %s checked at %s" % (sol.base_point, point))
+    if sol.root is None or sol.root[0].op is not op:
+        loc = local_operator(op, point)
+        return residual_order(loc, sol.alpha, sol.table, sol.truncation - loc.r)
     root, k = sol.root
+    upto = sol.truncation - root.loc.r
     if not root.rows:
         scales = map(math.lcm, (c[3] for c in root.jets), root.lcms)
         for v in residual_rows(root.Q, root.P, root.jets, upto, root.width, root.d, scales):

@@ -434,31 +434,24 @@ def shift_rows(rows, a):
     return [integer_shift(C, a.numerator, a.denominator)[0] for C in integer_polys(rows, a.denominator)[0]]
 
 
-def jet_tables(Q, u, q, K, d=None, v=0, tagged=False, memo=None):
+def jet_tables(Q, u, q, K, d=None, v=0, tagged=False):
     """Per Q_i, the jets E * P_i(x/q + eps) at x = u + kq for k = 0 .. K, each in full as (A, B, tags).
 
     `Q` comes from integer_polys at the denominator q, and x + v sqrt(d) is
-    integral.  A table starts with integer_shift at its lowest x.  B and tags
-    are None over Q (d None); over Q(sqrt d) integer_shift fills every entry,
-    with the type tags of quadratic_taylor_shift.  Over Q entry k of C = Q_i
-    is G(k + eps) for G(y) = C(u + qy), so entry k + 1 is entry k shifted by
-    1, with additions only (von zur Gathen & Gerhard, ISSAC 1997).
-    `memo`, when given, keeps one table per (C, q, u mod q) from the lowest u
-    asked for; a lower u starts it again.
+    integral.  A table starts with integer_shift at u.  B and tags are None
+    over Q (d None); over Q(sqrt d) integer_shift fills every entry, with the
+    type tags of quadratic_taylor_shift.  Over Q entry k of C = Q_i is
+    G(k + eps) for G(y) = C(u + qy), so entry k + 1 is entry k shifted by 1,
+    with additions only (von zur Gathen & Gerhard, ISSAC 1997).
     """
-    memo = {} if memo is None else memo
     tables = []
     for poly in Q:
-        key = (poly[0], q, u % q) if d is None else (*map(tuple, poly), q, u % q, v, tagged, d)
-        base, table = memo.get(key, (None, None))
-        if base is None or u < base:
-            base, table = memo[key] = u, [integer_shift(poly, u, q, d, v, tagged)]
-        start = (u - base) // q
+        table = [integer_shift(poly, u, q, d, v, tagged)]
         if d is None:
-            _extend_by_shifts(table, start + K + 1)
+            _extend_by_shifts(table, K + 1)
         else:
-            table += [integer_shift(poly, base + k * q, q, d, v, tagged) for k in range(len(table), start + K + 1)]
-        tables.append(table[start : start + K + 1])
+            table += [integer_shift(poly, u + k * q, q, d, v, tagged) for k in range(1, K + 1)]
+        tables.append(table)
     return tables
 
 
@@ -541,8 +534,8 @@ def residual_order(op, alpha, table, upto):
     T = max((len(row) for row in table), default=1)
     d = scalar_field(chain([alpha], operator_scalars(op), (c for row in table for c in row)))
     q, u0, v0, tagged = exponent_parts(alpha)
-    Q = cleared_operator(op, q, d)
-    P = jet_tables(Q, u0, q, upto, d, v0, tagged, jet_memo(op))
+    Q = integer_polys(op.theta_coeffs, q, d)[0]
+    P = jet_tables(Q, u0, q, upto, d, v0, tagged)
     jets = []
     for row in integer_rows(table, d)[0]:
         jet = zero_jet(T, d)
@@ -566,15 +559,6 @@ def residual_rows(Q, P, jets, upto, T, d, scales):
         A, B, _tags = jet_sum(terms, scale, T, d)
         nonzero = A if B is None else [a or b for a, b in zip(A, B)]
         yield next(k for k, a in enumerate(nonzero) if a) if any(nonzero) else T
-
-
-def cleared_operator(op, q, d=None):
-    """The Q of integer_polys(op.theta_coeffs, q, d), kept under (q, d) in op's jet_memo while it has one."""
-    memo = jet_memo(op)
-    memo = {} if memo is None else memo
-    if (q, d) not in memo:
-        memo[q, d] = integer_polys(op.theta_coeffs, q, d)[0]
-    return memo[q, d]
 
 
 def apply_to_series(op, y):
@@ -604,38 +588,14 @@ def invert_variable(op):
     return ThetaOperator(polys).t_stripped().cleared()
 
 
-# (op, point, local operator, jet memo) of the last call: local_basis and
-# then annihilation_order for each solution ask for the same operator in a
-# row, and the recurrence and residual_order read the same P_i along the
-# same progressions, so the memo keeps jet_tables' tables
-_last_local = (None, None, None, None)
-
-
 def local_operator(op, point):
-    """The operator translated so that `point` sits at the origin.
-
-    The last result is kept for the same operator object at an equal point.
-    The key is identity, not ==: operators equal as values can hold a Fraction
-    where the other holds a QuadraticNumber with zero sqrt part, and their
-    local operators keep those types.
-    """
-    global _last_local
-    last_op, last_point, last, _memo = _last_local
-    if op is last_op and point == last_point:
-        return last
+    """The operator translated so that `point` sits at the origin."""
     loc = op.t_stripped()
     if point.is_infinite:
-        loc = invert_variable(loc)
-    elif point.value != 0:
-        loc = translate(loc, point.value)
-    _last_local = (op, point, loc, {})
+        return invert_variable(loc)
+    if point.value != 0:
+        return translate(loc, point.value)
     return loc
-
-
-def jet_memo(loc):
-    """The table memo of jet_tables for `loc` while it is the last local operator built, else None."""
-    _op, _point, last, memo = _last_local
-    return memo if loc is last else None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ tetrahedron and the period becomes pi^2 t (A_0 + A_1 t + ...), where the A_i
 come from expanding [P(tx, ty, tz, t)/P(0,0,0,0)]^(-1/2) in powers of t and
 integrating each trivariate monomial against the square-root weight over the
 unit simplex.  Everything is exact; when P(0,0,0,0) is not a rational square
-the leftover 1/sqrt factor rides along as a global quadratic unit and the
+the leftover 1/sqrt factor rides along as an overall quadratic unit and the
 condition is recorded on the result.
 
 The expansion runs on integers.  Write P(tx,ty,tz,t)/P(0,0,0,0) = 1 + u with
@@ -147,7 +147,7 @@ class PeriodSeries(Immutable):
     unit is 1 unless the leading value P(0,0,0,0) was not a rational square;
     then unit is the explicit quadratic 1/sqrt factor and the condition
     "NonSquareLeadingValue" is recorded.  Annihilation is blind to the unit,
-    which is a global constant.
+    which is an overall constant.
     """
 
     __slots__ = ("coeffs", "unit", "conditions")
@@ -238,7 +238,7 @@ def conifold_expand(f):
 def verify_annihilation(op, ps):
     """The t-order through which op annihilates pi^2 t sum A_i t^i.
 
-    The prefactor pi^2 and the global unit are constants and drop out.  Full
+    The prefactor pi^2 and the overall unit are constants and drop out.  Full
     success is a return value of ps.truncation + 1 - op.r (every computable
     coefficient of the image vanishes).
     """

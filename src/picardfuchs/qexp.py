@@ -37,6 +37,7 @@ from .errors import (
     InvalidEtaProduct,
     InvalidFormRecord,
     InvalidOctic,
+    InvalidTruncation,
     NoEtaProduct,
     NonUnitConstantTerm,
     NotPrime,
@@ -162,7 +163,7 @@ class EtaProductSpec(Immutable):
 
 def eta_product(spec, N):
     """Exact expansion of the eta product through q^N."""
-    if N < 1:
+    if _exact_int(N, InvalidTruncation, "the truncation") < 1:
         raise TruncationTooLow("an eta product needs N >= 1, got %d" % N)
     out = QSeries([1], N)
     for m, e in spec.factors:
@@ -318,8 +319,7 @@ def verify_form_table(name, N=None):
     rec = lookup_form(name)
     if rec.eta is None:
         raise NoEtaProduct("form %r is stored as table data only" % (rec.name,))
-    if N is None:
-        N = rec.primes[-1]
+    N = rec.primes[-1] if N is None else _exact_int(N, InvalidTruncation, "the truncation")
     if N < rec.primes[-1]:
         raise TruncationTooLow("expansion through q^%d is too short for a_%d" % (N, rec.primes[-1]))
     qs = eta_product(rec.eta, N)

@@ -1,11 +1,13 @@
 """Typed errors: every input check raises an errors.py class, under any interpreter flag."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import picardfuchs
+from picardfuchs import CATALOG, FORMS, PowerSeries, SingularPoint, classify_point, eta_product, local_basis, verify_form_table
 from picardfuchs import errors
 
 _IMPORTS = (
@@ -54,6 +56,13 @@ TYPED_CHECKS = [
         " SingularPoint(0), GeneralizedSeries(SingularPoint(0), 0, [[5]], 0))",
         "TruncationTooLow",
         "truncation 0 below the operator's t-degree 1",
+    ),
+    # a series around 0 read as if it were around 1
+    (
+        "annihilation_order(ThetaOperator.from_json({'form': 'theta', 'coeffs': [['0', '0', '1'], ['1']]}),"
+        " SingularPoint(1), GeneralizedSeries(SingularPoint(0), 0, [[5], [0]], 1))",
+        "PointMismatch",
+        "a series around 0 checked at 1",
     ),
     # a catalog octic is read from JSON as exact integer strings, eight planes of four
     (
@@ -130,3 +139,24 @@ def test_denominators_are_cleared_only_in_arith():
         for line in _lcm_of_denominators(path.read_text())
     ]
     assert found == []
+
+
+# every reader of a truncation N, with its message
+_TRUNCATION_READERS = {
+    "local_basis": (lambda N: local_basis(CATALOG[33].operator, SingularPoint(0), N), "the truncation"),
+    "classify_point": (lambda N: classify_point(CATALOG[33].operator, SingularPoint(0), N), "the truncation"),
+    "eta_product": (lambda N: eta_product(FORMS["f32"].eta, N), "the truncation"),
+    "verify_form_table": (lambda N: verify_form_table("f32", N), "the truncation"),
+    "PowerSeries": (lambda N: PowerSeries([1, 2], N), "the truncation order"),
+}
+
+
+@pytest.mark.parametrize("value", [30.5, True, Fraction(30), "30"], ids=["float", "bool", "Fraction", "str"])
+@pytest.mark.parametrize("reader", list(_TRUNCATION_READERS))
+def test_truncation_readers_reject_non_integers(reader, value):
+    # True was read as 1, and the others raised a builtins TypeError from a
+    # slice, a range or a comparison
+    call, what = _TRUNCATION_READERS[reader]
+    with pytest.raises(errors.InvalidTruncation) as info:
+        call(value)
+    assert isinstance(info.value, ValueError) and str(info.value) == "%s must be an integer, got %r" % (what, value)

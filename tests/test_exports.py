@@ -118,3 +118,14 @@ def test_every_public_function_is_used():
     users = [*SRC.glob("*.py"), *(root / "tests").rglob("*.py")]
     users += [path for path in (root / "perfbench").rglob("*.py") if not path.is_relative_to(root / "perfbench" / "reference")]
     assert sorted(_defined_functions(public=True) - _named(users)) == []
+
+
+def test_package_has_no_global_statement():
+    # module state would make a result depend on the calls before it
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

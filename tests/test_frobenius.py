@@ -1,6 +1,7 @@
 """Local solution bases, logarithm detection, and degeneration labels."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import chain
 
@@ -24,6 +25,7 @@ from picardfuchs.errors import (
     FrobeniusInvariant,
     IrrationalExponent,
     IrregularSingularity,
+    PointMismatch,
     TruncationTooLow,
     UnclassifiedPattern,
 )
@@ -49,6 +51,7 @@ from picardfuchs.optheta import (
     residual_order,
     riemann_symbol,
     singular_points,
+    jet_tables,
     translate,
 )
 
@@ -464,7 +467,9 @@ def _root_jets(loc, cls, N):
     M = sum(m for _r, m in cls)
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        yield lam, mult, above, _integer_recurrence(Q, lam, mult + above, N, above, d)[0], _integer_recurrence(Q, lam, 2 * M, N, above, d)[0]
+        q, u, v, tagged = exponent_parts(lam)
+        P = jet_tables(Q, u, q, N, d, v, tagged)
+        yield lam, mult, above, _integer_recurrence(Q, P, lam, mult + above, N, above, d)[0], _integer_recurrence(Q, P, lam, 2 * M, N, above, d)[0]
 
 
 def _exact_part(jets, n):
@@ -605,7 +610,7 @@ _EXHAUSTED_SURD = ThetaOperator([P(0, 2, -3, 1) * QuadraticNumber(1, 1, 2)])
 def _raises_on_a_failed_obstruction(op, d):
     Q, _E = integer_polys(op.theta_coeffs, 1, d)
     with pytest.raises(FrobeniusInvariant, match="obstruction failed at offset 1") as got:
-        _integer_recurrence(Q, Fraction(0), 2, 2, 0, d)
+        _integer_recurrence(Q, jet_tables(Q, 0, 1, 2, d), Fraction(0), 2, 2, 0, d)
     with pytest.raises(FrobeniusInvariant) as want:
         ref.scalar_recurrence(op, Fraction(0), 2, 2, 0)
     assert str(got.value) == str(want.value)
@@ -613,7 +618,7 @@ def _raises_on_a_failed_obstruction(op, d):
 
 def _raises_on_exhausted_precision(op):
     with pytest.raises(FrobeniusInvariant, match="precision exhausted") as got:
-        _class_solutions(op, [(Fraction(0), 1)], 3, SingularPoint(0))
+        _class_solutions(op, op, [(Fraction(0), 1)], 3, SingularPoint(0))
     with pytest.raises(FrobeniusInvariant) as want:
         ref.class_solutions(op, [(Fraction(0), 1)], 3, SingularPoint(0))
     assert str(got.value) == str(want.value)
@@ -650,11 +655,11 @@ def test_a_cut_class_exhausts_its_window_at_the_resonance(op):
     cls = [(Fraction(0), 3)]
     ref.class_solutions(op, cls, 3, SingularPoint(0))
     with pytest.raises(FrobeniusInvariant, match="^jet precision exhausted at exponent 0$"):
-        _class_solutions(op, cls, 3, SingularPoint(0))
+        _class_solutions(op, op, cls, 3, SingularPoint(0))
     d = None if op is _CUT else -3
     Q, _E = integer_polys(op.theta_coeffs, 1, d)
     with pytest.raises(FrobeniusInvariant, match="^jet precision exhausted at exponent 0$"):
-        _integer_recurrence(Q, Fraction(0), 3, 1, 0, d)
+        _integer_recurrence(Q, jet_tables(Q, 0, 1, 1, d), Fraction(0), 3, 1, 0, d)
 
 
 def test_integer_path_errors_under_optimize(run_optimized):
@@ -664,6 +669,7 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "from picardfuchs.arith import Polynomial, QuadraticNumber, integer_polys\n"
         "from picardfuchs.errors import FrobeniusInvariant, TruncationTooLow\n"
         "from picardfuchs.frobenius import _class_solutions, _integer_recurrence\n"
+        "from picardfuchs.optheta import jet_tables\n"
         "def op(*polys):\n"
         "    return ThetaOperator.from_theta_polys([Polynomial([Fraction(c) for c in p]) for p in polys])\n"
         "Q, _E = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
@@ -671,13 +677,15 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "Qs, _E = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
         "exhausted = ThetaOperator([Polynomial([0, 2, -3, 1]) * QuadraticNumber(1, 1, 2)])\n"
         "cut = ThetaOperator([Polynomial([0, 0, 0, -1, 1]), Polynomial([0, surd])])\n"
+        "exhausted_q = op((0, 2, -3, 1))\n"
+        "cut_q = op((0, 0, 0, -1, 1), (0, 1))\n"
         "cases = [\n"
-        "    lambda: _integer_recurrence(Q, Fraction(0), 2, 2, 0),\n"
-        "    lambda: _integer_recurrence(Qs, Fraction(0), 2, 2, 0, -3),\n"
-        "    lambda: _class_solutions(op((0, 2, -3, 1)), [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
-        "    lambda: _class_solutions(exhausted, [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
-        "    lambda: _class_solutions(op((0, 0, 0, -1, 1), (0, 1)), [(Fraction(0), 3)], 3, SingularPoint(0)),\n"
-        "    lambda: _class_solutions(cut, [(Fraction(0), 3)], 3, SingularPoint(0)),\n"
+        "    lambda: _integer_recurrence(Q, jet_tables(Q, 0, 1, 2), Fraction(0), 2, 2, 0),\n"
+        "    lambda: _integer_recurrence(Qs, jet_tables(Qs, 0, 1, 2, -3), Fraction(0), 2, 2, 0, -3),\n"
+        "    lambda: _class_solutions(exhausted_q, exhausted_q, [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
+        "    lambda: _class_solutions(exhausted, exhausted, [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
+        "    lambda: _class_solutions(cut_q, cut_q, [(Fraction(0), 3)], 3, SingularPoint(0)),\n"
+        "    lambda: _class_solutions(cut, cut, [(Fraction(0), 3)], 3, SingularPoint(0)),\n"
         "    lambda: local_basis(op((0, -3, 1)), SingularPoint(0), 3),\n"
         "]\n"
         "for case in cases:\n"
@@ -693,7 +701,7 @@ def test_integer_path_errors_under_optimize(run_optimized):
 # one local operator per basis, one basis per classified point
 
 
-def test_local_operator_memo_keeps_scalar_types():
+def test_local_operator_keeps_scalar_types():
     # equal as values, but one holds QuadraticNumbers with zero sqrt part
     rational = ThetaOperator([P(0, 0, 1), P(-4, -16, -16)])
     surd = ThetaOperator([p.map_coeffs(lambda c: QuadraticNumber(c, 0, -3)) for p in rational.theta_coeffs])
@@ -701,9 +709,7 @@ def test_local_operator_memo_keeps_scalar_types():
     point = SingularPoint(Fraction(1, 16))
     want = [translate(op, point.value).to_json() for op in (rational, surd)]
     assert want[0] != want[1]
-    for _ in range(2):
-        assert [local_operator(op, point).to_json() for op in (rational, surd)] == want
-        assert [local_operator(op, point).to_json() for op in (surd, surd, rational, rational)] == [want[1]] * 2 + [want[0]] * 2
+    assert [local_operator(op, point).to_json() for op in (surd, surd, rational, rational)] == [want[1]] * 2 + [want[0]] * 2
 
 
 def test_annihilation_over_a_basis_translates_once(monkeypatch):
@@ -715,7 +721,7 @@ def test_annihilation_over_a_basis_translates_once(monkeypatch):
         return inner(op, a)
 
     monkeypatch.setattr(optheta, "translate", counted)
-    op = ThetaOperator.from_theta_polys([P(0, 0, 1), P(-4, -16, -16)])  # a new object: no memo entry
+    op = ThetaOperator.from_theta_polys([P(0, 0, 1), P(-4, -16, -16)])
     point = SingularPoint(Fraction(1, 16))
     basis = local_basis(op, point)
     orders = [annihilation_order(op, point, sol) for sol in basis]
@@ -723,9 +729,20 @@ def test_annihilation_over_a_basis_translates_once(monkeypatch):
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
 
 
-def _memo_entries(loc):
-    """Per jet memo key, the length of its jet table; None for a cleared operator, kept under (q, d)."""
-    return {key: len(entry[1]) if len(key) > 2 else None for key, entry in optheta.jet_memo(loc).items()}
+def test_a_class_builds_its_jet_tables_once(monkeypatch):
+    # 33 at 1 has the classes {0, 1} and {1/2, 1/2}: the root 1 reads the
+    # tables of 0 from entry 1 on
+    op, point = CATALOG[33].operator, SingularPoint(1)
+    calls = []
+    inner = frobenius.jet_tables
+    monkeypatch.setattr(frobenius, "jet_tables", lambda *args: calls.append(args) or inner(*args))
+    basis = local_basis(op, point)
+    N = default_truncation(basis.local_op)
+    assert basis.exponents() == [0, Fraction(1, 2), Fraction(1, 2), 1]
+    assert sorted(args[3] for args in calls) == [N, N + 1]
+    low, high = (next(s.root[0] for s in basis if s.alpha == alpha) for alpha in (0, 1))
+    assert all(len(p) == N + 1 for p in low.P + high.P)
+    assert [p[1:] for p in low.P] == [p[:-1] for p in high.P]
 
 
 @pytest.mark.parametrize(
@@ -736,21 +753,22 @@ def _memo_entries(loc):
 def test_annihilation_reuses_the_jets_of_its_basis(monkeypatch, aid, point, N):
     # the recurrence of each root reads the tables of its class at k = 0 .. N,
     # which covers every jet the checks read: they shift nothing, at a
-    # rational point or over Z[sqrt -3], add no table entry and clear no
-    # operator the basis has not cleared
+    # rational point or over Z[sqrt -3], and build no local operator; a
+    # solution checked at another point raises, where its rows were once
+    # read as if they were around that point
     op, point = CATALOG[aid].operator, SingularPoint(point)
     basis = local_basis(op, point, N)
-    entries = _memo_entries(basis.local_op)
-    shifts = []
-    for name in ("taylor_shift", "quadratic_taylor_shift"):
-        inner = getattr(arith, name)
-        monkeypatch.setattr(arith, name, lambda *args, inner=inner: shifts.append(args) or inner(*args))
+    calls = []
+    for module, name in ((arith, "taylor_shift"), (arith, "quadratic_taylor_shift"), (frobenius, "local_operator")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args))
     orders = [annihilation_order(op, point, sol) for sol in basis]
     assert orders == [sol.truncation - basis.local_op.r for sol in basis]
-    assert shifts == []
-    assert _memo_entries(basis.local_op) == entries
-    local_operator(op, INFINITY)  # another point drops the memo
-    assert optheta.jet_memo(basis.local_op) is None
+    assert calls == []
+    other = next(p for p, _exps in CATALOG[aid].symbol if p != point)
+    for sol in basis:
+        with pytest.raises(PointMismatch, match="^%s$" % re.escape("a series around %s checked at %s" % (point, other))):
+            annihilation_order(op, other, sol)
 
 
 @pytest.mark.parametrize(
@@ -762,7 +780,8 @@ def test_each_annihilation_check_clears_its_table_once(monkeypatch, aid, point, 
     # a basis solution is checked on its root's integer jets: no table is
     # cleared, no ring looked up, no operator cleared and no jet shifted, and
     # one residual pass serves every solution of a root; a series built by
-    # hand from the same table is cleared once, by one integer_rows call
+    # hand from the same table is cleared once, by one integer_rows call,
+    # and its check clears the local operator once, by one integer_polys call
     op, point = CATALOG[aid].operator, SingularPoint(point)
     basis = local_basis(op, point, N)
     upto = basis.solutions[0].truncation - basis.local_op.r
@@ -786,10 +805,11 @@ def test_each_annihilation_check_clears_its_table_once(monkeypatch, aid, point, 
     assert {name: len(c) for name, c in calls.items() if c} == {"jet pass": len(set(basis.exponents()))}
     for sol in basis:
         table = GeneralizedSeries(point, sol.alpha, sol.table, sol.truncation)
-        before = len(calls["integer_rows"])
+        before, polys = len(calls["integer_rows"]), len(calls["integer_polys"])
         assert annihilation_order(op, point, table) == upto
         assert [args[0] is table.table for args in calls["integer_rows"][before:]].count(True) == 1
-    assert len(calls["table pass"]) == len(basis) and calls["integer_polys"] == calls["shift"] == []
+        assert [args[0] == basis.local_op.theta_coeffs for args in calls["integer_polys"][polys:]].count(True) == 1
+    assert len(calls["table pass"]) == len(basis)
 
 
 def _jets_match_tables(op, point, basis):
@@ -836,9 +856,10 @@ def _tables_cleared(cleared, basis):
     ids=["33-1", "4-oo", "266-quadratic"],
 )
 def test_annihilation_off_the_basis_operator_reads_the_table(monkeypatch, aid, point, N):
-    # after local_operator has moved to another point, or against an equal
-    # copy of the operator, a basis solution is checked on its table: one
-    # clearing per solution, and the orders of the jets
+    # after local_operator has moved to another point a basis solution is
+    # still read from its root, with no table cleared; against an equal copy
+    # of the operator it is checked on its table: one clearing per solution,
+    # and the orders of the jets
     op = CATALOG[aid].operator
     basis = local_basis(op, point, N)
     want = [annihilation_order(op, point, sol) for sol in basis]
@@ -849,7 +870,7 @@ def test_annihilation_off_the_basis_operator_reads_the_table(monkeypatch, aid, p
     other = next(p for p, _exps in CATALOG[aid].symbol if p != point)
     local_operator(op, other)
     assert [annihilation_order(op, point, sol) for sol in basis] == want
-    assert _tables_cleared(cleared, basis) == list(range(len(basis)))
+    assert _tables_cleared(cleared, basis) == []
     copy = ThetaOperator.from_json(op.to_json())
     assert copy is not op and copy == op
     basis = local_basis(op, point, N)

@@ -121,19 +121,12 @@ def test_apply_to_series_needs_order_at_least_r():
 )
 def test_jet_tables_are_taylor_shifts_along_the_progression(coeffs, q, requests):
     # entry k at u is C(u + kq + q eps): the Taylor shift at u + kq with
-    # coefficient j times q^j, for requests in any order (inside, above or
-    # below the table a residue keeps) and without a memo
-    memo = {}
-    for n, (u, K) in enumerate(requests):
-        for m in (memo, None):
-            (table,) = jet_tables([(tuple(coeffs), None, None)], u, q, K, memo=m)
-            assert len(table) == K + 1
-            for k, jet in enumerate(table):
-                assert jet == ([c * q**j for j, c in enumerate(ref.taylor_shift(coeffs, u + k * q))], None, None)
-        # one table per residue, kept from the lowest u asked for
-        assert sorted(base % q for base, _table in memo.values()) == sorted({x % q for x, _K in requests[: n + 1]})
-        for base, _table in memo.values():
-            assert base == min(x for x, _K in requests[: n + 1] if (x - base) % q == 0)
+    # coefficient j times q^j
+    for u, K in requests:
+        (table,) = jet_tables([(tuple(coeffs), None, None)], u, q, K)
+        assert len(table) == K + 1
+        for k, jet in enumerate(table):
+            assert jet == ([c * q**j for j, c in enumerate(ref.taylor_shift(coeffs, u + k * q))], None, None)
 
 
 _entries = st.one_of(st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=6))
