@@ -23,7 +23,7 @@ from .arith import (
     scalar_from_json,
     scalar_to_json,
 )
-from .errors import CatalogVersionMismatch, ChainBroken
+from .errors import CatalogVersionMismatch, ChainBroken, NotEven
 from .frobenius import classify_point
 from .optheta import (
     INFINITY,
@@ -37,7 +37,6 @@ from .transform import (
     MobiusMap,
     descend_power,
     descend_quadratic,
-    is_even,
     mobius,
     negate_variable,
     pullback_power,
@@ -410,9 +409,10 @@ def _operator(ref):
 
 def _even_descent(op):
     """descend_quadratic of an even operator, checked by pulling it back along u = s^2."""
-    if not is_even(op):
-        raise ChainBroken("quadratic descent", "operator is not even")
-    down = descend_quadratic(op)
+    try:
+        down = descend_quadratic(op)
+    except NotEven as exc:
+        raise ChainBroken("quadratic descent", "operator is not even") from exc
     if pullback_power(down, 2) != op:
         raise ChainBroken("quadratic descent", "square pullback does not restore the operator")
     return down

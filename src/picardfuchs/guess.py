@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, integer_rows
-from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, RecurrenceObstruction, ZeroSeries
+from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, as_scalar, integer_rows
+from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, InvalidTruncation, RecurrenceObstruction, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
 
@@ -186,11 +186,13 @@ class Recurrence(Immutable):
         object.__setattr__(self, "op", op.t_stripped())
 
     def coefficients(self, m):
-        """(P_0(m), P_1(m-1), ..., P_r(m-r))."""
+        """(P_0(m), P_1(m-1), ..., P_r(m-r)); a float or a bool index raises InexactScalar."""
+        m = as_scalar(m)
         return tuple(p(m - i) for i, p in enumerate(self.op.theta_coeffs))
 
     def extend(self, initial, upto):
         """Continue the series to index `upto` from enough initial terms."""
+        upto = _exact_int(upto, InvalidTruncation, "the last index")
         vals = [_exact_rational(c, "a series coefficient") for c in initial]
         r = self.op.r
         if len(vals) <= r:

@@ -328,9 +328,9 @@ def canonical_from_d(d_coeffs, theta=None):
     coefficient in the first nonzero theta polynomial.  Operators that differ
     by a left factor f(t), any nonzero rational function, get the same form,
     so two canonical operators are compared with ==.  The catalog operators
-    are canonical; mobius, pullback_rational, shift_exponents,
-    translate_to_origin and descend_power return this form, and
-    negate_variable and pullback_power keep it.
+    are canonical; mobius, pullback_rational, shift_exponents (which expand),
+    translate_to_origin (which Taylor-shifts) and descend_power return this
+    form, and negate_variable and pullback_power keep it.
 
     The form is thus free of scale: a transform may clear its denominators
     by any polynomial and skip every intermediate gcd, and the values equal
@@ -340,7 +340,7 @@ def canonical_from_d(d_coeffs, theta=None):
     dropped, divides them by their primitive gcd (arith.zgcd, a primitive
     remainder sequence), converts with integer falling factorials and clears on
     ints; Fractions are built only for the result.  Over Q(sqrt d) the
-    transforms expand and convert on the same lists, holding the scalars
+    transforms expand (or Taylor-shift) and convert holding the scalars
     themselves; this body is what is left of the fork: the gcd (Euclid over
     the field), the division by it and the content clearing, on Polynomial.
     Whether a coefficient with zero sqrt part is a Fraction or a
@@ -573,12 +573,20 @@ def apply_to_series(op, y):
 # variable changes needed for indicial analysis
 
 
-def translate(op, a):
-    """Substitute t -> t + a, moving the point a to 0."""
+def shifted_d_rows(op, a):
+    """(rows, rational): op's derivative form at t + a, over Q integer rows times one common factor (shift_rows).
+
+    Over Q(sqrt d) the rows are the Polynomials of the Taylor shift (Polynomial.shift) and rational is False.
+    """
     if over_q(op, [a]):
-        d_rows = d_from_theta_rows(integer_rows(op.theta_coeffs)[0])
-        return theta_from_rows(theta_from_d_rows(shift_rows(d_rows, a)))
-    return theta_from_d(DOperator([c.shift(a) for c in d_from_theta(op).d_coeffs]))
+        return shift_rows(d_from_theta_rows(integer_rows(op.theta_coeffs)[0]), a), True
+    return [c.shift(a) for c in d_from_theta(op).d_coeffs], False
+
+
+def translate(op, a):
+    """Substitute t -> t + a, moving the point a to 0: the theta form of shifted_d_rows, unreduced."""
+    rows, rational = shifted_d_rows(op, a)
+    return theta_from_rows(theta_from_d_rows(rows)) if rational else theta_from_d(DOperator(rows))
 
 
 def invert_variable(op):

@@ -37,6 +37,7 @@ from .arith import (
     _exact_fraction,
     _exact_int,
     _exact_rational,
+    as_scalar,
     integer_rows,
     quadratic_sqrt,
     scalar_to_json,
@@ -156,7 +157,7 @@ class PeriodSeries(Immutable):
         object.__setattr__(
             self, "coeffs", tuple(_exact_rational(c, "a period coefficient") for c in coeffs)
         )
-        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "unit", as_scalar(unit))
         object.__setattr__(self, "conditions", tuple(conditions))
 
     @property

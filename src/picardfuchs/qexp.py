@@ -52,8 +52,9 @@ class QSeries(Immutable):
 
     def __init__(self, coeffs, truncation=None):
         cs = [_exact_int(c, InexactScalar, "a q-series coefficient") for c in coeffs]
-        if truncation is None:
-            truncation = len(cs) - 1
+        truncation = len(cs) - 1 if truncation is None else _exact_int(truncation, InvalidTruncation, "the truncation")
+        if truncation < 0:
+            raise TruncationTooLow("a q-series needs a truncation >= 0, got %d" % truncation)
         cs = cs[: truncation + 1] + [0] * (truncation + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "truncation", truncation)

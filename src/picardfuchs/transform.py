@@ -5,16 +5,19 @@ prod (t - a_i)^(eps_i) rewrites it as d/dt - sum eps_i/(t - a_i), shifting the
 exponents (infinity absorbs -sum(eps_i)).  Both expand sum_k c_k * X^k,
 X = (alpha*D + gamma)/beta, over one common denominator without a gcd
 (_expand, on coefficient lists), and hand the derivative form to the strong
-canonical form.
+canonical form.  Translating a point to the origin Taylor-shifts the
+derivative form instead (optheta.shifted_d_rows, the body of
+optheta.translate) and hands it to the same form.
 
-That form clears every scalar, so over Q the operator, the map and the shift
-are scaled to integer lists, each dropping one common denominator (alpha,
-beta and gamma share theirs, which leaves X as it is), and the form is taken
-on ints (canonical_from_rows).  An operator, map or shift holding a
-QuadraticNumber keeps its scalars in the lists, with beta monic, and the
-form is taken by canonical_from_d, whose Euclid gcd and content clearing fix
-which coefficients with zero sqrt part are QuadraticNumbers.  The fork is
-that input scaling and that tail; the expansion is one body.
+That form clears every scalar, so over Q the operator and the map or the
+shift are scaled to integer lists by one common factor (integer_rows), which
+leaves X as it is, and the form is taken on ints (canonical_from_rows).  An
+operator, map or shift holding a QuadraticNumber keeps its scalars in the
+lists, with beta monic, and the form is taken by canonical_from_d, whose
+Euclid gcd and content clearing fix which coefficients with zero sqrt part
+are QuadraticNumbers.  Each transform decides its field once (over_q); the
+fork is that input scaling and that tail, and the expansion and the shift
+are one body each.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .arith import (
     zadd,
     zderiv,
     zmul,
-    zquo,
     zscale,
 )
 from .errors import (
@@ -61,6 +63,7 @@ from .optheta import (
     d_from_theta,
     d_from_theta_rows,
     over_q,
+    shifted_d_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -243,27 +246,14 @@ def mobius(op, m):
 
 
 def translate_to_origin(op, a):
-    """Substitute t = s + a, moving the point a to 0, in strong canonical form: over Q the Mobius translation."""
-    # over Q(sqrt d) the pullback's list arithmetic would type some zero
-    # sqrt parts differently from the Taylor shift of each coefficient
-    a = collapse(a)
-    if over_q(op, [a]):
-        return mobius(op, MobiusMap.translation(a))
-    return canonical_from_d([c.shift(a) for c in d_from_theta(op).d_coeffs])
+    """Substitute t = s + a, moving the point a to 0, in strong canonical form: the Taylor shift of optheta.translate."""
+    rows, rational = shifted_d_rows(op, collapse(as_scalar(a)))
+    return canonical_from_rows(rows) if rational else canonical_from_d(rows)
 
 
 def negate_variable(op):
     """Substitute t -> -t; theta is invariant, t^i picks up (-1)^i."""
     return ThetaOperator([-p if i % 2 else p for i, p in enumerate(op.theta_coeffs)])
-
-
-def is_even(op):
-    """True when the operator is invariant under t -> -t up to canonical form.
-
-    t -> -t maps canonical operators to canonical ones, so one normalization does.
-    """
-    op = op.normalized()
-    return negate_variable(op) == op
 
 
 def pullback_power(op, n):
@@ -304,29 +294,22 @@ def shift_exponents(op, shifts):
     """Conjugate by prod (t - a)^eps, shifting the local exponents at each a by eps.
 
     D becomes D - sum eps/(t - a) = (L*D + G)/L with L = prod (t - a) and
-    G = -sum eps * L/(t - a).  Over Q, with a = u/q, L and G are taken times
-    E * prod q, E the lcm of the eps denominators (integer_rows): L as
-    E * prod (q t - u).
+    G = -sum eps * L/(t - a).  Over Q, L, G and the operator are scaled to
+    integers by one common factor (integer_rows), which leaves X = (L*D + G)/L
+    and the canonical form as they are.
     """
     if not isinstance(shifts, ShiftAssignment):
         shifts = ShiftAssignment(shifts)
-    if over_q(op, chain(*shifts.items)):
-        (eps_row,), scale = integer_rows([[eps for _a, eps in shifts.items]])
-        lines = [[-a.numerator, a.denominator] for a, _eps in shifts.items]
-        ell = reduce(zmul, lines, [1])
-        terms = [
-            [-e * a.denominator * c for c in zquo(ell, line)] for (a, _eps), e, line in zip(shifts.items, eps_row, lines)
-        ]
-        ell = [scale * c for c in ell]
-        rows = d_from_theta_rows(integer_rows(op.theta_coeffs)[0])
-        return canonical_from_rows(_expand(rows, ell, ell, reduce(zadd, terms, [])))
     ell, gauge = Polynomial((1,)), Polynomial(())
     for a, _eps in shifts.items:
         ell = ell * Polynomial((-a, 1))
     for a, eps in shifts.items:
         gauge = gauge - ell / Polynomial((-a, 1)) * eps
-    rows = _expand(d_from_theta_rows([p.coeffs for p in op.theta_coeffs]), ell.coeffs, ell.coeffs, gauge.coeffs)
-    return canonical_from_d(list(map(Polynomial, rows)))
+    polys = (ell, gauge, *op.theta_coeffs)
+    rational = over_q(op, chain(*shifts.items))
+    ell, gauge, *rows = integer_rows(polys)[0] if rational else [p.coeffs for p in polys]
+    rows = _expand(d_from_theta_rows(rows), ell, ell, gauge)
+    return canonical_from_rows(rows) if rational else canonical_from_d(list(map(Polynomial, rows)))
 
 
 # ---------------------------------------------------------------------------

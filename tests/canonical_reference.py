@@ -11,15 +11,17 @@ integer path, so the reference does not share that path.  The transforms
 then normalized a theta form they had just built from a derivative form, so
 their reference is reference_from_d below.
 
-The conversions and the expansion of the transforms are kept here as
-Polynomial expressions too (reference_d_from_theta, reference_theta_from_d,
-reference_expand): the package runs them on coefficient lists, over Q and
-over Q(sqrt d), and must give the scalar types these give.
+The conversions, the expansion of the transforms and the canonical form of a
+derivative form are kept here as Polynomial expressions too
+(reference_d_from_theta, reference_theta_from_d, reference_expand,
+reference_canonical_from_d), calling no package conversion or canonical form:
+the package runs them on coefficient lists, over Q and over Q(sqrt d), and
+must give the scalar types these give.
 """
 
 from picardfuchs.arith import Polynomial
 from picardfuchs.errors import ZeroOperator
-from picardfuchs.optheta import DOperator, ThetaOperator, canonical_from_d, stirling2
+from picardfuchs.optheta import DOperator, ThetaOperator, stirling2
 
 
 def euclid_gcd(p, q):
@@ -80,13 +82,23 @@ def reference_from_d(d_coeffs):
     return reference_normalized(reference_theta_from_d(DOperator(d_coeffs)))
 
 
+def reference_canonical_from_d(d_coeffs):
+    """optheta.canonical_from_d in Polynomial arithmetic: Euclid's gcd, division by it, reference_theta_from_d."""
+    g = Polynomial(())
+    for c in d_coeffs:
+        g = euclid_gcd(g, c)
+    if g.degree > 0:
+        d_coeffs = [c / g for c in d_coeffs]
+    return reference_theta_from_d(DOperator(d_coeffs))
+
+
 def reference_expand(coeffs, alpha, beta, gamma):
-    """canonical_from_d of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta, in Polynomial arithmetic.
+    """reference_canonical_from_d of sum_k coeffs[k] * X^k, X = (alpha*D + gamma)/beta, in Polynomial arithmetic.
 
     The expression tree is the one transform._expand follows step by step;
     reference_expand_rows returns its derivative-form rows.
     """
-    return canonical_from_d(reference_expand_rows(coeffs, alpha, beta, gamma))
+    return reference_canonical_from_d(reference_expand_rows(coeffs, alpha, beta, gamma))
 
 
 def reference_expand_rows(coeffs, alpha, beta, gamma):

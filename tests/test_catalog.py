@@ -14,7 +14,8 @@ from picardfuchs import (
     reproduce_reduction,
     verify_catalog,
 )
-from picardfuchs.catalog import CatalogReport, CheckResult, EntryReport
+from picardfuchs.catalog import CatalogReport, CheckResult, EntryReport, _even_descent
+from picardfuchs.errors import ChainBroken, NotEven
 
 HALF = Fraction(1, 2)
 
@@ -85,6 +86,15 @@ def test_reduction_chain_reproduces():
     assert rep.ok
     assert rep.name == "33to70"
     assert rep.format()
+
+
+def test_descent_of_an_odd_operator_breaks_the_chain():
+    # descend_quadratic's NotEven is the one evenness test of the descent step
+    op = CATALOG[4].operator
+    with pytest.raises(ChainBroken) as info:
+        _even_descent(op)
+    assert str(info.value) == "reduction chain broken at step: quadratic descent (operator is not even)"
+    assert isinstance(info.value.__cause__, NotEven)
 
 
 @pytest.mark.parametrize(

@@ -15,12 +15,14 @@ _IMPORTS = (
     "from picardfuchs.arith import QuadraticNumber\n"
     "from picardfuchs.catalog import dump_catalog, load_catalog\n"
     "from picardfuchs.frobenius import GeneralizedSeries, annihilation_order\n"
+    "from picardfuchs.guess import recurrence_from_operator\n"
     "from picardfuchs.optheta import SingularPoint, ThetaOperator\n"
     "from picardfuchs.period import PeriodSeries, TetraForm\n"
-    "from picardfuchs.qexp import count_double_octic\n"
+    "from picardfuchs.qexp import QSeries, count_double_octic\n"
     "SURD = QuadraticNumber(1, 1, 2)\n"
     "PLANES = [(1, 0, 0, 0)] * 7\n"
     "ROW = [['1'], [], [], []]\n"
+    "REC = recurrence_from_operator(ThetaOperator.from_json({'form': 'theta', 'coeffs': [['0', '0', '1'], ['-1']]}))\n"
     "def with_octic(octic):\n"
     "    doc = json.loads(dump_catalog())\n"
     "    doc['arrangements'][0]['octic'] = octic\n"
@@ -51,6 +53,18 @@ TYPED_CHECKS = [
     ("count_double_octic({(8, 0, 0, 0): SURD}, 7)", "NonrationalScalar", "an octic coefficient must be rational, got 1+sqrt(2)"),
     ("count_double_octic([(SURD, 0, 0, 0)] + PLANES, 7)", "NonrationalScalar", "an octic coefficient must be rational, got 1+sqrt(2)"),
     ("PeriodSeries([1, SURD])", "NonrationalScalar", "a period coefficient must be rational, got 1+sqrt(2)"),
+    # a q-series truncation: True was kept, 1.5 raised a builtins TypeError and -1 gave ()
+    ("QSeries([1, 2], True)", "InvalidTruncation", "the truncation must be an integer, got True"),
+    ("QSeries([1, 2], 1.5)", "InvalidTruncation", "the truncation must be an integer, got 1.5"),
+    ("QSeries([1, 2], -1)", "TruncationTooLow", "a q-series needs a truncation >= 0, got -1"),
+    # a period unit was kept as a float or a bool
+    ("PeriodSeries([1, 2], unit=1.5)", "InexactScalar", "a scalar must be exact, not the float 1.5"),
+    ("PeriodSeries([1, 2], unit=True)", "InexactScalar", "a scalar must be exact, not the bool True"),
+    # a recurrence index: 2.5 gave floats, True was read as 1 and 5.0 raised a builtins TypeError
+    ("REC.coefficients(2.5)", "InexactScalar", "a scalar must be exact, not the float 2.5"),
+    ("REC.coefficients(True)", "InexactScalar", "a scalar must be exact, not the bool True"),
+    ("REC.extend([1, 4], True)", "InvalidTruncation", "the last index must be an integer, got True"),
+    ("REC.extend([1, 4], 5.0)", "InvalidTruncation", "the last index must be an integer, got 5.0"),
     (
         "annihilation_order(ThetaOperator.from_json({'form': 'theta', 'coeffs': [['0', '0', '1'], ['1']]}),"
         " SingularPoint(0), GeneralizedSeries(SingularPoint(0), 0, [[5]], 0))",

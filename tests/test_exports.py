@@ -129,3 +129,27 @@ def test_package_has_no_global_statement():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+def _unread_imports(source):
+    """(line, name) of each import in `source`, at module or function level, binding a name the module never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for name in [alias.asname or alias.name.partition(".")[0]]
+        if name not in read
+    ]
+
+
+def test_package_imports_only_what_it_reads():
+    # no dead code: an import whose name is never read is left over from a
+    # removed body
+    sample = "import math, os.path as p\nfrom x import y, z\ndef f():\n    from w import v\n    return y(p)\n"
+    assert _unread_imports(sample) == [(1, "math"), (2, "z"), (4, "v")]
+    found = ["%s:%d %s" % (path.name, line, name) for path in sorted(SRC.glob("*.py")) for line, name in _unread_imports(path.read_text())]
+    assert found == []
+

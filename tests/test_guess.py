@@ -119,6 +119,12 @@ def test_recurrence_extend():
     assert vals == [comb(2 * n, n) ** 2 for n in range(9)]
 
 
+def test_recurrence_keeps_a_fraction_index_exact():
+    # a float or a bool index raises (tests/test_errors.py); a Fraction is read as it is
+    got = recurrence_from_operator(CATALOG[4].operator).coefficients(Fraction(5, 2))
+    assert got == (25, -16) and all(type(c) is Fraction for c in got)
+
+
 @pytest.mark.parametrize("a1, error", [(1, InconsistentRecurrence), (0, RecurrenceObstruction)])
 def test_recurrence_extend_stalls_with_a_typed_error(a1, error):
     # m(m - 2) A_m = A_(m-1): at m = 2 the leading coefficient vanishes, and A_1 decides

@@ -5,11 +5,11 @@ coefficient lists: over Q on ints, with the gcd by the primitive remainder
 sequence, and over Q(sqrt d) on the scalars themselves, where only the gcd
 and content tail (canonical_from_d) keeps Polynomial arithmetic.  The checks
 here compare the lists with sympy's gcd, with the Polynomial expressions
-in canonical_reference.py (the conversions and the expansion) on the same
-inputs, and with the Polynomial round trip there.  Results are compared by
-to_json(), so scalar types count: over Q(sqrt d) a coefficient with zero
-sqrt part must be a QuadraticNumber exactly where the Polynomial expression
-makes it one.
+in canonical_reference.py (the conversions, the expansion and the canonical
+form of a derivative form) on the same inputs, and with the Polynomial round
+trip there.  Results are compared by to_json(), so scalar types count: over
+Q(sqrt d) a coefficient with zero sqrt part must be a QuadraticNumber
+exactly where the Polynomial expression makes it one.
 """
 
 from fractions import Fraction
@@ -23,11 +23,12 @@ from picardfuchs import CATALOG, CHAINS, MobiusMap, ThetaOperator, reproduce_red
 from picardfuchs import arith, optheta, transform
 from picardfuchs.arith import Polynomial, QuadraticNumber, collapse, poly_gcd, zadd, zderiv, zgcd, zmul, zprimitive, zquo
 from picardfuchs.errors import InexactDivision, UnresolvedFactor
-from picardfuchs.optheta import DOperator, canonical_from_d, d_from_theta, theta_from_d, translate
+from picardfuchs.optheta import DOperator, d_from_theta, theta_from_d, translate
 from picardfuchs.transform import ShiftAssignment, mobius, pullback_rational, shift_exponents, translate_to_origin
 
 from canonical_reference import (
     euclid_gcd,
+    reference_canonical_from_d,
     reference_d_from_theta,
     reference_expand,
     reference_expand_rows,
@@ -177,16 +178,9 @@ def _polynomial_shift(op, shifts):
 
 
 def _on_reference(fn, *args):
-    # reference_expand hands its result to canonical_from_d; the reference round trip takes its place
+    # reference_expand hands its result to reference_canonical_from_d; the reference round trip takes its place
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(canonical_reference, "canonical_from_d", reference_from_d)
-        return fn(*args)
-
-
-def _on_polynomial_conversion(fn, *args):
-    # canonical_from_d converts its quotient with theta_from_d; the Polynomial expression takes its place
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optheta, "theta_from_d", reference_theta_from_d)
+        mp.setattr(canonical_reference, "reference_canonical_from_d", reference_from_d)
         return fn(*args)
 
 
@@ -294,11 +288,11 @@ def test_quadratic_lists_give_the_polynomial_types(op, a, phi, m, shifts):
     assert _json(translate(op, a)) == _json(reference_theta_from_d(DOperator(shifted)))
     # translate_to_origin takes a zero sqrt part as rational, translate does not
     shifted = [c.shift(collapse(a)) for c in dop.d_coeffs]
-    assert _json(translate_to_origin(op, a)) == _json(_on_polynomial_conversion(canonical_from_d, shifted))
-    assert _json(pullback_rational(op, phi)) == _json(_on_polynomial_conversion(_polynomial_pullback, op, phi))
+    assert _json(translate_to_origin(op, a)) == _json(reference_canonical_from_d(shifted))
+    assert _json(pullback_rational(op, phi)) == _json(_polynomial_pullback(op, phi))
     want = m.as_rational_function()
-    assert _json(mobius(op, m)) == _json(_on_polynomial_conversion(_polynomial_pullback, op, want))
-    assert _json(shift_exponents(op, shifts)) == _json(_on_polynomial_conversion(_polynomial_shift, op, shifts))
+    assert _json(mobius(op, m)) == _json(_polynomial_pullback(op, want))
+    assert _json(shift_exponents(op, shifts)) == _json(_polynomial_shift(op, shifts))
 
 
 def test_a_sum_cancelled_at_the_top_starts_afresh():

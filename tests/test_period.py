@@ -59,6 +59,7 @@ def test_nonsquare_leading_value_records_the_unit():
     f = TetraForm.from_planes(TETRA_DEMO["planes"], scale=2, truncation=6)
     ps = conifold_expand(f)
     assert "NonSquareLeadingValue" in ps.conditions
+    assert type(ps.unit) is QuadraticNumber  # the unit reader takes it as it is
     unit_sq = ps.unit * ps.unit
     from picardfuchs.arith import collapse
 

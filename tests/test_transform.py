@@ -21,13 +21,13 @@ from picardfuchs import (
     shift_exponents,
     yukawa,
 )
+from picardfuchs import transform
 from picardfuchs.arith import Polynomial, QuadraticNumber, RationalFunction, poly_gcd
 from picardfuchs.errors import DegenerateTransform, NotEven
 from picardfuchs.optheta import d_from_theta, singular_points
 from picardfuchs.transform import (
     ShiftAssignment,
     descend_power,
-    is_even,
     negate_variable,
     pullback_rational,
     translate_to_origin,
@@ -158,16 +158,31 @@ def test_translate_to_origin_matches_mobius_translation(aid, a):
     assert translate_to_origin(op, a).to_json() == mobius(op, MobiusMap.translation(a)).to_json()
 
 
+@pytest.mark.parametrize(
+    "aid, a",
+    [(98, Fraction(1, 2)), (248, -1), (250, Fraction(-1, 2)), (266, QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3))],
+    ids=["98", "248", "250", "266-quadratic"],
+)
+def test_translate_to_origin_is_a_taylor_shift(monkeypatch, aid, a):
+    # the chain points and 266's point over Q(sqrt -3) shift the derivative form, with no pullback on the way
+    op = CATALOG[aid].operator
+    want = mobius(op, MobiusMap.translation(a)).to_json()
+
+    def forbidden(*args):
+        raise AssertionError("pullback_rational reached")
+
+    monkeypatch.setattr(transform, "pullback_rational", forbidden)
+    assert translate_to_origin(op, a).to_json() == want
+
+
 def test_pullback_restores_descended_operator():
     # inverse identity on an even operator produced by translation
     op = translate_to_origin(CATALOG[98].operator, Fraction(1, 2))
-    assert is_even(op)
     down = descend_quadratic(op)
     assert _norm_eq(pullback_power(down, 2), op)
 
 
 def test_descend_rejects_odd_operator():
-    assert not is_even(LEGENDRE)
     with pytest.raises(NotEven):
         descend_quadratic(LEGENDRE)
 
