@@ -152,4 +152,3 @@ def test_package_imports_only_what_it_reads():
     assert _unread_imports(sample) == [(1, "math"), (2, "z"), (4, "v")]
     found = ["%s:%d %s" % (path.name, line, name) for path in sorted(SRC.glob("*.py")) for line, name in _unread_imports(path.read_text())]
     assert found == []
-

@@ -181,6 +181,8 @@ QEXP_CHECKS = [
     ("QSeries([1.5, True, 2], 2)", "InexactScalar"),
     ("QSeries([1, True, 2], 2)", "InexactScalar"),
     ("_inverse_unit(QSeries([2, 1], 1))", "NonUnitConstantTerm"),
+    # a truncation below 0 gave the empty series
+    ("QSeries([1, 2], -1)", "TruncationTooLow"),
     ("EtaProductSpec(0, [(0, 1)])", "InvalidEtaProduct"),
     ("EtaProductSpec(1, [(4, 0)])", "InvalidEtaProduct"),
     ("EtaProductSpec(-1, [(4, 2)])", "InvalidEtaProduct"),
