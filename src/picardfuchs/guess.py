@@ -8,18 +8,20 @@ operator annihilates the full input series is returned.
 
 The series is cleared once: with D the lcm of the denominators and
 N_k = D A_k, one table holds N_k k^j for every index k and every j up to the
-largest order, and the rows of each shape are slices of it.  Before any exact
-work each order n is screened modulo the prime p = 2^61 - 1 by one
-elimination over the columns of the table.  The columns of shape (n, r) are
-those of (n, r - 1) and one block more, so a dependence among the columns
-of (n, r) is one of (n, r + 1) too: the shapes with dependent columns mod p
-are exactly those from a first degree r on, and one column-incremental pass
-over r = 0, 1, ... finds that degree.  The screen is exact, because rank
-mod p never exceeds the rank over Q, so a shape below the first degree has
-an empty nullspace.  Every shape from it on, including one that is
-dependent only because p is unlucky, goes through the same exact path as
-without the screen: fraction-free elimination on primitive integer rows,
-then a check of each nullspace candidate against the complete series.
+largest order, and the rows of each shape are slices of it.  With M terms
+and g_j = sum_k N_k k^j t^k, a nullspace vector of shape (n, r) is a
+Hermite-Pade approximant: p_0..p_n of degree <= r, not all zero, with
+sum_j p_j g_j = 0 mod t^M.  Each order n is first screened modulo the prime
+p = 2^61 - 1 by an order basis of these approximants (Beckermann and Labahn,
+SIAM J. Matrix Anal. Appl. 15, 1994).  A reduced basis gives sum_i q_i b_i
+the degree max(deg q_i + deg b_i), so its least degree is the least r at
+which (n, r) has dependent columns mod p; rank mod p never exceeds rank over
+Q, so every shape below it has an empty nullspace.  Each shape from it on is
+eliminated exactly, fraction-free, on a leading block of primitive rows
+grown until every later row vanishes on the block's basis: then all rows lie
+in the block's row space (over Q the orthogonal complement of its nullspace),
+so pivot columns and basis are those of every row.  Each candidate is then
+checked against the complete series.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, as_scalar, integer_rows
-from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, InvalidTruncation, RecurrenceObstruction, ZeroSeries
+from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, InvalidTruncation, RecurrenceObstruction, TruncationTooLow, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
 
@@ -68,41 +70,45 @@ _PRIME = (1 << 61) - 1
 def _first_dependent_degree(residues, n, max_degree):
     """Least r <= max_degree whose shape (n, r) has dependent columns modulo _PRIME, or None.
 
-    `residues[k][j]` is N_k k^j mod _PRIME.  The columns of (n, r) are those
-    of (n, r - 1) and one block, m -> N_(m-r) (m-r)^j for j = 0..n, so one
-    column elimination over the blocks r = 0, 1, ... meets the first
-    dependent shape, and every later r is dependent too.  A shape below the
-    returned degree has full column rank mod p, hence over Q, hence an empty
-    nullspace; a dependent shape proves nothing.
+    `residues[k][j]` is N_k k^j mod _PRIME.  An order-basis row keeps only its
+    residual from t^k on and its degree.  At t^k, of the rows not vanishing
+    there, the one of least degree (lowest index on ties) clears the others
+    and is multiplied by t.  The basis stays reduced, so its least degree is
+    the least degree of any approximant: the first dependent shape.
     """
     p = _PRIME
-    height = len(residues)
-    echelon = []  # (pivot, tail): the reduced column from its pivot row on, 1 at the pivot
-    for r in range(max_degree + 1):
-        for j in range(n + 1):
-            v = [0] * r + [block[j] for block in residues[: height - r]]
-            # entries are reduced only when read: k updates keep them below p + k p^2
-            for piv, tail in echelon:
-                x = v[piv] % p
-                if x:
-                    v[piv:] = [a - x * b for a, b in zip(v[piv:], tail)]
-            v = [a % p for a in v]
-            piv = next((i for i, x in enumerate(v) if x), None)
-            if piv is None:
-                return r
-            inv = pow(v[piv], -1, p)
-            echelon.append((piv, [x * inv % p for x in v[piv:]]))
-    return None
+    rows = [[block[j] for block in residues] for j in range(n + 1)]  # residuals, from t^k on
+    degrees = [0] * (n + 1)
+    for _k in range(len(residues)):
+        # entries are reduced only when read: a row between two pivot turns stays below p + k p^2
+        heads = [row[0] % p for row in rows]
+        live = [j for j, x in enumerate(heads) if x]
+        if live:
+            piv = min(live, key=degrees.__getitem__)
+            head = [x % p for x in rows[piv]]
+            inv = pow(heads[piv], -1, p)
+            for j in live:
+                if j != piv:
+                    c = heads[j] * inv % p
+                    rows[j] = [a - c * b for a, b in zip(rows[j], head)]
+            rows[piv] = [0] + head[:-1]  # times t
+            degrees[piv] += 1
+            # a row above max_degree only ever clears rows above it: drop it
+            if degrees[piv] > max_degree:
+                del rows[piv], degrees[piv]
+                if not rows:
+                    return None
+        rows = [row[1:] for row in rows]
+    return min(degrees)
 
 
 def _primitive(row):
     g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else row
+    return [v // g for v in row]
 
 
-def _nullspace(rows, ncols):
-    """Rational nullspace basis, one vector per free column, first free column first."""
-    mat = [list(r) for r in rows if any(r)]
+def _eliminate(mat, ncols):
+    """Nullspace basis of the integer rows `mat`, one vector per free column, first free column first."""
     pivots = []
     r = 0
     prev = 1
@@ -129,10 +135,28 @@ def _nullspace(rows, ncols):
         x = [Fraction(0)] * ncols
         x[fc] = Fraction(1)
         for ri, c in reversed(pivots):
-            s = sum(Fraction(mat[ri][j]) * x[j] for j in range(c + 1, ncols))
+            s = sum((Fraction(mat[ri][j]) * x[j] for j in range(c + 1, ncols)), Fraction(0))
             x[c] = -s / mat[ri][c]
         basis.append(x)
     return basis
+
+
+def _nullspace(rows, ncols):
+    """Rational nullspace basis of the integer rows, one vector per free column, first free column first.
+
+    Elimination runs on the leading rows, ncols at first, and their basis is
+    checked on every later row.  Once all vanish, the rows share the leading
+    rows' row space, hence their echelon form and basis vectors.
+    """
+    size = ncols
+    while True:
+        basis = _eliminate([_primitive(row) for row in rows[:size] if any(row)], ncols)
+        cleared = integer_rows(basis)[0]
+        # the growth at least doubles the prefix, so a few eliminations reach every row
+        bad = next((i for i in range(size, len(rows)) for vec in cleared if sum(a * b for a, b in zip(rows[i], vec))), None)
+        if bad is None:
+            return basis
+        size = max(bad + 1, 2 * size)
 
 
 def guess_operator(coeffs, config):
@@ -167,7 +191,7 @@ def guess_operator(coeffs, config):
                 [x for i in range(r + 1) for x in (blocks[m - i][: n + 1] if m >= i else zero)]
                 for m in range(len(series))
             ]
-            for vec in _nullspace([_primitive(row) for row in rows], ncols):
+            for vec in _nullspace(rows, ncols):
                 polys = [Polynomial(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(r + 1)]
                 if all(p.is_zero for p in polys):
                     continue
@@ -191,25 +215,30 @@ class Recurrence(Immutable):
         return tuple(p(m - i) for i, p in enumerate(self.op.theta_coeffs))
 
     def extend(self, initial, upto):
-        """Continue the series to index `upto` from enough initial terms."""
+        """A_0 ... A_upto; the terms past the first r + 1 given, also past upto, must obey the recurrence.
+
+        At an obstruction index, where the right-hand side vanishes, a given term is free.
+        """
         upto = _exact_int(upto, InvalidTruncation, "the last index")
-        vals = [_exact_rational(c, "a series coefficient") for c in initial]
+        if upto < 0:
+            raise TruncationTooLow("the last index must be at least 0, got %d" % upto)
+        given = [_exact_rational(c, "a series coefficient") for c in initial]
         r = self.op.r
-        if len(vals) <= r:
-            raise InsufficientTerms("%d initial terms given, more than the t-degree %d required" % (len(vals), r))
+        if len(given) <= r:
+            raise InsufficientTerms("%d initial terms given, more than the t-degree %d required" % (len(given), r))
+        vals = given[: r + 1]
         p0 = self.op.theta_coeffs[0]
-        for m in range(len(vals), upto + 1):
+        for m in range(r + 1, max(upto, len(given) - 1) + 1):
             lead = p0(m)
-            rhs = -sum(
-                self.op.theta_coeffs[i](m - i) * vals[m - i]
-                for i in range(1, min(r, m) + 1)
-            )
-            if not lead:
-                if rhs:
-                    raise InconsistentRecurrence("inconsistent recurrence at index %d" % m)
+            rhs = -sum(self.op.theta_coeffs[i](m - i) * vals[m - i] for i in range(1, r + 1))
+            if not lead and rhs:
+                raise InconsistentRecurrence("inconsistent recurrence at index %d" % m)
+            if not lead and m >= len(given):
                 raise RecurrenceObstruction("index %d is an obstruction; the value is free" % m)
-            vals.append(rhs / lead)
-        return vals
+            vals.append(rhs / lead if lead else given[m])
+            if m < len(given) and vals[m] != given[m]:
+                raise InconsistentRecurrence("the given term at index %d is not the one of the recurrence" % m)
+        return vals[: upto + 1]
 
 
 def recurrence_from_operator(op):

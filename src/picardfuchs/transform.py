@@ -300,14 +300,14 @@ def shift_exponents(op, shifts):
     """
     if not isinstance(shifts, ShiftAssignment):
         shifts = ShiftAssignment(shifts)
-    ell, gauge = Polynomial((1,)), Polynomial(())
-    for a, _eps in shifts.items:
-        ell = ell * Polynomial((-a, 1))
-    for a, eps in shifts.items:
-        gauge = gauge - ell / Polynomial((-a, 1)) * eps
-    polys = (ell, gauge, *op.theta_coeffs)
+    lines = [[-a, Fraction(1)] for a, _eps in shifts.items]
+    ell = reduce(zmul, lines, [Fraction(1)])
+    gauge = []
+    for i, (_a, eps) in enumerate(shifts.items):
+        gauge = zadd(gauge, zscale(reduce(zmul, lines[:i] + lines[i + 1:], [Fraction(1)]), -eps))
+    polys = (ell, gauge, *(p.coeffs for p in op.theta_coeffs))
     rational = over_q(op, chain(*shifts.items))
-    ell, gauge, *rows = integer_rows(polys)[0] if rational else [p.coeffs for p in polys]
+    ell, gauge, *rows = integer_rows(polys)[0] if rational else polys
     rows = _expand(d_from_theta_rows(rows), ell, ell, gauge)
     return canonical_from_rows(rows) if rational else canonical_from_d(list(map(Polynomial, rows)))
 

@@ -1,18 +1,19 @@
 """Earlier operator-guessing loops, kept as test-only references.
 
-The package clears the series once and screens each order modulo a prime,
-with one column elimination over all t-degrees, before exact elimination.
+The package clears the series once, screens each order modulo a prime with
+an order basis, and eliminates exactly on a certified prefix of the rows.
 `reference_guess` is the loop without any screen: a Fraction matrix per
 shape, cleared row by row, and exact elimination on every shape tried.
 `screened_guess` is the loop with the screen it had before, which reduced
-the rows of every shape modulo the prime from scratch.
+the rows of every shape modulo the prime from scratch.  Both eliminate with
+`full_nullspace`, fraction-free elimination on every row, so neither calls
+the package's screen or elimination.
 """
 
 import math
 from fractions import Fraction
 
 from picardfuchs.arith import Polynomial, PowerSeries, as_scalar, collapse
-from picardfuchs.guess import _nullspace
 from picardfuchs.optheta import ThetaOperator, apply_to_series
 
 
@@ -24,6 +25,39 @@ def _integer_row(row):
     if g > 1:
         ints = [v // g for v in ints]
     return ints
+
+
+def full_nullspace(rows, ncols):
+    """Rational nullspace basis, one vector per free column, first free column first: Bareiss on every nonzero row."""
+    mat = [list(r) for r in rows if any(r)]
+    pivots = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        pc = mat[r][c]
+        for i in range(r + 1, len(mat)):
+            mic = mat[i][c]
+            for j in range(c, ncols):
+                mat[i][j] = (pc * mat[i][j] - mic * mat[r][j]) // prev
+        prev = pc
+        pivots.append((r, c))
+        r += 1
+    pivot_cols = {c for _ri, c in pivots}
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for ri, c in reversed(pivots):
+            s = sum((Fraction(mat[ri][j]) * x[j] for j in range(c + 1, ncols)), Fraction(0))
+            x[c] = -s / mat[ri][c]
+        basis.append(x)
+    return basis
 
 
 def reference_guess(coeffs, config):
@@ -45,7 +79,7 @@ def reference_guess(coeffs, config):
                     row.extend(a * (m - i) ** j for j in range(n + 1))
                 rows.append(row)
             int_rows = [_integer_row(row) for row in rows]
-            for vec in _nullspace(int_rows, ncols):
+            for vec in full_nullspace(int_rows, ncols):
                 polys = [Polynomial(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(r + 1)]
                 if all(p.is_zero for p in polys):
                     continue
@@ -101,7 +135,7 @@ def screened_guess(coeffs, config, p):
             if full_rank_mod_p(rows, ncols, p):
                 continue
             exact += 1
-            for vec in _nullspace([_integer_row(row) for row in rows], ncols):
+            for vec in full_nullspace([_integer_row(row) for row in rows], ncols):
                 polys = [Polynomial(vec[i * (n + 1):(i + 1) * (n + 1)]) for i in range(r + 1)]
                 if all(q.is_zero for q in polys):
                     continue

@@ -5,8 +5,8 @@ from math import comb
 from unittest import mock
 
 import pytest
-from guess_reference import cleared_table, full_rank_mod_p, reference_guess, screened_guess, shape_rows
-from hypothesis import given, settings
+from guess_reference import cleared_table, full_nullspace, full_rank_mod_p, reference_guess, screened_guess, shape_rows
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from shapes import fuchsian_shapes
 
@@ -32,6 +32,7 @@ from picardfuchs.errors import (
     InvalidGuessBox,
     NonrationalScalar,
     RecurrenceObstruction,
+    TruncationTooLow,
     ZeroSeries,
 )
 from picardfuchs.optheta import apply_to_series, indicial_roots
@@ -131,6 +132,27 @@ def test_recurrence_extend_stalls_with_a_typed_error(a1, error):
     rec = recurrence_from_operator(ThetaOperator.from_theta_polys([Polynomial((0, -2, 1)), Polynomial((-1,))]))
     with pytest.raises(error):
         rec.extend([1, a1], 4)
+
+
+def test_recurrence_extend_checks_every_given_term():
+    # A_m m^2 = (m - 1/2)^2 A_(m-1): A_2 = 9/4, so 36 breaks the recurrence, also past the last index asked
+    rec = recurrence_from_operator(CATALOG[4].operator)
+    assert rec.extend([1, 4, Fraction(9, 4)], 1) == [1, 4]
+    assert rec.extend([1, 4, Fraction(9, 4)], 3) == rec.extend([1, 4], 3)
+    with pytest.raises(InconsistentRecurrence, match="index 2"):
+        rec.extend([1, 4, 36, 400], 1)
+    with pytest.raises(TruncationTooLow):
+        rec.extend([1, 4], -1)
+
+
+def test_recurrence_extend_takes_a_given_term_at_an_obstruction():
+    # m(m - 2) A_m = A_(m-1): with A_1 = 0 the index 2 is free, and a given A_2 fixes the rest
+    rec = recurrence_from_operator(ThetaOperator.from_theta_polys([Polynomial((0, -2, 1)), Polynomial((-1,))]))
+    assert rec.extend([1, 0, 5], 4) == [1, 0, 5, Fraction(5, 3), Fraction(5, 24)]
+    with pytest.raises(InconsistentRecurrence, match="index 3"):
+        rec.extend([1, 0, 5, 2], 2)
+    with pytest.raises(InconsistentRecurrence, match="index 2"):
+        rec.extend([1, 1, 5], 4)
 
 
 def test_recurrence_extend_needs_more_initial_terms_than_the_degree():
@@ -309,20 +331,21 @@ def test_screen_on_a_table_singular_only_mod_p():
 @given(data=st.data())
 def test_first_dependent_degree_matches_the_screen_shape_by_shape(data):
     sympy = pytest.importorskip("sympy")
-    prime = data.draw(st.sampled_from([2, 3, 5, guess._PRIME]), label="prime")
+    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+    prime = data.draw(st.sampled_from([2, 3, 5, 7, guess._PRIME]), label="prime")
     numerators = st.integers(-6, 6) | st.sampled_from([prime, -prime, 3 * prime])
-    series = data.draw(st.lists(st.builds(Fraction, numerators, st.sampled_from([1, 2, 3])), min_size=1, max_size=12))
-    n = data.draw(st.integers(1, 3), label="order")
-    max_degree = data.draw(st.integers(0, 3), label="max_degree")
+    series = data.draw(st.lists(st.builds(Fraction, numerators, st.sampled_from([1, 2, 3])), min_size=1, max_size=30))
+    n = data.draw(st.integers(1, 4), label="order")
+    max_degree = data.draw(st.integers(0, 5), label="max_degree")
     table = cleared_table(series, n)
     got = _first_degree(series, n, max_degree, prime)
     # the earlier screen, run on every shape: full rank before the first degree, below it from there on
     top = max_degree + 1 if got is None else got
     for r in range(max_degree + 1):
         assert full_rank_mod_p(shape_rows(table, n, r), (n + 1) * (r + 1), prime) == (r < top)
-    # and full rank mod p is full rank over Q
+    # and full rank mod p is full rank over Q (sympy's dense rank takes minutes on 30 rows of 70-bit entries)
     for r in range(top):
-        assert sympy.Matrix(shape_rows(table, n, r)).rank() == (n + 1) * (r + 1)
+        assert DomainMatrix.from_list(shape_rows(table, n, r), sympy.ZZ).rank() == (n + 1) * (r + 1)
 
 
 @pytest.mark.parametrize("prime", [2, 3, guess._PRIME])
@@ -355,3 +378,40 @@ def test_one_exact_elimination_and_one_candidate_in_the_default_box(aid, monkeyp
     monkeypatch.setattr(guess, "apply_to_series", applied)
     assert guess_operator(series, DEFAULT_BOX) is not None
     assert exact.call_count == 1 and applied.call_count == 1
+
+
+@st.composite
+def _rank_deficient_leads(draw):
+    """(rows, ncols): integer rows whose leading ncols rows are duplicates, zeros or combinations of fewer rows."""
+    ncols = draw(st.integers(2, 6), label="ncols")
+    entries = st.integers(-4, 4)
+    spanning = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=ncols - 1))
+    lead = []
+    for _ in range(ncols):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(spanning), max_size=len(spanning)))
+        lead.append([sum(w * row[c] for w, row in zip(weights, spanning)) for c in range(ncols)])
+    later = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=3 * ncols))
+    return lead + later, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rank_deficient_leads())
+def test_nullspace_on_certified_rows_is_the_full_elimination(case):
+    rows, ncols = case
+    want = full_nullspace(rows, ncols)
+    # a later row outside the leading rows' span makes the prefix grow
+    assume(len(want) < len(full_nullspace(rows[:ncols], ncols)))
+    eliminated = mock.Mock(wraps=guess._primitive)
+    with mock.patch.object(guess, "_primitive", eliminated):
+        assert guess._nullspace(rows, ncols) == want
+    assert eliminated.call_count > sum(map(any, rows[:ncols]))
+
+
+@pytest.mark.parametrize("aid", [35, 97])
+def test_exact_elimination_reads_the_leading_rows_in_the_default_box(aid, monkeypatch):
+    # counts, not times: the one shape eliminated has 20 columns, and its first 20 of 60 rows certify
+    series = holomorphic_series(CATALOG[aid].operator, DEFAULT_BOX.required_terms())
+    eliminated = mock.Mock(wraps=guess._primitive)
+    monkeypatch.setattr(guess, "_primitive", eliminated)
+    assert guess_operator(series, DEFAULT_BOX) is not None
+    assert len(series) == 60 and eliminated.call_count == 20
