@@ -565,6 +565,8 @@ class Polynomial(Immutable):
         return Polynomial(zderiv(self.coeffs))
 
     def __call__(self, v):
+        """The value at v; a float or a bool raises InexactScalar (as_scalar)."""
+        v = as_scalar(v)
         out = as_scalar(0)
         for c in reversed(self.coeffs):
             out = out * v + c

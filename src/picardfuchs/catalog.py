@@ -7,6 +7,10 @@ connect them.  verify_catalog recomputes everything recomputable from the
 stored operators and reports one pass/fail line per entry; known printed
 slips are reported as NOTED with the recomputed value rather than failed.
 reproduce_reduction replays a chain step by step and checks its endpoint.
+
+Both record types are namedtuples over one base, whose to_json and
+from_json walk the fields in order: a field's JSON form is defined once,
+in _FIELD_JSON, and a field not named there is stored as it is.
 """
 
 import json
@@ -21,6 +25,7 @@ from .arith import (
     RationalFunction,
     collapse,
     scalar_from_json,
+    scalar_sort_key,
     scalar_to_json,
 )
 from .errors import CatalogVersionMismatch, ChainBroken, NotEven
@@ -52,11 +57,63 @@ def _point(p):
     return INFINITY if p is None else SingularPoint(p)
 
 
+def _symbol(cols):
+    """The printed columns of a catalog_data row as ((SingularPoint, exponent tuple), ...)."""
+    return tuple((_point(p), tuple(exps)) for p, exps in cols)
+
+
 # ---------------------------------------------------------------------------
 # records
 
 
-class ArrangementRecord(namedtuple("ArrangementRecord", "id operator octic symbol decorations labels h11 h12 notes")):
+def _symbol_to_json(symbol):
+    return [{"point": p.to_json(), "exponents": [scalar_to_json(e) for e in exps]} for p, exps in symbol]
+
+
+def _symbol_from_json(rows):
+    return tuple(
+        (SingularPoint.from_json(row["point"]), tuple(scalar_from_json(e) for e in row["exponents"])) for row in rows
+    )
+
+
+# record field -> (to JSON, from JSON); a field not named here is stored as it is
+_FIELD_JSON = {
+    "operator": (ThetaOperator.to_json, ThetaOperator.from_json),
+    "octic": (
+        lambda octic: octic if isinstance(octic, str) else octic.to_json(),
+        lambda data: data if isinstance(data, str) else Arrangement.from_json(data),
+    ),
+    "symbol": (_symbol_to_json, _symbol_from_json),
+    "decorations": (
+        lambda dec: None if dec is None else list(dec),
+        lambda data: None if data is None else tuple(data),
+    ),
+    "labels": (list, tuple),
+    "printed_discrepancy_points": (
+        lambda points: [p.to_json() for p in points],
+        lambda data: tuple(SingularPoint.from_json(p) for p in data),
+    ),
+}
+_AS_IS = (lambda x: x,) * 2
+
+
+class _Record:
+    """Base of the two catalog records; their JSON keys are the namedtuple fields, in order."""
+
+    __slots__ = ()
+
+    def symbol_table(self):
+        return dict(self.symbol)
+
+    def to_json(self):
+        return {f: _FIELD_JSON.get(f, _AS_IS)[0](v) for f, v in zip(self._fields, self)}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(*(_FIELD_JSON.get(f, _AS_IS)[1](data[f]) for f in cls._fields))
+
+
+class ArrangementRecord(_Record, namedtuple("ArrangementRecord", "id operator octic symbol decorations labels h11 h12 notes")):
     """One arrangement: geometry data, operator, and the printed tables.
 
     `octic` is qexp.OCTICS[id]: an Arrangement, or the printed text of 248
@@ -67,45 +124,13 @@ class ArrangementRecord(namedtuple("ArrangementRecord", "id operator octic symbo
 
     __slots__ = ()
 
-    def symbol_table(self):
-        return {p: exps for p, exps in self.symbol}
-
-    def points(self):
-        return tuple(p for p, _ in self.symbol)
-
-    def to_json(self):
-        return {
-            "id": self.id,
-            "operator": self.operator.to_json(),
-            "octic": self.octic if isinstance(self.octic, str) else self.octic.to_json(),
-            "symbol": _symbol_to_json(self.symbol),
-            "decorations": list(self.decorations) if self.decorations is not None else None,
-            "labels": list(self.labels),
-            "h11": self.h11,
-            "h12": self.h12,
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            id=data["id"],
-            operator=ThetaOperator.from_json(data["operator"]),
-            octic=data["octic"] if isinstance(data["octic"], str) else Arrangement.from_json(data["octic"]),
-            symbol=_symbol_from_json(data["symbol"]),
-            decorations=tuple(data["decorations"]) if data["decorations"] is not None else None,
-            labels=tuple(data["labels"]),
-            h11=data["h11"],
-            h12=data["h12"],
-            notes=data["notes"],
-        )
-
 
 class DerivedOperatorRecord(
+    _Record,
     namedtuple(
         "DerivedOperatorRecord",
         "name operator symbol decorations labels source chain printed_discrepancy_points notes",
-    )
+    ),
 ):
     """A three-point operator produced from an arrangement by a chain.
 
@@ -117,95 +142,15 @@ class DerivedOperatorRecord(
 
     __slots__ = ()
 
-    def symbol_table(self):
-        return {p: exps for p, exps in self.symbol}
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "operator": self.operator.to_json(),
-            "symbol": _symbol_to_json(self.symbol),
-            "decorations": list(self.decorations),
-            "labels": list(self.labels),
-            "source": self.source,
-            "chain": self.chain,
-            "printed_discrepancy_points": [p.to_json() for p in self.printed_discrepancy_points],
-            "notes": self.notes,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            name=data["name"],
-            operator=ThetaOperator.from_json(data["operator"]),
-            symbol=_symbol_from_json(data["symbol"]),
-            decorations=tuple(data["decorations"]),
-            labels=tuple(data["labels"]),
-            source=data["source"],
-            chain=data["chain"],
-            printed_discrepancy_points=tuple(
-                SingularPoint.from_json(p) for p in data["printed_discrepancy_points"]
-            ),
-            notes=data["notes"],
-        )
-
-
-def _symbol_to_json(symbol):
-    return [
-        {"point": p.to_json(), "exponents": [scalar_to_json(e) for e in exps]}
-        for p, exps in symbol
-    ]
-
-
-def _symbol_from_json(rows):
-    return tuple(
-        (
-            SingularPoint.from_json(row["point"]),
-            tuple(scalar_from_json(e) for e in row["exponents"]),
-        )
-        for row in rows
-    )
-
-
-def _build_catalog():
-    out = {}
-    for aid, (cols, dec, labels, h11, h12, notes) in catalog_data.ARRANGEMENT_TABLES.items():
-        out[aid] = ArrangementRecord(
-            id=aid,
-            operator=catalog_data.OPERATORS[aid],
-            octic=OCTICS[aid],
-            symbol=tuple((_point(p), tuple(exps)) for p, exps in cols),
-            decorations=dec,
-            labels=labels,
-            h11=h11,
-            h12=h12,
-            notes=notes,
-        )
-    return out
-
-
-_DISCREPANCY_POINTS = {"descent-153": (INFINITY,)}
-
-
-def _build_derived():
-    out = {}
-    for name, (op, cols, dec, labels, src, chain, notes) in catalog_data.DERIVED.items():
-        out[name] = DerivedOperatorRecord(
-            name=name,
-            operator=op,
-            symbol=tuple((_point(p), tuple(exps)) for p, exps in cols),
-            decorations=dec,
-            labels=labels,
-            source=src,
-            chain=chain,
-            printed_discrepancy_points=_DISCREPANCY_POINTS.get(name, ()),
-            notes=notes,
-        )
-    return out
-
-
-CATALOG = _build_catalog()
-DERIVED_OPERATORS = _build_derived()
+CATALOG = {
+    aid: ArrangementRecord(aid, catalog_data.OPERATORS[aid], OCTICS[aid], _symbol(cols), *rest)
+    for aid, (cols, *rest) in catalog_data.ARRANGEMENT_TABLES.items()
+}
+DERIVED_OPERATORS = {
+    name: DerivedOperatorRecord(name, op, _symbol(cols), dec, labels, src, chain, tuple(map(_point, points)), notes)
+    for name, (op, cols, dec, labels, src, chain, points, notes) in catalog_data.DERIVED.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +219,25 @@ def _fmt_exps(exps):
 
 def _check_entry(op, symbol, labels, allowed_mismatch=()):
     checks = []
-    table = {p: exps for p, exps in symbol}
+    table = dict(symbol)
     sym = riemann_symbol(op)
-    if sym.same_table(table):
+    computed = sym.table()
+    # RiemannSymbol.same_table's rule: a printed column matches up to order
+    wrong = [p for p, exps in symbol if computed.get(p) != tuple(sorted(exps, key=scalar_sort_key))]
+    extra = [p for p in computed if p not in table]
+    if not wrong and not extra:
         checks.append(CheckResult("symbol", "PASS"))
+    elif extra or set(wrong) - set(allowed_mismatch):
+        detail = "mismatch at %s" % (sorted(set(wrong) | set(extra), key=SingularPoint.sort_key),)
+        checks.append(CheckResult("symbol", "FAIL", detail))
     else:
-        computed = sym.table()
-        wrong = []
-        for p, exps in table.items():
+        parts = []
+        for p in wrong:
             got = computed.get(p)
-            if got != tuple(exps):
-                wrong.append(p)
-        extra = [p for p in computed if p not in table]
-        if extra or set(wrong) - set(allowed_mismatch):
-            detail = "mismatch at %s" % (sorted(set(wrong) | set(extra), key=SingularPoint.sort_key),)
-            checks.append(CheckResult("symbol", "FAIL", detail))
-        else:
-            parts = []
-            for p in wrong:
-                got = computed.get(p)
-                parts.append(
-                    "printed %s at %s, operator gives %s"
-                    % (_fmt_exps(table[p]), p, _fmt_exps(got) if got else "no point")
-                )
-            checks.append(CheckResult("symbol", "NOTED", "; ".join(parts)))
+            parts.append(
+                "printed %s at %s, operator gives %s" % (_fmt_exps(table[p]), p, _fmt_exps(got) if got else "no point")
+            )
+        checks.append(CheckResult("symbol", "NOTED", "; ".join(parts)))
     # transcription cross-check: the top profile vanishes exactly at the
     # printed finite points (0 and infinity are always candidates)
     ell = top_profile(op)

@@ -22,6 +22,9 @@ Transcription flags, kept in the notes fields and in this docstring:
     (4Theta-1)^2 restores the printed exponents at 0 and the printed finite
     singular point, and the reduction chain reproduces that repaired
     operator; its recomputed infinity exponents are (1/4,1/2,1,5/4).
+    Its DERIVED row lists (oo,) as its printed discrepancy points, the
+    column before its notes, so verify_catalog reports that column as
+    NOTED; the other derived rows list ().
   - descent-35-further, reduction-266: the printed closed forms are stated
     in a doubled variable (leading coefficients vanish at -1/16 and -1/72)
     while the printed exponent tables live at -1/8 and -1/36.  The printed
@@ -363,7 +366,8 @@ ARRANGEMENT_TABLES = {
 # ---------------------------------------------------------------------------
 # derived three-point operators
 #
-# name: (operator, columns, decorations, labels, source id, chain name, notes)
+# name: (operator, columns, decorations, labels, source id, chain name,
+#        printed discrepancy points, notes)
 
 DERIVED = {
     "descent-98": (
@@ -374,7 +378,7 @@ DERIVED = {
         ),
         ((0, (0, 0, 1, 1)), (Q(-1, 16), half(0, Q(1, 2), Q(1, 2), 1)),
          (oo, half(Q(1, 4), Q(1, 2), Q(1, 2), Q(3, 4)))),
-        ("8", "8/1", "32/1"), ("K", "C", "C"), 98, "98descent", "",
+        ("8", "8/1", "32/1"), ("K", "C", "C"), 98, "98descent", (), "",
     ),
     "descent-35": (
         op(
@@ -384,7 +388,7 @@ DERIVED = {
         ),
         ((0, half(0, 0, Q(1, 2), Q(1, 2))), (Q(-1, 8), half(0, Q(1, 2), Q(1, 2), 1)),
          (oo, half(Q(1, 4), Q(3, 4), Q(3, 4), Q(5, 4)))),
-        ("8", "8/1", "8/1"), ("K", "C", "C"), 35, "35descent", "",
+        ("8", "8/1", "8/1"), ("K", "C", "C"), 35, "35descent", (), "",
     ),
     "descent-35-further": (
         op(
@@ -394,7 +398,7 @@ DERIVED = {
         ),
         ((0, half(0, 0, Q(1, 4), Q(1, 4))), (Q(-1, 8), half(0, Q(1, 2), 1, Q(3, 2))),
          (oo, half(Q(1, 8), Q(5, 8), Q(5, 8), Q(9, 8)))),
-        ("8", "?", "8/1"), ("K", "F", "C"), 35, "35descent2",
+        ("8", "?", "8/1"), ("K", "F", "C"), 35, "35descent2", (),
         "no form identified at -1/8 (order-two monodromy), decoration stored as ?; "
         "the printed closed form is stated in a doubled variable (its leading "
         "coefficient vanishes at -1/16), while the printed exponent table and the "
@@ -409,7 +413,7 @@ DERIVED = {
         ),
         ((0, half(0, Q(1, 4), Q(1, 4), Q(1, 2))), (1, half(0, Q(1, 2), Q(1, 2), 1)),
          (oo, half(Q(1, 4), Q(3, 4), Q(3, 4), Q(5, 4)))),
-        ("32/1", "32/2", "8/1"), ("C", "C", "A"), 153, "153descent",
+        ("32/1", "32/2", "8/1"), ("C", "C", "A"), 153, "153descent", (oo,),
         "printed t^0 factor lacks the square on (4Theta-1) and the printed exponents "
         "at infinity repeat the descent-35 column; the stored operator follows the "
         "reduction chain, with recomputed infinity exponents (1/4,1/2,1,5/4)",
@@ -422,7 +426,7 @@ DERIVED = {
         ),
         ((0, half(0, Q(1, 3), 1, Q(4, 3))), (Q(-1, 36), half(0, Q(1, 2), Q(1, 2), 1)),
          (oo, half(Q(1, 12), Q(1, 3), Q(1, 3), Q(7, 12)))),
-        ("?", "6/1", "32/1"), ("A", "C", "C"), 266, "266chain",
+        ("?", "6/1", "32/1"), ("A", "C", "C"), 266, "266chain", (),
         "the printed closed form is stated in a doubled variable (its leading "
         "coefficient vanishes at -1/72) while the printed exponent table places "
         "the conifold point at -1/36; the stored coefficients follow the table",

@@ -215,7 +215,7 @@ class Recurrence(Immutable):
         return tuple(p(m - i) for i, p in enumerate(self.op.theta_coeffs))
 
     def extend(self, initial, upto):
-        """A_0 ... A_upto; the terms past the first r + 1 given, also past upto, must obey the recurrence.
+        """A_0 ... A_upto; every given term, also past upto, must obey the recurrence.
 
         At an obstruction index, where the right-hand side vanishes, a given term is free.
         """
@@ -226,11 +226,11 @@ class Recurrence(Immutable):
         r = self.op.r
         if len(given) <= r:
             raise InsufficientTerms("%d initial terms given, more than the t-degree %d required" % (len(given), r))
-        vals = given[: r + 1]
-        p0 = self.op.theta_coeffs[0]
-        for m in range(r + 1, max(upto, len(given) - 1) + 1):
-            lead = p0(m)
-            rhs = -sum(self.op.theta_coeffs[i](m - i) * vals[m - i] for i in range(1, r + 1))
+        coeffs = self.op.theta_coeffs
+        vals = []
+        for m in range(max(upto, len(given) - 1) + 1):
+            lead = coeffs[0](m)
+            rhs = -sum(coeffs[i](m - i) * vals[m - i] for i in range(1, min(r, m) + 1))
             if not lead and rhs:
                 raise InconsistentRecurrence("inconsistent recurrence at index %d" % m)
             if not lead and m >= len(given):

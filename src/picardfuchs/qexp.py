@@ -482,6 +482,14 @@ class Arrangement(Immutable):
     def __iter__(self):
         return iter(self.planes)
 
+    def __eq__(self, other):
+        if not isinstance(other, Arrangement):
+            return NotImplemented
+        return self.planes == other.planes
+
+    def __hash__(self):
+        return hash(self.planes)
+
     def at(self, t):
         """The eight linear forms of the fibre at t, as count_double_octic takes them."""
         return [tuple(c(t) for c in plane) for plane in self.planes]

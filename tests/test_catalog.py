@@ -9,12 +9,13 @@ from picardfuchs import (
     CATALOG,
     CHAINS,
     DERIVED_OPERATORS,
+    SingularPoint,
     dump_catalog,
     load_catalog,
     reproduce_reduction,
     verify_catalog,
 )
-from picardfuchs.catalog import CatalogReport, CheckResult, EntryReport, _even_descent
+from picardfuchs.catalog import CatalogReport, CheckResult, EntryReport, _check_entry, _even_descent
 from picardfuchs.errors import ChainBroken, NotEven
 
 HALF = Fraction(1, 2)
@@ -71,8 +72,21 @@ def test_catalog_json_round_trips_to_built_records():
         assert sorted(der) == sorted(DERIVED_OPERATORS)
         for k, rec in CATALOG.items():
             assert cat[k].to_json() == rec.to_json()
+            assert cat[k] == rec
         for k, rec in DERIVED_OPERATORS.items():
             assert der[k].to_json() == rec.to_json()
+            assert der[k] == rec
+
+
+def test_symbol_check_reads_printed_columns_up_to_order():
+    # the column at 1 matches up to order, so only the allowed slip at 2 is reported
+    rec = CATALOG[33]
+    printed = {SingularPoint(1): (1, HALF, HALF, 0), SingularPoint(2): (0, 1, 1, 3)}
+    symbol = tuple((p, printed.get(p, exps)) for p, exps in rec.symbol)
+    check = _check_entry(rec.operator, symbol, rec.labels, allowed_mismatch=(SingularPoint(2),))[0]
+    assert check == CheckResult("symbol", "NOTED", "printed (0,1,1,3) at 2, operator gives (0,1,1,2)")
+    check = _check_entry(rec.operator, symbol, rec.labels)[0]
+    assert check == CheckResult("symbol", "FAIL", "mismatch at [2]")
 
 
 def test_dump_catalog_is_versioned_json():

@@ -12,7 +12,7 @@ from picardfuchs import errors
 
 _IMPORTS = (
     "import json\n"
-    "from picardfuchs.arith import QuadraticNumber\n"
+    "from picardfuchs.arith import Polynomial, QuadraticNumber, RationalFunction\n"
     "from picardfuchs.catalog import dump_catalog, load_catalog\n"
     "from picardfuchs.frobenius import GeneralizedSeries, annihilation_order\n"
     "from picardfuchs.guess import recurrence_from_operator\n"
@@ -95,6 +95,10 @@ TYPED_CHECKS = [
     ),
     ("load_catalog(with_octic([ROW] * 7))", "InvalidOctic", "an arrangement needs eight planes of four coefficients"),
     ("load_catalog(with_octic(5))", "InvalidOctic", "an octic must be a list of planes, got 5"),
+    # an evaluation point: 0.5 gave the float 2.0 and True was read as 1
+    ("Polynomial([1, 2])(0.5)", "InexactScalar", "a scalar must be exact, not the float 0.5"),
+    ("Polynomial([1, 2])(True)", "InexactScalar", "a scalar must be exact, not the bool True"),
+    ("RationalFunction(Polynomial([1]), Polynomial([1, 2]))(0.5)", "InexactScalar", "a scalar must be exact, not the float 0.5"),
 ]
 
 

@@ -126,33 +126,43 @@ def test_recurrence_keeps_a_fraction_index_exact():
     assert got == (25, -16) and all(type(c) is Fraction for c in got)
 
 
-@pytest.mark.parametrize("a1, error", [(1, InconsistentRecurrence), (0, RecurrenceObstruction)])
-def test_recurrence_extend_stalls_with_a_typed_error(a1, error):
-    # m(m - 2) A_m = A_(m-1): at m = 2 the leading coefficient vanishes, and A_1 decides
+@pytest.mark.parametrize("a0, error", [(1, InconsistentRecurrence), (0, RecurrenceObstruction)])
+def test_recurrence_extend_stalls_with_a_typed_error(a0, error):
+    # m(m - 2) A_m = A_(m-1), so A_1 = -A_0: at m = 2 the leading coefficient vanishes, and A_1 decides
     rec = recurrence_from_operator(ThetaOperator.from_theta_polys([Polynomial((0, -2, 1)), Polynomial((-1,))]))
     with pytest.raises(error):
-        rec.extend([1, a1], 4)
+        rec.extend([a0, -a0], 4)
 
 
 def test_recurrence_extend_checks_every_given_term():
-    # A_m m^2 = (m - 1/2)^2 A_(m-1): A_2 = 9/4, so 36 breaks the recurrence, also past the last index asked
+    # A_m m^2 = (m - 1/2)^2 A_(m-1): A_1 = 1/4 and A_2 = 9/64, so 36 breaks the recurrence, also past the last index asked
     rec = recurrence_from_operator(CATALOG[4].operator)
-    assert rec.extend([1, 4, Fraction(9, 4)], 1) == [1, 4]
-    assert rec.extend([1, 4, Fraction(9, 4)], 3) == rec.extend([1, 4], 3)
+    assert rec.extend([1, Fraction(1, 4), Fraction(9, 64)], 1) == [1, Fraction(1, 4)]
+    assert rec.extend([1, Fraction(1, 4), Fraction(9, 64)], 3) == rec.extend([1, Fraction(1, 4)], 3)
     with pytest.raises(InconsistentRecurrence, match="index 2"):
-        rec.extend([1, 4, 36, 400], 1)
+        rec.extend([1, Fraction(1, 4), 36, 400], 1)
     with pytest.raises(TruncationTooLow):
         rec.extend([1, 4], -1)
 
 
 def test_recurrence_extend_takes_a_given_term_at_an_obstruction():
-    # m(m - 2) A_m = A_(m-1): with A_1 = 0 the index 2 is free, and a given A_2 fixes the rest
+    # m(m - 2) A_m = A_(m-1): with A_1 = -A_0 = 0 the index 2 is free, and a given A_2 fixes the rest
     rec = recurrence_from_operator(ThetaOperator.from_theta_polys([Polynomial((0, -2, 1)), Polynomial((-1,))]))
-    assert rec.extend([1, 0, 5], 4) == [1, 0, 5, Fraction(5, 3), Fraction(5, 24)]
+    assert rec.extend([0, 0, 5], 4) == [0, 0, 5, Fraction(5, 3), Fraction(5, 24)]
     with pytest.raises(InconsistentRecurrence, match="index 3"):
-        rec.extend([1, 0, 5, 2], 2)
+        rec.extend([0, 0, 5, 2], 2)
     with pytest.raises(InconsistentRecurrence, match="index 2"):
-        rec.extend([1, 1, 5], 4)
+        rec.extend([1, -1, 5], 4)
+
+
+def test_recurrence_extend_checks_the_first_terms_too():
+    # m^2 A_m = 4 (2m - 1)^2 A_(m-1) forces A_1 = 4 A_0; (theta + 1) - t forces A_0 = 0
+    with pytest.raises(InconsistentRecurrence, match="index 1"):
+        recurrence_from_operator(LEGENDRE).extend([1, 5], 3)
+    rec = recurrence_from_operator(ThetaOperator.from_theta_polys([P(1, 1), P(-1)]))
+    assert rec.extend([0, 0], 2) == [0, 0, 0]
+    with pytest.raises(InconsistentRecurrence, match="index 0"):
+        rec.extend([1, 1], 2)
 
 
 def test_recurrence_extend_needs_more_initial_terms_than_the_degree():

@@ -94,6 +94,15 @@ def test_catalog_reads_the_octic_registry():
         assert all(isinstance(c, Polynomial) and all(a.denominator == 1 for a in c) for plane in planes for c in plane)
 
 
+def test_arrangements_compare_by_their_planes():
+    # 266 and 273 share an operator but not an octic
+    for aid in LINEAR_OCTICS:
+        copy = Arrangement.from_json(OCTICS[aid].to_json())
+        assert copy is not OCTICS[aid] and copy == OCTICS[aid] and hash(copy) == hash(OCTICS[aid])
+    assert OCTICS[266] != OCTICS[273] and OCTICS[4] != OCTICS[4].to_json()
+    assert len({OCTICS[aid] for aid in LINEAR_OCTICS}) == len(LINEAR_OCTICS)
+
+
 def _oracle_planes(octic, t):
     """The fibre at t from the JSON of the octic, by Polynomial and not by Arrangement.at."""
     return [tuple(Polynomial([Fraction(s) for s in c])(t) for c in plane) for plane in octic.to_json()]
