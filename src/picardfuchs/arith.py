@@ -195,46 +195,48 @@ class Immutable:
 class QuadraticNumber(Immutable):
     """a + b*sqrt(d) with rational a, b and squarefree integer d (d != 0, 1).
 
-    `a` and `b` are Fractions and `d` is an int.  The constructor checks its
-    input: the parts must be exact (no float, no bool) and the tag a
-    squarefree int.  The arithmetic is an integer kernel: each operation
-    writes both operands over one denominator, (x + y*sqrt(d)) / m, from the
-    numerators and denominators of their parts, computes each part of the
-    result as one integer quotient, builds it with a single
-    Fraction(numerator, denominator) and makes the result through
-    `_quadratic`, which skips the checks its inputs have already passed.  An
-    int or a Fraction operand, on either side, is the field element with
-    zero sqrt part; a QuadraticNumber with another tag raises MixedFields.
+    Stored parts: ints x, y, m and the tag d with a + b*sqrt(d) =
+    (x + y*sqrt(d)) / m, normalised so that gcd(x, y, m) = 1 and m > 0; so
+    each value has one stored form, and m is the lcm of the denominators of
+    a and b.  The constructor checks its input: the parts must be exact (no
+    float, no bool) and the tag a squarefree int.  The arithmetic runs on
+    the ints: each operation writes its operands as (x, y, m) and makes the
+    result through `_quadratic`, the one internal constructor, which
+    normalises by one gcd and a sign and skips the checks its inputs have
+    already passed.  An int or a Fraction operand, on either side, is the
+    field element with zero sqrt part; a QuadraticNumber with another tag
+    raises MixedFields.  `a` and `b` are read-only properties that build
+    their Fraction when read; the package's own readers (equality, hash,
+    truth, collapse, integer_rows) use x, y and m.
 
     Type rule: arithmetic with a QuadraticNumber operand returns a
     QuadraticNumber, also when its sqrt part is zero (`collapse` turns such
     a value into a Fraction).  ROADMAP item 4 will change the rule, so that
-    a zero sqrt part always gives a Fraction.
+    a zero sqrt part always gives a Fraction: a change to `_quadratic` alone.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("x", "y", "m", "d")
 
-    def __init__(self, a, b, d):
+    def __new__(cls, a, b, d):
         d = _field_tag(_exact_int(d, InexactScalar, "a quadratic field tag"))
-        object.__setattr__(self, "a", _exact_fraction(a))
-        object.__setattr__(self, "b", _exact_fraction(b))
-        object.__setattr__(self, "d", d)
+        a, b = _exact_fraction(a), _exact_fraction(b)
+        return _quadratic(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator, d)
 
-    def _parts(self):
-        """(x, y, m) with self = (x + y*sqrt(d)) / m and m > 0."""
-        a, b = self.a, self.b
-        ad, bd = a.denominator, b.denominator
-        return a.numerator * bd, b.numerator * ad, ad * bd
+    @property
+    def a(self):
+        return Fraction(self.x, self.m)
+
+    @property
+    def b(self):
+        return Fraction(self.y, self.m)
 
     def _operand(self, other):
-        """other as (x, y, m) in the field of self, like `_parts`; None for a type outside it."""
+        """other as (x, y, m) in the field of self; None for a type outside it."""
         if type(other) is QuadraticNumber:
             if other.d != self.d:
                 raise MixedFields("mixed discriminants %d and %d" % (self.d, other.d))
-            return other._parts()
-        if isinstance(other, int):
-            return other, 0, 1
-        if isinstance(other, Fraction):
+            return other.x, other.y, other.m
+        if isinstance(other, (int, Fraction)):
             return other.numerator, 0, other.denominator
         return None
 
@@ -243,46 +245,42 @@ class QuadraticNumber(Immutable):
         if o is None:
             return NotImplemented
         x2, y2, m2 = o
-        x1, y1, m1 = self._parts()
-        m = m1 * m2
-        return _quadratic(Fraction(x1 * m2 + x2 * m1, m), Fraction(y1 * m2 + y2 * m1, m), self.d)
+        m1 = self.m
+        return _quadratic(self.x * m2 + x2 * m1, self.y * m2 + y2 * m1, m1 * m2, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _quadratic(-self.a, -self.b, self.d)
+        return _quadratic(-self.x, -self.y, self.m, self.d)
 
     def __sub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         x2, y2, m2 = o
-        x1, y1, m1 = self._parts()
-        m = m1 * m2
-        return _quadratic(Fraction(x1 * m2 - x2 * m1, m), Fraction(y1 * m2 - y2 * m1, m), self.d)
+        m1 = self.m
+        return _quadratic(self.x * m2 - x2 * m1, self.y * m2 - y2 * m1, m1 * m2, self.d)
 
     def __rsub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         x2, y2, m2 = o
-        x1, y1, m1 = self._parts()
-        m = m1 * m2
-        return _quadratic(Fraction(x2 * m1 - x1 * m2, m), Fraction(y2 * m1 - y1 * m2, m), self.d)
+        m1 = self.m
+        return _quadratic(x2 * m1 - self.x * m2, y2 * m1 - self.y * m2, m1 * m2, self.d)
 
     def __mul__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         x2, y2, m2 = o
-        x1, y1, m1 = self._parts()
-        m = m1 * m2
-        return _quadratic(Fraction(x1 * x2 + self.d * y1 * y2, m), Fraction(x1 * y2 + y1 * x2, m), self.d)
+        x1, y1 = self.x, self.y
+        return _quadratic(x1 * x2 + self.d * y1 * y2, x1 * y2 + y1 * x2, self.m * m2, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        return self._divide(1, 0, 1, *self._parts())
+        return self._divide(1, 0, 1, self.x, self.y, self.m)
 
     def _divide(self, x1, y1, m1, x2, y2, m2):
         """(x1 + y1 sqrt d)/m1 over (x2 + y2 sqrt d)/m2 = m2 (x1 + y1 sqrt d)(x2 - y2 sqrt d) / (m1 N), N the norm x2^2 - d y2^2."""
@@ -290,26 +288,24 @@ class QuadraticNumber(Immutable):
         n = x2 * x2 - d * y2 * y2
         if n == 0:
             raise ZeroDivisionError("zero quadratic number")
-        n *= m1
-        return _quadratic(Fraction(m2 * (x1 * x2 - d * y1 * y2), n), Fraction(m2 * (y1 * x2 - x1 * y2), n), d)
+        return _quadratic(m2 * (x1 * x2 - d * y1 * y2), m2 * (y1 * x2 - x1 * y2), m1 * n, d)
 
     def __truediv__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self._divide(*self._parts(), *o)
+        return self._divide(self.x, self.y, self.m, *o)
 
     def __rtruediv__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self._divide(*o, *self._parts())
+        return self._divide(*o, self.x, self.y, self.m)
 
     def __pow__(self, e):
         _check_power(e)
-        x, y, m = self._parts()
-        d = self.d
-        den = m**e
+        x, y, d = self.x, self.y, self.d
+        den = self.m**e
         px, py = 1, 0
         while e:
             if e & 1:
@@ -317,51 +313,57 @@ class QuadraticNumber(Immutable):
             e >>= 1
             if e:
                 x, y = x * x + d * y * y, 2 * x * y
-        return _quadratic(Fraction(px, den), Fraction(py, den), d)
+        return _quadratic(px, py, den, d)
 
     def conjugate(self):
-        return _quadratic(self.a, -self.b, self.d)
+        return _quadratic(self.x, -self.y, self.m, self.d)
 
     def norm(self):
         """a^2 - d*b^2, always a Fraction."""
-        x, y, m = self._parts()
-        return Fraction(x * x - self.d * y * y, m * m)
+        x, y = self.x, self.y
+        return Fraction(x * x - self.d * y * y, self.m * self.m)
 
     def __eq__(self, other):
         if isinstance(other, QuadraticNumber):
-            if other.d == self.d:
-                return self.a == other.a and self.b == other.b
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            same = self.x == other.x and self.y == other.y and self.m == other.m
+            return same and (other.d == self.d or not self.y)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return not self.y and self.x == other.numerator and self.m == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.y:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.x, self.y, self.m, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.x or self.y)
 
     def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
         root = "sqrt(%d)" % self.d
-        bp = "" if abs(self.b) == 1 else "%s*" % abs(self.b)
-        s = "-" if self.b < 0 else ("+" if self.a != 0 else "")
-        head = str(self.a) if self.a != 0 else ""
+        bp = "" if abs(b) == 1 else "%s*" % abs(b)
+        s = "-" if b < 0 else ("+" if a != 0 else "")
+        head = str(a) if a != 0 else ""
         return "%s%s%s%s" % (head, s, bp, root)
 
 
-_set_a, _set_b, _set_d = (QuadraticNumber.__dict__[k].__set__ for k in QuadraticNumber.__slots__)
+_set_x, _set_y, _set_m, _set_d = (QuadraticNumber.__dict__[k].__set__ for k in QuadraticNumber.__slots__)
 
 
-def _quadratic(a, b, d):
-    """The QuadraticNumber a + b*sqrt(d) from Fraction parts and a checked tag: the kernel's constructor, without the public checks."""
+def _quadratic(x, y, m, d):
+    """The QuadraticNumber (x + y*sqrt(d))/m from ints, m != 0, and a checked tag: the one constructor, without the public checks."""
+    g = math.gcd(x, y, m)
+    if m < 0:
+        g = -g
+    if g != 1:
+        x, y, m = x // g, y // g, m // g
     q = object.__new__(QuadraticNumber)
-    _set_a(q, a)
-    _set_b(q, b)
+    _set_x(q, x)
+    _set_y(q, y)
+    _set_m(q, m)
     _set_d(q, d)
     return q
 
@@ -390,7 +392,7 @@ def _exact_rational(x, what):
 
 def collapse(x):
     """Collapse a QuadraticNumber with vanishing sqrt part to a Fraction."""
-    if isinstance(x, QuadraticNumber) and x.b == 0:
+    if isinstance(x, QuadraticNumber) and not x.y:
         return x.a
     return x
 
@@ -408,8 +410,8 @@ def scalar_sort_key(x):
 
 def scalar_sign(x):
     """Sign by the leading nonzero component of (a, b)."""
-    a, b = scalar_sort_key(x)
-    v = a if a != 0 else b
+    u, v, _m = _scalar_parts(x)
+    v = u or v
     return -1 if v < 0 else (1 if v > 0 else 0)
 
 
@@ -669,8 +671,7 @@ def quadratic_taylor_shift(A, B, tags, u, v, tagged, d):
 
 def tagged_scalar(x, y, den, tag, d):
     """(x + y sqrt d)/den as a scalar, a QuadraticNumber exactly when `tag` is set: the one read-out of tagged integers."""
-    a = Fraction(x, den)
-    return _quadratic(a, Fraction(y, den), d) if tag else a
+    return _quadratic(x, y, den, d) if tag else Fraction(x, den)
 
 
 def integer_shift(poly, x, q, d=None, v=0, tagged=False):
@@ -703,15 +704,15 @@ def scalar_field(scalars):
 
 
 def _scalar_parts(x):
-    """(a, b) with x = a + b sqrt(d): b is 0 for an int or a Fraction."""
+    """(x, y, m) with x = (x + y sqrt(d))/m in lowest terms, m > 0: y is 0 for an int or a Fraction."""
     if type(x) is QuadraticNumber:
-        return x.a, x.b
-    return x, 0
+        return x.x, x.y, x.m
+    return x.numerator, 0, x.denominator
 
 
 def exponent_parts(alpha):
     """(q, u, v, tagged): alpha = (u + v sqrt d)/q with q >= 1, and whether alpha is a QuadraticNumber."""
-    ((u, v),), q = integer_rows([_scalar_parts(alpha)])
+    u, v, q = _scalar_parts(alpha)
     return q, u, v, type(alpha) is QuadraticNumber
 
 
@@ -748,7 +749,7 @@ def format_polynomial(p, var):
         else:
             mono = "%s^%d" % (var, i)
         cstr = str(c)
-        if isinstance(c, QuadraticNumber) and c.b != 0:
+        if isinstance(c, QuadraticNumber) and c.y:
             cstr = "(%s)" % cstr
         if mono:
             if cstr == "1":
@@ -801,9 +802,10 @@ def integer_rows(polys, d=None):
     if d is None:
         den = math.lcm(*[c.denominator for p in polys for c in p])
         return [[c.numerator * (den // c.denominator) for c in p] for p in polys], den
+    # m is the lcm of the denominators of a and b, so den is the same lcm as over Q
     parts = [[_scalar_parts(c) for c in p] for p in polys]
-    den = math.lcm(*[x.denominator for cs in parts for ab in cs for x in ab])
-    A, B = ([[ab[i].numerator * (den // ab[i].denominator) for ab in cs] for cs in parts] for i in (0, 1))
+    den = math.lcm(*[m for cs in parts for _x, _y, m in cs])
+    A, B = ([[xym[i] * (den // xym[2]) for xym in cs] for cs in parts] for i in (0, 1))
     return [(a, b, [type(c) is QuadraticNumber for c in p]) for a, b, p in zip(A, B, polys)], den
 
 
@@ -932,7 +934,7 @@ def roots_in_quadratic_closure(p):
     """
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has every point as a root")
-    d = next((c.d for c in p.coeffs if isinstance(c, QuadraticNumber) and c.b), None)
+    d = next((c.d for c in p.coeffs if isinstance(c, QuadraticNumber) and c.y), None)
     if d is None:
         return _rational_roots(p)
     roots = []

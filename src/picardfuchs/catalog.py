@@ -363,7 +363,7 @@ def _rational_times_sqrt_minus_3(op):
     op = op.scale(QuadraticNumber(0, Fraction(1), -3))
     for p in op.theta_coeffs:
         for c in p:
-            if isinstance(c, QuadraticNumber) and c.b != 0:
+            if isinstance(c, QuadraticNumber) and c.y:
                 raise ChainBroken("rationality", "cube descent did not reduce to sqrt(-3) times a rational operator")
     return op.map_coeffs(lambda c: Fraction(collapse(c)))
 

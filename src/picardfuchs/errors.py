@@ -141,7 +141,7 @@ class RecurrenceObstruction(ValueError):
 
 
 class InsufficientTerms(ValueError):
-    """Too few series terms for the requested guessing box or recurrence."""
+    """Too few series terms for the requested guessing box."""
 
 
 class InvalidGuessBox(ValueError):

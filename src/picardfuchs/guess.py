@@ -217,15 +217,15 @@ class Recurrence(Immutable):
     def extend(self, initial, upto):
         """A_0 ... A_upto; every given term, also past upto, must obey the recurrence.
 
-        At an obstruction index, where the right-hand side vanishes, a given term is free.
+        At an obstruction index, a root of P_0 where the right-hand side vanishes,
+        a given term is free and a missing one raises RecurrenceObstruction;
+        every other term follows from the terms below it.
         """
         upto = _exact_int(upto, InvalidTruncation, "the last index")
         if upto < 0:
             raise TruncationTooLow("the last index must be at least 0, got %d" % upto)
         given = [_exact_rational(c, "a series coefficient") for c in initial]
         r = self.op.r
-        if len(given) <= r:
-            raise InsufficientTerms("%d initial terms given, more than the t-degree %d required" % (len(given), r))
         coeffs = self.op.theta_coeffs
         vals = []
         for m in range(max(upto, len(given) - 1) + 1):

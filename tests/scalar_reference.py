@@ -6,9 +6,11 @@ QuadraticNumber scalars as they are: the same recurrence, whose output types
 the integer engine must reproduce exactly, and the residual table of an
 operator applied to a series, whose first nonzero row residual_order finds.
 
-QuadraticNumber arithmetic runs on an integer kernel.  `quadratic_op` keeps
-the Fraction-pair formulas it replaced, with the same coercion, type rule
-and errors.  Polynomial.shift runs on integer rows and pairs; `taylor_shift`
+QuadraticNumber stores (x + y sqrt(d))/m on normalised ints and computes
+on them.  `quadratic_op` keeps the Fraction-pair formulas it replaced, with
+the same coercion and errors: it reads a and b of its operands and returns
+the pair of the result, so it shares no arithmetic and no constructor with
+the kernel.  Polynomial.shift runs on integer rows and pairs; `taylor_shift`
 keeps the Horner loop on scalars whose types those pairs' tags stand for.
 """
 
@@ -53,7 +55,8 @@ def quadratic_op(op, x, y=None):
     """x op y for op in add, sub, mul, truediv, pow (y an exponent), neg, inverse (y unused).
 
     x or y is a QuadraticNumber; an int or a Fraction stands for a + 0 sqrt(d).
-    The result is always a QuadraticNumber.
+    Returns (a, b, d), Fractions a and b: the value a + b sqrt(d) of the
+    QuadraticNumber the kernel must return, also when b is 0.
     """
     d = x.d if isinstance(x, QuadraticNumber) else y.d
     px = _pair(x, d)
@@ -79,7 +82,7 @@ def quadratic_op(op, x, y=None):
             r = _pair_mul(px, py, d)
         else:
             r = _pair_mul(px, _pair_inverse(py, d), d)
-    return QuadraticNumber(r[0], r[1], d)
+    return r[0], r[1], d
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Scalar tower, polynomials, series: exact arithmetic foundations."""
 
 import importlib.util
+import math
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picardfuchs import SingularPoint, ThetaOperator
+from picardfuchs import SingularPoint, ThetaOperator, arith
 from picardfuchs.arith import (
     Immutable,
     Polynomial,
@@ -101,13 +103,29 @@ def _kernel_operands(draw):
     return (y, x) if draw(st.booleans()) else (x, y)
 
 
+_ERRORS = (ZeroDivisionError, MixedFields, InvalidPower)
+
+
 def _kernel_outcome(compute):
+    """(a, b, d) of the result, after checking its stored form; the type and message of an error."""
     try:
         r = compute()
-    except (ZeroDivisionError, MixedFields, InvalidPower) as exc:
+    except _ERRORS as exc:
         return type(exc), str(exc)
+    # the type rule: a QuadraticNumber operand gives a QuadraticNumber, also with zero sqrt part
+    assert type(r) is QuadraticNumber
+    assert {type(r.x), type(r.y), type(r.m)} == {int} and r.m > 0 and math.gcd(r.x, r.y, r.m) == 1
     assert type(r.a) is Fraction and type(r.b) is Fraction
-    return type(r), r.a, r.b, r.d
+    return r.a, r.b, r.d
+
+
+def _reference_outcome(*args):
+    """quadratic_op's (a, b, d), with the kernel's constructor switched off: the oracle runs none of the kernel."""
+    with mock.patch.object(arith, "_quadratic", side_effect=AssertionError("the reference called the kernel")):
+        try:
+            return quadratic_op(*args)
+        except _ERRORS as exc:
+            return type(exc), str(exc)
 
 
 _OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "truediv": operator.truediv}
@@ -116,20 +134,38 @@ _OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "tr
 @given(_kernel_operands(), st.sampled_from(sorted(_OPERATORS)))
 @settings(max_examples=600, deadline=None)
 def test_quadratic_kernel_matches_fraction_pairs(operands, op):
-    """+ - * / with int, Fraction or QuadraticNumber on either side (so reflected too): values, types and errors."""
+    """+ - * / with int, Fraction or QuadraticNumber on either side (so reflected too): values, types, stored forms and errors."""
     x, y = operands
-    assert _kernel_outcome(lambda: _OPERATORS[op](x, y)) == _kernel_outcome(lambda: quadratic_op(op, x, y))
+    assert _kernel_outcome(lambda: _OPERATORS[op](x, y)) == _reference_outcome(op, x, y)
 
 
 @given(_kernel_operands(), st.integers(-2, 7) | st.just(Fraction(1, 2)))
 @settings(max_examples=300, deadline=None)
 def test_quadratic_kernel_unary_matches_fraction_pairs(operands, e):
     x = next(v for v in operands if isinstance(v, QuadraticNumber))
-    assert _kernel_outcome(lambda: -x) == _kernel_outcome(lambda: quadratic_op("neg", x))
-    assert _kernel_outcome(x.inverse) == _kernel_outcome(lambda: quadratic_op("inverse", x))
-    assert _kernel_outcome(lambda: x**e) == _kernel_outcome(lambda: quadratic_op("pow", x, e))
-    assert _kernel_outcome(x.conjugate) == _kernel_outcome(lambda: QuadraticNumber(x.a, -x.b, x.d))
+    assert _kernel_outcome(lambda: -x) == _reference_outcome("neg", x)
+    assert _kernel_outcome(x.inverse) == _reference_outcome("inverse", x)
+    assert _kernel_outcome(lambda: x**e) == _reference_outcome("pow", x, e)
+    assert _kernel_outcome(x.conjugate) == (x.a, -x.b, x.d)
     assert type(x.norm()) is Fraction and x.norm() == x.a * x.a - x.d * x.b * x.b
+    # one stored form: the value built from its parts or by arithmetic compares and hashes equal
+    for twin in (QuadraticNumber(x.a, x.b, x.d), x * 3 / 3, (x + Fraction(1, 7)) - Fraction(1, 7), -(-x)):
+        assert (twin.x, twin.y, twin.m) == (x.x, x.y, x.m) and twin == x and hash(twin) == hash(x)
+    if not x.b:
+        assert x == x.a and hash(x) == hash(x.a)
+    for attr in ("x", "y", "m", "d", "a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 1)
+
+
+def test_quadratic_values_built_different_ways_are_equal():
+    half = [QuadraticNumber(Fraction(2, 4), 0, -3), QuadraticNumber(Fraction(1, 2), 0, -3), QuadraticNumber(1, 0, -3) / 2]
+    assert all((q.x, q.y, q.m) == (1, 0, 2) for q in half)
+    for q in half + [QuadraticNumber(Fraction(1, 2), 0, 5)]:
+        assert q == Fraction(1, 2) and q == half[0] and hash(q) == hash(Fraction(1, 2))
+    root = QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), -3)
+    assert (root.x, root.y, root.m) == (-1, 1, 4) and root == QuadraticNumber(Fraction(2, -8), Fraction(-3, -12), -3)
+    assert root != QuadraticNumber(Fraction(-1, 4), Fraction(1, 4), 5) and QuadraticNumber(0, 1, 2) / -2 == QuadraticNumber(0, Fraction(-1, 2), 2)
 
 
 def test_quadratic_inverse():

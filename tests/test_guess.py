@@ -165,9 +165,16 @@ def test_recurrence_extend_checks_the_first_terms_too():
         rec.extend([1, 1], 2)
 
 
-def test_recurrence_extend_needs_more_initial_terms_than_the_degree():
-    with pytest.raises(InsufficientTerms):
-        recurrence_from_operator(LEGENDRE).extend([1], 8)
+def test_recurrence_extend_needs_a_given_term_only_at_an_obstruction():
+    # m^2 A_m = 4 (2m - 1)^2 A_(m-1): P_0 = theta^2 vanishes only at 0, so A_0 alone fixes A_m = C(2m, m)^2
+    got = recurrence_from_operator(LEGENDRE).extend([1], 8)
+    assert got == [1, 4, 36, 400, 4900, 63504, 853776, 11778624, 165636900]
+    assert got == [comb(2 * m, m) ** 2 for m in range(9)]
+
+
+def test_recurrence_extend_without_terms_stops_at_the_first_obstruction():
+    with pytest.raises(RecurrenceObstruction, match="index 0"):
+        recurrence_from_operator(LEGENDRE).extend([], 8)
 
 
 @pytest.mark.parametrize("box", [(0, 1, 10), (1, -1, 10), (1, 1, 0)], ids=["order", "degree", "margin"])
@@ -183,12 +190,10 @@ def test_zero_series_raises():
 
 def test_guessing_errors_under_optimize(run_optimized):
     code = (
-        "from picardfuchs import GuessConfig, ThetaOperator, guess_operator, recurrence_from_operator\n"
-        "from picardfuchs.arith import Polynomial\n"
-        "op = ThetaOperator.from_theta_polys([Polynomial([0, 0, 1]), Polynomial([-4, -16, -16])])\n"
+        "from picardfuchs import GuessConfig, guess_operator\n"
         "calls = [lambda: GuessConfig(0, 1), lambda: GuessConfig(1, -1), lambda: GuessConfig(1, 1, 0),\n"
         "         lambda: guess_operator([0] * 30, GuessConfig(1, 1, 10)),\n"
-        "         lambda: recurrence_from_operator(op).extend([1], 8)]\n"
+        "         lambda: guess_operator([1, 2, 3], GuessConfig(4, 9, 10))]\n"
         "for call in calls:\n"
         "    try:\n"
         "        print('returned', call())\n"
