@@ -538,6 +538,8 @@ class Polynomial(Immutable):
     def __divmod__(self, other):
         if isinstance(other, (int, Fraction, QuadraticNumber)):
             other = Polynomial((other,))
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         q, r = Polynomial(()), self
@@ -591,11 +593,11 @@ class Polynomial(Immutable):
         or a bool shift raises InexactScalar, at every degree.
         """
         d = scalar_field(self.coeffs + (a,))
-        q, u, v, tagged = exponent_parts(as_scalar(a))
+        a = as_scalar(a)
         if not self.coeffs:
             return self
-        (P,), E = integer_polys([self], q, d)
-        A, B, tags = integer_shift(P, u, q, d, v, tagged)
+        (P,), E = integer_polys([self], a, d)
+        A, B, tags = integer_shift(P, a)
         if d is None:
             return Polynomial([Fraction(x, E) for x in A])
         return Polynomial([tagged_scalar(x, y, E, t, d) for x, y, t in zip(A, B, tags)])
@@ -674,13 +676,15 @@ def tagged_scalar(x, y, den, tag, d):
     return _quadratic(x, y, den, d) if tag else Fraction(x, den)
 
 
-def integer_shift(poly, x, q, d=None, v=0, tagged=False):
-    """C(qt + x + v sqrt d) for C = poly, an (A, B, tags) of integer_polys: its Taylor shift, coefficient j times q^j.
+def integer_shift(poly, a):
+    """C(qt + u + v sqrt d) for C = poly, an (A, B, tags) of integer_polys, and a = (u + v sqrt d)/q: its Taylor shift, coefficient j times q^j.
 
-    Over Z (d None) the shift is taylor_shift and B, tags are None; over
-    Z[sqrt d] it is quadratic_taylor_shift.
+    Over Z (B None) it is taylor_shift and B, tags are None; over Z[sqrt d]
+    quadratic_taylor_shift, with a's type as its tag and d, read only in d v.
     """
-    A, B, tags = (taylor_shift(poly[0], x), None, None) if d is None else quadratic_taylor_shift(*poly, x, v, tagged, d)
+    u, v, q = _scalar_parts(a)
+    tagged = type(a) is QuadraticNumber
+    A, B, tags = (taylor_shift(poly[0], u), None, None) if poly[1] is None else quadratic_taylor_shift(*poly, u, v, tagged, v and a.d)
     qj = [q**j for j in range(len(A))]
     return [c * s for c, s in zip(A, qj)], None if B is None else [c * s for c, s in zip(B, qj)], tags
 
@@ -710,22 +714,17 @@ def _scalar_parts(x):
     return x.numerator, 0, x.denominator
 
 
-def exponent_parts(alpha):
-    """(q, u, v, tagged): alpha = (u + v sqrt d)/q with q >= 1, and whether alpha is a QuadraticNumber."""
-    u, v, q = _scalar_parts(alpha)
-    return q, u, v, type(alpha) is QuadraticNumber
-
-
-def integer_polys(polys, q, d=None):
-    """(Q, E): Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), for one common E > 0.
+def integer_polys(polys, a, d=None):
+    """(Q, E): Q_i(x) = E * P_i(x / q) as integer polynomials (A, B, tags), for one common E > 0 and q the denominator of a.
 
     The rows of integer_rows, coefficient k times q^(n - k) with n the
     largest degree, so E = den * q^n: the one place of that scaling.  Over Q
-    (d None) A is a tuple and B, tags are None.  Then E * P_i(t + w/q) is
-    integer_shift(Q_i, w, q), and the jets E * P_i(x/q + eps) of
-    optheta.jet_tables are its values at t = x/q; the jet callers drop E,
+    (d None) A is a tuple and B, tags are None.  Then E * P_i(t + a) is
+    integer_shift(Q_i, a), and the jets E * P_i(a + k + eps) of
+    optheta.jet_tables are its values at t = k; the jet callers drop E,
     as a common scale cancels in the sums they test or divide.
     """
+    q = _scalar_parts(a)[2]
     rows, den = integer_rows(polys, d)
     n = max([1] + [len(r if d is None else r[0]) for r in rows]) - 1
     qs = [q ** (n - k) for k in range(n + 1)]
@@ -1155,6 +1154,8 @@ class PowerSeries(Immutable):
     def __add__(self, other):
         if isinstance(other, (int, Fraction, QuadraticNumber)):
             other = PowerSeries([other], self.order)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return PowerSeries([self[i] + other[i] for i in range(n + 1)], n)
 
@@ -1174,6 +1175,8 @@ class PowerSeries(Immutable):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadraticNumber)):
             return PowerSeries([c * other for c in self.coeffs], self.order)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         out = [as_scalar(0)] * (n + 1)
         for i in range(n + 1):

@@ -25,7 +25,6 @@ from .arith import (
     RationalFunction,
     collapse,
     scalar_from_json,
-    scalar_sort_key,
     scalar_to_json,
 )
 from .errors import CatalogVersionMismatch, ChainBroken, NotEven
@@ -222,9 +221,7 @@ def _check_entry(op, symbol, labels, allowed_mismatch=()):
     table = dict(symbol)
     sym = riemann_symbol(op)
     computed = sym.table()
-    # RiemannSymbol.same_table's rule: a printed column matches up to order
-    wrong = [p for p, exps in symbol if computed.get(p) != tuple(sorted(exps, key=scalar_sort_key))]
-    extra = [p for p in computed if p not in table]
+    wrong, extra = sym.mismatches(table)
     if not wrong and not extra:
         checks.append(CheckResult("symbol", "PASS"))
     elif extra or set(wrong) - set(allowed_mismatch):
@@ -257,18 +254,12 @@ def _check_entry(op, symbol, labels, allowed_mismatch=()):
     for (p, _exps), want in zip(symbol, labels):
         try:
             got = str(classify_point(op, p))
-        except Exception as exc:  # classification itself failed
+        except ValueError as exc:  # an analysis error, as errors.py defines them
             got = "error: %r" % (exc,)
         got_labels.append((p, want, got))
     wrong = [(p, want, got) for p, want, got in got_labels if want != got]
     if wrong:
-        checks.append(
-            CheckResult(
-                "labels",
-                "FAIL",
-                "; ".join("%s: expected %s, got %s" % w for w in wrong),
-            )
-        )
+        checks.append(CheckResult("labels", "FAIL", "; ".join("%s: expected %s, got %s" % w for w in wrong)))
     else:
         checks.append(CheckResult("labels", "PASS"))
     if any(got == "MUM" for _p, _w, got in got_labels):

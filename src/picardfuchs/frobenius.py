@@ -35,10 +35,11 @@ coefficients or the class roots (arith.scalar_field).  A jet window is
 (A, B, tags, den): coefficient k is (A[k] + B[k] sqrt d)/den with one
 positive integer den, in lowest terms.  Over Q, B and tags are None
 and the loops are plain integer loops.  Each P_i is cleared once per class
-to an integer polynomial (arith.integer_polys), its values at the integral
-points are read by index from one table of Taylor shifts per class
-(optheta.jet_tables), products are integer convolutions, and the division
-is a fraction-free triangular solve over Z followed by one gcd.
+to an integer polynomial, its values at the lowest root plus k are read by
+index from one table of Taylor shifts per class (arith.integer_polys and
+optheta.jet_tables, both at the root itself), products are integer
+convolutions, and the division is a fraction-free triangular solve over Z
+followed by one gcd.
 Over Z[sqrt d] the quotient is first multiplied through by the conjugate of
 the denominator jet, whose norm jet has integer coefficients, so the same
 solve runs on each part.  Scalars are built only for the output tables, one
@@ -80,7 +81,6 @@ from .arith import (
     _exact_int,
     as_scalar,
     collapse,
-    exponent_parts,
     integer_polys,
     scalar_field,
     scalar_sort_key,
@@ -376,9 +376,8 @@ def _class_solutions(op, loc, cls, N, point):
     if N < gap + r + 1:
         raise TruncationTooLow("truncation %d below the resonance horizon %d" % (N, gap + r + 1))
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
-    q, u0, v0, tagged = exponent_parts(low)
-    Q = integer_polys(loc.theta_coeffs, q, d)[0]
-    tables = jet_tables(Q, u0, q, N + gap, d, v0, tagged)
+    Q = integer_polys(loc.theta_coeffs, low, d)[0]
+    tables = jet_tables(Q, low, N + gap)
     out = []
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
@@ -407,15 +406,14 @@ def _class_solutions(op, loc, cls, N, point):
 def _integer_recurrence(Q, P, lam, W, N, above, d=None):
     """Jets c_0 .. c_N as (A, B, tags, den) windows of width W, and the lcm taken for each.
 
-    Q comes from integer_polys at the denominator q of lam, over Z[sqrt d]
-    when d is given, and P holds its jet_tables at lam for k = 0 .. N.  The
-    seed is eps^above, at offset `above`; the jets come back at offset 0
-    when the resonances lose all of it, as they do for a class of roots of
-    P_0 (module docstring).  The common scale E of the Q_i cancels in the
-    quotient, and the terms of the numerator of c_m are brought to the lcm
-    of their jets' denominators, lcms[m] (lcms[0] = 1).  A P_0 jet with a
-    unit constant term is divided by as it stands; only a resonance strips
-    its valuation.
+    Q comes from integer_polys at lam, over Z[sqrt d] when d is given, and
+    P holds its jet_tables at lam for k = 0 .. N.  The seed is eps^above, at
+    offset `above`; the jets come back at offset 0 when the resonances lose
+    all of it, as they do for a class of roots of P_0 (module docstring).
+    The common scale E of the Q_i cancels in the quotient, and the terms of
+    the numerator of c_m are brought to the lcm of their jets' denominators,
+    lcms[m] (lcms[0] = 1).  A P_0 jet with a unit constant term is divided
+    by as it stands; only a resonance strips its valuation.
     """
     seed = zero_jet(W, d)
     seed[0][0] = 1
@@ -458,11 +456,6 @@ def annihilation_order(op, point, sol):
             if v <= root.above:  # fails every solution of the root
                 break
     return next((m - 1 for m, v in enumerate(root.rows) if v <= k), upto)
-
-
-def has_logarithms(op, point):
-    """Exact logarithm test at a candidate point."""
-    return local_basis(op, point).has_logarithms()
 
 
 # ---------------------------------------------------------------------------

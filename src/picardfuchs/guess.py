@@ -26,10 +26,9 @@ checked against the complete series.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, as_scalar, integer_rows
+from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, as_scalar, integer_rows, zprimitive
 from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, InvalidTruncation, RecurrenceObstruction, TruncationTooLow, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
@@ -102,11 +101,6 @@ def _first_dependent_degree(residues, n, max_degree):
     return min(degrees)
 
 
-def _primitive(row):
-    g = math.gcd(*row)
-    return [v // g for v in row]
-
-
 def _eliminate(mat, ncols):
     """Nullspace basis of the integer rows `mat`, one vector per free column, first free column first."""
     pivots = []
@@ -150,7 +144,7 @@ def _nullspace(rows, ncols):
     """
     size = ncols
     while True:
-        basis = _eliminate([_primitive(row) for row in rows[:size] if any(row)], ncols)
+        basis = _eliminate([zprimitive(row) for row in rows[:size] if any(row)], ncols)
         cleared = integer_rows(basis)[0]
         # the growth at least doubles the prefix, so a few eliminations reach every row
         bad = next((i for i in range(size, len(rows)) for vec in cleared if sum(a * b for a, b in zip(rows[i], vec))), None)
@@ -225,12 +219,10 @@ class Recurrence(Immutable):
         if upto < 0:
             raise TruncationTooLow("the last index must be at least 0, got %d" % upto)
         given = [_exact_rational(c, "a series coefficient") for c in initial]
-        r = self.op.r
-        coeffs = self.op.theta_coeffs
         vals = []
         for m in range(max(upto, len(given) - 1) + 1):
-            lead = coeffs[0](m)
-            rhs = -sum(coeffs[i](m - i) * vals[m - i] for i in range(1, min(r, m) + 1))
+            lead, *rest = self.coefficients(m)
+            rhs = -sum(c * vals[m - i] for i, c in enumerate(rest[:m], 1))
             if not lead and rhs:
                 raise InconsistentRecurrence("inconsistent recurrence at index %d" % m)
             if not lead and m >= len(given):

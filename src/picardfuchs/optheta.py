@@ -27,7 +27,6 @@ from .arith import (
     as_scalar,
     collapse,
     conjugate_scalar,
-    exponent_parts,
     format_polynomial,
     integer_polys,
     integer_rows,
@@ -429,28 +428,23 @@ def theta_from_rows(rows):
     return ThetaOperator([Polynomial([Fraction(c) for c in p]) for p in rows])
 
 
-def shift_rows(rows, a):
-    """q^m c(t + a) for each integer row c, a = u/q and m the top degree: integer_shift of C(x) = q^m c(x/q) at u."""
-    return [integer_shift(C, a.numerator, a.denominator)[0] for C in integer_polys(rows, a.denominator)[0]]
+def jet_tables(Q, a, K):
+    """Per Q_i, the jets E * P_i(a + k + eps) for k = 0 .. K, each in full as (A, B, tags).
 
-
-def jet_tables(Q, u, q, K, d=None, v=0, tagged=False):
-    """Per Q_i, the jets E * P_i(x/q + eps) at x = u + kq for k = 0 .. K, each in full as (A, B, tags).
-
-    `Q` comes from integer_polys at the denominator q, and x + v sqrt(d) is
-    integral.  A table starts with integer_shift at u.  B and tags are None
-    over Q (d None); over Q(sqrt d) integer_shift fills every entry, with the
-    type tags of quadratic_taylor_shift.  Over Q entry k of C = Q_i is
-    G(k + eps) for G(y) = C(u + qy), so entry k + 1 is entry k shifted by 1,
-    with additions only (von zur Gathen & Gerhard, ISSAC 1997).
+    `Q` comes from integer_polys at a, and its ring is the table's: over Z
+    (B None) B and tags are None; over Z[sqrt d] integer_shift fills every
+    entry, at a + k, with the type tags of quadratic_taylor_shift.  Over Z
+    entry 0 is integer_shift at a = u/q and entry k of C = Q_i is G(k + eps)
+    for G(y) = C(u + qy), so entry k + 1 is entry k shifted by 1, with
+    additions only (von zur Gathen & Gerhard, ISSAC 1997).
     """
     tables = []
     for poly in Q:
-        table = [integer_shift(poly, u, q, d, v, tagged)]
-        if d is None:
+        table = [integer_shift(poly, a)]
+        if poly[1] is None:
             _extend_by_shifts(table, K + 1)
         else:
-            table += [integer_shift(poly, u + k * q, q, d, v, tagged) for k in range(1, K + 1)]
+            table += [integer_shift(poly, a + k) for k in range(1, K + 1)]
         tables.append(table)
     return tables
 
@@ -533,9 +527,8 @@ def residual_order(op, alpha, table, upto):
         raise TruncationTooLow("truncation %d below the operator's t-degree %d" % (upto + op.r, op.r))
     T = max((len(row) for row in table), default=1)
     d = scalar_field(chain([alpha], operator_scalars(op), (c for row in table for c in row)))
-    q, u0, v0, tagged = exponent_parts(alpha)
-    Q = integer_polys(op.theta_coeffs, q, d)[0]
-    P = jet_tables(Q, u0, q, upto, d, v0, tagged)
+    Q = integer_polys(op.theta_coeffs, alpha, d)[0]
+    P = jet_tables(Q, alpha, upto)
     jets = []
     for row in integer_rows(table, d)[0]:
         jet = zero_jet(T, d)
@@ -574,12 +567,13 @@ def apply_to_series(op, y):
 
 
 def shifted_d_rows(op, a):
-    """(rows, rational): op's derivative form at t + a, over Q integer rows times one common factor (shift_rows).
+    """(rows, rational): op's derivative form at t + a, over Q integer rows times one common factor (integer_shift).
 
     Over Q(sqrt d) the rows are the Polynomials of the Taylor shift (Polynomial.shift) and rational is False.
     """
     if over_q(op, [a]):
-        return shift_rows(d_from_theta_rows(integer_rows(op.theta_coeffs)[0]), a), True
+        rows = d_from_theta_rows(integer_rows(op.theta_coeffs)[0])
+        return [integer_shift(C, a)[0] for C in integer_polys(rows, a)[0]], True
     return [c.shift(a) for c in d_from_theta(op).d_coeffs], False
 
 
@@ -710,11 +704,15 @@ class RiemannSymbol(Immutable):
         """Content view: {point: exponent tuple}."""
         return {e[0]: e[1] for e in (self.genuine() if genuine_only else self.entries)}
 
+    def mismatches(self, printed):
+        """(wrong, extra) against a {point: exponents} mapping: its points whose column differs up to order, and genuine points it lacks."""
+        mine = self.table()
+        wrong = [p for p, x in printed.items() if mine.get(p) != tuple(sorted(x, key=scalar_sort_key))]
+        return wrong, [p for p in mine if p not in printed]
+
     def same_table(self, other_table):
         """Compare genuine content with a {point: exponents} mapping, order-free."""
-        mine = {p: tuple(x) for p, x in self.table().items()}
-        theirs = {p: tuple(sorted(x, key=scalar_sort_key)) for p, x in other_table.items()}
-        return mine == theirs
+        return self.mismatches(other_table) == ([], [])
 
     def format(self, genuine_only=True):
         entries = self.genuine() if genuine_only else list(self.entries)
@@ -764,9 +762,9 @@ def riemann_symbol(op, with_log_check=True):
         exps = exponents_at(op, point)
         genuine = exps != trivial
         if not genuine and with_log_check:
-            from .frobenius import has_logarithms
+            from .frobenius import local_basis
 
-            genuine = has_logarithms(op, point)
+            genuine = local_basis(op, point).has_logarithms()
         entries.append((point, exps, genuine))
     return RiemannSymbol(entries, n)
 

@@ -27,6 +27,7 @@ as fibres of a family.  Transcription flags:
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .arith import Immutable, Polynomial, QuadraticNumber, _exact_int, _exact_rational, _is_probable_prime
 from .errors import (
@@ -454,9 +455,15 @@ def count_double_octic(f8, p):
 # octic arrangements
 
 
+# the Polynomial of a checked int tuple, built once: the 768 coefficients of
+# OCTICS take 12 values.  The key is checked first, as a shorthand key would
+# take (True, 0) for (1, 0), which compares and hashes equal
+_int_polynomial = lru_cache(Polynomial)
+
+
 def _t_polynomial(c):
     """A shorthand octic coefficient, an int or a tuple of ascending ints, as a Polynomial in t."""
-    return Polynomial([_exact_int(a, InvalidOctic, "an octic coefficient") for a in (c if isinstance(c, tuple) else (c,))])
+    return _int_polynomial(tuple(_exact_int(a, InvalidOctic, "an octic coefficient") for a in (c if isinstance(c, tuple) else (c,))))
 
 
 def _integer_texts(c):

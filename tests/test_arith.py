@@ -268,6 +268,17 @@ def test_quadratic_sqrt():
         (lambda: quadratic_sqrt(Fraction(0)), ZeroRadicand),
         # 10000019 * 10000079: both factors lie beyond trial division
         (lambda: factorize(100000980001501), FactorizationFailed),
+        # an unsupported operand is a TypeError, not an attribute read off it
+        (lambda: PowerSeries([1, 2]) + "x", TypeError),
+        (lambda: "x" + PowerSeries([1, 2]), TypeError),
+        (lambda: PowerSeries([1, 2]) - "x", TypeError),
+        (lambda: "x" - PowerSeries([1, 2]), TypeError),
+        (lambda: PowerSeries([1, 2]) * "x", TypeError),
+        (lambda: "x" * PowerSeries([1, 2]), TypeError),
+        (lambda: divmod(Polynomial([1, 2]), "x"), TypeError),
+        (lambda: Polynomial([1, 2]) // "x", TypeError),
+        (lambda: Polynomial([1, 2]) % "x", TypeError),
+        (lambda: Polynomial([1, 2]) / "x", TypeError),
     ],
     ids=[
         "quadratic-negative",
@@ -286,6 +297,16 @@ def test_quadratic_sqrt():
         "polynomial-negative",
         "sqrt-zero",
         "factorize",
+        "series-add-str",
+        "series-radd-str",
+        "series-sub-str",
+        "series-rsub-str",
+        "series-mul-str",
+        "series-rmul-str",
+        "polynomial-divmod-str",
+        "polynomial-floordiv-str",
+        "polynomial-mod-str",
+        "polynomial-truediv-str",
     ],
 )
 def test_arithmetic_domain_errors(case, error):

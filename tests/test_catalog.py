@@ -16,7 +16,7 @@ from picardfuchs import (
     verify_catalog,
 )
 from picardfuchs.catalog import CatalogReport, CheckResult, EntryReport, _check_entry, _even_descent
-from picardfuchs.errors import ChainBroken, NotEven
+from picardfuchs.errors import ChainBroken, NotEven, UnclassifiedPattern
 
 HALF = Fraction(1, 2)
 
@@ -152,6 +152,32 @@ def test_verification_finds_each_points_exponents_once(monkeypatch):
     monkeypatch.setattr(optheta, "exponents_at", counted)
     assert verify_catalog().ok
     assert len(calls) == 128
+
+
+def test_a_classification_error_is_a_labels_fail_and_a_bug_propagates(monkeypatch):
+    # an analysis error (a ValueError of errors.py) is the entry's labels FAIL;
+    # any other exception is a bug and stops the run
+    from picardfuchs import catalog
+
+    classify_point = catalog.classify_point
+
+    def unclassified_at_1(op, point):
+        if op is CATALOG[4].operator and point == SingularPoint(1):
+            raise UnclassifiedPattern((0, 0), [2])
+        return classify_point(op, point)
+
+    monkeypatch.setattr(catalog, "classify_point", unclassified_at_1)
+    assert [line for line in verify_catalog().lines() if not line.startswith("PASS")] == [
+        "FAIL arrangement 4 [labels: 1: expected K, got error: "
+        "UnclassifiedPattern('unclassified local pattern: exponents (0, 0), blocks [2]')]"
+    ]
+
+    def broken(op, point):
+        raise TypeError("a bug in the classifier")
+
+    monkeypatch.setattr(catalog, "classify_point", broken)
+    with pytest.raises(TypeError, match="^a bug in the classifier$"):
+        verify_catalog()
 
 
 def test_full_verification_passes():

@@ -16,7 +16,6 @@ from picardfuchs.arith import (
     PowerSeries,
     QuadraticNumber,
     as_scalar,
-    exponent_parts,
     integer_polys,
     integer_rows,
     scalar_field,
@@ -39,7 +38,6 @@ from picardfuchs.frobenius import (
     annihilation_order,
     classify_basis,
     default_truncation,
-    has_logarithms,
     jordan_structure,
 )
 from picardfuchs.optheta import (
@@ -138,7 +136,7 @@ def test_classify_mum_on_quintic():
 
 def test_classify_apparent_point():
     # integral distinct exponents, no logs
-    assert not has_logarithms(APPARENT, SingularPoint(0))
+    assert not local_basis(APPARENT, SingularPoint(0)).has_logarithms()
     assert classify_point(APPARENT, SingularPoint(0)) is PointType.APPARENT
 
 
@@ -463,12 +461,11 @@ def test_quadratic_path_matches_scalar_path_on_266(point, N):
 def _root_jets(loc, cls, N):
     """(lam, mult, above, the root's jets at width mult + above, at the safe width 2M) per root of a class."""
     d = scalar_field(chain((lam for lam, _m in cls), (c for p in loc.theta_coeffs for c in p.coeffs)))
-    Q, _E = integer_polys(loc.theta_coeffs, exponent_parts(cls[0][0])[0], d)
+    Q, _E = integer_polys(loc.theta_coeffs, cls[0][0], d)
     M = sum(m for _r, m in cls)
     for j, (lam, mult) in enumerate(cls):
         above = sum(m for _r, m in cls[j + 1 :])
-        q, u, v, tagged = exponent_parts(lam)
-        P = jet_tables(Q, u, q, N, d, v, tagged)
+        P = jet_tables(Q, lam, N)
         yield lam, mult, above, _integer_recurrence(Q, P, lam, mult + above, N, above, d)[0], _integer_recurrence(Q, P, lam, 2 * M, N, above, d)[0]
 
 
@@ -608,9 +605,9 @@ _EXHAUSTED_SURD = ThetaOperator([P(0, 2, -3, 1) * QuadraticNumber(1, 1, 2)])
 
 
 def _raises_on_a_failed_obstruction(op, d):
-    Q, _E = integer_polys(op.theta_coeffs, 1, d)
+    Q, _E = integer_polys(op.theta_coeffs, Fraction(0), d)
     with pytest.raises(FrobeniusInvariant, match="obstruction failed at offset 1") as got:
-        _integer_recurrence(Q, jet_tables(Q, 0, 1, 2, d), Fraction(0), 2, 2, 0, d)
+        _integer_recurrence(Q, jet_tables(Q, Fraction(0), 2), Fraction(0), 2, 2, 0, d)
     with pytest.raises(FrobeniusInvariant) as want:
         ref.scalar_recurrence(op, Fraction(0), 2, 2, 0)
     assert str(got.value) == str(want.value)
@@ -657,9 +654,9 @@ def test_a_cut_class_exhausts_its_window_at_the_resonance(op):
     with pytest.raises(FrobeniusInvariant, match="^jet precision exhausted at exponent 0$"):
         _class_solutions(op, op, cls, 3, SingularPoint(0))
     d = None if op is _CUT else -3
-    Q, _E = integer_polys(op.theta_coeffs, 1, d)
+    Q, _E = integer_polys(op.theta_coeffs, Fraction(0), d)
     with pytest.raises(FrobeniusInvariant, match="^jet precision exhausted at exponent 0$"):
-        _integer_recurrence(Q, jet_tables(Q, 0, 1, 1, d), Fraction(0), 3, 1, 0, d)
+        _integer_recurrence(Q, jet_tables(Q, Fraction(0), 1), Fraction(0), 3, 1, 0, d)
 
 
 def test_integer_path_errors_under_optimize(run_optimized):
@@ -672,16 +669,16 @@ def test_integer_path_errors_under_optimize(run_optimized):
         "from picardfuchs.optheta import jet_tables\n"
         "def op(*polys):\n"
         "    return ThetaOperator.from_theta_polys([Polynomial([Fraction(c) for c in p]) for p in polys])\n"
-        "Q, _E = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, 1)\n"
+        "Q, _E = integer_polys(op((0, -1, 1), (1,)).theta_coeffs, Fraction(0))\n"
         "surd = QuadraticNumber(1, 1, -3)\n"
-        "Qs, _E = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], 1, -3)\n"
+        "Qs, _E = integer_polys([Polynomial([0, -1, 1]), Polynomial([surd])], Fraction(0), -3)\n"
         "exhausted = ThetaOperator([Polynomial([0, 2, -3, 1]) * QuadraticNumber(1, 1, 2)])\n"
         "cut = ThetaOperator([Polynomial([0, 0, 0, -1, 1]), Polynomial([0, surd])])\n"
         "exhausted_q = op((0, 2, -3, 1))\n"
         "cut_q = op((0, 0, 0, -1, 1), (0, 1))\n"
         "cases = [\n"
-        "    lambda: _integer_recurrence(Q, jet_tables(Q, 0, 1, 2), Fraction(0), 2, 2, 0),\n"
-        "    lambda: _integer_recurrence(Qs, jet_tables(Qs, 0, 1, 2, -3), Fraction(0), 2, 2, 0, -3),\n"
+        "    lambda: _integer_recurrence(Q, jet_tables(Q, Fraction(0), 2), Fraction(0), 2, 2, 0),\n"
+        "    lambda: _integer_recurrence(Qs, jet_tables(Qs, Fraction(0), 2), Fraction(0), 2, 2, 0, -3),\n"
         "    lambda: _class_solutions(exhausted_q, exhausted_q, [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
         "    lambda: _class_solutions(exhausted, exhausted, [(Fraction(0), 1)], 3, SingularPoint(0)),\n"
         "    lambda: _class_solutions(cut_q, cut_q, [(Fraction(0), 3)], 3, SingularPoint(0)),\n"
@@ -739,7 +736,7 @@ def test_a_class_builds_its_jet_tables_once(monkeypatch):
     basis = local_basis(op, point)
     N = default_truncation(basis.local_op)
     assert basis.exponents() == [0, Fraction(1, 2), Fraction(1, 2), 1]
-    assert sorted(args[3] for args in calls) == [N, N + 1]
+    assert sorted(args[2] for args in calls) == [N, N + 1]
     low, high = (next(s.root[0] for s in basis if s.alpha == alpha) for alpha in (0, 1))
     assert all(len(p) == N + 1 for p in low.P + high.P)
     assert [p[1:] for p in low.P] == [p[:-1] for p in high.P]

@@ -416,8 +416,8 @@ def test_nullspace_on_certified_rows_is_the_full_elimination(case):
     want = full_nullspace(rows, ncols)
     # a later row outside the leading rows' span makes the prefix grow
     assume(len(want) < len(full_nullspace(rows[:ncols], ncols)))
-    eliminated = mock.Mock(wraps=guess._primitive)
-    with mock.patch.object(guess, "_primitive", eliminated):
+    eliminated = mock.Mock(wraps=guess.zprimitive)
+    with mock.patch.object(guess, "zprimitive", eliminated):
         assert guess._nullspace(rows, ncols) == want
     assert eliminated.call_count > sum(map(any, rows[:ncols]))
 
@@ -426,7 +426,7 @@ def test_nullspace_on_certified_rows_is_the_full_elimination(case):
 def test_exact_elimination_reads_the_leading_rows_in_the_default_box(aid, monkeypatch):
     # counts, not times: the one shape eliminated has 20 columns, and its first 20 of 60 rows certify
     series = holomorphic_series(CATALOG[aid].operator, DEFAULT_BOX.required_terms())
-    eliminated = mock.Mock(wraps=guess._primitive)
-    monkeypatch.setattr(guess, "_primitive", eliminated)
+    eliminated = mock.Mock(wraps=guess.zprimitive)
+    monkeypatch.setattr(guess, "zprimitive", eliminated)
     assert guess_operator(series, DEFAULT_BOX) is not None
     assert len(series) == 60 and eliminated.call_count == 20

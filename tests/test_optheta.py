@@ -4,10 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from picardfuchs import CATALOG, INFINITY, SingularPoint, ThetaOperator, local_basis, riemann_symbol, shift_exponents
+from picardfuchs import CATALOG, INFINITY, MobiusMap, SingularPoint, ThetaOperator, local_basis, mobius, riemann_symbol, shift_exponents
 from picardfuchs.arith import Polynomial, PowerSeries, QuadraticNumber, as_scalar
 from picardfuchs.errors import IrregularSingularity, NotASingularCandidate, OrderZeroOperator, TruncationTooLow
 from picardfuchs.frobenius import annihilation_order
@@ -120,13 +120,15 @@ def test_apply_to_series_needs_order_at_least_r():
     requests=st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 45)), min_size=1, max_size=5),
 )
 def test_jet_tables_are_taylor_shifts_along_the_progression(coeffs, q, requests):
-    # entry k at u is C(u + kq + q eps): the Taylor shift at u + kq with
-    # coefficient j times q^j
-    for u, K in requests:
-        (table,) = jet_tables([(tuple(coeffs), None, None)], u, q, K)
+    # entry k at a = u/q is C(u + kq + q eps): the Taylor shift at u + kq with
+    # coefficient j times q^j, for u/q in lowest terms, as the kernel reads a
+    for x, K in requests:
+        a = Fraction(x, q)
+        u, s = a.numerator, a.denominator
+        (table,) = jet_tables([(tuple(coeffs), None, None)], a, K)
         assert len(table) == K + 1
         for k, jet in enumerate(table):
-            assert jet == ([c * q**j for j, c in enumerate(ref.taylor_shift(coeffs, u + k * q))], None, None)
+            assert jet == ([c * s**j for j, c in enumerate(ref.taylor_shift(coeffs, u + k * s))], None, None)
 
 
 _entries = st.one_of(st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=6))
@@ -306,6 +308,73 @@ def test_order_zero_operator_raises():
     for call in (riemann_symbol, lambda op: local_basis(op, SingularPoint(0))):
         with pytest.raises(OrderZeroOperator):
             call(op)
+
+
+# roots of the P_i: 0 .. 2 often, so that the closed form below holds at
+# times, and any small fraction
+_roots = st.one_of(st.integers(0, 2), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+_units = st.builds(Fraction, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]), st.integers(1, 3))
+
+
+@st.composite
+def _trivial_at_zero(draw):
+    """P_0 = theta (theta - 1) ... (theta - n + 1), so 0 has the exponents 0 .. n-1, and P_i = e_i prod (theta - b).
+
+    Every P_i has degree n and rational roots, so the exponents at infinity
+    are rational, and the top profile 1 + e_1 t + e_2 t^2 = (1 - a t)(1 - b t)
+    has rational roots, which a Moebius map over Q(sqrt -3) keeps in that field.
+    """
+    n, r = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    a = draw(st.lists(_units, min_size=r, max_size=r, unique=True))
+    lead = [Fraction(1), -sum(a)] + ([a[0] * a[1]] if r == 2 else [])
+    polys = [P(1)]
+    for k in range(n):
+        polys[0] = polys[0] * P(-k, 1)
+    for e in lead[1:]:
+        poly = Polynomial([e])
+        for b in draw(st.lists(_roots, min_size=n, max_size=n)):
+            poly = poly * Polynomial([-b, 1])
+        polys.append(poly)
+    return ThetaOperator.from_theta_polys(polys), n
+
+
+# theta (theta - 1) - t theta (theta - 2) is ordinary at 0, and with
+# - t (theta - 1)^2 it has a log there; both moved to 266's point (-1 + sqrt(-3))/4
+@example(case=(ThetaOperator.from_theta_polys([P(0, -1, 1), P(0, 2, -1)]), 2), p=Fraction(-1, 4), y=Fraction(1, 4), quadratic=True, c=Fraction(1))
+@example(case=(ThetaOperator.from_theta_polys([P(0, -1, 1), P(-1, 2, -1)]), 2), p=Fraction(-1, 4), y=Fraction(1, 4), quadratic=True, c=Fraction(1))
+@settings(max_examples=40, deadline=None)
+@given(
+    case=_trivial_at_zero(),
+    p=_units,
+    y=_units,
+    quadratic=st.booleans(),
+    c=st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+def test_log_check_at_trivial_exponents_is_the_closed_form_on_the_rows(case, p, y, quadratic, c):
+    # at exponents exactly 0 .. n-1, P_0(m) = 0 for m < n, so A_0 .. A_(n-1)
+    # are free and all n solutions are log-free exactly when P_i(j) = 0 for
+    # i >= 1, j >= 0, i + j <= n - 1: the genuine flag is its negation.  The
+    # operator is moved off 0, to p' = p or p + y sqrt(-3), by t = (s - p')/(c s + 1);
+    # a log-free point is an ordinary one, whose factor the moved operator
+    # drops, so its image is no candidate there
+    op, n = case
+    point = QuadraticNumber(p, y, -3) if quadratic else p
+    assume(1 + c * point)
+    trivial = tuple(Fraction(k) for k in range(n))
+
+    def checked(op):
+        out = {}
+        for q, exps, genuine in riemann_symbol(op).entries:
+            if exps == trivial:
+                rows = local_operator(op, q).theta_coeffs
+                log_free = all(not rows[i](j) for i in range(1, len(rows)) for j in range(n - i))
+                assert genuine == (not log_free), (q, [str(r) for r in rows])
+                out[q] = genuine
+        return out
+
+    logs = checked(op)[SingularPoint(0)]
+    event("%s at 0, moved over %s" % ("logs" if logs else "log-free", "Q(sqrt -3)" if quadratic else "Q"))
+    assert checked(mobius(op, MobiusMap(1, -point, c, 1))).get(SingularPoint(point)) == (True if logs else None)
 
 
 @settings(max_examples=40, deadline=None)

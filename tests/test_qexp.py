@@ -103,6 +103,16 @@ def test_arrangements_compare_by_their_planes():
     assert len({OCTICS[aid] for aid in LINEAR_OCTICS}) == len(LINEAR_OCTICS)
 
 
+@pytest.mark.parametrize("shorthand", [(True, 0), True, (0, False), (1, True)], ids=["tuple-true", "true", "tuple-false", "t-true"])
+def test_a_bool_in_a_shorthand_raises_after_its_int_twin_is_built(shorthand):
+    # the coefficient polynomials are shared by their checked int tuples, and
+    # (True, 0) compares and hashes equal to the (1, 0) that OCTICS already built
+    planes = [(1, 0, 0, (1, 0)), (1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 0, (1, 1))]
+    assert Arrangement(*planes * 2) == Arrangement(*planes * 2)
+    with pytest.raises(InvalidOctic, match=r"^an octic coefficient must be an integer, got (True|False)$"):
+        Arrangement(*[(1, 0, 0, shorthand)] * 8)
+
+
 def _oracle_planes(octic, t):
     """The fibre at t from the JSON of the octic, by Polynomial and not by Arrangement.at."""
     return [tuple(Polynomial([Fraction(s) for s in c])(t) for c in plane) for plane in octic.to_json()]
