@@ -24,6 +24,7 @@ from .errors import (
     InexactDivision,
     InexactScalar,
     InvalidDiscriminant,
+    InvalidFlag,
     InvalidPower,
     InvalidTruncation,
     MixedFields,
@@ -175,6 +176,13 @@ def _exact_int(x, error, what):
     """x when it is an int, else `error` naming `what`: int() would read 2.5 as 2 and True as 1."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise error("%s must be an integer, got %r" % (what, x))
+    return x
+
+
+def _exact_flag(x, what):
+    """x when it is True or False, else InvalidFlag naming `what`: a truthy "no" would read as yes."""
+    if x is not True and x is not False:
+        raise InvalidFlag("%s must be True or False, got %r" % (what, x))
     return x
 
 

@@ -23,6 +23,7 @@ from .arith import (
     Polynomial,
     QuadraticNumber,
     RationalFunction,
+    _exact_flag,
     collapse,
     scalar_from_json,
     scalar_to_json,
@@ -271,6 +272,7 @@ def _check_entry(op, symbol, labels, allowed_mismatch=()):
 
 def verify_catalog(include_chains=False):
     """Recompute everything recomputable; one report entry per record."""
+    include_chains = _exact_flag(include_chains, "include_chains")
     entries = []
     for aid in sorted(CATALOG):
         rec = CATALOG[aid]

@@ -132,6 +132,10 @@ class InexactDivision(ValueError):
     """An exact division met a remainder: in an integer kernel whose integrality argument rules one out, or a polynomial `/`."""
 
 
+class SlotOverflow(ValueError):
+    """A Kronecker-packed line left a carry past its last slot: its slot width was too narrow for its coefficients."""
+
+
 class InconsistentRecurrence(ValueError):
     """A recurrence step has a zero leading coefficient but a nonzero right-hand side."""
 
@@ -190,6 +194,14 @@ class InvalidOctic(ValueError):
 
 class InvalidTetraForm(ValueError):
     """A tetra-form term or plane has the wrong shape, or its truncation is negative."""
+
+
+class InvalidPeriodSeries(ValueError):
+    """An annihilation check was given something other than a PeriodSeries."""
+
+
+class InvalidFlag(ValueError):
+    """A yes/no option was given as anything but True or False."""
 
 
 class CatalogVersionMismatch(ValueError):

@@ -88,6 +88,7 @@ from .arith import (
 )
 from .errors import FrobeniusInvariant, InvalidTruncation, PointMismatch, TruncationTooLow, UnclassifiedPattern, ZeroSeries
 from .optheta import (
+    as_point,
     indicial_roots,
     jet_sum,
     jet_tables,
@@ -352,6 +353,7 @@ def default_truncation(op):
 
 def local_basis(op, point, N=None):
     """Echelonized basis of n generalized-series solutions at `point`."""
+    point = as_point(point)
     loc = local_operator(op, point)
     N = default_truncation(loc) if N is None else _exact_int(N, InvalidTruncation, "the truncation")
     if N < loc.r + loc.order:

@@ -24,6 +24,7 @@ from .arith import (
     Immutable,
     Polynomial,
     QuadraticNumber,
+    _exact_flag,
     as_scalar,
     collapse,
     conjugate_scalar,
@@ -109,6 +110,11 @@ class SingularPoint(Immutable):
 
 
 INFINITY = SingularPoint.infinity()
+
+
+def as_point(point):
+    """point as a SingularPoint: a scalar v is read as SingularPoint(v), which refuses a float or a bool."""
+    return point if isinstance(point, SingularPoint) else SingularPoint(point)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +598,7 @@ def invert_variable(op):
 
 def local_operator(op, point):
     """The operator translated so that `point` sits at the origin."""
+    point = as_point(point)
     loc = op.t_stripped()
     if point.is_infinite:
         return invert_variable(loc)
@@ -634,6 +641,7 @@ def is_candidate(op, point):
 
 def indicial_polynomial(op, point):
     """The polynomial whose roots (with multiplicity) are the exponents at `point`."""
+    point = as_point(point)
     if not is_candidate(op, point):
         raise NotASingularCandidate("%s is not 0, infinity, or a leading-coefficient root" % (point,))
     return local_indicial(local_operator(op, point), point)
@@ -754,6 +762,7 @@ def riemann_symbol(op, with_log_check=True):
     an exact logarithm check (Frobenius obstruction constants); pass
     with_log_check=False to skip it and flag such points non-genuine.
     """
+    with_log_check = _exact_flag(with_log_check, "with_log_check")
     op = op.t_stripped()
     n = op.order
     trivial = tuple(Fraction(k) for k in range(n))

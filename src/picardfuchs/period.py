@@ -16,12 +16,23 @@ and the t^m part of u^k has denominator dividing L^k with k <= m, so
 R_m = (4L)^m r_m has integer coefficients.  The recurrence r' (1+u) = -u' r / 2
 becomes
 
-    m R_m = sum_j (j - 2m) 2^(2j-1) L^(j-1) U_j R_(m-j),
+    m R_m = sum_j w_j U_j R_(m-j),  w_j = (j - 2m) 2^(2j-1) L^(j-1),
 
-whose division by m is exact; a remainder raises InexactDivision.  The simplex
-integral of x^a y^b z^c is h(a) h(b) h(c) / (4^s (s+1)!) with h(a) = (2a)!/a!
-and s = a+b+c <= m, so A_m is one integer sum over the common denominator
-4^m (m+1)! (4L)^m, and the only Fraction built is A_m itself.
+whose division by m is exact; a remainder raises InexactDivision.
+
+R_m is kept as lines, one per (a, s) with s = a+b+c <= m, holding the
+coefficients v_b of x^a y^b z^(s-a-b) packed into one int sum_b v_b 2^(k b)
+(Kronecker substitution).  A term w_j U x^a' y^b' z^c' adds a line of R_(m-j)
+times w_j U, shifted by b' slots, to the line (a + a', s + s') of m R_m: one
+multiply, shift and add per line, not per coefficient.  A slot of m R_m is a
+sum of such products, so |v| <= M = sum_j |w_j| (sum |U_j|) max |R_(m-j)|, and
+with k = bits(M) + 1 every slot is a balanced digit in [-2^(k-1), 2^(k-1)).
+Balanced digits are unique, so adding 2^(k-1) to each slot and reading k-bit
+digits recovers every coefficient exactly; a carry left past a line's last
+slot breaks that bound and raises SlotOverflow.  The simplex integral of
+x^a y^b z^c is h(a) h(b) h(c) / (4^s (s+1)!) with h(a) = (2a)!/a!, so A_m is
+one integer sum over the denominator 4^m (m+1)! (4L)^m, to which a line adds
+h(a) 4^(m-s) (m+1)!/(s+1)! sum_b v_b h(b) h(s-a-b): A_m is the only Fraction.
 """
 
 from __future__ import annotations
@@ -29,6 +40,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, compress
+from operator import lshift, mul
 
 from .arith import (
     Immutable,
@@ -42,7 +55,7 @@ from .arith import (
     quadratic_sqrt,
     scalar_to_json,
 )
-from .errors import InexactDivision, InvalidTetraForm, NegativeExponent, VanishingConstantTerm
+from .errors import InexactDivision, InvalidPeriodSeries, InvalidTetraForm, NegativeExponent, SlotOverflow, VanishingConstantTerm
 from .optheta import apply_to_series
 
 
@@ -75,7 +88,12 @@ class TetraForm(Immutable):
     def __init__(self, terms, truncation=40):
         pairs = terms.items() if isinstance(terms, dict) else terms
         tidy = {}
-        for key, cval in pairs:
+        for pair in pairs:
+            try:
+                key, cval = pair
+                key = tuple(key)
+            except (TypeError, ValueError):
+                raise InvalidTetraForm("a term must pair a sequence of exponents with a coefficient, got %r" % (pair,)) from None
             key = tuple(_exact_int(e, InvalidTetraForm, "an exponent") for e in key)
             if len(key) != 4 or min(key) < 0:
                 raise InvalidTetraForm("term %s needs four nonnegative exponents (x, y, z, t)" % (key,))
@@ -126,7 +144,7 @@ class TetraForm(Immutable):
 
     @classmethod
     def from_json(cls, data):
-        P = data["P"]
+        P = data.get("P") if isinstance(data, dict) else None
         if not isinstance(P, dict):
             raise InvalidTetraForm("P must map exponent keys 'a,b,c,d' to coefficients, not a %s" % type(P).__name__)
         terms = {}
@@ -135,6 +153,8 @@ class TetraForm(Immutable):
                 exps = tuple(int(p) for p in key.split(","))
             except ValueError:
                 raise InvalidTetraForm("an exponent key must hold integers a,b,c,d, got %r" % key) from None
+            if not isinstance(val, (str, int, float)):
+                raise InvalidTetraForm("a coefficient must be a string or a number, got %r" % (val,))
             terms[exps] = _exact_fraction(val)
         return cls(terms, data.get("truncation", 40))
 
@@ -177,58 +197,72 @@ class PeriodSeries(Immutable):
         return "PeriodSeries([%s, ...], N=%d)" % (head, self.truncation)
 
 
+def _slot_width(bound):
+    """Bits per slot of a packed line whose coefficients lie in [-bound, bound]: bound's bits and a sign bit."""
+    return bound.bit_length() + 1
+
+
 def conifold_expand(f):
     """PeriodSeries of the tetra form f, exact through its truncation order."""
     lead = f.constant_term()
     if not lead:
         raise VanishingConstantTerm("P(0,0,0,0) = 0; the expansion point is not admissible")
     N = f.truncation
-    # t-graded pieces u_j of P(tx,ty,tz,t)/P0 - 1 (grade = total degree); an
-    # exponent (a, b, c) of x, y, z is packed as (a B + b) B + c, and no
-    # exponent of r_m exceeds m <= N < B, so adding packed keys multiplies
+    # line (a, s) of R_m sits at index a B + s, so the monomial x^a' y^b' z^c'
+    # moves a line by a' B + s', s' = a' + b' + c', and its slots by b'
     B = N + 1
     pieces = {}
     for (ex, ey, ez, et), cval in f.terms.items():
         j = ex + ey + ez + et
         if 0 < j <= N:
-            pieces.setdefault(j, []).append(((ex * B + ey) * B + ez, cval / lead))
+            pieces.setdefault(j, []).append((ex * B + ex + ey + ez, ey, cval / lead))
     grades = sorted(pieces)
-    rows, L = integer_rows([[u for _key, u in pieces[j]] for j in grades])
-    packed = {j: [(key, U) for (key, _u), U in zip(pieces[j], row)] for j, row in zip(grades, rows)}
+    rows, L = integer_rows([[u for _move, _b, u in pieces[j]] for j in grades])
+    terms = {j: [(move, b, U) for (move, b, _u), U in zip(pieces[j], row)] for j, row in zip(grades, rows)}
     scale = {j: 2 ** (2 * j - 1) * L ** (j - 1) for j in grades}
-    R = [{0: 1}]
-    for m in range(1, N + 1):
-        acc = {}
-        for j in grades:
-            if j > m:
-                break
-            w = (j - 2 * m) * scale[j]
-            prev = R[m - j].items()
-            for akey, ucoef in packed[j]:
-                wu = w * ucoef
-                for bkey, rcoef in prev:
-                    key = akey + bkey
-                    acc[key] = acc.get(key, 0) + wu * rcoef
-        row = {}
-        for key, v in acc.items():
-            if v:
-                q, rem = divmod(v, m)
-                if rem:
-                    raise InexactDivision("the period recurrence left a remainder at t^%d" % m)
-                row[key] = q
-        R.append(row)
+    size = {j: scale[j] * sum(abs(U) for _move, _b, U in terms[j]) for j in grades}
     h = _half_factorials(N)
-    raw = []
-    for m, row in enumerate(R):
+    pairs = [[h[b] * h[n - b] for b in range(n + 1)] for n in range(N + 1)]
+    # R[m] lists (index, coefficients along b) of the nonzero lines of R_m;
+    # top[m] is the largest |coefficient| in R_m
+    R, top, raw = [[(0, [1])]], [1], [Fraction(1)]
+    for m in range(1, N + 1):
+        used = [j for j in grades if j <= m]
+        k = _slot_width(sum((2 * m - j) * size[j] * top[m - j] for j in used))
+        acc = [0] * (m * B + m + 1)
+        for j in used:
+            w = (j - 2 * m) * scale[j]
+            lines = [(p, sum(map(lshift, coeffs, range(0, k * len(coeffs), k)))) for p, coeffs in R[m - j]]
+            for move, b, U in terms[j]:
+                wu, off = w * U, b * k
+                for p, x in lines:
+                    acc[p + move] += wu * x << off
         # weight[s] = 4^(m-s) (m+1)!/(s+1)! puts every monomial over 4^m (m+1)!
         weight = [1] * (m + 1)
         for s in range(m - 1, -1, -1):
             weight[s] = weight[s + 1] * 4 * (s + 2)
-        total = 0
-        for key, coef in row.items():
-            ab, c = divmod(key, B)
-            a, b = divmod(ab, B)
-            total += coef * h[a] * h[b] * h[c] * weight[a + b + c]
+        # bias[n] adds 2^(k-1) to each of n slots, so that the slots of a line
+        # plus its bias are its balanced digits plus 2^(k-1), each in [0, 2^k)
+        mask, half = (1 << k) - 1, 1 << (k - 1)
+        bias = list(accumulate((half << k * b for b in range(m + 1)), initial=0))
+        row, biggest, total = [], 0, 0
+        for p in compress(range(len(acc)), acc):
+            a, s = p // B, p % B
+            x = acc[p] + bias[s - a + 1]
+            coeffs = []
+            for _b in range(s - a + 1):
+                q, rem = divmod((x & mask) - half, m)
+                if rem:
+                    raise InexactDivision("the period recurrence left a remainder at t^%d" % m)
+                coeffs.append(q)
+                x >>= k
+            if x:
+                raise SlotOverflow("a packed line of the period recurrence carried past its last slot at t^%d" % m)
+            row.append((p, coeffs))
+            biggest = max(biggest, max(coeffs), -min(coeffs))
+            total += h[a] * weight[s] * sum(map(mul, coeffs, pairs[s - a]))
+        R.append(row)
+        top.append(biggest)
         raw.append(Fraction(total, 4**m * math.factorial(m + 1) * (4 * L) ** m))
     root = quadratic_sqrt(lead)
     if isinstance(root, QuadraticNumber):
@@ -243,5 +277,7 @@ def verify_annihilation(op, ps):
     success is a return value of ps.truncation + 1 - op.r (every computable
     coefficient of the image vanishes).
     """
+    if not isinstance(ps, PeriodSeries):
+        raise InvalidPeriodSeries("the annihilation check needs a PeriodSeries, got a %s" % type(ps).__name__)
     y = PowerSeries((Fraction(0),) + ps.coeffs, ps.truncation + 1)
     return apply_to_series(op.t_stripped(), y)

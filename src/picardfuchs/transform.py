@@ -58,6 +58,7 @@ from .optheta import (
     INFINITY,
     SingularPoint,
     ThetaOperator,
+    as_point,
     canonical_from_d,
     canonical_from_rows,
     d_from_theta,
@@ -120,8 +121,7 @@ class MobiusMap(Immutable):
 
     def __call__(self, point):
         """Image of a point of the projective line."""
-        if not isinstance(point, SingularPoint):
-            point = SingularPoint(point)
+        point = as_point(point)
         if point.is_infinite:
             if not self.c:
                 return INFINITY

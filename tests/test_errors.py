@@ -8,18 +8,21 @@ import pytest
 
 import picardfuchs
 from picardfuchs import CATALOG, FORMS, PowerSeries, SingularPoint, classify_point, eta_product, local_basis, verify_form_table
-from picardfuchs import errors
+from picardfuchs import errors, optheta
 
 _IMPORTS = (
     "import json\n"
     "from picardfuchs.arith import Polynomial, QuadraticNumber, RationalFunction\n"
-    "from picardfuchs.catalog import dump_catalog, load_catalog\n"
-    "from picardfuchs.frobenius import GeneralizedSeries, annihilation_order\n"
+    "from picardfuchs import CATALOG\n"
+    "from picardfuchs.catalog import dump_catalog, load_catalog, verify_catalog\n"
+    "from picardfuchs.frobenius import GeneralizedSeries, annihilation_order, classify_point, local_basis\n"
+    "from picardfuchs.optheta import indicial_polynomial, local_operator, riemann_symbol\n"
     "from picardfuchs.guess import recurrence_from_operator\n"
     "from picardfuchs.optheta import SingularPoint, ThetaOperator\n"
     "from picardfuchs.period import PeriodSeries, TetraForm\n"
     "from picardfuchs.qexp import QSeries, count_double_octic\n"
     "SURD = QuadraticNumber(1, 1, 2)\n"
+    "OP = CATALOG[33].operator\n"
     "PLANES = [(1, 0, 0, 0)] * 7\n"
     "ROW = [['1'], [], [], []]\n"
     "REC = recurrence_from_operator(ThetaOperator.from_json({'form': 'theta', 'coeffs': [['0', '0', '1'], ['-1']]}))\n"
@@ -99,6 +102,16 @@ TYPED_CHECKS = [
     ("Polynomial([1, 2])(0.5)", "InexactScalar", "a scalar must be exact, not the float 0.5"),
     ("Polynomial([1, 2])(True)", "InexactScalar", "a scalar must be exact, not the bool True"),
     ("RationalFunction(Polynomial([1]), Polynomial([1, 2]))(0.5)", "InexactScalar", "a scalar must be exact, not the float 0.5"),
+    # a point that is not a SingularPoint is read as SingularPoint(point); a
+    # plain int raised AttributeError: 'int' object has no attribute 'is_infinite'
+    ("local_basis(OP, 1.5)", "InexactScalar", "a scalar must be exact, not the float 1.5"),
+    ("classify_point(OP, True)", "InexactScalar", "a scalar must be exact, not the bool True"),
+    ("local_operator(OP, 1.5)", "InexactScalar", "a scalar must be exact, not the float 1.5"),
+    ("indicial_polynomial(OP, True)", "InexactScalar", "a scalar must be exact, not the bool True"),
+    # a flag: any truthy object was read as True
+    ("riemann_symbol(OP, with_log_check='no')", "InvalidFlag", "with_log_check must be True or False, got 'no'"),
+    ("riemann_symbol(OP, with_log_check=1)", "InvalidFlag", "with_log_check must be True or False, got 1"),
+    ("verify_catalog(include_chains='no')", "InvalidFlag", "include_chains must be True or False, got 'no'"),
 ]
 
 
@@ -177,3 +190,14 @@ def test_truncation_readers_reject_non_integers(reader, value):
     with pytest.raises(errors.InvalidTruncation) as info:
         call(value)
     assert isinstance(info.value, ValueError) and str(info.value) == "%s must be an integer, got %r" % (what, value)
+
+
+@pytest.mark.parametrize("value", [0, 1, Fraction(1), None], ids=["0", "1", "Fraction", "None"])
+def test_a_scalar_point_reads_as_a_singular_point(value):
+    op = CATALOG[33].operator
+    point = SingularPoint(value)
+    assert optheta.local_operator(op, value) == optheta.local_operator(op, point)
+    assert optheta.indicial_polynomial(op, value) == optheta.indicial_polynomial(op, point)
+    basis = local_basis(op, value, 12)
+    assert basis.point == point and basis.exponents() == local_basis(op, point, 12).exponents()
+    assert classify_point(op, value, 12) == classify_point(op, point, 12)

@@ -17,16 +17,24 @@ import period_reference as ref
 from picardfuchs import TetraForm, conifold_expand, count_double_octic
 from picardfuchs import period
 from picardfuchs.catalog_data import TETRA_DEMO
-from picardfuchs.errors import InexactDivision
+from picardfuchs.errors import InexactDivision, SlotOverflow
 from test_qexp import _expand, _fibre_planes
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-nonzero_rationals = small_rationals.filter(bool)
+# numerators up to 2^40 and denominators up to 2^20 widen the slots of the
+# packed lines; a lead's denominators keep its square class decidable
+wide_rationals = st.one_of(small_rationals, st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**20)))
+wide_leads = st.builds(Fraction, st.integers(-(2**40), 2**40).filter(bool), st.sampled_from([1, 3, 2**20, 3**12]))
 exponent_keys = st.tuples(*[st.integers(0, 3)] * 4)
 
 
 def _same_series(form):
-    want = ref.conifold_expand(form)
+    try:
+        want = ref.conifold_expand(form)
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            period.conifold_expand(form)
+        return
     got = period.conifold_expand(form)
     assert got.to_json() == want.to_json()
     assert type(got.unit) is type(want.unit)
@@ -35,13 +43,14 @@ def _same_series(form):
 
 
 @given(
-    nonzero_rationals,
-    st.lists(st.tuples(exponent_keys, small_rationals), max_size=6),
-    st.integers(0, 7),
+    st.one_of(small_rationals.filter(bool), wide_leads),
+    st.lists(st.tuples(exponent_keys, wide_rationals), max_size=6),
+    st.integers(0, 10),
 )
 @settings(max_examples=80, deadline=None)
 def test_expansion_matches_fraction_recurrence(lead, pairs, truncation):
-    # a list of pairs may repeat a key; degrees up to 12 run past the truncation
+    # a list of pairs may repeat a key; degrees up to 12 run past the
+    # truncation, and a key with a t exponent fills lines with s < m
     form = TetraForm([((0, 0, 0, 0), lead)] + pairs, truncation)
     if not form.constant_term():
         return
@@ -49,7 +58,7 @@ def test_expansion_matches_fraction_recurrence(lead, pairs, truncation):
 
 
 @pytest.mark.parametrize("scale", [1, 2, -1, -3, 9, Fraction(4, 9), Fraction(-5, 7)])
-@pytest.mark.parametrize("truncation", [0, 1, 10])
+@pytest.mark.parametrize("truncation", [0, 1, 10, 16])
 def test_demo_expansion_matches_for_square_and_nonsquare_leads(scale, truncation):
     _same_series(TetraForm.from_planes(TETRA_DEMO["planes"], scale=scale, truncation=truncation))
 
@@ -65,6 +74,31 @@ def test_demo_expansion_matches_for_square_and_nonsquare_leads(scale, truncation
 )
 def test_expansion_edge_forms(terms):
     _same_series(TetraForm(terms, 6))
+
+
+@pytest.mark.parametrize(
+    "terms, truncation",
+    [
+        # 2t + 3t^2 gives r_2 = -3/2 + 3/2 = 0 on the line (a, s) = (0, 0) of
+        # R_2, while x keeps the lines (1, 1), (1, 2) and (2, 2) nonzero
+        ([((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((0, 0, 0, 1), 2), ((0, 0, 0, 2), 3)], 8),
+        # t terms next to x, y, z terms: lines with s < m at every m
+        ([((0, 0, 0, 0), -5), ((0, 0, 0, 1), 3), ((1, 0, 1, 1), Fraction(-7, 2)), ((0, 1, 0, 2), 2), ((1, 1, 1, 0), -1)], 16),
+        # coefficients of 2^40 over a lead with a large denominator
+        ([((0, 0, 0, 0), Fraction(2**40 + 1, 2**20)), ((0, 1, 0, 1), -(2**40)), ((2, 0, 1, 0), Fraction(2**40 - 1, 3))], 16),
+        # a negative and a positive non-square lead: the quadratic unit
+        ([((0, 0, 0, 0), -3), ((1, 0, 0, 1), Fraction(5, 11)), ((0, 1, 1, 0), 2**40)], 12),
+        ([((0, 0, 0, 0), Fraction(7, 2**20)), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), -1), ((1, 1, 0, 1), 4)], 12),
+    ],
+)
+def test_expansion_of_packed_line_edge_forms(terms, truncation):
+    _same_series(TetraForm(terms, truncation))
+
+
+def test_the_cancelling_line_sums_to_zero():
+    # the line (0, 0) of R_2 above sums to zero; A_2 reads the other lines only
+    form = TetraForm([((0, 0, 0, 0), 1), ((0, 0, 0, 1), 2), ((0, 0, 0, 2), 3)], 2)
+    assert period.conifold_expand(form).coeffs == (1, -1, 0)
 
 
 def test_remainder_in_the_recurrence_raises(monkeypatch):
@@ -85,6 +119,32 @@ def test_remainder_in_the_recurrence_raises_under_optimize(run_optimized):
         "    print('InexactDivision')\n"
     )
     assert run_optimized(code).strip() == "InexactDivision"
+
+
+# P = 1 + 3x has one term, so the slot of A_1's line holds the bound itself,
+# -6, and a slot one bit narrower than _slot_width gives carries it past the line
+_ONE_TERM = "TetraForm({(0, 0, 0, 0): 1, (1, 0, 0, 0): 3}, 4)"
+
+
+def test_a_slot_one_bit_too_narrow_raises(monkeypatch):
+    width = period._slot_width
+    monkeypatch.setattr(period, "_slot_width", lambda bound: width(bound) - 1)
+    with pytest.raises(SlotOverflow):
+        conifold_expand(eval(_ONE_TERM))
+
+
+def test_a_slot_one_bit_too_narrow_raises_under_optimize(run_optimized):
+    code = (
+        "from picardfuchs import TetraForm, conifold_expand, period\n"
+        "from picardfuchs.errors import SlotOverflow\n"
+        "width = period._slot_width\n"
+        "period._slot_width = lambda bound: width(bound) - 1\n"
+        "try:\n"
+        "    conifold_expand(%s)\n"
+        "except SlotOverflow:\n"
+        "    print('SlotOverflow')\n" % _ONE_TERM
+    )
+    assert run_optimized(code).strip() == "SlotOverflow"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from picardfuchs.catalog_data import TETRA_DEMO
 from picardfuchs.errors import InvalidTetraForm, NegativeExponent, VanishingConstantTerm
 from picardfuchs.period import simplex_monomial_integral
 from picardfuchs.transform import translate_to_origin
-from picardfuchs import CATALOG
+from picardfuchs import CATALOG, errors
 
 
 def test_simplex_integral_base_case():
@@ -124,6 +124,39 @@ def test_inexact_tetra_fields_rejected_under_optimize(run_optimized):
         "        print('InvalidTetraForm')\n"
     )
     assert run_optimized(code).split() == ["InvalidTetraForm"] * 2
+
+
+# (expression, error class, message) of period's readers: each raised
+# KeyError, TypeError, a bare ValueError or AttributeError before
+_READER_IMPORTS = (
+    "from picardfuchs import CATALOG, TetraForm, conifold_expand, verify_annihilation\n"
+    "PS = conifold_expand(TetraForm.one(3))\n"
+)
+READER_CHECKS = [
+    ("TetraForm.from_json({})", "InvalidTetraForm", "P must map exponent keys 'a,b,c,d' to coefficients, not a NoneType"),
+    ("TetraForm.from_json([])", "InvalidTetraForm", "P must map exponent keys 'a,b,c,d' to coefficients, not a NoneType"),
+    ("TetraForm.from_json({'P': {'0,0,0,0': None}})", "InvalidTetraForm", "a coefficient must be a string or a number, got None"),
+    ("TetraForm.from_json({'P': {'0,0,0,0': 0.5}})", "InexactScalar", "a scalar must be exact, not the float 0.5"),
+    ("TetraForm([(0, 0, 0, 0)], 3)", "InvalidTetraForm", "a term must pair a sequence of exponents with a coefficient, got (0, 0, 0, 0)"),
+    ("TetraForm([(0, 1)], 3)", "InvalidTetraForm", "a term must pair a sequence of exponents with a coefficient, got (0, 1)"),
+    ("verify_annihilation(CATALOG[33].operator, PS.coeffs)", "InvalidPeriodSeries", "the annihilation check needs a PeriodSeries, got a tuple"),
+]
+
+
+@pytest.mark.parametrize("expr, name, message", READER_CHECKS, ids=[e for e, _n, _m in READER_CHECKS])
+def test_period_readers_raise_typed_errors(expr, name, message):
+    namespace = {}
+    exec(_READER_IMPORTS, namespace)
+    with pytest.raises(getattr(errors, name)) as info:
+        eval(expr, namespace)
+    assert str(info.value) == message
+
+
+def test_period_readers_raise_typed_errors_under_optimize(run_optimized):
+    code = _READER_IMPORTS + "".join(
+        "try:\n    %s\nexcept ValueError as exc:\n    print(type(exc).__name__)\n" % expr for expr, _n, _m in READER_CHECKS
+    )
+    assert run_optimized(code).split() == [name for _e, name, _m in READER_CHECKS]
 
 
 def test_catalog_operator_annihilates_demo_series():
