@@ -200,6 +200,10 @@ class InvalidPeriodSeries(ValueError):
     """An annihilation check was given something other than a PeriodSeries."""
 
 
+class InvalidPoint(ValueError):
+    """A point was given as something other than a SingularPoint or an exact scalar, such as a string."""
+
+
 class InvalidFlag(ValueError):
     """A yes/no option was given as anything but True or False."""
 

@@ -46,6 +46,7 @@ from .arith import (
 )
 from .errors import (
     IrrationalExponent,
+    InvalidPoint,
     IrregularSingularity,
     NotASingularCandidate,
     OrderZeroOperator,
@@ -113,8 +114,11 @@ INFINITY = SingularPoint.infinity()
 
 
 def as_point(point):
-    """point as a SingularPoint: a scalar v is read as SingularPoint(v), which refuses a float or a bool."""
-    return point if isinstance(point, SingularPoint) else SingularPoint(point)
+    """point as a SingularPoint: a scalar v is read as SingularPoint(v), which refuses a float or a bool; anything else raises InvalidPoint."""
+    try:
+        return point if isinstance(point, SingularPoint) else SingularPoint(point)
+    except TypeError:
+        raise InvalidPoint("a point must be a SingularPoint or an exact scalar, got %r" % (point,)) from None
 
 
 # ---------------------------------------------------------------------------

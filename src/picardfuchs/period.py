@@ -21,18 +21,20 @@ becomes
 whose division by m is exact; a remainder raises InexactDivision.
 
 R_m is kept as lines, one per (a, s) with s = a+b+c <= m, holding the
-coefficients v_b of x^a y^b z^(s-a-b) packed into one int sum_b v_b 2^(k b)
+coefficients v_b of x^a y^b z^(s-a-b) packed into one int sum_b v_b 2^(K b)
 (Kronecker substitution).  A term w_j U x^a' y^b' z^c' adds a line of R_(m-j)
 times w_j U, shifted by b' slots, to the line (a + a', s + s') of m R_m: one
 multiply, shift and add per line, not per coefficient.  A slot of m R_m is a
 sum of such products, so |v| <= M = sum_j |w_j| (sum |U_j|) max |R_(m-j)|, and
-with k = bits(M) + 1 every slot is a balanced digit in [-2^(k-1), 2^(k-1)).
-Balanced digits are unique, so adding 2^(k-1) to each slot and reading k-bit
+with K >= bits(M) + 1 every slot is a balanced digit in [-2^(K-1), 2^(K-1)).
+Balanced digits are unique, so adding 2^(K-1) to each slot and reading K-bit
 digits recovers every coefficient exactly; a carry left past a line's last
-slot breaks that bound and raises SlotOverflow.  The simplex integral of
-x^a y^b z^c is h(a) h(b) h(c) / (4^s (s+1)!) with h(a) = (2a)!/a!, so A_m is
-one integer sum over the denominator 4^m (m+1)! (4L)^m, to which a line adds
-h(a) 4^(m-s) (m+1)!/(s+1)! sum_b v_b h(b) h(s-a-b): A_m is the only Fraction.
+slot breaks that bound and raises SlotOverflow.  R_m's lines are m R_m's over
+m, kept for the last max(j) m and repacked only when bits(M) + 1 passes K.
+The simplex integral of x^a y^b z^c is h(a) h(b) h(c) / (4^s (s+1)!) with
+h(a) = (2a)!/a!, so A_m is one integer sum over the denominator
+4^m (m+1)! (4L)^m, to which a line adds h(a) 4^(m-s) (m+1)!/(s+1)! times
+sum_b v_b h(b) h(s-a-b): A_m is the only Fraction.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .arith import (
     quadratic_sqrt,
     scalar_to_json,
 )
-from .errors import InexactDivision, InvalidPeriodSeries, InvalidTetraForm, NegativeExponent, SlotOverflow, VanishingConstantTerm
+from .errors import InexactDivision, InexactScalar, InvalidPeriodSeries, InvalidTetraForm, NegativeExponent, SlotOverflow, VanishingConstantTerm
 from .optheta import apply_to_series
 
 
@@ -155,7 +157,12 @@ class TetraForm(Immutable):
                 raise InvalidTetraForm("an exponent key must hold integers a,b,c,d, got %r" % key) from None
             if not isinstance(val, (str, int, float)):
                 raise InvalidTetraForm("a coefficient must be a string or a number, got %r" % (val,))
-            terms[exps] = _exact_fraction(val)
+            try:
+                terms[exps] = _exact_fraction(val)
+            except (ValueError, ZeroDivisionError) as exc:
+                # a float raises InexactScalar; a string that reads as no fraction, a bare error
+                bad = InvalidTetraForm("a coefficient string must be a rational number, got %r" % val)
+                raise (exc if isinstance(exc, InexactScalar) else bad) from None
         return cls(terms, data.get("truncation", 40))
 
     def __repr__(self):
@@ -202,6 +209,12 @@ def _slot_width(bound):
     return bound.bit_length() + 1
 
 
+# the rows share one packing width K, which jumps to _SLACK bits past the
+# exact _slot_width only when that passes K: the rows still read are repacked
+# every few steps, not at every step
+_SLACK = 32
+
+
 def conifold_expand(f):
     """PeriodSeries of the tetra form f, exact through its truncation order."""
     lead = f.constant_term()
@@ -223,28 +236,31 @@ def conifold_expand(f):
     size = {j: scale[j] * sum(abs(U) for _move, _b, U in terms[j]) for j in grades}
     h = _half_factorials(N)
     pairs = [[h[b] * h[n - b] for b in range(n + 1)] for n in range(N + 1)]
-    # R[m] lists (index, coefficients along b) of the nonzero lines of R_m;
-    # top[m] is the largest |coefficient| in R_m
-    R, top, raw = [[(0, [1])]], [1], [Fraction(1)]
+    # R[m] lists (index, coefficients along b, the line packed at width K) of
+    # the nonzero lines of R_m, for the last max(grades) m; top[m] is the
+    # largest |coefficient| in R_m
+    R, top, raw, K = {0: [(0, [1], 1)]}, [1], [Fraction(1)], 0
     for m in range(1, N + 1):
         used = [j for j in grades if j <= m]
         k = _slot_width(sum((2 * m - j) * size[j] * top[m - j] for j in used))
+        if k > K:
+            K = k + _SLACK
+            R = {i: [(p, coeffs, sum(map(lshift, coeffs, range(0, K * len(coeffs), K)))) for p, coeffs, _x in kept] for i, kept in R.items()}
+            # bias[n] adds 2^(K-1) to each of n slots, so that the slots of a
+            # line plus its bias are its balanced digits plus 2^(K-1), each in [0, 2^K)
+            mask, half = (1 << K) - 1, 1 << (K - 1)
+            bias = list(accumulate((half << K * b for b in range(B)), initial=0))
         acc = [0] * (m * B + m + 1)
         for j in used:
             w = (j - 2 * m) * scale[j]
-            lines = [(p, sum(map(lshift, coeffs, range(0, k * len(coeffs), k)))) for p, coeffs in R[m - j]]
             for move, b, U in terms[j]:
-                wu, off = w * U, b * k
-                for p, x in lines:
+                wu, off = w * U, b * K
+                for p, _coeffs, x in R[m - j]:
                     acc[p + move] += wu * x << off
         # weight[s] = 4^(m-s) (m+1)!/(s+1)! puts every monomial over 4^m (m+1)!
         weight = [1] * (m + 1)
         for s in range(m - 1, -1, -1):
             weight[s] = weight[s + 1] * 4 * (s + 2)
-        # bias[n] adds 2^(k-1) to each of n slots, so that the slots of a line
-        # plus its bias are its balanced digits plus 2^(k-1), each in [0, 2^k)
-        mask, half = (1 << k) - 1, 1 << (k - 1)
-        bias = list(accumulate((half << k * b for b in range(m + 1)), initial=0))
         row, biggest, total = [], 0, 0
         for p in compress(range(len(acc)), acc):
             a, s = p // B, p % B
@@ -255,13 +271,15 @@ def conifold_expand(f):
                 if rem:
                     raise InexactDivision("the period recurrence left a remainder at t^%d" % m)
                 coeffs.append(q)
-                x >>= k
+                x >>= K
             if x:
                 raise SlotOverflow("a packed line of the period recurrence carried past its last slot at t^%d" % m)
-            row.append((p, coeffs))
+            # every slot divides by m, so the packed line does, slot by slot
+            row.append((p, coeffs, acc[p] // m))
             biggest = max(biggest, max(coeffs), -min(coeffs))
             total += h[a] * weight[s] * sum(map(mul, coeffs, pairs[s - a]))
-        R.append(row)
+        R[m] = row
+        R.pop(m - max(grades, default=0), None)
         top.append(biggest)
         raw.append(Fraction(total, 4**m * math.factorial(m + 1) * (4 * L) ** m))
     root = quadratic_sqrt(lead)

@@ -9,10 +9,10 @@ as coefficient identities.
 
 Point counts for u^2 = f8 are raw chartwise sums of 1 + chi_p(f8) over
 P^3(F_p), chi_p the quadratic character with chi_p(0) = 0; well defined
-because deg f8 = 8 is even.  For eight linear forms the sum runs on p-bit
-masks along the lines of the charts: chi_p is multiplicative, so on a line
-where each form reads b + c v the character sum is a popcount of the points
-where no form vanishes, signed by the parity of the non-residue factors.
+because deg f8 = 8 is even.  For eight linear forms the sum runs on bit
+masks over the (z, v)-planes of the charts: chi_p is multiplicative, so a
+plane's character sum is a popcount of the points where no form vanishes,
+signed by the parity of the non-residue factors.
 
 OCTICS holds the octic of each catalog arrangement as an Arrangement, the
 one owner of the plane format, and RIGID_FIBRES the rigid members recorded
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import prod
 
 from .arith import Immutable, Polynomial, QuadraticNumber, _exact_int, _exact_rational, _is_probable_prime
 from .errors import (
@@ -369,20 +370,14 @@ def _octic_terms(f8, p):
     return None, forms
 
 
-def _chart_lines(p):
-    """Lines (x, y, z, vs) covering P^3(F_p) once: the points (x, y, z, v), v in vs.
+def _chart_planes(p):
+    """P^3(F_p) once, as (cells, planes): the points (x, y, z, v), (x, y) in planes, (z, vs) in cells, v in vs.
 
-    The charts are (1, y, z, v), (0, 1, z, v), (0, 0, 1, v) and the point
-    (0, 0, 0, 1), which is the line (0, 0, 0, v) cut to v = 1.
+    The planes are (1, y, z, v), (0, 1, z, v) and (0, 0, z, v), the last cut
+    to the row z = 1 and the point (0, 0, 0, 1).
     """
     every = range(p)
-    for y in every:
-        for z in every:
-            yield 1, y, z, every
-    for z in every:
-        yield 0, 1, z, every
-    yield 0, 0, 1, every
-    yield 0, 0, 0, range(1, 2)
+    return ([(z, every) for z in every], [(1, y) for y in every] + [(0, 1)]), ([(0, range(1, 2)), (1, every)], [(0, 0)])
 
 
 def _line_masks(c, p, chi):
@@ -410,17 +405,19 @@ def count_double_octic(f8, p):
 
     Each projective point contributes 1 + chi_p(f8), with chi_p(0) = 0, so
     branch points count once and the two sheets count elsewhere.  The points
-    are walked line by line (`_chart_lines`).  For a product of linear forms
-    l_i, chi_p is multiplicative, so on a line each l_i reads b_i + c_i v and
-    the line's character sum is
+    are walked as p + 2 planes of n points (`_chart_planes`), ints whose bit
+    z W + v, W = 2p, is the point (z, v).  On a plane a linear form reads
+    b + c z + d v; its zero and non-residue masks are those at b = 0
+    (`_line_masks` rows, written twice) shifted down b/d bits, rotating every
+    row, or b/c rows if d = 0, or it is the constant b.  chi_p is
+    multiplicative, so with c0 the product of the constants the plane adds
 
-        popcount(live & ~par) - popcount(live & par),
-        live = ~(OR_i zeros_i[b_i]),  par = XOR_i odd_i[b_i],
+        n + chi_p(c0) (popcount(live) - 2 popcount(live & par)),
+        live = plane & ~(OR_i zeros_i),  par = XOR_i odd_i:
 
-    with the p-bit masks of `_line_masks` over v: a point counts where no form
-    vanishes, with the sign of the parity of its non-residue factors.  That is
-    8 mask operations per line in place of 8 evaluations per point.  A
-    monomial octic is evaluated point by point along the same lines.
+    a point counts where no form vanishes, signed by the parity of its
+    non-residue factors; 4 big-int operations per form and plane.  A
+    monomial octic is evaluated point by point over the same planes.
     """
     p = _exact_int(p, NotPrime, "the prime")
     if p == 2:
@@ -431,23 +428,38 @@ def count_double_octic(f8, p):
     terms, forms = _octic_terms(f8, p)
     total = 0
     if forms is None:
-        for x, y, z, vs in _chart_lines(p):
-            for v in vs:
-                acc = 0
-                for c, (ex, ey, ez, ev) in terms:
-                    acc += c * pow(x, ex, p) * pow(y, ey, p) * pow(z, ez, p) * pow(v, ev, p)
-                total += 1 + chi[acc % p]
+        for cells, planes in _chart_planes(p):
+            for x, y in planes:
+                for z, vs in cells:
+                    for v in vs:
+                        acc = 0
+                        for c, (ex, ey, ez, ev) in terms:
+                            acc += c * pow(x, ex, p) * pow(y, ey, p) * pow(z, ez, p) * pow(v, ev, p)
+                        total += 1 + chi[acc % p]
         return total
-    masks = {c: _line_masks(c, p, chi) for c in {f[3] for f in forms}}
-    lines = [(f[0], f[1], f[2]) + masks[f[3]] for f in forms]
-    for x, y, z, vs in _chart_lines(p):
-        dead = par = 0
-        for a0, a1, a2, zeros, odd in lines:
-            b = (a0 * x + a1 * y + a2 * z) % p
-            dead |= zeros[b]
-            par ^= odd[b]
-        live = (((1 << len(vs)) - 1) << vs.start) & ~dead
-        total += len(vs) + (live & ~par).bit_count() - (live & par).bit_count()
+    W, moving, fixed = 2 * p, [], []
+    # the masks of _line_masks over v as bit strings written twice, so a row of
+    # W bits rotates by a shift of under p bits
+    texts = {c: [[format(m, "0%db" % p) * 2 for m in masks] for masks in _line_masks(c, p, chi)] for c in {f[3] for f in forms}}
+    for a0, a1, a2, a3 in forms:
+        if not (a2 or a3):
+            fixed.append((a0, a1))
+            continue
+        rows, inv, unit = (range(p), pow(a3, -1, p), 1) if a3 else (range(2 * p - 1), pow(a2, -1, p), W)
+        # row r of a base mask reads a2 r + a3 v over v; (z, v) of the plane
+        # with offset b reads the base at (z, v + b/a3), or at (z + b/a2, v)
+        base = [int("".join([row[a2 * r % p] for r in reversed(rows)]), 2) for row in texts[a3]]
+        moving.append((a0, a1, inv, unit, *base))
+    for cells, planes in _chart_planes(p):
+        plane = sum(((1 << len(vs)) - 1) << z * W + vs.start for z, vs in cells)
+        for x, y in planes:
+            c0, dead, par = prod(a0 * x + a1 * y for a0, a1 in fixed) % p, 0, 0
+            for a0, a1, inv, unit, zeros, odd in moving:
+                shift = (a0 * x + a1 * y) * inv % p * unit
+                dead |= zeros >> shift
+                par ^= odd >> shift
+            live = plane & ~dead
+            total += plane.bit_count() + chi[c0] * (live.bit_count() - 2 * (live & par).bit_count())
     return total
 
 

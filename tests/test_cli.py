@@ -348,6 +348,8 @@ MALFORMED_FILES = [
     # inputs whose parsing raised TypeError, AttributeError or ZeroDivisionError
     (["count", "--octic", "{}", "--prime", "7"], {"planes": 5}, "pf: octic file needs eight planes of four coefficients\n"),
     (["period", "--poly", "{}"], {"P": 5}, "P must map exponent keys 'a,b,c,d' to coefficients, not a int\n"),
+    (["period", "--poly", "{}"], {"P": {"0,0,0,0": "abc"}}, "a coefficient string must be a rational number, got 'abc'\n"),
+    (["period", "--poly", "{}"], {"P": {"0,0,0,0": "1/0"}}, "a coefficient string must be a rational number, got '1/0'\n"),
     (["symbol", "{}"], {"form": "theta", "coeffs": [["1/0", "1"]]}, "is not an operator file: Fraction(1, 0)\n"),
     # D + t: exp(-t^2/2) has an irregular singularity at infinity
     (
@@ -445,6 +447,8 @@ _MALFORMED_IDS = [
     "guess-zero",
     "octic-planes-not-a-list",
     "tetra-P-not-an-object",
+    "tetra-letter-coefficient",
+    "tetra-zero-denominator",
     "operator-zero-denominator",
     "symbol-irregular",
     "classify-order-0",

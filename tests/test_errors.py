@@ -21,6 +21,7 @@ _IMPORTS = (
     "from picardfuchs.optheta import SingularPoint, ThetaOperator\n"
     "from picardfuchs.period import PeriodSeries, TetraForm\n"
     "from picardfuchs.qexp import QSeries, count_double_octic\n"
+    "from picardfuchs.transform import MobiusMap\n"
     "SURD = QuadraticNumber(1, 1, 2)\n"
     "OP = CATALOG[33].operator\n"
     "PLANES = [(1, 0, 0, 0)] * 7\n"
@@ -108,6 +109,12 @@ TYPED_CHECKS = [
     ("classify_point(OP, True)", "InexactScalar", "a scalar must be exact, not the bool True"),
     ("local_operator(OP, 1.5)", "InexactScalar", "a scalar must be exact, not the float 1.5"),
     ("indicial_polynomial(OP, True)", "InexactScalar", "a scalar must be exact, not the bool True"),
+    # a string point raised the builtins TypeError of as_scalar
+    ("local_basis(OP, '3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
+    ("classify_point(OP, '3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
+    ("local_operator(OP, '3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
+    ("indicial_polynomial(OP, '3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
+    ("MobiusMap(0, 1, 1, -1)('3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
     # a flag: any truthy object was read as True
     ("riemann_symbol(OP, with_log_check='no')", "InvalidFlag", "with_log_check must be True or False, got 'no'"),
     ("riemann_symbol(OP, with_log_check=1)", "InvalidFlag", "with_log_check must be True or False, got 1"),

@@ -101,6 +101,28 @@ def test_the_cancelling_line_sums_to_zero():
     assert period.conifold_expand(form).coeffs == (1, -1, 0)
 
 
+def test_a_dense_form_outgrowing_the_slack_matches(monkeypatch):
+    # 69 terms with t: the exact width grows about 12 bits a step, so the
+    # kept rows are repacked at wider slots several times mid-expansion
+    widths, width = [], period._slot_width
+    monkeypatch.setattr(period, "_slot_width", lambda bound: widths.append(width(bound)) or widths[-1])
+    planes = [(1, 3, -2, Fraction(5, 7), 1), (2, -1, 4, 3, Fraction(-1, 3)), (-1, 2, 1, -6, 5), (3, 0, -5, 2, 2)]
+    _same_series(TetraForm.from_planes(planes, truncation=12))
+    assert widths[-1] > widths[0] + 2 * period._SLACK
+
+
+def test_expansion_keeps_only_the_rows_it_reads():
+    # R_m reads the last max-grade rows; keeping every row peaked at 0.93 MiB
+    form = TetraForm.from_planes(TETRA_DEMO["planes"], truncation=40)
+    tracemalloc.start()
+    try:
+        conifold_expand(form)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 1024 * 1024
+
+
 def test_remainder_in_the_recurrence_raises(monkeypatch):
     monkeypatch.setattr(period, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(InexactDivision):
@@ -122,13 +144,15 @@ def test_remainder_in_the_recurrence_raises_under_optimize(run_optimized):
 
 
 # P = 1 + 3x has one term, so the slot of A_1's line holds the bound itself,
-# -6, and a slot one bit narrower than _slot_width gives carries it past the line
+# -6, and a slot one bit narrower than _slot_width gives carries it past the
+# line; without the slack, the kernel packs at that width
 _ONE_TERM = "TetraForm({(0, 0, 0, 0): 1, (1, 0, 0, 0): 3}, 4)"
 
 
 def test_a_slot_one_bit_too_narrow_raises(monkeypatch):
     width = period._slot_width
     monkeypatch.setattr(period, "_slot_width", lambda bound: width(bound) - 1)
+    monkeypatch.setattr(period, "_SLACK", 0)
     with pytest.raises(SlotOverflow):
         conifold_expand(eval(_ONE_TERM))
 
@@ -139,6 +163,7 @@ def test_a_slot_one_bit_too_narrow_raises_under_optimize(run_optimized):
         "from picardfuchs.errors import SlotOverflow\n"
         "width = period._slot_width\n"
         "period._slot_width = lambda bound: width(bound) - 1\n"
+        "period._SLACK = 0\n"
         "try:\n"
         "    conifold_expand(%s)\n"
         "except SlotOverflow:\n"
@@ -172,6 +197,16 @@ def test_count_matches_per_point_loop(f8, p):
     _same_count(f8, p)
 
 
+# coefficients 0 half the time: forms with d = 0, with c = d = 0, or zero
+sparse_forms = st.lists(st.tuples(*[st.one_of(st.just(0), st.integers(-30, 30))] * 4), min_size=8, max_size=8)
+
+
+@given(sparse_forms, st.sampled_from([17, 19, 23, 29, 31, 37, 41, 43]))
+@settings(max_examples=8, deadline=None)
+def test_count_matches_per_point_loop_at_larger_primes(f8, p):
+    _same_count(f8, p)
+
+
 @given(forms, small_primes, st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_count_of_permuted_and_repeated_forms(f8, p, rng):
@@ -193,6 +228,21 @@ def test_count_of_permuted_and_repeated_forms(f8, p, rng):
     ],
 )
 def test_count_edge_octics(f8, p):
+    _same_count(f8, p)
+
+
+# each mixes forms with d != 0 (rows rotate), d = 0 and c != 0 (whole rows
+# move) and c = d = 0 (a constant on each plane), in the coordinates (x, y, z, v)
+MIXED_OCTICS = [
+    FIBRE_69,
+    [(2, -1, 0, 0), (1, 3, 5, 0), (0, 0, 2, 7), (4, 1, 0, 3), (1, 1, 0, 0), (0, 2, -3, 0), (5, 0, 1, -2), (3, -4, 6, 1)],
+    [(1, 2, 0, 0)] * 3 + [(0, 1, 1, 0)] * 2 + [(1, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)],
+]
+
+
+@pytest.mark.parametrize("p", [3, 31])
+@pytest.mark.parametrize("f8", MIXED_OCTICS)
+def test_count_of_octics_mixing_the_three_rotations(f8, p):
     _same_count(f8, p)
 
 

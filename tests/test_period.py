@@ -137,6 +137,9 @@ READER_CHECKS = [
     ("TetraForm.from_json([])", "InvalidTetraForm", "P must map exponent keys 'a,b,c,d' to coefficients, not a NoneType"),
     ("TetraForm.from_json({'P': {'0,0,0,0': None}})", "InvalidTetraForm", "a coefficient must be a string or a number, got None"),
     ("TetraForm.from_json({'P': {'0,0,0,0': 0.5}})", "InexactScalar", "a scalar must be exact, not the float 0.5"),
+    # a coefficient string that is no rational raised a bare ValueError or ZeroDivisionError
+    ("TetraForm.from_json({'P': {'0,0,0,0': 'abc'}})", "InvalidTetraForm", "a coefficient string must be a rational number, got 'abc'"),
+    ("TetraForm.from_json({'P': {'0,0,0,0': '1/0'}})", "InvalidTetraForm", "a coefficient string must be a rational number, got '1/0'"),
     ("TetraForm([(0, 0, 0, 0)], 3)", "InvalidTetraForm", "a term must pair a sequence of exponents with a coefficient, got (0, 0, 0, 0)"),
     ("TetraForm([(0, 1)], 3)", "InvalidTetraForm", "a term must pair a sequence of exponents with a coefficient, got (0, 1)"),
     ("verify_annihilation(CATALOG[33].operator, PS.coeffs)", "InvalidPeriodSeries", "the annihilation check needs a PeriodSeries, got a tuple"),
