@@ -550,14 +550,17 @@ class Polynomial(Immutable):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = Polynomial(()), self
-        inv = 1 / other.lead
-        while not r.is_zero and r.degree >= other.degree:
-            k = r.degree - other.degree
-            c = r.lead * inv
-            q = q + Polynomial([0] * k + [c])
-            r = r - Polynomial([0] * k + [c]) * other
-        return q, r
+        # schoolbook division on lists: the scalar operations of q + c*t^k
+        # and r - c*t^k*other, less the additions of 0 and the negation
+        b, r = other.coeffs, list(self.coeffs)
+        q, inv = [Fraction(0)] * (len(r) - len(b) + 1), 1 / b[-1]
+        while len(r) >= len(b):
+            k = len(r) - len(b)
+            q[k] = c = r[-1] * inv
+            for j, y in enumerate(b):
+                r[k + j] = r[k + j] - c * y
+            ztrim(r)
+        return Polynomial(q), Polynomial(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -585,11 +588,14 @@ class Polynomial(Immutable):
         return out
 
     def compose(self, other):
-        """Substitute the polynomial `other` for the variable."""
-        out = Polynomial(())
+        """Substitute the polynomial `other` for the variable: Horner's out * other + c on the list, adding only a nonzero c."""
+        out = []
         for c in reversed(self.coeffs):
-            out = out * other + c
-        return out
+            out = zmul(out, other.coeffs) or [0]
+            if c:
+                out[0] = out[0] + c
+            ztrim(out)
+        return Polynomial(out)
 
     def shift(self, a):
         """Taylor shift p(t) -> p(t + a), with no scalar arithmetic.
@@ -837,14 +843,19 @@ def zscale(a, c):
 
 
 def zmul(a, b):
-    """a * b; a zero of the left factor takes no part, a QuadraticNumber zero of b types its products, as in Polynomial."""
+    """a * b; a zero of the left factor takes no part, a QuadraticNumber zero of b types its products, as in Polynomial.
+
+    The first product at a position is stored, not added to 0, which gives
+    the same value and type; a position no product reaches holds the int 0.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out, top = [0] * (len(a) + len(b) - 1), 0
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                out[k] = out[k] + x * y if k < top else x * y
+            top = i + len(b)
     return out
 
 

@@ -66,9 +66,12 @@ class SingularPoint(Immutable):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        # value None encodes infinity
+        # value None encodes infinity; a float or a bool raises InexactScalar, a non-scalar InvalidPoint
         if value is not None:
-            value = collapse(as_scalar(value))
+            try:
+                value = collapse(as_scalar(value))
+            except TypeError:
+                raise InvalidPoint("a point must be a SingularPoint or an exact scalar, got %r" % (value,)) from None
         object.__setattr__(self, "value", value)
 
     @classmethod
@@ -114,11 +117,8 @@ INFINITY = SingularPoint.infinity()
 
 
 def as_point(point):
-    """point as a SingularPoint: a scalar v is read as SingularPoint(v), which refuses a float or a bool; anything else raises InvalidPoint."""
-    try:
-        return point if isinstance(point, SingularPoint) else SingularPoint(point)
-    except TypeError:
-        raise InvalidPoint("a point must be a SingularPoint or an exact scalar, got %r" % (point,)) from None
+    """point as a SingularPoint: anything else is read as SingularPoint(point), which types the errors."""
+    return point if isinstance(point, SingularPoint) else SingularPoint(point)
 
 
 # ---------------------------------------------------------------------------

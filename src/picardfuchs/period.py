@@ -79,6 +79,14 @@ def simplex_monomial_integral(a, b, c):
     return Fraction(h[a] * h[b] * h[c], 4**s * math.factorial(s + 1))
 
 
+def _tetra_rational(x, what):
+    """_exact_rational for a tetra form: a string or another non-number raises InvalidTetraForm."""
+    try:
+        return _exact_rational(x, what)
+    except TypeError:
+        raise InvalidTetraForm("%s must be an exact scalar, got %r" % (what, x)) from None
+
+
 class TetraForm(Immutable):
     """Residual factor P of u^2 = xyz(t-x-y-z) P(x,y,z,t), with a truncation order.
 
@@ -99,7 +107,7 @@ class TetraForm(Immutable):
             key = tuple(_exact_int(e, InvalidTetraForm, "an exponent") for e in key)
             if len(key) != 4 or min(key) < 0:
                 raise InvalidTetraForm("term %s needs four nonnegative exponents (x, y, z, t)" % (key,))
-            tidy[key] = tidy.get(key, Fraction(0)) + _exact_rational(cval, "a tetra-form coefficient")
+            tidy[key] = tidy.get(key, Fraction(0)) + _tetra_rational(cval, "a tetra-form coefficient")
         if _exact_int(truncation, InvalidTetraForm, "truncation") < 0:
             raise InvalidTetraForm("truncation must be nonnegative, got %d" % truncation)
         object.__setattr__(self, "terms", {k: v for k, v in tidy.items() if v})
@@ -109,7 +117,7 @@ class TetraForm(Immutable):
         return self.terms.get((0, 0, 0, 0), Fraction(0))
 
     def scaled(self, c):
-        c = _exact_rational(c, "a tetra-form scale")
+        c = _tetra_rational(c, "a tetra-form scale")
         return TetraForm({k: v * c for k, v in self.terms.items()}, self.truncation)
 
     def with_truncation(self, n):
@@ -122,12 +130,12 @@ class TetraForm(Immutable):
     @classmethod
     def from_planes(cls, planes, scale=1, truncation=40):
         """Product of affine-linear factors (c1, cx, cy, cz, ct) times a constant."""
-        prod = {(0, 0, 0, 0): _exact_rational(scale, "a tetra-form scale")}
+        prod = {(0, 0, 0, 0): _tetra_rational(scale, "a tetra-form scale")}
         basis = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         for plane in planes:
             if len(plane) != 5:
                 raise InvalidTetraForm("plane %s needs five coefficients (c1, cx, cy, cz, ct)" % (plane,))
-            plane = [_exact_rational(pc, "a plane coefficient") for pc in plane]
+            plane = [_tetra_rational(pc, "a plane coefficient") for pc in plane]
             nxt = {}
             for key, cval in prod.items():
                 for shift, pc in zip(basis, plane):

@@ -50,6 +50,7 @@ from picardfuchs.optheta import d_from_theta, riemann_symbol
 from picardfuchs.period import PeriodSeries, TetraForm
 from picardfuchs.qexp import OCTICS, EtaProductSpec, QSeries, TableReport, lookup_form
 from picardfuchs.transform import MobiusMap, ShiftAssignment, YukawaData
+from polynomial_reference import reference_compose, reference_divmod, reference_zmul
 from scalar_reference import quadratic_op
 from scalar_reference import taylor_shift as scalar_taylor_shift
 from shapes import quadratic_scalars
@@ -409,8 +410,8 @@ def test_polynomial_basics():
 
 
 def _compose_shift(coeffs, a):
-    """Reference Taylor shift: Horner through Polynomial.compose."""
-    return list(Polynomial(coeffs).compose(Polynomial((a, 1))).coeffs)
+    """Reference Taylor shift: Horner's rule on Polynomials (polynomial_reference), not Polynomial.compose."""
+    return list(reference_compose(Polynomial(coeffs), Polynomial((a, 1))).coeffs)
 
 
 def _field_scalars(d):
@@ -507,6 +508,46 @@ def test_taylor_shift_matches_sympy(coeffs, a):
     got = list(Polynomial(coeffs).shift(a).coeffs)
     assert got == want
     assert all(type(c) is Fraction for c in got)
+
+
+list_kernel_cases = st.sampled_from((-3, 2)).flatmap(
+    lambda d: st.tuples(st.lists(_field_scalars(d), max_size=7), st.lists(_field_scalars(d), max_size=5))
+)
+
+
+@given(list_kernel_cases)
+@settings(max_examples=300, deadline=None)
+def test_list_kernels_match_the_polynomial_expressions_value_and_type(case):
+    # in-place division, list Horner and stored first products make the
+    # values and types of the Polynomial expressions they replace, zero-sqrt
+    # QuadraticNumbers included
+    a, b = case
+    p, q = Polynomial(a), Polynomial(b)
+    got, want = zmul(a, b), reference_zmul(a, b)
+    assert got == want and _types(got) == _types(want)
+    got, want = p.compose(q).coeffs, reference_compose(p, q).coeffs
+    assert got == want and _types(got) == _types(want)
+    if q.is_zero:
+        return
+    for got, want in zip(divmod(p, q), reference_divmod(p, q)):
+        assert got.coeffs == want.coeffs and _types(got.coeffs) == _types(want.coeffs)
+
+
+@pytest.mark.parametrize("d", [None, -3])
+def test_divmod_and_compose_build_only_what_they_return(d, monkeypatch):
+    s = QuadraticNumber(1, 1, d) if d else Fraction(1, 2)
+    p, q = Polynomial([1, s, 3, 0, 5, s, 7]), Polynomial([s, 0, 2])
+    init, built = Polynomial.__init__, []
+
+    def counted(self, coeffs):
+        built.append(self)
+        init(self, coeffs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    quo, rem = divmod(p, q)
+    assert len(built) == 2 and built[0] is quo and built[1] is rem
+    built.clear()
+    assert p.compose(q) is built[0] and len(built) == 1
 
 
 def test_poly_gcd_is_monic():

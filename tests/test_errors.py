@@ -115,6 +115,11 @@ TYPED_CHECKS = [
     ("local_operator(OP, '3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
     ("indicial_polynomial(OP, '3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
     ("MobiusMap(0, 1, 1, -1)('3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
+    ("SingularPoint('3')", "InvalidPoint", "a point must be a SingularPoint or an exact scalar, got '3'"),
+    # a string scalar of a tetra form raised the builtins TypeError of as_scalar
+    ("TetraForm({(0, 0, 0, 0): 'abc'})", "InvalidTetraForm", "a tetra-form coefficient must be an exact scalar, got 'abc'"),
+    ("TetraForm.one().scaled('2')", "InvalidTetraForm", "a tetra-form scale must be an exact scalar, got '2'"),
+    ("TetraForm.from_planes([('1', 0, 0, 0, 0)])", "InvalidTetraForm", "a plane coefficient must be an exact scalar, got '1'"),
     # a flag: any truthy object was read as True
     ("riemann_symbol(OP, with_log_check='no')", "InvalidFlag", "with_log_check must be True or False, got 'no'"),
     ("riemann_symbol(OP, with_log_check=1)", "InvalidFlag", "with_log_check must be True or False, got 1"),
