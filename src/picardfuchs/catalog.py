@@ -3,10 +3,12 @@
 The catalog holds one record per arrangement (octic, operator, printed
 exponent table, decorations, expected degeneration labels, Hodge numbers)
 plus the derived three-point operators and the transformation chains that
-connect them.  verify_catalog recomputes everything recomputable from the
-stored operators and reports one pass/fail line per entry; known printed
-slips are reported as NOTED with the recomputed value rather than failed.
-reproduce_reduction replays a chain step by step and checks its endpoint.
+connect them.  verify_catalog runs the rows of _ENTRY_CHECKS (symbol,
+profile, fuchs, labels, no-MUM) on each record, computing its Riemann symbol
+and column labels once, and reports one pass/fail line per entry: a known
+printed slip is NOTED with the recomputed value, and an analysis error (a
+ValueError) is the FAIL of each row that meets it.  reproduce_reduction
+replays a chain step by step and checks its endpoint.
 
 Both record types are namedtuples over one base, whose to_json and
 from_json walk the fields in order: a field's JSON form is defined once,
@@ -16,7 +18,7 @@ in _FIELD_JSON, and a field not named there is stored as it is.
 import json
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from . import catalog_data
 from .arith import (
@@ -173,23 +175,13 @@ class EntryReport(namedtuple("EntryReport", "kind key checks")):
         return all(c.status != "FAIL" for c in self.checks)
 
     def line(self):
-        flag = "PASS" if self.ok else "FAIL"
-        noted = [c for c in self.checks if c.status == "NOTED"]
-        bad = [c for c in self.checks if c.status == "FAIL"]
-        extra = ""
-        if bad:
-            extra = " [" + "; ".join("%s: %s" % (c.name, c.detail or "failed") for c in bad) + "]"
-        elif noted:
-            extra = " [" + "; ".join("%s: %s" % (c.name, c.detail) for c in noted) + "]"
-        return "%s %s %s%s" % (flag, self.kind, self.key, extra)
+        """The PASS/FAIL line, with the FAIL details in brackets, else the NOTED ones."""
+        shown = [c for c in self.checks if c.status == "FAIL"] or [c for c in self.checks if c.status == "NOTED"]
+        extra = " [%s]" % "; ".join("%s: %s" % (c.name, c.detail or "failed") for c in shown) if shown else ""
+        return "%s %s %s%s" % ("PASS" if self.ok else "FAIL", self.kind, self.key, extra)
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "key": self.key,
-            "ok": self.ok,
-            "checks": [{"name": c.name, "status": c.status, "detail": c.detail} for c in self.checks],
-        }
+        return {"kind": self.kind, "key": self.key, "ok": self.ok, "checks": [c._asdict() for c in self.checks]}
 
 
 class CatalogReport(namedtuple("CatalogReport", "entries")):
@@ -217,71 +209,92 @@ def _fmt_exps(exps):
     return "(" + ",".join(str(e) for e in exps) + ")"
 
 
-def _check_entry(op, symbol, labels, allowed_mismatch=()):
-    checks = []
-    table = dict(symbol)
-    sym = riemann_symbol(op)
-    computed = sym.table()
-    wrong, extra = sym.mismatches(table)
-    if not wrong and not extra:
-        checks.append(CheckResult("symbol", "PASS"))
-    elif extra or set(wrong) - set(allowed_mismatch):
-        detail = "mismatch at %s" % (sorted(set(wrong) | set(extra), key=SingularPoint.sort_key),)
-        checks.append(CheckResult("symbol", "FAIL", detail))
-    else:
-        parts = []
-        for p in wrong:
-            got = computed.get(p)
-            parts.append(
-                "printed %s at %s, operator gives %s" % (_fmt_exps(table[p]), p, _fmt_exps(got) if got else "no point")
-            )
-        checks.append(CheckResult("symbol", "NOTED", "; ".join(parts)))
+def _error(exc):
+    return "error: %r" % (exc,)
+
+
+class _Entry:
+    """A record under check; its Riemann symbol and column labels are computed on first read."""
+
+    def __init__(self, rec):
+        self.rec = rec
+
+    @cached_property
+    def riemann(self):
+        return riemann_symbol(self.rec.operator)
+
+    @cached_property
+    def labels(self):
+        """The label classify_point gives each printed column, or the text of its analysis error."""
+        out = []
+        for p, _exps in self.rec.symbol:
+            try:
+                out.append(str(classify_point(self.rec.operator, p)))
+            except ValueError as exc:  # an analysis error, as errors.py defines them
+                out.append(_error(exc))
+        return out
+
+
+def _symbol_check(e):
+    printed = e.rec.symbol_table()
+    wrong, extra = e.riemann.mismatches(printed)
+    if extra or set(wrong) - set(getattr(e.rec, "printed_discrepancy_points", ())):
+        return "mismatch at %s" % (sorted(set(wrong) | set(extra), key=SingularPoint.sort_key),)
+    got = {p: _fmt_exps(exps) for p, exps in e.riemann.table().items()}
+    parts = ["printed %s at %s, operator gives %s" % (_fmt_exps(printed[p]), p, got.get(p, "no point")) for p in wrong]
+    return "NOTED" if wrong else "PASS", "; ".join(parts)
+
+
+def _profile_check(e):
     # transcription cross-check: the top profile vanishes exactly at the
     # printed finite points (0 and infinity are always candidates)
-    ell = top_profile(op)
-    printed_finite = [p for p, _ in symbol if not p.is_infinite and p.value != 0]
-    bad = [p for p in printed_finite if ell(p.value) != 0]
-    if bad:
-        checks.append(CheckResult("profile", "FAIL", "no root at %s" % (bad,)))
-    else:
-        checks.append(CheckResult("profile", "PASS"))
-    n = op.order
-    fd = sym.fuchs_defect()
-    if fd == -n * (n - 1):
-        checks.append(CheckResult("fuchs", "PASS"))
-    else:
-        checks.append(CheckResult("fuchs", "FAIL", "defect %s" % (fd,)))
-    got_labels = []
-    for (p, _exps), want in zip(symbol, labels):
+    ell = top_profile(e.rec.operator)
+    bad = [p for p, _ in e.rec.symbol if not p.is_infinite and p.value != 0 and ell(p.value) != 0]
+    return "no root at %s" % (bad,) if bad else ""
+
+
+def _fuchs_check(e):
+    n = e.rec.operator.order
+    defect = e.riemann.fuchs_defect()
+    return "" if defect == -n * (n - 1) else "defect %s" % (defect,)
+
+
+def _labels_check(e):
+    rows = zip(e.rec.symbol, e.rec.labels, e.labels)
+    return "; ".join("%s: expected %s, got %s" % (p, want, got) for (p, _), want, got in rows if want != got)
+
+
+# (name, check) in report order: a check returns its FAIL detail, empty when
+# it passes, or a (status, detail) pair
+_ENTRY_CHECKS = (
+    ("symbol", _symbol_check),
+    ("profile", _profile_check),
+    ("fuchs", _fuchs_check),
+    ("labels", _labels_check),
+    ("no-MUM", lambda e: "MUM point present" if "MUM" in e.labels else ""),
+)
+
+
+def _check_entry(rec):
+    """One CheckResult per row of _ENTRY_CHECKS; a row that raises an analysis error (a ValueError) FAILs."""
+    entry = _Entry(rec)
+    checks = []
+    for name, check in _ENTRY_CHECKS:
         try:
-            got = str(classify_point(op, p))
-        except ValueError as exc:  # an analysis error, as errors.py defines them
-            got = "error: %r" % (exc,)
-        got_labels.append((p, want, got))
-    wrong = [(p, want, got) for p, want, got in got_labels if want != got]
-    if wrong:
-        checks.append(CheckResult("labels", "FAIL", "; ".join("%s: expected %s, got %s" % w for w in wrong)))
-    else:
-        checks.append(CheckResult("labels", "PASS"))
-    if any(got == "MUM" for _p, _w, got in got_labels):
-        checks.append(CheckResult("no-MUM", "FAIL", "MUM point present"))
-    else:
-        checks.append(CheckResult("no-MUM", "PASS"))
-    return checks
+            out = check(entry)
+        except ValueError as exc:
+            out = _error(exc)
+        status, detail = out if isinstance(out, tuple) else ("FAIL" if out else "PASS", out)
+        checks.append(CheckResult(name, status, detail))
+    return tuple(checks)
 
 
 def verify_catalog(include_chains=False):
     """Recompute everything recomputable; one report entry per record."""
     include_chains = _exact_flag(include_chains, "include_chains")
-    entries = []
-    for aid in sorted(CATALOG):
-        rec = CATALOG[aid]
-        checks = _check_entry(rec.operator, rec.symbol, rec.labels)
-        entries.append(EntryReport("arrangement", aid, tuple(checks)))
-    for name in DERIVED_OPERATORS:
-        rec = DERIVED_OPERATORS[name]
-        checks = _check_entry(rec.operator, rec.symbol, rec.labels, rec.printed_discrepancy_points)
-        entries.append(EntryReport("derived", name, tuple(checks)))
+    records = [("arrangement", aid, CATALOG[aid]) for aid in sorted(CATALOG)]
+    records += [("derived", name, rec) for name, rec in DERIVED_OPERATORS.items()]
+    entries = [EntryReport(kind, key, _check_entry(rec)) for kind, key, rec in records]
     if include_chains:
         for name in CHAINS:
             try:

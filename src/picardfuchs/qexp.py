@@ -22,6 +22,9 @@ as fibres of a family.  Transcription flags:
     and used in no computation.
   - 264: the eighth factor is printed inhomogeneously as "y+2-2z"; the
     stored plane homogenizes the constant with the fourth coordinate.
+  - form "8": the stored note "tensor square of the f32 representation" does
+    not hold: a_5(8) = 0, while a_5(f32)^2 - 2*5 = -6 = a_5(16).  The note is
+    kept as printed; "8" is the weight-3 CM form of Q(sqrt(-2)).
 """
 
 from __future__ import annotations

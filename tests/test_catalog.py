@@ -1,8 +1,9 @@
 """The stored operator catalog, derived operators, and reduction chains."""
 
+import hashlib
+import json
 from fractions import Fraction
 
-import json
 import pytest
 
 from picardfuchs import (
@@ -17,6 +18,7 @@ from picardfuchs import (
 )
 from picardfuchs.catalog import CatalogReport, CheckResult, EntryReport, _check_entry, _even_descent
 from picardfuchs.errors import ChainBroken, NotEven, UnclassifiedPattern
+from test_catalog_mutants import mutate
 
 HALF = Fraction(1, 2)
 
@@ -79,13 +81,17 @@ def test_catalog_json_round_trips_to_built_records():
 
 
 def test_symbol_check_reads_printed_columns_up_to_order():
-    # the column at 1 matches up to order, so only the allowed slip at 2 is reported
+    # the column at 1 matches up to order, so only the slip at 2 is reported:
+    # NOTED on a record that lists 2 among its printed discrepancy points
     rec = CATALOG[33]
     printed = {SingularPoint(1): (1, HALF, HALF, 0), SingularPoint(2): (0, 1, 1, 3)}
-    symbol = tuple((p, printed.get(p, exps)) for p, exps in rec.symbol)
-    check = _check_entry(rec.operator, symbol, rec.labels, allowed_mismatch=(SingularPoint(2),))[0]
+    rec = rec._replace(symbol=tuple((p, printed.get(p, exps)) for p, exps in rec.symbol))
+    noted = DERIVED_OPERATORS["descent-98"]._replace(
+        operator=rec.operator, symbol=rec.symbol, labels=rec.labels, printed_discrepancy_points=(SingularPoint(2),)
+    )
+    check = _check_entry(noted)[0]
     assert check == CheckResult("symbol", "NOTED", "printed (0,1,1,3) at 2, operator gives (0,1,1,2)")
-    check = _check_entry(rec.operator, symbol, rec.labels)[0]
+    check = _check_entry(rec)[0]
     assert check == CheckResult("symbol", "FAIL", "mismatch at [2]")
 
 
@@ -154,6 +160,34 @@ def test_verification_finds_each_points_exponents_once(monkeypatch):
     assert len(calls) == 128
 
 
+def test_verification_classifies_each_printed_column_once(monkeypatch):
+    # the labels and no-MUM rows share one classify_point per printed column (128 columns)
+    from picardfuchs import catalog
+
+    calls = []
+    classify_point = catalog.classify_point
+
+    def counted(op, point):
+        calls.append(point)
+        return classify_point(op, point)
+
+    monkeypatch.setattr(catalog, "classify_point", counted)
+    assert verify_catalog().ok
+    assert len(calls) == sum(len(rec.symbol) for rec in [*CATALOG.values(), *DERIVED_OPERATORS.values()]) == 128
+
+
+def test_verification_output_is_pinned():
+    # SHA-256 of the text report and of the canonical JSON of the report with chains
+    text = verify_catalog().format()
+    doc = json.dumps(verify_catalog(include_chains=True).to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a2fbbe2f3c370f9e875f6ea7d77432990f57952155c87a46dbf699083c95f13d"
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "362b7dd99baa1825f6aedfca900e4afc4f4f53eccb8db382a40070174525e2d6"
+    )
+
+
 def test_a_classification_error_is_a_labels_fail_and_a_bug_propagates(monkeypatch):
     # an analysis error (a ValueError of errors.py) is the entry's labels FAIL;
     # any other exception is a bug and stops the run
@@ -178,6 +212,38 @@ def test_a_classification_error_is_a_labels_fail_and_a_bug_propagates(monkeypatc
     monkeypatch.setattr(catalog, "classify_point", broken)
     with pytest.raises(TypeError, match="^a bug in the classifier$"):
         verify_catalog()
+
+
+# (arrangement, theta coefficient change, error text): one mutant per analysis error of riemann_symbol
+_ANALYSIS_ERROR_MUTANTS = [
+    (35, (0, 0, 1), "IrrationalExponent('indicial factor with unsupported roots: Polynomial(4*t^4-8*t^3+5*t^2-t+1)')"),
+    (98, (2, 3, 1),
+     "IrregularSingularity('irregular singular point 1: indicial polynomial of degree 3 below the order 4')"),
+    (198, (4, 4, 2),
+     "UnresolvedFactor('factor with roots outside the supported fields: Polynomial(9*t^4+48*t^3+104*t^2+96*t+32)')"),
+]
+
+
+def test_an_analysis_error_fails_the_rows_that_read_the_symbol(monkeypatch):
+    # a ValueError from riemann_symbol is the FAIL of symbol and fuchs, with its
+    # text; profile, labels and no-MUM still run on the same entry
+    for aid, change, _error in _ANALYSIS_ERROR_MUTANTS:
+        monkeypatch.setitem(CATALOG, aid, mutate(CATALOG[aid], "coeff", change))
+    failed = {e.key: e.checks for e in verify_catalog().entries if not e.ok}
+    assert sorted(failed) == [35, 98, 198]
+    for aid, _change, error in _ANALYSIS_ERROR_MUTANTS:
+        symbol, profile, fuchs, labels, no_mum = failed[aid]
+        assert symbol == CheckResult("symbol", "FAIL", "error: " + error)
+        assert fuchs == CheckResult("fuchs", "FAIL", "error: " + error)
+        assert (profile.name, labels.name, labels.status) == ("profile", "labels", "FAIL")
+        assert no_mum == CheckResult("no-MUM", "PASS")
+    assert failed[35][3].detail == "0: expected C, got error: " + _ANALYSIS_ERROR_MUTANTS[0][2]
+    # the third mutant changes the top coefficient, so its printed points are no longer roots
+    assert [failed[aid][1] for aid in (35, 98, 198)] == [
+        CheckResult("profile", "PASS"),
+        CheckResult("profile", "PASS"),
+        CheckResult("profile", "FAIL", "no root at [-1, -2]"),
+    ]
 
 
 def test_full_verification_passes():

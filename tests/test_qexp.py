@@ -67,6 +67,33 @@ def test_table_only_forms_have_no_eta():
         assert lookup_form(name).eta is None
 
 
+def _a(name, p):
+    rec = FORMS[name]
+    return rec.table[rec.primes.index(p)]
+
+
+def test_cm_relations_of_the_stored_tables_and_the_false_note_on_8():
+    # f32, 16 and 32/1 share the Hecke character of Q(i); "8" is the weight-3
+    # CM form of Q(sqrt(-2)), with a_p = 2(a^2 - 2b^2) for p = a^2 + 2b^2
+    odd = [p for p in FORMS["32/1"].primes if p > 2]
+    assert odd == [3, 5, 7, 11, 13, 17, 19, 23]
+    for p in odd:
+        f = _a("f32", p)
+        if p % 4 == 1:
+            assert (_a("16", p), _a("32/1", p)) == (f * f - 2 * p, f ** 3 - 3 * p * f)
+        else:
+            assert (f, _a("16", p), _a("32/1", p)) == (0, 0, 0)
+        norms = [(a, b) for a in range(1, p) for b in range(1, p) if a * a + 2 * b * b == p]
+        assert bool(norms) == (p % 8 in (1, 3))
+        assert _a("8", p) == (2 * (norms[0][0] ** 2 - 2 * norms[0][1] ** 2) if norms else 0)
+    # the stored note calls "8" the tensor square of f32, but that square is
+    # 16; no sign twist turns a_5(f32)^2 - 10 = -6 into a_5(8) = 0, and the
+    # relation fails up to sign at every odd stored prime
+    assert "tensor square of the f32 representation" in FORMS["8"].notes
+    assert (_a("f32", 5) ** 2 - 2 * 5, _a("16", 5), _a("8", 5)) == (-6, -6, 0)
+    assert [p for p in odd if abs(_a("8", p)) != abs(_a("f32", p) ** 2 - 2 * p)] == odd
+
+
 def test_count_is_permutation_invariant():
     planes = _fibre_planes(250, 0)
     assert count_double_octic(planes, 5) == 153
