@@ -81,7 +81,7 @@ class UnclassifiedPattern(ValueError):
     def __init__(self, exponents, blocks):
         self.exponents = exponents
         self.blocks = blocks
-        super().__init__("unclassified local pattern: exponents %s, blocks %s" % (exponents, blocks))
+        super().__init__("unclassified local pattern: exponents [%s], blocks %s" % (", ".join(map(str, exponents)), blocks))
 
 
 class TruncationTooLow(ValueError):

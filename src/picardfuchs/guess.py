@@ -12,23 +12,38 @@ largest order, and the rows of each shape are slices of it.  With M terms
 and g_j = sum_k N_k k^j t^k, a nullspace vector of shape (n, r) is a
 Hermite-Pade approximant: p_0..p_n of degree <= r, not all zero, with
 sum_j p_j g_j = 0 mod t^M.  Each order n is first screened modulo the prime
-p = 2^61 - 1 by an order basis of these approximants (Beckermann and Labahn,
+p = 2^30 - 35 by an order basis of these approximants (Beckermann and Labahn,
 SIAM J. Matrix Anal. Appl. 15, 1994).  A reduced basis gives sum_i q_i b_i
 the degree max(deg q_i + deg b_i), so its least degree is the least r at
 which (n, r) has dependent columns mod p; rank mod p never exceeds rank over
 Q, so every shape below it has an empty nullspace.  Each shape from it on is
-eliminated exactly, fraction-free, on a leading block of primitive rows
-grown until every later row vanishes on the block's basis: then all rows lie
-in the block's row space (over Q the orthogonal complement of its nullspace),
-so pivot columns and basis are those of every row.  Each candidate is then
-checked against the complete series.
+solved on a leading block of primitive rows grown until every later row
+vanishes on the block's basis: then all rows lie in the block's row space
+(over Q the orthogonal complement of its nullspace), so pivot columns and
+basis are those of every row.  Each candidate is then checked against the
+complete series.
+
+A block is solved modulo primes below 2^62 (Dixon, Numer. Math. 40, 1982),
+each giving its leftmost pivots and reduced basis: x_f = 1 at a free column f,
+0 at the others.  Primes with the best pivots seen (highest rank, then
+earliest) are joined by the Chinese remainder theorem and read back by
+rational reconstruction (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982)
+until each vector, cleared, vanishes on every block row.  Such an x_f is 0
+after f, so column f depends over Q on those before it; as rank mod p is at
+most rank over Q, these are all the free columns over Q, and x_f is the
+unique reduced basis vector over Q.  Unlucky primes are finitely many, and
+the cost follows the size of the basis, not of the rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
+from math import isqrt
+from operator import mul
 
-from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, as_scalar, integer_rows, zprimitive
+from .arith import Immutable, Polynomial, PowerSeries, _exact_int, _exact_rational, _is_probable_prime, as_scalar, integer_rows, zprimitive
 from .errors import InconsistentRecurrence, InsufficientTerms, InvalidGuessBox, InvalidTruncation, RecurrenceObstruction, TruncationTooLow, ZeroSeries
 from .optheta import ThetaOperator, apply_to_series
 
@@ -62,8 +77,10 @@ class GuessConfig(Immutable):
         )
 
 
-# the screening prime; any prime is sound, a large one is rarely unlucky
-_PRIME = (1 << 61) - 1
+# the screening prime: any prime is sound.  Below 2^30 a residue is one 30-bit
+# digit of a CPython int, and an unlucky prime costs one modular solve of a
+# shape whose nullspace is empty
+_PRIME = (1 << 30) - 35
 
 
 def _first_dependent_degree(residues, n, max_degree):
@@ -101,38 +118,60 @@ def _first_dependent_degree(residues, n, max_degree):
     return min(degrees)
 
 
+def _echelon_mod(mat, ncols, p):
+    """(pivot columns, reduced nullspace basis) of the integer rows `mat` modulo the prime p, leftmost pivots first."""
+    echelon = {}  # pivot column -> row that is 0 before it and 1 at it
+    for row in mat:
+        v = [x % p for x in row]
+        for c in range(ncols):
+            # entries are reduced only when read: each step adds less than p^2
+            f = v[c] % p
+            if f and c in echelon:
+                v[c:] = [a - f * b for a, b in zip(v[c:], echelon[c][c:])]
+            elif f:
+                inv = pow(f, -1, p)
+                echelon[c] = [x * inv % p for x in v]
+                break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in echelon):
+        x = [int(c == fc) for c in range(ncols)]
+        for c in sorted((c for c in echelon if c < fc), reverse=True):
+            x[c] = -sum(map(mul, echelon[c], x)) % p
+        basis.append(x)
+    return sorted(echelon), basis
+
+
+def _reconstruct(u, m):
+    """The fraction a/b = u mod m with |a|, |b| <= sqrt(m/2) (Wang, Guy and Davenport), or None."""
+    bound, r0, r1, s0, s1 = isqrt(m >> 1), m, u, 0, 1
+    while r1 > bound:
+        q, r = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return Fraction(r1, s1) if s1 and abs(s1) <= bound else None
+
+
+@lru_cache(maxsize=None)
+def _solve_prime(k):
+    """The k-th prime below 2^62, counting down from the largest at k = 0."""
+    return next(filter(_is_probable_prime, range(_solve_prime(k - 1) - 2 if k else (1 << 62) - 1, 2, -2)))
+
+
 def _eliminate(mat, ncols):
     """Nullspace basis of the integer rows `mat`, one vector per free column, first free column first."""
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == len(mat):
-            break
-        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if k is None:
+    best = (1,)  # above every key
+    for p in map(_solve_prime, count()):
+        pivots, basis = _echelon_mod(mat, ncols, p)
+        key = (-len(pivots), pivots)
+        if key > best:
             continue
-        mat[r], mat[k] = mat[k], mat[r]
-        pc = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            mic = mat[i][c]
-            row_i, row_r = mat[i], mat[r]
-            for j in range(c, ncols):
-                # Bareiss step: the division by the previous pivot is exact
-                row_i[j] = (pc * row_i[j] - mic * row_r[j]) // prev
-        prev = pc
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _ri, c in pivots}
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_cols):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for ri, c in reversed(pivots):
-            s = sum((Fraction(mat[ri][j]) * x[j] for j in range(c + 1, ncols)), Fraction(0))
-            x[c] = -s / mat[ri][c]
-        basis.append(x)
-    return basis
+        if key == best:
+            c, m = m * pow(m, -1, p), m * p
+            residues = [[(u + (v - u) * c) % m for u, v in zip(us, vs)] for us, vs in zip(residues, basis)]
+        else:
+            best, residues, m = key, basis, p
+        basis = [[_reconstruct(u, m) for u in vec] for vec in residues]
+        if not any(None in vec for vec in basis) and not any(sum(map(mul, row, vec)) for vec in integer_rows(basis)[0] for row in mat):
+            return basis
 
 
 def _nullspace(rows, ncols):
@@ -147,7 +186,7 @@ def _nullspace(rows, ncols):
         basis = _eliminate([zprimitive(row) for row in rows[:size] if any(row)], ncols)
         cleared = integer_rows(basis)[0]
         # the growth at least doubles the prefix, so a few eliminations reach every row
-        bad = next((i for i in range(size, len(rows)) for vec in cleared if sum(a * b for a, b in zip(rows[i], vec))), None)
+        bad = next((i for i in range(size, len(rows)) for vec in cleared if sum(map(mul, rows[i], vec))), None)
         if bad is None:
             return basis
         size = max(bad + 1, 2 * size)

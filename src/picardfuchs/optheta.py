@@ -753,10 +753,15 @@ class RiemannSymbol(Immutable):
 
         Equals -n(n-1) for a Fuchsian operator; the check runs over every
         candidate point including regular-looking ones.  Over Q(sqrt d) a
-        sqrt part left in the sum is kept, so it shows as a defect.
+        sqrt part left in the sum is kept, so it shows as a defect; fields are
+        summed apart, and MixedFields means two fields each keep a sqrt part.
         """
+        sums = {}  # field tag, None over Q -> sum of the exponents in that field
+        for e in chain.from_iterable(exps for _p, exps, _g in self.entries):
+            d = e.d if type(e) is QuadraticNumber else None
+            sums[d] = sums.get(d, 0) + e
         half = Fraction(self.order * (self.order - 1), 2)
-        return collapse(sum((sum(exps, Fraction(0)) - half for _p, exps, _g in self.entries), Fraction(0)))
+        return collapse(sum(map(collapse, sums.values()), -half * len(self.entries)))
 
 
 def riemann_symbol(op, with_log_check=True):

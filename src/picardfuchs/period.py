@@ -223,6 +223,31 @@ def _slot_width(bound):
 _SLACK = 32
 
 
+def _read_line(line, m, n, K, bias):
+    """(line / m, its n slots at width K, their largest size) by one division; `bias` adds 2^(K-1) to each slot.
+
+    The quotient's balanced digits, times m, are the line's slots exactly when
+    each product is below 2^(K-1) in size: then every slot divides and none
+    carries.  A line that fails is read slot by slot, to name its fault.
+    """
+    q, rem = divmod(line, m)
+    if rem:
+        raise InexactDivision("the period recurrence left a remainder at t^%d" % m)
+    mask, half = (1 << K) - 1, 1 << (K - 1)
+    x, coeffs = q + bias, []
+    for _b in range(n):
+        coeffs.append((x & mask) - half)
+        x >>= K
+    big = max(map(abs, coeffs))
+    if x or big * m >= half:
+        x = line + bias
+        if any(((x >> s & mask) - half) % m for s in range(0, n * K, K)):
+            raise InexactDivision("a slot of the period recurrence left a remainder at t^%d" % m)
+        if x >> n * K:
+            raise SlotOverflow("a packed line of the period recurrence carried past its last slot at t^%d" % m)
+    return q, coeffs, big
+
+
 def conifold_expand(f):
     """PeriodSeries of the tetra form f, exact through its truncation order."""
     lead = f.constant_term()
@@ -256,8 +281,7 @@ def conifold_expand(f):
             R = {i: [(p, coeffs, sum(map(lshift, coeffs, range(0, K * len(coeffs), K)))) for p, coeffs, _x in kept] for i, kept in R.items()}
             # bias[n] adds 2^(K-1) to each of n slots, so that the slots of a
             # line plus its bias are its balanced digits plus 2^(K-1), each in [0, 2^K)
-            mask, half = (1 << K) - 1, 1 << (K - 1)
-            bias = list(accumulate((half << K * b for b in range(B)), initial=0))
+            bias = list(accumulate((1 << K * b + K - 1 for b in range(B)), initial=0))
         acc = [0] * (m * B + m + 1)
         for j in used:
             w = (j - 2 * m) * scale[j]
@@ -272,19 +296,9 @@ def conifold_expand(f):
         row, biggest, total = [], 0, 0
         for p in compress(range(len(acc)), acc):
             a, s = p // B, p % B
-            x = acc[p] + bias[s - a + 1]
-            coeffs = []
-            for _b in range(s - a + 1):
-                q, rem = divmod((x & mask) - half, m)
-                if rem:
-                    raise InexactDivision("the period recurrence left a remainder at t^%d" % m)
-                coeffs.append(q)
-                x >>= K
-            if x:
-                raise SlotOverflow("a packed line of the period recurrence carried past its last slot at t^%d" % m)
-            # every slot divides by m, so the packed line does, slot by slot
-            row.append((p, coeffs, acc[p] // m))
-            biggest = max(biggest, max(coeffs), -min(coeffs))
+            line, coeffs, big = _read_line(acc[p], m, s - a + 1, K, bias[s - a + 1])
+            row.append((p, coeffs, line))
+            biggest = max(biggest, big)
             total += h[a] * weight[s] * sum(map(mul, coeffs, pairs[s - a]))
         R[m] = row
         R.pop(m - max(grades, default=0), None)

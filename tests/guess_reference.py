@@ -1,7 +1,8 @@
 """Earlier operator-guessing loops, kept as test-only references.
 
 The package clears the series once, screens each order modulo a prime with
-an order basis, and eliminates exactly on a certified prefix of the rows.
+an order basis, and solves a certified prefix of the rows modulo word primes,
+read back by rational reconstruction and checked exactly on every row of it.
 `reference_guess` is the loop without any screen: a Fraction matrix per
 shape, cleared row by row, and exact elimination on every shape tried.
 `screened_guess` is the loop with the screen it had before, which reduced

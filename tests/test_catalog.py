@@ -203,7 +203,7 @@ def test_a_classification_error_is_a_labels_fail_and_a_bug_propagates(monkeypatc
     monkeypatch.setattr(catalog, "classify_point", unclassified_at_1)
     assert [line for line in verify_catalog().lines() if not line.startswith("PASS")] == [
         "FAIL arrangement 4 [labels: 1: expected K, got error: "
-        "UnclassifiedPattern('unclassified local pattern: exponents (0, 0), blocks [2]')]"
+        "UnclassifiedPattern('unclassified local pattern: exponents [0, 0], blocks [2]')]"
     ]
 
     def broken(op, point):

@@ -11,12 +11,14 @@ The set was drawn once with random.Random(40) and is stored as it is, so it
 does not move with the random module.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from picardfuchs import CATALOG, DERIVED_OPERATORS
+from picardfuchs import CATALOG, DERIVED_OPERATORS, SingularPoint
 from picardfuchs.arith import Polynomial
 from picardfuchs.catalog import _check_entry
-from picardfuchs.optheta import ThetaOperator
+from picardfuchs.optheta import ThetaOperator, fuchs_defect, riemann_symbol
 
 RECORDS = {**CATALOG, **DERIVED_OPERATORS}
 
@@ -54,7 +56,8 @@ MUTANTS = [
     (4, "coeff", (0, 2, 2), ("symbol", "profile", "labels")),
     (270, "coeff", (0, 0, 1), ("symbol", "labels")),
     (4, "coeff", (1, 1, -1), ("symbol", "labels")),
-    (270, "coeff", (2, 2, -2), ("symbol", "profile", "fuchs", "labels")),
+    # the Fuchs relation holds: the exponents lie in Q(sqrt 17) and Q(sqrt 2), summed field by field
+    (270, "coeff", (2, 2, -2), ("symbol", "profile", "labels")),
     (72, "coeff", (0, 1, 1), ("symbol", "labels")),
     (13, "coeff", (0, 1, -1), ("symbol", "labels")),
     (261, "coeff", (1, 2, 1), ("symbol", "profile", "labels")),
@@ -123,3 +126,20 @@ def test_mutant_fails_exactly_the_pinned_rows(key, kind, args, rows):
     rec = mutate(RECORDS[key], kind, args)
     assert rec != RECORDS[key]
     assert tuple(c.name for c in _check_entry(rec) if c.status == "FAIL") == rows
+
+
+def test_a_symbol_across_two_quadratic_fields_has_a_defect():
+    # 71 with -2 on t^0 theta^0: the exponents at 0 are 1/2 +- sqrt(-1)/2 and 1/2 +- sqrt(2)/2, summing to 2
+    rec = mutate(RECORDS[71], "coeff", (0, 0, -2))
+    exps = next(e for p, e, _g in riemann_symbol(rec.operator, with_log_check=False).entries if p == SingularPoint(0))
+    assert {e.d for e in exps} == {-1, 2} and sum(e.a for e in exps) == 2
+    defect = fuchs_defect(rec.operator)
+    assert defect == -12 and type(defect) is Fraction
+    assert next(c for c in _check_entry(rec) if c.name == "fuchs").status == "PASS"
+
+
+def test_an_unclassified_pattern_prints_its_exponents_as_fractions():
+    # 98 with +1 on t^2 theta^3: at infinity the exponents 1/2, 1, 1, 3/2 fall in two Jordan blocks of size 2
+    rec = mutate(RECORDS[98], "coeff", (2, 3, 1))
+    labels = next(c for c in _check_entry(rec) if c.name == "labels")
+    assert "oo: expected C, got error: UnclassifiedPattern('unclassified local pattern: exponents [1/2, 1, 1, 3/2], blocks [2, 2]')" in labels.detail

@@ -24,7 +24,7 @@ from picardfuchs import (
     mobius,
     recurrence_from_operator,
 )
-from picardfuchs.arith import Polynomial, PowerSeries
+from picardfuchs.arith import Polynomial, PowerSeries, _is_probable_prime, zprimitive
 from picardfuchs.errors import (
     InconsistentRecurrence,
     InexactScalar,
@@ -430,3 +430,83 @@ def test_exact_elimination_reads_the_leading_rows_in_the_default_box(aid, monkey
     monkeypatch.setattr(guess, "zprimitive", eliminated)
     assert guess_operator(series, DEFAULT_BOX) is not None
     assert len(series) == 60 and eliminated.call_count == 20
+
+
+# -- the modular solve against fraction-free elimination on every row ----------
+
+# the first prime the solve takes: the largest below 2^62
+FIRST_PRIME = next(filter(_is_probable_prime, range((1 << 62) - 1, 2, -2)))
+
+
+def _primitive(rows):
+    """The nonzero rows over their contents, as _nullspace passes them to _eliminate."""
+    return [zprimitive(row) for row in rows if any(row)]
+
+
+def _solved(mat, ncols):
+    """(basis, primes): guess._eliminate on the rows `mat`, and the primes it took."""
+    echelon = mock.Mock(wraps=guess._echelon_mod)
+    with mock.patch.object(guess, "_echelon_mod", echelon):
+        basis = guess._eliminate(mat, ncols)
+    return basis, [call.args[2] for call in echelon.call_args_list]
+
+
+def _height(basis):
+    return max((max(abs(x.numerator), x.denominator) for vec in basis for x in vec), default=0)
+
+
+@st.composite
+def _wide_blocks(draw):
+    """(rows, ncols): fewer than ncols rows with entries up to 2^40 in size, and up to two combinations of them."""
+    ncols = draw(st.integers(2, 6), label="ncols")
+    wide = st.integers(-(2**40), 2**40)
+    rows = draw(st.lists(st.lists(wide, min_size=ncols, max_size=ncols), min_size=1, max_size=ncols - 1))
+    for _ in range(draw(st.integers(0, 2))):
+        weights = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(w * row[c] for w, row in zip(weights, rows)) for c in range(ncols)])
+    return rows, ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_wide_blocks())
+def test_modular_solve_reads_back_a_basis_that_needs_several_primes(case):
+    rows, ncols = case
+    want = full_nullspace(rows, ncols)
+    # one prime reads back numerators and denominators up to 2^30.5 at most
+    assume(_height(want) > 2**31)
+    got, primes = _solved(_primitive(rows), ncols)
+    assert got == want
+    assert len(primes) >= 2 and primes[0] == FIRST_PRIME
+
+
+@st.composite
+def _blocks_singular_mod_the_first_prime(draw):
+    """(rows, ncols): A + p E with p the first prime, A small and of lower rank, E small."""
+    lead, ncols = draw(_rank_deficient_leads())
+    shift = st.lists(st.integers(-1, 1), min_size=ncols, max_size=ncols)
+    return [[a + FIRST_PRIME * e for a, e in zip(row, draw(shift))] for row in lead[:ncols]], ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_blocks_singular_mod_the_first_prime())
+def test_modular_solve_passes_over_a_prime_with_the_wrong_pivots(case):
+    rows, ncols = case
+    mat = _primitive(rows)
+    want = full_nullspace(rows, ncols)
+    free = [max(i for i, x in enumerate(vec) if x) for vec in want]
+    pivots, _basis = guess._echelon_mod(mat, ncols, FIRST_PRIME)
+    assume(pivots != [c for c in range(ncols) if c not in free])
+    got, primes = _solved(mat, ncols)
+    assert got == want and primes[0] == FIRST_PRIME
+    # a better pivot set starts the combination over: the first prime costs one solve and no more
+    with mock.patch.object(guess, "_solve_prime", lambda k, solve=guess._solve_prime: solve(k + 1)):
+        assert _solved(mat, ncols) == (want, primes[1:])
+
+
+def test_the_screening_prime_leaves_the_solve_primes_alone():
+    series = [comb(2 * n, n) ** 2 for n in range(30)]
+    echelon = mock.Mock(wraps=guess._echelon_mod)
+    with mock.patch.object(guess, "_PRIME", 2), mock.patch.object(guess, "_echelon_mod", echelon):
+        assert guess_operator(series, GuessConfig(2, 1, 10)) == LEGENDRE
+    primes = [call.args[2] for call in echelon.call_args_list]
+    assert primes and all(p.bit_length() == 62 for p in primes) and primes[0] == FIRST_PRIME

@@ -143,6 +143,29 @@ def test_remainder_in_the_recurrence_raises_under_optimize(run_optimized):
     assert run_optimized(code).strip() == "InexactDivision"
 
 
+@pytest.mark.parametrize(
+    "line, m, n, K, error",
+    [
+        # at width 8, 2^8 = 1 mod 3: the line 1 + 2 * 2^8 divides by 3, its slot 1 does not
+        (1 + 2 * 2**8, 3, 2, 8, InexactDivision),
+        # 12 divides by 4 but passes the slot [-8, 8) of width 4, so its quotient's digit is too large
+        (12, 4, 1, 4, SlotOverflow),
+        # the slot -8 at width 4 is the least balanced digit: its quotient -4 reads back, though -4 * 2 = -2^3
+        (-8, 2, 1, 4, None),
+        (3 - 6 * 2**8, 3, 2, 8, None),
+    ],
+    ids=["slot-remainder", "slot-overflow", "least-digit", "clean"],
+)
+def test_a_packed_line_is_divided_once_and_read_back_or_named(line, m, n, K, error):
+    bias = sum(1 << K * b + K - 1 for b in range(n))
+    if error is not None:
+        with pytest.raises(error):
+            period._read_line(line, m, n, K, bias)
+        return
+    q, coeffs, big = period._read_line(line, m, n, K, bias)
+    assert q * m == line and sum(c << K * b for b, c in enumerate(coeffs)) == q and big == max(map(abs, coeffs))
+
+
 # P = 1 + 3x has one term, so the slot of A_1's line holds the bound itself,
 # -6, and a slot one bit narrower than _slot_width gives carries it past the
 # line; without the slack, the kernel packs at that width
